@@ -1,7 +1,10 @@
 package dynhl
 
 import (
+	"context"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/testutil"
@@ -118,6 +121,74 @@ func TestPackedQueryZeroAllocs(t *testing.T) {
 		}
 		measureView(t, "weighted", st.Snapshot(), n)
 	})
+}
+
+// TestFreshEpochQueryZeroAllocs pins that query scratch outlives epochs:
+// the first queries on a freshly published snapshot reuse the search
+// scratch earlier epochs warmed, instead of each fork allocating its own
+// 8·|V| bytes of distance vectors. The garbage collector is off for the
+// measurement so pooled scratch cannot be dropped mid-test, and one P
+// keeps the test on a single per-P pool slot.
+func TestFreshEpochQueryZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the gate runs in normal builds")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n = 20000
+	rng := rand.New(rand.NewSource(43))
+	dg := NewDigraph(n)
+	wg := NewWeightedGraph(n)
+	for i := 0; i < n; i++ {
+		dg.AddVertex()
+		wg.AddVertex()
+	}
+	for e := 0; e < 3*n; e++ {
+		u, v := uint32(rng.Intn(n)), uint32(rng.Intn(n))
+		if u != v {
+			dg.AddEdge(u, v)
+			wg.AddEdge(u, v, Dist(1+rng.Intn(8)))
+		}
+	}
+	build := map[string]func() (Oracle, error){
+		"undirected": func() (Oracle, error) {
+			return Build(testutil.RandomConnectedGraph(n, 2*n, 47), Options{Landmarks: 8})
+		},
+		"directed": func() (Oracle, error) { return BuildDirected(dg, Options{Landmarks: 8}) },
+		"weighted": func() (Oracle, error) { return BuildWeighted(wg, Options{Landmarks: 8}) },
+	}
+	pairs := allocPairs(n, 53)
+	for name, mk := range build {
+		t.Run(name, func(t *testing.T) {
+			o, err := mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := NewStore(o)
+			for _, p := range pairs {
+				st.Query(p.U, p.V)
+			}
+			for epoch := 0; epoch < 3; epoch++ {
+				for {
+					u, v := uint32(rng.Intn(n)), uint32(rng.Intn(n))
+					if _, err := st.ApplyCtx(context.Background(), []Op{InsertEdgeOp(u, v, 1)}); err == nil {
+						break
+					}
+				}
+				view := st.Snapshot()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for _, p := range pairs[:8] {
+					view.Query(p.U, p.V)
+				}
+				runtime.ReadMemStats(&after)
+				// One fork's private scratch would be 8·|V| = 160 KB.
+				if got := after.TotalAlloc - before.TotalAlloc; got > n {
+					t.Fatalf("epoch %d: first queries allocated %d bytes, want the pooled scratch reused", view.Epoch(), got)
+				}
+			}
+		})
+	}
 }
 
 // TestPackedSurvivesPublish pins the pack-on-publish cycle: every epoch a

@@ -56,7 +56,7 @@
 // graph) instead of constructing labels at boot, and -save-labels writes
 // the final labelling on graceful shutdown for the next boot to load.
 //
-// -mmap (default auto) serves v2 checkpoint and label files straight out
+// -mmap (default auto) serves checkpoint and label files straight out
 // of an mmap instead of decoding a heap copy, so boot cost stops scaling
 // with labelling size — entries page in on first touch. MappedBytes in
 // /stats and mapped_bytes in /healthz report the mapped region; -mmap off
@@ -245,7 +245,7 @@ func main() {
 			log.Printf("checkpointed epoch %d", store.Epoch())
 		}
 		if *saveLabels != "" {
-			if err := saveLabelFile(store, *saveLabels, mmapMode); err != nil {
+			if err := saveLabelFile(store, *saveLabels); err != nil {
 				log.Fatal("hlserver: ", err)
 			}
 			log.Printf("saved labelling to %s (epoch %d)", *saveLabels, store.Epoch())
@@ -365,13 +365,11 @@ func parseMapMode(s string) (wal.MapMode, error) {
 
 // loadLabelFile publishes the labelling stored in path (Save format over
 // the server's current graph) as a new epoch. When the mmap mode allows
-// it and the file is the mappable v2 layout, the labels are served
-// straight out of an mmap of the file instead of a heap copy.
+// it, the labels are served straight out of an mmap of the file instead of
+// a heap copy.
 func loadLabelFile(store *dynhl.Store, path string, mode wal.MapMode) error {
 	if mode.Enabled() {
-		if _, err := store.LoadMappedFile(path); err == nil {
-			return nil
-		} else if !errors.Is(err, dynhl.ErrNotMappable) && !errors.Is(err, errors.ErrUnsupported) {
+		if _, err := store.LoadMappedFile(path); !errors.Is(err, dynhl.ErrNotMappable) {
 			return err
 		}
 	}
@@ -383,20 +381,14 @@ func loadLabelFile(store *dynhl.Store, path string, mode wal.MapMode) error {
 	return store.Load(f)
 }
 
-// saveLabelFile writes the current snapshot's labelling to path — in the
-// mappable v2 layout when the mmap mode allows it, so the next boot's
-// -load-labels can serve the file zero-copy (v2 files remain loadable by
-// the copy-in reader everywhere).
-func saveLabelFile(store *dynhl.Store, path string, mode wal.MapMode) error {
+// saveLabelFile writes the current snapshot's labelling to path, for the
+// next boot's -load-labels.
+func saveLabelFile(store *dynhl.Store, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	save := store.Save
-	if mode.Enabled() {
-		save = store.SaveMappable
-	}
-	if err := save(f); err != nil {
+	if err := store.Save(f); err != nil {
 		f.Close()
 		return err
 	}

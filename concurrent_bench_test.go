@@ -1,6 +1,6 @@
 // Benchmarks for the concurrent read path: the same read-heavy workload
 // served four ways — the old single-mutex serialization, an explicit
-// RWMutex (what ConcurrentOracle did before the snapshot redesign),
+// RWMutex (the concurrency wrapper before the snapshot redesign),
 // lock-free snapshot reads through the Store, and the worker-fanned
 // QueryBatch. BenchmarkReadUnderWrite adds the latency view: reader p99
 // with a sustained writer applying IncHL+/DecHL batches, where the RWMutex

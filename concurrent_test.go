@@ -14,7 +14,7 @@ import (
 )
 
 // TestConcurrentHammer races parallel Query/QueryBatch readers against an
-// IncHL+ writer through the Concurrent wrapper. Run it under -race. During
+// IncHL+ writer through a Store. Run it under -race. During
 // the stream, readers check the one invariant insertions guarantee —
 // distances never increase; afterwards the final state is audited against
 // BFS ground truth.
@@ -26,7 +26,7 @@ func TestConcurrentHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := Concurrent(idx)
+	co := NewStore(idx)
 
 	readers := runtime.GOMAXPROCS(0)
 	if readers < 4 {
@@ -37,7 +37,7 @@ func TestConcurrentHammer(t *testing.T) {
 	errs := make(chan error, readers+1)
 
 	// Writer: the rare-update side of the workload — edge insertions plus a
-	// few vertex insertions, all through the write lock.
+	// few vertex insertions, each published as a new epoch.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -131,7 +131,7 @@ func TestConcurrentHammerFullyDynamic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := Concurrent(idx)
+	co := NewStore(idx)
 
 	readers := runtime.GOMAXPROCS(0)
 	if readers < 4 {
@@ -222,7 +222,7 @@ func TestConcurrentHammerFullyDynamic(t *testing.T) {
 }
 
 // TestConcurrentAllVariants drives the three variants through the same
-// Oracle-typed harness, pinning that the wrapper works for each.
+// Oracle-typed harness, pinning that the Store works for each.
 func TestConcurrentAllVariants(t *testing.T) {
 	build := map[string]func(t *testing.T) Oracle{
 		"undirected": func(t *testing.T) Oracle {
@@ -271,7 +271,7 @@ func TestConcurrentAllVariants(t *testing.T) {
 	}
 	for name, mk := range build {
 		t.Run(name, func(t *testing.T) {
-			co := Concurrent(mk(t))
+			co := NewStore(mk(t))
 			var wg sync.WaitGroup
 			for r := 0; r < 4; r++ {
 				wg.Add(1)
@@ -315,23 +315,23 @@ func TestConcurrentAllVariants(t *testing.T) {
 	}
 }
 
-// TestConcurrentCapabilities pins the wrapper's Saver/Loader forwarding and
+// TestConcurrentCapabilities pins the Store's Saver/Loader forwarding and
 // idempotent wrapping.
 func TestConcurrentCapabilities(t *testing.T) {
 	idx, err := Build(testutil.RandomConnectedGraph(30, 60, 6), Options{Landmarks: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := Concurrent(idx)
-	if Concurrent(co) != co {
-		t.Error("wrapping a ConcurrentOracle must be a no-op")
+	co := NewStore(idx)
+	if NewStore(co) != co {
+		t.Error("wrapping a Store must be a no-op")
 	}
 	var buf bytes.Buffer
 	if err := co.Save(&buf); err != nil {
-		t.Fatalf("Save through wrapper: %v", err)
+		t.Fatalf("Save through the store: %v", err)
 	}
 	if err := co.Load(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("Load through wrapper: %v", err)
+		t.Fatalf("Load through the store: %v", err)
 	}
 	if err := co.Verify(); err != nil {
 		t.Fatal(err)
@@ -349,8 +349,8 @@ func TestConcurrentCapabilities(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dbuf bytes.Buffer
-	if err := Concurrent(dir).Save(&dbuf); err != nil {
-		t.Errorf("directed Save through the shim: %v", err)
+	if err := NewStore(dir).Save(&dbuf); err != nil {
+		t.Errorf("directed Save through the store: %v", err)
 	}
 	if dbuf.Len() == 0 {
 		t.Error("directed Save wrote nothing")

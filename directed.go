@@ -1,6 +1,7 @@
 package dynhl
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -28,7 +29,7 @@ func ReadDigraph(r io.Reader) (*Digraph, error) { return digraph.ReadEdgeList(r)
 //
 // A DirectedIndex implements Oracle. Queries are safe for any number of
 // concurrent readers; readers must not race the Insert methods — wrap with
-// Concurrent for that.
+// NewStore for that.
 type DirectedIndex struct {
 	idx *dhcl.Index
 }
@@ -80,8 +81,11 @@ func (x *DirectedIndex) Graph() *Digraph { return x.idx.G }
 // Query returns the exact directed distance u→v, Inf when unreachable.
 func (x *DirectedIndex) Query(u, v uint32) Dist { return x.idx.Query(u, v) }
 
-// QueryBatch answers many pairs serially; Concurrent fans batches out.
-func (x *DirectedIndex) QueryBatch(pairs []Pair) []Dist { return queryBatch(x, pairs) }
+// QueryBatch answers many pairs, fanning large batches across workers.
+func (x *DirectedIndex) QueryBatch(pairs []Pair) []Dist {
+	out, _ := queryBatchCtx(context.Background(), x, pairs)
+	return out
+}
 
 // NumVertices returns the current vertex count.
 func (x *DirectedIndex) NumVertices() int { return x.idx.G.NumVertices() }
@@ -129,7 +133,7 @@ func (x *DirectedIndex) Apply(ops []Op) ([]UpdateSummary, error) { return applyO
 func (x *DirectedIndex) packLabels() { x.idx.Pack() }
 
 // fork returns the copy-on-write working copy backing Store publishes.
-func (x *DirectedIndex) fork() Oracle {
+func (x *DirectedIndex) fork() variant {
 	return &DirectedIndex{idx: x.idx.Fork(x.idx.G.Fork())}
 }
 
@@ -219,10 +223,14 @@ func (x *DirectedIndex) Load(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	idx.Workers = x.idx.Workers
-	idx.RepairTimer = x.idx.RepairTimer
-	x.idx = idx
+	x.adopt(idx)
 	return nil
+}
+
+// adopt installs idx as the labelling, carrying over the repair settings.
+func (x *DirectedIndex) adopt(idx *dhcl.Index) {
+	idx.Workers, idx.RepairTimer = x.idx.Workers, x.idx.RepairTimer
+	x.idx = idx
 }
 
 // LoadDirectedIndex restores a labelling saved with Save and attaches it to

@@ -47,9 +47,8 @@
 // weighted and directed variants; unweighted oracles reject weights > 1
 // rather than silently dropping them. Mutations report failures through the
 // sentinel errors ErrNoSuchVertex, ErrNoSuchEdge and ErrEdgeExists, which
-// wrap through every layer up to the HTTP service. Capability interfaces
-// cover what not every variant can do: Saver and Loader (labelling
-// serialisation, currently the undirected Index). Batches of mutations are
+// wrap through every layer up to the HTTP service. Every variant
+// serialises its labelling (Saver and Loader). Batches of mutations are
 // expressed as []Op (InsertEdgeOp, DeleteEdgeOp, InsertVertexOp,
 // DeleteVertexOp) and applied with Oracle.Apply.
 //
@@ -85,16 +84,15 @@
 //
 // A View stays valid indefinitely — holding one only pins the memory it
 // shares with newer snapshots — and Epoch names the version it serves, the
-// same number the HTTP service returns in its X-Oracle-Epoch header. The
-// ConcurrentOracle type and the Concurrent constructor remain only as a
-// deprecated compatibility shim over Store; new code should use NewStore
-// and write through ApplyCtx.
+// same number the HTTP service returns in its X-Oracle-Epoch header. A
+// Store wraps only the package's own index variants — it publishes their
+// copy-on-write forks — and NewStore panics on any other Oracle.
 //
 // # Group commit: the coalescing apply queue
 //
 // Concurrent writers do not take turns paying the full commit cost.
-// ApplyCtx — the canonical write call, which Apply, ApplyEpoch and the
-// convenience mutators wrap — enqueues the caller's batch on an apply
+// ApplyCtx — the canonical write call, which Apply and the convenience
+// mutators wrap — enqueues the caller's batch on an apply
 // queue and parks the caller on a promised-epoch future. A committer
 // goroutine (spawned on demand, retired when the queue drains) claims
 // every batch waiting at that moment as one commit group and pays one
@@ -205,24 +203,25 @@
 //
 // # Zero-copy checkpoints: the mapped label arena
 //
-// Checkpoint formats are versioned, and every reader keeps decoding every
-// older version forever. The label codecs are HCL1 (per-vertex streams,
-// read-only legacy), HCL2/DHL1/WHL1 (the packed CSR block with u32
-// offsets, still what Save writes at ordinary sizes) and HCL3/DHL2/WHL2
-// (u64 offsets, entry block page-aligned relative to the stream start,
-// entries padded to their in-memory stride); checkpoint images are
-// HLWCKPT1 (whole-file CRC32) and HLWCKPT2, which embeds an HCL3-family
-// labelling at its real file offset, records the entry-block spans in a
-// trailer, and excludes exactly those spans from its CRC32. That CRC
-// shape is the point of v2: recovery can mmap the checkpoint file,
-// validate everything except the entry arenas — headers, graph, offset
-// tables are fully checked — and attach the entries in place
+// There is one on-disk format generation. A labelling stream — what Save
+// writes, GET and PUT /labels carry, and checkpoints and replication
+// images embed — is HCL3 (undirected), DHL2 (directed) or WHL2 (weighted):
+// landmarks and highway, then per label table one block with u64 CSR
+// offsets and the entries in their 8-byte in-memory layout, the entry area
+// page-aligned relative to the start of the file. A checkpoint is HLWCKPT2:
+// graph edge array plus a labelling stream written at its real file
+// offset, with a trailer naming the entry spans, which its CRC32
+// deliberately skips. That CRC shape is the point: recovery can mmap the
+// checkpoint file, validate everything except the entry arenas — headers,
+// graph, offset tables are fully checked — and attach the entries in place
 // (LoadIndexMapped, MapIndexFile, Store.LoadMappedFile), so boot cost
 // stops scaling with labelling size and entry pages fault in on first
-// use. The WAL tail then replays onto the mapped index directly: the
-// mapping is private (MAP_PRIVATE), so in-place repairs dirty anonymous
-// copies and never the file. Followers bootstrap the same way by
-// spilling the shipped image to an unlinked temp file
+// use. The copy-in loaders read the same bytes, validating every entry;
+// they treat streams as untrusted and allocate as bytes arrive, never by
+// the sizes a header claims. The WAL tail then replays onto the mapped
+// index directly: the mapping is private (MAP_PRIVATE), so in-place
+// repairs dirty anonymous copies and never the file. Followers bootstrap
+// the same way by spilling the shipped image to an unlinked temp file
 // (wal.RebuildImageMapped). Stats.MappedBytes reports the region still
 // backing a labelling, next to PackedBytes.
 //
@@ -237,10 +236,11 @@
 // touched from the mapping to the heap; untouched chunks stay
 // file-backed indefinitely. Everything falls back to the copy-in heap
 // load — identical answers, identical Save bytes — when the platform has
-// no mmap (a build-tagged stub gates syscall use; ErrNotMappable is the
-// quiet sentinel), when the checkpoint is a v1 image, when a stream's
-// layout or alignment cannot be mapped, or when -mmap off (wal.MapOff)
-// asks for it; -mmap auto probes support and is the default.
+// no mmap (a build-tagged stub gates syscall use), when the host's Entry
+// layout or a stream's alignment rules out the in-place cast (both
+// reported as the quiet sentinel ErrNotMappable), or when -mmap off
+// (wal.MapOff) asks for it; -mmap auto probes support and is the
+// default.
 //
 // # Replication: WAL shipping to read-scaling followers
 //

@@ -1,6 +1,7 @@
 package dynhl
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -72,7 +73,7 @@ type Options struct {
 //
 // An Index implements Oracle (and Saver/Loader). Queries are safe for any
 // number of concurrent readers; readers must not race the Insert methods —
-// wrap with Concurrent for that.
+// wrap with NewStore for that.
 type Index struct {
 	idx *hcl.Index
 	upd *inchl.Updater
@@ -124,8 +125,11 @@ func (x *Index) Landmarks() []uint32 {
 // current graph, or Inf when they are disconnected.
 func (x *Index) Query(u, v uint32) Dist { return x.idx.Query(u, v) }
 
-// QueryBatch answers many pairs serially; Concurrent fans batches out.
-func (x *Index) QueryBatch(pairs []Pair) []Dist { return queryBatch(x, pairs) }
+// QueryBatch answers many pairs, fanning large batches across workers.
+func (x *Index) QueryBatch(pairs []Pair) []Dist {
+	out, _ := queryBatchCtx(context.Background(), x, pairs)
+	return out
+}
 
 // NumVertices returns the current vertex count.
 func (x *Index) NumVertices() int { return x.idx.G.NumVertices() }
@@ -169,13 +173,21 @@ func (x *Index) packLabels() { x.idx.Pack() }
 
 // fork returns the copy-on-write working copy backing Store publishes: the
 // graph and label store share everything an update does not touch.
-func (x *Index) fork() Oracle {
-	idx := x.idx.Fork(x.idx.G.Fork())
+func (x *Index) fork() variant {
+	y := *x
+	y.adopt(x.idx.Fork(x.idx.G.Fork()))
+	return &y
+}
+
+// adopt installs idx as the labelling, with a fresh updater carrying over
+// the repair settings (strategy, fan-out, task timer).
+func (x *Index) adopt(idx *hcl.Index) {
+	idx.Workers = x.idx.Workers
 	upd := inchl.New(idx)
 	upd.Strategy = x.upd.Strategy
 	upd.Workers = x.upd.Workers
 	upd.RepairTimer = x.upd.RepairTimer
-	return &Index{idx: idx, upd: upd}
+	x.idx, x.upd = idx, upd
 }
 
 // setRepairWorkers tunes the per-landmark repair fan-out and the delta
@@ -258,9 +270,9 @@ type Stats struct {
 	// (both label directions for the directed one). Zero when the
 	// labelling is not currently packed (a plain mutable index).
 	PackedBytes int64
-	// MappedBytes is the size of the mmap'd checkpoint region the
-	// labelling still serves entries from (zero-copy boot via the v2
-	// checkpoint layout). Zero for a fully heap-resident labelling; note
+	// MappedBytes is the size of the mmap'd region the labelling still
+	// serves entries from (zero-copy boot from a checkpoint or label
+	// file). Zero for a fully heap-resident labelling; note
 	// the region counts once per live mapping, not per snapshot, so
 	// consecutive epochs forked from a mapped boot report the same figure
 	// until the mapping is released.
@@ -313,12 +325,7 @@ func (x *Index) Load(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	idx.Workers = x.idx.Workers
-	upd := inchl.New(idx)
-	upd.Strategy = x.upd.Strategy
-	upd.Workers = x.upd.Workers
-	upd.RepairTimer = x.upd.RepairTimer
-	x.idx, x.upd = idx, upd
+	x.adopt(idx)
 	return nil
 }
 

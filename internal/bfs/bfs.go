@@ -37,6 +37,12 @@ type SpacePool struct {
 	pool sync.Pool
 }
 
+// Spaces is the query scratch pool shared by every BFS-based index (hcl,
+// dhcl). One process-wide pool, rather than one per index, lets a freshly
+// published epoch answer its first queries from scratch warmed by earlier
+// epochs, and keeps no index alive through the runtime's pool registry.
+var Spaces SpacePool
+
 // Get returns a QuerySpace covering n vertices, entries all graph.Inf.
 func (sp *SpacePool) Get(n int) *QuerySpace {
 	s, _ := sp.pool.Get().(*QuerySpace)

@@ -1,81 +1,31 @@
 package dhcl
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 
+	"repro/internal/arena"
 	"repro/internal/digraph"
-	"repro/internal/graph"
 	"repro/internal/hcl"
 )
 
-// Binary index format:
-//
-//	magic "DHL1" | u32 |V| | u32 |R| | landmarks u32×|R| |
-//	highway u32×|R|² (row-major, hf[i*k+j] = d(ri→rj)) |
-//	forward label block | backward label block
-//
-// The label blocks are the shared CSR layout of hcl.WriteLabelBlock, so a
-// load is two bulk arena reads and the loaded index is already packed. All
-// integers little-endian; the graph is serialised separately.
-const codecMagic = "DHL1"
+// codecMagic names the directed label stream: the shared hcl stream
+// layout with the directed highway (hf[i*k+j] = d(ri→rj)) and two label
+// blocks, forward then backward.
+const codecMagic = "DHL2"
 
 // WriteTo serialises the directed labelling (landmarks, highway, both label
-// sets) to w. Below hcl.V2SaveThreshold total entries it writes the DHL1
-// layout; at or above it the mappable DHL2 layout, whose u64 offsets are
-// the only representation past the u32 ceiling.
+// sets) to w as a file of its own. The graph is serialised separately.
 func (idx *Index) WriteTo(w io.Writer) (int64, error) {
-	var total uint64
-	for _, l := range idx.Lf {
-		total += uint64(len(l))
-	}
-	for _, l := range idx.Lb {
-		total += uint64(len(l))
-	}
-	if total >= hcl.V2SaveThreshold {
-		n, _, err := idx.WriteToMappable(w, 0)
-		return n, err
-	}
-	cw := &hcl.CountingWriter{W: w}
-	bw := bufio.NewWriterSize(cw, 1<<16)
-	if _, err := bw.WriteString(codecMagic); err != nil {
-		return cw.N, err
-	}
-	le := binary.LittleEndian
-	var u32 [4]byte
-	writeU32 := func(v uint32) error {
-		le.PutUint32(u32[:], v)
-		_, err := bw.Write(u32[:])
-		return err
-	}
-	if err := writeU32(uint32(len(idx.Lf))); err != nil {
-		return cw.N, err
-	}
-	if err := writeU32(uint32(idx.k)); err != nil {
-		return cw.N, err
-	}
-	for _, v := range idx.Landmarks {
-		if err := writeU32(v); err != nil {
-			return cw.N, err
-		}
-	}
-	for _, d := range idx.hf {
-		if err := writeU32(uint32(d)); err != nil {
-			return cw.N, err
-		}
-	}
-	if err := hcl.WriteLabelBlock(bw, idx.Lf); err != nil {
-		return cw.N, err
-	}
-	if err := hcl.WriteLabelBlock(bw, idx.Lb); err != nil {
-		return cw.N, err
-	}
-	if err := bw.Flush(); err != nil {
-		return cw.N, err
-	}
-	return cw.N, nil
+	n, _, err := idx.WriteToAt(w, 0)
+	return n, err
+}
+
+// WriteToAt serialises the directed labelling for a stream starting at
+// absolute offset base of the destination file. The returned spans name
+// the two raw entry areas (forward, backward).
+func (idx *Index) WriteToAt(w io.Writer, base int64) (int64, []hcl.Span, error) {
+	return hcl.WriteStream(w, codecMagic, idx.Landmarks, idx.hf, base, idx.Lf, idx.Lb)
 }
 
 // ReadIndex deserialises a labelling written by WriteTo and attaches it to
@@ -84,82 +34,28 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 // loaded index is already packed in both directions: the label blocks are
 // the arenas.
 func ReadIndex(r io.Reader, g *digraph.Digraph) (*Index, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	magic := make([]byte, len(codecMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("dhcl: reading index header: %w", err)
-	}
-	v2 := false
-	switch string(magic) {
-	case codecMagic:
-	case codecMagicV2:
-		v2 = true
-	default:
-		return nil, fmt.Errorf("dhcl: bad index magic %q", magic)
-	}
-	var nv, nr uint32
-	if err := binary.Read(br, binary.LittleEndian, &nv); err != nil {
-		return nil, fmt.Errorf("dhcl: reading vertex count: %w", err)
-	}
-	if int(nv) != g.NumVertices() {
-		return nil, fmt.Errorf("dhcl: index has %d vertices, graph has %d", nv, g.NumVertices())
-	}
-	if err := binary.Read(br, binary.LittleEndian, &nr); err != nil {
-		return nil, fmt.Errorf("dhcl: reading landmark count: %w", err)
-	}
-	if nr == 0 || nr > 1<<16 {
-		return nil, fmt.Errorf("dhcl: implausible landmark count %d", nr)
-	}
-	landmarks := make([]uint32, nr)
-	if err := binary.Read(br, binary.LittleEndian, landmarks); err != nil {
-		return nil, fmt.Errorf("dhcl: reading landmarks: %w", err)
-	}
-	for _, v := range landmarks {
-		if v >= nv {
-			return nil, fmt.Errorf("dhcl: landmark %d out of range", v)
-		}
-	}
-	k := int(nr)
-	idx := &Index{
-		G:         g,
-		Landmarks: landmarks,
-		Lf:        make([]hcl.Label, nv),
-		Lb:        make([]hcl.Label, nv),
-		hf:        make([]graph.Dist, k*k),
-		k:         k,
-		rankArr:   make([]uint16, nv),
-	}
-	if err := binary.Read(br, binary.LittleEndian, idx.hf); err != nil {
-		return nil, fmt.Errorf("dhcl: reading highway: %w", err)
-	}
-	for i := range idx.rankArr {
-		idx.rankArr[i] = noRank
-	}
-	for r, v := range idx.Landmarks {
-		idx.rankArr[v] = uint16(r)
-	}
-	if v2 {
-		arenaF, offF, err := hcl.ReadLabelBlockV2(br, nv, nr)
-		if err != nil {
-			return nil, fmt.Errorf("dhcl: forward %w", err)
-		}
-		arenaB, offB, err := hcl.ReadLabelBlockV2(br, nv, nr)
-		if err != nil {
-			return nil, fmt.Errorf("dhcl: backward %w", err)
-		}
-		idx.packedF = hcl.AttachArena64(idx.Lf, arenaF, offF)
-		idx.packedB = hcl.AttachArena64(idx.Lb, arenaB, offB)
-		return idx, nil
-	}
-	arenaF, offF, err := hcl.ReadLabelBlock(br, nv, nr)
+	s, err := hcl.ReadStream(r, codecMagic, g.NumVertices(), 2)
+	return fromStream(g, s, nil, err)
+}
+
+// ReadIndexMapped attaches the index stream at offset streamOff of the
+// mapping m to g, serving both entry arenas straight out of the mapped
+// bytes. Returns hcl.ErrNotMappable when this host cannot serve the stream
+// in place — callers fall back to ReadIndex.
+func ReadIndexMapped(m *arena.Mapping, streamOff int64, g *digraph.Digraph) (*Index, error) {
+	s, err := hcl.MapStream(m, streamOff, codecMagic, g.NumVertices(), 2)
+	return fromStream(g, s, m, err)
+}
+
+// fromStream builds the index a decoded or mapped stream describes; m is
+// the mapping its arenas alias, if any.
+func fromStream(g *digraph.Digraph, s *hcl.Stream, m *arena.Mapping, err error) (*Index, error) {
 	if err != nil {
-		return nil, fmt.Errorf("dhcl: forward %w", err)
+		return nil, fmt.Errorf("dhcl: %w", err)
 	}
-	arenaB, offB, err := hcl.ReadLabelBlock(br, nv, nr)
-	if err != nil {
-		return nil, fmt.Errorf("dhcl: backward %w", err)
-	}
-	idx.packedF = hcl.AttachArena(idx.Lf, arenaF, offF)
-	idx.packedB = hcl.AttachArena(idx.Lb, arenaB, offB)
+	idx := newIndex(g, s.Landmarks, s.Highway)
+	idx.Lf, idx.Lb = s.Labels[0], s.Labels[1]
+	idx.packedF, idx.packedB = s.Packed[0], s.Packed[1]
+	idx.mapRef = m
 	return idx, nil
 }

@@ -2,6 +2,7 @@ package dhcl
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -50,7 +51,8 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 // TestCodecRejectsCorruption pins the untrusted-stream validation: a wrong
-// magic, a truncated stream and an implausible landmark count all refuse.
+// or retired magic, a truncated stream and a vertex-count mismatch all
+// refuse.
 func TestCodecRejectsCorruption(t *testing.T) {
 	g := randomDigraph(40, 120, 43)
 	idx, err := Build(g, topLandmarks(g, 3))
@@ -63,10 +65,15 @@ func TestCodecRejectsCorruption(t *testing.T) {
 	}
 	blob := buf.Bytes()
 
-	bad := append([]byte(nil), blob...)
-	copy(bad, "XXXX")
-	if _, err := ReadIndex(bytes.NewReader(bad), g); err == nil {
-		t.Error("bad magic accepted")
+	// A foreign magic and the retired DHL1 format both refuse with an
+	// error naming the format, never a panic.
+	for _, magic := range []string{"XXXX", "DHL1"} {
+		bad := append([]byte(nil), blob...)
+		copy(bad, magic)
+		_, err := ReadIndex(bytes.NewReader(bad), g)
+		if err == nil || !strings.Contains(err.Error(), magic) {
+			t.Errorf("magic %q: got %v, want an unsupported-format error", magic, err)
+		}
 	}
 	if _, err := ReadIndex(bytes.NewReader(blob[:len(blob)/2]), g); err == nil {
 		t.Error("truncated stream accepted")

@@ -58,8 +58,6 @@ type Index struct {
 	// may alias the mapped bytes indefinitely (see hcl.Index.mapRef).
 	mapRef *arena.Mapping
 
-	scratch bfs.SpacePool
-
 	// Workers bounds the per-pass fan-out of InsertEdge/DeleteEdge repairs:
 	// 0 (the default) resolves to GOMAXPROCS, 1 forces the serial path, any
 	// other value is used as given. Every worker count produces a
@@ -111,27 +109,15 @@ func BuildParallel(g *digraph.Digraph, landmarks []uint32, workers int) (*Index,
 	}
 	n := g.NumVertices()
 	k := len(landmarks)
-	idx := &Index{
-		G:         g,
-		Landmarks: append([]uint32(nil), landmarks...),
-		Lf:        make([]hcl.Label, n),
-		Lb:        make([]hcl.Label, n),
-		hf:        make([]graph.Dist, k*k),
-		k:         k,
-		rankArr:   make([]uint16, n),
-	}
-	for i := range idx.hf {
-		idx.hf[i] = graph.Inf
+	hf := make([]graph.Dist, k*k)
+	for i := range hf {
+		hf[i] = graph.Inf
 	}
 	for i := 0; i < k; i++ {
-		idx.hf[i*k+i] = 0
+		hf[i*k+i] = 0
 	}
-	for i := range idx.rankArr {
-		idx.rankArr[i] = noRank
-	}
-	for r, v := range idx.Landmarks {
-		idx.rankArr[v] = uint16(r)
-	}
+	idx := newIndex(g, append([]uint32(nil), landmarks...), hf)
+	idx.Lf, idx.Lb = make([]hcl.Label, n), make([]hcl.Label, n)
 	tasks := make([]passTask, 0, 2*k)
 	for r := 0; r < k; r++ {
 		// Serial construction order: forward then backward per landmark.
@@ -140,6 +126,26 @@ func BuildParallel(g *digraph.Digraph, landmarks []uint32, workers int) (*Index,
 	var st Stats
 	idx.rebuildPasses(fanout.Resolve(workers), tasks, &st)
 	return idx, nil
+}
+
+// newIndex allocates the skeleton of a directed index over g: landmarks,
+// the row-major k×k highway hf and the rank table. Label tables are left
+// to the caller.
+func newIndex(g *digraph.Digraph, landmarks []uint32, hf []graph.Dist) *Index {
+	idx := &Index{
+		G:         g,
+		Landmarks: landmarks,
+		hf:        hf,
+		k:         len(landmarks),
+		rankArr:   make([]uint16, g.NumVertices()),
+	}
+	for i := range idx.rankArr {
+		idx.rankArr[i] = noRank
+	}
+	for r, v := range landmarks {
+		idx.rankArr[v] = uint16(r)
+	}
+	return idx
 }
 
 // rebuildPasses fans the covered-flag BFS of the given (landmark, direction)
@@ -325,9 +331,9 @@ func (idx *Index) Query(u, v uint32) graph.Dist {
 		return top
 	}
 	avoid := func(x uint32) bool { return idx.rankArr[x] != noRank }
-	s := idx.scratch.Get(idx.G.NumVertices())
+	s := bfs.Spaces.Get(idx.G.NumVertices())
 	sp := idx.G.Sparsified(u, v, top, avoid, s)
-	idx.scratch.Put(s)
+	bfs.Spaces.Put(s)
 	if sp < top {
 		return sp
 	}

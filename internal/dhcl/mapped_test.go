@@ -7,17 +7,11 @@ import (
 	"testing"
 
 	"repro/internal/arena"
-	"repro/internal/hcl"
 )
 
-// TestCodecV2RoundTrip pins WriteTo's format pick and the DHL2 copy-in
-// load: above the threshold the stream is DHL2 and ReadIndex reproduces
-// the labelling exactly.
+// TestCodecV2RoundTrip pins the on-disk format: WriteTo writes the DHL2
+// stream and the copy-in ReadIndex reproduces the labelling exactly.
 func TestCodecV2RoundTrip(t *testing.T) {
-	old := hcl.V2SaveThreshold
-	hcl.V2SaveThreshold = 0
-	t.Cleanup(func() { hcl.V2SaveThreshold = old })
-
 	g := randomDigraph(150, 500, 47)
 	idx, err := Build(g, topLandmarks(g, 6))
 	if err != nil {
@@ -27,8 +21,8 @@ func TestCodecV2RoundTrip(t *testing.T) {
 	if _, err := idx.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if got := string(buf.Bytes()[:4]); got != codecMagicV2 {
-		t.Fatalf("WriteTo above threshold wrote %q, want %q", got, codecMagicV2)
+	if got := string(buf.Bytes()[:4]); got != codecMagic {
+		t.Fatalf("WriteTo wrote %q, want %q", got, codecMagic)
 	}
 	loaded, err := ReadIndex(bytes.NewReader(buf.Bytes()), g)
 	if err != nil {
@@ -62,7 +56,7 @@ func TestReadIndexMapped(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, _, err := idx.WriteToMappable(&buf, 0); err != nil {
+	if _, err := idx.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "labels.dhl2")
@@ -89,22 +83,5 @@ func TestReadIndexMapped(t *testing.T) {
 				t.Fatalf("mapped Query(%d,%d) = %d, want %d", u, v, got, want)
 			}
 		}
-	}
-	// A DHL1 stream refuses the mapped path (callers fall back).
-	var v1 bytes.Buffer
-	if _, err := idx.WriteTo(&v1); err != nil {
-		t.Fatal(err)
-	}
-	p1 := filepath.Join(t.TempDir(), "labels.dhl1")
-	if err := os.WriteFile(p1, v1.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m1, err := arena.MapFile(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m1.Close()
-	if _, err := ReadIndexMapped(m1, 0, g); err != hcl.ErrNotMappable {
-		t.Fatalf("DHL1 mapped load: got %v, want ErrNotMappable", err)
 	}
 }

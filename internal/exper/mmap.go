@@ -23,7 +23,7 @@ type MmapRow struct {
 	Vertices int
 	Entries  int64
 
-	// StreamMB is the size of the mappable (v2) labelling stream on disk.
+	// StreamMB is the size of the labelling stream on disk.
 	StreamMB float64
 
 	// CopyLoadMs decodes the stream onto the heap; MapBootMs mmaps the file
@@ -40,7 +40,7 @@ type MmapRow struct {
 
 // Mmap runs the cold-boot experiment backing the EXPERIMENTS.md mapped-
 // checkpoint table (invoked by `hlbench -exp mmap`): per dataset proxy,
-// boot from a mappable labelling stream by copy-in decode and by mmap
+// boot from a saved labelling stream by copy-in decode and by mmap
 // attach, then pay for the first queries on each.
 func Mmap(cfg Config) ([]MmapRow, error) {
 	cfg = cfg.withDefaults()
@@ -67,7 +67,7 @@ func Mmap(cfg Config) ([]MmapRow, error) {
 			return nil, err
 		}
 		path := f.Name()
-		if _, _, err := idx.WriteToMappable(f, 0); err != nil {
+		if _, err := idx.WriteTo(f); err != nil {
 			f.Close()
 			os.Remove(path)
 			return nil, fmt.Errorf("mmap: dataset %s: save: %w", spec.Name, err)

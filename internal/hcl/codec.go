@@ -5,381 +5,451 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"os"
 
+	"repro/internal/arena"
 	"repro/internal/graph"
 )
 
-// Binary index format (version 2, CSR):
+// The binary label stream shared by the hcl, dhcl and whcl codecs:
 //
-//	magic "HCL2" | u32 |V| | u32 |R| | landmarks u32×|R| |
-//	highway u32×|R|² | label block (see WriteLabelBlock)
+//	magic | u32 |V| | u32 |R| | landmarks u32×|R| |
+//	highway u32×|R|² (row-major) | one label block per label table
 //
-// The label block stores the packed arena directly: one u64 entry count,
-// the CSR offset index, then every entry back to back. Loading is two bulk
-// reads plus a tight decode loop instead of the per-vertex count/entries
-// round trips of the legacy "HCL1" layout (still readable below), which is
-// what makes checkpoint recovery a bulk copy. All integers little-endian.
-// The graph itself is serialised separately (graph.WriteEdgeList) — an
-// index only makes sense next to its graph, and WriteTo/ReadFrom keep the
-// two artefacts independently inspectable.
-const codecMagic = "HCL2"
+// The magic names the variant and its block count: "HCL3" (undirected,
+// one block), "DHL2" (directed, forward then backward) and "WHL2"
+// (weighted, one block). Each label block is
+//
+//	u64 total entries | u32 offPad | u32 entPad |
+//	offPad zero bytes | offsets u64×(|V|+1) |
+//	entPad zero bytes | entries 8B each (u16 rank | u16 zero | u32 dist)
+//
+// Entries are stored in the in-memory layout of Entry, so on little-endian
+// hosts a block's entry area IS a valid []Entry and can be served straight
+// out of an mmap (see mapped.go). The pads let a writer that knows its
+// absolute position in the enclosing file align the offset table to 8
+// bytes and the entry area to a page boundary; they are self-describing,
+// so a reader never needs the writer's base offset. All integers are
+// little-endian. The graph is serialised separately (graph.WriteEdgeList,
+// or the checkpoint's edge array): an index only makes sense next to its
+// graph, and the two artefacts stay independently inspectable.
+const codecMagic = "HCL3"
 
-// codecMagicV1 is the legacy per-vertex layout, accepted by ReadIndex so
-// checkpoints and label downloads from older versions keep loading.
-const codecMagicV1 = "HCL1"
+// Span is an absolute byte range [Off, Off+Len) in the file a label stream
+// was written into: one raw entry area. A mapped load serves these regions
+// in place, and the checkpoint CRC skips them so that boot never faults
+// them in.
+type Span struct{ Off, Len int64 }
 
-// entryWire is the on-wire size of one label entry: u16 rank + u32 distance.
-const entryWire = 6
+// blockHeaderLen is the fixed prefix of a label block: u64 total + u32
+// offPad + u32 entPad.
+const blockHeaderLen = 16
 
-// codecChunk is the number of entries encoded or decoded per buffered
-// block on the bulk paths (24 KiB of wire data).
+// entryStride is the in-memory size of one Entry, the stride of a block's
+// entry area. Asserted against unsafe.Sizeof in mapped.go.
+const entryStride = 8
+
+// maxPad bounds the declared pads of an untrusted block: enough for any
+// page size in the wild, small enough to reject absurd skips.
+const maxPad = 1 << 20
+
+// codecChunk is the number of values encoded or decoded per buffered block
+// on the bulk paths.
 const codecChunk = 4096
 
-// WriteLabelBlock appends the CSR label block of labels to bw:
-//
-//	u64 total entries | offsets u32×(len(labels)+1) | entries 6B each
-//
-// It is the one label serialiser shared by the hcl, dhcl and whcl codecs.
-func WriteLabelBlock(bw *bufio.Writer, labels []Label) error {
+// maxLandmarks bounds |R|: ranks are u16.
+const maxLandmarks = 1 << 16
+
+// headerLen is the byte length of a stream header over nr landmarks.
+func headerLen(nr int64) int64 { return 4 + 4 + 4 + 4*nr + 4*nr*nr }
+
+// blockGeometry computes the layout of a label block whose first byte
+// lands at absolute offset base: the two pad lengths, the absolute entry
+// offset and the total block length. align is the wanted alignment of the
+// entry area (a power of two ≥ entryStride).
+func blockGeometry(nv int, total uint64, base, align int64) (offPad, entPad, entOff, blockLen int64) {
+	offStart := base + blockHeaderLen
+	offPad = (8 - offStart%8) % 8
+	offEnd := offStart + offPad + 8*int64(nv+1)
+	entPad = (align - offEnd%align) % align
+	entOff = offEnd + entPad
+	blockLen = entOff + int64(total)*entryStride - base
+	return
+}
+
+// countingWriter tracks bytes written through a bufio layer so WriteStream
+// reports a byte count net of buffering.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// WriteStream writes one complete label stream: the header (magic, vertex
+// count, landmarks, highway) followed by one label block per table. base
+// is the absolute offset of the stream's first byte in the destination
+// file (0 for a file of its own); entry areas are page-aligned relative to
+// it. Returns the bytes written and the absolute span of each table's
+// entry area.
+func WriteStream(w io.Writer, magic string, landmarks []uint32, highway []graph.Dist, base int64, tables ...[]Label) (int64, []Span, error) {
+	cw := &countingWriter{w: w}
+	bw := bufio.NewWriterSize(cw, 1<<16)
+	le := binary.LittleEndian
+	// bufio.Writer errors are sticky: Flush reports the first one.
+	var u32 [4]byte
+	putU32 := func(v uint32) {
+		le.PutUint32(u32[:], v)
+		bw.Write(u32[:])
+	}
+	bw.WriteString(magic)
+	putU32(uint32(len(tables[0])))
+	putU32(uint32(len(landmarks)))
+	for _, v := range landmarks {
+		putU32(v)
+	}
+	for _, d := range highway {
+		putU32(d)
+	}
+	at := base + headerLen(int64(len(landmarks)))
+	spans := make([]Span, len(tables))
+	for i, labels := range tables {
+		var n int64
+		spans[i], n = writeBlock(bw, labels, at, int64(os.Getpagesize()))
+		at += n
+	}
+	if err := bw.Flush(); err != nil {
+		return cw.n, nil, err
+	}
+	return cw.n, spans, nil
+}
+
+// writeBlock appends the label block of labels to bw, its first byte at
+// absolute offset base, and returns the absolute span of its entry area
+// and the block length. Write errors surface at bw's Flush.
+func writeBlock(bw *bufio.Writer, labels []Label, base, align int64) (Span, int64) {
 	le := binary.LittleEndian
 	var total uint64
 	for _, l := range labels {
 		total += uint64(len(l))
 	}
-	if total >= 1<<32 {
-		// The offset index is u32; past 2^32 entries the offsets would
-		// silently wrap and the block could never be loaded back.
-		return fmt.Errorf("label block with %d entries exceeds the u32 offset format", total)
-	}
-	var u64 [8]byte
-	le.PutUint64(u64[:], total)
-	if _, err := bw.Write(u64[:]); err != nil {
-		return err
-	}
-	// Offsets, then entries, each streamed through one scratch block so the
-	// underlying writer sees large writes.
-	var buf [codecChunk * entryWire]byte
+	offPad, entPad, entOff, blockLen := blockGeometry(len(labels), total, base, align)
+	var hdr [blockHeaderLen]byte
+	le.PutUint64(hdr[0:], total)
+	le.PutUint32(hdr[8:], uint32(offPad))
+	le.PutUint32(hdr[12:], uint32(entPad))
+	bw.Write(hdr[:])
+	writeZeros(bw, offPad)
+	var buf [codecChunk * entryStride]byte
 	n := 0
+	// flush drains buf unless need more bytes still fit; flush(len(buf))
+	// always drains.
+	flush := func(need int) {
+		if n+need > len(buf) {
+			bw.Write(buf[:n])
+			n = 0
+		}
+	}
 	var off uint64
-	flush := func() error {
-		if n == 0 {
-			return nil
-		}
-		_, err := bw.Write(buf[:n])
-		n = 0
-		return err
-	}
-	putOff := func(o uint64) error {
-		if n+4 > len(buf) {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-		le.PutUint32(buf[n:], uint32(o))
-		n += 4
-		return nil
-	}
 	for _, l := range labels {
-		if err := putOff(off); err != nil {
-			return err
-		}
+		flush(8)
+		le.PutUint64(buf[n:], off)
+		n += 8
 		off += uint64(len(l))
 	}
-	if err := putOff(off); err != nil {
-		return err
-	}
-	if err := flush(); err != nil {
-		return err
-	}
+	flush(8)
+	le.PutUint64(buf[n:], off)
+	n += 8
+	flush(len(buf))
+	writeZeros(bw, entPad)
 	for _, l := range labels {
 		for _, e := range l {
-			if n+entryWire > len(buf) {
-				if err := flush(); err != nil {
-					return err
-				}
-			}
+			flush(entryStride)
 			le.PutUint16(buf[n:], e.Rank)
-			le.PutUint32(buf[n+2:], uint32(e.D))
-			n += entryWire
+			le.PutUint16(buf[n+2:], 0)
+			le.PutUint32(buf[n+4:], e.D)
+			n += entryStride
 		}
 	}
-	return flush()
+	flush(len(buf))
+	return Span{Off: entOff, Len: int64(total) * entryStride}, blockLen
 }
 
-// ReadLabelBlock reads a block written by WriteLabelBlock for nv vertices,
-// validating against nr landmarks: per-vertex spans within bounds and
-// sorted strictly by rank, total entries at most nv·nr (the allocation
-// bound for untrusted streams). It returns the contiguous entry arena and
-// the CSR offset index (length nv+1).
-func ReadLabelBlock(br *bufio.Reader, nv, nr uint32) ([]Entry, []uint32, error) {
-	le := binary.LittleEndian
-	var u64 [8]byte
-	if _, err := io.ReadFull(br, u64[:]); err != nil {
-		return nil, nil, fmt.Errorf("reading label block header: %w", err)
+func writeZeros(bw *bufio.Writer, n int64) {
+	var zeros [512]byte
+	for n > 0 {
+		w := min(n, int64(len(zeros)))
+		bw.Write(zeros[:w])
+		n -= w
 	}
-	total := le.Uint64(u64[:])
-	if total > uint64(nv)*uint64(nr) {
-		return nil, nil, fmt.Errorf("label block claims %d entries for %d vertices × %d landmarks", total, nv, nr)
+}
+
+// Stream is a decoded label stream: the landmarks, the row-major |R|×|R|
+// highway, and one label table per block. Each table's labels alias the
+// matching packed arena, so the loaded labelling is already packed.
+type Stream struct {
+	Landmarks []uint32
+	Highway   []graph.Dist
+	Labels    [][]Label
+	Packed    []*Packed
+}
+
+// ReadStream reads a label stream written by WriteStream with the given
+// magic and block count over a graph of nv vertices, validating it as
+// untrusted input: header fields, monotonic offsets, per-vertex spans of at
+// most |R| entries sorted strictly by rank. Memory grows with the bytes
+// that actually arrive, not with the sizes the stream claims: landmarks,
+// highway and entries are all read in bounded chunks.
+func ReadStream(r io.Reader, magic string, nv, blocks int) (*Stream, error) {
+	br := bufio.NewReaderSize(r, 1<<16)
+	s, err := readHeader(br, magic, nv, blocks)
+	if err != nil {
+		return nil, err
 	}
-	off := make([]uint32, nv+1)
-	raw := make([]byte, (len(off))*4)
-	if _, err := io.ReadFull(br, raw); err != nil {
-		return nil, nil, fmt.Errorf("reading label offsets: %w", err)
-	}
-	prev := uint32(0)
-	for i := range off {
-		off[i] = le.Uint32(raw[i*4:])
-		if off[i] < prev || uint64(off[i]) > total || (i == 0 && off[0] != 0) {
-			return nil, nil, fmt.Errorf("label offsets not monotonic at vertex %d", i)
+	nr := uint32(len(s.Landmarks))
+	for i := range s.Labels {
+		if s.Packed[i], err = readBlock(br, nr, s.Labels[i]); err != nil {
+			return nil, fmt.Errorf("label block %d: %w", i, err)
 		}
-		if c := off[i] - prev; i > 0 && c > nr {
-			return nil, nil, fmt.Errorf("label %d has %d entries for %d landmarks", i-1, c, nr)
+	}
+	return s, nil
+}
+
+// readHeader reads and validates a stream header, returning a Stream with
+// landmarks and highway filled and blocks empty label tables of nv
+// vertices allocated.
+func readHeader(r io.Reader, magic string, nv, blocks int) (*Stream, error) {
+	var hdr [12]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("reading index header: %w", err)
+	}
+	if got := string(hdr[:4]); got != magic {
+		return nil, fmt.Errorf("unsupported index format %q (want %q)", got, magic)
+	}
+	le := binary.LittleEndian
+	if got := le.Uint32(hdr[4:]); int64(got) != int64(nv) {
+		return nil, fmt.Errorf("index has %d vertices, graph has %d", got, nv)
+	}
+	nr := le.Uint32(hdr[8:])
+	if nr == 0 || nr > maxLandmarks {
+		return nil, fmt.Errorf("implausible landmark count %d", nr)
+	}
+	landmarks, err := readU32s(r, int(nr))
+	if err != nil {
+		return nil, fmt.Errorf("reading landmarks: %w", err)
+	}
+	for _, v := range landmarks {
+		if int64(v) >= int64(nv) {
+			return nil, fmt.Errorf("landmark %d out of range", v)
+		}
+	}
+	highway, err := readU32s(r, int(nr)*int(nr))
+	if err != nil {
+		return nil, fmt.Errorf("reading highway: %w", err)
+	}
+	s := &Stream{Landmarks: landmarks, Highway: highway, Labels: make([][]Label, blocks), Packed: make([]*Packed, blocks)}
+	for i := range s.Labels {
+		s.Labels[i] = make([]Label, nv)
+	}
+	return s, nil
+}
+
+// readU32s reads n little-endian u32s in bounded chunks, so the result
+// grows with the bytes that arrive rather than with the claimed count.
+func readU32s(r io.Reader, n int) ([]uint32, error) {
+	out := make([]uint32, 0, min(n, codecChunk))
+	var buf [codecChunk * 4]byte
+	for len(out) < n {
+		b := buf[:4*min(n-len(out), codecChunk)]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, err
+		}
+		for i := 0; i < len(b); i += 4 {
+			out = append(out, binary.LittleEndian.Uint32(b[i:]))
+		}
+	}
+	return out, nil
+}
+
+// checkBlockHeader validates the fixed prefix of an untrusted label block
+// and returns its total entry count and pads.
+func checkBlockHeader(hdr []byte, nv int, nr uint32) (total uint64, offPad, entPad int64, err error) {
+	le := binary.LittleEndian
+	total = le.Uint64(hdr[0:])
+	offPad = int64(le.Uint32(hdr[8:]))
+	entPad = int64(le.Uint32(hdr[12:]))
+	if total > uint64(nv)*uint64(nr) {
+		return 0, 0, 0, fmt.Errorf("label block claims %d entries for %d vertices × %d landmarks", total, nv, nr)
+	}
+	if offPad > maxPad || entPad > maxPad {
+		return 0, 0, 0, fmt.Errorf("label block pads implausible (%d, %d)", offPad, entPad)
+	}
+	return total, offPad, entPad, nil
+}
+
+// checkOffsets validates a block's CSR offset index: it starts at 0, is
+// monotonic, covers exactly total entries and gives no vertex more than
+// nr entries.
+func checkOffsets(off []uint64, nr uint32, total uint64) error {
+	var prev uint64
+	for i := range off {
+		if off[i] < prev || off[i] > total || (i == 0 && off[0] != 0) {
+			return fmt.Errorf("label offsets not monotonic at vertex %d", i)
+		}
+		if c := off[i] - prev; i > 0 && c > uint64(nr) {
+			return fmt.Errorf("label %d has %d entries for %d landmarks", i-1, c, nr)
 		}
 		prev = off[i]
 	}
-	if uint64(off[nv]) != total {
-		return nil, nil, fmt.Errorf("label offsets cover %d of %d entries", off[nv], total)
+	if off[len(off)-1] != total {
+		return fmt.Errorf("label offsets cover %d of %d entries", off[len(off)-1], total)
 	}
-	arena := make([]Entry, total)
-	var block [codecChunk * entryWire]byte
-	for done := uint64(0); done < total; {
-		want := total - done
-		if want > codecChunk {
-			want = codecChunk
-		}
-		b := block[:want*entryWire]
+	return nil
+}
+
+// chunkOffsets rebases the offsets of one chunk's vertex range to the
+// chunk's own entry slice. Always fits u32: a chunk covers at most
+// packChunkLen vertices of at most 2^16 entries each.
+func chunkOffsets(off []uint64) []uint32 {
+	c := make([]uint32, len(off))
+	for i := range off {
+		c[i] = uint32(off[i] - off[0])
+	}
+	return c
+}
+
+// readBlock reads one label block into labels (copy-in path). Entries are
+// allocated one packed chunk at a time, as their bytes arrive.
+func readBlock(br *bufio.Reader, nr uint32, labels []Label) (*Packed, error) {
+	nv := len(labels)
+	var hdr [blockHeaderLen]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return nil, fmt.Errorf("reading label block header: %w", err)
+	}
+	total, offPad, entPad, err := checkBlockHeader(hdr[:], nv, nr)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := br.Discard(int(offPad)); err != nil {
+		return nil, fmt.Errorf("skipping offset pad: %w", err)
+	}
+	le := binary.LittleEndian
+	off := make([]uint64, nv+1)
+	var buf [codecChunk * entryStride]byte
+	for done := 0; done < len(off); {
+		b := buf[:8*min(len(off)-done, codecChunk)]
 		if _, err := io.ReadFull(br, b); err != nil {
-			return nil, nil, fmt.Errorf("reading label arena at entry %d: %w", done, err)
+			return nil, fmt.Errorf("reading label offsets: %w", err)
 		}
-		for i := uint64(0); i < want; i++ {
-			arena[done+i] = Entry{
-				Rank: le.Uint16(b[i*entryWire:]),
-				D:    graph.Dist(le.Uint32(b[i*entryWire+2:])),
-			}
-		}
-		done += want
-	}
-	for v := uint32(0); v < nv; v++ {
-		var prev int32 = -1
-		for _, e := range arena[off[v]:off[v+1]] {
-			if int32(e.Rank) <= prev || uint32(e.Rank) >= nr {
-				return nil, nil, fmt.Errorf("label %d entries unsorted or out of range", v)
-			}
-			prev = int32(e.Rank)
+		for i := 0; i < len(b); i += 8 {
+			off[done] = le.Uint64(b[i:])
+			done++
 		}
 	}
-	return arena, off, nil
-}
-
-// AttachArena installs a loaded label arena as both representations of a
-// label table: labels[v] becomes a capacity-clamped sub-slice of the arena
-// (a future Set copies out instead of bleeding into the neighbour's span)
-// and the returned Packed indexes the arena directly. It is the one
-// arena-attach shared by the hcl, dhcl and whcl codec load paths.
-func AttachArena(labels []Label, arena []Entry, off []uint32) *Packed {
-	for v := range labels {
-		if off[v] == off[v+1] {
-			labels[v] = nil
-			continue
-		}
-		labels[v] = arena[off[v]:off[v+1]:off[v+1]]
+	if err := checkOffsets(off, nr, total); err != nil {
+		return nil, err
 	}
-	return packFromArena(arena, off)
-}
-
-// packFromArena builds the packed read form directly over a loaded arena:
-// chunks alias sub-ranges of it, with offsets rebased per chunk.
-func packFromArena(arena []Entry, off []uint32) *Packed {
-	n := len(off) - 1
-	p := &Packed{
-		chunks:  make([]packChunk, (n+packChunkLen-1)/packChunkLen),
-		n:       n,
-		entries: int64(len(arena)),
+	if _, err := br.Discard(int(entPad)); err != nil {
+		return nil, fmt.Errorf("skipping entry pad: %w", err)
 	}
+	p := &Packed{chunks: make([]packChunk, (nv+packChunkLen-1)/packChunkLen), n: nv, entries: int64(total)}
 	for ci := range p.chunks {
 		lo := ci * packChunkLen
-		hi := min(lo+packChunkLen, n)
-		base := off[lo]
-		c := packChunk{
-			entries: arena[base:off[hi]:off[hi]],
-			off:     make([]uint32, hi-lo+1),
+		hi := min(lo+packChunkLen, nv)
+		c := packChunk{entries: make([]Entry, off[hi]-off[lo]), off: chunkOffsets(off[lo : hi+1])}
+		for done := 0; done < len(c.entries); {
+			b := buf[:entryStride*min(len(c.entries)-done, codecChunk)]
+			if _, err := io.ReadFull(br, b); err != nil {
+				return nil, fmt.Errorf("reading label arena at entry %d: %w", off[lo]+uint64(done), err)
+			}
+			for i := 0; i < len(b); i += entryStride {
+				c.entries[done] = Entry{Rank: le.Uint16(b[i:]), D: le.Uint32(b[i+4:])}
+				done++
+			}
 		}
-		for i := range c.off {
-			c.off[i] = off[lo+i] - base
+		for i := 0; i+1 < len(c.off); i++ {
+			if !ranksValid(c.entries[c.off[i]:c.off[i+1]], nr) {
+				return nil, fmt.Errorf("label %d entries unsorted or out of range", lo+i)
+			}
 		}
 		p.chunks[ci] = c
 	}
-	return p
+	p.attach(labels)
+	return p, nil
 }
 
-// attachArena installs a loaded arena as both representations of idx.
-func attachArena(idx *Index, arena []Entry, off []uint32) {
-	idx.packed = AttachArena(idx.L, arena, off)
+// ranksValid reports whether a label's ranks are strictly increasing and
+// below nr.
+func ranksValid(l []Entry, nr uint32) bool {
+	prev := -1
+	for _, e := range l {
+		if int(e.Rank) <= prev || uint32(e.Rank) >= nr {
+			return false
+		}
+		prev = int(e.Rank)
+	}
+	return true
 }
 
-// WriteTo serialises the labelling (landmarks, highway, labels) to w. The
-// format is picked from the entry count: below V2SaveThreshold the HCL2
-// block (u32 offsets, compact 6-byte wire entries), at or above it the
-// HCL3 v2 block, whose u64 offsets are the only representation past the
-// u32 ceiling. ReadIndex accepts every version forever.
+// attach points every label of labels at its span of p's arena,
+// capacity-clamped so a later write copies out instead of bleeding into
+// the neighbour's span.
+func (p *Packed) attach(labels []Label) {
+	for ci := range p.chunks {
+		c := &p.chunks[ci]
+		for i := 0; i+1 < len(c.off); i++ {
+			lo, hi := c.off[i], c.off[i+1]
+			if lo == hi {
+				labels[ci<<packShift+i] = nil
+				continue
+			}
+			labels[ci<<packShift+i] = c.entries[lo:hi:hi]
+		}
+	}
+}
+
+// WriteTo serialises the labelling (landmarks, highway, labels) to w as a
+// file of its own.
 func (idx *Index) WriteTo(w io.Writer) (int64, error) {
-	var total uint64
-	for _, l := range idx.L {
-		total += uint64(len(l))
-	}
-	if total >= V2SaveThreshold {
-		n, _, err := idx.WriteToMappable(w, 0)
-		return n, err
-	}
-	cw := &CountingWriter{W: w}
-	bw := bufio.NewWriterSize(cw, 1<<16)
-	if _, err := bw.WriteString(codecMagic); err != nil {
-		return cw.N, err
-	}
-	le := binary.LittleEndian
-	var u32 [4]byte
-	writeU32 := func(v uint32) error {
-		le.PutUint32(u32[:], v)
-		_, err := bw.Write(u32[:])
-		return err
-	}
-	if err := writeU32(uint32(len(idx.L))); err != nil {
-		return cw.N, err
-	}
-	if err := writeU32(uint32(len(idx.Landmarks))); err != nil {
-		return cw.N, err
-	}
-	for _, v := range idx.Landmarks {
-		if err := writeU32(v); err != nil {
-			return cw.N, err
-		}
-	}
-	for _, d := range idx.H.mat {
-		if err := writeU32(uint32(d)); err != nil {
-			return cw.N, err
-		}
-	}
-	if err := WriteLabelBlock(bw, idx.L); err != nil {
-		return cw.N, err
-	}
-	if err := bw.Flush(); err != nil {
-		return cw.N, err
-	}
-	return cw.N, nil
-}
-
-// CountingWriter tracks bytes written through a bufio layer so the WriteTo
-// of each variant codec reports a byte count net of buffering.
-type CountingWriter struct {
-	W io.Writer
-	N int64
-}
-
-func (c *CountingWriter) Write(p []byte) (int, error) {
-	n, err := c.W.Write(p)
-	c.N += int64(n)
+	n, _, err := idx.WriteToAt(w, 0)
 	return n, err
+}
+
+// WriteToAt serialises the labelling for a stream starting at absolute
+// offset base of the destination file, so the entry arena lands
+// page-aligned in that file. The returned span names the raw entry area a
+// mapped load will serve in place.
+func (idx *Index) WriteToAt(w io.Writer, base int64) (int64, []Span, error) {
+	return WriteStream(w, codecMagic, idx.Landmarks, idx.H.mat, base, idx.L)
 }
 
 // ReadIndex deserialises a labelling written by WriteTo and attaches it to
 // g, which must be the graph the index was built over (vertex count is
 // checked; callers needing a stronger guarantee can run VerifyCover). The
-// loaded index is already packed: the label block is the arena. The legacy
-// HCL1 per-vertex layout is accepted too.
+// loaded index is already packed: the label block is the arena.
 func ReadIndex(r io.Reader, g *graph.Graph) (*Index, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	magic := make([]byte, len(codecMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("hcl: reading index header: %w", err)
-	}
-	legacy, v2 := false, false
-	switch string(magic) {
-	case codecMagic:
-	case codecMagicV1:
-		legacy = true
-	case codecMagicV2:
-		v2 = true
-	default:
-		return nil, fmt.Errorf("hcl: bad index magic %q", magic)
-	}
-	var nv, nr uint32
-	if err := binary.Read(br, binary.LittleEndian, &nv); err != nil {
-		return nil, fmt.Errorf("hcl: reading vertex count: %w", err)
-	}
-	if int(nv) != g.NumVertices() {
-		return nil, fmt.Errorf("hcl: index has %d vertices, graph has %d", nv, g.NumVertices())
-	}
-	if err := binary.Read(br, binary.LittleEndian, &nr); err != nil {
-		return nil, fmt.Errorf("hcl: reading landmark count: %w", err)
-	}
-	if nr == 0 || nr > 1<<16 {
-		return nil, fmt.Errorf("hcl: implausible landmark count %d", nr)
-	}
-	landmarks := make([]uint32, nr)
-	if err := binary.Read(br, binary.LittleEndian, landmarks); err != nil {
-		return nil, fmt.Errorf("hcl: reading landmarks: %w", err)
-	}
-	for _, v := range landmarks {
-		if v >= nv {
-			return nil, fmt.Errorf("hcl: landmark %d out of range", v)
-		}
-	}
-	idx := newIndex(g, landmarks)
-	if err := binary.Read(br, binary.LittleEndian, idx.H.mat); err != nil {
-		return nil, fmt.Errorf("hcl: reading highway: %w", err)
-	}
-	if legacy {
-		if err := readLabelsV1(br, idx, nv, nr); err != nil {
-			return nil, err
-		}
-		idx.Pack()
-		return idx, nil
-	}
-	if v2 {
-		arena, off, err := ReadLabelBlockV2(br, nv, nr)
-		if err != nil {
-			return nil, fmt.Errorf("hcl: %w", err)
-		}
-		idx.packed = AttachArena64(idx.L, arena, off)
-		return idx, nil
-	}
-	arena, off, err := ReadLabelBlock(br, nv, nr)
+	s, err := ReadStream(r, codecMagic, g.NumVertices(), 1)
+	return fromStream(g, s, nil, err)
+}
+
+// fromStream builds the index a decoded or mapped stream describes; m is
+// the mapping its arena aliases, if any.
+func fromStream(g *graph.Graph, s *Stream, m *arena.Mapping, err error) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hcl: %w", err)
 	}
-	attachArena(idx, arena, off)
-	return idx, nil
-}
-
-// readLabelsV1 decodes the legacy per-vertex label layout.
-func readLabelsV1(br *bufio.Reader, idx *Index, nv, nr uint32) error {
-	var scratch [6]byte
-	le := binary.LittleEndian
-	for v := uint32(0); v < nv; v++ {
-		if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-			return fmt.Errorf("hcl: reading label %d: %w", v, err)
-		}
-		cnt := le.Uint32(scratch[:4])
-		if cnt > nr {
-			return fmt.Errorf("hcl: label %d has %d entries for %d landmarks", v, cnt, nr)
-		}
-		if cnt == 0 {
-			continue
-		}
-		l := make(Label, cnt)
-		var prev int32 = -1
-		for i := range l {
-			if _, err := io.ReadFull(br, scratch[:6]); err != nil {
-				return fmt.Errorf("hcl: reading label %d entry %d: %w", v, i, err)
-			}
-			l[i].Rank = le.Uint16(scratch[0:2])
-			l[i].D = graph.Dist(le.Uint32(scratch[2:6]))
-			if int32(l[i].Rank) <= prev || uint32(l[i].Rank) >= nr {
-				return fmt.Errorf("hcl: label %d entries unsorted or out of range", v)
-			}
-			prev = int32(l[i].Rank)
-		}
-		idx.L[v] = l
+	idx := &Index{
+		G:         g,
+		Landmarks: s.Landmarks,
+		H:         &Highway{k: len(s.Landmarks), mat: s.Highway},
+		L:         s.Labels[0],
+		packed:    s.Packed[0],
+		mapRef:    m,
 	}
-	return nil
+	idx.indexRanks()
+	return idx, nil
 }

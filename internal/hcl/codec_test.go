@@ -2,6 +2,8 @@ package hcl
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -36,14 +38,32 @@ func TestCodecRoundTrip(t *testing.T) {
 
 func TestCodecRejectsGarbage(t *testing.T) {
 	g := testutil.RandomGraph(10, 15, 1)
+	idx, err := Build(g, landmark.ByDegree(g, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := idx.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// Retired format generations keep a well-formed body behind their old
+	// magic: the refusal must come from the format check, not from damage.
+	retired := func(magic string) string {
+		return magic + buf.String()[len(codecMagic):]
+	}
 	cases := map[string]string{
 		"empty":     "",
 		"bad magic": "NOPE....",
-		"truncated": "HCL1\x0a\x00\x00\x00",
+		"truncated": "HCL3\x0a\x00\x00\x00",
+		"HCL1":      retired("HCL1"),
+		"HCL2":      retired("HCL2"),
 	}
 	for name, in := range cases {
-		if _, err := ReadIndex(strings.NewReader(in), g); err == nil {
+		_, err := ReadIndex(strings.NewReader(in), g)
+		if err == nil {
 			t.Errorf("%s: expected error", name)
+		} else if strings.HasPrefix(name, "HCL") && !strings.Contains(err.Error(), "unsupported index format") {
+			t.Errorf("%s: got %v, want an unsupported-format error", name, err)
 		}
 	}
 }
@@ -84,6 +104,51 @@ func TestCodecCorruptedLabelRejected(t *testing.T) {
 			if err := back.VerifyCover(); err == nil {
 				t.Error("corrupted index passed both structural and cover checks")
 			}
+		}
+	}
+}
+
+// TestReadIndexAllocatesByBytes pins that an untrusted stream cannot make
+// the reader allocate by claim: sizes a header declares are only ever
+// backed by memory as the bytes that fill them arrive. Each stream below
+// is a few KiB to a few hundred KiB, cut short right after its claim.
+func TestReadIndexAllocatesByBytes(t *testing.T) {
+	const nv = 20000
+	g := testutil.RandomGraph(nv, nv, 8)
+	le := binary.LittleEndian
+	header := func(nr int) []byte {
+		b := []byte(codecMagic)
+		b = le.AppendUint32(b, nv)
+		b = le.AppendUint32(b, uint32(nr))
+		for r := 0; r < nr; r++ {
+			b = le.AppendUint32(b, uint32(r))
+		}
+		return b
+	}
+	// |R| = 4096 claims a 64 MiB highway behind 16 KiB of landmarks.
+	hugeHighway := header(4096)
+	// |R| = 64 with a complete highway, then a label block whose offsets
+	// claim the maximum 64 entries for every vertex (10 MiB of entries)
+	// followed by no entries at all.
+	hugeBlock := header(64)
+	for i := 0; i < 64*64; i++ {
+		hugeBlock = le.AppendUint32(hugeBlock, 1)
+	}
+	hugeBlock = le.AppendUint64(hugeBlock, 64*nv)
+	hugeBlock = le.AppendUint64(hugeBlock, 0) // both pads zero
+	for v := uint64(0); v <= nv; v++ {
+		hugeBlock = le.AppendUint64(hugeBlock, 64*v)
+	}
+	for name, stream := range map[string][]byte{"highway": hugeHighway, "label block": hugeBlock} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadIndex(bytes.NewReader(stream), g)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: truncated stream accepted", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+			t.Errorf("%s: a %d-byte stream allocated %d bytes", name, len(stream), got)
 		}
 	}
 }

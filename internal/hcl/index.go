@@ -2,7 +2,6 @@ package hcl
 
 import (
 	"repro/internal/arena"
-	"repro/internal/bfs"
 	"repro/internal/bitset"
 	"repro/internal/graph"
 )
@@ -53,8 +52,6 @@ type Index struct {
 	// form is identical for every worker count. The per-landmark repair
 	// fan-out is tuned separately, on inchl.Updater.
 	Workers int
-
-	scratch bfs.SpacePool
 }
 
 // noRank marks non-landmark vertices in the rank lookup table.
@@ -68,9 +65,15 @@ func newIndex(g *graph.Graph, landmarks []uint32) *Index {
 		Landmarks: append([]uint32(nil), landmarks...),
 		H:         NewHighway(len(landmarks)),
 		L:         make([]Label, g.NumVertices()),
-		rankOf:    make(map[uint32]uint16, len(landmarks)),
 	}
-	idx.rankArr = make([]uint16, g.NumVertices())
+	idx.indexRanks()
+	return idx
+}
+
+// indexRanks builds the landmark rank lookups over G's vertices.
+func (idx *Index) indexRanks() {
+	idx.rankOf = make(map[uint32]uint16, len(idx.Landmarks))
+	idx.rankArr = make([]uint16, idx.G.NumVertices())
 	for i := range idx.rankArr {
 		idx.rankArr[i] = noRank
 	}
@@ -78,7 +81,6 @@ func newIndex(g *graph.Graph, landmarks []uint32) *Index {
 		idx.rankOf[v] = uint16(r)
 		idx.rankArr[v] = uint16(r)
 	}
-	return idx
 }
 
 // NumLandmarks returns |R|.

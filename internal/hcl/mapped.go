@@ -1,35 +1,35 @@
 package hcl
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
-	"os"
 	"unsafe"
 
 	"repro/internal/arena"
 	"repro/internal/graph"
 )
 
-// The mapped load path: interpret a v2 label block inside an mmap'd
-// checkpoint as a live []Entry without decoding. The in-place cast is
-// legal only when the in-memory layout of Entry matches the v2 wire
+// The mapped load path: interpret the label blocks inside an mmap'd
+// checkpoint or label file as live []Entry without decoding. The in-place
+// cast is legal only when the in-memory layout of Entry matches the wire
 // layout (8-byte stride, distance at byte 4, little-endian host) and the
-// mapped bytes happen to be 8-aligned; entryLayoutOK gates the former
-// once at startup and every attach checks the latter, falling back to the
-// copy-in decoder when either fails. Offset tables are fully validated on
-// attach (they are O(|V|), touched at boot anyway); the entry spans are
-// served as-is — a mapped boot that validated every entry would fault
-// every page and be a slow copy-in load with extra steps. Checkpoints are
-// local trusted state; the v2 checkpoint CRC covers everything around the
-// arena spans.
+// mapped bytes happen to be aligned; entryLayoutOK gates the former once
+// at startup and every attach checks the latter, and callers fall back to
+// the copy-in decoder when either fails. Headers and offset tables are
+// fully validated on attach (they are O(|R|² + |V|), touched at boot
+// anyway); the entry spans are served as-is — a mapped boot that validated
+// every entry would fault every page and be a slow copy-in load with extra
+// steps. Checkpoints are local trusted state; the checkpoint CRC covers
+// everything around the arena spans.
 
-// ErrNotMappable reports that a stream cannot be served in place — wrong
-// format version, unsupported host layout, or misaligned placement — and
-// the caller should fall back to the copy-in load.
+// ErrNotMappable reports that a well-formed stream cannot be served in
+// place on this host — the Entry layout differs from the wire layout (a
+// big-endian host) or a block landed misaligned — and the caller should
+// fall back to the copy-in load.
 var ErrNotMappable = errors.New("hcl: stream not mappable in place")
 
-// entryLayoutOK reports whether the in-memory Entry layout matches the v2
+// entryLayoutOK reports whether the in-memory Entry layout matches the
 // wire layout, the precondition for serving a mapped entry area as
 // []Entry.
 var entryLayoutOK = func() bool {
@@ -41,130 +41,92 @@ var entryLayoutOK = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1 // little-endian host
 }()
 
-// pageAlign is the alignment target for mappable entry areas.
-func pageAlign() int { return os.Getpagesize() }
-
-// PageAlign is pageAlign for the dhcl and whcl codecs, which lay out their
-// own v2 blocks.
-func PageAlign() int64 { return int64(pageAlign()) }
-
-// MapLabelBlock interprets the v2 label block at the start of data in
-// place: the returned arena and offset index alias data (which must stay
-// mapped for their lifetime). blockLen is the total block size, so a
-// caller can locate a following block. Returns ErrNotMappable when the
-// host layout or the block's actual alignment rules out the cast.
-func MapLabelBlock(data []byte, nv, nr uint32) (entries []Entry, off []uint64, blockLen int64, err error) {
-	if !entryLayoutOK {
-		return nil, nil, 0, ErrNotMappable
-	}
-	le := binary.LittleEndian
-	if int64(len(data)) < blockV2HeaderLen {
-		return nil, nil, 0, fmt.Errorf("hcl: v2 label block truncated")
-	}
-	total := le.Uint64(data[0:])
-	offPad := int64(le.Uint32(data[8:]))
-	entPad := int64(le.Uint32(data[12:]))
-	if total > uint64(nv)*uint64(nr) {
-		return nil, nil, 0, fmt.Errorf("hcl: label block claims %d entries for %d vertices × %d landmarks", total, nv, nr)
-	}
-	if offPad > maxV2Pad || entPad > maxV2Pad {
-		return nil, nil, 0, fmt.Errorf("hcl: label block pads implausible (%d, %d)", offPad, entPad)
-	}
-	offStart := blockV2HeaderLen + offPad
-	offLen := 8 * int64(nv+1)
-	entStart := offStart + offLen + entPad
-	entLen := int64(total) * entryStride
-	blockLen = entStart + entLen
-	if int64(len(data)) < blockLen {
-		return nil, nil, 0, fmt.Errorf("hcl: v2 label block truncated: have %d of %d bytes", len(data), blockLen)
-	}
-	offPtr := unsafe.Pointer(&data[offStart])
-	if uintptr(offPtr)%8 != 0 {
-		return nil, nil, 0, ErrNotMappable
-	}
-	off = unsafe.Slice((*uint64)(offPtr), nv+1)
-	var prev uint64
-	for i := range off {
-		if off[i] < prev || off[i] > total || (i == 0 && off[0] != 0) {
-			return nil, nil, 0, fmt.Errorf("hcl: label offsets not monotonic at vertex %d", i)
-		}
-		if c := off[i] - prev; i > 0 && c > uint64(nr) {
-			return nil, nil, 0, fmt.Errorf("hcl: label %d has %d entries for %d landmarks", i-1, c, nr)
-		}
-		prev = off[i]
-	}
-	if off[nv] != total {
-		return nil, nil, 0, fmt.Errorf("hcl: label offsets cover %d of %d entries", off[nv], total)
-	}
-	if total == 0 {
-		return nil, off, blockLen, nil
-	}
-	entPtr := unsafe.Pointer(&data[entStart])
-	if uintptr(entPtr)%uintptr(unsafe.Alignof(Entry{})) != 0 {
-		return nil, nil, 0, ErrNotMappable
-	}
-	entries = unsafe.Slice((*Entry)(entPtr), total)
-	return entries, off, blockLen, nil
-}
-
-// AttachMapped installs a mapped arena as both representations of a label
-// table, like AttachArena, and pins the mapping into the returned Packed:
-// as long as any fork, snapshot or chunk-reusing repack descends from this
-// attach, m stays reachable and therefore mapped.
-func AttachMapped(labels []Label, entries []Entry, off []uint64, m *arena.Mapping) *Packed {
-	p := AttachArena64(labels, entries, off)
-	p.ref = m
-	return p
-}
-
-// ReadIndexMapped attaches the HCL3 index stream at offset streamOff of
-// the mapping m to g, serving the entry arena straight out of the mapped
-// bytes. The small header (landmarks, highway, offsets) is validated and
-// copied; the entries are not decoded at all. Returns ErrNotMappable for
-// a v1/v2 stream or an unmappable layout — callers fall back to ReadIndex.
-func ReadIndexMapped(m *arena.Mapping, streamOff int64, g *graph.Graph) (*Index, error) {
+// MapStream attaches the label stream at offset streamOff of the mapping m
+// — the mapped counterpart of ReadStream. The header and offset tables are
+// validated and the header copied; every table's entry arena is served
+// straight out of the mapped bytes, and each packed form pins m. Returns
+// ErrNotMappable when the host layout or the blocks' actual alignment
+// rules out the in-place cast.
+func MapStream(m *arena.Mapping, streamOff int64, magic string, nv, blocks int) (*Stream, error) {
 	data := m.Data()
 	if streamOff < 0 || streamOff > int64(len(data)) {
-		return nil, fmt.Errorf("hcl: stream offset %d out of range", streamOff)
+		return nil, fmt.Errorf("stream offset %d out of range", streamOff)
 	}
 	data = data[streamOff:]
-	hdr := int64(len(codecMagicV2) + 4 + 4)
-	if int64(len(data)) < hdr {
-		return nil, fmt.Errorf("hcl: mapped index header truncated")
-	}
-	if string(data[:len(codecMagicV2)]) != codecMagicV2 {
-		return nil, ErrNotMappable
-	}
-	le := binary.LittleEndian
-	nv := le.Uint32(data[4:])
-	nr := le.Uint32(data[8:])
-	if int(nv) != g.NumVertices() {
-		return nil, fmt.Errorf("hcl: index has %d vertices, graph has %d", nv, g.NumVertices())
-	}
-	if nr == 0 || nr > 1<<16 {
-		return nil, fmt.Errorf("hcl: implausible landmark count %d", nr)
-	}
-	need := hdr + 4*int64(nr) + 4*int64(nr)*int64(nr)
-	if int64(len(data)) < need {
-		return nil, fmt.Errorf("hcl: mapped index header truncated")
-	}
-	landmarks := make([]uint32, nr)
-	for i := range landmarks {
-		landmarks[i] = le.Uint32(data[hdr+4*int64(i):])
-		if landmarks[i] >= nv {
-			return nil, fmt.Errorf("hcl: landmark %d out of range", landmarks[i])
-		}
-	}
-	idx := newIndex(g, landmarks)
-	hwy := hdr + 4*int64(nr)
-	for i := range idx.H.mat {
-		idx.H.mat[i] = graph.Dist(le.Uint32(data[hwy+4*int64(i):]))
-	}
-	entries, off, _, err := MapLabelBlock(data[need:], nv, nr)
+	s, err := readHeader(bytes.NewReader(data), magic, nv, blocks)
 	if err != nil {
 		return nil, err
 	}
-	idx.packed = AttachMapped(idx.L, entries, off, m)
-	idx.mapRef = m
-	return idx, nil
+	if !entryLayoutOK {
+		return nil, ErrNotMappable
+	}
+	nr := uint32(len(s.Landmarks))
+	at := headerLen(int64(nr))
+	for i := range s.Labels {
+		p, n, err := mapBlock(data[at:], nr, s.Labels[i])
+		if err != nil {
+			return nil, fmt.Errorf("label block %d: %w", i, err)
+		}
+		p.ref = m
+		s.Packed[i] = p
+		at += n
+	}
+	return s, nil
+}
+
+// mapBlock interprets the label block at the start of data in place,
+// attaching labels to the mapped entries, and returns its packed form and
+// total length.
+func mapBlock(data []byte, nr uint32, labels []Label) (*Packed, int64, error) {
+	nv := len(labels)
+	if len(data) < blockHeaderLen {
+		return nil, 0, fmt.Errorf("label block truncated")
+	}
+	total, offPad, entPad, err := checkBlockHeader(data, nv, nr)
+	if err != nil {
+		return nil, 0, err
+	}
+	offStart := blockHeaderLen + offPad
+	entStart := offStart + 8*int64(nv+1) + entPad
+	blockLen := entStart + int64(total)*entryStride
+	if int64(len(data)) < blockLen {
+		return nil, 0, fmt.Errorf("label block truncated: have %d of %d bytes", len(data), blockLen)
+	}
+	offPtr := unsafe.Pointer(&data[offStart])
+	if uintptr(offPtr)%8 != 0 {
+		return nil, 0, ErrNotMappable
+	}
+	off := unsafe.Slice((*uint64)(offPtr), nv+1)
+	if err := checkOffsets(off, nr, total); err != nil {
+		return nil, 0, err
+	}
+	var entries []Entry
+	if total > 0 {
+		entPtr := unsafe.Pointer(&data[entStart])
+		if uintptr(entPtr)%unsafe.Alignof(Entry{}) != 0 {
+			return nil, 0, ErrNotMappable
+		}
+		entries = unsafe.Slice((*Entry)(entPtr), total)
+	}
+	p := &Packed{chunks: make([]packChunk, (nv+packChunkLen-1)/packChunkLen), n: nv, entries: int64(total)}
+	for ci := range p.chunks {
+		lo := ci * packChunkLen
+		hi := min(lo+packChunkLen, nv)
+		p.chunks[ci] = packChunk{
+			entries: entries[off[lo]:off[hi]:off[hi]],
+			off:     chunkOffsets(off[lo : hi+1]),
+		}
+	}
+	p.attach(labels)
+	return p, blockLen, nil
+}
+
+// ReadIndexMapped attaches the index stream at offset streamOff of the
+// mapping m to g, serving the entry arena straight out of the mapped
+// bytes; the index pins m for as long as any fork may alias it. Returns
+// ErrNotMappable when this host cannot serve the stream in place —
+// callers fall back to ReadIndex.
+func ReadIndexMapped(m *arena.Mapping, streamOff int64, g *graph.Graph) (*Index, error) {
+	s, err := MapStream(m, streamOff, codecMagic, g.NumVertices(), 1)
+	return fromStream(g, s, m, err)
 }

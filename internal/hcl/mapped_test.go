@@ -12,55 +12,35 @@ import (
 	"repro/internal/testutil"
 )
 
-// forceV2 makes WriteTo pick the v2 block regardless of entry count for
-// the duration of the test (2^32 entries cannot be built in a test).
-func forceV2(t *testing.T) {
-	t.Helper()
-	old := V2SaveThreshold
-	V2SaveThreshold = 0
-	t.Cleanup(func() { V2SaveThreshold = old })
-}
-
+// TestCodecV2RoundTrip pins the on-disk format: WriteTo writes the HCL3
+// stream, ReadIndex reproduces the labelling exactly, and re-saving the
+// loaded index is byte-identical.
 func TestCodecV2RoundTrip(t *testing.T) {
 	g := testutil.RandomGraph(120, 220, 5)
 	idx, err := Build(g, landmark.ByDegree(g, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	forceV2(t)
 	var buf bytes.Buffer
 	if _, err := idx.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
 	}
-	if got := string(buf.Bytes()[:4]); got != codecMagicV2 {
-		t.Fatalf("WriteTo above threshold wrote %q, want %q", got, codecMagicV2)
+	if got := string(buf.Bytes()[:4]); got != codecMagic {
+		t.Fatalf("WriteTo wrote %q, want %q", got, codecMagic)
 	}
-	back, err := ReadIndex(&buf, g)
+	back, err := ReadIndex(bytes.NewReader(buf.Bytes()), g)
 	if err != nil {
 		t.Fatalf("ReadIndex: %v", err)
 	}
 	if err := idx.EqualLabels(back); err != nil {
 		t.Fatal(err)
 	}
-	for u := uint32(0); u < 20; u++ {
-		if got, want := back.Query(u, 100), idx.Query(u, 100); got != want {
-			t.Fatalf("Query(%d,100): got %d, want %d", u, got, want)
-		}
-	}
-}
-
-func TestCodecFormatPick(t *testing.T) {
-	g := testutil.RandomGraph(60, 100, 3)
-	idx, err := Build(g, landmark.ByDegree(g, 4))
-	if err != nil {
+	var again bytes.Buffer
+	if _, err := back.WriteTo(&again); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := string(buf.Bytes()[:4]); got != codecMagic {
-		t.Fatalf("small labelling wrote %q, want %q", got, codecMagic)
+	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+		t.Fatal("re-saving a loaded labelling must be byte-identical")
 	}
 }
 
@@ -71,7 +51,7 @@ func TestWriteToMappableSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	n, spans, err := idx.WriteToMappable(&buf, 0)
+	n, spans, err := idx.WriteToAt(&buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +62,8 @@ func TestWriteToMappableSpans(t *testing.T) {
 		t.Fatalf("got %d spans, want 1", len(spans))
 	}
 	sp := spans[0]
-	if sp.Off%int64(pageAlign()) != 0 {
-		t.Fatalf("entry span at %d not page-aligned (page %d)", sp.Off, pageAlign())
+	if sp.Off%int64(os.Getpagesize()) != 0 {
+		t.Fatalf("entry span at %d not page-aligned (page %d)", sp.Off, os.Getpagesize())
 	}
 	if sp.Len != idx.NumEntries()*entryStride {
 		t.Fatalf("span length %d, want %d entries × %d", sp.Len, idx.NumEntries(), entryStride)
@@ -113,11 +93,11 @@ func TestWriteToMappableSpans(t *testing.T) {
 	}
 }
 
-// writeMappableFile serialises idx to a file in the mappable layout.
+// writeMappableFile serialises idx to a label file of its own.
 func writeMappableFile(t *testing.T, idx *Index) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, _, err := idx.WriteToMappable(&buf, 0); err != nil {
+	if _, err := idx.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "labels.v2")
@@ -162,33 +142,6 @@ func TestReadIndexMapped(t *testing.T) {
 				t.Fatalf("Query(%d,%d): got %d, want %d", u, v, got, want)
 			}
 		}
-	}
-}
-
-func TestReadIndexMappedRejectsV1Stream(t *testing.T) {
-	if !arena.Supported() {
-		t.Skip("mmap not supported")
-	}
-	g := testutil.RandomGraph(40, 80, 2)
-	idx, err := Build(g, landmark.ByDegree(g, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil { // HCL2: not mappable
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "labels.v1")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m, err := arena.MapFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if _, err := ReadIndexMapped(m, 0, g); err != ErrNotMappable {
-		t.Fatalf("got %v, want ErrNotMappable", err)
 	}
 }
 
@@ -262,7 +215,6 @@ func TestV2CodecCorruptionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forceV2(t)
 	var buf bytes.Buffer
 	if _, err := idx.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -285,7 +237,7 @@ func TestV2CodecCorruptionRejected(t *testing.T) {
 		},
 		"offsets not monotonic": func(b []byte) []byte {
 			// Second offset slot, pushed past total.
-			offStart := blockOff + blockV2HeaderLen + int64(le.Uint32(b[blockOff+8:]))
+			offStart := blockOff + blockHeaderLen + int64(le.Uint32(b[blockOff+8:]))
 			le.PutUint64(b[offStart+8:], 1<<50)
 			return b
 		},
@@ -295,7 +247,7 @@ func TestV2CodecCorruptionRejected(t *testing.T) {
 		"unsorted entries": func(b []byte) []byte {
 			// Duplicate the rank of the second entry of the first label
 			// with ≥2 entries: ranks must strictly increase.
-			offStart := blockOff + blockV2HeaderLen + int64(le.Uint32(b[blockOff+8:]))
+			offStart := blockOff + blockHeaderLen + int64(le.Uint32(b[blockOff+8:]))
 			entPad := int64(le.Uint32(b[blockOff+12:]))
 			entStart := offStart + 8*int64(len(idx.L)+1) + entPad
 			for v := 0; v < len(idx.L); v++ {

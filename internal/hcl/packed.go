@@ -57,7 +57,7 @@ type Packed struct {
 	entries int64 // total entries across all chunks
 
 	// ref pins the mmap'd checkpoint region some or all chunks alias (see
-	// AttachMapped): while this Packed — or any later Packed that reused
+	// MapStream): while this Packed — or any later Packed that reused
 	// one of its chunks — is reachable, the mapping stays alive. Nil for a
 	// fully heap-resident arena.
 	ref *arena.Mapping

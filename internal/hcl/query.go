@@ -107,9 +107,9 @@ func (idx *Index) Query(u, v uint32) graph.Dist {
 	if _, vIsL := idx.Rank(v); vIsL {
 		return top
 	}
-	s := idx.scratch.Get(idx.G.NumVertices())
+	s := bfs.Spaces.Get(idx.G.NumVertices())
 	sp := bfs.Sparsified(idx.G, u, v, top, idx.IsLandmark, s)
-	idx.scratch.Put(s)
+	bfs.Spaces.Put(s)
 	if sp < top {
 		return sp
 	}

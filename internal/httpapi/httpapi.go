@@ -65,8 +65,8 @@
 //
 // Mutation failures map onto status codes through the dynhl sentinel
 // errors: unknown vertices and edges are 404, inserting an edge that
-// already exists is 409, capability gaps (errors.ErrUnsupported from
-// Save/Load) are 501, anything else the oracle rejects is 400. Untrusted
+// already exists is 409, capability gaps (errors.ErrUnsupported, such as
+// the durability endpoints on a non-durable server) are 501, anything else the oracle rejects is 400. Untrusted
 // input is bounded: request bodies beyond MaxBodyBytes, batches beyond
 // MaxBatchPairs and update batches beyond MaxBatchOps are rejected with 413
 // before any result allocation.
@@ -215,8 +215,9 @@ type Server struct {
 	start         time.Time  // process-visible start, for uptime_seconds
 }
 
-// New returns a Server serving o through a dynhl.Store (reusing it when o
-// already is one, or a ConcurrentOracle's).
+// New returns a Server serving o through a dynhl.Store, reusing it when o
+// already is one. o must otherwise be one of dynhl's index variants
+// (dynhl.NewStore panics on any other Oracle).
 func New(o dynhl.Oracle, opts ...Option) *Server {
 	s := &Server{
 		store:         dynhl.NewStore(o),
@@ -574,18 +575,8 @@ func (s *Server) saveLabels(w http.ResponseWriter, r *http.Request) {
 	}
 	view := st.Snapshot()
 	tagEpoch(w, view.Epoch())
-	sv, ok := view.(dynhl.Saver)
-	if !ok {
-		httpError(w, http.StatusNotImplemented, errors.ErrUnsupported)
-		return
-	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := sv.Save(w); err != nil {
-		if errors.Is(err, errors.ErrUnsupported) {
-			httpError(w, http.StatusNotImplemented,
-				fmt.Errorf("this oracle variant cannot serialise its labelling: %w", err))
-			return
-		}
+	if err := view.Save(w); err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 	}
 }
@@ -605,9 +596,6 @@ func (s *Server) loadLabels(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 		w.WriteHeader(http.StatusNoContent)
-	case errors.Is(err, errors.ErrUnsupported):
-		httpError(w, http.StatusNotImplemented,
-			fmt.Errorf("this oracle variant cannot load a labelling: %w", err))
 	default:
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {

@@ -418,8 +418,7 @@ func mustBuild(t *testing.T) dynhl.Oracle {
 }
 
 // TestLabelsEndpoints pins labelling download/upload round trips on the
-// undirected variant and the 501 mapping of errors.ErrUnsupported for
-// variants without the capability.
+// undirected and directed variants.
 func TestLabelsEndpoints(t *testing.T) {
 	ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/labels")

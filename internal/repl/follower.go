@@ -303,10 +303,10 @@ func (f *Follower) applyOne(it item) (ack uint64, send bool, err error) {
 	if it.epoch != st.Epoch()+1 {
 		return 0, false, fmt.Errorf("repl: records gap: epoch %d shipped where %d was expected", it.epoch, st.Epoch()+1)
 	}
-	if _, got, err := st.ApplyEpoch(it.ops); err != nil {
+	if res, err := st.ApplyCtx(context.Background(), it.ops); err != nil {
 		return 0, false, fmt.Errorf("repl: replaying epoch %d: %w", it.epoch, err)
-	} else if got != it.epoch {
-		return 0, false, fmt.Errorf("repl: replay published epoch %d, want %d", got, it.epoch)
+	} else if res.Epoch != it.epoch {
+		return 0, false, fmt.Errorf("repl: replay published epoch %d, want %d", res.Epoch, it.epoch)
 	}
 	f.observeLeader(it.epoch)
 	return it.epoch, true, nil

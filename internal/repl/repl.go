@@ -12,7 +12,7 @@
 // second write path and no second serialisation format. A follower
 // bootstraps through the same wal.RebuildImage/dynhl.LoadIndex route a
 // crash recovery takes, then replays shipped batches through
-// Store.ApplyEpoch; because epochs advance by exactly one per publish on
+// Store.ApplyCtx; because epochs advance by exactly one per publish on
 // both sides, leader and follower publish identical epoch numbers for
 // identical states.
 //

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,17 +17,35 @@ import (
 // Checkpoint file: the complete state at one epoch, so recovery replays
 // only the log tail beyond it.
 //
-//	magic "HLWCKPT1" | u64 epoch | u64 vertices |
+//	magic "HLWCKPT2" | u64 epoch | u64 vertices |
 //	u64 graphLen | graph section: u64 edge count, u32 u | u32 v per edge |
-//	u64 labelsLen | labelling stream (dynhl.Saver) |
-//	u32 CRC32 (IEEE) of everything above
+//	u64 labelsLen | labelling stream (SaveAt) |
+//	span table: (u64 off | u64 len) per span | u32 span count |
+//	u32 CRC32 (IEEE) of everything above except the span byte ranges
 //
 // The graph is a raw binary edge array rather than the textual edge list —
 // recovery time is the subsystem's whole point, and parsing text would
 // dominate it. The vertex count is stored explicitly because an edge array
 // cannot carry trailing isolated vertices (ids with every incident edge
 // deleted), which the labelling stream then refuses to attach to.
-const ckptMagic = "HLWCKPT1"
+//
+// The labelling is written with SaveAt at its real file offset, so its
+// entry arenas land page-aligned in the file and a recovery can mmap the
+// checkpoint and serve queries straight from the page cache instead of
+// decoding the labels. The spans name exactly those entry arenas: the CRC
+// deliberately excludes them so validating a mapped checkpoint at boot
+// faults in only the header, graph and offset-table pages — a CRC over the
+// whole file would read every entry page and make the mapped boot a
+// copy-in load with extra steps. The entry bytes are therefore not
+// integrity-checked; they are node-local state written by us, and the
+// offset tables bounding every access are still fully covered. The
+// trailer parses backwards (count, then the spans before it) so the header
+// needs no forward pointer.
+const ckptMagic = "HLWCKPT2"
+
+// maxCkptSpans bounds the span table: no variant writes more than two
+// entry arenas (the directed one), so anything large is damage.
+const maxCkptSpans = 16
 
 const ckptExt = ".ckpt"
 
@@ -39,10 +58,11 @@ func ckptPath(dir string, epoch uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("checkpoint-%020d%s", epoch, ckptExt))
 }
 
-// checkpointable is the oracle capability a checkpoint needs: the labelling
-// stream plus the graph it was built over. Satisfied by *dynhl.Index.
+// checkpointable is the oracle capability a checkpoint needs: the
+// labelling stream, written at its offset in the checkpoint file, plus the
+// graph it was built over. Satisfied by *dynhl.Index.
 type checkpointable interface {
-	dynhl.Saver
+	SaveAt(w io.Writer, base int64) (int64, []dynhl.Span, error)
 	Graph() *dynhl.Graph
 }
 
@@ -106,6 +126,19 @@ func decodeGraphSection(data []byte, vertices uint64) (*dynhl.Graph, error) {
 	return g, nil
 }
 
+// crcSkipSpans computes the IEEE CRC32 of data with the given byte
+// ranges excluded. Spans must be sorted, non-overlapping and in bounds —
+// validated by the caller (decode) or true by construction (write).
+func crcSkipSpans(data []byte, spans []dynhl.Span) uint32 {
+	var crc uint32
+	pos := int64(0)
+	for _, s := range spans {
+		crc = crc32.Update(crc, crc32.IEEETable, data[pos:s.Off])
+		pos = s.Off + s.Len
+	}
+	return crc32.Update(crc, crc32.IEEETable, data[pos:])
+}
+
 // sliceWriter adapts an append-grown byte slice to io.Writer, so the
 // labelling streams straight into the checkpoint image.
 type sliceWriter struct{ buf *[]byte }
@@ -124,27 +157,27 @@ func writeCheckpoint(dir string, epoch uint64, src checkpointable) (string, erro
 	g := src.Graph()
 	le := binary.LittleEndian
 	buf := make([]byte, 0, len(ckptMagic)+4*8+8*int(g.NumEdges())+4)
-	if ms, ok := src.(dynhl.MappableSaver); ok {
-		// Oracles that can save mappably get the v2 layout so a later
-		// recovery can serve the labels straight out of an mmap.
-		var err error
-		if buf, err = appendCheckpointV2(buf, epoch, src, ms); err != nil {
-			return "", err
-		}
-	} else {
-		buf = append(buf, ckptMagic...)
-		buf = le.AppendUint64(buf, epoch)
-		buf = le.AppendUint64(buf, uint64(g.NumVertices()))
-		buf = le.AppendUint64(buf, 8+8*g.NumEdges()) // graph section length
-		buf = appendGraphSection(buf, g)
-		lenAt := len(buf) // labelling length, patched after the stream
-		buf = le.AppendUint64(buf, 0)
-		if err := src.Save(sliceWriter{&buf}); err != nil {
-			return "", fmt.Errorf("wal: checkpoint labelling: %w", err)
-		}
-		le.PutUint64(buf[lenAt:], uint64(len(buf)-lenAt-8))
-		buf = le.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	buf = append(buf, ckptMagic...)
+	buf = le.AppendUint64(buf, epoch)
+	buf = le.AppendUint64(buf, uint64(g.NumVertices()))
+	buf = le.AppendUint64(buf, 8+8*g.NumEdges()) // graph section length
+	buf = appendGraphSection(buf, g)
+	lenAt := len(buf) // labelling length, patched after the stream
+	buf = le.AppendUint64(buf, 0)
+	// The labelling's file offset is its buffer offset — the image is
+	// written from byte 0 of the file — so alignment computed against the
+	// buffer position holds on disk.
+	_, spans, err := src.SaveAt(sliceWriter{&buf}, int64(len(buf)))
+	if err != nil {
+		return "", fmt.Errorf("wal: checkpoint labelling: %w", err)
 	}
+	le.PutUint64(buf[lenAt:], uint64(len(buf)-lenAt-8))
+	for _, s := range spans {
+		buf = le.AppendUint64(buf, uint64(s.Off))
+		buf = le.AppendUint64(buf, uint64(s.Len))
+	}
+	buf = le.AppendUint32(buf, uint32(len(spans)))
+	buf = le.AppendUint32(buf, crcSkipSpans(buf, spans))
 
 	final := ckptPath(dir, epoch)
 	tmp := final + ".tmp"
@@ -177,18 +210,16 @@ func writeCheckpoint(dir string, epoch uint64, src checkpointable) (string, erro
 	return final, nil
 }
 
-// ckptState is a decoded checkpoint, ready to rebuild an oracle.
+// ckptState is a decoded checkpoint, ready to rebuild an oracle. Its
+// sections alias the decoded image; labelsOff is where the labelling
+// stream starts within it, which lets a mapped boot hand the labelling's
+// file offset to dynhl.LoadIndexMapped instead of decoding st.labels.
 type ckptState struct {
-	epoch    uint64
-	vertices uint64
-	graph    []byte
-	labels   []byte
-	// labelsOff is where the labelling stream starts within the image,
-	// and v2 whether the image is the mappable HLWCKPT2 layout — together
-	// they let a mapped boot hand the labelling's file offset to
-	// dynhl.LoadIndexMapped instead of decoding st.labels.
+	epoch     uint64
+	vertices  uint64
+	graph     []byte
+	labels    []byte
 	labelsOff int64
-	v2        bool
 }
 
 // readCheckpoint validates and decodes one checkpoint file.
@@ -201,21 +232,41 @@ func readCheckpoint(path string) (ckptState, error) {
 }
 
 // decodeCheckpoint validates and decodes a checkpoint image, whether read
-// from disk or received over a replication link; path only labels errors.
-// The returned state's sections alias data. Both format versions decode:
-// v1 ("HLWCKPT1") forever, v2 ("HLWCKPT2") since the mappable layout.
+// from disk, mapped, or received over a replication link; path only labels
+// errors. Validation touches everything except the label entry arenas,
+// which the CRC skips (see the format comment).
 func decodeCheckpoint(data []byte, path string) (ckptState, error) {
 	le := binary.LittleEndian
-	if len(data) >= len(ckptMagicV2) && string(data[:len(ckptMagicV2)]) == ckptMagicV2 {
-		return decodeCheckpointV2(data, path)
+	headerMin := len(ckptMagic) + 8*3 + 8 // fixed header + labelsLen
+	if len(data) < len(ckptMagic) || string(data[:len(ckptMagic)]) != ckptMagic {
+		return ckptState{}, fmt.Errorf("wal: %s: not a %s checkpoint file", path, ckptMagic)
 	}
-	if len(data) < len(ckptMagic)+8*3+4 || string(data[:len(ckptMagic)]) != ckptMagic {
-		return ckptState{}, fmt.Errorf("wal: %s: not a checkpoint file", path)
+	if len(data) < headerMin+8 {
+		return ckptState{}, fmt.Errorf("wal: %s: truncated checkpoint", path)
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != le.Uint32(tail) {
+	nspans := le.Uint32(data[len(data)-8:])
+	if nspans > maxCkptSpans {
+		return ckptState{}, fmt.Errorf("wal: %s: implausible span count %d", path, nspans)
+	}
+	bodyLen := len(data) - 8 - 16*int(nspans)
+	if bodyLen < headerMin {
+		return ckptState{}, fmt.Errorf("wal: %s: truncated checkpoint", path)
+	}
+	spans := make([]dynhl.Span, nspans)
+	prevEnd := int64(0)
+	for i := range spans {
+		at := bodyLen + 16*i
+		off, slen := le.Uint64(data[at:]), le.Uint64(data[at+8:])
+		if off > uint64(bodyLen) || slen > uint64(bodyLen)-off || int64(off) < prevEnd {
+			return ckptState{}, fmt.Errorf("wal: %s: span table out of bounds", path)
+		}
+		spans[i] = dynhl.Span{Off: int64(off), Len: int64(slen)}
+		prevEnd = int64(off + slen)
+	}
+	if crcSkipSpans(data[:len(data)-4], spans) != le.Uint32(data[len(data)-4:]) {
 		return ckptState{}, fmt.Errorf("wal: %s: checksum mismatch", path)
 	}
+	body := data[:bodyLen]
 	off := len(ckptMagic)
 	readU64 := func() (uint64, error) {
 		if off+8 > len(body) {

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -31,12 +32,11 @@ type Options struct {
 	// (default log.Printf).
 	Logf func(format string, args ...any)
 	// Mmap selects how recovery attaches the checkpoint labelling: MapAuto
-	// (the zero value) serves v2 checkpoints out of an mmap on platforms
-	// that support it, MapOn insists on trying even where unsupported (the
+	// (the zero value) serves checkpoints out of an mmap on platforms that
+	// support it, MapOn insists on trying even where unsupported (the
 	// attempt fails and recovery falls back, with a warning), MapOff always
-	// decodes a heap copy. Only the load path is affected — checkpoints are
-	// written in the mappable v2 layout regardless, whenever the oracle
-	// supports it.
+	// decodes a heap copy. Only the load path is affected — the checkpoint
+	// format is the same either way.
 	Mmap MapMode
 }
 
@@ -44,7 +44,7 @@ type Options struct {
 type MapMode int
 
 const (
-	// MapAuto mmaps v2 checkpoints where the platform supports it.
+	// MapAuto mmaps checkpoints where the platform supports it.
 	MapAuto MapMode = iota
 	// MapOn attempts the mapped boot unconditionally.
 	MapOn
@@ -102,7 +102,7 @@ type Durable struct {
 	subMu sync.Mutex
 	subs  map[*subscriber]struct{}
 
-	ckptc  chan struct{}
+	ckptc  chan uint64 // automatic checkpoint trigger: the epoch that fired it
 	stop   chan struct{}
 	wg     sync.WaitGroup
 	closed atomic.Bool
@@ -174,7 +174,7 @@ func attach(dir string, store *dynhl.Store, ckptEpoch uint64, replayed uint64, o
 		log:      lg,
 		opts:     opts,
 		replayed: replayed,
-		ckptc:    make(chan struct{}, 1),
+		ckptc:    make(chan uint64, 1),
 		stop:     make(chan struct{}),
 	}
 	d.ckptEpoch.Store(ckptEpoch)
@@ -229,7 +229,7 @@ func (d *Durable) Commit(epoch uint64, ops []dynhl.Op, next dynhl.View) error {
 	if every := d.opts.CheckpointEvery; every > 0 && d.sinceCkpt.Add(1) >= uint64(every) {
 		d.sinceCkpt.Store(0)
 		select {
-		case d.ckptc <- struct{}{}:
+		case d.ckptc <- epoch:
 		default:
 		}
 	}
@@ -303,7 +303,11 @@ func (d *Durable) run() {
 		select {
 		case <-d.stop:
 			return
-		case <-d.ckptc:
+		case epoch := <-d.ckptc:
+			// Commit fires the trigger before its epoch publishes, and a
+			// successful Commit always publishes: wait for that, so the
+			// checkpoint covers the records that triggered it.
+			d.store.WaitEpoch(context.Background(), epoch)
 			if _, err := d.Checkpoint(); err != nil {
 				d.opts.Logf("wal: background checkpoint: %v", err)
 			}

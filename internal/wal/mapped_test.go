@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -36,9 +36,8 @@ func newestCheckpoint(t *testing.T, dir string) string {
 	return cks[0].path
 }
 
-// TestCheckpointV2RoundTrip pins the on-disk pick — checkpoints of the
-// undirected oracle are written in the mappable HLWCKPT2 layout — and the
-// copy-in decode of that layout.
+// TestCheckpointV2RoundTrip pins the on-disk format — checkpoints are
+// written in the HLWCKPT2 layout — and its copy-in decode.
 func TestCheckpointV2RoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	idx := buildIndex(t, 60, 1)
@@ -53,15 +52,12 @@ func TestCheckpointV2RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(data[:len(ckptMagicV2)]) != ckptMagicV2 {
-		t.Fatalf("checkpoint magic %q, want %q", data[:len(ckptMagicV2)], ckptMagicV2)
+	if string(data[:len(ckptMagic)]) != ckptMagic {
+		t.Fatalf("checkpoint magic %q, want %q", data[:len(ckptMagic)], ckptMagic)
 	}
 	st, err := decodeCheckpoint(data, path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !st.v2 {
-		t.Fatal("decode did not flag the v2 layout")
 	}
 	back, err := rebuildIndex(st)
 	if err != nil {
@@ -77,7 +73,7 @@ func TestCheckpointV2RoundTrip(t *testing.T) {
 // TestCheckpointV2CorruptionRejected pins the CRC's coverage: damage
 // anywhere outside the label entry arenas is caught; damage inside them
 // is not (the CRC skips the spans so a mapped boot never faults the entry
-// pages — checkpoints are node-local trusted state, see checkpoint_v2.go).
+// pages — checkpoints are node-local trusted state, see checkpoint.go).
 func TestCheckpointV2CorruptionRejected(t *testing.T) {
 	dir := t.TempDir()
 	idx := buildIndex(t, 60, 2)
@@ -113,7 +109,7 @@ func TestCheckpointV2CorruptionRejected(t *testing.T) {
 		return c
 	}
 	// Headers, graph bytes, offsets: all caught.
-	for _, at := range []int64{int64(len(ckptMagicV2)) + 3, 40, st.labelsOff + 5, spanOff - 1} {
+	for _, at := range []int64{int64(len(ckptMagic)) + 3, 40, st.labelsOff + 5, spanOff - 1} {
 		if _, err := decodeCheckpoint(flip(at), path); err == nil {
 			t.Fatalf("corruption at offset %d not detected", at)
 		}
@@ -132,59 +128,10 @@ func TestCheckpointV2CorruptionRejected(t *testing.T) {
 	if _, err := decodeCheckpoint(huge, path); err == nil {
 		t.Fatal("implausible span count accepted")
 	}
-}
-
-// writeV1Checkpoint writes a checkpoint in the legacy HLWCKPT1 layout —
-// what every release before the mappable format produced — so tests can
-// pin that v1 state remains recoverable forever.
-func writeV1Checkpoint(t *testing.T, dir string, epoch uint64, src checkpointable) {
-	t.Helper()
-	g := src.Graph()
-	le := binary.LittleEndian
-	buf := append([]byte(nil), ckptMagic...)
-	buf = le.AppendUint64(buf, epoch)
-	buf = le.AppendUint64(buf, uint64(g.NumVertices()))
-	buf = le.AppendUint64(buf, 8+8*g.NumEdges())
-	buf = appendGraphSection(buf, g)
-	lenAt := len(buf)
-	buf = le.AppendUint64(buf, 0)
-	if err := src.Save(sliceWriter{&buf}); err != nil {
-		t.Fatal(err)
-	}
-	le.PutUint64(buf[lenAt:], uint64(len(buf)-lenAt-8))
-	buf = le.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	if err := os.WriteFile(ckptPath(dir, epoch), buf, 0o666); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRecoverV1Checkpoint pins backward compatibility: a data directory
-// whose newest checkpoint is the legacy v1 layout recovers under every
-// mmap mode — the mapped boot quietly falls back to the copy-in load.
-func TestRecoverV1Checkpoint(t *testing.T) {
-	idx := buildIndex(t, 50, 3)
-	for _, mode := range []MapMode{MapAuto, MapOn, MapOff} {
-		dir := t.TempDir()
-		if err := os.MkdirAll(dir, 0o777); err != nil {
-			t.Fatal(err)
-		}
-		writeV1Checkpoint(t, dir, 0, idx)
-		opts := quietOpts(t)
-		opts.Mmap = mode
-		d, err := Recover(dir, opts)
-		if err != nil {
-			t.Fatalf("mode %d: %v", mode, err)
-		}
-		st := d.Store().Stats()
-		if st.MappedBytes != 0 {
-			t.Fatalf("mode %d: v1 recovery reports MappedBytes=%d, want 0", mode, st.MappedBytes)
-		}
-		for _, p := range samplePairs(50) {
-			if got, want := d.Store().Query(p.U, p.V), idx.Query(p.U, p.V); got != want {
-				t.Fatalf("mode %d: Query(%d,%d) = %d, want %d", mode, p.U, p.V, got, want)
-			}
-		}
-		d.Close()
+	// The retired HLWCKPT1 generation is refused by name, never decoded.
+	v1 := append([]byte("HLWCKPT1"), data[len(ckptMagic):]...)
+	if _, err := decodeCheckpoint(v1, path); err == nil || !strings.Contains(err.Error(), "not a "+ckptMagic) {
+		t.Fatalf("HLWCKPT1 image: got %v, want a format refusal", err)
 	}
 }
 

@@ -25,9 +25,9 @@
 // damage to a Load checkpoint refuses recovery instead of serving a state
 // with the Load silently missing.
 //
-// Only oracles that can serialise both their labelling (dynhl.Saver) and
-// their graph — currently the undirected *dynhl.Index — can be made
-// durable; Create reports errors.ErrUnsupported for the rest.
+// Only oracles that can serialise both their labelling (into a checkpoint
+// file) and their graph — currently the undirected *dynhl.Index — can be
+// made durable; Create reports errors.ErrUnsupported for the rest.
 package wal
 
 import (

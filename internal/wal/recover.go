@@ -38,7 +38,7 @@ func Recover(dir string, opts Options) (*Durable, error) {
 		if opts.Mmap.Enabled() {
 			// The mapped boot serves the checkpoint's label entries
 			// straight out of the page cache — it faults in only the
-			// header, graph and offset pages (the v2 CRC skips the entry
+			// header, graph and offset pages (the CRC skips the entry
 			// arenas), so boot cost stops scaling with labelling size.
 			// Replay still works: the mapping is private, so in-place
 			// label repairs dirty anonymous copies, never the file.
@@ -47,7 +47,8 @@ func Recover(dir string, opts Options) (*Durable, error) {
 			case err == nil:
 				idx, st.epoch = mapped, epoch
 			case errors.Is(err, dynhl.ErrNotMappable):
-				// A v1 checkpoint or an unmappable layout: quiet copy-in.
+				// No mmap here, or a layout this host cannot map: quiet
+				// copy-in.
 			default:
 				opts.Logf("wal: mapped boot of %s failed (%v); falling back to copy-in", c.path, err)
 			}
@@ -102,8 +103,8 @@ func rebuildIndex(st ckptState) (*dynhl.Index, error) {
 // mapCheckpoint is the zero-copy variant of readCheckpoint+rebuildIndex:
 // it mmaps the checkpoint file and attaches the labelling in place. The
 // graph is still decoded to the heap (it is mutated by every update; the
-// labels are the bulk of the state). Returns dynhl.ErrNotMappable for v1
-// checkpoints and unmappable layouts; the mapping is owned by the
+// labels are the bulk of the state). Returns dynhl.ErrNotMappable when
+// this host cannot map the checkpoint; the mapping is owned by the
 // returned index and unmapped by the garbage collector once no snapshot
 // aliases it — checkpoint pruning only ever unlinks files, so a pruned
 // checkpoint's pages stay valid for as long as anything still reads them.
@@ -115,15 +116,7 @@ func mapCheckpoint(path string) (*dynhl.Index, uint64, error) {
 		}
 		return nil, 0, err
 	}
-	data := m.Data()
-	if len(data) < len(ckptMagicV2) || string(data[:len(ckptMagicV2)]) != ckptMagicV2 {
-		// Checking the magic before decodeCheckpoint keeps a v1 boot off
-		// this path entirely: v1's whole-file CRC would fault in every
-		// page for nothing.
-		m.Close()
-		return nil, 0, dynhl.ErrNotMappable
-	}
-	st, err := decodeCheckpoint(data, path)
+	st, err := decodeCheckpoint(m.Data(), path)
 	if err != nil {
 		m.Close()
 		return nil, 0, err

@@ -242,10 +242,10 @@ func RebuildImage(data []byte) (*dynhl.Index, uint64, error) {
 // attached in place, so a follower bootstrapping from a large shipped
 // checkpoint keeps one file-backed copy of the entries instead of a heap
 // copy next to the received buffer. Falls back to RebuildImage whenever
-// mode declines, the image is a v1 layout, or mapping fails — the result
-// is the same oracle either way.
+// mode declines or mapping fails — the result is the same oracle either
+// way.
 func RebuildImageMapped(data []byte, mode MapMode) (*dynhl.Index, uint64, error) {
-	if !mode.Enabled() || len(data) < len(ckptMagicV2) || string(data[:len(ckptMagicV2)]) != ckptMagicV2 {
+	if !mode.Enabled() {
 		return RebuildImage(data)
 	}
 	m, err := arena.MapBytes(data)

@@ -723,17 +723,3 @@ func TestAppendFailureRollsBack(t *testing.T) {
 		t.Fatalf("append on a poisoned log: got %v, want poisoned fail-stop", err)
 	}
 }
-
-// TestAttachDurabilityRefusesFallback checks the Store rejects a durability
-// layer in the non-forkable fallback mode, where a refused commit could not
-// roll the in-place batch back.
-func TestAttachDurabilityRefusesFallback(t *testing.T) {
-	store := dynhl.NewStore(opaque{buildIndex(t, 20, 13)})
-	var d dynhl.Durability = &Durable{}
-	if err := store.AttachDurability(d); err == nil {
-		t.Fatal("fallback-mode store accepted a durability layer")
-	}
-}
-
-// opaque hides the concrete index type, forcing the Store's fallback mode.
-type opaque struct{ dynhl.Oracle }

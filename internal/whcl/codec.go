@@ -1,74 +1,30 @@
 package whcl
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 
-	"repro/internal/graph"
+	"repro/internal/arena"
 	"repro/internal/hcl"
 	"repro/internal/wgraph"
 )
 
-// Binary index format:
-//
-//	magic "WHL1" | u32 |V| | u32 |R| | landmarks u32×|R| |
-//	highway u32×|R|² (symmetric weighted distances) | label block
-//
-// The label block is the shared CSR layout of hcl.WriteLabelBlock, so a
-// load is one bulk arena read and the loaded index is already packed. All
-// integers little-endian; the graph is serialised separately.
-const codecMagic = "WHL1"
+// codecMagic names the weighted label stream: the shared hcl stream layout
+// with the symmetric weighted highway and one label block.
+const codecMagic = "WHL2"
 
 // WriteTo serialises the weighted labelling (landmarks, highway, labels)
-// to w. Below hcl.V2SaveThreshold entries it writes the WHL1 layout; at or
-// above it the mappable WHL2 layout, whose u64 offsets are the only
-// representation past the u32 ceiling.
+// to w as a file of its own. The graph is serialised separately.
 func (idx *Index) WriteTo(w io.Writer) (int64, error) {
-	var total uint64
-	for _, l := range idx.L {
-		total += uint64(len(l))
-	}
-	if total >= hcl.V2SaveThreshold {
-		n, _, err := idx.WriteToMappable(w, 0)
-		return n, err
-	}
-	cw := &hcl.CountingWriter{W: w}
-	bw := bufio.NewWriterSize(cw, 1<<16)
-	if _, err := bw.WriteString(codecMagic); err != nil {
-		return cw.N, err
-	}
-	le := binary.LittleEndian
-	var u32 [4]byte
-	writeU32 := func(v uint32) error {
-		le.PutUint32(u32[:], v)
-		_, err := bw.Write(u32[:])
-		return err
-	}
-	if err := writeU32(uint32(len(idx.L))); err != nil {
-		return cw.N, err
-	}
-	if err := writeU32(uint32(idx.k)); err != nil {
-		return cw.N, err
-	}
-	for _, v := range idx.Landmarks {
-		if err := writeU32(v); err != nil {
-			return cw.N, err
-		}
-	}
-	for _, d := range idx.hw {
-		if err := writeU32(uint32(d)); err != nil {
-			return cw.N, err
-		}
-	}
-	if err := hcl.WriteLabelBlock(bw, idx.L); err != nil {
-		return cw.N, err
-	}
-	if err := bw.Flush(); err != nil {
-		return cw.N, err
-	}
-	return cw.N, nil
+	n, _, err := idx.WriteToAt(w, 0)
+	return n, err
+}
+
+// WriteToAt serialises the weighted labelling for a stream starting at
+// absolute offset base of the destination file. The returned span names
+// the raw entry area.
+func (idx *Index) WriteToAt(w io.Writer, base int64) (int64, []hcl.Span, error) {
+	return hcl.WriteStream(w, codecMagic, idx.Landmarks, idx.hw, base, idx.L)
 }
 
 // ReadIndex deserialises a labelling written by WriteTo and attaches it to
@@ -76,71 +32,26 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 // checked; callers needing a stronger guarantee can run VerifyCover). The
 // loaded index is already packed: the label block is the arena.
 func ReadIndex(r io.Reader, g *wgraph.Graph) (*Index, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	magic := make([]byte, len(codecMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("whcl: reading index header: %w", err)
-	}
-	v2 := false
-	switch string(magic) {
-	case codecMagic:
-	case codecMagicV2:
-		v2 = true
-	default:
-		return nil, fmt.Errorf("whcl: bad index magic %q", magic)
-	}
-	var nv, nr uint32
-	if err := binary.Read(br, binary.LittleEndian, &nv); err != nil {
-		return nil, fmt.Errorf("whcl: reading vertex count: %w", err)
-	}
-	if int(nv) != g.NumVertices() {
-		return nil, fmt.Errorf("whcl: index has %d vertices, graph has %d", nv, g.NumVertices())
-	}
-	if err := binary.Read(br, binary.LittleEndian, &nr); err != nil {
-		return nil, fmt.Errorf("whcl: reading landmark count: %w", err)
-	}
-	if nr == 0 || nr > 1<<16 {
-		return nil, fmt.Errorf("whcl: implausible landmark count %d", nr)
-	}
-	landmarks := make([]uint32, nr)
-	if err := binary.Read(br, binary.LittleEndian, landmarks); err != nil {
-		return nil, fmt.Errorf("whcl: reading landmarks: %w", err)
-	}
-	for _, v := range landmarks {
-		if v >= nv {
-			return nil, fmt.Errorf("whcl: landmark %d out of range", v)
-		}
-	}
-	k := int(nr)
-	idx := &Index{
-		G:         g,
-		Landmarks: landmarks,
-		L:         make([]hcl.Label, nv),
-		hw:        make([]graph.Dist, k*k),
-		k:         k,
-		rankArr:   make([]uint16, nv),
-	}
-	if err := binary.Read(br, binary.LittleEndian, idx.hw); err != nil {
-		return nil, fmt.Errorf("whcl: reading highway: %w", err)
-	}
-	for i := range idx.rankArr {
-		idx.rankArr[i] = noRank
-	}
-	for r, v := range idx.Landmarks {
-		idx.rankArr[v] = uint16(r)
-	}
-	if v2 {
-		arena, off, err := hcl.ReadLabelBlockV2(br, nv, nr)
-		if err != nil {
-			return nil, fmt.Errorf("whcl: %w", err)
-		}
-		idx.packed = hcl.AttachArena64(idx.L, arena, off)
-		return idx, nil
-	}
-	arena, off, err := hcl.ReadLabelBlock(br, nv, nr)
+	s, err := hcl.ReadStream(r, codecMagic, g.NumVertices(), 1)
+	return fromStream(g, s, nil, err)
+}
+
+// ReadIndexMapped attaches the index stream at offset streamOff of the
+// mapping m to g, serving the entry arena straight out of the mapped
+// bytes. Returns hcl.ErrNotMappable when this host cannot serve the stream
+// in place — callers fall back to ReadIndex.
+func ReadIndexMapped(m *arena.Mapping, streamOff int64, g *wgraph.Graph) (*Index, error) {
+	s, err := hcl.MapStream(m, streamOff, codecMagic, g.NumVertices(), 1)
+	return fromStream(g, s, m, err)
+}
+
+// fromStream builds the index a decoded or mapped stream describes; m is
+// the mapping its arena aliases, if any.
+func fromStream(g *wgraph.Graph, s *hcl.Stream, m *arena.Mapping, err error) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("whcl: %w", err)
 	}
-	idx.packed = hcl.AttachArena(idx.L, arena, off)
+	idx := newIndex(g, s.Landmarks, s.Highway)
+	idx.L, idx.packed, idx.mapRef = s.Labels[0], s.Packed[0], m
 	return idx, nil
 }

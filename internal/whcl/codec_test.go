@@ -2,6 +2,7 @@ package whcl
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -60,10 +61,15 @@ func TestCodecRejectsCorruption(t *testing.T) {
 	}
 	blob := buf.Bytes()
 
-	bad := append([]byte(nil), blob...)
-	copy(bad, "XXXX")
-	if _, err := ReadIndex(bytes.NewReader(bad), g); err == nil {
-		t.Error("bad magic accepted")
+	// A foreign magic and the retired WHL1 format both refuse with an
+	// error naming the format, never a panic.
+	for _, magic := range []string{"XXXX", "WHL1"} {
+		bad := append([]byte(nil), blob...)
+		copy(bad, magic)
+		_, err := ReadIndex(bytes.NewReader(bad), g)
+		if err == nil || !strings.Contains(err.Error(), magic) {
+			t.Errorf("magic %q: got %v, want an unsupported-format error", magic, err)
+		}
 	}
 	if _, err := ReadIndex(bytes.NewReader(blob[:len(blob)/2]), g); err == nil {
 		t.Error("truncated stream accepted")

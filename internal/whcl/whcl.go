@@ -54,8 +54,6 @@ type Index struct {
 	// may alias the mapped bytes indefinitely (see hcl.Index.mapRef).
 	mapRef *arena.Mapping
 
-	scratch wgraph.SpacePool
-
 	// Workers bounds the per-landmark fan-out of InsertEdge/DeleteEdge
 	// repairs: 0 (the default) resolves to GOMAXPROCS, 1 forces the serial
 	// path, any other value is used as given. Every worker count produces a
@@ -99,28 +97,16 @@ func BuildParallel(g *wgraph.Graph, landmarks []uint32, workers int) (*Index, er
 		}
 		seen[v] = true
 	}
-	n := g.NumVertices()
 	k := len(landmarks)
-	idx := &Index{
-		G:         g,
-		Landmarks: append([]uint32(nil), landmarks...),
-		L:         make([]hcl.Label, n),
-		hw:        make([]graph.Dist, k*k),
-		k:         k,
-		rankArr:   make([]uint16, n),
-	}
-	for i := range idx.hw {
-		idx.hw[i] = graph.Inf
+	hw := make([]graph.Dist, k*k)
+	for i := range hw {
+		hw[i] = graph.Inf
 	}
 	for i := 0; i < k; i++ {
-		idx.hw[i*k+i] = 0
+		hw[i*k+i] = 0
 	}
-	for i := range idx.rankArr {
-		idx.rankArr[i] = noRank
-	}
-	for r, v := range idx.Landmarks {
-		idx.rankArr[v] = uint16(r)
-	}
+	idx := newIndex(g, append([]uint32(nil), landmarks...), hw)
+	idx.L = make([]hcl.Label, g.NumVertices())
 	var st Stats
 	// rebuildLandmarks on an empty labelling is exactly the construction
 	// pass; it is shared with the decremental repair path.
@@ -130,6 +116,26 @@ func BuildParallel(g *wgraph.Graph, landmarks []uint32, workers int) (*Index, er
 	}
 	idx.rebuildLandmarks(fanout.Resolve(workers), ranks, &st)
 	return idx, nil
+}
+
+// newIndex allocates the skeleton of a weighted index over g: landmarks,
+// the row-major k×k highway hw and the rank table. The label table is left
+// to the caller.
+func newIndex(g *wgraph.Graph, landmarks []uint32, hw []graph.Dist) *Index {
+	idx := &Index{
+		G:         g,
+		Landmarks: landmarks,
+		hw:        hw,
+		k:         len(landmarks),
+		rankArr:   make([]uint16, g.NumVertices()),
+	}
+	for i := range idx.rankArr {
+		idx.rankArr[i] = noRank
+	}
+	for r, v := range landmarks {
+		idx.rankArr[v] = uint16(r)
+	}
+	return idx
 }
 
 // rebuildLandmarks fans the covered-flag Dijkstra of the given landmark
@@ -213,9 +219,9 @@ func (idx *Index) Query(u, v uint32) graph.Dist {
 		return top
 	}
 	avoid := func(x uint32) bool { return idx.rankArr[x] != noRank }
-	s := idx.scratch.Get(idx.G.NumVertices())
+	s := wgraph.Spaces.Get(idx.G.NumVertices())
 	sp := idx.G.Sparsified(u, v, top, avoid, s)
-	idx.scratch.Put(s)
+	wgraph.Spaces.Put(s)
 	if sp < top {
 		return sp
 	}

@@ -23,17 +23,14 @@ import (
 const slowLogMinInterval = 100 * time.Millisecond
 
 // variantOf names the wrapped oracle variant for the variant= label.
-func variantOf(o Oracle) string {
+func variantOf(o variant) string {
 	switch o.(type) {
-	case *Index:
-		return "undirected"
 	case *DirectedIndex:
 		return "directed"
 	case *WeightedIndex:
 		return "weighted"
-	default:
-		return "custom"
 	}
+	return "undirected"
 }
 
 // storeMetrics is one Store's metric set. All fields are registered once

@@ -70,7 +70,7 @@ type UpdateSummary struct {
 
 // Oracle is the unified fully dynamic exact-distance oracle implemented by
 // all three index variants — Index (undirected), DirectedIndex and
-// WeightedIndex — and by the Concurrent wrapper. Code written against
+// WeightedIndex — and by the Store that serves them. Code written against
 // Oracle (the HTTP service, the REPL, benchmarks) serves any variant.
 //
 // The update model is fully dynamic: insertions are absorbed by IncHL+
@@ -78,14 +78,13 @@ type UpdateSummary struct {
 // DecHL (see DeleteEdge). Queries on the package's implementations are safe
 // for any number of concurrent readers, but readers must not race the
 // mutating methods (InsertEdge/InsertVertex/DeleteEdge/DeleteVertex); wrap
-// with Concurrent to get that coordination.
+// the variant with NewStore to get that coordination.
 type Oracle interface {
 	// Query returns the exact distance from u to v in the current graph
 	// (hops, or weighted distance), Inf when unreachable.
 	Query(u, v uint32) Dist
-	// QueryBatch answers many pairs at once, out[i] answering pairs[i].
-	// The Concurrent wrapper fans a batch across workers; plain variants
-	// answer serially.
+	// QueryBatch answers many pairs at once, out[i] answering pairs[i],
+	// fanning large batches across workers.
 	QueryBatch(pairs []Pair) []Dist
 	// InsertEdge inserts the edge (u,v) — directed u→v on directed oracles
 	// — with weight w (0 means 1; unweighted oracles reject w > 1) and
@@ -126,8 +125,8 @@ type Oracle interface {
 
 // Saver is the capability interface of oracles whose labelling can be
 // serialised — all three variants, each writing its labels as contiguous
-// CSR arenas so a later Load is a bulk copy (Store and the Concurrent shim
-// forward it against the current snapshot).
+// CSR arenas so a later Load is a bulk copy (Store forwards it against the
+// current snapshot).
 type Saver interface {
 	Save(w io.Writer) error
 }
@@ -140,37 +139,11 @@ type Loader interface {
 }
 
 var (
-	_ Oracle = (*Index)(nil)
-	_ Oracle = (*DirectedIndex)(nil)
-	_ Oracle = (*WeightedIndex)(nil)
+	_ variant = (*Index)(nil)
+	_ variant = (*DirectedIndex)(nil)
+	_ variant = (*WeightedIndex)(nil)
+
 	_ Oracle = (*Store)(nil)
-	_ Oracle = (*ConcurrentOracle)(nil)
-
-	_ forkable = (*Index)(nil)
-	_ forkable = (*DirectedIndex)(nil)
-	_ forkable = (*WeightedIndex)(nil)
-
-	_ packer = (*Index)(nil)
-	_ packer = (*DirectedIndex)(nil)
-	_ packer = (*WeightedIndex)(nil)
-
-	_ Saver  = (*Index)(nil)
-	_ Loader = (*Index)(nil)
-	_ Saver  = (*DirectedIndex)(nil)
-	_ Loader = (*DirectedIndex)(nil)
-	_ Saver  = (*WeightedIndex)(nil)
-	_ Loader = (*WeightedIndex)(nil)
 	_ Saver  = (*Store)(nil)
 	_ Loader = (*Store)(nil)
-	_ Saver  = (*ConcurrentOracle)(nil)
-	_ Loader = (*ConcurrentOracle)(nil)
 )
-
-// queryBatch is the serial QueryBatch shared by the plain variants.
-func queryBatch(o Oracle, pairs []Pair) []Dist {
-	out := make([]Dist, len(pairs))
-	for i, p := range pairs {
-		out[i] = o.Query(p.U, p.V)
-	}
-	return out
-}

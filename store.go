@@ -33,9 +33,7 @@ var batchWorkers = sync.OnceValue(func() int { return runtime.GOMAXPROCS(0) })
 // never mixes distances from different versions, and no mutation — however
 // long its repair runs — ever blocks or changes a View already handed out.
 // Views are safe for concurrent use and stay valid indefinitely; holding
-// one only pins memory shared structurally with newer snapshots. (The one
-// exception is the compatibility fallback for oracles the package cannot
-// fork, where Snapshot returns a live window instead — see Store.Snapshot.)
+// one only pins memory shared structurally with newer snapshots.
 type View interface {
 	// Query returns the exact distance from u to v in this snapshot.
 	Query(u, v uint32) Dist
@@ -53,47 +51,41 @@ type View interface {
 	// start at 0 for the freshly wrapped oracle and increase by exactly one
 	// per published batch (Apply, single mutation, or Load).
 	Epoch() uint64
+	// Save serialises the snapshot's labelling — exactly the version Epoch
+	// names, however many epochs the store publishes meanwhile — which is
+	// how the HTTP service streams an epoch-consistent labelling download.
+	Save(w io.Writer) error
 }
 
-// forkable is implemented by the in-package variants: fork returns a
-// copy-on-write working copy whose mutations never touch the receiver.
-type forkable interface {
+// variant is what a Store needs of the oracle it wraps, implemented by the
+// three in-package index types (Index, DirectedIndex, WeightedIndex):
+//
+//   - fork returns a copy-on-write working copy whose mutations never
+//     touch the receiver;
+//   - packLabels freezes the labelling into its packed CSR read form
+//     (hcl.Packed and friends), delta-aware on forks of packed parents. The
+//     Store calls it on every snapshot it is about to publish, so published
+//     versions serve queries from contiguous arenas; the per-vertex slice
+//     form stays the write representation;
+//   - the repair knobs tune the parallel repair engine (per-landmark
+//     fan-out, per-task timer). Forks inherit them, so tuning the current
+//     snapshot covers every future epoch;
+//   - Save, Load and LoadMappedFile serialise and swap in labellings.
+type variant interface {
 	Oracle
-	fork() Oracle
-}
-
-// repairTunable is implemented by the in-package variants: the store tunes
-// the parallel repair engine (per-landmark fan-out, per-task timer) through
-// it. Forks inherit the settings, so tuning the current snapshot covers
-// every future epoch.
-type repairTunable interface {
+	Saver
+	Loader
+	fork() variant
+	packLabels()
 	setRepairWorkers(n int)
 	repairWorkers() int
 	setRepairTimer(f func(time.Duration))
-}
-
-// packer is implemented by the in-package variants: packLabels freezes the
-// current labelling into its packed CSR read representation (hcl.Packed and
-// friends). The Store calls it on every snapshot it is about to publish, so
-// published versions serve queries from contiguous arenas; the per-vertex
-// slice form stays the write representation and any later label write drops
-// the packed form again.
-type packer interface {
-	packLabels()
-}
-
-// pack freezes o's labelling into the packed read form when the variant
-// supports it (delta-aware on forks of packed parents: only chunks the
-// batch touched are rebuilt). A no-op for unknown Oracle implementations.
-func pack(o Oracle) {
-	if p, ok := o.(packer); ok {
-		p.packLabels()
-	}
+	LoadMappedFile(path string) error
 }
 
 // snapshot is one published version: an oracle frozen at an epoch.
 type snapshot struct {
-	o     Oracle
+	o     variant
 	epoch uint64
 }
 
@@ -115,10 +107,7 @@ type snapshot struct {
 // contention the per-caller commit overheads amortise across the group
 // instead of queueing up. The Store implements Oracle (single mutations
 // are one-op batches), so it drops into any code written against the
-// interface, and Saver/Loader. Wrapping an oracle whose concrete type the
-// package does not know (no copy-on-write fork) falls back to an RWMutex:
-// reads still see consistent epochs but take a read lock, writes are
-// serialised without coalescing, and a failed batch is not rolled back.
+// interface, and Saver/Loader.
 type Store struct {
 	wmu sync.Mutex // serialises writers (the commit pipeline, Load, Reset)
 	cur atomic.Pointer[snapshot]
@@ -130,10 +119,6 @@ type Store struct {
 	qmu   sync.Mutex
 	queue []*applyReq
 	qrun  bool
-
-	// rmu is non-nil only in the compatibility fallback for oracles the
-	// package cannot fork; it degrades reads to RLock and writes to Lock.
-	rmu *sync.RWMutex
 
 	// dur holds the attached Durability layer (or nil); written once by
 	// AttachDurability, read on every publish and by Stats.
@@ -159,7 +144,7 @@ type Store struct {
 	// wrapped oracle for RepairWorkers and the dynhl_repair_workers gauge
 	// (atomic: the gauge reads it off the scrape path); repairReq remembers
 	// the last requested raw value (under wmu) so oracles swapped in by
-	// Reset inherit it. Zero when the variant has no repair engine.
+	// Reset or a load inherit it.
 	repairW   atomic.Int64
 	repairReq int
 }
@@ -277,17 +262,10 @@ type Durability interface {
 // AttachDurability registers d as the store's durability layer: every
 // subsequent publish calls d.Commit before becoming visible, and Stats
 // reports d's counters. A Store accepts at most one layer; attaching to a
-// store that already has one is an error. So is attaching to a store in
-// the non-forkable fallback mode: there a batch mutates the oracle in
-// place before the hook runs, so a refused commit would leave the ops
-// applied in memory but absent from the log — a recovery would then
-// silently replay later epochs over a state missing that batch.
+// store that already has one is an error.
 func (s *Store) AttachDurability(d Durability) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	if s.rmu != nil {
-		return errors.New("dynhl: durability needs a forkable oracle (the fallback mode cannot roll a refused batch back)")
-	}
 	if s.durability() != nil {
 		return errors.New("dynhl: store already has a durability layer")
 	}
@@ -317,82 +295,69 @@ func (s *Store) commit(next *snapshot, ops []Op) error {
 }
 
 // NewStore wraps o for versioned snapshot access at epoch 0. Wrapping a
-// Store returns it unchanged; wrapping a ConcurrentOracle returns its
-// underlying Store.
+// Store returns it unchanged. Otherwise o must be one of the package's
+// index variants (Index, DirectedIndex, WeightedIndex), whose copy-on-write
+// forks the Store publishes; NewStore panics on any other Oracle.
 func NewStore(o Oracle) *Store {
-	switch t := o.(type) {
-	case *Store:
-		return t
-	case *ConcurrentOracle:
-		return t.Store
+	if st, ok := o.(*Store); ok {
+		return st
 	}
-	s := &Store{}
-	if _, ok := o.(forkable); !ok {
-		s.rmu = new(sync.RWMutex)
-	}
-	s.metrics = newStoreMetrics(s, variantOf(o))
-	s.tuneRepair(o)
-	pack(o) // epoch 0 serves from the packed read form too
-	s.cur.Store(&snapshot{o: o})
-	return s
+	return newStore(o, 0)
 }
 
 // NewStoreAt wraps o like NewStore but publishes it as the given epoch
 // instead of 0 — the entry point for restoring persisted state: a recovery
 // (internal/wal) rebuilds the oracle from a checkpoint, wraps it at the
 // checkpoint's epoch, and replays the log tail over it so replayed batches
-// republish under their original epochs. o must be a plain oracle; wrapping
-// an existing Store (or ConcurrentOracle) cannot rewrite its history and
-// panics.
+// republish under their original epochs. o must be a plain index variant;
+// wrapping an existing Store cannot rewrite its history and panics.
 func NewStoreAt(o Oracle, epoch uint64) *Store {
-	switch o.(type) {
-	case *Store, *ConcurrentOracle:
+	if _, ok := o.(*Store); ok {
 		panic("dynhl: NewStoreAt needs a plain oracle, not an existing store")
 	}
-	s := &Store{}
-	if _, ok := o.(forkable); !ok {
-		s.rmu = new(sync.RWMutex)
+	return newStore(o, epoch)
+}
+
+func newStore(o Oracle, epoch uint64) *Store {
+	v, ok := o.(variant)
+	if !ok {
+		panic(fmt.Sprintf("dynhl: a Store wraps the package's index variants, not %T", o))
 	}
-	s.metrics = newStoreMetrics(s, variantOf(o))
-	s.tuneRepair(o)
-	pack(o) // recovered epochs serve from the packed read form too
-	s.cur.Store(&snapshot{o: o, epoch: epoch})
+	s := &Store{}
+	s.metrics = newStoreMetrics(s, variantOf(v))
+	s.tuneRepair(v)
+	v.packLabels() // the first epoch serves from the packed read form too
+	s.cur.Store(&snapshot{o: v, epoch: epoch})
 	return s
 }
 
 // tuneRepair attaches the store's repair instrumentation to o (the
 // per-landmark task timer feeding dynhl_repair_landmark_seconds), applies
 // any previously requested fan-out, and refreshes the resolved-worker
-// mirror. A no-op for variants without a repair engine.
-func (s *Store) tuneRepair(o Oracle) {
-	t, ok := o.(repairTunable)
-	if !ok {
-		return
-	}
+// mirror.
+func (s *Store) tuneRepair(o variant) {
 	if s.repairReq != 0 {
-		t.setRepairWorkers(s.repairReq)
+		o.setRepairWorkers(s.repairReq)
 	}
-	t.setRepairTimer(s.metrics.repairLandmark.ObserveDuration)
-	s.repairW.Store(int64(fanout.Resolve(t.repairWorkers())))
+	o.setRepairTimer(s.metrics.repairLandmark.ObserveDuration)
+	s.repairW.Store(int64(fanout.Resolve(o.repairWorkers())))
 }
 
 // SetRepairWorkers tunes the per-landmark fan-out of the repair engine for
 // every subsequent write (0 = GOMAXPROCS, 1 = serial; see
 // Options.RepairWorkers). The labelling is byte-identical for every worker
 // count, so the knob trades repair latency against cores without affecting
-// results. A no-op when the wrapped variant has no repair engine.
+// results.
 func (s *Store) SetRepairWorkers(n int) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	s.repairReq = n
-	if t, ok := s.cur.Load().o.(repairTunable); ok {
-		t.setRepairWorkers(n)
-		s.repairW.Store(int64(fanout.Resolve(n)))
-	}
+	s.cur.Load().o.setRepairWorkers(n)
+	s.repairW.Store(int64(fanout.Resolve(n)))
 }
 
 // RepairWorkers returns the resolved per-landmark repair fan-out of the
-// wrapped oracle, or 0 when the variant has no repair engine.
+// wrapped oracle.
 func (s *Store) RepairWorkers() int { return int(s.repairW.Load()) }
 
 // publish installs next as the current version and wakes every WaitEpoch
@@ -444,27 +409,21 @@ func (s *Store) WaitEpoch(ctx context.Context, epoch uint64) error {
 // rebuilds the oracle from it and resets its serving store to the image's
 // epoch, keeping the store identity (and every View already handed out)
 // intact. The epoch may jump arbitrarily far forward. o must be a plain
-// forkable oracle; a durable store refuses (its log would not cover the
-// swapped-in state), as does the non-forkable fallback mode.
+// index variant; a durable store refuses (its log would not cover the
+// swapped-in state).
 func (s *Store) Reset(o Oracle, epoch uint64) error {
-	switch o.(type) {
-	case *Store, *ConcurrentOracle:
-		return errors.New("dynhl: Reset needs a plain oracle, not an existing store")
-	}
-	if _, ok := o.(forkable); !ok {
-		return errors.New("dynhl: Reset needs a forkable oracle")
+	v, ok := o.(variant)
+	if !ok {
+		return fmt.Errorf("dynhl: Reset needs a plain index variant, not %T", o)
 	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	if s.rmu != nil {
-		return errors.New("dynhl: cannot reset a fallback-mode store")
-	}
 	if s.durability() != nil {
 		return errors.New("dynhl: cannot reset a durable store (its log would not cover the new state)")
 	}
-	s.tuneRepair(o)
-	pack(o)
-	s.publish(&snapshot{o: o, epoch: epoch})
+	s.tuneRepair(v)
+	v.packLabels()
+	s.publish(&snapshot{o: v, epoch: epoch})
 	return nil
 }
 
@@ -472,16 +431,8 @@ func (s *Store) Reset(o Oracle, epoch uint64) error {
 // This is the one atomic load on the read path: everything reachable from
 // the View was fully written before it was published, and nothing will ever
 // write to it again.
-//
-// In the non-forkable fallback mode the Store cannot pin versions — the
-// wrapped oracle mutates in place — so the returned View is live instead:
-// each call answers from (and Epoch names) the store's current version at
-// that moment, under the fallback read lock.
 func (s *Store) Snapshot() View {
 	s.metrics.pins.Inc()
-	if s.rmu != nil {
-		return &view{live: s, m: s.metrics}
-	}
 	return &view{sn: s.cur.Load(), m: s.metrics}
 }
 
@@ -513,8 +464,7 @@ type ApplyResult struct {
 // atomic publish and resolves once the batch is visible (and, with a
 // durability layer attached, durable). The whole batch becomes visible to
 // readers at a single epoch; on failure no state is published — the epoch
-// is unchanged and readers keep seeing the pre-batch labelling (except in
-// the non-forkable fallback, where earlier ops stay applied). An empty
+// is unchanged and readers keep seeing the pre-batch labelling. An empty
 // batch is a no-op and does not bump the epoch.
 //
 // Concurrent callers are coalesced by the store's group-commit pipeline:
@@ -535,9 +485,6 @@ func (s *Store) ApplyCtx(ctx context.Context, ops []Op) (ApplyResult, error) {
 	}
 	if err := ctx.Err(); err != nil {
 		return ApplyResult{Epoch: s.Epoch()}, err
-	}
-	if s.rmu != nil {
-		return s.applyFallback(ops)
 	}
 	r := &applyReq{ops: ops, done: make(chan applyOutcome, 1), enq: time.Now()}
 	s.enqueue(r)
@@ -565,41 +512,9 @@ func (s *Store) Apply(ops []Op) ([]UpdateSummary, error) {
 	return res.Summaries, err
 }
 
-// ApplyEpoch is Apply also reporting which epoch the batch published — the
-// number to attribute the batch to even when other writers publish
-// concurrently (the pre-ApplyResult shape, kept for compatibility).
-func (s *Store) ApplyEpoch(ops []Op) ([]UpdateSummary, uint64, error) {
-	res, err := s.ApplyCtx(context.Background(), ops)
-	return res.Summaries, res.Epoch, err
-}
-
-// applyFallback is the write path of the non-forkable fallback mode: one
-// serialized in-place apply under the read-write lock, no coalescing.
-func (s *Store) applyFallback(ops []Op) (ApplyResult, error) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	cur := s.cur.Load()
-	s.rmu.Lock()
-	defer s.rmu.Unlock()
-	sums, err := applyOps(cur.o, ops)
-	if err != nil {
-		return ApplyResult{Summaries: sums, Epoch: cur.epoch}, err
-	}
-	next := &snapshot{o: cur.o, epoch: cur.epoch + 1}
-	if err := s.commit(next, ops); err != nil {
-		return ApplyResult{Summaries: sums, Epoch: cur.epoch}, err // fallback mode: ops stay applied
-	}
-	s.publish(next)
-	return ApplyResult{Summaries: sums, Epoch: cur.epoch + 1}, nil
-}
-
 // Query answers one query against the current snapshot, lock-free.
 func (s *Store) Query(u, v uint32) Dist {
 	sn := s.cur.Load()
-	if s.rmu != nil {
-		s.rmu.RLock()
-		defer s.rmu.RUnlock()
-	}
 	start := time.Now()
 	d := sn.o.Query(u, v)
 	s.metrics.queryDone(sn.epoch, u, v, d, start)
@@ -609,26 +524,14 @@ func (s *Store) Query(u, v uint32) Dist {
 // QueryBatch answers many pairs against one snapshot — the whole batch is
 // consistent with a single epoch — fanning large batches across workers.
 func (s *Store) QueryBatch(pairs []Pair) []Dist {
-	sn := s.cur.Load()
-	if s.rmu != nil {
-		s.rmu.RLock()
-		defer s.rmu.RUnlock()
-	}
-	start := time.Now()
-	out := fanQueryBatch(sn.o, pairs)
-	s.metrics.batchDone(len(pairs), start)
+	out, _ := s.QueryBatchCtx(context.Background(), pairs)
 	return out
 }
 
 // QueryBatchCtx is QueryBatch honouring cancellation between chunks.
 func (s *Store) QueryBatchCtx(ctx context.Context, pairs []Pair) ([]Dist, error) {
-	sn := s.cur.Load()
-	if s.rmu != nil {
-		s.rmu.RLock()
-		defer s.rmu.RUnlock()
-	}
 	start := time.Now()
-	out, err := queryBatchCtx(ctx, sn.o, pairs)
+	out, err := queryBatchCtx(ctx, s.cur.Load().o, pairs)
 	s.metrics.batchDone(len(pairs), start)
 	return out, err
 }
@@ -672,23 +575,12 @@ func (s *Store) DeleteVertex(v uint32) (UpdateSummary, error) {
 }
 
 // NumVertices returns the current snapshot's vertex count.
-func (s *Store) NumVertices() int {
-	sn := s.cur.Load()
-	if s.rmu != nil {
-		s.rmu.RLock()
-		defer s.rmu.RUnlock()
-	}
-	return sn.o.NumVertices()
-}
+func (s *Store) NumVertices() int { return s.cur.Load().o.NumVertices() }
 
 // Stats returns the current snapshot's index statistics, stamped with its
 // epoch and — when a durability layer is attached — the WAL counters.
 func (s *Store) Stats() Stats {
 	sn := s.cur.Load()
-	if s.rmu != nil {
-		s.rmu.RLock()
-		defer s.rmu.RUnlock()
-	}
 	st := sn.o.Stats()
 	st.Epoch = sn.epoch
 	if d := s.durability(); d != nil {
@@ -703,34 +595,16 @@ func (s *Store) Stats() Stats {
 }
 
 // Verify audits the current snapshot's labelling.
-func (s *Store) Verify() error {
-	sn := s.cur.Load()
-	if s.rmu != nil {
-		s.rmu.RLock()
-		defer s.rmu.RUnlock()
-	}
-	return sn.o.Verify()
-}
+func (s *Store) Verify() error { return s.cur.Load().o.Verify() }
 
-// Save serialises the current snapshot's labelling; errors.ErrUnsupported
-// when the wrapped variant cannot serialise. Snapshots are immutable, so
-// Save runs without blocking writers (a publish during Save simply means
-// Save wrote the epoch it started from).
-func (s *Store) Save(w io.Writer) error {
-	sn := s.cur.Load()
-	if s.rmu != nil {
-		s.rmu.RLock()
-		defer s.rmu.RUnlock()
-	}
-	if sv, ok := sn.o.(Saver); ok {
-		return sv.Save(w)
-	}
-	return errors.ErrUnsupported
-}
+// Save serialises the current snapshot's labelling. Snapshots are
+// immutable, so Save runs without blocking writers (a publish during Save
+// simply means Save wrote the epoch it started from).
+func (s *Store) Save(w io.Writer) error { return s.cur.Load().o.Save(w) }
 
 // Load publishes a snapshot whose labelling was read from r, bumping the
-// epoch; errors.ErrUnsupported when the wrapped variant cannot load. The
-// stream must have been saved over the snapshot's current graph.
+// epoch. The stream must have been saved over the snapshot's current
+// graph.
 func (s *Store) Load(r io.Reader) error {
 	_, err := s.LoadEpoch(r)
 	return err
@@ -739,250 +613,93 @@ func (s *Store) Load(r io.Reader) error {
 // LoadEpoch is Load also reporting the epoch the loaded labelling was
 // published as (unchanged on failure).
 func (s *Store) LoadEpoch(r io.Reader) (uint64, error) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	cur := s.cur.Load()
-	if s.rmu != nil {
-		s.rmu.Lock()
-		defer s.rmu.Unlock()
-		l, ok := cur.o.(Loader)
-		if !ok {
-			return cur.epoch, errors.ErrUnsupported
-		}
-		if err := l.Load(r); err != nil {
-			return cur.epoch, err
-		}
-		next := &snapshot{o: cur.o, epoch: cur.epoch + 1}
-		if err := s.commit(next, nil); err != nil {
-			return cur.epoch, err // fallback mode: the load stays applied
-		}
-		s.publish(next)
-		return cur.epoch + 1, nil
-	}
-	work := cur.o.(forkable).fork()
-	l, ok := work.(Loader)
-	if !ok {
-		return cur.epoch, errors.ErrUnsupported
-	}
-	if err := l.Load(r); err != nil {
-		return cur.epoch, err // discard the fork
-	}
-	pack(work) // loads arrive packed from the codec arena; idempotent
-	next := &snapshot{o: work, epoch: cur.epoch + 1}
-	if err := s.commit(next, nil); err != nil {
-		return cur.epoch, err // discard the fork
-	}
-	s.publish(next)
-	return cur.epoch + 1, nil
-}
-
-// mappedLoader is the capability behind Store.LoadMappedFile, implemented
-// by the index variants whose labelling can be served from an mmap'd v2
-// label file.
-type mappedLoader interface {
-	LoadMappedFile(path string) error
-}
-
-// SaveMappable serialises the current snapshot's labelling in the
-// mappable v2 layout (page-aligned entry arena, u64 offsets) regardless
-// of size, so the file can later be served zero-copy by LoadMappedFile;
-// errors.ErrUnsupported when the wrapped variant cannot. Like Save it
-// runs against the immutable snapshot without blocking writers.
-func (s *Store) SaveMappable(w io.Writer) error {
-	sn := s.cur.Load()
-	if s.rmu != nil {
-		s.rmu.RLock()
-		defer s.rmu.RUnlock()
-	}
-	if sv, ok := sn.o.(MappableSaver); ok {
-		_, _, err := sv.SaveMappable(w, 0)
-		return err
-	}
-	return errors.ErrUnsupported
+	return s.publishLoaded(func(o variant) error { return o.Load(r) })
 }
 
 // LoadMappedFile publishes a snapshot whose labelling is served straight
-// out of an mmap of the v2 label file at path, bumping the epoch like
-// Load. The mapping stays alive for as long as any published snapshot
-// may alias its entries and is unmapped by the garbage collector after
-// the last such snapshot is released; the file may be unlinked while
-// mapped. errors.ErrUnsupported when the variant cannot load mapped,
-// ErrNotMappable when the file is a v1 layout — fall back to Load.
+// out of an mmap of the label file at path, bumping the epoch like Load.
+// The mapping stays alive for as long as any published snapshot may alias
+// its entries and is unmapped by the garbage collector after the last such
+// snapshot is released; the file may be unlinked while mapped.
+// ErrNotMappable when this host cannot serve the file in place — fall back
+// to Load.
 func (s *Store) LoadMappedFile(path string) (uint64, error) {
+	return s.publishLoaded(func(o variant) error { return o.LoadMappedFile(path) })
+}
+
+// publishLoaded swaps a labelling into a fork of the current snapshot with
+// load and publishes the fork as the next epoch. On failure the fork is
+// discarded and the epoch is unchanged.
+func (s *Store) publishLoaded(load func(variant) error) (uint64, error) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	cur := s.cur.Load()
-	if s.rmu != nil {
-		s.rmu.Lock()
-		defer s.rmu.Unlock()
-		l, ok := cur.o.(mappedLoader)
-		if !ok {
-			return cur.epoch, errors.ErrUnsupported
-		}
-		if err := l.LoadMappedFile(path); err != nil {
-			return cur.epoch, err
-		}
-		next := &snapshot{o: cur.o, epoch: cur.epoch + 1}
-		if err := s.commit(next, nil); err != nil {
-			return cur.epoch, err // fallback mode: the load stays applied
-		}
-		s.publish(next)
-		return cur.epoch + 1, nil
+	work := cur.o.fork()
+	if err := load(work); err != nil {
+		return cur.epoch, err
 	}
-	work := cur.o.(forkable).fork()
-	l, ok := work.(mappedLoader)
-	if !ok {
-		return cur.epoch, errors.ErrUnsupported
-	}
-	if err := l.LoadMappedFile(path); err != nil {
-		return cur.epoch, err // discard the fork
-	}
-	pack(work) // mapped loads arrive packed; idempotent
+	s.tuneRepair(work)
+	work.packLabels() // loads arrive packed; idempotent
 	next := &snapshot{o: work, epoch: cur.epoch + 1}
 	if err := s.commit(next, nil); err != nil {
-		return cur.epoch, err // discard the fork
+		return cur.epoch, err
 	}
 	s.publish(next)
-	return cur.epoch + 1, nil
+	return next.epoch, nil
 }
 
-// view implements View over one published snapshot (sn), or — in the
-// non-forkable fallback mode — as a live window onto the store (live), so
-// Epoch always names the version the answers come from.
+// view implements View over one published snapshot.
 type view struct {
-	sn   *snapshot
-	live *Store        // fallback mode only: resolve the current version per call
-	m    *storeMetrics // owning store's metrics; nil only for bare test views
+	sn *snapshot
+	m  *storeMetrics // owning store's metrics; nil only for bare test views
 }
 
-// cur resolves the snapshot this call answers from. Fallback-mode callers
-// must hold the store's read lock across cur() and the use of its result.
-func (v *view) cur() *snapshot {
-	if v.live != nil {
-		return v.live.cur.Load()
-	}
-	return v.sn
-}
-
-func (v *view) rlock() func() {
-	if v.live == nil {
-		return func() {}
-	}
-	v.live.rmu.RLock()
-	return v.live.rmu.RUnlock
-}
-
-func (v *view) Epoch() uint64 { return v.cur().epoch }
+func (v *view) Epoch() uint64 { return v.sn.epoch }
 
 func (v *view) Query(u, w uint32) Dist {
-	defer v.rlock()()
-	sn := v.cur()
 	start := time.Now()
-	d := sn.o.Query(u, w)
+	d := v.sn.o.Query(u, w)
 	if v.m != nil {
-		v.m.queryDone(sn.epoch, u, w, d, start)
+		v.m.queryDone(v.sn.epoch, u, w, d, start)
 	}
 	return d
 }
 
 func (v *view) QueryBatch(pairs []Pair) []Dist {
-	defer v.rlock()()
-	start := time.Now()
-	out := fanQueryBatch(v.cur().o, pairs)
-	if v.m != nil {
-		v.m.batchDone(len(pairs), start)
-	}
+	out, _ := v.QueryBatchCtx(context.Background(), pairs)
 	return out
 }
 
 func (v *view) QueryBatchCtx(ctx context.Context, pairs []Pair) ([]Dist, error) {
-	defer v.rlock()()
 	start := time.Now()
-	out, err := queryBatchCtx(ctx, v.cur().o, pairs)
+	out, err := queryBatchCtx(ctx, v.sn.o, pairs)
 	if v.m != nil {
 		v.m.batchDone(len(pairs), start)
 	}
 	return out, err
 }
 
-func (v *view) NumVertices() int {
-	defer v.rlock()()
-	return v.cur().o.NumVertices()
-}
+func (v *view) NumVertices() int { return v.sn.o.NumVertices() }
 
 func (v *view) Stats() Stats {
-	defer v.rlock()()
-	sn := v.cur()
-	st := sn.o.Stats()
-	st.Epoch = sn.epoch
+	st := v.sn.o.Stats()
+	st.Epoch = v.sn.epoch
 	return st
 }
 
 // Unwrap returns the snapshot's underlying oracle — how a durability layer
 // reaches the concrete variant's extra capabilities (graph access for
 // checkpoints) behind a View. Callers must treat it as frozen.
-func (v *view) Unwrap() Oracle { return v.cur().o }
+func (v *view) Unwrap() Oracle { return v.sn.o }
 
-// Save serialises the view's labelling — for a pinned snapshot, exactly the
-// version Epoch names, however many epochs the store publishes meanwhile.
-// errors.ErrUnsupported when the variant cannot serialise. Views therefore
-// satisfy Saver, which the HTTP service uses to stream an epoch-consistent
-// labelling download.
-func (v *view) Save(w io.Writer) error {
-	defer v.rlock()()
-	if sv, ok := v.cur().o.(Saver); ok {
-		return sv.Save(w)
-	}
-	return errors.ErrUnsupported
-}
+func (v *view) Save(w io.Writer) error { return v.sn.o.Save(w) }
 
-// fanQueryBatch answers pairs against o, serially for small batches (up to
-// serialBatchMax pairs the goroutine hand-off dominates) and across up to
-// batchWorkers() workers beyond that.
-func fanQueryBatch(o Oracle, pairs []Pair) []Dist {
-	workers := batchWorkers()
-	if len(pairs) <= serialBatchMax || workers <= 1 {
-		return serialQueryBatch(o, pairs)
-	}
-	return fannedQueryBatch(o, pairs, workers)
-}
-
-// serialQueryBatch answers pairs one by one on the calling goroutine.
-func serialQueryBatch(o Oracle, pairs []Pair) []Dist {
-	out := make([]Dist, len(pairs))
-	for i, p := range pairs {
-		out[i] = o.Query(p.U, p.V)
-	}
-	return out
-}
-
-// fannedQueryBatch splits pairs across up to workers goroutines.
-func fannedQueryBatch(o Oracle, pairs []Pair, workers int) []Dist {
-	out := make([]Dist, len(pairs))
-	if max := (len(pairs) + batchChunk - 1) / batchChunk; workers > max {
-		workers = max
-	}
-	var wg sync.WaitGroup
-	stride := (len(pairs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * stride
-		hi := min(lo+stride, len(pairs))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = o.Query(pairs[i].U, pairs[i].V)
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-// queryBatchCtx answers pairs with the same serial/fanned split as
-// fanQueryBatch, checking for cancellation between chunks of batchChunk
-// pairs (on every worker when fanned). A cancelled batch returns ctx.Err()
-// as soon as all workers notice.
+// queryBatchCtx answers pairs against o — every QueryBatch in the package
+// runs through here — serially for small batches (up to serialBatchMax
+// pairs the goroutine hand-off dominates) and across up to batchWorkers()
+// workers beyond that. It checks for cancellation between chunks of
+// batchChunk pairs (on every worker when fanned); a cancelled batch
+// returns ctx.Err() as soon as all workers notice.
 func queryBatchCtx(ctx context.Context, o Oracle, pairs []Pair) ([]Dist, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

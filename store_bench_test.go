@@ -8,11 +8,11 @@ import (
 	"repro/internal/testutil"
 )
 
-// BenchmarkQueryBatchCrossover compares the serial and worker-fanned batch
-// paths across sizes around the serialBatchMax threshold (2·batchChunk).
-// It demonstrates the crossover motivating the serial fast path: at and
-// below ~2 chunks the goroutine hand-off costs more than the queries save,
-// while large batches win by roughly the core count.
+// BenchmarkQueryBatchCrossover compares a plain serial loop with
+// QueryBatch across sizes around the serialBatchMax threshold
+// (2·batchChunk). Up to the threshold QueryBatch stays serial, so the two
+// should tie; beyond it QueryBatch fans out and large batches win by
+// roughly the core count.
 func BenchmarkQueryBatchCrossover(b *testing.B) {
 	g := testutil.RandomConnectedGraph(2000, 6000, 19)
 	idx, err := Build(g, Options{Landmarks: 10})
@@ -29,12 +29,14 @@ func BenchmarkQueryBatchCrossover(b *testing.B) {
 		pairs := all[:size]
 		b.Run(fmt.Sprintf("serial/size=%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sink ^= serialQueryBatch(idx, pairs)[0]
+				for _, p := range pairs {
+					sink ^= idx.Query(p.U, p.V)
+				}
 			}
 		})
-		b.Run(fmt.Sprintf("fanned/size=%d", size), func(b *testing.B) {
+		b.Run(fmt.Sprintf("batch/size=%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sink ^= fannedQueryBatch(idx, pairs, batchWorkers())[0]
+				sink ^= idx.QueryBatch(pairs)[0]
 			}
 		})
 	}

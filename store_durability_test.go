@@ -1,6 +1,7 @@
 package dynhl_test
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync/atomic"
@@ -142,8 +143,8 @@ func TestNewStoreAt(t *testing.T) {
 		t.Fatalf("epoch %d, want 41", got)
 	}
 	u, v := missingEdge(t, store)
-	if _, epoch, err := store.ApplyEpoch([]dynhl.Op{dynhl.InsertEdgeOp(u, v, 0)}); err != nil || epoch != 42 {
-		t.Fatalf("published epoch %d (err %v), want 42", epoch, err)
+	if res, err := store.ApplyCtx(context.Background(), []dynhl.Op{dynhl.InsertEdgeOp(u, v, 0)}); err != nil || res.Epoch != 42 {
+		t.Fatalf("published epoch %d (err %v), want 42", res.Epoch, err)
 	}
 
 	defer func() {

@@ -72,7 +72,7 @@ type commitGroup struct {
 	sums      [][]UpdateSummary // per live caller, parallel to live
 	rejected  []rejection       // provisional until the group's base commits
 	ops       []Op              // the live callers' ops concatenated: the WAL record
-	work      Oracle            // the repaired fork
+	work      variant           // the repaired fork
 	epoch     uint64            // the epoch the group publishes as
 	coalesced bool              // more than one caller shares the epoch
 	err       error             // set by the publisher when the commit failed
@@ -204,13 +204,13 @@ func (s *Store) commitLoop() {
 // reach the fork that publishes. baseCommitted says whether base is
 // already published state; rejections against an unpublished base stay
 // provisional (see commitLoop).
-func (s *Store) repairGroup(base Oracle, baseEpoch uint64, reqs []*applyReq, baseCommitted bool) *commitGroup {
+func (s *Store) repairGroup(base variant, baseEpoch uint64, reqs []*applyReq, baseCommitted bool) *commitGroup {
 	start := time.Now()
 	defer s.metrics.stageRepair.Since(start)
 	g := &commitGroup{reqs: reqs, epoch: baseEpoch + 1}
 	live := append([]*applyReq(nil), reqs...)
 	for {
-		work := base.(forkable).fork()
+		work := base.fork()
 		g.sums = g.sums[:0]
 		failed := -1
 		for i, r := range live {
@@ -268,7 +268,7 @@ func (s *Store) publishLoop(pubc <-chan *commitGroup, outc chan<- *commitGroup) 
 		m.groupCallers.Observe(uint64(len(g.live)))
 		m.groupOps.Observe(uint64(len(g.ops)))
 		t := time.Now()
-		pack(g.work)
+		g.work.packLabels()
 		m.stagePack.Since(t)
 		next := &snapshot{o: g.work, epoch: g.epoch}
 		t = time.Now()

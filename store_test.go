@@ -528,78 +528,36 @@ func TestOpJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// opaqueOracle hides the concrete variant from the Store, forcing the
-// RWMutex fallback for oracles the package cannot fork.
-type opaqueOracle struct{ inner dynhl.Oracle }
+// opaqueOracle hides the concrete variant from the Store.
+type opaqueOracle struct{ dynhl.Oracle }
 
-func (o *opaqueOracle) Query(u, v uint32) dynhl.Dist           { return o.inner.Query(u, v) }
-func (o *opaqueOracle) QueryBatch(p []dynhl.Pair) []dynhl.Dist { return o.inner.QueryBatch(p) }
-func (o *opaqueOracle) NumVertices() int                       { return o.inner.NumVertices() }
-func (o *opaqueOracle) Stats() dynhl.Stats                     { return o.inner.Stats() }
-func (o *opaqueOracle) Verify() error                          { return o.inner.Verify() }
-func (o *opaqueOracle) DeleteEdge(u, v uint32) (dynhl.UpdateSummary, error) {
-	return o.inner.DeleteEdge(u, v)
-}
-func (o *opaqueOracle) DeleteVertex(v uint32) (dynhl.UpdateSummary, error) {
-	return o.inner.DeleteVertex(v)
-}
-func (o *opaqueOracle) InsertEdge(u, v uint32, w dynhl.Dist) (dynhl.UpdateSummary, error) {
-	return o.inner.InsertEdge(u, v, w)
-}
-func (o *opaqueOracle) InsertVertex(a []dynhl.Arc) (uint32, dynhl.UpdateSummary, error) {
-	return o.inner.InsertVertex(a)
-}
-func (o *opaqueOracle) Apply(ops []dynhl.Op) ([]dynhl.UpdateSummary, error) {
-	return o.inner.Apply(ops)
-}
-
-// TestStoreFallback pins the compatibility path for unknown Oracle
-// implementations: epochs still advance and queries stay correct, guarded
-// by the fallback lock instead of snapshots.
+// TestStoreFallback pins that a Store refuses oracles it cannot fork: the
+// snapshot machinery needs a copy-on-write variant, so wrapping anything
+// else panics at construction instead of running a degraded mode.
 func TestStoreFallback(t *testing.T) {
 	idx, err := dynhl.Build(testutil.RandomConnectedGraph(30, 60, 9), dynhl.Options{Landmarks: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := dynhl.NewStore(&opaqueOracle{inner: idx})
-	v := st.Snapshot()
-	var u, w uint32
-	found := false
-	for a := uint32(0); a < 30 && !found; a++ {
-		for b := a + 1; b < 30 && !found; b++ {
-			if v.Query(a, b) > 1 {
-				u, w = a, b
-				found = true
-			}
-		}
+	for name, wrap := range map[string]func(){
+		"NewStore":   func() { dynhl.NewStore(&opaqueOracle{idx}) },
+		"NewStoreAt": func() { dynhl.NewStoreAt(&opaqueOracle{idx}, 7) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a non-forkable oracle", name)
+				}
+			}()
+			wrap()
+		}()
 	}
-	if !found {
-		t.Fatal("no insertable pair")
-	}
-	if _, err := st.Apply([]dynhl.Op{dynhl.InsertEdgeOp(u, w, 0)}); err != nil {
-		t.Fatal(err)
-	}
-	if st.Epoch() != 1 {
-		t.Fatalf("fallback epoch: %d", st.Epoch())
-	}
-	if d := st.Query(u, w); d != 1 {
-		t.Fatalf("fallback query after insert: %d", d)
-	}
-	// Fallback views are live, not pinned: the wrapped oracle mutates in
-	// place, so Epoch must track the answers rather than claim a pinned
-	// version that no longer exists.
-	if v.Epoch() != 1 {
-		t.Fatalf("fallback view epoch must be live: %d", v.Epoch())
-	}
-	if d := v.Query(u, w); d != 1 {
-		t.Fatalf("fallback view query: %d", d)
-	}
-	if err := st.Verify(); err != nil {
-		t.Fatal(err)
+	if err := dynhl.NewStore(idx).Reset(&opaqueOracle{idx}, 3); err == nil {
+		t.Error("Reset accepted a non-forkable oracle")
 	}
 }
 
-// TestApplyEpochAttribution pins that ApplyEpoch reports the epoch each
+// TestApplyEpochAttribution pins that ApplyCtx reports the epoch each
 // batch actually published, even when other publishes land in between.
 func TestApplyEpochAttribution(t *testing.T) {
 	idx, err := dynhl.Build(testutil.RandomConnectedGraph(30, 60, 21), dynhl.Options{Landmarks: 3})
@@ -607,19 +565,20 @@ func TestApplyEpochAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := dynhl.NewStore(idx)
+	ctx := context.Background()
 	edges := testutil.NonEdges(idx.Graph(), 3, 2)
 	for i, e := range edges {
-		_, epoch, err := st.ApplyEpoch([]dynhl.Op{dynhl.InsertEdgeOp(e[0], e[1], 0)})
+		res, err := st.ApplyCtx(ctx, []dynhl.Op{dynhl.InsertEdgeOp(e[0], e[1], 0)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if epoch != uint64(i+1) {
-			t.Fatalf("batch %d attributed to epoch %d", i, epoch)
+		if res.Epoch != uint64(i+1) {
+			t.Fatalf("batch %d attributed to epoch %d", i, res.Epoch)
 		}
 	}
 	// A failed batch reports the unchanged epoch it saw.
-	if _, epoch, err := st.ApplyEpoch([]dynhl.Op{dynhl.DeleteEdgeOp(0, 9999)}); err == nil || epoch != uint64(len(edges)) {
-		t.Fatalf("failed batch: epoch %d err %v", epoch, err)
+	if res, err := st.ApplyCtx(ctx, []dynhl.Op{dynhl.DeleteEdgeOp(0, 9999)}); err == nil || res.Epoch != uint64(len(edges)) {
+		t.Fatalf("failed batch: epoch %d err %v", res.Epoch, err)
 	}
 	// LoadEpoch round trip attributes the published epoch.
 	var buf bytes.Buffer
@@ -635,26 +594,19 @@ func TestApplyEpochAttribution(t *testing.T) {
 	}
 }
 
-// TestConcurrentShim pins that the compatibility wrapper shares its Store:
-// epochs and snapshots are visible through both names.
+// TestConcurrentShim pins that wrapping a Store shares it: epochs and
+// snapshots are visible through both references.
 func TestConcurrentShim(t *testing.T) {
 	idx, err := dynhl.Build(testutil.RandomConnectedGraph(30, 60, 11), dynhl.Options{Landmarks: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := dynhl.NewStore(idx)
-	co := dynhl.Concurrent(st)
-	if co.Store != st {
-		t.Fatal("Concurrent(Store) must share the store")
+	if dynhl.NewStore(st) != st {
+		t.Fatal("NewStore(Store) must return the same store")
 	}
-	if dynhl.NewStore(co) != st {
-		t.Fatal("NewStore(ConcurrentOracle) must unwrap to the same store")
-	}
-	if dynhl.Concurrent(co) != co {
-		t.Fatal("Concurrent(ConcurrentOracle) must be a no-op")
-	}
-	v := co.Snapshot()
+	v := dynhl.NewStore(st).Snapshot()
 	if v.Epoch() != 0 {
-		t.Fatalf("shim snapshot epoch: %d", v.Epoch())
+		t.Fatalf("shared snapshot epoch: %d", v.Epoch())
 	}
 }

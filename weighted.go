@@ -1,6 +1,7 @@
 package dynhl
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -31,7 +32,7 @@ func ReadWeightedGraph(r io.Reader) (*WeightedGraph, error) { return wgraph.Read
 //
 // A WeightedIndex implements Oracle. Queries are safe for any number of
 // concurrent readers; readers must not race the Insert methods — wrap with
-// Concurrent for that.
+// NewStore for that.
 type WeightedIndex struct {
 	idx *whcl.Index
 }
@@ -84,8 +85,11 @@ func (x *WeightedIndex) Graph() *WeightedGraph { return x.idx.G }
 // disconnected.
 func (x *WeightedIndex) Query(u, v uint32) Dist { return x.idx.Query(u, v) }
 
-// QueryBatch answers many pairs serially; Concurrent fans batches out.
-func (x *WeightedIndex) QueryBatch(pairs []Pair) []Dist { return queryBatch(x, pairs) }
+// QueryBatch answers many pairs, fanning large batches across workers.
+func (x *WeightedIndex) QueryBatch(pairs []Pair) []Dist {
+	out, _ := queryBatchCtx(context.Background(), x, pairs)
+	return out
+}
 
 // NumVertices returns the current vertex count.
 func (x *WeightedIndex) NumVertices() int { return x.idx.G.NumVertices() }
@@ -133,7 +137,7 @@ func (x *WeightedIndex) Apply(ops []Op) ([]UpdateSummary, error) { return applyO
 func (x *WeightedIndex) packLabels() { x.idx.Pack() }
 
 // fork returns the copy-on-write working copy backing Store publishes.
-func (x *WeightedIndex) fork() Oracle {
+func (x *WeightedIndex) fork() variant {
 	return &WeightedIndex{idx: x.idx.Fork(x.idx.G.Fork())}
 }
 
@@ -218,10 +222,14 @@ func (x *WeightedIndex) Load(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	idx.Workers = x.idx.Workers
-	idx.RepairTimer = x.idx.RepairTimer
-	x.idx = idx
+	x.adopt(idx)
 	return nil
+}
+
+// adopt installs idx as the labelling, carrying over the repair settings.
+func (x *WeightedIndex) adopt(idx *whcl.Index) {
+	idx.Workers, idx.RepairTimer = x.idx.Workers, x.idx.RepairTimer
+	x.idx = idx
 }
 
 // LoadWeightedIndex restores a labelling saved with Save and attaches it to
