@@ -191,6 +191,93 @@ func TestFreshEpochQueryZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestForkedRepairAllocs pins that repair scratch outlives forks: every
+// Store epoch repairs a freshly forked index, so the first insert and the
+// first delete on a fork must draw every worker's O(|V|) search state from
+// the package pools rather than allocate it. The garbage collector is off
+// so pooled scratch survives, and one P keeps the test on one per-P pool
+// slot. The first round warms the pools; the second is measured.
+func TestForkedRepairAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the gate runs in normal builds")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n = 50000
+	rng := rand.New(rand.NewSource(59))
+	g := testutil.RandomConnectedGraph(n, 3*n, 61)
+	dg := NewDigraph(n)
+	wg := NewWeightedGraph(n)
+	for i := 0; i < n; i++ {
+		dg.AddVertex()
+		wg.AddVertex()
+	}
+	for e := 0; e < 4*n; e++ {
+		u, v := uint32(rng.Intn(n)), uint32(rng.Intn(n))
+		if u != v {
+			dg.AddEdge(u, v)
+			wg.AddEdge(u, v, Dist(1+rng.Intn(8)))
+		}
+	}
+	u, err := Build(g, Options{Landmarks: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := BuildDirected(dg, Options{Landmarks: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := BuildWeighted(wg, Options{Landmarks: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each case deletes an arc out of landmark 0, which lies on that
+	// landmark's shortest-path DAG, so the delete runs a rebuild search.
+	lu, ld, lw := u.Landmarks()[0], d.Landmarks()[0], w.Landmarks()[0]
+	cases := []struct {
+		name string
+		o    variant
+		has  func(u, v uint32) bool
+		del  [2]uint32
+	}{
+		{"undirected", u, g.HasEdge, [2]uint32{lu, g.Neighbors(lu)[0]}},
+		{"directed", d, dg.HasEdge, [2]uint32{ld, dg.Out(ld)[0]}},
+		{"weighted", w, wg.HasEdge, [2]uint32{lw, wg.Neighbors(lw)[0].To}},
+	}
+	allocated := func(f func() error) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := f(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for round := 0; round < 2; round++ {
+				f := c.o.fork()
+				var a, b uint32
+				for a == b || c.has(a, b) {
+					a, b = uint32(rng.Intn(n)), uint32(rng.Intn(n))
+				}
+				ins := allocated(func() error { _, err := f.InsertEdge(a, b, 1); return err })
+				del := allocated(func() error { _, err := f.DeleteEdge(c.del[0], c.del[1]); return err })
+				if round == 0 {
+					continue
+				}
+				t.Logf("InsertEdge %d B, DeleteEdge %d B on %d vertices", ins, del, n)
+				if ins >= 8*n {
+					t.Errorf("InsertEdge on a fresh fork allocated %d bytes (%.1f B/vertex)", ins, float64(ins)/n)
+				}
+				if del >= 8*n {
+					t.Errorf("DeleteEdge on a fresh fork allocated %d bytes (%.1f B/vertex)", del, float64(del)/n)
+				}
+			}
+		})
+	}
+}
+
 // TestPackedSurvivesPublish pins the pack-on-publish cycle: every epoch a
 // Store publishes — fresh wrap, batch applies, loads — serves from a packed
 // labelling, and a mutated fork never leaks an unpacked snapshot.

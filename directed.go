@@ -4,11 +4,10 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
+	"repro/internal/arena"
 	"repro/internal/dhcl"
 	"repro/internal/digraph"
-	"repro/internal/fanout"
 	"repro/internal/landmark"
 )
 
@@ -31,7 +30,12 @@ func ReadDigraph(r io.Reader) (*Digraph, error) { return digraph.ReadEdgeList(r)
 // concurrent readers; readers must not race the Insert methods — wrap with
 // NewStore for that.
 type DirectedIndex struct {
+	labelling
 	idx *dhcl.Index
+}
+
+func newDirected(idx *dhcl.Index) *DirectedIndex {
+	return &DirectedIndex{labelling{&idx.Core, idx.G}, idx}
 }
 
 // BuildDirected constructs the directed labelling of g. Options drives it
@@ -59,19 +63,12 @@ func BuildDirected(g *Digraph, opt Options) (*DirectedIndex, error) {
 // BuildDirectedWithLandmarks constructs the labelling with an explicit
 // landmark set (Options strategy fields are ignored).
 func BuildDirectedWithLandmarks(g *Digraph, landmarks []uint32, opt Options) (*DirectedIndex, error) {
-	var idx *dhcl.Index
-	var err error
-	if opt.Parallel {
-		idx, err = dhcl.BuildParallel(g, landmarks, opt.Workers)
-	} else {
-		idx, err = dhcl.Build(g, landmarks)
-	}
+	idx, err := dhcl.BuildParallel(g, landmarks, buildWorkers(opt))
 	if err != nil {
 		return nil, err
 	}
-	x := &DirectedIndex{idx: idx}
-	x.setRepairWorkers(opt.RepairWorkers)
-	return x, nil
+	idx.Workers = opt.RepairWorkers
+	return newDirected(idx), nil
 }
 
 // Graph returns the underlying directed graph. Treat it as read-only;
@@ -87,20 +84,13 @@ func (x *DirectedIndex) QueryBatch(pairs []Pair) []Dist {
 	return out
 }
 
-// NumVertices returns the current vertex count.
-func (x *DirectedIndex) NumVertices() int { return x.idx.G.NumVertices() }
-
 // InsertEdge inserts the directed edge u→v and repairs both label sets.
 // The graph is unweighted, so w must be 0 or 1.
 func (x *DirectedIndex) InsertEdge(u, v uint32, w Dist) (UpdateSummary, error) {
 	if w > 1 {
 		return UpdateSummary{}, fmt.Errorf("dynhl: directed oracle is unweighted, got edge weight %d", w)
 	}
-	st, err := x.idx.InsertEdge(u, v)
-	if err != nil {
-		return UpdateSummary{}, err
-	}
-	return directedSummary(st), nil
+	return directedSummary(x.idx.InsertEdge(u, v))
 }
 
 // InsertVertex adds a vertex with the given initial arcs: Arc.In selects
@@ -121,55 +111,36 @@ func (x *DirectedIndex) InsertVertex(arcs []Arc) (uint32, UpdateSummary, error) 
 	if err != nil {
 		return 0, UpdateSummary{}, err
 	}
-	return id, directedSummary(st), nil
+	sum, err := directedSummary(st, nil)
+	return id, sum, err
 }
 
 // Apply applies ops in order, stopping at the first failure (see
 // Oracle.Apply); wrap with NewStore for all-or-nothing batches.
 func (x *DirectedIndex) Apply(ops []Op) ([]UpdateSummary, error) { return applyOps(x, ops) }
 
-// packLabels freezes both label directions into their packed CSR read
-// forms (see hcl.Packed); delta-aware on forks.
-func (x *DirectedIndex) packLabels() { x.idx.Pack() }
-
 // fork returns the copy-on-write working copy backing Store publishes.
 func (x *DirectedIndex) fork() variant {
-	return &DirectedIndex{idx: x.idx.Fork(x.idx.G.Fork())}
+	return newDirected(x.idx.Fork(x.idx.G.Fork()))
 }
-
-// setRepairWorkers tunes the per-pass repair fan-out and the delta repack
-// (0 = GOMAXPROCS, 1 = serial); see Options.RepairWorkers.
-func (x *DirectedIndex) setRepairWorkers(n int) { x.idx.Workers = n }
-
-// repairWorkers returns the configured (unresolved) repair fan-out.
-func (x *DirectedIndex) repairWorkers() int { return x.idx.Workers }
-
-// setRepairTimer installs f as the per-pass repair task timer; it is called
-// from worker goroutines and must be safe for concurrent use.
-func (x *DirectedIndex) setRepairTimer(f func(time.Duration)) { x.idx.RepairTimer = f }
 
 // DeleteEdge removes the directed edge u→v and repairs both label sets
 // with DecHL (see Oracle.DeleteEdge).
 func (x *DirectedIndex) DeleteEdge(u, v uint32) (UpdateSummary, error) {
-	st, err := x.idx.DeleteEdge(u, v)
-	if err != nil {
-		return UpdateSummary{}, err
-	}
-	return directedSummary(st), nil
+	return directedSummary(x.idx.DeleteEdge(u, v))
 }
 
 // DeleteVertex disconnects vertex v by deleting all of its outgoing and
 // incoming edges; the id survives as an isolated vertex. Deleting a
 // landmark is an error.
 func (x *DirectedIndex) DeleteVertex(v uint32) (UpdateSummary, error) {
-	st, err := x.idx.DeleteVertex(v)
+	return directedSummary(x.idx.DeleteVertex(v))
+}
+
+func directedSummary(st dhcl.Stats, err error) (UpdateSummary, error) {
 	if err != nil {
 		return UpdateSummary{}, err
 	}
-	return directedSummary(st), nil
-}
-
-func directedSummary(st dhcl.Stats) UpdateSummary {
 	return UpdateSummary{
 		Landmarks:      st.LandmarksTotal,
 		Skipped:        st.PassesSkipped,
@@ -177,60 +148,34 @@ func directedSummary(st dhcl.Stats) UpdateSummary {
 		EntriesAdded:   st.EntriesAdded,
 		EntriesRemoved: st.EntriesRemoved,
 		HighwayUpdates: st.HighwayUpdates,
-	}
-}
-
-// Stats returns current size statistics; LabelEntries counts both the
-// forward and the backward label sets.
-func (x *DirectedIndex) Stats() Stats {
-	entries, bytes := x.idx.Sizes()
-	st := Stats{
-		Vertices:     x.idx.G.NumVertices(),
-		Edges:        x.idx.G.NumEdges(),
-		Landmarks:    len(x.idx.Landmarks),
-		LabelEntries: entries,
-		Bytes:        bytes,
-		AvgLabelSize: avgLabelSize(entries, x.idx.G.NumVertices()),
-	}
-	if pf := x.idx.PackedForward(); pf != nil {
-		st.PackedBytes += pf.ArenaBytes()
-	}
-	if pb := x.idx.PackedBackward(); pb != nil {
-		st.PackedBytes += pb.ArenaBytes()
-	}
-	st.MappedBytes = x.idx.MappedBytes()
-	st.RepairWorkers = fanout.Resolve(x.idx.Workers)
-	return st
+	}, nil
 }
 
 // Verify audits both label directions against BFS ground truth.
 func (x *DirectedIndex) Verify() error { return x.idx.VerifyCover() }
 
-// Save serialises the directed labelling to w in a compact binary format
-// (both label sets stored as contiguous CSR arenas). The graph is not
-// included — persist it separately.
-func (x *DirectedIndex) Save(w io.Writer) error {
-	_, err := x.idx.WriteTo(w)
-	return err
-}
-
 // Load swaps in a labelling saved with Save, replacing the current one. The
 // stream must have been saved over the index's current graph; the loaded
 // labelling arrives packed. Use Verify for a full consistency audit after
 // loading from untrusted storage.
-func (x *DirectedIndex) Load(r io.Reader) error {
-	idx, err := dhcl.ReadIndex(r, x.idx.G)
+func (x *DirectedIndex) Load(r io.Reader) error { return x.adopt(dhcl.ReadIndex(r, x.idx.G)) }
+
+// LoadMappedFile is the directed variant's mapped label-file load (see
+// Index.LoadMappedFile).
+func (x *DirectedIndex) LoadMappedFile(path string) error {
+	return x.adopt(mapFile(path, func(m *arena.Mapping) (*dhcl.Index, error) {
+		return dhcl.ReadIndexMapped(m, 0, x.idx.G)
+	}))
+}
+
+// adopt installs a loaded labelling, carrying over the repair settings.
+func (x *DirectedIndex) adopt(idx *dhcl.Index, err error) error {
 	if err != nil {
 		return err
 	}
-	x.adopt(idx)
+	x.inherit(&idx.Core)
+	*x = *newDirected(idx)
 	return nil
-}
-
-// adopt installs idx as the labelling, carrying over the repair settings.
-func (x *DirectedIndex) adopt(idx *dhcl.Index) {
-	idx.Workers, idx.RepairTimer = x.idx.Workers, x.idx.RepairTimer
-	x.idx = idx
 }
 
 // LoadDirectedIndex restores a labelling saved with Save and attaches it to
@@ -240,17 +185,5 @@ func LoadDirectedIndex(r io.Reader, g *Digraph) (*DirectedIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DirectedIndex{idx: idx}, nil
-}
-
-// Landmarks returns the landmark vertices in rank order.
-func (x *DirectedIndex) Landmarks() []uint32 {
-	return append([]uint32(nil), x.idx.Landmarks...)
-}
-
-func avgLabelSize(entries int64, n int) float64 {
-	if n == 0 {
-		return 0
-	}
-	return float64(entries) / float64(n)
+	return newDirected(idx), nil
 }

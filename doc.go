@@ -123,12 +123,20 @@
 // record is durable before its epoch becomes visible, and recovery replays
 // one record per epoch exactly as a follower does.
 //
-// # The parallel repair engine
+// # The labelling core and its parallel repair engine
+//
+// The three variants share one labelling core, internal/hcl's Core: the
+// landmarks and their rank table, the k×k highway, one label direction
+// (two on the directed variant, forward and backward) with its
+// copy-on-write bits and packed form, and the repair knobs. Fork, pack,
+// serialisation and the repair engine are implemented there once; a
+// variant adds only its query kernels (BFS or Dijkstra, out- or in-edges)
+// and the searches that find what an update changed.
 //
 // Inside one repair, the per-landmark work is independent by construction:
 // landmark r's repair writes only rank-r label entries and highway row r,
 // and its affected-vertex classification reads only rank-r entries of
-// other vertices. The repair engine exploits that by fanning the
+// other vertices. The engine (hcl.Repair) exploits that by fanning the
 // per-landmark find+repair tasks (per label direction for the directed
 // variant) across Options.RepairWorkers cores (0 = GOMAXPROCS): every
 // task runs against the frozen pre-repair labelling and buffers its edits
@@ -137,26 +145,27 @@
 // serial path runs the identical task-then-merge code with one worker,
 // the labelling and the update summaries are byte-identical for every
 // worker count — the knob trades repair latency against cores, never
-// results. Construction fans the same way (Options.Parallel/Workers), and
-// the pack-on-publish delta repack fills its rebuilt chunks concurrently
-// under the same bound. Store.SetRepairWorkers retunes a live store; each
-// worker draws pooled per-task scratch, so the fan-out allocates nothing
-// per update beyond the deltas it buffers.
+// results. Construction is the same fan over an empty labelling
+// (Options.Parallel/Workers), and the pack-on-publish delta repack fills
+// its rebuilt chunks concurrently under the same bound.
+// Store.SetRepairWorkers retunes a live store; every worker draws its
+// search scratch from a package pool, so the repair of a freshly forked
+// epoch allocates nothing per vertex beyond the labels it rewrites.
 //
 // # Two label representations: mutable slices, packed arena
 //
 // The labelling lives in two forms, split along the same read/write line as
-// the snapshots. The mutable build/update representation is one entry slice
-// per vertex: IncHL+ and DecHL repair it in place, copy-on-write forks
-// share untouched slices with their parent, and it remains the source of
-// truth. The packed read representation (hcl.Packed and its directed and
-// weighted counterparts) flattens those labels into a single contiguous
-// entry arena indexed by a CSR offset table: a published snapshot answers a
-// query by slicing the arena — no per-vertex pointer chase, no slice-header
-// traffic, a handful of large arrays for the garbage collector to scan
-// instead of millions of tiny ones — and the query kernels (Equations 1 and
-// 2) stream at most two contiguous entry spans plus one highway row per
-// outer entry, allocation-free.
+// the snapshots, both held by the core for every label direction. The
+// mutable build/update representation is one entry slice per vertex:
+// IncHL+ and DecHL repair it in place, copy-on-write forks share untouched
+// slices with their parent, and it remains the source of truth. The packed
+// read representation (hcl.Packed) flattens those labels into a single
+// contiguous entry arena indexed by a CSR offset table: a published
+// snapshot answers a query by slicing the arena — no per-vertex pointer
+// chase, no slice-header traffic, a handful of large arrays for the garbage
+// collector to scan instead of millions of tiny ones — and the query
+// kernels (Equations 1 and 2) stream at most two contiguous entry spans
+// plus one highway row per outer entry, allocation-free.
 //
 // The Store converts between the two at exactly one point: pack-on-publish.
 // After a batch's repairs succeed on the private fork, the labelling is
@@ -167,10 +176,10 @@
 // labels the batch did not touch — so an epoch touching k vertices repacks
 // O(k) labels, not O(|V|). Any label write drops the packed form (the two
 // can never disagree); plain unwrapped indexes simply stay on the slice
-// path. Stats reports the arena's footprint as PackedBytes, and the binary
-// codecs of all three variants write the arena as one length-prefixed CSR
-// block, which is what makes a checkpoint load (and PUT /labels) a bulk
-// copy that arrives already packed.
+// path. Stats reports the arena's footprint as PackedBytes, and the one
+// stream codec of the core writes each label direction as one CSR block,
+// which is what makes a checkpoint load (and PUT /labels) a bulk copy that
+// arrives already packed.
 //
 // # Durability: write-ahead log and checkpoints
 //
@@ -303,8 +312,9 @@
 // with net/http/pprof and /metrics so profilers stay off the public port.
 //
 // The internal packages hold the substrates and baselines used by the
-// reproduction study: internal/hcl (static labelling), internal/inchl (the
-// IncHL+ algorithm), internal/pll and internal/fulldyn (the IncPLL and
+// reproduction study: internal/hcl (the labelling core and the undirected
+// labelling), internal/inchl (the IncHL+ algorithm), internal/dhcl and
+// internal/whcl (the directed and weighted variants), internal/pll and internal/fulldyn (the IncPLL and
 // IncFD baselines), internal/gen and internal/dataset (synthetic proxies of
 // the paper's 12 networks) and internal/exper (the harness regenerating
 // every table and figure of the paper; see EXPERIMENTS.md).

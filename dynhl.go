@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/arena"
 	"repro/internal/fanout"
 	"repro/internal/graph"
 	"repro/internal/hcl"
@@ -61,9 +62,86 @@ type Options struct {
 	// 1 forces the serial path. Every worker count produces a byte-identical
 	// labelling and identical update summaries — the tasks only buffer
 	// deltas against the frozen pre-repair labelling and a single-threaded
-	// merge applies them in rank order (see internal/inchl's parallel
-	// engine). Tune at runtime with Store.SetRepairWorkers.
+	// merge applies them in rank order (see the repair engine of
+	// internal/hcl). Tune at runtime with Store.SetRepairWorkers.
 	RepairWorkers int
+}
+
+// labelling is what the three index wrappers share: the hcl core of the
+// labelling they serve and their graph's size. It implements every method
+// that touches only those — statistics, serialisation, packing and the
+// repair knobs.
+type labelling struct {
+	core *hcl.Core
+	g    interface {
+		NumVertices() int
+		NumEdges() uint64
+	}
+}
+
+// NumVertices returns the current vertex count.
+func (l labelling) NumVertices() int { return l.g.NumVertices() }
+
+// Landmarks returns the landmark vertex ids in rank order.
+func (l labelling) Landmarks() []uint32 {
+	return append([]uint32(nil), l.core.Landmarks...)
+}
+
+// Stats returns current size statistics; LabelEntries counts every label
+// direction (forward and backward on the directed variant).
+func (l labelling) Stats() Stats {
+	entries, bytes := l.core.Sizes()
+	n := l.g.NumVertices()
+	st := Stats{
+		Vertices:      n,
+		Edges:         l.g.NumEdges(),
+		Landmarks:     l.core.NumLandmarks(),
+		LabelEntries:  entries,
+		Bytes:         bytes,
+		PackedBytes:   l.core.PackedBytes(),
+		MappedBytes:   l.core.MappedBytes(),
+		RepairWorkers: fanout.Resolve(l.core.Workers),
+	}
+	if n > 0 {
+		st.AvgLabelSize = float64(entries) / float64(n)
+	}
+	return st
+}
+
+// Save serialises the labelling to w in a compact binary format (every
+// label direction stored as one contiguous CSR arena). The graph is not
+// included — persist it separately with WriteGraph.
+func (l labelling) Save(w io.Writer) error {
+	_, err := l.core.WriteTo(w)
+	return err
+}
+
+// SaveAt is Save for a stream landing at absolute offset base of a larger
+// file, such as a checkpoint: entry arenas are page-aligned relative to
+// the file, and the returned spans name them within it.
+func (l labelling) SaveAt(w io.Writer, base int64) (int64, []Span, error) {
+	return l.core.WriteToAt(w, base)
+}
+
+// packLabels freezes the labelling into the packed CSR read form the Store
+// serves published snapshots from (see hcl.Packed); delta-aware on forks.
+func (l labelling) packLabels() { l.core.Pack() }
+
+// setRepairWorkers tunes the per-landmark repair fan-out and the delta
+// repack (0 = GOMAXPROCS, 1 = serial); see Options.RepairWorkers.
+func (l labelling) setRepairWorkers(n int) { l.core.Workers = n }
+
+// repairWorkers returns the configured (unresolved) repair fan-out.
+func (l labelling) repairWorkers() int { return l.core.Workers }
+
+// setRepairTimer installs f as the per-task repair timer; it is called
+// from worker goroutines and must be safe for concurrent use.
+func (l labelling) setRepairTimer(f func(time.Duration)) { l.core.RepairTimer = f }
+
+// inherit carries the repair settings over to a labelling about to replace
+// this one.
+func (l labelling) inherit(c *hcl.Core) {
+	c.Workers, c.RepairTimer = l.core.Workers, l.core.RepairTimer
 }
 
 // Index is a dynamic distance oracle over a Graph: a highway cover
@@ -75,8 +153,12 @@ type Options struct {
 // number of concurrent readers; readers must not race the Insert methods —
 // wrap with NewStore for that.
 type Index struct {
-	idx *hcl.Index
+	labelling
 	upd *inchl.Updater
+}
+
+func newIndex(idx *hcl.Index) *Index {
+	return &Index{labelling{&idx.Core, idx.G}, inchl.New(idx)}
 }
 
 // Build constructs the minimal highway cover labelling of g.
@@ -97,42 +179,36 @@ func Build(g *Graph, opt Options) (*Index, error) {
 // BuildWithLandmarks constructs the labelling with an explicit landmark set
 // (Options strategy fields are ignored).
 func BuildWithLandmarks(g *Graph, landmarks []uint32, opt Options) (*Index, error) {
-	var idx *hcl.Index
-	var err error
-	if opt.Parallel {
-		idx, err = hcl.BuildParallel(g, landmarks, opt.Workers)
-	} else {
-		idx, err = hcl.Build(g, landmarks)
-	}
+	idx, err := hcl.BuildParallel(g, landmarks, buildWorkers(opt))
 	if err != nil {
 		return nil, err
 	}
-	x := &Index{idx: idx, upd: inchl.New(idx)}
-	x.setRepairWorkers(opt.RepairWorkers)
-	return x, nil
+	idx.Workers = opt.RepairWorkers
+	return newIndex(idx), nil
+}
+
+// buildWorkers is the construction fan-out Options ask for: Workers when
+// Parallel is set, serial otherwise.
+func buildWorkers(opt Options) int {
+	if opt.Parallel {
+		return opt.Workers
+	}
+	return 1
 }
 
 // Graph returns the underlying graph. Treat it as read-only; mutate through
 // the Index methods.
-func (x *Index) Graph() *Graph { return x.idx.G }
-
-// Landmarks returns the landmark vertex ids in rank order.
-func (x *Index) Landmarks() []uint32 {
-	return append([]uint32(nil), x.idx.Landmarks...)
-}
+func (x *Index) Graph() *Graph { return x.upd.G }
 
 // Query returns the exact shortest-path distance between u and v in the
 // current graph, or Inf when they are disconnected.
-func (x *Index) Query(u, v uint32) Dist { return x.idx.Query(u, v) }
+func (x *Index) Query(u, v uint32) Dist { return x.upd.Query(u, v) }
 
 // QueryBatch answers many pairs, fanning large batches across workers.
 func (x *Index) QueryBatch(pairs []Pair) []Dist {
 	out, _ := queryBatchCtx(context.Background(), x, pairs)
 	return out
 }
-
-// NumVertices returns the current vertex count.
-func (x *Index) NumVertices() int { return x.idx.G.NumVertices() }
 
 // InsertEdge inserts the undirected edge (u,v) into the graph and repairs
 // the labelling with IncHL+. The edge must be new and both endpoints must
@@ -141,11 +217,7 @@ func (x *Index) InsertEdge(u, v uint32, w Dist) (UpdateSummary, error) {
 	if w > 1 {
 		return UpdateSummary{}, fmt.Errorf("dynhl: undirected oracle is unweighted, got edge weight %d", w)
 	}
-	st, err := x.upd.InsertEdge(u, v)
-	if err != nil {
-		return UpdateSummary{}, err
-	}
-	return undirectedSummary(st), nil
+	return undirectedSummary(x.upd.InsertEdge(u, v))
 }
 
 // InsertVertex adds a new vertex joined to the given existing neighbours
@@ -160,72 +232,39 @@ func (x *Index) InsertVertex(arcs []Arc) (uint32, UpdateSummary, error) {
 	if err != nil {
 		return 0, UpdateSummary{}, err
 	}
-	return id, undirectedSummary(st), nil
+	sum, err := undirectedSummary(st, nil)
+	return id, sum, err
 }
 
 // Apply applies ops in order, stopping at the first failure (see
 // Oracle.Apply); wrap with NewStore for all-or-nothing batches.
 func (x *Index) Apply(ops []Op) ([]UpdateSummary, error) { return applyOps(x, ops) }
 
-// packLabels freezes the labelling into the packed CSR read form the Store
-// serves published snapshots from (see hcl.Packed); delta-aware on forks.
-func (x *Index) packLabels() { x.idx.Pack() }
-
 // fork returns the copy-on-write working copy backing Store publishes: the
 // graph and label store share everything an update does not touch.
 func (x *Index) fork() variant {
-	y := *x
-	y.adopt(x.idx.Fork(x.idx.G.Fork()))
-	return &y
+	y := newIndex(x.upd.Fork(x.upd.G.Fork()))
+	y.upd.Strategy = x.upd.Strategy
+	return y
 }
-
-// adopt installs idx as the labelling, with a fresh updater carrying over
-// the repair settings (strategy, fan-out, task timer).
-func (x *Index) adopt(idx *hcl.Index) {
-	idx.Workers = x.idx.Workers
-	upd := inchl.New(idx)
-	upd.Strategy = x.upd.Strategy
-	upd.Workers = x.upd.Workers
-	upd.RepairTimer = x.upd.RepairTimer
-	x.idx, x.upd = idx, upd
-}
-
-// setRepairWorkers tunes the per-landmark repair fan-out and the delta
-// repack (0 = GOMAXPROCS, 1 = serial); see Options.RepairWorkers.
-func (x *Index) setRepairWorkers(n int) {
-	x.upd.Workers = n
-	x.idx.Workers = n
-}
-
-// repairWorkers returns the configured (unresolved) repair fan-out.
-func (x *Index) repairWorkers() int { return x.upd.Workers }
-
-// setRepairTimer installs f as the per-landmark repair task timer; it is
-// called from worker goroutines and must be safe for concurrent use.
-func (x *Index) setRepairTimer(f func(time.Duration)) { x.upd.RepairTimer = f }
 
 // DeleteEdge removes the undirected edge (u,v) from the graph and repairs
 // the labelling with DecHL (see Oracle.DeleteEdge). Deleting an edge that
 // is not present returns ErrNoSuchEdge.
 func (x *Index) DeleteEdge(u, v uint32) (UpdateSummary, error) {
-	st, err := x.upd.DeleteEdge(u, v)
-	if err != nil {
-		return UpdateSummary{}, err
-	}
-	return undirectedSummary(st), nil
+	return undirectedSummary(x.upd.DeleteEdge(u, v))
 }
 
 // DeleteVertex disconnects vertex v by deleting all of its incident edges;
 // the id survives as an isolated vertex. Deleting a landmark is an error.
 func (x *Index) DeleteVertex(v uint32) (UpdateSummary, error) {
-	st, err := x.upd.DeleteVertex(v)
+	return undirectedSummary(x.upd.DeleteVertex(v))
+}
+
+func undirectedSummary(st inchl.Stats, err error) (UpdateSummary, error) {
 	if err != nil {
 		return UpdateSummary{}, err
 	}
-	return undirectedSummary(st), nil
-}
-
-func undirectedSummary(st inchl.Stats) UpdateSummary {
 	return UpdateSummary{
 		Landmarks:      st.LandmarksTotal,
 		Skipped:        st.LandmarksSkipped,
@@ -233,7 +272,7 @@ func undirectedSummary(st inchl.Stats) UpdateSummary {
 		EntriesAdded:   st.EntriesAdded,
 		EntriesRemoved: st.EntriesRemoved,
 		HighwayUpdates: st.HighwayUpdates,
-	}
+	}, nil
 }
 
 // plainNeighbors reduces arcs to a neighbour list for the undirected
@@ -286,46 +325,35 @@ type Stats struct {
 	Replication   *ReplicationStats `json:",omitempty"`
 }
 
-// Stats returns current size statistics.
-func (x *Index) Stats() Stats {
-	entries := x.idx.NumEntries()
-	st := Stats{
-		Vertices:     x.idx.G.NumVertices(),
-		Edges:        x.idx.G.NumEdges(),
-		Landmarks:    x.idx.NumLandmarks(),
-		LabelEntries: entries,
-		Bytes:        entries*hcl.EntryBytes + x.idx.H.Bytes(),
-		AvgLabelSize: avgLabelSize(entries, x.idx.G.NumVertices()),
-	}
-	if p := x.idx.PackedLabels(); p != nil {
-		st.PackedBytes = p.ArenaBytes()
-	}
-	st.MappedBytes = x.idx.MappedBytes()
-	st.RepairWorkers = fanout.Resolve(x.upd.Workers)
-	return st
-}
-
 // Verify checks the highway cover property of the current labelling against
 // ground-truth BFS distances; it is O(|R|·|E|) and intended for tests and
 // debugging.
-func (x *Index) Verify() error { return x.idx.VerifyCover() }
-
-// Save serialises the labelling to w in a compact binary format. The graph
-// is not included — persist it separately with WriteGraph.
-func (x *Index) Save(w io.Writer) error {
-	_, err := x.idx.WriteTo(w)
-	return err
-}
+func (x *Index) Verify() error { return x.upd.VerifyCover() }
 
 // Load swaps in a labelling saved with Save, replacing the current one. The
 // stream must have been saved over the index's current graph. Use Verify
 // for a full consistency audit after loading from untrusted storage.
-func (x *Index) Load(r io.Reader) error {
-	idx, err := hcl.ReadIndex(r, x.idx.G)
+func (x *Index) Load(r io.Reader) error { return x.adopt(hcl.ReadIndex(r, x.upd.G)) }
+
+// LoadMappedFile swaps in the labelling saved at path, like Load but
+// serving entries straight out of an mmap of the file. The file must have
+// been saved over the index's current graph. ErrNotMappable when this host
+// cannot serve it in place — fall back to Load.
+func (x *Index) LoadMappedFile(path string) error {
+	return x.adopt(mapFile(path, func(m *arena.Mapping) (*hcl.Index, error) {
+		return hcl.ReadIndexMapped(m, 0, x.upd.G)
+	}))
+}
+
+// adopt installs a loaded labelling, carrying over the repair settings.
+func (x *Index) adopt(idx *hcl.Index, err error) error {
 	if err != nil {
 		return err
 	}
-	x.adopt(idx)
+	x.inherit(&idx.Core)
+	strategy := x.upd.Strategy
+	*x = *newIndex(idx)
+	x.upd.Strategy = strategy
 	return nil
 }
 
@@ -337,5 +365,5 @@ func LoadIndex(r io.Reader, g *Graph) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{idx: idx, upd: inchl.New(idx)}, nil
+	return newIndex(idx), nil
 }

@@ -141,7 +141,7 @@ func FuzzPackedDifferential(f *testing.F) {
 		// The final packed and slice labellings must agree entry for entry,
 		// not just on sampled answers.
 		final := st.Unwrap().(*Index)
-		if err := final.idx.EqualLabels(plain.idx); err != nil {
+		if err := final.upd.EqualLabels(plain.upd.Index); err != nil {
 			t.Fatalf("packed store and slice index labellings diverged: %v", err)
 		}
 	})
@@ -151,8 +151,9 @@ func FuzzPackedDifferential(f *testing.F) {
 // variants — what PUT /labels does with an untrusted body. The first byte
 // picks the variant, the rest is the stream. A loader must never panic,
 // and any stream it accepts must save and load again, the re-save
-// byte-identical to the first save. The seed corpus holds each variant's
-// real saved stream, so mutations start from well-formed input.
+// byte-identical to the first save, over distinct landmarks. The seed
+// corpus holds each variant's real saved stream, so mutations start from
+// well-formed input, and an undirected stream naming one landmark twice.
 func FuzzReadIndex(f *testing.F) {
 	ug := testutil.RandomConnectedGraph(24, 40, 61)
 	dg := NewDigraph(24)
@@ -184,6 +185,7 @@ func FuzzReadIndex(f *testing.F) {
 	}
 	// Seeds are written at the file offset that needs the least page
 	// padding (readers accept any pad), keeping them small for the mutator.
+	var undirected []byte
 	for i, x := range []interface {
 		SaveAt(w io.Writer, base int64) (int64, []Span, error)
 	}{u, d, w} {
@@ -198,7 +200,15 @@ func FuzzReadIndex(f *testing.F) {
 			}
 		}
 		f.Add(seed)
+		if i == 0 {
+			undirected = seed
+		}
 	}
+	// The landmark ids start 12 bytes into the stream: make the second one
+	// repeat the first.
+	dup := append([]byte(nil), undirected...)
+	copy(dup[1+16:1+20], dup[1+12:1+16])
+	f.Add(dup)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -207,6 +217,13 @@ func FuzzReadIndex(f *testing.F) {
 		x, err := load(bytes.NewReader(data[1:]))
 		if err != nil {
 			return
+		}
+		seen := map[uint32]bool{}
+		for _, v := range x.(interface{ Landmarks() []uint32 }).Landmarks() {
+			if seen[v] {
+				t.Fatalf("accepted a stream naming landmark %d twice", v)
+			}
+			seen[v] = true
 		}
 		var first, second bytes.Buffer
 		if err := x.Save(&first); err != nil {

@@ -2,6 +2,7 @@ package dhcl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 )
@@ -28,7 +29,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	if err := loaded.EqualLabels(idx); err != nil {
 		t.Fatal(err)
 	}
-	if loaded.PackedForward() == nil || loaded.PackedBackward() == nil {
+	if loaded.Packed(fwd) == nil || loaded.Packed(bwd) == nil {
 		t.Fatal("loaded index must arrive packed in both directions")
 	}
 	for u := uint32(0); u < 120; u += 7 {
@@ -81,5 +82,22 @@ func TestCodecRejectsCorruption(t *testing.T) {
 	other := randomDigraph(41, 120, 44)
 	if _, err := ReadIndex(bytes.NewReader(blob), other); err == nil {
 		t.Error("vertex-count mismatch accepted")
+	}
+
+	// A header breaking the labelling's invariants refuses too: the
+	// landmarks start at byte 12, the 3×3 highway right after them.
+	patch := func(off int, v uint32) []byte {
+		bad := append([]byte(nil), blob...)
+		binary.LittleEndian.PutUint32(bad[off:], v)
+		return bad
+	}
+	const lm, hw = 12, 12 + 4*3
+	for name, bad := range map[string][]byte{
+		"duplicate landmark": patch(lm+4, idx.Landmarks[0]),
+		"non-zero diagonal":  patch(hw+4*4, 1),
+	} {
+		if _, err := ReadIndex(bytes.NewReader(bad), g); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }

@@ -12,8 +12,8 @@ package dhcl
 import (
 	"fmt"
 
-	"repro/internal/fanout"
 	"repro/internal/graph"
+	"repro/internal/hcl"
 )
 
 // DeleteEdge removes the directed edge a→b and repairs both label sets.
@@ -30,35 +30,34 @@ func (idx *Index) DeleteEdge(a, b uint32) (Stats, error) {
 	if !g.HasEdge(a, b) {
 		return st, fmt.Errorf("dhcl: delete (%d,%d): %w", a, b, graph.ErrEdgeUnknown)
 	}
-	st.LandmarksTotal = idx.k
+	st.LandmarksTotal = idx.NumLandmarks()
 
-	var fwdAffected, backAffected []uint16
-	for r := 0; r < idx.k; r++ {
-		if da := idx.DistF(uint16(r), a); da != graph.Inf && graph.AddDist(da, 1) == idx.DistF(uint16(r), b) {
-			fwdAffected = append(fwdAffected, uint16(r))
+	// Serial repair order: all forward passes, then all backward ones.
+	var ds, back []hcl.Delta
+	for r := uint16(0); int(r) < idx.NumLandmarks(); r++ {
+		if da := idx.DistF(r, a); da != graph.Inf && graph.AddDist(da, 1) == idx.DistF(r, b) {
+			ds = append(ds, hcl.Delta{Rank: r, Dir: fwd})
 		} else {
 			st.PassesSkipped++
 		}
-		if db := idx.DistB(uint16(r), b); db != graph.Inf && graph.AddDist(db, 1) == idx.DistB(uint16(r), a) {
-			backAffected = append(backAffected, uint16(r))
+		if db := idx.DistB(r, b); db != graph.Inf && graph.AddDist(db, 1) == idx.DistB(r, a) {
+			back = append(back, hcl.Delta{Rank: r, Dir: bwd})
 		} else {
 			st.PassesSkipped++
 		}
 	}
+	ds = append(ds, back...)
 
 	if err := g.RemoveEdge(a, b); err != nil {
 		return st, fmt.Errorf("dhcl: delete (%d,%d): %w", a, b, err)
 	}
-	if len(fwdAffected)+len(backAffected) > 0 {
-		// Serial repair order: all forward passes, then all backward ones.
-		tasks := make([]passTask, 0, len(fwdAffected)+len(backAffected))
-		for _, r := range fwdAffected {
-			tasks = append(tasks, passTask{r, true})
-		}
-		for _, r := range backAffected {
-			tasks = append(tasks, passTask{r, false})
-		}
-		idx.rebuildPasses(fanout.Resolve(idx.Workers), tasks, &st)
+	hcl.Repair(&idx.Core, &hcl.Scratches, ds, true, func(ws *hcl.Scratch, _ int, d *hcl.Delta) {
+		idx.rebuildPass(ws, d)
+	})
+	for i := range ds {
+		ch := ds[i].Changes()
+		st.add(ch)
+		st.affected(ds[i].Dir, ch.Total())
 	}
 	return st, nil
 }
@@ -72,22 +71,16 @@ func (idx *Index) DeleteVertex(v uint32) (Stats, error) {
 	if !g.HasVertex(v) {
 		return agg, fmt.Errorf("dhcl: delete vertex %d: %w", v, graph.ErrVertexUnknown)
 	}
-	if idx.rankArr[v] != noRank {
+	if idx.IsLandmark(v) {
 		return agg, fmt.Errorf("dhcl: delete vertex %d: cannot delete a landmark", v)
 	}
-	agg.LandmarksTotal = idx.k
+	agg.LandmarksTotal = idx.NumLandmarks()
 	del := func(x, y uint32) error {
 		st, err := idx.DeleteEdge(x, y)
-		if err != nil {
-			return err
+		if err == nil {
+			agg.plus(st)
 		}
-		agg.PassesSkipped += st.PassesSkipped
-		agg.AffectedForward += st.AffectedForward
-		agg.AffectedBack += st.AffectedBack
-		agg.EntriesAdded += st.EntriesAdded
-		agg.EntriesRemoved += st.EntriesRemoved
-		agg.HighwayUpdates += st.HighwayUpdates
-		return nil
+		return err
 	}
 	for _, w := range append([]uint32(nil), g.Out(v)...) {
 		if err := del(v, w); err != nil {

@@ -120,8 +120,8 @@ func TestDeleteVertexDirected(t *testing.T) {
 	if g.OutDegree(v) != 0 || g.InDegree(v) != 0 {
 		t.Errorf("vertex %d still has edges", v)
 	}
-	if len(idx.Lf[v]) != 0 || len(idx.Lb[v]) != 0 {
-		t.Errorf("isolated vertex kept entries: %v / %v", idx.Lf[v], idx.Lb[v])
+	if lf, lb := idx.Labels(fwd)[v], idx.Labels(bwd)[v]; len(lf) != 0 || len(lb) != 0 {
+		t.Errorf("isolated vertex kept entries: %v / %v", lf, lb)
 	}
 	fresh, err := Build(g, lm)
 	if err != nil {

@@ -24,6 +24,15 @@ func forkFixture(t *testing.T) *Index {
 	return idx
 }
 
+// highway copies the directed highway matrix row by row.
+func highway(idx *Index) []uint32 {
+	var out []uint32
+	for i := range idx.Landmarks {
+		out = append(out, idx.Row(uint16(i))...)
+	}
+	return out
+}
+
 func copyLabels(ls []hcl.Label) []hcl.Label {
 	out := make([]hcl.Label, len(ls))
 	for v, l := range ls {
@@ -37,8 +46,8 @@ func copyLabels(ls []hcl.Label) []hcl.Label {
 // remains exact.
 func TestForkUpdateIsolation(t *testing.T) {
 	idx := forkFixture(t)
-	lf, lb := copyLabels(idx.Lf), copyLabels(idx.Lb)
-	hf := append([]uint32(nil), idx.hf...)
+	lf, lb := copyLabels(idx.Labels(fwd)), copyLabels(idx.Labels(bwd))
+	hf := highway(idx)
 	edges := idx.G.NumEdges()
 
 	f := idx.Fork(idx.G.Fork())
@@ -53,12 +62,12 @@ func TestForkUpdateIsolation(t *testing.T) {
 	}
 
 	for v := range lf {
-		if !idx.Lf[v].Equal(lf[v]) || !idx.Lb[v].Equal(lb[v]) {
+		if !idx.Labels(fwd)[v].Equal(lf[v]) || !idx.Labels(bwd)[v].Equal(lb[v]) {
 			t.Fatalf("parent labels of %d changed", v)
 		}
 	}
-	for i := range hf {
-		if idx.hf[i] != hf[i] {
+	for i, d := range highway(idx) {
+		if d != hf[i] {
 			t.Fatalf("parent highway cell %d changed", i)
 		}
 	}

@@ -31,7 +31,7 @@ func TestCodecV2RoundTrip(t *testing.T) {
 	if err := loaded.EqualLabels(idx); err != nil {
 		t.Fatal(err)
 	}
-	if loaded.PackedForward() == nil || loaded.PackedBackward() == nil {
+	if loaded.Packed(fwd) == nil || loaded.Packed(bwd) == nil {
 		t.Fatal("loaded index must arrive packed in both directions")
 	}
 	for u := uint32(0); u < 150; u += 7 {

@@ -108,8 +108,8 @@ func TestPackParallelMatchesSerial(t *testing.T) {
 		name string
 		s, p interface{ NumEntries() int64 }
 	}{
-		{"forward", serial.PackedForward(), par.PackedForward()},
-		{"backward", serial.PackedBackward(), par.PackedBackward()},
+		{"forward", serial.Packed(fwd), par.Packed(fwd)},
+		{"backward", serial.Packed(bwd), par.Packed(bwd)},
 	} {
 		if side.s.NumEntries() != side.p.NumEntries() {
 			t.Fatalf("%s: packed entries diverged: serial %d, parallel %d",

@@ -3,8 +3,8 @@ package dhcl
 import (
 	"fmt"
 
-	"repro/internal/fanout"
 	"repro/internal/graph"
+	"repro/internal/hcl"
 	"repro/internal/queue"
 )
 
@@ -19,22 +19,38 @@ type Stats struct {
 	HighwayUpdates  int
 }
 
+// add counts one merged delta's edits.
+func (st *Stats) add(ch hcl.Changes) {
+	st.EntriesAdded += ch.Added
+	st.EntriesRemoved += ch.Removed
+	st.HighwayUpdates += ch.Highway
+}
+
+// plus aggregates the counters of a component update.
+func (st *Stats) plus(o Stats) {
+	st.PassesSkipped += o.PassesSkipped
+	st.AffectedForward += o.AffectedForward
+	st.AffectedBack += o.AffectedBack
+	st.EntriesAdded += o.EntriesAdded
+	st.EntriesRemoved += o.EntriesRemoved
+	st.HighwayUpdates += o.HighwayUpdates
+}
+
+// affected charges n repaired vertices to the counter of direction dir.
+func (st *Stats) affected(dir, n int) {
+	if dir == fwd {
+		st.AffectedForward += n
+	} else {
+		st.AffectedBack += n
+	}
+}
+
 // findResult carries one pass's affected set from find to repair.
 type findResult struct {
-	rank     uint16
-	fwd      bool                  // forward pass (maintains Lf) or backward (Lb)
 	skipped  bool                  // pass eliminated: the edge shortens nothing
 	affected []queue.Pair          // level order, depth = new distance
 	newDist  map[uint32]graph.Dist // affected vertex -> new distance
 	oldDist  map[uint32]graph.Dist // scanned vertex -> old distance
-}
-
-// sizeFinds resizes the per-task find table.
-func (idx *Index) sizeFinds(n int) {
-	if cap(idx.finds) < n {
-		idx.finds = append(idx.finds[:cap(idx.finds)], make([]findResult, n-cap(idx.finds))...)
-	}
-	idx.finds = idx.finds[:n]
 }
 
 // InsertEdge inserts the directed edge a→b and repairs both label sets:
@@ -43,7 +59,8 @@ func (idx *Index) sizeFinds(n int) {
 // (landmark, direction) passes fan across Workers cores — each task runs
 // its find against the pre-update labelling (no repair has mutated anything
 // yet: tasks only buffer deltas) plus the repair classification — and the
-// merge applies the deltas in serial pass order.
+// merge applies the deltas in serial pass order, forward before backward
+// per rank.
 func (idx *Index) InsertEdge(a, b uint32) (Stats, error) {
 	var st Stats
 	g := idx.G
@@ -59,35 +76,28 @@ func (idx *Index) InsertEdge(a, b uint32) (Stats, error) {
 	if _, err := g.AddEdge(a, b); err != nil {
 		return st, err
 	}
-	st.LandmarksTotal = idx.k
+	st.LandmarksTotal = idx.NumLandmarks()
 
-	tasks := 2 * idx.k // task t = pass (rank t/2, forward when t is even)
-	idx.sizeFinds(tasks)
-	idx.sizeDeltas(tasks)
-	idx.fan(fanout.Resolve(idx.Workers), tasks, func(_ *passScratch, t int) {
-		r, fwd := uint16(t/2), t%2 == 0
-		d := &idx.deltas[t]
-		d.reset()
-		fr, ok := idx.findAffected(r, fwd, a, b)
+	finds := make([]findResult, 2*idx.NumLandmarks())
+	ds := make([]hcl.Delta, len(finds))
+	for t := range ds {
+		ds[t] = hcl.Delta{Rank: uint16(t / 2), Dir: t % 2}
+	}
+	hcl.Repair(&idx.Core, &hcl.Scratches, ds, false, func(_ *hcl.Scratch, t int, d *hcl.Delta) {
+		fr, ok := idx.findAffected(d.Rank, d.Dir, a, b)
 		fr.skipped = !ok
-		idx.finds[t] = fr
+		finds[t] = fr
 		if ok {
-			idx.classifyPass(&idx.finds[t], d)
+			idx.classifyPass(&finds[t], d)
 		}
 	})
-	for t := 0; t < tasks; t++ {
-		r, fwd := uint16(t/2), t%2 == 0
-		fr := &idx.finds[t]
-		if fr.skipped {
+	for t := range finds {
+		if finds[t].skipped {
 			st.PassesSkipped++
 			continue
 		}
-		if fwd {
-			st.AffectedForward += len(fr.affected)
-		} else {
-			st.AffectedBack += len(fr.affected)
-		}
-		idx.applyPassInsert(r, fwd, &idx.deltas[t], &st)
+		st.affected(ds[t].Dir, len(finds[t].affected))
+		st.add(ds[t].Changes())
 	}
 	return st, nil
 }
@@ -108,19 +118,13 @@ func (idx *Index) InsertVertex(outTo, inFrom []uint32) (uint32, Stats, error) {
 	}
 	v := idx.G.AddVertex()
 	idx.EnsureVertex(v)
-	agg.LandmarksTotal = idx.k
+	agg.LandmarksTotal = idx.NumLandmarks()
 	add := func(x, y uint32) error {
 		st, err := idx.InsertEdge(x, y)
-		if err != nil {
-			return err
+		if err == nil {
+			agg.plus(st)
 		}
-		agg.PassesSkipped += st.PassesSkipped
-		agg.AffectedForward += st.AffectedForward
-		agg.AffectedBack += st.AffectedBack
-		agg.EntriesAdded += st.EntriesAdded
-		agg.EntriesRemoved += st.EntriesRemoved
-		agg.HighwayUpdates += st.HighwayUpdates
-		return nil
+		return err
 	}
 	for _, w := range outTo {
 		if err := add(v, w); err != nil {
@@ -140,12 +144,12 @@ func (idx *Index) InsertVertex(outTo, inFrom []uint32) (uint32, Stats, error) {
 // out-edges with depth d(r→a)+1; backward passes mirror this from a over
 // in-edges with depth d(b→r)+1. It reports ok=false when the pass is
 // eliminated (the new edge cannot lie on any shortest path to/from r).
-func (idx *Index) findAffected(r uint16, fwd bool, a, b uint32) (findResult, bool) {
+func (idx *Index) findAffected(r uint16, dir int, a, b uint32) (findResult, bool) {
 	var dNear, dStart graph.Dist
 	var start uint32
 	var frontier, parents func(uint32) []uint32
 	var oldDist func(uint32) graph.Dist
-	if fwd {
+	if dir == fwd {
 		dNear = idx.DistF(r, a)  // distance to the edge tail
 		dStart = idx.DistF(r, b) // current distance of the search start
 		start = b                // new paths enter through b
@@ -168,8 +172,6 @@ func (idx *Index) findAffected(r uint16, fwd bool, a, b uint32) (findResult, boo
 		return findResult{}, false // the new edge shortens nothing (Λ = ∅)
 	}
 	fr := findResult{
-		rank:    r,
-		fwd:     fwd,
 		newDist: make(map[uint32]graph.Dist, 16),
 		oldDist: make(map[uint32]graph.Dist, 32),
 	}
@@ -181,7 +183,7 @@ func (idx *Index) findAffected(r uint16, fwd bool, a, b uint32) (findResult, boo
 		fr.oldDist[v] = d
 		return d
 	}
-	if fwd {
+	if dir == fwd {
 		fr.oldDist[a] = dNear
 	} else {
 		fr.oldDist[b] = dNear
@@ -221,21 +223,19 @@ func (idx *Index) findAffected(r uint16, fwd bool, a, b uint32) (findResult, boo
 // buffering edits into the delta. Entry checks read the frozen pre-repair
 // labelling and are exact: only this pass touches rank-r entries of its
 // direction, and highway cells of an insertion apply unconditionally.
-func (idx *Index) classifyPass(fr *findResult, d *passDelta) {
-	r := fr.rank
+func (idx *Index) classifyPass(fr *findResult, d *hcl.Delta) {
+	r := d.Rank
 	root := idx.Landmarks[r]
-	labels := idx.Lb
+	labels := idx.Labels(d.Dir)
 	parents := idx.G.Out
-	if fr.fwd {
-		labels = idx.Lf
+	if d.Dir == fwd {
 		parents = idx.G.In
 	}
 	covered := make(map[uint32]bool, len(fr.affected))
 	for _, p := range fr.affected {
 		w, dd := p.V, p.D
-		if s := idx.rankArr[w]; s != noRank {
-			d.cell(s, dd) // d(r→s) decreased on forward passes, d(s→r) on backward
-			d.highway++
+		if s, isL := idx.Rank(w); isL {
+			d.Cell(s, dd) // d(r→s) decreased on forward passes, d(s→r) on backward
 			covered[w] = true
 			continue
 		}
@@ -259,7 +259,7 @@ func (idx *Index) classifyPass(fr *findResult, d *passDelta) {
 				}
 				continue
 			}
-			if idx.rankArr[n] != noRank {
+			if idx.IsLandmark(n) {
 				if n != root {
 					cov = true
 					break
@@ -272,14 +272,10 @@ func (idx *Index) classifyPass(fr *findResult, d *passDelta) {
 			}
 		}
 		covered[w] = cov
-		if cov {
-			if _, had := labels[w].Get(r); had {
-				d.removeEntry(w)
-				d.removed++
-			}
-		} else {
-			d.setEntry(w, dd)
-			d.added++
+		if !cov {
+			d.Set(w, dd)
+		} else if _, had := labels[w].Get(r); had {
+			d.Remove(w)
 		}
 	}
 }

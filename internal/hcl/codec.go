@@ -57,9 +57,6 @@ const maxPad = 1 << 20
 // on the bulk paths.
 const codecChunk = 4096
 
-// maxLandmarks bounds |R|: ranks are u16.
-const maxLandmarks = 1 << 16
-
 // headerLen is the byte length of a stream header over nr landmarks.
 func headerLen(nr int64) int64 { return 4 + 4 + 4 + 4*nr + 4*nr*nr }
 
@@ -234,6 +231,8 @@ func readHeader(r io.Reader, magic string, nv, blocks int) (*Stream, error) {
 	if got := le.Uint32(hdr[4:]); int64(got) != int64(nv) {
 		return nil, fmt.Errorf("index has %d vertices, graph has %d", got, nv)
 	}
+	// Bound the claimed sizes before reading them; validate below checks
+	// everything else.
 	nr := le.Uint32(hdr[8:])
 	if nr == 0 || nr > maxLandmarks {
 		return nil, fmt.Errorf("implausible landmark count %d", nr)
@@ -242,14 +241,12 @@ func readHeader(r io.Reader, magic string, nv, blocks int) (*Stream, error) {
 	if err != nil {
 		return nil, fmt.Errorf("reading landmarks: %w", err)
 	}
-	for _, v := range landmarks {
-		if int64(v) >= int64(nv) {
-			return nil, fmt.Errorf("landmark %d out of range", v)
-		}
-	}
 	highway, err := readU32s(r, int(nr)*int(nr))
 	if err != nil {
 		return nil, fmt.Errorf("reading highway: %w", err)
+	}
+	if err := validate(landmarks, highway, nv, blocks == 1); err != nil {
+		return nil, err
 	}
 	s := &Stream{Landmarks: landmarks, Highway: highway, Labels: make([][]Label, blocks), Packed: make([]*Packed, blocks)}
 	for i := range s.Labels {
@@ -413,43 +410,50 @@ func (p *Packed) attach(labels []Label) {
 }
 
 // WriteTo serialises the labelling (landmarks, highway, labels) to w as a
-// file of its own.
-func (idx *Index) WriteTo(w io.Writer) (int64, error) {
-	n, _, err := idx.WriteToAt(w, 0)
+// file of its own. The graph is serialised separately.
+func (c *Core) WriteTo(w io.Writer) (int64, error) {
+	n, _, err := c.WriteToAt(w, 0)
 	return n, err
 }
 
 // WriteToAt serialises the labelling for a stream starting at absolute
-// offset base of the destination file, so the entry arena lands
-// page-aligned in that file. The returned span names the raw entry area a
-// mapped load will serve in place.
-func (idx *Index) WriteToAt(w io.Writer, base int64) (int64, []Span, error) {
-	return WriteStream(w, codecMagic, idx.Landmarks, idx.H.mat, base, idx.L)
+// offset base of the destination file, so the entry arenas land
+// page-aligned in that file. The returned spans name the raw entry area of
+// each label direction, which a mapped load serves in place.
+func (c *Core) WriteToAt(w io.Writer, base int64) (int64, []Span, error) {
+	tables := make([][]Label, c.kind.Dirs)
+	for d := range tables {
+		tables[d] = c.dirs[d].L
+	}
+	return WriteStream(w, c.kind.Magic, c.Landmarks, c.hw, base, tables...)
+}
+
+// ReadCore decodes a label stream of the given kind over n vertices (see
+// ReadStream); the loaded labelling is already packed, its label blocks
+// being the arenas.
+func ReadCore(r io.Reader, kind Kind, n int) (Core, error) {
+	s, err := ReadStream(r, kind.Magic, n, kind.Dirs)
+	return fromStream(kind, s, nil, err)
+}
+
+// fromStream builds the labelling a decoded or mapped stream describes; m
+// is the mapping its arenas alias, if any.
+func fromStream(kind Kind, s *Stream, m *arena.Mapping, err error) (Core, error) {
+	if err != nil {
+		return Core{}, err
+	}
+	c := Core{Landmarks: s.Landmarks, kind: kind, hw: s.Highway, mapRef: m}
+	for d := range s.Labels {
+		c.dirs[d] = labels{L: s.Labels[d], packed: s.Packed[d]}
+	}
+	c.indexRanks(len(s.Labels[0]))
+	return c, nil
 }
 
 // ReadIndex deserialises a labelling written by WriteTo and attaches it to
 // g, which must be the graph the index was built over (vertex count is
-// checked; callers needing a stronger guarantee can run VerifyCover). The
-// loaded index is already packed: the label block is the arena.
+// checked; callers needing a stronger guarantee can run VerifyCover).
 func ReadIndex(r io.Reader, g *graph.Graph) (*Index, error) {
-	s, err := ReadStream(r, codecMagic, g.NumVertices(), 1)
-	return fromStream(g, s, nil, err)
-}
-
-// fromStream builds the index a decoded or mapped stream describes; m is
-// the mapping its arena aliases, if any.
-func fromStream(g *graph.Graph, s *Stream, m *arena.Mapping, err error) (*Index, error) {
-	if err != nil {
-		return nil, fmt.Errorf("hcl: %w", err)
-	}
-	idx := &Index{
-		G:         g,
-		Landmarks: s.Landmarks,
-		H:         &Highway{k: len(s.Landmarks), mat: s.Highway},
-		L:         s.Labels[0],
-		packed:    s.Packed[0],
-		mapRef:    m,
-	}
-	idx.indexRanks()
-	return idx, nil
+	c, err := ReadCore(r, undirected, g.NumVertices())
+	return attach(g, c, err)
 }

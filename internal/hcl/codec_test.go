@@ -51,12 +51,23 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	retired := func(magic string) string {
 		return magic + buf.String()[len(codecMagic):]
 	}
+	// patch overwrites the u32 at byte offset off of the valid stream: the
+	// landmarks start at 12, the 3×3 highway right after them.
+	patch := func(off int, v uint32) string {
+		b := append([]byte(nil), buf.Bytes()...)
+		binary.LittleEndian.PutUint32(b[off:], v)
+		return string(b)
+	}
+	const lm, hw = 12, 12 + 4*3
 	cases := map[string]string{
-		"empty":     "",
-		"bad magic": "NOPE....",
-		"truncated": "HCL3\x0a\x00\x00\x00",
-		"HCL1":      retired("HCL1"),
-		"HCL2":      retired("HCL2"),
+		"empty":              "",
+		"bad magic":          "NOPE....",
+		"truncated":          "HCL3\x0a\x00\x00\x00",
+		"HCL1":               retired("HCL1"),
+		"HCL2":               retired("HCL2"),
+		"duplicate landmark": patch(lm+4, idx.Landmarks[0]),
+		"non-zero diagonal":  patch(hw+4*4, 1),
+		"asymmetric highway": patch(hw+4*1, idx.Highway(0, 1)+1),
 	}
 	for name, in := range cases {
 		_, err := ReadIndex(strings.NewReader(in), g)
@@ -132,7 +143,7 @@ func TestReadIndexAllocatesByBytes(t *testing.T) {
 	// followed by no entries at all.
 	hugeBlock := header(64)
 	for i := 0; i < 64*64; i++ {
-		hugeBlock = le.AppendUint32(hugeBlock, 1)
+		hugeBlock = le.AppendUint32(hugeBlock, min(uint32(i%65), 1)) // zero diagonal
 	}
 	hugeBlock = le.AppendUint64(hugeBlock, 64*nv)
 	hugeBlock = le.AppendUint64(hugeBlock, 0) // both pads zero

@@ -6,6 +6,14 @@ import (
 	"repro/internal/graph"
 )
 
+// SetEntry writes the entry of landmark rank r in L(v) through the repair
+// merge, as a one-edit delta; RemoveEntry drops it.
+func (idx *Index) SetEntry(v uint32, r uint16, d graph.Dist) {
+	idx.merge(&Delta{Rank: r, ops: []labelOp{{v, d}}}, false)
+}
+
+func (idx *Index) RemoveEntry(v uint32, r uint16) { idx.SetEntry(v, r, graph.Inf) }
+
 // forkFixture builds a small labelled index to fork.
 func forkFixture(t *testing.T) *Index {
 	t.Helper()
@@ -26,8 +34,8 @@ func forkFixture(t *testing.T) *Index {
 
 // snapshotLabels captures a deep copy of the labelling for later comparison.
 func snapshotLabels(idx *Index) []Label {
-	out := make([]Label, len(idx.L))
-	for v, l := range idx.L {
+	out := make([]Label, len(idx.Labels(0)))
+	for v, l := range idx.Labels(0) {
 		out[v] = append(Label(nil), l...)
 	}
 	return out
@@ -38,30 +46,28 @@ func snapshotLabels(idx *Index) []Label {
 func TestForkLabelIsolation(t *testing.T) {
 	idx := forkFixture(t)
 	before := snapshotLabels(idx)
-	hBefore := idx.H.Clone()
+	hBefore := append([]graph.Dist(nil), idx.hw...)
 
 	f := idx.Fork(idx.G.Fork())
-	f.SetEntry(6, 0, 1) // overwrite an entry in place (the dangerous path)
-	f.SetEntry(7, 1, 9) // insert a fresh entry
-	f.RemoveEntry(5, 0) // drop an entry
-	f.H.Set(0, 1, 99)   // highway write
-	f.EnsureVertex(9)   // grow the fork's tables
+	f.SetEntry(6, 0, 1)    // overwrite an entry in place (the dangerous path)
+	f.SetEntry(7, 1, 9)    // insert a fresh entry
+	f.RemoveEntry(5, 0)    // drop an entry
+	f.setHighway(0, 1, 99) // highway write
+	f.EnsureVertex(9)      // grow the fork's tables
 	f.SetEntry(9, 0, 3)
 
 	for v := range before {
-		if !idx.L[v].Equal(before[v]) {
-			t.Fatalf("parent label of %d changed: %v != %v", v, idx.L[v], before[v])
+		if !idx.Labels(0)[v].Equal(before[v]) {
+			t.Fatalf("parent label of %d changed: %v != %v", v, idx.Labels(0)[v], before[v])
 		}
 	}
-	for i := uint16(0); i < 2; i++ {
-		for j := uint16(0); j < 2; j++ {
-			if idx.H.Dist(i, j) != hBefore.Dist(i, j) {
-				t.Fatalf("parent highway (%d,%d) changed", i, j)
-			}
+	for i := range hBefore {
+		if idx.hw[i] != hBefore[i] {
+			t.Fatalf("parent highway cell %d changed", i)
 		}
 	}
-	if len(idx.L) != 8 {
-		t.Fatalf("parent label table grew to %d", len(idx.L))
+	if len(idx.Labels(0)) != 8 {
+		t.Fatalf("parent label table grew to %d", len(idx.Labels(0)))
 	}
 	if d, ok := f.EntryDist(9, 0); !ok || d != 3 {
 		t.Fatalf("fork entry (9,0): %d %v", d, ok)
@@ -69,8 +75,8 @@ func TestForkLabelIsolation(t *testing.T) {
 	if d, ok := f.EntryDist(6, 0); !ok || d != 1 {
 		t.Fatalf("fork overwrite (6,0): %d %v", d, ok)
 	}
-	if f.H.Dist(0, 1) != 99 {
-		t.Fatalf("fork highway write lost: %d", f.H.Dist(0, 1))
+	if f.Highway(0, 1) != 99 || f.Highway(1, 0) != 99 {
+		t.Fatalf("fork highway write lost: %d", f.Highway(0, 1))
 	}
 }
 
@@ -81,11 +87,12 @@ func TestForkSharesUntouchedLabels(t *testing.T) {
 	f := idx.Fork(idx.G.Fork())
 	f.SetEntry(6, 0, 1)
 	touched, shared := 0, 0
-	for v := range idx.L {
-		if len(idx.L[v]) == 0 {
+	parent, fork := idx.Labels(0), f.Labels(0)
+	for v := range parent {
+		if len(parent[v]) == 0 {
 			continue
 		}
-		if &idx.L[v][0] == &f.L[v][0] {
+		if &parent[v][0] == &fork[v][0] {
 			shared++
 		} else {
 			touched++

@@ -29,7 +29,7 @@ func TestBuildPathGraph(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if got := idx.H.Dist(0, 1); got != 6 {
+	if got := idx.Highway(0, 1); got != 6 {
 		t.Errorf("highway 0-6: got %d, want 6", got)
 	}
 	// Every interior vertex lies on the single 0..6 path; its shortest path
@@ -307,24 +307,72 @@ func TestLabelQuickProperty(t *testing.T) {
 }
 
 func TestHighway(t *testing.T) {
-	h := NewHighway(3)
-	if got := h.Dist(1, 1); got != 0 {
-		t.Errorf("diagonal: got %d, want 0", got)
+	for _, kind := range []Kind{undirected, {Magic: "DHL2", Dirs: 2}} {
+		h, err := NewCore(kind, 5, []uint32{0, 2, 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := h.Highway(1, 1); got != 0 {
+			t.Errorf("diagonal: got %d, want 0", got)
+		}
+		if got := h.Highway(0, 2); got != graph.Inf {
+			t.Errorf("unset: got %d, want Inf", got)
+		}
+		h.setHighway(0, 2, 7)
+		if h.Highway(0, 2) != 7 || h.Row(0)[2] != 7 {
+			t.Error("setHighway lost the cell")
+		}
+		if symmetric := h.Highway(2, 0) == 7; symmetric != (kind.Dirs == 1) {
+			t.Errorf("dirs %d: mirrored write = %v", kind.Dirs, symmetric)
+		}
+		c := h.Fork()
+		c.setHighway(0, 2, 9)
+		if h.Highway(0, 2) != 7 {
+			t.Error("Fork must not share the highway")
+		}
+		if h.Bytes() != 9*4 {
+			t.Errorf("Bytes: got %d, want 36", h.Bytes())
+		}
 	}
-	if got := h.Dist(0, 2); got != graph.Inf {
-		t.Errorf("unset: got %d, want Inf", got)
+}
+
+// TestValidate pins the landmark and highway rules every labelling passes
+// through, at the rank limit and on highways a stream could carry.
+func TestValidate(t *testing.T) {
+	seq := func(k int) []uint32 {
+		lm := make([]uint32, k)
+		for i := range lm {
+			lm[i] = uint32(i)
+		}
+		return lm
 	}
-	h.Set(0, 2, 7)
-	if h.Dist(0, 2) != 7 || h.Dist(2, 0) != 7 {
-		t.Error("Set must be symmetric")
+	// Rank 65535 is noRank, so 65535 landmarks is the most a labelling can
+	// hold (validated without building either).
+	if err := validate(seq(maxLandmarks), nil, maxLandmarks+1, true); err != nil {
+		t.Errorf("|R| = %d: %v", maxLandmarks, err)
 	}
-	c := h.Clone()
-	c.Set(0, 2, 9)
-	if h.Dist(0, 2) != 7 {
-		t.Error("Clone must not share storage")
+	if err := validate(seq(maxLandmarks+1), nil, maxLandmarks+1, true); err == nil {
+		t.Errorf("|R| = %d accepted", maxLandmarks+1)
 	}
-	if h.Bytes() != 9*4 {
-		t.Errorf("Bytes: got %d, want 36", h.Bytes())
+	hw := func(cells ...graph.Dist) []graph.Dist { return cells }
+	cases := map[string]struct {
+		landmarks []uint32
+		hw        []graph.Dist
+		symmetric bool
+		ok        bool
+	}{
+		"valid":             {[]uint32{0, 3}, hw(0, 4, 4, 0), true, true},
+		"asymmetric arcs":   {[]uint32{0, 3}, hw(0, 4, graph.Inf, 0), false, true},
+		"no landmarks":      {nil, nil, true, false},
+		"out of range":      {[]uint32{0, 6}, nil, true, false},
+		"duplicate":         {[]uint32{0, 3, 0}, nil, true, false},
+		"non-zero diagonal": {[]uint32{0, 3}, hw(0, 4, 4, 1), true, false},
+		"asymmetric":        {[]uint32{0, 3}, hw(0, 4, 5, 0), true, false},
+	}
+	for name, c := range cases {
+		if err := validate(c.landmarks, c.hw, 6, c.symmetric); (err == nil) != c.ok {
+			t.Errorf("%s: got %v", name, err)
+		}
 	}
 }
 
@@ -341,7 +389,7 @@ func TestIndexBytesAndAvg(t *testing.T) {
 	if got := idx.Bytes(); got != 4*EntryBytes+4 {
 		t.Errorf("Bytes: got %d, want %d", got, 4*EntryBytes+4)
 	}
-	if got := idx.AvgLabelSize(); got != 0.8 {
-		t.Errorf("AvgLabelSize: got %v, want 0.8", got)
+	if got := float64(idx.NumEntries()) / float64(idx.G.NumVertices()); got != 0.8 {
+		t.Errorf("average label size: got %v, want 0.8", got)
 	}
 }

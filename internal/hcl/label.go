@@ -2,7 +2,9 @@
 // the distance-labelling substrate that IncHL+ (Farhan & Wang, EDBT 2021)
 // maintains incrementally: per-vertex landmark distance labels, the
 // landmark-to-landmark highway, static construction, and the exact
-// upper-bound + bounded-search query of Section 3 of the paper.
+// upper-bound + bounded-search query of Section 3 of the paper. Its Core
+// (core.go) and repair engine (repair.go) are the labelling machinery the
+// directed (dhcl) and weighted (whcl) variants share.
 package hcl
 
 import (
@@ -72,7 +74,12 @@ func FindEntry(es []Entry, r uint16) (graph.Dist, bool) {
 
 // Set inserts or updates the entry for rank r, keeping the label sorted,
 // returning the updated label (append semantics, like the built-in append).
+// Appending past the highest rank, the order in which construction fills
+// labels, skips the search.
 func (l Label) Set(r uint16, d graph.Dist) Label {
+	if n := len(l); n == 0 || l[n-1].Rank < r {
+		return append(l, Entry{Rank: r, D: d})
+	}
 	i := sort.Search(len(l), func(i int) bool { return l[i].Rank >= r })
 	if i < len(l) && l[i].Rank == r {
 		l[i].D = d

@@ -121,12 +121,19 @@ func mapBlock(data []byte, nr uint32, labels []Label) (*Packed, int64, error) {
 	return p, blockLen, nil
 }
 
+// MapCore attaches the label stream of the given kind at offset streamOff
+// of the mapping m, serving the entry arenas straight out of the mapped
+// bytes; the labelling pins m for as long as any fork may alias it. Returns
+// ErrNotMappable when this host cannot serve the stream in place — callers
+// fall back to ReadCore.
+func MapCore(m *arena.Mapping, streamOff int64, kind Kind, n int) (Core, error) {
+	s, err := MapStream(m, streamOff, kind.Magic, n, kind.Dirs)
+	return fromStream(kind, s, m, err)
+}
+
 // ReadIndexMapped attaches the index stream at offset streamOff of the
-// mapping m to g, serving the entry arena straight out of the mapped
-// bytes; the index pins m for as long as any fork may alias it. Returns
-// ErrNotMappable when this host cannot serve the stream in place —
-// callers fall back to ReadIndex.
+// mapping m to g (see MapCore).
 func ReadIndexMapped(m *arena.Mapping, streamOff int64, g *graph.Graph) (*Index, error) {
-	s, err := MapStream(m, streamOff, codecMagic, g.NumVertices(), 1)
-	return fromStream(g, s, m, err)
+	c, err := MapCore(m, streamOff, undirected, g.NumVertices())
+	return attach(g, c, err)
 }

@@ -42,7 +42,7 @@ func BenchmarkUpperBound(b *testing.B) {
 		}
 	}
 	b.Run("slice", func(b *testing.B) {
-		idx.packed = nil
+		idx.unpack()
 		run(b)
 	})
 	b.Run("packed", func(b *testing.B) {
@@ -60,13 +60,13 @@ func BenchmarkPack(b *testing.B) {
 	idx, _ := benchKernelIndex(b)
 	b.Run("full", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			PackLabels(idx.L)
+			PackLabels(idx.Labels(0))
 		}
 	})
 	for _, w := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("full-parallel/workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				PackParallel(idx.L, nil, nil, w)
+				PackParallel(idx.Labels(0), nil, nil, w)
 			}
 		})
 	}
@@ -77,8 +77,8 @@ func BenchmarkPack(b *testing.B) {
 	}
 	b.Run("delta", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			fork.packed = nil
-			fork.parent = idx
+			fork.unpack()
+			fork.parent = &idx.Core
 			fork.Pack()
 		}
 	})

@@ -152,8 +152,11 @@ func TestIndexPackLifecycle(t *testing.T) {
 		slice = append(slice, idx.Query(0, v))
 	}
 	idx.Pack()
-	if idx.PackedLabels() == nil {
+	if idx.PackedLabels() == nil || idx.Packed(0) != idx.PackedLabels() {
 		t.Fatal("Pack left the index unpacked")
+	}
+	if idx.PackedBytes() != idx.PackedLabels().ArenaBytes() {
+		t.Fatalf("PackedBytes %d, arena %d", idx.PackedBytes(), idx.PackedLabels().ArenaBytes())
 	}
 	idx.Pack() // idempotent
 	for v := uint32(0); v < 300; v++ {
@@ -162,7 +165,7 @@ func TestIndexPackLifecycle(t *testing.T) {
 		}
 	}
 	idx.SetEntry(7, 1, 2)
-	if idx.PackedLabels() != nil {
+	if idx.PackedLabels() != nil || idx.PackedBytes() != 0 {
 		t.Fatal("label write must drop the packed form")
 	}
 }

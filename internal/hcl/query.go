@@ -17,29 +17,29 @@ func (idx *Index) UpperBound(u, v uint32) graph.Dist {
 	rv, vIsL := idx.Rank(v)
 	switch {
 	case uIsL && vIsL:
-		return idx.H.Dist(ru, rv)
+		return idx.Highway(ru, rv)
 	case uIsL:
-		return idx.landmarkToVertex(ru, v)
+		return LandmarkVia(idx.Row(ru), idx.Label(0, v))
 	case vIsL:
-		return idx.landmarkToVertex(rv, u)
+		return LandmarkVia(idx.Row(rv), idx.Label(0, u))
 	}
-	return UpperBoundVia(idx.H, idx.label(u), idx.label(v))
+	return idx.UpperBoundVia(idx.Label(0, u), idx.Label(0, v))
 }
 
-// UpperBoundVia is the Equation 2 kernel over two entry spans: the minimum
-// of eu.D + δ_H(eu,ev) + ev.D over all entry pairs. It is shared by the
-// packed and slice read paths (spans of the arena or whole labels — the
-// layouts are identical) and streams one highway row per outer entry, so a
-// query touches at most two contiguous entry streams plus |L(u)| rows.
-func UpperBoundVia(h *Highway, lu, lv []Entry) graph.Dist {
-	return UpperBoundMat(h.mat, h.k, lu, lv)
+// UpperBoundVia is the Equation 2 kernel over the core's highway (see
+// UpperBoundMat).
+func (c *Core) UpperBoundVia(lu, lv []Entry) graph.Dist {
+	return UpperBoundMat(c.hw, len(c.Landmarks), lu, lv)
 }
 
-// UpperBoundMat is the same kernel over a flat k×k row-major distance
-// matrix — the form the directed and weighted variants store their highways
-// in, so all three share this one inner loop. For the directed variant lu
-// is the backward label of the source (mat rows are indexed by its ranks)
-// and lv the forward label of the target.
+// UpperBoundMat is the Equation 2 kernel over two entry spans and a flat
+// k×k row-major highway: the minimum of eu.D + δ_H(eu,ev) + ev.D over all
+// entry pairs. All three variants and both label representations (spans of
+// the arena or whole labels — the layouts are identical) share this one
+// inner loop, which streams one highway row per outer entry, so a query
+// touches at most two contiguous entry streams plus |L(u)| rows. For the
+// directed variant lu is the backward label of the source (mat rows are
+// indexed by its ranks) and lv the forward label of the target.
 func UpperBoundMat(mat []graph.Dist, k int, lu, lv []Entry) graph.Dist {
 	best := graph.Inf
 	for _, eu := range lu {
@@ -55,12 +55,6 @@ func UpperBoundMat(mat []graph.Dist, k int, lu, lv []Entry) graph.Dist {
 		}
 	}
 	return best
-}
-
-// landmarkToVertex evaluates Equation 1: d_G(r, v) for landmark rank r and
-// non-landmark v, via v's label and the highway.
-func (idx *Index) landmarkToVertex(r uint16, v uint32) graph.Dist {
-	return LandmarkVia(idx.H.Row(r), idx.label(v))
 }
 
 // LandmarkVia is the Equation 1 kernel: the minimum of δ_H(r, e) + e.D over
@@ -81,9 +75,9 @@ func LandmarkVia(row []graph.Dist, lv []Entry) graph.Dist {
 // is the Q(r, ·, Γ) primitive that drives Algorithm 2 of IncHL+.
 func (idx *Index) LandmarkDist(r uint16, v uint32) graph.Dist {
 	if s, ok := idx.Rank(v); ok {
-		return idx.H.Dist(r, s)
+		return idx.Highway(r, s)
 	}
-	return idx.landmarkToVertex(r, v)
+	return LandmarkVia(idx.Row(r), idx.Label(0, v))
 }
 
 // Query answers an exact distance query Q(u,v,Γ): it computes the highway

@@ -1,0 +1,302 @@
+// The parallel repair engine of all three variants. Every expensive phase
+// of an update is landmark-independent: a task for landmark r in label
+// direction dir — the jumped find search and covered/uncovered
+// classification of an insertion, or the covered-flag rebuild search of a
+// deletion or a construction — reads only the frozen pre-repair
+// labelling, and its edits touch only rank-r entries of its direction and
+// highway cells (r,s) (forward) or (s,r) (backward). Updates therefore fan
+// tasks across workers, each computing a Delta against the unmodified
+// labelling with its own pooled scratch, and after a full barrier a single
+// thread merges the deltas in task order, the serial apply order. The
+// serial path (Workers == 1) runs the identical task+merge code, so the
+// labelling is byte-identical for every worker count.
+//
+// Two invariants make worker-side decisions exact rather than speculative:
+//
+//   - Label writes are rank-scoped. Only landmark r's task touches rank-r
+//     entries of its direction, so the presence and value checks a task
+//     makes against the pre-repair labelling hold unchanged at merge time.
+//   - Highway cells cross landmarks (symmetric kinds mirror (r,s) into
+//     (s,r); on the directed variant the backward pass of s writes the
+//     forward cell of r), but any two tasks that write the same cell in one
+//     update write the same new distance. Insertion repairs never read the
+//     highway, so their cells apply unconditionally. Rebuild searches
+//     compare against the current highway, so their tasks emit candidate
+//     cells wherever the pre-update value differs — a superset of what
+//     serial writes — and the merge re-checks each against the live matrix,
+//     reproducing serial's writes and counts exactly.
+
+package hcl
+
+import (
+	"sync"
+	"time"
+
+	"repro/internal/fanout"
+	"repro/internal/graph"
+	"repro/internal/queue"
+)
+
+// labelOp is one label edit of a delta: set the entry of vertex v to d, or
+// remove it when d is Inf (no label stores an Inf distance). The rank and
+// direction are the delta's.
+type labelOp struct {
+	v uint32
+	d graph.Dist
+}
+
+// hwOp is one highway cell of a delta: (r,s) on a forward or single
+// direction task, (s,r) on a backward one, with the task's rank r implicit.
+type hwOp struct {
+	s uint16
+	d graph.Dist
+}
+
+// Delta is the buffered outcome of one repair task, the edits of landmark
+// Rank in label direction Dir, applied by the merge in task order.
+type Delta struct {
+	Rank uint16
+	Dir  int
+	ops  []labelOp
+	hw   []hwOp
+}
+
+// Set buffers setting the entry of v to d.
+func (d *Delta) Set(v uint32, dist graph.Dist) { d.ops = append(d.ops, labelOp{v, dist}) }
+
+// Remove buffers removing the entry of v.
+func (d *Delta) Remove(v uint32) { d.ops = append(d.ops, labelOp{v, graph.Inf}) }
+
+// Cell buffers the highway cell between the task's landmark and rank s.
+func (d *Delta) Cell(s uint16, dist graph.Dist) { d.hw = append(d.hw, hwOp{s, dist}) }
+
+// Changes counts the edits of a delta: label entries set and removed, and
+// highway cells written.
+type Changes struct{ Added, Removed, Highway int }
+
+// Total is the number of edits.
+func (ch Changes) Total() int { return ch.Added + ch.Removed + ch.Highway }
+
+// Changes counts d's edits; once merged, a delta holds exactly what it
+// changed.
+func (d *Delta) Changes() Changes {
+	ch := Changes{Highway: len(d.hw)}
+	for _, op := range d.ops {
+		if op.d == graph.Inf {
+			ch.Removed++
+		} else {
+			ch.Added++
+		}
+	}
+	return ch
+}
+
+// Touched calls fn for every vertex a merged delta changed: the landmark of
+// each highway cell, then the vertex of each label edit.
+func (c *Core) Touched(d *Delta, fn func(v uint32)) {
+	for _, h := range d.hw {
+		fn(c.Landmarks[h.s])
+	}
+	for _, op := range d.ops {
+		fn(op.v)
+	}
+}
+
+// Scratch is one worker's state for the covered-flag rebuild searches: a
+// distance and a covered flag per vertex and the BFS queue. Variants with
+// other searches embed it in their own worker scratch.
+type Scratch struct {
+	dist    []graph.Dist
+	covered []bool
+	q       queue.Uint32
+}
+
+// Arrays returns the distance and covered vectors sized for n vertices.
+// Their contents are left over from earlier searches.
+func (s *Scratch) Arrays(n int) ([]graph.Dist, []bool) {
+	s.dist, s.covered = Grow(s.dist, n), Grow(s.covered, n)
+	return s.dist, s.covered
+}
+
+// Grow returns s resized to n elements, keeping its contents and extending
+// its storage geometrically, so a table tracking a growing graph is not
+// reallocated per added vertex. Elements beyond the old capacity are zero.
+func Grow[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
+}
+
+// Pool is a package-wide free list of per-worker scratch. Every update
+// draws its workers' scratch from a pool and returns it afterwards: no
+// index or updater holds scratch between updates, so the first repair on a
+// freshly forked index — every epoch a Store publishes — reuses the
+// scratch earlier epochs warmed.
+type Pool[S any] struct{ p sync.Pool }
+
+// Get returns pooled scratch, or a zero one.
+func (p *Pool[S]) Get() *S {
+	if s, ok := p.p.Get().(*S); ok {
+		return s
+	}
+	return new(S)
+}
+
+// Put returns s to the pool.
+func (p *Pool[S]) Put(s *S) { p.p.Put(s) }
+
+// Scratches is the pool of rebuild scratch.
+var Scratches Pool[Scratch]
+
+// Repair runs task for every delta of ds across the core's Workers — each
+// task reads the frozen labelling and fills only its own delta ds[t] — and
+// then merges the deltas in order. Each worker draws its scratch from pool,
+// and tasks are timed through RepairTimer when it is set. recheck selects
+// the rebuild merge, which re-checks every highway cell against the live
+// matrix; insertion deltas apply as they are. Afterwards every delta holds
+// exactly the edits it made (see Changes and Touched).
+func Repair[S any](c *Core, pool *Pool[S], ds []Delta, recheck bool, task func(ws *S, t int, d *Delta)) {
+	if len(ds) == 0 {
+		return
+	}
+	workers := min(fanout.Resolve(c.Workers), len(ds))
+	scs := make([]*S, workers)
+	for i := range scs {
+		scs[i] = pool.Get()
+	}
+	timer := c.RepairTimer
+	fanout.Run(workers, len(ds), func(w, t int) {
+		if timer == nil {
+			task(scs[w], t, &ds[t])
+			return
+		}
+		start := time.Now()
+		task(scs[w], t, &ds[t])
+		timer(time.Since(start))
+	})
+	for _, s := range scs {
+		pool.Put(s)
+	}
+	for i := range ds {
+		c.merge(&ds[i], recheck)
+	}
+}
+
+// merge applies one delta. With recheck, a highway cell the live matrix
+// already holds is dropped — an earlier-merged task wrote the same new
+// distance, and serial would not have written or counted it either.
+func (c *Core) merge(d *Delta, recheck bool) {
+	kept := d.hw[:0]
+	for _, h := range d.hw {
+		i, j := d.Rank, h.s
+		if d.Dir == 1 {
+			i, j = j, i
+		}
+		if recheck && c.Highway(i, j) == h.d {
+			continue
+		}
+		c.setHighway(i, j, h.d)
+		kept = append(kept, h)
+	}
+	d.hw = kept
+	for _, op := range d.ops {
+		c.ownLabel(d.Dir, op.v)
+		L := c.dirs[d.Dir].L
+		if op.d == graph.Inf {
+			L[op.v], _ = L[op.v].Remove(d.Rank)
+		} else {
+			L[op.v] = L[op.v].Set(d.Rank, op.d)
+		}
+	}
+}
+
+// Construct fills an empty labelling: one search per landmark and label
+// direction, fanned across workers (0 = GOMAXPROCS, 1 = serial) and merged
+// in rank order, so every worker count builds the same labelling. search
+// runs the covered-flag search of d.Rank in direction d.Dir and buffers its
+// entries and highway cells into d.
+func Construct[S any](c *Core, pool *Pool[S], workers int, search func(ws *S, d *Delta)) {
+	ds := make([]Delta, 0, c.kind.Dirs*len(c.Landmarks))
+	for r := range c.Landmarks {
+		for dir := 0; dir < c.kind.Dirs; dir++ {
+			ds = append(ds, Delta{Rank: uint16(r), Dir: dir})
+		}
+	}
+	tuned := c.Workers
+	c.Workers = workers
+	Repair(c, pool, ds, true, func(ws *S, _ int, d *Delta) { search(ws, d) })
+	c.Workers = tuned
+}
+
+// RebuildBFS runs the covered-flag BFS of landmark d.Rank over adj — the
+// neighbours, or the out- or in-arcs of a directed pass — and buffers the
+// replacement of its direction's entries and highway cells into d (see
+// Diff). covered(v) holds iff some shortest root–v path contains another
+// landmark; it propagates along shortest-path DAG edges. On an empty
+// labelling this is the construction pass; after a deletion it is the
+// decremental repair of one affected landmark.
+func (c *Core) RebuildBFS(ws *Scratch, d *Delta, adj func(uint32) []uint32) {
+	dist, covered := ws.Arrays(len(c.rankArr))
+	for i := range dist {
+		dist[i] = graph.Inf
+	}
+	root := c.Landmarks[d.Rank]
+	dist[root], covered[root] = 0, false
+	q := &ws.q
+	q.Reset()
+	q.Push(root)
+	for !q.Empty() {
+		v := q.Pop()
+		dv, cv := dist[v], covered[v]
+		for _, w := range adj(v) {
+			switch {
+			case dist[w] == graph.Inf:
+				dist[w] = dv + 1
+				covered[w] = cv || (c.rankArr[w] != noRank && w != root)
+				q.Push(w)
+			case dist[w] == dv+1 && cv:
+				covered[w] = true
+			}
+		}
+	}
+	c.Diff(d, dist, covered)
+}
+
+// Diff buffers into d the edits that make landmark d.Rank's entries and
+// highway cells in direction d.Dir agree with a completed covered-flag
+// search: an entry for every reachable uncovered non-landmark (the minimal
+// labelling of Theorem 5.2: an entry exists iff no shortest path contains
+// another landmark), no entry elsewhere, and the searched distance in every
+// highway cell — Inf for landmarks the graph no longer connects. covered is
+// read only where dist is finite. Label edits are checked against the
+// frozen labelling and exact; highway cells are candidates for the merge to
+// re-check.
+func (c *Core) Diff(d *Delta, dist []graph.Dist, covered []bool) {
+	r := d.Rank
+	root := c.Landmarks[r]
+	L := c.dirs[d.Dir].L
+	for v := range L {
+		if uint32(v) == root {
+			continue
+		}
+		if s := c.rankArr[v]; s != noRank {
+			i, j := r, s
+			if d.Dir == 1 {
+				i, j = s, r
+			}
+			if c.Highway(i, j) != dist[v] {
+				d.Cell(s, dist[v])
+			}
+			continue
+		}
+		old, had := L[v].Get(r)
+		if dist[v] != graph.Inf && !covered[v] {
+			if !had || old != dist[v] {
+				d.Set(uint32(v), dist[v])
+			}
+		} else if had {
+			d.Remove(uint32(v))
+		}
+	}
+}

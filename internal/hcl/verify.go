@@ -40,32 +40,3 @@ func (idx *Index) VerifyMinimal() error {
 	}
 	return idx.EqualLabels(fresh)
 }
-
-// EqualLabels reports whether two indexes hold identical labels and highway,
-// returning a descriptive error on the first difference.
-func (idx *Index) EqualLabels(o *Index) error {
-	if len(idx.L) != len(o.L) {
-		return fmt.Errorf("hcl: label table size differs: %d vs %d", len(idx.L), len(o.L))
-	}
-	for v := range idx.L {
-		if !idx.L[v].Equal(o.L[v]) {
-			return fmt.Errorf("hcl: label of vertex %d differs: %v vs %v", v, idx.L[v], o.L[v])
-		}
-	}
-	if idx.H.k != o.H.k {
-		return fmt.Errorf("hcl: highway size differs: %d vs %d", idx.H.k, o.H.k)
-	}
-	for i := range idx.H.mat {
-		if idx.H.mat[i] != o.H.mat[i] {
-			return fmt.Errorf("hcl: highway entry %d differs: %s vs %s", i, distString(idx.H.mat[i]), distString(o.H.mat[i]))
-		}
-	}
-	return nil
-}
-
-func distString(d graph.Dist) string {
-	if d == graph.Inf {
-		return "inf"
-	}
-	return fmt.Sprintf("%d", d)
-}

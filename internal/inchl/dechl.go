@@ -9,12 +9,10 @@
 // landmarks) keep their entries untouched. Each affected landmark is then
 // patched by re-running its construction BFS over the updated graph — the
 // rebuilds fan across workers, buffering their edits as deltas that a
-// single-threaded merge applies in rank order (see parallel.go).
-//
-// Unlike the insertion-side rebuildLandmark, the decremental rebuild must
-// handle vertices that became unreachable — their entries are dropped and
-// their highway cells reset to Inf — because deletions are the only updates
-// that can disconnect the graph.
+// single-threaded merge applies in rank order (hcl.Repair). The rebuild
+// also drops the entries and resets to Inf the highway cells of vertices
+// that became unreachable, since deletions are the only updates that can
+// disconnect the graph.
 //
 // The resulting labelling is identical to a fresh build (minimality is
 // preserved): rebuilt landmarks get exactly their fresh entries, and for a
@@ -28,6 +26,7 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
+	"repro/internal/hcl"
 )
 
 // DeleteEdge removes the undirected edge (a,b) from the graph and repairs
@@ -36,8 +35,7 @@ import (
 // (graph.ErrEdgeUnknown), mirroring InsertEdge's update model.
 func (u *Updater) DeleteEdge(a, b uint32) (Stats, error) {
 	var st Stats
-	idx := u.Idx
-	g := idx.G
+	g := u.G
 	if !g.HasVertex(a) || !g.HasVertex(b) {
 		return st, fmt.Errorf("inchl: delete (%d,%d): %w", a, b, graph.ErrVertexUnknown)
 	}
@@ -47,13 +45,13 @@ func (u *Updater) DeleteEdge(a, b uint32) (Stats, error) {
 	if !g.HasEdge(a, b) {
 		return st, fmt.Errorf("inchl: delete (%d,%d): %w", a, b, graph.ErrEdgeUnknown)
 	}
-	st.LandmarksTotal = idx.NumLandmarks()
+	st.LandmarksTotal = u.NumLandmarks()
 
 	// Affected test against the pre-delete labelling (still exact here).
-	var affected []uint16
-	for r := 0; r < idx.NumLandmarks(); r++ {
-		if edgeOnDAG(idx.LandmarkDist(uint16(r), a), idx.LandmarkDist(uint16(r), b), 1) {
-			affected = append(affected, uint16(r))
+	var ds []hcl.Delta
+	for r := 0; r < u.NumLandmarks(); r++ {
+		if edgeOnDAG(u.LandmarkDist(uint16(r), a), u.LandmarkDist(uint16(r), b), 1) {
+			ds = append(ds, hcl.Delta{Rank: uint16(r)})
 		} else {
 			st.LandmarksSkipped++
 		}
@@ -62,24 +60,21 @@ func (u *Updater) DeleteEdge(a, b uint32) (Stats, error) {
 	if err := g.RemoveEdge(a, b); err != nil {
 		return st, fmt.Errorf("inchl: delete (%d,%d): %w", a, b, err)
 	}
-	u.sc.ensure(g.NumVertices())
-	u.sizeDeltas(len(affected))
-
-	// Fan one rebuild task per affected landmark against the frozen
-	// labelling; highway cells come back as candidates (where the pre-update
-	// matrix differs) because the serial rebuild compares against live cells.
-	u.fan(len(affected), func(sc *scratch, task int) {
-		d := &u.deltas[task]
-		d.reset()
-		u.rebuildLandmarkDec(sc, affected[task], d)
+	hcl.Repair(&u.Core, &scratches, ds, true, func(sc *scratch, _ int, d *hcl.Delta) {
+		u.RebuildBFS(&sc.Scratch, d, g.Neighbors)
 	})
-
-	// Merge in rank order, with the current epoch's covStamp as the
-	// per-update union set feeding Stats.AffectedUnion.
-	u.sc.bump()
-	for i, r := range affected {
-		u.applyDeltaDec(r, &u.deltas[i], &st)
+	// Every change a rebuild made touches one vertex: AffectedSum counts
+	// them, AffectedUnion the distinct vertices.
+	for i := range ds {
+		ch := ds[i].Changes()
+		st.add(ch)
+		st.AffectedSum += ch.Total()
 	}
+	st.AffectedUnion = u.countDistinct(func(see func(uint32)) {
+		for i := range ds {
+			u.Touched(&ds[i], see)
+		}
+	})
 	return st, nil
 }
 
@@ -92,100 +87,6 @@ func edgeOnDAG(da, db, w graph.Dist) bool {
 		(db != graph.Inf && graph.AddDist(db, w) == da)
 }
 
-// rebuildLandmarkDec re-runs the construction BFS of landmark r over the
-// already-updated graph and buffers the replacement of every r-entry and the
-// full highway row r, including resets to Inf for vertices the deletion
-// disconnected. Label edits are exact (rank-scoped, see parallel.go);
-// highway cells are emitted as candidates wherever the pre-merge matrix
-// disagrees — a superset of the serial writes, which the merge's re-check
-// reduces back to exactly serial's set.
-func (u *Updater) rebuildLandmarkDec(sc *scratch, r uint16, d *repairDelta) {
-	idx := u.Idx
-	g := idx.G
-	n := g.NumVertices()
-	sc.ensureRebuild(n)
-	dist, cover := sc.dist[:n], sc.cover[:n]
-	for i := range dist {
-		dist[i] = graph.Inf
-		cover[i] = false
-	}
-	root := idx.Landmarks[r]
-	dist[root] = 0
-	sc.plainQ.Reset()
-	sc.plainQ.Push(root)
-	for !sc.plainQ.Empty() {
-		v := sc.plainQ.Pop()
-		dv := dist[v]
-		cv := cover[v]
-		for _, w := range g.Neighbors(v) {
-			switch {
-			case dist[w] == graph.Inf:
-				dist[w] = dv + 1
-				cover[w] = cv || (idx.IsLandmark(w) && w != root)
-				sc.plainQ.Push(w)
-			case dist[w] == dv+1 && cv:
-				cover[w] = true
-			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		vv := uint32(v)
-		if vv == root {
-			continue
-		}
-		if s, isL := idx.Rank(vv); isL {
-			if idx.H.Dist(r, s) != dist[v] {
-				d.highway(s, dist[v]) // Inf when the deletion disconnected s
-			}
-			continue
-		}
-		if dist[v] != graph.Inf && !cover[v] {
-			if old, had := idx.EntryDist(vv, r); !had || old != dist[v] {
-				d.setEntry(vv, dist[v])
-			}
-		} else if _, had := idx.EntryDist(vv, r); had {
-			d.removeEntry(vv)
-		}
-	}
-}
-
-// applyDeltaDec applies one decremental delta. Label ops apply and count
-// directly — the worker's change checks were exact. Highway candidates are
-// re-checked against the live matrix: an earlier-rank merge may have already
-// mirror-written the cell to the same new distance (Highway.Set writes both
-// triangles), in which case serial would not have counted it either. The
-// touch accounting — AffectedSum per change, AffectedUnion via the primary
-// scratch's covStamp epoch — runs here, single-threaded, exactly as the
-// serial rebuild interleaved it.
-func (u *Updater) applyDeltaDec(r uint16, d *repairDelta, st *Stats) {
-	idx := u.Idx
-	e := u.sc.epoch
-	touch := func(v uint32) {
-		st.AffectedSum++
-		if u.sc.covStamp[v] != e {
-			u.sc.covStamp[v] = e
-			st.AffectedUnion++
-		}
-	}
-	for _, h := range d.hw {
-		if idx.H.Dist(r, h.s) != h.d {
-			idx.H.Set(r, h.s, h.d)
-			st.HighwayUpdates++
-			touch(idx.Landmarks[h.s])
-		}
-	}
-	for _, op := range d.ops {
-		if op.set {
-			idx.SetEntry(op.v, r, op.d)
-			st.EntriesAdded++
-		} else {
-			idx.RemoveEntry(op.v, r)
-			st.EntriesRemoved++
-		}
-		touch(op.v)
-	}
-}
-
 // DeleteVertex disconnects vertex v by deleting all of its incident edges,
 // one DecHL repair per edge. The vertex itself keeps its id (the paper's
 // contiguous 0..n-1 vertex universe does not renumber); once isolated it is
@@ -193,27 +94,20 @@ func (u *Updater) applyDeltaDec(r uint16, d *repairDelta, st *Stats) {
 // landmark is rejected: landmarks anchor the labelling.
 func (u *Updater) DeleteVertex(v uint32) (Stats, error) {
 	var agg Stats
-	idx := u.Idx
-	g := idx.G
+	g := u.G
 	if !g.HasVertex(v) {
 		return agg, fmt.Errorf("inchl: delete vertex %d: %w", v, graph.ErrVertexUnknown)
 	}
-	if idx.IsLandmark(v) {
+	if u.IsLandmark(v) {
 		return agg, fmt.Errorf("inchl: delete vertex %d: cannot delete a landmark", v)
 	}
-	agg.LandmarksTotal = idx.NumLandmarks()
-	neighbors := append([]uint32(nil), g.Neighbors(v)...)
-	for _, w := range neighbors {
+	agg.LandmarksTotal = u.NumLandmarks()
+	for _, w := range append([]uint32(nil), g.Neighbors(v)...) {
 		st, err := u.DeleteEdge(v, w)
 		if err != nil {
 			return agg, err
 		}
-		agg.LandmarksSkipped += st.LandmarksSkipped
-		agg.AffectedSum += st.AffectedSum
-		agg.AffectedUnion += st.AffectedUnion
-		agg.EntriesAdded += st.EntriesAdded
-		agg.EntriesRemoved += st.EntriesRemoved
-		agg.HighwayUpdates += st.HighwayUpdates
+		agg.plus(st)
 	}
 	return agg, nil
 }

@@ -29,11 +29,11 @@ func TestDeleteEdgeSimplePath(t *testing.T) {
 	if st.LandmarksSkipped != 0 {
 		t.Errorf("shortcut is on the landmark's DAG; skipped = %d", st.LandmarksSkipped)
 	}
-	if d, ok := u.Idx.EntryDist(5, 0); !ok || d != 5 {
+	if d, ok := u.Index.EntryDist(5, 0); !ok || d != 5 {
 		t.Errorf("entry (0,5): got %d,%v want 5", d, ok)
 	}
 	checkAgainstRebuild(t, u)
-	if err := u.Idx.VerifyCover(); err != nil {
+	if err := u.Index.VerifyCover(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -42,15 +42,15 @@ func TestDeleteEdgeSimplePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v := uint32(3); v <= 5; v++ {
-		if _, ok := u.Idx.EntryDist(v, 0); ok {
+		if _, ok := u.Index.EntryDist(v, 0); ok {
 			t.Errorf("vertex %d unreachable but still has an entry", v)
 		}
-		if d := u.Idx.LandmarkDist(0, v); d != graph.Inf {
+		if d := u.Index.LandmarkDist(0, v); d != graph.Inf {
 			t.Errorf("LandmarkDist(0,%d): got %d, want Inf", v, d)
 		}
 	}
 	checkAgainstRebuild(t, u)
-	if err := u.Idx.VerifyCover(); err != nil {
+	if err := u.Index.VerifyCover(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -69,11 +69,11 @@ func TestDeleteEdgeDisconnectsLandmark(t *testing.T) {
 	if _, err := u.DeleteEdge(1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if d := u.Idx.H.Dist(0, 1); d != graph.Inf {
+	if d := u.Highway(0, 1); d != graph.Inf {
 		t.Errorf("highway cell after disconnect: got %d, want Inf", d)
 	}
 	checkAgainstRebuild(t, u)
-	if err := u.Idx.VerifyCover(); err != nil {
+	if err := u.Index.VerifyCover(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -92,7 +92,7 @@ func TestDeleteEdgeErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for {
 		a, b = uint32(rng.Intn(20)), uint32(rng.Intn(20))
-		if a != b && !u.Idx.G.HasEdge(a, b) {
+		if a != b && !u.Index.G.HasEdge(a, b) {
 			break
 		}
 	}
@@ -113,7 +113,7 @@ func TestRandomDeletionsMatchRebuild(t *testing.T) {
 		for step := 0; step < 25; step++ {
 			// Pick an existing edge uniformly-ish.
 			var edges [][2]uint32
-			u.Idx.G.Edges(func(a, b uint32) { edges = append(edges, [2]uint32{a, b}) })
+			u.Index.G.Edges(func(a, b uint32) { edges = append(edges, [2]uint32{a, b}) })
 			if len(edges) == 0 {
 				break
 			}
@@ -123,7 +123,7 @@ func TestRandomDeletionsMatchRebuild(t *testing.T) {
 			}
 			checkAgainstRebuild(t, u)
 		}
-		if err := u.Idx.VerifyCover(); err != nil {
+		if err := u.Index.VerifyCover(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
@@ -136,7 +136,7 @@ func TestDeleteThenReinsert(t *testing.T) {
 	lm := landmark.ByDegree(g, 4)
 	_, u := buildPair(t, g, lm)
 	var edges [][2]uint32
-	u.Idx.G.Edges(func(a, b uint32) { edges = append(edges, [2]uint32{a, b}) })
+	u.Index.G.Edges(func(a, b uint32) { edges = append(edges, [2]uint32{a, b}) })
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 12; i++ {
 		e := edges[rng.Intn(len(edges))]
@@ -157,21 +157,21 @@ func TestDeleteVertexIsolates(t *testing.T) {
 	// Pick a non-landmark vertex with at least one edge.
 	var v uint32
 	for v = 0; ; v++ {
-		if !u.Idx.IsLandmark(v) && u.Idx.G.Degree(v) > 0 {
+		if !u.Index.IsLandmark(v) && u.Index.G.Degree(v) > 0 {
 			break
 		}
 	}
 	if _, err := u.DeleteVertex(v); err != nil {
 		t.Fatal(err)
 	}
-	if u.Idx.G.Degree(v) != 0 {
-		t.Errorf("vertex %d still has %d edges", v, u.Idx.G.Degree(v))
+	if u.Index.G.Degree(v) != 0 {
+		t.Errorf("vertex %d still has %d edges", v, u.Index.G.Degree(v))
 	}
-	if len(u.Idx.L[v]) != 0 {
-		t.Errorf("isolated vertex kept label entries: %v", u.Idx.L[v])
+	if len(u.Labels(0)[v]) != 0 {
+		t.Errorf("isolated vertex kept label entries: %v", u.Labels(0)[v])
 	}
 	checkAgainstRebuild(t, u)
-	if _, err := u.DeleteVertex(u.Idx.Landmarks[0]); err == nil {
+	if _, err := u.DeleteVertex(u.Index.Landmarks[0]); err == nil {
 		t.Error("deleting a landmark must fail")
 	}
 }

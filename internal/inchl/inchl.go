@@ -27,17 +27,18 @@
 // the same classification the paper's two-queue formulation computes.
 //
 // Both phases are landmark-independent, so each update fans per-landmark
-// find+repair tasks across Workers cores: tasks read the frozen pre-repair
+// find+repair tasks across the labelling's workers through the repair
+// engine of internal/hcl (hcl.Repair): tasks read the frozen pre-repair
 // labelling and buffer their edits as deltas, and a single-threaded merge
-// applies them in rank order — see parallel.go for why the result is
-// byte-identical to the serial loop. Per-update state lives in epoch-stamped
-// per-worker scratch, so steady-state updates allocate only the small
-// per-landmark result slices.
+// applies them in rank order, byte-identical to the serial loop. Per-update
+// state lives in epoch-stamped per-worker scratch drawn from a package
+// pool, so steady-state updates allocate only the small per-landmark result
+// slices.
 package inchl
 
 import (
 	"fmt"
-	"time"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/hcl"
@@ -57,42 +58,65 @@ const (
 	RepairRebuild
 )
 
-// Updater maintains a highway cover labelling under insertions.
-// It is not safe for concurrent use: the worker fan-out inside an update is
-// internal, and at most one update runs at a time.
+// Updater maintains a highway cover labelling under insertions and
+// deletions. The index's Workers and RepairTimer tune the per-landmark
+// fan-out of every update (see hcl.Core). It is not safe for concurrent
+// use: the fan-out inside an update is internal, and at most one update
+// runs at a time.
 type Updater struct {
-	Idx *hcl.Index
+	*hcl.Index
 
 	// Strategy selects the repair implementation (default RepairPartial).
 	Strategy RepairStrategy
-
-	// Workers bounds the per-landmark fan-out of the find/repair phases:
-	// 0 (the default) resolves to GOMAXPROCS, 1 forces the serial path,
-	// any other value is used as given. Every worker count produces a
-	// byte-identical labelling and identical Stats.
-	Workers int
-
-	// RepairTimer, when non-nil, observes the wall time of every
-	// per-landmark find+repair task. It is called from worker goroutines
-	// and must be safe for concurrent use.
-	RepairTimer func(time.Duration)
-
-	// sc is worker 0's scratch; it also carries the cross-landmark union
-	// accounting (affectedUnion, decremental touch set), which only the
-	// single-threaded merge uses. Extra workers draw pooled scratches.
-	sc scratch
-
-	finds  []findResult  // per-task find results, reused across updates
-	deltas []repairDelta // per-task repair deltas, reused across updates
 }
 
-// findResult carries one landmark's affected set from the find phase to the
-// repair phase.
+// scratch is one worker's update state: the rebuild scratch of
+// RepairRebuild and DecHL, and epoch-stamped distance arrays for the
+// find/classify phases. A slot of a stamped array is valid only when its
+// stamp equals the current epoch, so per-task resets are O(1) — each task
+// bumps the epoch of the scratch it runs on. Stamps never exceed their
+// scratch's epoch, and that invariant survives pooling because stamps and
+// epoch travel together.
+type scratch struct {
+	hcl.Scratch
+
+	epoch    uint32
+	oldStamp []uint32     // stamps for oldVal
+	oldVal   []graph.Dist // cached pre-update distances d_G(r,·)
+	newStamp []uint32     // stamps for newVal (doubles as the visited set)
+	newVal   []graph.Dist // new distances of affected vertices
+	covStamp []uint32     // stamps for covVal
+	covVal   []bool       // covered classification of processed vertices
+
+	q queue.PairQueue
+}
+
+var scratches hcl.Pool[scratch]
+
+// ensure sizes the stamped arrays for n vertices. Fresh slots carry stamp
+// 0, which bump guarantees is never the current epoch.
+func (s *scratch) ensure(n int) {
+	s.oldStamp, s.oldVal = hcl.Grow(s.oldStamp, n), hcl.Grow(s.oldVal, n)
+	s.newStamp, s.newVal = hcl.Grow(s.newStamp, n), hcl.Grow(s.newVal, n)
+	s.covStamp, s.covVal = hcl.Grow(s.covStamp, n), hcl.Grow(s.covVal, n)
+}
+
+// bump starts a fresh validity epoch, clearing stamps on wraparound.
+func (s *scratch) bump() {
+	if s.epoch == math.MaxUint32 {
+		clear(s.oldStamp)
+		clear(s.newStamp)
+		clear(s.covStamp)
+		s.epoch = 0
+	}
+	s.epoch++
+}
+
+// findResult carries one landmark's affected set from the find phase to
+// the merge.
 type findResult struct {
-	rank     uint16
 	skipped  bool
 	affected []queue.Pair // BFS level order, depth = new distance
-	oldCache []queue.Pair // (vertex, old distance) for every scanned vertex
 }
 
 // Stats reports what a single update did, feeding the paper's Figure 1
@@ -107,9 +131,26 @@ type Stats struct {
 	HighwayUpdates   int // highway cells refreshed
 }
 
+// add counts one merged delta's edits.
+func (st *Stats) add(ch hcl.Changes) {
+	st.EntriesAdded += ch.Added
+	st.EntriesRemoved += ch.Removed
+	st.HighwayUpdates += ch.Highway
+}
+
+// plus aggregates the counters of a component update.
+func (st *Stats) plus(o Stats) {
+	st.LandmarksSkipped += o.LandmarksSkipped
+	st.AffectedSum += o.AffectedSum
+	st.AffectedUnion += o.AffectedUnion
+	st.EntriesAdded += o.EntriesAdded
+	st.EntriesRemoved += o.EntriesRemoved
+	st.HighwayUpdates += o.HighwayUpdates
+}
+
 // New returns an Updater maintaining idx.
 func New(idx *hcl.Index) *Updater {
-	return &Updater{Idx: idx}
+	return &Updater{Index: idx}
 }
 
 // InsertEdge inserts the undirected edge (a,b) into the graph and repairs
@@ -121,8 +162,7 @@ func New(idx *hcl.Index) *Updater {
 // InsertVertex for vertex additions).
 func (u *Updater) InsertEdge(a, b uint32) (Stats, error) {
 	var st Stats
-	idx := u.Idx
-	g := idx.G
+	g := u.G
 	if !g.HasVertex(a) || !g.HasVertex(b) {
 		return st, fmt.Errorf("inchl: insert (%d,%d): %w", a, b, graph.ErrVertexUnknown)
 	}
@@ -132,8 +172,7 @@ func (u *Updater) InsertEdge(a, b uint32) (Stats, error) {
 	if g.HasEdge(a, b) {
 		return st, fmt.Errorf("inchl: insert (%d,%d): %w", a, b, graph.ErrEdgeExists)
 	}
-
-	k := idx.NumLandmarks()
+	k := u.NumLandmarks()
 	st.LandmarksTotal = k
 
 	// The find tasks below read the old labelling, so they see d_G even
@@ -142,71 +181,39 @@ func (u *Updater) InsertEdge(a, b uint32) (Stats, error) {
 	if _, err := g.AddEdge(a, b); err != nil {
 		return st, fmt.Errorf("inchl: insert (%d,%d): %w", a, b, err)
 	}
-	u.sc.ensure(g.NumVertices())
-	u.sizeFinds(k)
-	u.sizeDeltas(k)
-
-	// Fan one find+repair task per landmark against the frozen labelling.
-	u.fan(k, func(sc *scratch, task int) {
-		u.insertTask(sc, uint16(task), a, b)
+	finds := make([]findResult, k)
+	ds := make([]hcl.Delta, k)
+	for r := range ds {
+		ds[r].Rank = uint16(r)
+	}
+	rebuild := u.Strategy == RepairRebuild
+	hcl.Repair(&u.Core, &scratches, ds, rebuild, func(sc *scratch, r int, d *hcl.Delta) {
+		fr := &finds[r]
+		if fr.skipped = !u.findAffected(sc, fr, d.Rank, a, b); fr.skipped {
+			return
+		}
+		if rebuild {
+			u.RebuildBFS(&sc.Scratch, d, g.Neighbors)
+		} else {
+			u.classifyAffected(sc, fr, d)
+		}
 	})
-
-	// Merge the buffered deltas in rank order — the serial apply order.
-	for r := 0; r < k; r++ {
-		fr := &u.finds[r]
-		if fr.skipped {
+	for r := range finds {
+		if finds[r].skipped {
 			st.LandmarksSkipped++
 			continue
 		}
-		st.AffectedSum += len(fr.affected)
-		u.applyDelta(uint16(r), &u.deltas[r], &st)
+		st.AffectedSum += len(finds[r].affected)
+		st.add(ds[r].Changes())
 	}
-	st.AffectedUnion = u.affectedUnion()
-	return st, nil
-}
-
-// insertTask is one landmark's share of an insertion: the jumped find BFS
-// and, when the landmark is affected, the repair classification (or the
-// rebuild ablation), buffered into the task's delta. It only reads the
-// index; every edit waits for the merge.
-func (u *Updater) insertTask(sc *scratch, r uint16, a, b uint32) {
-	fr := &u.finds[r]
-	fr.rank = r
-	fr.affected = fr.affected[:0]
-	fr.oldCache = fr.oldCache[:0]
-	d := &u.deltas[r]
-	d.reset()
-	if !u.findAffected(sc, fr, a, b) {
-		fr.skipped = true
-		return
-	}
-	fr.skipped = false
-	if u.Strategy == RepairRebuild {
-		u.rebuildLandmark(sc, r, d)
-	} else {
-		u.classifyAffected(sc, fr, d)
-	}
-}
-
-// applyDelta applies one insert-path delta: highway cells and label ops are
-// definitive (insert repairs never read the highway, and label checks are
-// rank-scoped), so the merge writes them through and trusts the worker-side
-// counters.
-func (u *Updater) applyDelta(r uint16, d *repairDelta, st *Stats) {
-	idx := u.Idx
-	for _, h := range d.hw {
-		idx.H.Set(r, h.s, h.d)
-	}
-	for _, op := range d.ops {
-		if op.set {
-			idx.SetEntry(op.v, r, op.d)
-		} else {
-			idx.RemoveEntry(op.v, r)
+	st.AffectedUnion = u.countDistinct(func(see func(uint32)) {
+		for _, fr := range finds {
+			for _, p := range fr.affected {
+				see(p.V)
+			}
 		}
-	}
-	st.EntriesAdded += d.stats.EntriesAdded
-	st.EntriesRemoved += d.stats.EntriesRemoved
-	st.HighwayUpdates += d.stats.HighwayUpdates
+	})
+	return st, nil
 }
 
 // InsertVertex adds a new vertex connected to the given existing neighbours
@@ -215,57 +222,49 @@ func (u *Updater) applyDelta(r uint16, d *repairDelta, st *Stats) {
 // and statistics aggregated over the component insertions.
 func (u *Updater) InsertVertex(neighbors []uint32) (uint32, Stats, error) {
 	var agg Stats
-	g := u.Idx.G
+	g := u.G
 	for _, w := range neighbors {
 		if !g.HasVertex(w) {
 			return 0, agg, fmt.Errorf("inchl: insert vertex: neighbour %d: %w", w, graph.ErrVertexUnknown)
 		}
 	}
 	v := g.AddVertex()
-	u.Idx.EnsureVertex(v)
-	agg.LandmarksTotal = u.Idx.NumLandmarks()
+	u.EnsureVertex(v)
+	agg.LandmarksTotal = u.NumLandmarks()
 	for _, w := range neighbors {
 		st, err := u.InsertEdge(v, w)
 		if err != nil {
 			return v, agg, err
 		}
-		agg.LandmarksSkipped += st.LandmarksSkipped
-		agg.AffectedSum += st.AffectedSum
-		agg.AffectedUnion += st.AffectedUnion
-		agg.EntriesAdded += st.EntriesAdded
-		agg.EntriesRemoved += st.EntriesRemoved
-		agg.HighwayUpdates += st.HighwayUpdates
+		agg.plus(st)
 	}
 	return v, agg, nil
 }
 
-// affectedUnion counts distinct affected vertices across all landmarks,
-// using a fresh epoch of the primary scratch's covered-stamp array as the
-// seen set.
-func (u *Updater) affectedUnion() int {
-	u.sc.bump()
-	e := u.sc.epoch
+// countDistinct counts the distinct vertices visit reports, on a fresh
+// epoch of a pooled scratch's covered stamps.
+func (u *Updater) countDistinct(visit func(see func(uint32))) int {
+	sc := scratches.Get()
+	defer scratches.Put(sc)
+	sc.ensure(u.G.NumVertices())
+	sc.bump()
 	count := 0
-	for i := range u.finds {
-		for _, p := range u.finds[i].affected {
-			if u.sc.covStamp[p.V] != e {
-				u.sc.covStamp[p.V] = e
-				count++
-			}
+	visit(func(v uint32) {
+		if sc.covStamp[v] != sc.epoch {
+			sc.covStamp[v] = sc.epoch
+			count++
 		}
-	}
+	})
 	return count
 }
 
 // findAffected is Algorithm 2: the jumped BFS from b collecting Λ_r into fr.
-// It reports false when the landmark can be eliminated because
+// It reports false when landmark r can be eliminated because
 // d_G(r,a) = d_G(r,b). The scratch epoch it stamps old/new distances under
 // stays current for the fused classifyAffected that follows.
-func (u *Updater) findAffected(sc *scratch, fr *findResult, a, b uint32) bool {
-	idx := u.Idx
-	r := fr.rank
-	da := idx.LandmarkDist(r, a)
-	db := idx.LandmarkDist(r, b)
+func (u *Updater) findAffected(sc *scratch, fr *findResult, r uint16, a, b uint32) bool {
+	da := u.LandmarkDist(r, a)
+	db := u.LandmarkDist(r, b)
 	if da == db {
 		return false // Λ_r = ∅ (no shortest path can use (a,b))
 	}
@@ -273,11 +272,11 @@ func (u *Updater) findAffected(sc *scratch, fr *findResult, a, b uint32) bool {
 		a, b = b, a
 		da, db = db, da
 	}
+	sc.ensure(u.G.NumVertices())
 	sc.bump()
 	e := sc.epoch
 	sc.oldStamp[a], sc.oldVal[a] = e, da
 	sc.oldStamp[b], sc.oldVal[b] = e, db
-	fr.oldCache = append(fr.oldCache, queue.Pair{V: a, D: da}, queue.Pair{V: b, D: db})
 	pi := graph.AddDist(da, 1) // new depth of b (Lemma 4.4 jump)
 
 	sc.q.Reset()
@@ -287,17 +286,14 @@ func (u *Updater) findAffected(sc *scratch, fr *findResult, a, b uint32) bool {
 		p := sc.q.Pop()
 		fr.affected = append(fr.affected, p)
 		next := graph.AddDist(p.D, 1)
-		for _, w := range idx.G.Neighbors(p.V) {
+		for _, w := range u.G.Neighbors(p.V) {
 			if sc.newStamp[w] == e {
 				continue // already affected (visited)
 			}
-			var old graph.Dist
-			if sc.oldStamp[w] == e {
-				old = sc.oldVal[w]
-			} else {
-				old = idx.LandmarkDist(r, w)
+			old := sc.oldVal[w]
+			if sc.oldStamp[w] != e {
+				old = u.LandmarkDist(r, w)
 				sc.oldStamp[w], sc.oldVal[w] = e, old
-				fr.oldCache = append(fr.oldCache, queue.Pair{V: w, D: old})
 			}
 			if old >= next {
 				sc.newStamp[w], sc.newVal[w] = e, next
@@ -316,21 +312,19 @@ func (u *Updater) findAffected(sc *scratch, fr *findResult, a, b uint32) bool {
 // distance. It runs fused with findAffected on the same scratch epoch, so
 // the old/new distance stamps are already in place; edits go to the delta,
 // with the entry checks exact because only rank r ever touches r-entries.
-func (u *Updater) classifyAffected(sc *scratch, fr *findResult, d *repairDelta) {
-	idx := u.Idx
-	r := fr.rank
-	root := idx.Landmarks[r]
+func (u *Updater) classifyAffected(sc *scratch, fr *findResult, d *hcl.Delta) {
+	r := d.Rank
+	root := u.Landmarks[r]
 	e := sc.epoch
 	for _, p := range fr.affected {
 		w, dd := p.V, p.D
-		if s, isL := idx.Rank(w); isL {
-			d.highway(s, dd)
-			d.stats.HighwayUpdates++
+		if s, isL := u.Rank(w); isL {
+			d.Cell(s, dd)
 			sc.covStamp[w], sc.covVal[w] = e, true
 			continue
 		}
 		cov := false
-		for _, n := range idx.G.Neighbors(w) {
+		for _, n := range u.G.Neighbors(w) {
 			var nd graph.Dist
 			affected := sc.newStamp[n] == e
 			if affected {
@@ -350,82 +344,23 @@ func (u *Updater) classifyAffected(sc *scratch, fr *findResult, d *repairDelta) 
 				}
 				continue
 			}
-			if idx.IsLandmark(n) {
+			if u.IsLandmark(n) {
 				if n != root {
 					cov = true
 					break
 				}
 				continue
 			}
-			if _, hasEntry := idx.EntryDist(n, r); !hasEntry {
+			if _, hasEntry := u.EntryDist(n, r); !hasEntry {
 				cov = true // unaffected non-landmark without an r-entry is covered
 				break
 			}
 		}
 		sc.covStamp[w], sc.covVal[w] = e, cov
-		if cov {
-			if _, had := idx.EntryDist(w, r); had {
-				d.removeEntry(w)
-				d.stats.EntriesRemoved++
-			}
-		} else {
-			d.setEntry(w, dd)
-			d.stats.EntriesAdded++
-		}
-	}
-}
-
-// rebuildLandmark is the RepairRebuild ablation: rerun the construction BFS
-// of landmark r over the whole (already updated) graph, replacing every
-// r-entry. It produces the same labelling as classifyAffected at full-BFS
-// cost.
-func (u *Updater) rebuildLandmark(sc *scratch, r uint16, d *repairDelta) {
-	idx := u.Idx
-	g := idx.G
-	n := g.NumVertices()
-	sc.ensureRebuild(n)
-	dist, cover := sc.dist[:n], sc.cover[:n]
-	for i := range dist {
-		dist[i] = graph.Inf
-		cover[i] = false
-	}
-	root := idx.Landmarks[r]
-	dist[root] = 0
-	sc.plainQ.Reset()
-	sc.plainQ.Push(root)
-	for !sc.plainQ.Empty() {
-		v := sc.plainQ.Pop()
-		dv := dist[v]
-		cv := cover[v]
-		for _, w := range g.Neighbors(v) {
-			switch {
-			case dist[w] == graph.Inf:
-				dist[w] = dv + 1
-				cover[w] = cv || (idx.IsLandmark(w) && w != root)
-				sc.plainQ.Push(w)
-			case dist[w] == dv+1 && cv:
-				cover[w] = true
-			}
-		}
-	}
-	// Replace all r-entries: remove everywhere, re-add where uncovered.
-	for v := 0; v < n; v++ {
-		vv := uint32(v)
-		if s, isL := idx.Rank(vv); isL {
-			if dist[v] != graph.Inf || vv == root {
-				d.highway(s, dist[v])
-				d.stats.HighwayUpdates++
-			}
-			continue
-		}
-		if dist[v] != graph.Inf && !cover[v] {
-			if old, had := idx.EntryDist(vv, r); !had || old != dist[v] {
-				d.setEntry(vv, dist[v])
-				d.stats.EntriesAdded++
-			}
-		} else if _, had := idx.EntryDist(vv, r); had {
-			d.removeEntry(vv)
-			d.stats.EntriesRemoved++
+		if !cov {
+			d.Set(w, dd)
+		} else if _, had := u.EntryDist(w, r); had {
+			d.Remove(w)
 		}
 	}
 }

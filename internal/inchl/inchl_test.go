@@ -28,11 +28,11 @@ func buildPair(t *testing.T, g *graph.Graph, landmarks []uint32) (*graph.Graph, 
 // preservation of Theorem 5.2, plus exactness of every entry.
 func checkAgainstRebuild(t *testing.T, u *Updater) {
 	t.Helper()
-	fresh, err := hcl.Build(u.Idx.G, u.Idx.Landmarks)
+	fresh, err := hcl.Build(u.Index.G, u.Index.Landmarks)
 	if err != nil {
 		t.Fatalf("rebuild: %v", err)
 	}
-	if err := u.Idx.EqualLabels(fresh); err != nil {
+	if err := u.Index.EqualLabels(fresh); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -54,14 +54,14 @@ func TestInsertEdgeSimplePath(t *testing.T) {
 	if st.AffectedUnion == 0 {
 		t.Error("expected affected vertices")
 	}
-	if d, ok := u.Idx.EntryDist(5, 0); !ok || d != 1 {
+	if d, ok := u.Index.EntryDist(5, 0); !ok || d != 1 {
 		t.Errorf("entry (0,5): got %d,%v want 1", d, ok)
 	}
-	if d, ok := u.Idx.EntryDist(3, 0); !ok || d != 3 {
+	if d, ok := u.Index.EntryDist(3, 0); !ok || d != 3 {
 		t.Errorf("entry (0,3): got %d,%v want 3 (either side of the cycle)", d, ok)
 	}
 	checkAgainstRebuild(t, u)
-	if err := u.Idx.VerifyCover(); err != nil {
+	if err := u.Index.VerifyCover(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -80,20 +80,20 @@ func TestInsertEdgeCoveredRemoval(t *testing.T) {
 		g.MustAddEdge(uint32(i), uint32(i+1))
 	}
 	_, u := buildPair(t, g, []uint32{0, 6})
-	if d, ok := u.Idx.EntryDist(5, 0); !ok || d != 5 {
+	if d, ok := u.Index.EntryDist(5, 0); !ok || d != 5 {
 		t.Fatalf("precondition: entry (0,5): got %d,%v want 5", d, ok)
 	}
 	if _, err := u.InsertEdge(0, 6); err != nil {
 		t.Fatalf("InsertEdge: %v", err)
 	}
-	if _, ok := u.Idx.EntryDist(5, 0); ok {
+	if _, ok := u.Index.EntryDist(5, 0); ok {
 		t.Error("entry for landmark 0 at vertex 5 should be removed (covered by landmark 6)")
 	}
-	if got := u.Idx.H.Dist(0, 1); got != 1 {
+	if got := u.Highway(0, 1); got != 1 {
 		t.Errorf("highway 0-6 after insert: got %d, want 1", got)
 	}
 	checkAgainstRebuild(t, u)
-	if err := u.Idx.VerifyCover(); err != nil {
+	if err := u.Index.VerifyCover(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -158,11 +158,11 @@ func TestInsertEdgeMergesComponents(t *testing.T) {
 		t.Errorf("AffectedUnion: got %d, want 3 (the whole B component)", st.AffectedUnion)
 	}
 	for v, want := range map[uint32]graph.Dist{3: 3, 4: 4, 5: 5} {
-		if d, ok := u.Idx.EntryDist(v, 0); !ok || d != want {
+		if d, ok := u.Index.EntryDist(v, 0); !ok || d != want {
 			t.Errorf("entry (0,%d): got %d,%v want %d", v, d, ok, want)
 		}
 	}
-	if got := u.Idx.Query(0, 5); got != 5 {
+	if got := u.Index.Query(0, 5); got != 5 {
 		t.Errorf("Query(0,5): got %d, want 5", got)
 	}
 	checkAgainstRebuild(t, u)
@@ -180,11 +180,11 @@ func TestInsertEdgeBetweenLandmarks(t *testing.T) {
 	if _, err := u.InsertEdge(0, 3); err != nil {
 		t.Fatalf("InsertEdge: %v", err)
 	}
-	if got := u.Idx.H.Dist(0, 1); got != 1 {
+	if got := u.Highway(0, 1); got != 1 {
 		t.Errorf("highway after landmark-landmark edge: got %d, want 1", got)
 	}
 	checkAgainstRebuild(t, u)
-	if err := u.Idx.VerifyCover(); err != nil {
+	if err := u.Index.VerifyCover(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -205,13 +205,13 @@ func TestRandomInsertionsMatchRebuild(t *testing.T) {
 			}
 			checkAgainstRebuild(t, u)
 		}
-		if err := u.Idx.VerifyCover(); err != nil {
+		if err := u.Index.VerifyCover(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		oracle := testutil.AllPairsOracle(u.Idx.G)
+		oracle := testutil.AllPairsOracle(u.Index.G)
 		for x := 0; x < 70; x++ {
 			for y := 0; y < 70; y++ {
-				if got := u.Idx.Query(uint32(x), uint32(y)); got != oracle[x][y] {
+				if got := u.Index.Query(uint32(x), uint32(y)); got != oracle[x][y] {
 					t.Fatalf("seed %d: Query(%d,%d): got %d, want %d", seed, x, y, got, oracle[x][y])
 				}
 			}
@@ -238,11 +238,11 @@ func TestRandomInsertionsQuickProperty(t *testing.T) {
 				return false
 			}
 		}
-		fresh, err := hcl.Build(u.Idx.G, lm)
+		fresh, err := hcl.Build(u.Index.G, lm)
 		if err != nil {
 			return false
 		}
-		return u.Idx.EqualLabels(fresh) == nil
+		return u.Index.EqualLabels(fresh) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(42))}); err != nil {
 		t.Fatal(err)
@@ -263,11 +263,11 @@ func TestInsertVertex(t *testing.T) {
 	if st.AffectedSum == 0 {
 		t.Error("vertex insertion should affect at least the new vertex")
 	}
-	if !u.Idx.G.HasEdge(v, 7) {
+	if !u.Index.G.HasEdge(v, 7) {
 		t.Error("edge to neighbour 7 missing")
 	}
 	checkAgainstRebuild(t, u)
-	if err := u.Idx.VerifyCover(); err != nil {
+	if err := u.Index.VerifyCover(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -276,7 +276,7 @@ func TestInsertVertex(t *testing.T) {
 	if err != nil {
 		t.Fatalf("InsertVertex(nil): %v", err)
 	}
-	if got := u.Idx.Query(w, 0); got != graph.Inf {
+	if got := u.Index.Query(w, 0); got != graph.Inf {
 		t.Errorf("Query(isolated,0): got %d, want Inf", got)
 	}
 	if _, _, err := u.InsertVertex([]uint32{99}); err == nil {
@@ -298,7 +298,7 @@ func TestRepairRebuildStrategyEquivalence(t *testing.T) {
 			if _, err := rebuild.InsertEdge(e[0], e[1]); err != nil {
 				t.Fatal(err)
 			}
-			if err := partial.Idx.EqualLabels(rebuild.Idx); err != nil {
+			if err := partial.Index.EqualLabels(rebuild.Index); err != nil {
 				t.Fatalf("seed %d: strategies diverged: %v", seed, err)
 			}
 		}
@@ -343,12 +343,12 @@ func TestMinimalitySizeNeverAboveRebuild(t *testing.T) {
 		if _, err := u.InsertEdge(e[0], e[1]); err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := hcl.Build(u.Idx.G, lm)
+		fresh, err := hcl.Build(u.Index.G, lm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if u.Idx.NumEntries() != fresh.NumEntries() {
-			t.Fatalf("size mismatch: inc %d vs rebuild %d", u.Idx.NumEntries(), fresh.NumEntries())
+		if u.Index.NumEntries() != fresh.NumEntries() {
+			t.Fatalf("size mismatch: inc %d vs rebuild %d", u.Index.NumEntries(), fresh.NumEntries())
 		}
 	}
 }

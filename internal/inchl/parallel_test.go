@@ -60,7 +60,7 @@ func TestParallelRepairMatchesSerial(t *testing.T) {
 						seed, w, i, got[i], want[i])
 				}
 			}
-			if err := serial.Idx.EqualLabels(par.Idx); err != nil {
+			if err := serial.Index.EqualLabels(par.Index); err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, w, err)
 			}
 		}
@@ -89,7 +89,7 @@ func TestParallelRebuildStrategyMatchesSerial(t *testing.T) {
 				t.Fatalf("workers %d: op %d stats diverged: got %+v, want %+v", w, i, got[i], want[i])
 			}
 		}
-		if err := serial.Idx.EqualLabels(par.Idx); err != nil {
+		if err := serial.Index.EqualLabels(par.Index); err != nil {
 			t.Fatalf("workers %d: %v", w, err)
 		}
 	}
@@ -123,16 +123,16 @@ func TestParallelRepairQueriesExact(t *testing.T) {
 	_, u := buildPair(t, g, lm)
 	u.Workers = 0 // GOMAXPROCS
 	runMixed(t, u, testutil.NonEdges(g, 10, 77))
-	oracle := testutil.AllPairsOracle(u.Idx.G)
-	n := u.Idx.G.NumVertices()
+	oracle := testutil.AllPairsOracle(u.Index.G)
+	n := u.Index.G.NumVertices()
 	for x := 0; x < n; x++ {
 		for y := 0; y < n; y++ {
-			if got := u.Idx.Query(uint32(x), uint32(y)); got != oracle[x][y] {
+			if got := u.Index.Query(uint32(x), uint32(y)); got != oracle[x][y] {
 				t.Fatalf("Query(%d,%d) = %d, BFS %d", x, y, got, oracle[x][y])
 			}
 		}
 	}
-	if err := u.Idx.VerifyCover(); err != nil {
+	if err := u.Index.VerifyCover(); err != nil {
 		t.Fatal(err)
 	}
 }

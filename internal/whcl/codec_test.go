@@ -2,6 +2,7 @@ package whcl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 )
@@ -77,5 +78,23 @@ func TestCodecRejectsCorruption(t *testing.T) {
 	other := randomWeighted(41, 120, 5, 54)
 	if _, err := ReadIndex(bytes.NewReader(blob), other); err == nil {
 		t.Error("vertex-count mismatch accepted")
+	}
+
+	// A header breaking the labelling's invariants refuses too: the
+	// landmarks start at byte 12, the 3×3 highway right after them.
+	patch := func(off int, v uint32) []byte {
+		bad := append([]byte(nil), blob...)
+		binary.LittleEndian.PutUint32(bad[off:], v)
+		return bad
+	}
+	const lm, hw = 12, 12 + 4*3
+	for name, bad := range map[string][]byte{
+		"duplicate landmark": patch(lm+4, idx.Landmarks[0]),
+		"non-zero diagonal":  patch(hw+4*4, 1),
+		"asymmetric highway": patch(hw+4*1, idx.Highway(0, 1)+1),
+	} {
+		if _, err := ReadIndex(bytes.NewReader(bad), g); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }

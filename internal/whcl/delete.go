@@ -13,8 +13,8 @@ package whcl
 import (
 	"fmt"
 
-	"repro/internal/fanout"
 	"repro/internal/graph"
+	"repro/internal/hcl"
 	"repro/internal/wgraph"
 )
 
@@ -34,16 +34,16 @@ func (idx *Index) DeleteEdge(a, b uint32) (Stats, error) {
 	if w == 0 {
 		return st, fmt.Errorf("whcl: delete (%d,%d): %w", a, b, graph.ErrEdgeUnknown)
 	}
-	st.LandmarksTotal = idx.k
+	st.LandmarksTotal = idx.NumLandmarks()
 
-	var affected []uint16
-	for r := 0; r < idx.k; r++ {
-		da := idx.LandmarkDist(uint16(r), a)
-		db := idx.LandmarkDist(uint16(r), b)
+	var ds []hcl.Delta
+	for r := uint16(0); int(r) < idx.NumLandmarks(); r++ {
+		da := idx.LandmarkDist(r, a)
+		db := idx.LandmarkDist(r, b)
 		onDAG := (da != graph.Inf && graph.AddDist(da, w) == db) ||
 			(db != graph.Inf && graph.AddDist(db, w) == da)
 		if onDAG {
-			affected = append(affected, uint16(r))
+			ds = append(ds, hcl.Delta{Rank: r})
 		} else {
 			st.LandmarksSkipped++
 		}
@@ -52,54 +52,51 @@ func (idx *Index) DeleteEdge(a, b uint32) (Stats, error) {
 	if _, err := g.RemoveEdge(a, b); err != nil {
 		return st, fmt.Errorf("whcl: delete (%d,%d): %w", a, b, err)
 	}
-	idx.rebuildLandmarks(fanout.Resolve(idx.Workers), affected, &st)
+	hcl.Repair(&idx.Core, &scratches, ds, true, func(ws *scratch, _ int, d *hcl.Delta) {
+		idx.rebuildLandmark(ws, d)
+	})
+	for i := range ds {
+		ch := ds[i].Changes()
+		st.add(ch)
+		st.AffectedSum += ch.Total()
+	}
 	return st, nil
 }
 
-// rebuildLandmarkDelta re-runs landmark r's covered-flag Dijkstra over the
-// current graph and buffers the replacement of its entries and highway row,
-// including Inf resets for disconnected vertices. Label edits are
-// pre-checked against the frozen labelling and exact (only rank r touches
-// r-entries); highway cells are candidates the merge re-checks.
-func (idx *Index) rebuildLandmarkDelta(r uint16, ws *passScratch, d *repairDelta) {
-	g := idx.G
-	root := idx.Landmarks[r]
-	n := g.NumVertices()
-	dist, covered := ws.dist[:n], ws.cover[:n]
-	order := g.Dijkstra(root, dist)
-	// Covered pass in settle order: weights ≥ 1 settle every shortest-path
-	// parent strictly earlier.
-	for _, v := range order {
-		covered[v] = idx.rankArr[v] != noRank && v != root
-		if covered[v] {
-			continue
-		}
-		for _, a := range g.Neighbors(v) {
-			if graph.AddDist(dist[a.To], a.W) == dist[v] && covered[a.To] {
-				covered[v] = true
-				break
-			}
-		}
+// rebuildLandmark runs the covered-flag Dijkstra of landmark d.Rank over
+// the current graph and buffers the replacement of its entries and highway
+// row into d, Inf resets for disconnected vertices included (see
+// hcl.Core.Diff). Weights are at least 1, so every shortest-path parent of
+// a vertex settles strictly before it: a vertex's covered flag is final the
+// moment it settles.
+func (idx *Index) rebuildLandmark(ws *scratch, d *hcl.Delta) {
+	dist, covered := ws.Arrays(idx.G.NumVertices())
+	for i := range dist {
+		dist[i] = graph.Inf
 	}
-	for v := 0; v < n; v++ {
-		vv := uint32(v)
-		if vv == root {
-			continue
+	root := idx.Landmarks[d.Rank]
+	dist[root] = 0
+	pq := &ws.pq
+	pq.Reset()
+	pq.PushItem(wgraph.Item{V: root})
+	for pq.Len() > 0 {
+		it := pq.PopItem()
+		v := it.V
+		if it.D != dist[v] {
+			continue // stale queue entry
 		}
-		if s := idx.rankArr[vv]; s != noRank {
-			if idx.Highway(r, s) != dist[v] {
-				d.cell(s, dist[v]) // Inf when disconnected
+		cov := idx.IsLandmark(v) && v != root
+		for _, a := range idx.G.Neighbors(v) {
+			if nd := graph.AddDist(it.D, a.W); nd < dist[a.To] {
+				dist[a.To] = nd
+				pq.PushItem(wgraph.Item{V: a.To, D: nd})
+			} else if !cov && graph.AddDist(dist[a.To], a.W) == it.D && covered[a.To] {
+				cov = true // a settled shortest-path parent is covered
 			}
-			continue
 		}
-		if dist[v] != graph.Inf && !covered[v] {
-			if old, had := idx.L[vv].Get(r); !had || old != dist[v] {
-				d.setEntry(vv, dist[v])
-			}
-		} else if _, had := idx.L[vv].Get(r); had {
-			d.removeEntry(vv)
-		}
+		covered[v] = cov
 	}
+	idx.Diff(d, dist, covered)
 }
 
 // DeleteVertex disconnects vertex v by deleting all of its incident edges.
@@ -110,21 +107,16 @@ func (idx *Index) DeleteVertex(v uint32) (Stats, error) {
 	if !g.HasVertex(v) {
 		return agg, fmt.Errorf("whcl: delete vertex %d: %w", v, graph.ErrVertexUnknown)
 	}
-	if idx.rankArr[v] != noRank {
+	if idx.IsLandmark(v) {
 		return agg, fmt.Errorf("whcl: delete vertex %d: cannot delete a landmark", v)
 	}
-	agg.LandmarksTotal = idx.k
-	arcs := append([]wgraph.Arc(nil), g.Neighbors(v)...)
-	for _, a := range arcs {
+	agg.LandmarksTotal = idx.NumLandmarks()
+	for _, a := range append([]wgraph.Arc(nil), g.Neighbors(v)...) {
 		st, err := idx.DeleteEdge(v, a.To)
 		if err != nil {
 			return agg, err
 		}
-		agg.LandmarksSkipped += st.LandmarksSkipped
-		agg.AffectedSum += st.AffectedSum
-		agg.EntriesAdded += st.EntriesAdded
-		agg.EntriesRemoved += st.EntriesRemoved
-		agg.HighwayUpdates += st.HighwayUpdates
+		agg.plus(st)
 	}
 	return agg, nil
 }

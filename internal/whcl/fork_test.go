@@ -23,11 +23,11 @@ func TestForkUpdateIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels := make([]hcl.Label, len(idx.L))
-	for v, l := range idx.L {
+	labels := make([]hcl.Label, len(idx.Labels(0)))
+	for v, l := range idx.Labels(0) {
 		labels[v] = append(hcl.Label(nil), l...)
 	}
-	hw := append([]uint32(nil), idx.hw...)
+	hw := append(append([]uint32(nil), idx.Row(0)...), idx.Row(1)...)
 	edges := g.NumEdges()
 
 	f := idx.Fork(idx.G.Fork())
@@ -42,12 +42,12 @@ func TestForkUpdateIsolation(t *testing.T) {
 	}
 
 	for v := range labels {
-		if !idx.L[v].Equal(labels[v]) {
-			t.Fatalf("parent label of %d changed: %v != %v", v, idx.L[v], labels[v])
+		if !idx.Labels(0)[v].Equal(labels[v]) {
+			t.Fatalf("parent label of %d changed: %v != %v", v, idx.Labels(0)[v], labels[v])
 		}
 	}
-	for i := range hw {
-		if idx.hw[i] != hw[i] {
+	for i, d := range append(append([]uint32(nil), idx.Row(0)...), idx.Row(1)...) {
+		if d != hw[i] {
 			t.Fatalf("parent highway cell %d changed", i)
 		}
 	}

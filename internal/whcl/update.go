@@ -3,8 +3,8 @@ package whcl
 import (
 	"fmt"
 
-	"repro/internal/fanout"
 	"repro/internal/graph"
+	"repro/internal/hcl"
 	"repro/internal/wgraph"
 )
 
@@ -18,8 +18,24 @@ type Stats struct {
 	HighwayUpdates   int
 }
 
+// add counts one merged delta's edits.
+func (st *Stats) add(ch hcl.Changes) {
+	st.EntriesAdded += ch.Added
+	st.EntriesRemoved += ch.Removed
+	st.HighwayUpdates += ch.Highway
+}
+
+// plus aggregates the counters of a component update.
+func (st *Stats) plus(o Stats) {
+	st.LandmarksSkipped += o.LandmarksSkipped
+	st.AffectedSum += o.AffectedSum
+	st.EntriesAdded += o.EntriesAdded
+	st.EntriesRemoved += o.EntriesRemoved
+	st.HighwayUpdates += o.HighwayUpdates
+}
+
+// findResult carries one landmark's affected set from find to repair.
 type findResult struct {
-	rank     uint16
 	skipped  bool                  // landmark eliminated: the edge shortens nothing
 	affected []wgraph.Item         // settle order: non-decreasing new distance
 	newDist  map[uint32]graph.Dist // affected vertex -> new distance
@@ -45,29 +61,28 @@ func (idx *Index) InsertEdge(a, b uint32, w graph.Dist) (Stats, error) {
 	if _, err := g.AddEdge(a, b, w); err != nil {
 		return st, err
 	}
-	st.LandmarksTotal = idx.k
+	st.LandmarksTotal = idx.NumLandmarks()
 
-	idx.sizeFinds(idx.k)
-	idx.sizeDeltas(idx.k)
-	idx.fan(fanout.Resolve(idx.Workers), idx.k, func(_ *passScratch, t int) {
-		r := uint16(t)
-		d := &idx.deltas[t]
-		d.reset()
-		fr, ok := idx.findAffected(r, a, b, w)
+	finds := make([]findResult, idx.NumLandmarks())
+	ds := make([]hcl.Delta, len(finds))
+	for r := range ds {
+		ds[r].Rank = uint16(r)
+	}
+	hcl.Repair(&idx.Core, &scratches, ds, false, func(_ *scratch, r int, d *hcl.Delta) {
+		fr, ok := idx.findAffected(d.Rank, a, b, w)
 		fr.skipped = !ok
-		idx.finds[t] = fr
+		finds[r] = fr
 		if ok {
-			idx.classifyAffected(&idx.finds[t], d)
+			idx.classifyAffected(&finds[r], d)
 		}
 	})
-	for t := 0; t < idx.k; t++ {
-		fr := &idx.finds[t]
-		if fr.skipped {
+	for r := range finds {
+		if finds[r].skipped {
 			st.LandmarksSkipped++
 			continue
 		}
-		st.AffectedSum += len(fr.affected)
-		idx.applyInsert(uint16(t), &idx.deltas[t], &st)
+		st.AffectedSum += len(finds[r].affected)
+		st.add(ds[r].Changes())
 	}
 	return st, nil
 }
@@ -82,17 +97,13 @@ func (idx *Index) InsertVertex(arcs []wgraph.Arc) (uint32, Stats, error) {
 	}
 	v := idx.G.AddVertex()
 	idx.EnsureVertex(v)
-	agg.LandmarksTotal = idx.k
+	agg.LandmarksTotal = idx.NumLandmarks()
 	for _, a := range arcs {
 		st, err := idx.InsertEdge(v, a.To, a.W)
 		if err != nil {
 			return v, agg, err
 		}
-		agg.LandmarksSkipped += st.LandmarksSkipped
-		agg.AffectedSum += st.AffectedSum
-		agg.EntriesAdded += st.EntriesAdded
-		agg.EntriesRemoved += st.EntriesRemoved
-		agg.HighwayUpdates += st.HighwayUpdates
+		agg.plus(st)
 	}
 	return v, agg, nil
 }
@@ -115,7 +126,6 @@ func (idx *Index) findAffected(r uint16, a, b uint32, w graph.Dist) (findResult,
 		return findResult{}, false // Λ_r = ∅: no shortest path can use (a,b)
 	}
 	fr := findResult{
-		rank:    r,
 		newDist: make(map[uint32]graph.Dist, 16),
 		oldDist: make(map[uint32]graph.Dist, 32),
 	}
@@ -158,15 +168,15 @@ func (idx *Index) findAffected(r uint16, a, b uint32, w graph.Dist) (findResult,
 // covered itself. Edits are buffered into the delta; entry checks read the
 // frozen pre-repair labelling and are exact because only rank r ever touches
 // r-entries, and insertion highway cells apply unconditionally.
-func (idx *Index) classifyAffected(fr *findResult, d *repairDelta) {
-	r := fr.rank
+func (idx *Index) classifyAffected(fr *findResult, d *hcl.Delta) {
+	r := d.Rank
 	root := idx.Landmarks[r]
+	labels := idx.Labels(0)
 	covered := make(map[uint32]bool, len(fr.affected))
 	for _, it := range fr.affected {
 		v, dd := it.V, it.D
-		if s := idx.rankArr[v]; s != noRank {
-			d.cell(s, dd)
-			d.highway++
+		if s, isL := idx.Rank(v); isL {
+			d.Cell(s, dd)
 			covered[v] = true
 			continue
 		}
@@ -191,27 +201,23 @@ func (idx *Index) classifyAffected(fr *findResult, d *repairDelta) {
 				}
 				continue
 			}
-			if idx.rankArr[n] != noRank {
+			if idx.IsLandmark(n) {
 				if n != root {
 					cov = true
 					break
 				}
 				continue
 			}
-			if _, has := idx.L[n].Get(r); !has {
+			if _, has := labels[n].Get(r); !has {
 				cov = true
 				break
 			}
 		}
 		covered[v] = cov
-		if cov {
-			if _, has := idx.L[v].Get(r); has {
-				d.removeEntry(v)
-				d.removed++
-			}
-		} else {
-			d.setEntry(v, dd)
-			d.added++
+		if !cov {
+			d.Set(v, dd)
+		} else if _, has := labels[v].Get(r); has {
+			d.Remove(v)
 		}
 	}
 }

@@ -3,12 +3,10 @@ package dynhl
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/arena"
 	"repro/internal/dhcl"
 	"repro/internal/hcl"
-	"repro/internal/inchl"
 	"repro/internal/whcl"
 )
 
@@ -29,25 +27,6 @@ var ErrNotMappable = hcl.ErrNotMappable
 // paths below return an error and callers fall back to copy-in loads.
 func MmapSupported() bool { return arena.Supported() }
 
-// SaveAt is Save for a stream landing at absolute offset base of a larger
-// file, such as a checkpoint: entry arenas are page-aligned relative to
-// the file, and the returned span names the entry arena within it.
-func (x *Index) SaveAt(w io.Writer, base int64) (int64, []Span, error) {
-	return x.idx.WriteToAt(w, base)
-}
-
-// SaveAt is Save for a stream landing at absolute offset base of its file;
-// the spans name both directions' entry arenas.
-func (x *DirectedIndex) SaveAt(w io.Writer, base int64) (int64, []Span, error) {
-	return x.idx.WriteToAt(w, base)
-}
-
-// SaveAt is Save for a stream landing at absolute offset base of its file;
-// the span names the entry arena.
-func (x *WeightedIndex) SaveAt(w io.Writer, base int64) (int64, []Span, error) {
-	return x.idx.WriteToAt(w, base)
-}
-
 // LoadIndexMapped attaches the labelling stored at offset off of the
 // mapped region m to g, serving label entries straight out of the mapped
 // bytes — the index holds the mapping alive for as long as any snapshot
@@ -59,7 +38,7 @@ func LoadIndexMapped(m *arena.Mapping, off int64, g *Graph) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{idx: idx, upd: inchl.New(idx)}, nil
+	return newIndex(idx), nil
 }
 
 // mapFile mmaps the label file at path and attaches it with attach; the
@@ -81,45 +60,6 @@ func mapFile[T any](path string, attach func(*arena.Mapping) (T, error)) (T, err
 	return x, err
 }
 
-// LoadMappedFile swaps in the labelling saved at path, like Load but
-// serving entries straight out of an mmap of the file. The file must have
-// been saved over the index's current graph. ErrNotMappable when this host
-// cannot serve it in place — fall back to Load.
-func (x *Index) LoadMappedFile(path string) error {
-	idx, err := mapFile(path, func(m *arena.Mapping) (*hcl.Index, error) {
-		return hcl.ReadIndexMapped(m, 0, x.idx.G)
-	})
-	if err != nil {
-		return err
-	}
-	x.adopt(idx)
-	return nil
-}
-
-// LoadMappedFile is the directed variant's mapped label-file load.
-func (x *DirectedIndex) LoadMappedFile(path string) error {
-	idx, err := mapFile(path, func(m *arena.Mapping) (*dhcl.Index, error) {
-		return dhcl.ReadIndexMapped(m, 0, x.idx.G)
-	})
-	if err != nil {
-		return err
-	}
-	x.adopt(idx)
-	return nil
-}
-
-// LoadMappedFile is the weighted variant's mapped label-file load.
-func (x *WeightedIndex) LoadMappedFile(path string) error {
-	idx, err := mapFile(path, func(m *arena.Mapping) (*whcl.Index, error) {
-		return whcl.ReadIndexMapped(m, 0, x.idx.G)
-	})
-	if err != nil {
-		return err
-	}
-	x.adopt(idx)
-	return nil
-}
-
 // MapIndexFile mmaps the label file at path and attaches it to g
 // zero-copy. The mapping is owned by the returned index and unmapped by
 // the garbage collector once no snapshot aliases it; the file may be
@@ -137,7 +77,7 @@ func MapDirectedIndexFile(path string, g *Digraph) (*DirectedIndex, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &DirectedIndex{idx: idx}, nil
+		return newDirected(idx), nil
 	})
 }
 
@@ -148,6 +88,6 @@ func MapWeightedIndexFile(path string, g *WeightedGraph) (*WeightedIndex, error)
 		if err != nil {
 			return nil, err
 		}
-		return &WeightedIndex{idx: idx}, nil
+		return newWeighted(idx), nil
 	})
 }
