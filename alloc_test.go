@@ -191,12 +191,15 @@ func TestFreshEpochQueryZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestForkedRepairAllocs pins that repair scratch outlives forks: every
-// Store epoch repairs a freshly forked index, so the first insert and the
-// first delete on a fork must draw every worker's O(|V|) search state from
-// the package pools rather than allocate it. The garbage collector is off
-// so pooled scratch survives, and one P keeps the test on one per-P pool
-// slot. The first round warms the pools; the second is measured.
+// TestForkedRepairAllocs pins that a fork costs next to nothing and that
+// repair scratch outlives forks. Every Store epoch repairs a freshly forked
+// index: the fork itself must allocate at most 1 B/vertex (it copies chunk
+// directories, not per-vertex headers), and the first write on it must draw
+// every worker's O(|V|) search state from the package pools rather than
+// allocate it, paying beyond that only for the chunks it copies. The
+// garbage collector is off so pooled scratch survives, and one P keeps the
+// test on one per-P pool slot. The first round warms the pools; the second
+// is measured.
 func TestForkedRepairAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the gate runs in normal builds")
@@ -231,18 +234,40 @@ func TestForkedRepairAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each case deletes an arc out of landmark 0, which lies on that
-	// landmark's shortest-path DAG, so the delete runs a rebuild search.
+	// Each case deletes two arcs on landmark 0's shortest-path DAG, so both
+	// deletes run a repair search. near leaves the landmark: it changes many
+	// labels and so copies many label chunks. far enters the vertex
+	// farthest from the landmark and changes few. dirs is the variant's
+	// number of label directions.
 	lu, ld, lw := u.Landmarks()[0], d.Landmarks()[0], w.Landmarks()[0]
 	cases := []struct {
-		name string
-		o    variant
-		has  func(u, v uint32) bool
-		del  [2]uint32
+		name      string
+		o         variant
+		dirs      int
+		has       func(u, v uint32) bool
+		near, far [2]uint32
 	}{
-		{"undirected", u, g.HasEdge, [2]uint32{lu, g.Neighbors(lu)[0]}},
-		{"directed", d, dg.HasEdge, [2]uint32{ld, dg.Out(ld)[0]}},
-		{"weighted", w, wg.HasEdge, [2]uint32{lw, wg.Neighbors(lw)[0].To}},
+		{"undirected", u, 1, g.HasEdge, [2]uint32{lu, g.Neighbors(lu)[0]},
+			farthestArc(t, n, func(v uint32) Dist { return u.upd.LandmarkDist(0, v) },
+				func(v uint32, fn func(p uint32, w Dist)) {
+					for _, p := range g.Neighbors(v) {
+						fn(p, 1)
+					}
+				})},
+		{"directed", d, 2, dg.HasEdge, [2]uint32{ld, dg.Out(ld)[0]},
+			farthestArc(t, n, func(v uint32) Dist { return d.idx.DistF(0, v) },
+				func(v uint32, fn func(p uint32, w Dist)) {
+					for _, p := range dg.In(v) {
+						fn(p, 1)
+					}
+				})},
+		{"weighted", w, 1, wg.HasEdge, [2]uint32{lw, wg.Neighbors(lw)[0].To},
+			farthestArc(t, n, func(v uint32) Dist { return w.idx.LandmarkDist(0, v) },
+				func(v uint32, fn func(p uint32, w Dist)) {
+					for _, a := range wg.Neighbors(v) {
+						fn(a.To, a.W)
+					}
+				})},
 	}
 	allocated := func(f func() error) uint64 {
 		var before, after runtime.MemStats
@@ -256,26 +281,74 @@ func TestForkedRepairAllocs(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			for round := 0; round < 2; round++ {
-				f := c.o.fork()
 				var a, b uint32
 				for a == b || c.has(a, b) {
 					a, b = uint32(rng.Intn(n)), uint32(rng.Intn(n))
 				}
-				ins := allocated(func() error { _, err := f.InsertEdge(a, b, 1); return err })
-				del := allocated(func() error { _, err := f.DeleteEdge(c.del[0], c.del[1]); return err })
-				if round == 0 {
-					continue
+				// Every write is the first on its own fresh fork, so it pays
+				// the chunk copies a fork defers to the first write: 512 row
+				// headers of 24 B per chunk, 13 KiB with the allocator's
+				// rounding. The insert and the far delete touch few chunks and
+				// must stay under 8 B/vertex. The near delete changes labels
+				// in nearly every chunk of a direction, so it is gated
+				// together with its fork: 8 B/vertex plus at most one copy of
+				// each label direction's headers, 28 B/vertex — the copy the
+				// eager fork used to make up front, and no more.
+				writes := []struct {
+					name    string
+					op      func(f variant) error
+					chunked bool
+				}{
+					{"InsertEdge", func(f variant) error { _, err := f.InsertEdge(a, b, 1); return err }, false},
+					{"DeleteEdge near landmark", func(f variant) error { _, err := f.DeleteEdge(c.near[0], c.near[1]); return err }, true},
+					{"DeleteEdge far from landmark", func(f variant) error { _, err := f.DeleteEdge(c.far[0], c.far[1]); return err }, false},
 				}
-				t.Logf("InsertEdge %d B, DeleteEdge %d B on %d vertices", ins, del, n)
-				if ins >= 8*n {
-					t.Errorf("InsertEdge on a fresh fork allocated %d bytes (%.1f B/vertex)", ins, float64(ins)/n)
-				}
-				if del >= 8*n {
-					t.Errorf("DeleteEdge on a fresh fork allocated %d bytes (%.1f B/vertex)", del, float64(del)/n)
+				for _, wr := range writes {
+					var f variant
+					fork := allocated(func() error { f = c.o.fork(); return nil })
+					op := allocated(func() error { return wr.op(f) })
+					if round == 0 {
+						continue
+					}
+					t.Logf("fork %d B, %s %d B on %d vertices", fork, wr.name, op, n)
+					if fork > n {
+						t.Errorf("fork allocated %d bytes (%.2f B/vertex), want at most 1 B/vertex", fork, float64(fork)/n)
+					}
+					if wr.chunked {
+						if limit := uint64(8+28*c.dirs) * n; fork+op > limit {
+							t.Errorf("fork + %s allocated %d bytes (%.1f B/vertex), want at most %d B/vertex",
+								wr.name, fork+op, float64(fork+op)/n, limit/n)
+						}
+					} else if op >= 8*n {
+						t.Errorf("%s on a fresh fork allocated %d bytes (%.1f B/vertex)", wr.name, op, float64(op)/n)
+					}
 				}
 			}
 		})
 	}
+}
+
+// farthestArc returns the arc (p, v) into the vertex v at the largest
+// finite distance from a landmark, from a shortest-path parent p of v.
+// parents calls fn with every in-neighbour of v and the arc's weight.
+func farthestArc(t *testing.T, n int, dist func(uint32) Dist, parents func(v uint32, fn func(p uint32, w Dist))) [2]uint32 {
+	t.Helper()
+	far, best := uint32(0), Dist(0)
+	for v := uint32(0); v < uint32(n); v++ {
+		if dv := dist(v); dv != Inf && dv > best {
+			far, best = v, dv
+		}
+	}
+	arc := [2]uint32{far, far}
+	parents(far, func(p uint32, w Dist) {
+		if arc[0] == far && dist(p)+w == best {
+			arc[0] = p
+		}
+	})
+	if arc[0] == far {
+		t.Fatalf("vertex %d at distance %d has no shortest-path parent", far, best)
+	}
+	return arc
 }
 
 // TestPackedSurvivesPublish pins the pack-on-publish cycle: every epoch a

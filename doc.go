@@ -17,8 +17,11 @@
 // by the decremental counterpart DecHL: the removed edge is tested against
 // each landmark's labelled distances (it lies on a landmark's shortest-path
 // DAG iff the endpoint distances differ by exactly the edge weight), and
-// only the affected landmarks re-run their covered search to patch labels
-// and highway entries, resetting to Inf whatever the deletion disconnected.
+// only the affected landmarks are repaired, resetting to Inf whatever the
+// deletion disconnected. On unweighted graphs the repair is local, in the
+// manner of Ramalingam and Reps' decremental shortest paths: it visits the
+// vertices whose distance grows and those whose covered flag can flip, not
+// the graph; the weighted variant re-runs the landmark's covered Dijkstra.
 // The repaired labelling is identical to a fresh build, so minimality is
 // preserved in both directions of churn.
 //
@@ -65,10 +68,13 @@
 //     query, and a batch of queries is always answered by a single version.
 //
 //   - The writer applies a batch of ops to a private copy-on-write fork of
-//     the index (only the adjacency lists and per-vertex label slices the
-//     repairs actually touch are copied; everything else is shared
-//     structurally with the published snapshot) and then publishes the fork
-//     atomically as the next epoch. One fork amortises across the batch.
+//     the index and then publishes the fork atomically as the next epoch.
+//     A fork copies chunk directories and one bit per vertex, not the
+//     per-vertex tables; a repair copies only the 512-vertex chunks of
+//     adjacency and label headers it writes, plus the lists and labels
+//     themselves, and shares everything else structurally with the
+//     published snapshot (internal/cow). One fork amortises across the
+//     batch.
 //
 //   - A batch that fails mid-way is discarded whole: the epoch does not
 //     advance and readers never observe a half-applied batch.
@@ -127,11 +133,15 @@
 //
 // The three variants share one labelling core, internal/hcl's Core: the
 // landmarks and their rank table, the k×k highway, one label direction
-// (two on the directed variant, forward and backward) with its
-// copy-on-write bits and packed form, and the repair knobs. Fork, pack,
-// serialisation and the repair engine are implemented there once; a
-// variant adds only its query kernels (BFS or Dijkstra, out- or in-edges)
-// and the searches that find what an update changed.
+// (two on the directed variant, forward and backward) as a copy-on-write
+// table with its packed form, and the repair knobs. Fork, pack,
+// serialisation and the repair engine are implemented there once, and so
+// is the local DecHL repair of the two unit-weight variants
+// (Core.RepairDeletion: affected set, new distances, covered-flag
+// propagation). A variant adds only its query kernels (BFS or Dijkstra,
+// out- or in-edges), the searches that find what an insertion changed, and
+// its deletions' affected test; the weighted one keeps a covered-Dijkstra
+// rebuild for deletions.
 //
 // Inside one repair, the per-landmark work is independent by construction:
 // landmark r's repair writes only rank-r label entries and highway row r,
@@ -150,15 +160,18 @@
 // its rebuilt chunks concurrently under the same bound.
 // Store.SetRepairWorkers retunes a live store; every worker draws its
 // search scratch from a package pool, so the repair of a freshly forked
-// epoch allocates nothing per vertex beyond the labels it rewrites.
+// epoch allocates nothing per vertex beyond the chunks and labels it
+// rewrites.
 //
-// # Two label representations: mutable slices, packed arena
+// # Two label representations: a copy-on-write table, a packed arena
 //
 // The labelling lives in two forms, split along the same read/write line as
 // the snapshots, both held by the core for every label direction. The
-// mutable build/update representation is one entry slice per vertex:
-// IncHL+ and DecHL repair it in place, copy-on-write forks share untouched
-// slices with their parent, and it remains the source of truth. The packed
+// mutable build/update representation is one entry slice per vertex, held
+// in 512-vertex chunks of a copy-on-write table (internal/cow, the same
+// table that holds the graphs' adjacency): IncHL+ and DecHL repair it in
+// place, a fork shares every chunk and slice with its parent until it
+// writes one, and it remains the source of truth. The packed
 // read representation (hcl.Packed) flattens those labels into a single
 // contiguous entry arena indexed by a CSR offset table: a published
 // snapshot answers a query by slicing the arena — no per-vertex pointer
@@ -171,15 +184,16 @@
 // After a batch's repairs succeed on the private fork, the labelling is
 // frozen into the packed form before the epoch becomes visible, so readers
 // only ever see packed snapshots while the updater only ever touches
-// slices. The pack is delta-aware — the arena is chunked by vertex range,
-// and a fork reuses by reference every chunk of its parent's arena whose
-// labels the batch did not touch — so an epoch touching k vertices repacks
-// O(k) labels, not O(|V|). Any label write drops the packed form (the two
-// can never disagree); plain unwrapped indexes simply stay on the slice
-// path. Stats reports the arena's footprint as PackedBytes, and the one
-// stream codec of the core writes each label direction as one CSR block,
-// which is what makes a checkpoint load (and PUT /labels) a bulk copy that
-// arrives already packed.
+// tables. The pack is delta-aware — the arena is chunked by the table's
+// 512-vertex chunks, and a fork reuses by reference every chunk of its
+// parent's arena whose table chunk the batch did not write — so an epoch
+// touching k vertices repacks at most k chunks, not O(|V|). Any label
+// write drops the packed form (the two can never disagree); plain
+// unwrapped indexes simply stay on the table. Stats reports the arena's
+// footprint as PackedBytes, and the one stream codec of the core writes
+// each label direction straight from the table as one CSR block, which is
+// what makes a checkpoint load (and PUT /labels) a bulk copy that arrives
+// already packed, its table chunks pointing into the arena.
 //
 // # Durability: write-ahead log and checkpoints
 //

@@ -161,6 +161,22 @@ func TestGoldenCheckpoint(t *testing.T) {
 	if err := want.Save(&wantLabels); err != nil {
 		t.Fatal(err)
 	}
+	// The writer reproduces the golden file byte for byte.
+	dir := t.TempDir()
+	d, err := wal.Create(dir, want, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(written, golden) {
+		t.Fatalf("checkpoint writer output (%d bytes) differs from the golden file (%d bytes)", len(written), len(golden))
+	}
 	for _, mode := range []wal.MapMode{wal.MapOff, wal.MapAuto} {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, name), golden, 0o644); err != nil {

@@ -3,6 +3,7 @@ package dynhl
 import (
 	"bytes"
 	"io"
+	"math/rand"
 	"os"
 	"testing"
 
@@ -143,6 +144,91 @@ func FuzzPackedDifferential(f *testing.F) {
 		final := st.Unwrap().(*Index)
 		if err := final.upd.EqualLabels(plain.upd.Index); err != nil {
 			t.Fatalf("packed store and slice index labellings diverged: %v", err)
+		}
+	})
+}
+
+// FuzzDeleteMatchesBuild drives fuzz-derived edge deletions and insertions
+// through the undirected and the directed index and requires the labelling
+// after every op to equal a fresh build over the same graph and landmarks:
+// the local DecHL repair must reproduce a rebuild exactly. It is the
+// differential FuzzPackedDifferential cannot be, since both indexes that
+// one compares run the same repair. The first byte shapes the random graph
+// (vertex count and density, from forests full of bridges to about two
+// edges per vertex), the second picks the random landmark set's size and
+// the repair fan-out; each later pair of bytes names an arc, deleted when
+// present and inserted otherwise.
+func FuzzDeleteMatchesBuild(f *testing.F) {
+	f.Add([]byte{7, 3, 1, 2, 3, 4, 5, 6, 1, 2, 9, 9, 0, 5, 2, 1})
+	f.Add([]byte{200, 17, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0, 0, 1, 1, 2})
+	f.Add([]byte{90, 250, 12, 40, 40, 12, 3, 3, 33, 7, 7, 33, 21, 2, 2, 21, 12, 40})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n := 10 + int(data[0]%24)
+		m := n*(1+int(data[0]/64))/2 + int(data[0]%7)
+		k := 1 + int(data[1]%8)
+		opt := Options{RepairWorkers: 1 + int(data[1]/8)%3}
+		rng := rand.New(rand.NewSource(int64(data[0])<<8 | int64(data[1])))
+		ug, dg := NewGraph(n), NewDigraph(n)
+		for i := 0; i < n; i++ {
+			ug.AddVertex()
+			dg.AddVertex()
+		}
+		for i := 0; i < m; i++ {
+			if a, b := uint32(rng.Intn(n)), uint32(rng.Intn(n)); a != b {
+				ug.AddEdge(a, b)
+				dg.AddEdge(a, b)
+			}
+		}
+		var lms []uint32
+		for _, v := range rng.Perm(n)[:k] {
+			lms = append(lms, uint32(v))
+		}
+		u, err := BuildWithLandmarks(ug, lms, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := BuildDirectedWithLandmarks(dg, lms, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 2; i+1 < len(data) && i < 2+2*64; i += 2 {
+			a, b := uint32(data[i])%uint32(n), uint32(data[i+1])%uint32(n)
+			if a == b {
+				continue
+			}
+			if ug.HasEdge(a, b) {
+				_, err = u.DeleteEdge(a, b)
+			} else {
+				_, err = u.InsertEdge(a, b, 0)
+			}
+			if err != nil {
+				t.Fatalf("undirected op %d on (%d,%d): %v", i/2, a, b, err)
+			}
+			if dg.HasEdge(a, b) {
+				_, err = d.DeleteEdge(a, b)
+			} else {
+				_, err = d.InsertEdge(a, b, 0)
+			}
+			if err != nil {
+				t.Fatalf("directed op %d on %d→%d: %v", i/2, a, b, err)
+			}
+			fu, err := BuildWithLandmarks(ug.Clone(), lms, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := u.upd.EqualLabels(fu.upd.Index); err != nil {
+				t.Fatalf("undirected, after op %d on (%d,%d): %v", i/2, a, b, err)
+			}
+			fd, err := BuildDirectedWithLandmarks(dg.Clone(), lms, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.idx.EqualLabels(fd.idx); err != nil {
+				t.Fatalf("directed, after op %d on %d→%d: %v", i/2, a, b, err)
+			}
 		}
 	})
 }

@@ -2,10 +2,29 @@
 // affects landmark r's forward labels only when it lies on the forward
 // shortest-path DAG (d(r→a) + 1 = d(r→b)) and its backward labels only when
 // it lies on the backward DAG (d(b→r) + 1 = d(a→r)), so the affected test
-// is four labelled lookups per landmark. Each affected (landmark,
-// direction) pair is repaired by a rebuild pass, the same covered-flag BFS
-// used at construction, which also drops entries and resets highway cells
-// of vertices that the deletion made unreachable.
+// is four labelled lookups per landmark.
+//
+// Each affected (landmark, direction) pass is repaired locally by
+// hcl.Core.RepairDeletion, in the pass's orientation: a forward pass
+// starts from b and treats out-arcs as children and in-arcs as parents, a
+// backward pass starts from a with the roles swapped.
+//
+//   - Affected set: the vertices whose pass distance grows, found by a
+//     level-order walk over the children of affected vertices — a vertex
+//     is affected iff every remaining parent one level closer is.
+//   - New distances: seeded from each affected vertex's best parent outside
+//     the set and relaxed inside it in distance order; vertices left
+//     unreached lost their path to or from the landmark, so their entries
+//     go and landmarks among them get Inf highway cells.
+//   - Covered propagation: covered flags are recomputed in new-distance
+//     order from the affected set and the vertices that lost a parent,
+//     spreading only to children of vertices whose flag flipped.
+//
+// Why it is complete: the two ends of an arc are at most one level apart
+// in the pass direction, so a vertex outside the affected set gains no new
+// parent and its flag changes only through a lost parent or a flipped one.
+// The edits equal a fresh build's, which keeps the labelling identical to
+// it.
 
 package dhcl
 
@@ -52,7 +71,11 @@ func (idx *Index) DeleteEdge(a, b uint32) (Stats, error) {
 		return st, fmt.Errorf("dhcl: delete (%d,%d): %w", a, b, err)
 	}
 	hcl.Repair(&idx.Core, &hcl.Scratches, ds, true, func(ws *hcl.Scratch, _ int, d *hcl.Delta) {
-		idx.rebuildPass(ws, d)
+		if d.Dir == fwd {
+			idx.RepairDeletion(ws, d, b, g.Out, g.In)
+		} else {
+			idx.RepairDeletion(ws, d, a, g.In, g.Out)
+		}
 	})
 	for i := range ds {
 		ch := ds[i].Changes()

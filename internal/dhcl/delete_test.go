@@ -2,6 +2,7 @@ package dhcl
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -20,36 +21,101 @@ func arcsOf(g *digraph.Digraph) [][2]uint32 {
 	return out
 }
 
+// TestDeleteEdgeMatchesRebuildDirected deletes random arcs, with an
+// occasional insertion, and requires both label directions and the
+// highway to equal a fresh build after every op. The shapes cover dense
+// digraphs, sparse ones where most vertices hang off a single arc
+// (deletions cut vertices and landmarks off in one or both directions), and
+// crowded landmark sets that put landmarks inside the affected sets; the
+// test checks all three happened.
 func TestDeleteEdgeMatchesRebuildDirected(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		g := randomDigraph(35, 90, 50+seed)
-		lm := topLandmarks(g, 3+int(seed%3))
-		idx, err := Build(g, lm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(seed * 13))
-		for i := 0; i < 20; i++ {
-			arcs := arcsOf(g)
-			if len(arcs) == 0 {
-				break
-			}
-			e := arcs[rng.Intn(len(arcs))]
-			if _, err := idx.DeleteEdge(e[0], e[1]); err != nil {
-				t.Fatalf("seed %d delete %d (%d→%d): %v", seed, i, e[0], e[1], err)
-			}
-			fresh, err := Build(g, lm)
+	shapes := []struct {
+		name      string
+		graph     func(seed int64) *digraph.Digraph
+		landmarks func(g *digraph.Digraph, rng *rand.Rand) []uint32
+	}{
+		{"dense", func(seed int64) *digraph.Digraph { return randomDigraph(35, 90, 50+seed) },
+			func(g *digraph.Digraph, rng *rand.Rand) []uint32 { return topLandmarks(g, 3+rng.Intn(3)) }},
+		{"sparse", func(seed int64) *digraph.Digraph { return randomDigraph(40, 55, 150+seed) },
+			func(g *digraph.Digraph, rng *rand.Rand) []uint32 { return randomLandmarks(g, 5, rng) }},
+		{"crowded", func(seed int64) *digraph.Digraph { return randomDigraph(30, 80, 250+seed) },
+			func(g *digraph.Digraph, rng *rand.Rand) []uint32 { return randomLandmarks(g, 10, rng) }},
+	}
+	var disconnects, landmarksMoved int
+	for _, sh := range shapes {
+		for seed := int64(0); seed < 20; seed++ {
+			rng := rand.New(rand.NewSource(seed * 13))
+			g := sh.graph(seed)
+			lm := sh.landmarks(g, rng)
+			idx, err := Build(g, lm)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := idx.EqualLabels(fresh); err != nil {
-				t.Fatalf("seed %d after delete %d (%d→%d): %v", seed, i, e[0], e[1], err)
+			for i := 0; i < 30; i++ {
+				arcs := arcsOf(g)
+				infBefore := countInf(highway(idx))
+				var st Stats
+				var what string
+				if len(arcs) == 0 || rng.Intn(5) == 0 {
+					n := g.NumVertices()
+					a, b := uint32(rng.Intn(n)), uint32(rng.Intn(n))
+					if a == b || g.HasEdge(a, b) {
+						continue
+					}
+					what = fmt.Sprintf("insert %d (%d→%d)", i, a, b)
+					if _, err := idx.InsertEdge(a, b); err != nil {
+						t.Fatalf("%s seed %d %s: %v", sh.name, seed, what, err)
+					}
+				} else {
+					e := arcs[rng.Intn(len(arcs))]
+					what = fmt.Sprintf("delete %d (%d→%d)", i, e[0], e[1])
+					if st, err = idx.DeleteEdge(e[0], e[1]); err != nil {
+						t.Fatalf("%s seed %d %s: %v", sh.name, seed, what, err)
+					}
+				}
+				if countInf(highway(idx)) > infBefore {
+					disconnects++
+				}
+				if st.HighwayUpdates > 0 {
+					landmarksMoved++
+				}
+				fresh, err := Build(g, lm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := idx.EqualLabels(fresh); err != nil {
+					t.Fatalf("%s seed %d after %s: %v", sh.name, seed, what, err)
+				}
+			}
+			if err := idx.VerifyCover(); err != nil {
+				t.Fatalf("%s seed %d: %v", sh.name, seed, err)
 			}
 		}
-		if err := idx.VerifyCover(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+	}
+	t.Logf("%d landmark disconnections, %d deletions moving a landmark", disconnects, landmarksMoved)
+	if disconnects == 0 || landmarksMoved == 0 {
+		t.Fatalf("inputs too tame: %d landmark disconnections, %d deletions moving a landmark", disconnects, landmarksMoved)
+	}
+}
+
+// randomLandmarks picks k distinct random vertices.
+func randomLandmarks(g *digraph.Digraph, k int, rng *rand.Rand) []uint32 {
+	var lm []uint32
+	for _, v := range rng.Perm(g.NumVertices())[:k] {
+		lm = append(lm, uint32(v))
+	}
+	return lm
+}
+
+// countInf counts the Inf cells of a highway copy.
+func countInf(hw []uint32) int {
+	n := 0
+	for _, d := range hw {
+		if d == graph.Inf {
+			n++
 		}
 	}
+	return n
 }
 
 func TestDeleteThenReinsertDirected(t *testing.T) {
@@ -120,7 +186,7 @@ func TestDeleteVertexDirected(t *testing.T) {
 	if g.OutDegree(v) != 0 || g.InDegree(v) != 0 {
 		t.Errorf("vertex %d still has edges", v)
 	}
-	if lf, lb := idx.Labels(fwd)[v], idx.Labels(bwd)[v]; len(lf) != 0 || len(lb) != 0 {
+	if lf, lb := idx.Label(fwd, v), idx.Label(bwd, v); len(lf) != 0 || len(lb) != 0 {
 		t.Errorf("isolated vertex kept entries: %v / %v", lf, lb)
 	}
 	fresh, err := Build(g, lm)

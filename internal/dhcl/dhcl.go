@@ -109,28 +109,10 @@ func (idx *Index) Fork(g *digraph.Digraph) *Index {
 }
 
 // DistF returns the exact directed distance landmark(r) → v.
-func (idx *Index) DistF(r uint16, v uint32) graph.Dist {
-	if s, ok := idx.Rank(v); ok {
-		return idx.Highway(r, s)
-	}
-	// Row r of the highway holds d(r→s) for every rank s, which is exactly
-	// the Equation 1 kernel shape.
-	return hcl.LandmarkVia(idx.Row(r), idx.Label(fwd, v))
-}
+func (idx *Index) DistF(r uint16, v uint32) graph.Dist { return idx.PassDist(fwd, r, v) }
 
 // DistB returns the exact directed distance v → landmark(r).
-func (idx *Index) DistB(r uint16, v uint32) graph.Dist {
-	if s, ok := idx.Rank(v); ok {
-		return idx.Highway(s, r)
-	}
-	best := graph.Inf
-	for _, e := range idx.Label(bwd, v) {
-		if t := graph.AddDist(e.D, idx.Highway(e.Rank, r)); t < best {
-			best = t
-		}
-	}
-	return best
-}
+func (idx *Index) DistB(r uint16, v uint32) graph.Dist { return idx.PassDist(bwd, r, v) }
 
 // UpperBound returns the best u→v distance through the highway network.
 func (idx *Index) UpperBound(u, v uint32) graph.Dist {

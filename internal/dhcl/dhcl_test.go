@@ -158,7 +158,7 @@ func TestBuildAsymmetricPath(t *testing.T) {
 	// Forward labels exist, backward labels (to landmark 0) must be empty
 	// since nothing reaches 0.
 	for v := uint32(1); v <= 3; v++ {
-		if lb := idx.Labels(bwd)[v]; len(lb) != 0 {
+		if lb := idx.Label(bwd, v); len(lb) != 0 {
 			t.Errorf("Lb[%d] should be empty: %v", v, lb)
 		}
 	}

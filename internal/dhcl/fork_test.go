@@ -33,10 +33,10 @@ func highway(idx *Index) []uint32 {
 	return out
 }
 
-func copyLabels(ls []hcl.Label) []hcl.Label {
-	out := make([]hcl.Label, len(ls))
-	for v, l := range ls {
-		out[v] = append(hcl.Label(nil), l...)
+func copyLabels(idx *Index, dir int) []hcl.Label {
+	out := make([]hcl.Label, idx.Labels(dir).Len())
+	for v := range out {
+		out[v] = append(hcl.Label(nil), idx.Label(dir, uint32(v))...)
 	}
 	return out
 }
@@ -46,7 +46,7 @@ func copyLabels(ls []hcl.Label) []hcl.Label {
 // remains exact.
 func TestForkUpdateIsolation(t *testing.T) {
 	idx := forkFixture(t)
-	lf, lb := copyLabels(idx.Labels(fwd)), copyLabels(idx.Labels(bwd))
+	lf, lb := copyLabels(idx, fwd), copyLabels(idx, bwd)
 	hf := highway(idx)
 	edges := idx.G.NumEdges()
 
@@ -62,7 +62,7 @@ func TestForkUpdateIsolation(t *testing.T) {
 	}
 
 	for v := range lf {
-		if !idx.Labels(fwd)[v].Equal(lf[v]) || !idx.Labels(bwd)[v].Equal(lb[v]) {
+		if !hcl.Label(idx.Label(fwd, uint32(v))).Equal(lf[v]) || !hcl.Label(idx.Label(bwd, uint32(v))).Equal(lb[v]) {
 			t.Fatalf("parent labels of %d changed", v)
 		}
 	}

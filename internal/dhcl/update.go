@@ -226,7 +226,6 @@ func (idx *Index) findAffected(r uint16, dir int, a, b uint32) (findResult, bool
 func (idx *Index) classifyPass(fr *findResult, d *hcl.Delta) {
 	r := d.Rank
 	root := idx.Landmarks[r]
-	labels := idx.Labels(d.Dir)
 	parents := idx.G.Out
 	if d.Dir == fwd {
 		parents = idx.G.In
@@ -266,7 +265,7 @@ func (idx *Index) classifyPass(fr *findResult, d *hcl.Delta) {
 				}
 				continue
 			}
-			if _, has := labels[n].Get(r); !has {
+			if _, has := idx.Entry(d.Dir, n, r); !has {
 				cov = true
 				break
 			}
@@ -274,7 +273,7 @@ func (idx *Index) classifyPass(fr *findResult, d *hcl.Delta) {
 		covered[w] = cov
 		if !cov {
 			d.Set(w, dd)
-		} else if _, had := labels[w].Get(r); had {
+		} else if _, had := idx.Entry(d.Dir, w, r); had {
 			d.Remove(w)
 		}
 	}

@@ -8,7 +8,7 @@ import (
 	"fmt"
 
 	"repro/internal/bfs"
-	"repro/internal/bitset"
+	"repro/internal/cow"
 	"repro/internal/graph"
 	"repro/internal/queue"
 )
@@ -17,54 +17,44 @@ import (
 // 0..NumVertices-1. Both out- and in-adjacency are maintained so backward
 // searches run without transposition. The zero value is ready to use.
 type Digraph struct {
-	out   [][]uint32
-	in    [][]uint32
+	out   cow.Table[uint32] // copy-on-write across forks (see Fork)
+	in    cow.Table[uint32]
 	edges uint64
-
-	// sharedOut/sharedIn are non-nil only on forks: a set bit means that
-	// adjacency list's backing array still belongs to the parent and is
-	// copied before the first mutation (see Fork).
-	sharedOut *bitset.Set
-	sharedIn  *bitset.Set
 }
 
-// New returns an empty digraph with capacity hints for n vertices.
-func New(n int) *Digraph {
-	return &Digraph{out: make([][]uint32, 0, n), in: make([][]uint32, 0, n)}
-}
+// New returns an empty digraph. The vertex-count hint n is unused:
+// adjacency grows one chunk of vertices at a time.
+func New(n int) *Digraph { return &Digraph{} }
 
 // NumVertices returns the number of vertices.
-func (g *Digraph) NumVertices() int { return len(g.out) }
+func (g *Digraph) NumVertices() int { return g.out.Len() }
 
 // NumEdges returns the number of directed edges.
 func (g *Digraph) NumEdges() uint64 { return g.edges }
 
 // AddVertex appends a new isolated vertex and returns its id.
 func (g *Digraph) AddVertex() uint32 {
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
-	if g.sharedOut != nil {
-		g.sharedOut.Grow(len(g.out)) // new bits are clear: the fork owns new vertices
-		g.sharedIn.Grow(len(g.in))
-	}
-	return uint32(len(g.out) - 1)
+	n := g.out.Len() + 1
+	g.out.Grow(n)
+	g.in.Grow(n)
+	return uint32(n - 1)
 }
 
 // HasVertex reports whether v exists.
-func (g *Digraph) HasVertex(v uint32) bool { return int(v) < len(g.out) }
+func (g *Digraph) HasVertex(v uint32) bool { return int(v) < g.out.Len() }
 
 // Out returns the out-neighbours of v (owned by the graph; do not modify).
-func (g *Digraph) Out(v uint32) []uint32 { return g.out[v] }
+func (g *Digraph) Out(v uint32) []uint32 { return g.out.Row(v) }
 
 // In returns the in-neighbours of v (owned by the graph; do not modify).
-func (g *Digraph) In(v uint32) []uint32 { return g.in[v] }
+func (g *Digraph) In(v uint32) []uint32 { return g.in.Row(v) }
 
 // HasEdge reports whether the directed edge u→v exists.
 func (g *Digraph) HasEdge(u, v uint32) bool {
-	if int(u) >= len(g.out) || int(v) >= len(g.out) {
+	if !g.HasVertex(u) || !g.HasVertex(v) {
 		return false
 	}
-	for _, w := range g.out[u] {
+	for _, w := range g.out.Row(u) {
 		if w == v {
 			return true
 		}
@@ -77,16 +67,16 @@ func (g *Digraph) AddEdge(u, v uint32) (bool, error) {
 	if u == v {
 		return false, graph.ErrSelfLoop
 	}
-	if int(u) >= len(g.out) || int(v) >= len(g.out) {
-		return false, fmt.Errorf("%w: edge (%d,%d) with %d vertices", graph.ErrVertexUnknown, u, v, len(g.out))
+	if !g.HasVertex(u) || !g.HasVertex(v) {
+		return false, fmt.Errorf("%w: edge (%d,%d) with %d vertices", graph.ErrVertexUnknown, u, v, g.NumVertices())
 	}
 	if g.HasEdge(u, v) {
 		return false, nil
 	}
-	g.ownOut(u)
-	g.ownIn(v)
-	g.out[u] = append(g.out[u], v)
-	g.in[v] = append(g.in[v], u)
+	out := g.out.Mut(u)
+	*out = append(*out, v)
+	in := g.in.Mut(v)
+	*in = append(*in, u)
 	g.edges++
 	return true, nil
 }
@@ -98,55 +88,31 @@ func (g *Digraph) RemoveEdge(u, v uint32) error {
 	if u == v {
 		return graph.ErrSelfLoop
 	}
-	if int(u) >= len(g.out) || int(v) >= len(g.out) {
-		return fmt.Errorf("%w: edge (%d,%d) with %d vertices", graph.ErrVertexUnknown, u, v, len(g.out))
+	if !g.HasVertex(u) || !g.HasVertex(v) {
+		return fmt.Errorf("%w: edge (%d,%d) with %d vertices", graph.ErrVertexUnknown, u, v, g.NumVertices())
 	}
 	if !g.HasEdge(u, v) {
 		return fmt.Errorf("%w: (%d,%d)", graph.ErrEdgeUnknown, u, v)
 	}
-	g.ownOut(u)
-	g.ownIn(v)
-	graph.RemoveFromList(&g.out[u], v)
-	graph.RemoveFromList(&g.in[v], u)
+	graph.RemoveFromList(g.out.Mut(u), v)
+	graph.RemoveFromList(g.in.Mut(v), u)
 	g.edges--
 	return nil
 }
 
-// Fork returns a copy-on-write copy: adjacency headers are copied (O(|V|))
-// while every neighbour list's backing array stays shared with g until the
-// fork first mutates it. Mutating the fork never writes to memory reachable
-// from g; g must be treated as frozen afterwards (snapshot discipline).
+// Fork returns a copy-on-write copy: only the chunk directories of the two
+// adjacency tables and one bit per vertex each are copied, and the fork's
+// first write to a vertex copies its chunk of list headers and then its
+// list (see internal/cow). Mutating the fork never writes to memory
+// reachable from g; g must be treated as frozen afterwards (snapshot
+// discipline).
 func (g *Digraph) Fork() *Digraph {
-	return &Digraph{
-		out:       append([][]uint32(nil), g.out...),
-		in:        append([][]uint32(nil), g.in...),
-		edges:     g.edges,
-		sharedOut: bitset.NewAllSet(len(g.out)),
-		sharedIn:  bitset.NewAllSet(len(g.in)),
-	}
-}
-
-// ownOut makes out[v] writable on a fork, copying the shared backing array
-// on first touch; ownIn mirrors it for in[v].
-func (g *Digraph) ownOut(v uint32) {
-	if g.sharedOut == nil || !g.sharedOut.Get(v) {
-		return
-	}
-	g.out[v] = append(make([]uint32, 0, len(g.out[v])+1), g.out[v]...)
-	g.sharedOut.Clear(v)
-}
-
-func (g *Digraph) ownIn(v uint32) {
-	if g.sharedIn == nil || !g.sharedIn.Get(v) {
-		return
-	}
-	g.in[v] = append(make([]uint32, 0, len(g.in[v])+1), g.in[v]...)
-	g.sharedIn.Clear(v)
+	return &Digraph{out: g.out.Fork(), in: g.in.Fork(), edges: g.edges}
 }
 
 // MustAddEdge inserts u→v, growing the vertex set as needed.
 func (g *Digraph) MustAddEdge(u, v uint32) bool {
-	for uint32(len(g.out)) <= max(u, v) {
+	for !g.HasVertex(max(u, v)) {
 		g.AddVertex()
 	}
 	ok, err := g.AddEdge(u, v)
@@ -158,35 +124,26 @@ func (g *Digraph) MustAddEdge(u, v uint32) bool {
 
 // Clone returns a deep copy.
 func (g *Digraph) Clone() *Digraph {
-	c := &Digraph{out: make([][]uint32, len(g.out)), in: make([][]uint32, len(g.in)), edges: g.edges}
-	for v := range g.out {
-		if len(g.out[v]) > 0 {
-			c.out[v] = append([]uint32(nil), g.out[v]...)
-		}
-		if len(g.in[v]) > 0 {
-			c.in[v] = append([]uint32(nil), g.in[v]...)
-		}
-	}
-	return c
+	return &Digraph{out: g.out.Clone(), in: g.in.Clone(), edges: g.edges}
 }
 
 // OutDegree and InDegree report adjacency sizes.
-func (g *Digraph) OutDegree(v uint32) int { return len(g.out[v]) }
+func (g *Digraph) OutDegree(v uint32) int { return len(g.out.Row(v)) }
 
 // InDegree reports the number of in-neighbours of v.
-func (g *Digraph) InDegree(v uint32) int { return len(g.in[v]) }
+func (g *Digraph) InDegree(v uint32) int { return len(g.in.Row(v)) }
 
 // Forward computes d(src→v) for all v into dist (length NumVertices).
 func (g *Digraph) Forward(src uint32, dist []graph.Dist) {
-	g.bfs(src, dist, g.out)
+	g.bfs(src, dist, &g.out)
 }
 
 // Backward computes d(v→src) for all v into dist.
 func (g *Digraph) Backward(src uint32, dist []graph.Dist) {
-	g.bfs(src, dist, g.in)
+	g.bfs(src, dist, &g.in)
 }
 
-func (g *Digraph) bfs(src uint32, dist []graph.Dist, adj [][]uint32) {
+func (g *Digraph) bfs(src uint32, dist []graph.Dist, adj *cow.Table[uint32]) {
 	for i := range dist {
 		dist[i] = graph.Inf
 	}
@@ -196,7 +153,7 @@ func (g *Digraph) bfs(src uint32, dist []graph.Dist, adj [][]uint32) {
 	for !q.Empty() {
 		v := q.Pop()
 		dv := dist[v]
-		for _, w := range adj[v] {
+		for _, w := range adj.Row(v) {
 			if dist[w] == graph.Inf {
 				dist[w] = dv + 1
 				q.Push(w)
@@ -253,11 +210,11 @@ func (g *Digraph) Sparsified(u, v uint32, bound graph.Dist, avoid func(uint32) b
 			break
 		}
 		if len(frontU) <= len(frontV) {
-			next := g.expand(g.out, u, v, frontU, du, distU, distV, avoid, &best, &touched, spare)
+			next := g.expand(&g.out, u, v, frontU, du, distU, distV, avoid, &best, &touched, spare)
 			spare, frontU = frontU[:0], next
 			du++
 		} else {
-			next := g.expand(g.in, v, u, frontV, dv, distV, distU, avoid, &best, &touched, spare)
+			next := g.expand(&g.in, v, u, frontV, dv, distV, distU, avoid, &best, &touched, spare)
 			spare, frontV = frontV[:0], next
 			dv++
 		}
@@ -269,12 +226,12 @@ func (g *Digraph) Sparsified(u, v uint32, bound graph.Dist, avoid func(uint32) b
 	return best
 }
 
-func (g *Digraph) expand(adj [][]uint32, src, dst uint32, front []uint32, depth graph.Dist, dist, other []graph.Dist, avoid func(uint32) bool, best *graph.Dist, touched *[]uint32, next []uint32) []uint32 {
+func (g *Digraph) expand(adj *cow.Table[uint32], src, dst uint32, front []uint32, depth graph.Dist, dist, other []graph.Dist, avoid func(uint32) bool, best *graph.Dist, touched *[]uint32, next []uint32) []uint32 {
 	for _, x := range front {
 		if avoid != nil && x != src && avoid(x) {
 			continue
 		}
-		for _, w := range adj[x] {
+		for _, w := range adj.Row(x) {
 			if dist[w] != graph.Inf {
 				continue
 			}

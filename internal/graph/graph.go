@@ -8,7 +8,7 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/bitset"
+	"repro/internal/cow"
 )
 
 // Dist is a shortest-path distance in hops. Unreachable pairs have distance
@@ -45,66 +45,50 @@ var (
 // Parallel edges are rejected (AddEdge reports false), matching the paper's
 // edge-insertion model where (a,b) ∉ E.
 type Graph struct {
-	adj   [][]uint32
+	adj   cow.Table[uint32] // copy-on-write across forks (see Fork)
 	edges uint64
-
-	// shared is non-nil only on forks: bit v set means adj[v]'s backing
-	// array still belongs to the parent and must be copied before the first
-	// mutation (see Fork). Plain graphs skip the check entirely.
-	shared *bitset.Set
 }
 
-// New returns an empty graph with capacity hints for n vertices.
-func New(n int) *Graph {
-	return &Graph{adj: make([][]uint32, 0, n)}
-}
+// New returns an empty graph. The vertex-count hint n is unused: adjacency
+// grows one chunk of vertices at a time.
+func New(n int) *Graph { return &Graph{} }
 
 // NumVertices returns the number of vertices.
-func (g *Graph) NumVertices() int { return len(g.adj) }
+func (g *Graph) NumVertices() int { return g.adj.Len() }
 
 // NumEdges returns the number of (undirected) edges.
 func (g *Graph) NumEdges() uint64 { return g.edges }
 
 // AddVertex appends a new isolated vertex and returns its id.
 func (g *Graph) AddVertex() uint32 {
-	g.adj = append(g.adj, nil)
-	if g.shared != nil {
-		g.shared.Grow(len(g.adj)) // new bits are clear: the fork owns new vertices
-	}
-	return uint32(len(g.adj) - 1)
+	g.adj.Grow(g.adj.Len() + 1)
+	return uint32(g.adj.Len() - 1)
 }
 
 // EnsureVertex grows the graph so that vertex v exists.
-func (g *Graph) EnsureVertex(v uint32) {
-	for uint32(len(g.adj)) <= v {
-		g.adj = append(g.adj, nil)
-	}
-	if g.shared != nil {
-		g.shared.Grow(len(g.adj))
-	}
-}
+func (g *Graph) EnsureVertex(v uint32) { g.adj.Grow(int(v) + 1) }
 
 // HasVertex reports whether v is a vertex of the graph.
-func (g *Graph) HasVertex(v uint32) bool { return int(v) < len(g.adj) }
+func (g *Graph) HasVertex(v uint32) bool { return int(v) < g.adj.Len() }
 
 // Degree returns the number of neighbours of v.
-func (g *Graph) Degree(v uint32) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v uint32) int { return len(g.adj.Row(v)) }
 
 // Neighbors returns the adjacency list of v. The returned slice is owned by
 // the graph and must not be modified; it may be invalidated by AddEdge.
-func (g *Graph) Neighbors(v uint32) []uint32 { return g.adj[v] }
+func (g *Graph) Neighbors(v uint32) []uint32 { return g.adj.Row(v) }
 
 // HasEdge reports whether the undirected edge (u,v) exists.
 func (g *Graph) HasEdge(u, v uint32) bool {
-	if int(u) >= len(g.adj) || int(v) >= len(g.adj) {
+	if !g.HasVertex(u) || !g.HasVertex(v) {
 		return false
 	}
-	a, b := u, v
+	a, b := g.adj.Row(u), v
 	// Scan the shorter list.
-	if len(g.adj[a]) > len(g.adj[b]) {
-		a, b = b, a
+	if bv := g.adj.Row(v); len(a) > len(bv) {
+		a, b = bv, u
 	}
-	for _, w := range g.adj[a] {
+	for _, w := range a {
 		if w == b {
 			return true
 		}
@@ -119,16 +103,16 @@ func (g *Graph) AddEdge(u, v uint32) (bool, error) {
 	if u == v {
 		return false, ErrSelfLoop
 	}
-	if int(u) >= len(g.adj) || int(v) >= len(g.adj) {
-		return false, fmt.Errorf("%w: edge (%d,%d) with %d vertices", ErrVertexUnknown, u, v, len(g.adj))
+	if !g.HasVertex(u) || !g.HasVertex(v) {
+		return false, fmt.Errorf("%w: edge (%d,%d) with %d vertices", ErrVertexUnknown, u, v, g.NumVertices())
 	}
 	if g.HasEdge(u, v) {
 		return false, nil
 	}
-	g.own(u)
-	g.own(v)
-	g.adj[u] = append(g.adj[u], v)
-	g.adj[v] = append(g.adj[v], u)
+	au := g.adj.Mut(u)
+	*au = append(*au, v)
+	av := g.adj.Mut(v)
+	*av = append(*av, u)
 	g.edges++
 	return true, nil
 }
@@ -140,16 +124,14 @@ func (g *Graph) RemoveEdge(u, v uint32) error {
 	if u == v {
 		return ErrSelfLoop
 	}
-	if int(u) >= len(g.adj) || int(v) >= len(g.adj) {
-		return fmt.Errorf("%w: edge (%d,%d) with %d vertices", ErrVertexUnknown, u, v, len(g.adj))
+	if !g.HasVertex(u) || !g.HasVertex(v) {
+		return fmt.Errorf("%w: edge (%d,%d) with %d vertices", ErrVertexUnknown, u, v, g.NumVertices())
 	}
 	if !g.HasEdge(u, v) {
 		return fmt.Errorf("%w: (%d,%d)", ErrEdgeUnknown, u, v)
 	}
-	g.own(u)
-	g.own(v)
-	RemoveFromList(&g.adj[u], v)
-	RemoveFromList(&g.adj[v], u)
+	RemoveFromList(g.adj.Mut(u), v)
+	RemoveFromList(g.adj.Mut(v), u)
 	g.edges--
 	return nil
 }
@@ -181,52 +163,78 @@ func (g *Graph) MustAddEdge(u, v uint32) bool {
 	return ok
 }
 
-// Fork returns a copy-on-write copy of the graph: the per-vertex adjacency
-// headers are copied (O(|V|)) but every neighbour list's backing array stays
-// shared with g until the fork first mutates it, at which point only that
-// one list is copied. Mutating the fork therefore never writes to memory
-// reachable from g, which is what lets an immutable published snapshot keep
-// answering queries while its fork absorbs a batch of updates.
+// FromEdges returns the graph on n vertices whose edges are edge(0), …,
+// edge(m-1), each listed once. It reports an endpoint out of range, a
+// self-loop or a repeated edge. The adjacency lists hold their neighbours
+// in the order m AddEdge calls would give them, but are laid out in one
+// allocation at their final lengths: no list grows and no insertion scans
+// for a duplicate, which is what makes a checkpoint's graph cheap to load.
+func FromEdges(n, m int, edge func(i int) (u, v uint32)) (*Graph, error) {
+	end := make([]uint32, n+1) // end[v+1] counts, then ends, v's list
+	for i := 0; i < m; i++ {
+		u, v := edge(i)
+		if int(u) >= n || int(v) >= n {
+			return nil, fmt.Errorf("%w: edge (%d,%d) with %d vertices", ErrVertexUnknown, u, v, n)
+		}
+		if u == v {
+			return nil, fmt.Errorf("%w: (%d,%d)", ErrSelfLoop, u, v)
+		}
+		end[u+1]++
+		end[v+1]++
+	}
+	for v := 1; v <= n; v++ {
+		end[v] += end[v-1]
+	}
+	all := make([]uint32, 2*m)
+	for i := 0; i < m; i++ {
+		u, v := edge(i)
+		all[end[u]], all[end[v]] = v, u
+		end[u]++
+		end[v]++
+	}
+	g := &Graph{adj: cow.Make[uint32](n), edges: uint64(m)}
+	mark := make([]uint32, n) // mark[w] == v+1: w is already in v's list
+	start := uint32(0)
+	for v := uint32(0); int(v) < n; v++ {
+		l := all[start:end[v]:end[v]] // capacity-clamped: appends copy out
+		start = end[v]
+		*g.adj.Mut(v) = l
+		for _, w := range l {
+			if mark[w] == v+1 {
+				return nil, fmt.Errorf("%w: (%d,%d) listed twice", ErrEdgeExists, v, w)
+			}
+			mark[w] = v + 1
+		}
+	}
+	return g, nil
+}
+
+// Fork returns a copy-on-write copy of the graph. It copies only the chunk
+// directory of the adjacency table and one bit per vertex; the fork's
+// first write to a vertex copies that vertex's chunk of list headers and
+// then its list (see internal/cow). Mutating the fork therefore never
+// writes to memory reachable from g, which is what lets an immutable
+// published snapshot keep answering queries while its fork absorbs a batch
+// of updates.
 //
 // The fork assumes g itself is frozen from the moment of the fork: callers
 // must not mutate g afterwards (snapshot discipline — only the newest fork
 // is ever written).
 func (g *Graph) Fork() *Graph {
-	return &Graph{
-		adj:    append([][]uint32(nil), g.adj...),
-		edges:  g.edges,
-		shared: bitset.NewAllSet(len(g.adj)),
-	}
-}
-
-// own makes adj[v] writable on a fork, copying the shared backing array on
-// first touch. A no-op on plain graphs and already-owned lists.
-func (g *Graph) own(v uint32) {
-	if g.shared == nil || !g.shared.Get(v) {
-		return
-	}
-	g.adj[v] = append(make([]uint32, 0, len(g.adj[v])+1), g.adj[v]...)
-	g.shared.Clear(v)
+	return &Graph{adj: g.adj.Fork(), edges: g.edges}
 }
 
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{adj: make([][]uint32, len(g.adj)), edges: g.edges}
-	for v, ns := range g.adj {
-		if len(ns) == 0 {
-			continue
-		}
-		c.adj[v] = append([]uint32(nil), ns...)
-	}
-	return c
+	return &Graph{adj: g.adj.Clone(), edges: g.edges}
 }
 
 // Edges calls fn for every undirected edge exactly once, with u < v.
 func (g *Graph) Edges(fn func(u, v uint32)) {
-	for u, ns := range g.adj {
-		for _, v := range ns {
-			if uint32(u) < v {
-				fn(uint32(u), v)
+	for u := uint32(0); int(u) < g.NumVertices(); u++ {
+		for _, v := range g.adj.Row(u) {
+			if u < v {
+				fn(u, v)
 			}
 		}
 	}
@@ -236,9 +244,9 @@ func (g *Graph) Edges(fn func(u, v uint32)) {
 // by smaller id. It returns 0 for an empty graph.
 func (g *Graph) MaxDegreeVertex() uint32 {
 	best, bestDeg := uint32(0), -1
-	for v, ns := range g.adj {
-		if len(ns) > bestDeg {
-			best, bestDeg = uint32(v), len(ns)
+	for v := uint32(0); int(v) < g.NumVertices(); v++ {
+		if d := g.Degree(v); d > bestDeg {
+			best, bestDeg = v, d
 		}
 	}
 	return best

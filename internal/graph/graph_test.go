@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -257,5 +258,60 @@ func TestRemoveEdgeRandomised(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFromEdgesMatchesAddEdge pins that the bulk constructor builds the
+// graph repeated AddEdge calls build, adjacency order included, that its
+// lists are independent (a later append copies out instead of writing
+// into the next list), and that it rejects what AddEdge would.
+func TestFromEdgesMatchesAddEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	const n = 1200
+	want := New(n)
+	want.EnsureVertex(n - 1)
+	var edges [][2]uint32
+	for len(edges) < 5000 {
+		u, v := uint32(rng.Intn(n)), uint32(rng.Intn(n))
+		if ok, _ := want.AddEdge(u, v); ok {
+			edges = append(edges, [2]uint32{u, v})
+		}
+	}
+	at := func(es [][2]uint32) func(int) (uint32, uint32) {
+		return func(i int) (uint32, uint32) { return es[i][0], es[i][1] }
+	}
+	g, err := FromEdges(n, len(edges), at(edges))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumVertices() != n || g.NumEdges() != want.NumEdges() {
+		t.Fatalf("%d vertices, %d edges; want %d, %d", g.NumVertices(), g.NumEdges(), n, want.NumEdges())
+	}
+	for v := uint32(0); v < n; v++ {
+		if a, b := g.Neighbors(v), want.Neighbors(v); !slices.Equal(a, b) {
+			t.Fatalf("vertex %d: %v, want %v", v, a, b)
+		}
+	}
+	w := uint32(2) // vertex 1, whose list follows vertex 0's, must not change
+	for g.HasEdge(0, w) {
+		w++
+	}
+	if ok, err := g.AddEdge(0, w); !ok || err != nil {
+		t.Fatalf("AddEdge(0,%d): %v, %v", w, ok, err)
+	}
+	if got := g.Neighbors(1); !slices.Equal(got, want.Neighbors(1)) {
+		t.Fatalf("an append to vertex 0 reached vertex 1: %v", got)
+	}
+	for _, c := range []struct {
+		es   [][2]uint32
+		want error
+	}{
+		{[][2]uint32{{0, 1}, {2, 2}}, ErrSelfLoop},
+		{[][2]uint32{{0, 1}, {1, 5}}, ErrVertexUnknown},
+		{[][2]uint32{{0, 1}, {2, 3}, {1, 0}}, ErrEdgeExists},
+	} {
+		if _, err := FromEdges(4, len(c.es), at(c.es)); !errors.Is(err, c.want) {
+			t.Errorf("edges %v: error %v, want %v", c.es, err, c.want)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 
 	"repro/internal/arena"
+	"repro/internal/cow"
 	"repro/internal/graph"
 )
 
@@ -91,9 +92,9 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // count, landmarks, highway) followed by one label block per table. base
 // is the absolute offset of the stream's first byte in the destination
 // file (0 for a file of its own); entry areas are page-aligned relative to
-// it. Returns the bytes written and the absolute span of each table's
-// entry area.
-func WriteStream(w io.Writer, magic string, landmarks []uint32, highway []graph.Dist, base int64, tables ...[]Label) (int64, []Span, error) {
+// it. Labels are written straight from the tables. Returns the bytes
+// written and the absolute span of each table's entry area.
+func WriteStream(w io.Writer, magic string, landmarks []uint32, highway []graph.Dist, base int64, tables ...*cow.Table[Entry]) (int64, []Span, error) {
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriterSize(cw, 1<<16)
 	le := binary.LittleEndian
@@ -104,7 +105,7 @@ func WriteStream(w io.Writer, magic string, landmarks []uint32, highway []graph.
 		bw.Write(u32[:])
 	}
 	bw.WriteString(magic)
-	putU32(uint32(len(tables[0])))
+	putU32(uint32(tables[0].Len()))
 	putU32(uint32(len(landmarks)))
 	for _, v := range landmarks {
 		putU32(v)
@@ -125,16 +126,22 @@ func WriteStream(w io.Writer, magic string, landmarks []uint32, highway []graph.
 	return cw.n, spans, nil
 }
 
-// writeBlock appends the label block of labels to bw, its first byte at
+// writeBlock appends the label block of table L to bw, its first byte at
 // absolute offset base, and returns the absolute span of its entry area
 // and the block length. Write errors surface at bw's Flush.
-func writeBlock(bw *bufio.Writer, labels []Label, base, align int64) (Span, int64) {
+func writeBlock(bw *bufio.Writer, L *cow.Table[Entry], base, align int64) (Span, int64) {
 	le := binary.LittleEndian
-	var total uint64
-	for _, l := range labels {
-		total += uint64(len(l))
+	// rows calls fn for every label in vertex order.
+	rows := func(fn func(l []Entry)) {
+		for ci := 0; ci < L.NumChunks(); ci++ {
+			for _, l := range L.Chunk(ci) {
+				fn(l)
+			}
+		}
 	}
-	offPad, entPad, entOff, blockLen := blockGeometry(len(labels), total, base, align)
+	var total uint64
+	rows(func(l []Entry) { total += uint64(len(l)) })
+	offPad, entPad, entOff, blockLen := blockGeometry(L.Len(), total, base, align)
 	var hdr [blockHeaderLen]byte
 	le.PutUint64(hdr[0:], total)
 	le.PutUint32(hdr[8:], uint32(offPad))
@@ -152,18 +159,18 @@ func writeBlock(bw *bufio.Writer, labels []Label, base, align int64) (Span, int6
 		}
 	}
 	var off uint64
-	for _, l := range labels {
+	rows(func(l []Entry) {
 		flush(8)
 		le.PutUint64(buf[n:], off)
 		n += 8
 		off += uint64(len(l))
-	}
+	})
 	flush(8)
 	le.PutUint64(buf[n:], off)
 	n += 8
 	flush(len(buf))
 	writeZeros(bw, entPad)
-	for _, l := range labels {
+	rows(func(l []Entry) {
 		for _, e := range l {
 			flush(entryStride)
 			le.PutUint16(buf[n:], e.Rank)
@@ -171,7 +178,7 @@ func writeBlock(bw *bufio.Writer, labels []Label, base, align int64) (Span, int6
 			le.PutUint32(buf[n+4:], e.D)
 			n += entryStride
 		}
-	}
+	})
 	flush(len(buf))
 	return Span{Off: entOff, Len: int64(total) * entryStride}, blockLen
 }
@@ -191,7 +198,7 @@ func writeZeros(bw *bufio.Writer, n int64) {
 type Stream struct {
 	Landmarks []uint32
 	Highway   []graph.Dist
-	Labels    [][]Label
+	Labels    []cow.Table[Entry]
 	Packed    []*Packed
 }
 
@@ -209,7 +216,7 @@ func ReadStream(r io.Reader, magic string, nv, blocks int) (*Stream, error) {
 	}
 	nr := uint32(len(s.Landmarks))
 	for i := range s.Labels {
-		if s.Packed[i], err = readBlock(br, nr, s.Labels[i]); err != nil {
+		if s.Packed[i], err = readBlock(br, nr, &s.Labels[i]); err != nil {
 			return nil, fmt.Errorf("label block %d: %w", i, err)
 		}
 	}
@@ -248,9 +255,9 @@ func readHeader(r io.Reader, magic string, nv, blocks int) (*Stream, error) {
 	if err := validate(landmarks, highway, nv, blocks == 1); err != nil {
 		return nil, err
 	}
-	s := &Stream{Landmarks: landmarks, Highway: highway, Labels: make([][]Label, blocks), Packed: make([]*Packed, blocks)}
+	s := &Stream{Landmarks: landmarks, Highway: highway, Labels: make([]cow.Table[Entry], blocks), Packed: make([]*Packed, blocks)}
 	for i := range s.Labels {
-		s.Labels[i] = make([]Label, nv)
+		s.Labels[i] = cow.Make[Entry](nv)
 	}
 	return s, nil
 }
@@ -319,10 +326,10 @@ func chunkOffsets(off []uint64) []uint32 {
 	return c
 }
 
-// readBlock reads one label block into labels (copy-in path). Entries are
-// allocated one packed chunk at a time, as their bytes arrive.
-func readBlock(br *bufio.Reader, nr uint32, labels []Label) (*Packed, error) {
-	nv := len(labels)
+// readBlock reads one label block into the table L (copy-in path). Entries
+// are allocated one packed chunk at a time, as their bytes arrive.
+func readBlock(br *bufio.Reader, nr uint32, L *cow.Table[Entry]) (*Packed, error) {
+	nv := L.Len()
 	var hdr [blockHeaderLen]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("reading label block header: %w", err)
@@ -375,7 +382,7 @@ func readBlock(br *bufio.Reader, nr uint32, labels []Label) (*Packed, error) {
 		}
 		p.chunks[ci] = c
 	}
-	p.attach(labels)
+	p.attach(L)
 	return p, nil
 }
 
@@ -392,19 +399,16 @@ func ranksValid(l []Entry, nr uint32) bool {
 	return true
 }
 
-// attach points every label of labels at its span of p's arena,
+// attach points every label of the table L at its span of p's arena,
 // capacity-clamped so a later write copies out instead of bleeding into
-// the neighbour's span.
-func (p *Packed) attach(labels []Label) {
+// the neighbour's span. Empty labels stay nil.
+func (p *Packed) attach(L *cow.Table[Entry]) {
 	for ci := range p.chunks {
 		c := &p.chunks[ci]
 		for i := 0; i+1 < len(c.off); i++ {
-			lo, hi := c.off[i], c.off[i+1]
-			if lo == hi {
-				labels[ci<<packShift+i] = nil
-				continue
+			if lo, hi := c.off[i], c.off[i+1]; lo < hi {
+				*L.Mut(uint32(ci<<packShift + i)) = c.entries[lo:hi:hi]
 			}
-			labels[ci<<packShift+i] = c.entries[lo:hi:hi]
 		}
 	}
 }
@@ -421,9 +425,9 @@ func (c *Core) WriteTo(w io.Writer) (int64, error) {
 // page-aligned in that file. The returned spans name the raw entry area of
 // each label direction, which a mapped load serves in place.
 func (c *Core) WriteToAt(w io.Writer, base int64) (int64, []Span, error) {
-	tables := make([][]Label, c.kind.Dirs)
+	tables := make([]*cow.Table[Entry], c.kind.Dirs)
 	for d := range tables {
-		tables[d] = c.dirs[d].L
+		tables[d] = &c.dirs[d].L
 	}
 	return WriteStream(w, c.kind.Magic, c.Landmarks, c.hw, base, tables...)
 }
@@ -446,7 +450,7 @@ func fromStream(kind Kind, s *Stream, m *arena.Mapping, err error) (Core, error)
 	for d := range s.Labels {
 		c.dirs[d] = labels{L: s.Labels[d], packed: s.Packed[d]}
 	}
-	c.indexRanks(len(s.Labels[0]))
+	c.indexRanks(s.Labels[0].Len())
 	return c, nil
 }
 

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"repro/internal/arena"
-	"repro/internal/bitset"
+	"repro/internal/cow"
 	"repro/internal/graph"
 )
 
@@ -28,7 +28,10 @@ type Core struct {
 	// kinds keep it symmetric: every write goes to both triangles.
 	hw []graph.Dist
 
-	rankArr []uint16 // vertex id -> rank, noRank if not a landmark
+	// rankArr maps vertex id -> rank, noRank if not a landmark. Forks share
+	// it: it only grows, and every fork's first append copies it (Fork
+	// hands it on capacity-clamped).
+	rankArr []uint16
 
 	// dirs[:kind.Dirs] are the label tables: the only one of the undirected
 	// and weighted variants, forward then backward on the directed one.
@@ -70,14 +73,10 @@ type Kind struct {
 }
 
 // labels is one label direction: the mutable per-vertex table, which is the
-// write representation and the source of truth, the copy-on-write
-// ownership bits of a fork, and the packed read form.
+// write representation and the source of truth (copy-on-write across
+// forks), and the packed read form.
 type labels struct {
-	L []Label
-
-	// shared is non-nil only on forks: a set bit means L[v]'s backing array
-	// still belongs to the parent and is copied before the first write.
-	shared *bitset.Set
+	L cow.Table[Entry]
 
 	// packed is the CSR read form of L, non-nil only while the labelling is
 	// publishable (built by Pack, dropped by the first label write);
@@ -148,7 +147,7 @@ func NewCore(kind Kind, n int, landmarks []uint32) (Core, error) {
 	}
 	c := Core{Landmarks: append([]uint32(nil), landmarks...), kind: kind, hw: hw}
 	for d := 0; d < kind.Dirs; d++ {
-		c.dirs[d].L = make([]Label, n)
+		c.dirs[d].L = cow.Make[Entry](n)
 	}
 	c.indexRanks(n)
 	return c, nil
@@ -208,11 +207,40 @@ func (c *Core) Label(dir int, v uint32) []Entry {
 	if p := c.dirs[dir].packed; p != nil {
 		return p.Label(v)
 	}
-	return c.dirs[dir].L[v]
+	return c.dirs[dir].L.Row(v)
 }
 
-// Labels returns the mutable label table of direction dir.
-func (c *Core) Labels(dir int) []Label { return c.dirs[dir].L }
+// Entry returns the distance of landmark rank r in label direction dir of
+// vertex v, if v's label holds one.
+func (c *Core) Entry(dir int, v uint32, r uint16) (graph.Dist, bool) {
+	return FindEntry(c.Label(dir, v), r)
+}
+
+// PassDist returns the exact distance between landmark rank r and vertex v
+// in label direction dir by Equation 1: d(r, v) for the forward (or only)
+// direction, d(v, r) for the backward one.
+func (c *Core) PassDist(dir int, r uint16, v uint32) graph.Dist {
+	if s := c.rankArr[v]; s != noRank {
+		if dir == 1 {
+			return c.Highway(s, r)
+		}
+		return c.Highway(r, s)
+	}
+	if dir == 0 {
+		return LandmarkVia(c.Row(r), c.Label(0, v))
+	}
+	best := graph.Inf
+	for _, e := range c.Label(1, v) {
+		if t := graph.AddDist(e.D, c.Highway(e.Rank, r)); t < best {
+			best = t
+		}
+	}
+	return best
+}
+
+// Labels returns the mutable label table of direction dir. It is the
+// labelling's own: read it, do not write it.
+func (c *Core) Labels(dir int) *cow.Table[Entry] { return &c.dirs[dir].L }
 
 // Packed returns the packed read form of direction dir, or nil when the
 // labelling has unpublished label writes (or was never packed).
@@ -237,62 +265,45 @@ func (c *Core) PackedBytes() int64 {
 // unpack drops the packed read forms; every label write goes through here.
 func (c *Core) unpack() { c.dirs[0].packed, c.dirs[1].packed = nil, nil }
 
-// ownLabel makes label v of direction dir writable, copying a backing array
-// still shared with the parent on first touch, and drops the packed forms
-// (the slice form is the write representation).
-func (c *Core) ownLabel(dir int, v uint32) {
-	c.unpack()
-	l := &c.dirs[dir]
-	if l.shared == nil || !l.shared.Get(v) {
-		return
-	}
-	l.L[v] = append(make(Label, 0, len(l.L[v])+1), l.L[v]...)
-	l.shared.Clear(v)
-}
-
 // EnsureVertex grows the rank and label tables to cover vertex v, for use
 // after the graph gained vertices.
 func (c *Core) EnsureVertex(v uint32) {
-	if uint32(len(c.rankArr)) <= v {
-		c.unpack() // the packed forms no longer cover every vertex
+	if uint32(len(c.rankArr)) > v {
+		return
 	}
+	c.unpack() // the packed forms no longer cover every vertex
 	for uint32(len(c.rankArr)) <= v {
 		c.rankArr = append(c.rankArr, noRank)
-		for d := range c.dirs[:c.kind.Dirs] {
-			c.dirs[d].L = append(c.dirs[d].L, nil)
-		}
 	}
 	for d := range c.dirs[:c.kind.Dirs] {
-		if l := &c.dirs[d]; l.shared != nil {
-			l.shared.Grow(len(l.L)) // new bits are clear: the fork owns new labels
-		}
+		c.dirs[d].L.Grow(len(c.rankArr))
 	}
 }
 
-// Fork returns a copy-on-write copy of the core. The label-table headers,
-// the rank table and the small highway are copied (O(|V| + k²)), but every
-// per-vertex label's backing array stays shared with c until the fork
-// first writes to it — an update batch copies only the labels it touches,
-// while c keeps serving queries unchanged. The fork inherits the repair
-// knobs and starts unpacked: remembering the parent lets its Pack reuse
-// whatever chunks the parent's arenas hold by the time the fork itself is
-// frozen.
+// Fork returns a copy-on-write copy of the core. Only the small highway
+// (k²) and, per label table, the chunk directory and one bit per vertex
+// are copied; the rank table is shared, and the fork's first write to a
+// label copies that label's chunk of headers and then the label (see
+// internal/cow) — an update batch copies only what it touches, while c
+// keeps serving queries unchanged. The fork inherits the repair knobs and
+// starts unpacked: remembering the parent lets its Pack reuse whatever
+// chunks the parent's arenas hold by the time the fork itself is frozen.
 //
 // Snapshot discipline applies: c must be treated as frozen once forked.
 func (c *Core) Fork() Core {
+	n := len(c.rankArr)
 	f := Core{
 		Landmarks:   c.Landmarks, // immutable after construction
 		kind:        c.kind,
 		hw:          append([]graph.Dist(nil), c.hw...),
-		rankArr:     append([]uint16(nil), c.rankArr...),
+		rankArr:     c.rankArr[:n:n], // the fork's first append copies it
 		parent:      c,
-		mapRef:      c.mapRef, // label slices may still alias the mapping
+		mapRef:      c.mapRef, // labels may still alias the mapping
 		Workers:     c.Workers,
 		RepairTimer: c.RepairTimer,
 	}
 	for d := range c.dirs[:c.kind.Dirs] {
-		f.dirs[d].L = append([]Label(nil), c.dirs[d].L...)
-		f.dirs[d].shared = bitset.NewAllSet(len(c.dirs[d].L))
+		f.dirs[d].L = c.dirs[d].L.Fork()
 	}
 	return f
 }
@@ -313,7 +324,7 @@ func (c *Core) Pack() {
 		if c.parent != nil {
 			prev = c.parent.dirs[d].packed
 		}
-		l.packed = PackParallel(l.L, prev, l.shared, c.Workers)
+		l.packed = PackParallel(&l.L, prev, c.Workers)
 	}
 	c.parent = nil
 }
@@ -338,8 +349,11 @@ func (c *Core) MappedBytes() int64 {
 func (c *Core) NumEntries() int64 {
 	var n int64
 	for d := range c.dirs[:c.kind.Dirs] {
-		for _, l := range c.dirs[d].L {
-			n += int64(len(l))
+		t := &c.dirs[d].L
+		for ci := 0; ci < t.NumChunks(); ci++ {
+			for _, l := range t.Chunk(ci) {
+				n += int64(len(l))
+			}
 		}
 	}
 	return n
@@ -364,13 +378,13 @@ func (c *Core) Bytes() int64 {
 // use it to assert that maintenance reproduces a fresh build exactly.
 func (c *Core) EqualLabels(o *Core) error {
 	for d := range c.dirs[:c.kind.Dirs] {
-		a, b := c.dirs[d].L, o.dirs[d].L
-		if len(a) != len(b) {
-			return fmt.Errorf("label table %d size differs: %d vs %d", d, len(a), len(b))
+		a, b := &c.dirs[d].L, &o.dirs[d].L
+		if a.Len() != b.Len() {
+			return fmt.Errorf("label table %d size differs: %d vs %d", d, a.Len(), b.Len())
 		}
-		for v := range a {
-			if !a[v].Equal(b[v]) {
-				return fmt.Errorf("label %d of vertex %d differs: %v vs %v", d, v, a[v], b[v])
+		for v := uint32(0); int(v) < a.Len(); v++ {
+			if la, lb := Label(a.Row(v)), Label(b.Row(v)); !la.Equal(lb) {
+				return fmt.Errorf("label %d of vertex %d differs: %v vs %v", d, v, la, lb)
 			}
 		}
 	}

@@ -34,9 +34,9 @@ func forkFixture(t *testing.T) *Index {
 
 // snapshotLabels captures a deep copy of the labelling for later comparison.
 func snapshotLabels(idx *Index) []Label {
-	out := make([]Label, len(idx.Labels(0)))
-	for v, l := range idx.Labels(0) {
-		out[v] = append(Label(nil), l...)
+	out := make([]Label, idx.Labels(0).Len())
+	for v := range out {
+		out[v] = append(Label(nil), idx.Label(0, uint32(v))...)
 	}
 	return out
 }
@@ -57,8 +57,8 @@ func TestForkLabelIsolation(t *testing.T) {
 	f.SetEntry(9, 0, 3)
 
 	for v := range before {
-		if !idx.Labels(0)[v].Equal(before[v]) {
-			t.Fatalf("parent label of %d changed: %v != %v", v, idx.Labels(0)[v], before[v])
+		if !Label(idx.Label(0, uint32(v))).Equal(before[v]) {
+			t.Fatalf("parent label of %d changed: %v != %v", v, idx.Label(0, uint32(v)), before[v])
 		}
 	}
 	for i := range hBefore {
@@ -66,8 +66,8 @@ func TestForkLabelIsolation(t *testing.T) {
 			t.Fatalf("parent highway cell %d changed", i)
 		}
 	}
-	if len(idx.Labels(0)) != 8 {
-		t.Fatalf("parent label table grew to %d", len(idx.Labels(0)))
+	if idx.Labels(0).Len() != 8 {
+		t.Fatalf("parent label table grew to %d", idx.Labels(0).Len())
 	}
 	if d, ok := f.EntryDist(9, 0); !ok || d != 3 {
 		t.Fatalf("fork entry (9,0): %d %v", d, ok)
@@ -87,12 +87,12 @@ func TestForkSharesUntouchedLabels(t *testing.T) {
 	f := idx.Fork(idx.G.Fork())
 	f.SetEntry(6, 0, 1)
 	touched, shared := 0, 0
-	parent, fork := idx.Labels(0), f.Labels(0)
-	for v := range parent {
-		if len(parent[v]) == 0 {
+	for v := uint32(0); int(v) < idx.Labels(0).Len(); v++ {
+		pl, fl := idx.Label(0, v), f.Label(0, v)
+		if len(pl) == 0 {
 			continue
 		}
-		if &parent[v][0] == &fork[v][0] {
+		if &pl[0] == &fl[0] {
 			shared++
 		} else {
 			touched++

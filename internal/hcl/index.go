@@ -66,9 +66,7 @@ func (idx *Index) Fork(g *graph.Graph) *Index {
 }
 
 // EntryDist returns the label entry distance of landmark rank r at vertex v.
-func (idx *Index) EntryDist(v uint32, r uint16) (graph.Dist, bool) {
-	return FindEntry(idx.Label(0, v), r)
-}
+func (idx *Index) EntryDist(v uint32, r uint16) (graph.Dist, bool) { return idx.Entry(0, v, r) }
 
 // EqualLabels reports whether two indexes hold identical labels and
 // highway (see Core.EqualLabels).

@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"repro/internal/arena"
+	"repro/internal/cow"
 	"repro/internal/graph"
 )
 
@@ -63,7 +64,7 @@ func MapStream(m *arena.Mapping, streamOff int64, magic string, nv, blocks int) 
 	nr := uint32(len(s.Landmarks))
 	at := headerLen(int64(nr))
 	for i := range s.Labels {
-		p, n, err := mapBlock(data[at:], nr, s.Labels[i])
+		p, n, err := mapBlock(data[at:], nr, &s.Labels[i])
 		if err != nil {
 			return nil, fmt.Errorf("label block %d: %w", i, err)
 		}
@@ -75,10 +76,10 @@ func MapStream(m *arena.Mapping, streamOff int64, magic string, nv, blocks int) 
 }
 
 // mapBlock interprets the label block at the start of data in place,
-// attaching labels to the mapped entries, and returns its packed form and
-// total length.
-func mapBlock(data []byte, nr uint32, labels []Label) (*Packed, int64, error) {
-	nv := len(labels)
+// pointing the table L's labels at the mapped entries chunk by chunk, and
+// returns its packed form and total length.
+func mapBlock(data []byte, nr uint32, L *cow.Table[Entry]) (*Packed, int64, error) {
+	nv := L.Len()
 	if len(data) < blockHeaderLen {
 		return nil, 0, fmt.Errorf("label block truncated")
 	}
@@ -117,7 +118,7 @@ func mapBlock(data []byte, nr uint32, labels []Label) (*Packed, int64, error) {
 			off:     chunkOffsets(off[lo : hi+1]),
 		}
 	}
-	p.attach(labels)
+	p.attach(L)
 	return p, blockLen, nil
 }
 

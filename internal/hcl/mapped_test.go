@@ -74,20 +74,20 @@ func TestWriteToMappableSpans(t *testing.T) {
 	// The span really is the raw native entry area: decode the first
 	// non-empty label straight out of it.
 	le := binary.LittleEndian
-	for v := uint32(0); int(v) < len(idx.Labels(0)); v++ {
-		if len(idx.Labels(0)[v]) == 0 {
+	for v := uint32(0); int(v) < idx.Labels(0).Len(); v++ {
+		if len(idx.Label(0, uint32(v))) == 0 {
 			continue
 		}
 		var at int64
 		for u := uint32(0); u < v; u++ {
-			at += int64(len(idx.Labels(0)[u]))
+			at += int64(len(idx.Label(0, uint32(u))))
 		}
 		raw := buf.Bytes()[sp.Off+at*entryStride:]
-		if r := le.Uint16(raw); r != idx.Labels(0)[v][0].Rank {
-			t.Fatalf("span entry rank %d, want %d", r, idx.Labels(0)[v][0].Rank)
+		if r := le.Uint16(raw); r != idx.Label(0, uint32(v))[0].Rank {
+			t.Fatalf("span entry rank %d, want %d", r, idx.Label(0, uint32(v))[0].Rank)
 		}
-		if d := le.Uint32(raw[4:]); d != uint32(idx.Labels(0)[v][0].D) {
-			t.Fatalf("span entry dist %d, want %d", d, idx.Labels(0)[v][0].D)
+		if d := le.Uint32(raw[4:]); d != uint32(idx.Label(0, uint32(v))[0].D) {
+			t.Fatalf("span entry dist %d, want %d", d, idx.Label(0, uint32(v))[0].D)
 		}
 		break
 	}
@@ -249,14 +249,14 @@ func TestV2CodecCorruptionRejected(t *testing.T) {
 			// with ≥2 entries: ranks must strictly increase.
 			offStart := blockOff + blockHeaderLen + int64(le.Uint32(b[blockOff+8:]))
 			entPad := int64(le.Uint32(b[blockOff+12:]))
-			entStart := offStart + 8*int64(len(idx.Labels(0))+1) + entPad
-			for v := 0; v < len(idx.Labels(0)); v++ {
-				if len(idx.Labels(0)[v]) >= 2 {
+			entStart := offStart + 8*int64(idx.Labels(0).Len()+1) + entPad
+			for v := 0; v < idx.Labels(0).Len(); v++ {
+				if len(idx.Label(0, uint32(v))) >= 2 {
 					var at int64
 					for u := 0; u < v; u++ {
-						at += int64(len(idx.Labels(0)[u]))
+						at += int64(len(idx.Label(0, uint32(u))))
 					}
-					le.PutUint16(b[entStart+(at+1)*entryStride:], idx.Labels(0)[v][0].Rank)
+					le.PutUint16(b[entStart+(at+1)*entryStride:], idx.Label(0, uint32(v))[0].Rank)
 					return b
 				}
 			}

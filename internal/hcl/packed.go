@@ -2,16 +2,16 @@ package hcl
 
 import (
 	"repro/internal/arena"
-	"repro/internal/bitset"
+	"repro/internal/cow"
 	"repro/internal/fanout"
 	"repro/internal/graph"
 )
 
 // The packed read representation. A labelling lives in two forms:
 //
-//   - The mutable build/update form, []Label — one heap-allocated entry
-//     slice per vertex. IncHL+/DecHL repairs mutate it in place (under
-//     copy-on-write ownership on forks) and it stays the source of truth.
+//   - The mutable build/update form, a cow.Table of entries — one entry
+//     slice per vertex in chunks of 512. IncHL+/DecHL repairs mutate it in
+//     place (copy-on-write on forks) and it stays the source of truth.
 //
 //   - The packed read form, Packed — the label entries of a vertex range
 //     flattened into contiguous arenas indexed by a CSR offset table. A
@@ -27,14 +27,14 @@ import (
 // The arena is chunked by vertex id ranges of packChunkLen so that
 // repacking after a batch is proportional to the chunks the batch touched,
 // not to |V|: Pack reuses every chunk of the previous epoch's Packed whose
-// vertices are all still shared with the parent fork (their copy-on-write
-// bits are set), and rebuilds only the rest.
+// label-table chunk the fork never wrote, and rebuilds only the rest.
 
 // packShift sets the chunk granularity of the packed arena: 1<<packShift
-// vertices per chunk. 4096 vertices balances repack granularity (an epoch
-// touching k vertices rebuilds at most k, plus partial-chunk overlap)
-// against per-chunk bookkeeping.
-const packShift = 12
+// vertices per chunk, the chunk of the label table, so one table chunk's
+// copy-on-write state decides one arena chunk's reuse. At 512 vertices a
+// churn write that touches a few scattered labels repacks tens of KB rather
+// than hundreds, and a query's lookup costs the same at any chunk size.
+const packShift = cow.Shift
 
 // packChunkLen is the number of vertices covered by one arena chunk.
 const packChunkLen = 1 << packShift
@@ -106,41 +106,31 @@ func (p *Packed) Get(v uint32, r uint16) (graph.Dist, bool) {
 	return FindEntry(p.Label(v), r)
 }
 
-// PackLabels flattens labels into a fresh packed form, one pass per chunk.
-func PackLabels(labels []Label) *Packed {
-	return Pack(labels, nil, nil)
-}
-
-// Pack flattens labels into the packed read form. prev and shared make it
-// delta-aware for epoch publishes: prev is the packed form of the parent
-// the label table was forked from and shared its copy-on-write bitset (a
-// set bit marks a label still backed by the parent). Chunks whose vertices
-// are all still shared are reused from prev by reference — packing an
-// epoch that touched k vertices costs O(k + touched-chunk slack), not
-// O(|V|). With prev or shared nil every chunk is rebuilt.
-func Pack(labels []Label, prev *Packed, shared *bitset.Set) *Packed {
-	return PackParallel(labels, prev, shared, 1)
+// Pack flattens the label table L into the packed read form. prev makes it
+// delta-aware for epoch publishes: it is the packed form of the parent L
+// was forked from, and every chunk of L that is still the parent's (no
+// label in it written since the fork) is reused from prev by reference —
+// packing an epoch that touched k labels costs O(k · 512), not O(|V|).
+// With prev nil every chunk is rebuilt.
+func Pack(L *cow.Table[Entry], prev *Packed) *Packed {
+	return PackParallel(L, prev, 1)
 }
 
 // PackParallel is Pack with the per-chunk flattening fanned across workers
 // (0 = GOMAXPROCS, 1 = serial). The reuse decisions run serially first —
-// they are cheap bitset scans and fix the exact rebuild set — then the
-// touched chunks fill concurrently; each chunk is an independent slab, so
-// the result is identical for every worker count. Entry totals are summed
-// in chunk order after the barrier.
-func PackParallel(labels []Label, prev *Packed, shared *bitset.Set, workers int) *Packed {
-	n := len(labels)
-	p := &Packed{
-		chunks: make([]packChunk, (n+packChunkLen-1)/packChunkLen),
-		n:      n,
-	}
+// one flag per chunk — and fix the exact rebuild set, then the touched
+// chunks fill concurrently; each chunk is an independent slab, so the
+// result is identical for every worker count. Entry totals are summed in
+// chunk order after the barrier.
+func PackParallel(L *cow.Table[Entry], prev *Packed, workers int) *Packed {
+	n := L.Len()
+	p := &Packed{chunks: make([]packChunk, L.NumChunks()), n: n}
 	rebuild := make([]int, 0, len(p.chunks))
 	for ci := range p.chunks {
-		lo := ci * packChunkLen
-		hi := min(lo+packChunkLen, n)
-		if prev != nil && shared != nil && hi <= prev.n && shared.AllSet(lo, hi) {
-			// Every label in [lo,hi) is still the parent's: the parent's
-			// chunk is byte-identical, share it. A reused chunk may alias
+		if prev != nil && L.ChunkShared(ci) {
+			// Every label in the chunk is still the parent's — none was
+			// written or added since the fork — so the parent's chunk is
+			// byte-identical: share it. A reused chunk may alias
 			// the parent's mapped checkpoint region, so the child inherits
 			// the mapping reference — touched chunks are rebuilt onto the
 			// heap below, which is the chunk-at-a-time migration off the
@@ -153,21 +143,20 @@ func PackParallel(labels []Label, prev *Packed, shared *bitset.Set, workers int)
 	}
 	fanout.Run(fanout.Resolve(workers), len(rebuild), func(_, t int) {
 		ci := rebuild[t]
-		lo := ci * packChunkLen
-		hi := min(lo+packChunkLen, n)
+		rows := L.Chunk(ci)
 		var cnt int
-		for _, l := range labels[lo:hi] {
+		for _, l := range rows {
 			cnt += len(l)
 		}
 		c := packChunk{
 			entries: make([]Entry, 0, cnt),
-			off:     make([]uint32, hi-lo+1),
+			off:     make([]uint32, len(rows)+1),
 		}
-		for i, l := range labels[lo:hi] {
+		for i, l := range rows {
 			c.off[i] = uint32(len(c.entries))
 			c.entries = append(c.entries, l...)
 		}
-		c.off[hi-lo] = uint32(len(c.entries))
+		c.off[len(rows)] = uint32(len(c.entries))
 		p.chunks[ci] = c
 	})
 	for ci := range p.chunks {

@@ -60,13 +60,13 @@ func BenchmarkPack(b *testing.B) {
 	idx, _ := benchKernelIndex(b)
 	b.Run("full", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			PackLabels(idx.Labels(0))
+			Pack(idx.Labels(0), nil)
 		}
 	})
 	for _, w := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("full-parallel/workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				PackParallel(idx.Labels(0), nil, nil, w)
+				PackParallel(idx.Labels(0), nil, w)
 			}
 		})
 	}

@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/bitset"
+	"repro/internal/cow"
 	"repro/internal/graph"
 	"repro/internal/testutil"
 )
@@ -42,13 +42,22 @@ func randomLabels(n, maxLen int, seed int64) []Label {
 	return labels
 }
 
+// table returns a label table holding labels.
+func table(labels []Label) *cow.Table[Entry] {
+	t := cow.Make[Entry](len(labels))
+	for v, l := range labels {
+		*t.Mut(uint32(v)) = l
+	}
+	return &t
+}
+
 // TestPackLabelsRoundTrip pins that the packed form reproduces every label
 // span exactly, across chunk boundaries (n > packChunkLen forces several
 // chunks, including a partial last one).
 func TestPackLabelsRoundTrip(t *testing.T) {
 	n := 2*packChunkLen + 123
 	labels := randomLabels(n, 6, 1)
-	p := PackLabels(labels)
+	p := Pack(table(labels), nil)
 	if p.NumVertices() != n {
 		t.Fatalf("NumVertices: %d, want %d", p.NumVertices(), n)
 	}
@@ -82,57 +91,59 @@ func TestPackLabelsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPackDeltaReusesChunks pins the delta-aware repack: chunks whose
-// vertices were untouched since the parent pack are shared by reference,
-// touched chunks are rebuilt, and the repacked form still answers from the
-// new labels.
+// TestPackDeltaReusesChunks pins the delta-aware repack: chunks of 512
+// labels the fork never wrote are shared with the parent's arena by
+// reference, touched chunks are rebuilt, and the repacked form still
+// answers from the new labels.
 func TestPackDeltaReusesChunks(t *testing.T) {
-	n := 3 * packChunkLen
+	if packChunkLen != 512 {
+		t.Fatalf("packed chunks hold %d vertices, want 512", packChunkLen)
+	}
+	n := 3*packChunkLen + 100 // a partial last chunk
 	labels := randomLabels(n, 5, 2)
-	parent := PackLabels(labels)
+	parentTable := table(labels)
+	parent := Pack(parentTable, nil)
 
-	// Fork-style state: all labels shared, then touch two vertices in the
-	// middle chunk the way Index.ownLabel does.
-	forked := append([]Label(nil), labels...)
-	shared := bitset.NewAllSet(n)
-	for _, v := range []uint32{uint32(packChunkLen) + 7, uint32(packChunkLen) + 900} {
-		forked[v] = append(Label(nil), forked[v]...).Set(3, 9)
-		shared.Clear(v)
+	// Touch two vertices in the second chunk of a fork, the way the repair
+	// merge writes labels.
+	forked := parentTable.Fork()
+	for _, v := range []uint32{packChunkLen + 7, packChunkLen + 500} {
+		l := forked.Mut(v)
+		*l = Label(*l).Set(3, 9)
+		labels[v] = append(Label(nil), labels[v]...).Set(3, 9)
 	}
 
-	repacked := Pack(forked, parent, shared)
-	if !repacked.chunkSharedWith(parent, 0) {
-		t.Error("untouched chunk 0 was rebuilt")
-	}
-	if repacked.chunkSharedWith(parent, 1) {
-		t.Error("touched chunk 1 was shared with the parent")
-	}
-	if !repacked.chunkSharedWith(parent, 2) {
-		t.Error("untouched chunk 2 was rebuilt")
-	}
-	for v := range forked {
-		got := repacked.Label(uint32(v))
-		if len(got) != len(forked[v]) {
-			t.Fatalf("vertex %d: repacked span has %d entries, want %d", v, len(got), len(forked[v]))
+	repacked := Pack(&forked, parent)
+	for ci, want := range []bool{true, false, true, true} {
+		if got := repacked.chunkSharedWith(parent, ci); got != want {
+			t.Errorf("chunk %d shared with the parent: %v, want %v", ci, got, want)
 		}
-		for i := range got {
-			if got[i] != forked[v][i] {
-				t.Fatalf("vertex %d entry %d differs after delta repack", v, i)
+	}
+	checkPacked := func(p *Packed, labels []Label) {
+		t.Helper()
+		for v := range labels {
+			got := p.Label(uint32(v))
+			if len(got) != len(labels[v]) {
+				t.Fatalf("vertex %d: repacked span has %d entries, want %d", v, len(got), len(labels[v]))
+			}
+			for i := range got {
+				if got[i] != labels[v][i] {
+					t.Fatalf("vertex %d entry %d differs after delta repack", v, i)
+				}
 			}
 		}
 	}
+	checkPacked(repacked, labels)
 
 	// A grown label table (EnsureVertex) must never reuse a chunk beyond
-	// the parent's coverage.
-	grown := append(append([]Label(nil), forked...), randomLabels(100, 3, 3)...)
-	shared.Grow(len(grown))
-	p2 := Pack(grown, parent, shared)
-	if p2.NumVertices() != len(grown) {
-		t.Fatalf("grown pack covers %d vertices, want %d", p2.NumVertices(), len(grown))
+	// the parent's coverage, even one it never wrote.
+	grownTable := parentTable.Fork()
+	grownTable.Grow(n + 1)
+	p2 := Pack(&grownTable, parent)
+	if p2.NumVertices() != n+1 || p2.chunkSharedWith(parent, 3) || !p2.chunkSharedWith(parent, 2) {
+		t.Fatalf("grown pack: %d vertices, last chunk reused %v", p2.NumVertices(), p2.chunkSharedWith(parent, 3))
 	}
-	if got := p2.Label(uint32(len(grown) - 1)); len(got) != len(grown[len(grown)-1]) {
-		t.Fatal("grown pack lost the appended labels")
-	}
+	checkPacked(p2, append(randomLabels(n, 5, 2), nil))
 }
 
 // TestIndexPackLifecycle pins the publish contract on a real index: Build

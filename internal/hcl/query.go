@@ -73,12 +73,7 @@ func LandmarkVia(row []graph.Dist, lv []Entry) graph.Dist {
 // LandmarkDist returns d_G(r, v) for landmark rank r and any vertex v,
 // exactly, using the highway for landmark v and Equation 1 otherwise. This
 // is the Q(r, ·, Γ) primitive that drives Algorithm 2 of IncHL+.
-func (idx *Index) LandmarkDist(r uint16, v uint32) graph.Dist {
-	if s, ok := idx.Rank(v); ok {
-		return idx.Highway(r, s)
-	}
-	return LandmarkVia(idx.Row(r), idx.Label(0, v))
-}
+func (idx *Index) LandmarkDist(r uint16, v uint32) graph.Dist { return idx.PassDist(0, r, v) }
 
 // Query answers an exact distance query Q(u,v,Γ): it computes the highway
 // upper bound d⊤ and then runs a d⊤-bounded bidirectional BFS over the

@@ -1,15 +1,16 @@
 // The parallel repair engine of all three variants. Every expensive phase
 // of an update is landmark-independent: a task for landmark r in label
 // direction dir — the jumped find search and covered/uncovered
-// classification of an insertion, or the covered-flag rebuild search of a
-// deletion or a construction — reads only the frozen pre-repair
-// labelling, and its edits touch only rank-r entries of its direction and
-// highway cells (r,s) (forward) or (s,r) (backward). Updates therefore fan
-// tasks across workers, each computing a Delta against the unmodified
-// labelling with its own pooled scratch, and after a full barrier a single
-// thread merges the deltas in task order, the serial apply order. The
-// serial path (Workers == 1) runs the identical task+merge code, so the
-// labelling is byte-identical for every worker count.
+// classification of an insertion, the local repair of a deletion
+// (delete.go), or the covered-flag rebuild search of a construction or a
+// weighted deletion — reads only the frozen pre-repair labelling, and its
+// edits touch only rank-r entries of its direction and highway cells (r,s)
+// (forward) or (s,r) (backward). Updates therefore fan tasks across
+// workers, each computing a Delta against the unmodified labelling with its
+// own pooled scratch, and after a full barrier a single thread merges the
+// deltas in task order, the serial apply order. The serial path
+// (Workers == 1) runs the identical task+merge code, so the labelling is
+// byte-identical for every worker count.
 //
 // Two invariants make worker-side decisions exact rather than speculative:
 //
@@ -20,11 +21,11 @@
 //     (s,r); on the directed variant the backward pass of s writes the
 //     forward cell of r), but any two tasks that write the same cell in one
 //     update write the same new distance. Insertion repairs never read the
-//     highway, so their cells apply unconditionally. Rebuild searches
-//     compare against the current highway, so their tasks emit candidate
-//     cells wherever the pre-update value differs — a superset of what
-//     serial writes — and the merge re-checks each against the live matrix,
-//     reproducing serial's writes and counts exactly.
+//     highway, so their cells apply unconditionally. Deletion repairs and
+//     rebuild searches compare against the frozen highway, so their tasks
+//     emit candidate cells wherever the pre-update value differs — a
+//     superset of what serial writes — and the merge re-checks each against
+//     the live matrix, reproducing serial's writes and counts exactly.
 
 package hcl
 
@@ -102,13 +103,21 @@ func (c *Core) Touched(d *Delta, fn func(v uint32)) {
 	}
 }
 
-// Scratch is one worker's state for the covered-flag rebuild searches: a
-// distance and a covered flag per vertex and the BFS queue. Variants with
-// other searches embed it in their own worker scratch.
+// Scratch is one worker's state for the covered-flag searches: a distance
+// and a covered flag per vertex for the rebuild searches, the stamped
+// per-vertex slots and work lists of the local deletion repair, and the
+// queues both use. Variants with other searches embed it in their own
+// worker scratch.
 type Scratch struct {
 	dist    []graph.Dist
 	covered []bool
 	q       queue.Uint32
+
+	epoch                uint32 // slots stamped otherwise are stale
+	slots                []slot
+	affected, kept, done []uint32
+	seeds                []queue.Pair
+	fifo                 queue.PairQueue
 }
 
 // Arrays returns the distance and covered vectors sized for n vertices.
@@ -200,13 +209,16 @@ func (c *Core) merge(d *Delta, recheck bool) {
 		kept = append(kept, h)
 	}
 	d.hw = kept
+	if len(d.ops) > 0 {
+		c.unpack() // the table is the write representation
+	}
+	L := &c.dirs[d.Dir].L
 	for _, op := range d.ops {
-		c.ownLabel(d.Dir, op.v)
-		L := c.dirs[d.Dir].L
+		l := L.Mut(op.v)
 		if op.d == graph.Inf {
-			L[op.v], _ = L[op.v].Remove(d.Rank)
+			*l, _ = Label(*l).Remove(d.Rank)
 		} else {
-			L[op.v] = L[op.v].Set(d.Rank, op.d)
+			*l = Label(*l).Set(d.Rank, op.d)
 		}
 	}
 }
@@ -234,8 +246,8 @@ func Construct[S any](c *Core, pool *Pool[S], workers int, search func(ws *S, d 
 // replacement of its direction's entries and highway cells into d (see
 // Diff). covered(v) holds iff some shortest root–v path contains another
 // landmark; it propagates along shortest-path DAG edges. On an empty
-// labelling this is the construction pass; after a deletion it is the
-// decremental repair of one affected landmark.
+// labelling this is the construction pass; the RepairRebuild insertion
+// ablation runs it over a populated one.
 func (c *Core) RebuildBFS(ws *Scratch, d *Delta, adj func(uint32) []uint32) {
 	dist, covered := ws.Arrays(len(c.rankArr))
 	for i := range dist {
@@ -275,8 +287,8 @@ func (c *Core) RebuildBFS(ws *Scratch, d *Delta, adj func(uint32) []uint32) {
 func (c *Core) Diff(d *Delta, dist []graph.Dist, covered []bool) {
 	r := d.Rank
 	root := c.Landmarks[r]
-	L := c.dirs[d.Dir].L
-	for v := range L {
+	L := &c.dirs[d.Dir].L
+	for v := range L.Len() {
 		if uint32(v) == root {
 			continue
 		}
@@ -290,7 +302,7 @@ func (c *Core) Diff(d *Delta, dist []graph.Dist, covered []bool) {
 			}
 			continue
 		}
-		old, had := L[v].Get(r)
+		old, had := FindEntry(L.Row(uint32(v)), r)
 		if dist[v] != graph.Inf && !covered[v] {
 			if !had || old != dist[v] {
 				d.Set(uint32(v), dist[v])

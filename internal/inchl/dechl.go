@@ -6,19 +6,32 @@
 // by exactly one (|d_G(r,a) − d_G(r,b)| = 1). The affected test therefore
 // costs two labelled lookups per landmark and no search at all; unaffected
 // landmarks (the common case: an edge sits on the shortest-path DAGs of few
-// landmarks) keep their entries untouched. Each affected landmark is then
-// patched by re-running its construction BFS over the updated graph — the
-// rebuilds fan across workers, buffering their edits as deltas that a
-// single-threaded merge applies in rank order (hcl.Repair). The rebuild
-// also drops the entries and resets to Inf the highway cells of vertices
-// that became unreachable, since deletions are the only updates that can
-// disconnect the graph.
+// landmarks) keep their entries untouched.
 //
-// The resulting labelling is identical to a fresh build (minimality is
-// preserved): rebuilt landmarks get exactly their fresh entries, and for a
-// landmark whose shortest-path DAG did not contain (a,b), neither its
-// distances nor its shortest-path structure changed, so its fresh entries
-// equal its old ones.
+// Each affected landmark is repaired locally (hcl.Core.RepairDeletion),
+// starting from the endpoint one level further from it:
+//
+//   - Affected set: the vertices whose distance grows are exactly those
+//     all of whose remaining shortest-path parents grow too, found by a
+//     level-order walk from that endpoint over the children of affected
+//     vertices only.
+//   - New distances: each affected vertex is seeded from its best
+//     neighbour outside the set, and the seeds relax inside it in distance
+//     order; vertices no seed reaches became unreachable, so they lose
+//     their entries and landmarks among them get Inf highway cells.
+//   - Covered propagation: covered flags are recomputed in new-distance
+//     order from the affected set and the vertices that lost a parent,
+//     spreading only to children of vertices whose flag flipped.
+//
+// Why it is complete: neighbours' distances differ by at most one, so a
+// vertex outside the affected set gains no new shortest-path parent; its
+// entry can change only through a lost parent or a parent whose flag
+// flipped, and both are followed. The edits are therefore exactly those a
+// fresh build would make, and for a landmark whose DAG did not contain
+// (a,b) neither distances nor DAG changed. The labelling stays identical to
+// a fresh build (minimality is preserved). The per-landmark repairs fan
+// across workers, buffering their edits as deltas that a single-threaded
+// merge applies in rank order (hcl.Repair).
 
 package inchl
 
@@ -48,22 +61,30 @@ func (u *Updater) DeleteEdge(a, b uint32) (Stats, error) {
 	st.LandmarksTotal = u.NumLandmarks()
 
 	// Affected test against the pre-delete labelling (still exact here).
+	// heads[t] is the endpoint one level further from task t's landmark.
 	var ds []hcl.Delta
-	for r := 0; r < u.NumLandmarks(); r++ {
-		if edgeOnDAG(u.LandmarkDist(uint16(r), a), u.LandmarkDist(uint16(r), b), 1) {
-			ds = append(ds, hcl.Delta{Rank: uint16(r)})
-		} else {
+	var heads []uint32
+	for r := uint16(0); int(r) < u.NumLandmarks(); r++ {
+		da, db := u.LandmarkDist(r, a), u.LandmarkDist(r, b)
+		switch {
+		case da != graph.Inf && da+1 == db:
+			heads = append(heads, b)
+		case db != graph.Inf && db+1 == da:
+			heads = append(heads, a)
+		default:
 			st.LandmarksSkipped++
+			continue
 		}
+		ds = append(ds, hcl.Delta{Rank: r})
 	}
 
 	if err := g.RemoveEdge(a, b); err != nil {
 		return st, fmt.Errorf("inchl: delete (%d,%d): %w", a, b, err)
 	}
-	hcl.Repair(&u.Core, &scratches, ds, true, func(sc *scratch, _ int, d *hcl.Delta) {
-		u.RebuildBFS(&sc.Scratch, d, g.Neighbors)
+	hcl.Repair(&u.Core, &scratches, ds, true, func(sc *scratch, t int, d *hcl.Delta) {
+		u.RepairDeletion(&sc.Scratch, d, heads[t], g.Neighbors, g.Neighbors)
 	})
-	// Every change a rebuild made touches one vertex: AffectedSum counts
+	// Every change a repair made touches one vertex: AffectedSum counts
 	// them, AffectedUnion the distinct vertices.
 	for i := range ds {
 		ch := ds[i].Changes()
@@ -76,15 +97,6 @@ func (u *Updater) DeleteEdge(a, b uint32) (Stats, error) {
 		}
 	})
 	return st, nil
-}
-
-// edgeOnDAG reports whether an edge of weight w whose endpoints sit at
-// distances da and db from a landmark lies on that landmark's shortest-path
-// DAG. Inf-saturated arithmetic makes the test false when either endpoint is
-// unreachable (adjacent vertices are either both reachable or both not).
-func edgeOnDAG(da, db, w graph.Dist) bool {
-	return (da != graph.Inf && graph.AddDist(da, w) == db) ||
-		(db != graph.Inf && graph.AddDist(db, w) == da)
 }
 
 // DeleteVertex disconnects vertex v by deleting all of its incident edges,

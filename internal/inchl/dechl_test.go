@@ -101,32 +101,91 @@ func TestDeleteEdgeErrors(t *testing.T) {
 	}
 }
 
-// TestRandomDeletionsMatchRebuild removes random edges from random graphs
-// and requires the repaired labelling to be byte-identical to a fresh build
-// after every deletion — DecHL preserves minimality like IncHL+ does.
+// TestRandomDeletionsMatchRebuild removes random edges from random graphs,
+// with an occasional insertion to keep them from emptying, and requires the
+// repaired labelling to be byte-identical to a fresh build after every op —
+// DecHL preserves minimality like IncHL+ does. The shapes cover dense
+// graphs, sparse trees whose every edge is a bridge (deletions disconnect
+// vertices and landmarks), and crowded landmark sets that put landmarks
+// inside the affected sets; the test checks all three happened.
 func TestRandomDeletionsMatchRebuild(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := testutil.RandomGraph(50, 120, seed+40)
-		lm := landmark.ByDegree(g, 4)
-		_, u := buildPair(t, g, lm)
-		for step := 0; step < 25; step++ {
-			// Pick an existing edge uniformly-ish.
-			var edges [][2]uint32
-			u.Index.G.Edges(func(a, b uint32) { edges = append(edges, [2]uint32{a, b}) })
-			if len(edges) == 0 {
-				break
+	shapes := []struct {
+		name      string
+		graph     func(seed int64) *graph.Graph
+		landmarks func(g *graph.Graph, rng *rand.Rand) []uint32
+	}{
+		{"dense", func(seed int64) *graph.Graph { return testutil.RandomGraph(50, 120, seed+40) },
+			func(g *graph.Graph, _ *rand.Rand) []uint32 { return landmark.ByDegree(g, 4) }},
+		{"bridges", func(seed int64) *graph.Graph { return testutil.RandomConnectedGraph(45, 6, seed+90) },
+			func(g *graph.Graph, rng *rand.Rand) []uint32 { return randomLandmarks(g, 5, rng) }},
+		{"crowded", func(seed int64) *graph.Graph { return testutil.RandomConnectedGraph(40, 30, seed+140) },
+			func(g *graph.Graph, rng *rand.Rand) []uint32 { return randomLandmarks(g, 12, rng) }},
+	}
+	var disconnects, landmarksMoved int
+	for _, sh := range shapes {
+		for seed := int64(0); seed < 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			g := sh.graph(seed)
+			_, u := buildPair(t, g, sh.landmarks(g, rng))
+			k := u.NumLandmarks()
+			for step := 0; step < 30; step++ {
+				var edges [][2]uint32
+				u.Index.G.Edges(func(a, b uint32) { edges = append(edges, [2]uint32{a, b}) })
+				if len(edges) == 0 || rng.Intn(5) == 0 {
+					n := uint32(u.Index.G.NumVertices())
+					if a, b := uint32(rng.Intn(int(n))), uint32(rng.Intn(int(n))); a != b && !u.Index.G.HasEdge(a, b) {
+						if _, err := u.InsertEdge(a, b); err != nil {
+							t.Fatalf("%s seed %d step %d: InsertEdge(%d,%d): %v", sh.name, seed, step, a, b, err)
+						}
+					}
+					checkAgainstRebuild(t, u)
+					continue
+				}
+				e := edges[rng.Intn(len(edges))]
+				infBefore := infCells(u, k)
+				st, err := u.DeleteEdge(e[0], e[1])
+				if err != nil {
+					t.Fatalf("%s seed %d step %d: DeleteEdge(%d,%d): %v", sh.name, seed, step, e[0], e[1], err)
+				}
+				if infCells(u, k) > infBefore {
+					disconnects++
+				}
+				if st.HighwayUpdates > 0 {
+					landmarksMoved++
+				}
+				checkAgainstRebuild(t, u)
 			}
-			e := edges[rng.Intn(len(edges))]
-			if _, err := u.DeleteEdge(e[0], e[1]); err != nil {
-				t.Fatalf("seed %d step %d: DeleteEdge(%d,%d): %v", seed, step, e[0], e[1], err)
+			if err := u.Index.VerifyCover(); err != nil {
+				t.Fatalf("%s seed %d: %v", sh.name, seed, err)
 			}
-			checkAgainstRebuild(t, u)
-		}
-		if err := u.Index.VerifyCover(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
+	t.Logf("%d landmark disconnections, %d deletions moving a landmark", disconnects, landmarksMoved)
+	if disconnects == 0 || landmarksMoved == 0 {
+		t.Fatalf("inputs too tame: %d landmark disconnections, %d deletions moving a landmark", disconnects, landmarksMoved)
+	}
+}
+
+// randomLandmarks picks k distinct random vertices.
+func randomLandmarks(g *graph.Graph, k int, rng *rand.Rand) []uint32 {
+	var lm []uint32
+	for _, v := range rng.Perm(g.NumVertices())[:k] {
+		lm = append(lm, uint32(v))
+	}
+	return lm
+}
+
+// infCells counts the highway cells that hold Inf.
+func infCells(u *Updater, k int) int {
+	n := 0
+	for i := 0; i < k; i++ {
+		for _, d := range u.Row(uint16(i)) {
+			if d == graph.Inf {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // TestDeleteThenReinsert pins that a delete/insert round trip restores the
@@ -167,8 +226,8 @@ func TestDeleteVertexIsolates(t *testing.T) {
 	if u.Index.G.Degree(v) != 0 {
 		t.Errorf("vertex %d still has %d edges", v, u.Index.G.Degree(v))
 	}
-	if len(u.Labels(0)[v]) != 0 {
-		t.Errorf("isolated vertex kept label entries: %v", u.Labels(0)[v])
+	if l := u.Label(0, v); len(l) != 0 {
+		t.Errorf("isolated vertex kept label entries: %v", l)
 	}
 	checkAgainstRebuild(t, u)
 	if _, err := u.DeleteVertex(u.Index.Landmarks[0]); err == nil {

@@ -70,11 +70,11 @@ type Updater struct {
 	Strategy RepairStrategy
 }
 
-// scratch is one worker's update state: the rebuild scratch of
-// RepairRebuild and DecHL, and epoch-stamped distance arrays for the
-// find/classify phases. A slot of a stamped array is valid only when its
-// stamp equals the current epoch, so per-task resets are O(1) — each task
-// bumps the epoch of the scratch it runs on. Stamps never exceed their
+// scratch is one worker's update state: the core's scratch for the
+// RepairRebuild search and DecHL's local repair, and epoch-stamped
+// distance arrays for the find/classify phases. A slot of a stamped array
+// is valid only when its stamp equals the current epoch, so per-task
+// resets are O(1) — each task bumps the epoch of the scratch it runs on. Stamps never exceed their
 // scratch's epoch, and that invariant survives pooling because stamps and
 // epoch travel together.
 type scratch struct {

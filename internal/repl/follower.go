@@ -142,7 +142,17 @@ func (f *Follower) session() error {
 	if err != nil {
 		return err
 	}
+	// Register the connection and check for Close in one critical section:
+	// a Close that ran during the dial found no connection to drop, and
+	// would otherwise leave this session reading heartbeats forever.
 	f.connMu.Lock()
+	select {
+	case <-f.stop:
+		f.connMu.Unlock()
+		conn.Close()
+		return errors.New("repl: follower closed")
+	default:
+	}
 	f.conn = conn
 	f.connMu.Unlock()
 	defer func() {

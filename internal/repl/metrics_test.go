@@ -41,16 +41,25 @@ func TestReplicationMetricsExposition(t *testing.T) {
 	}
 	converge(t, f, d.Store().Epoch())
 
-	var lb strings.Builder
-	if err := obs.WriteAll(&lb, d.Store().MetricsRegistries()...); err != nil {
-		t.Fatal(err)
+	// The leader counts a record as shipped after its frame is written, so
+	// the follower can apply it — and converge return — first: poll.
+	var leaderText string
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		var lb strings.Builder
+		if err := obs.WriteAll(&lb, d.Store().MetricsRegistries()...); err != nil {
+			t.Fatal(err)
+		}
+		leaderText = lb.String()
+		got := replSample(t, leaderText, `dynhl_repl_shipped_records_total{role="leader"}`)
+		if got >= 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("shipped_records_total %g, want >= 3", got)
+		}
 	}
-	leaderText := lb.String()
 	if got := replSample(t, leaderText, `dynhl_repl_followers{role="leader"}`); got != 1 {
 		t.Errorf("followers %g, want 1", got)
-	}
-	if got := replSample(t, leaderText, `dynhl_repl_shipped_records_total{role="leader"}`); got < 3 {
-		t.Errorf("shipped_records_total %g, want >= 3", got)
 	}
 	if got := replSample(t, leaderText, `dynhl_repl_bootstraps_total{role="leader"}`); got != 1 {
 		t.Errorf("bootstraps_total %g, want 1", got)

@@ -372,3 +372,27 @@ func TestFollowerSurvivesLeaderRestart(t *testing.T) {
 	converge(t, f, d2.Epoch())
 	assertIdentical(t, d2.Store(), f.Store(), rng)
 }
+
+// TestFollowerCloseDoesNotHang starts followers and closes them after a
+// varying short delay, so Close lands before, during and after the first
+// session dials its leader. Close must return every time: a Close that
+// ran between the dial and the session registering its connection used
+// to leave the session reading heartbeats forever.
+func TestFollowerCloseDoesNotHang(t *testing.T) {
+	l, _, _ := startLeader(t, 40, 5)
+	for i := 0; i < 200; i++ {
+		f := StartFollower(l.Addr(), testOpts(t))
+		time.Sleep(time.Duration(i%25) * 20 * time.Microsecond)
+		f.bounce()
+		closed := make(chan struct{})
+		go func() {
+			f.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: Follower.Close did not return", i)
+		}
+	}
+}

@@ -1,10 +1,12 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,6 +14,7 @@ import (
 	"strings"
 
 	dynhl "repro"
+	"repro/internal/graph"
 )
 
 // Checkpoint file: the complete state at one epoch, so recovery replays
@@ -86,16 +89,18 @@ func asCheckpointable(o any) (checkpointable, bool) {
 	}
 }
 
-// appendGraphSection appends g's binary edge array: u64 edge count, then
-// the endpoints as u32 pairs.
-func appendGraphSection(buf []byte, g *dynhl.Graph) []byte {
+// writeGraphSection writes g's binary edge array: u64 edge count, then the
+// endpoints as u32 pairs. Write errors surface at the caller's flush.
+func writeGraphSection(w io.Writer, g *dynhl.Graph) {
 	le := binary.LittleEndian
-	buf = le.AppendUint64(buf, g.NumEdges())
+	var b [8]byte
+	le.PutUint64(b[:], g.NumEdges())
+	w.Write(b[:])
 	g.Edges(func(u, v uint32) {
-		buf = le.AppendUint32(buf, u)
-		buf = le.AppendUint32(buf, v)
+		le.PutUint32(b[:], u)
+		le.PutUint32(b[4:], v)
+		w.Write(b[:])
 	})
-	return buf
 }
 
 // decodeGraphSection rebuilds the graph from its binary edge array.
@@ -108,20 +113,15 @@ func decodeGraphSection(data []byte, vertices uint64) (*dynhl.Graph, error) {
 	if uint64(len(data)-8) != edges*8 {
 		return nil, fmt.Errorf("wal: graph section holds %d bytes for %d edges", len(data)-8, edges)
 	}
-	g := dynhl.NewGraph(int(vertices))
-	if vertices > 0 {
-		g.EnsureVertex(uint32(vertices - 1))
+	if vertices > math.MaxUint32 {
+		return nil, fmt.Errorf("wal: graph section claims %d vertices", vertices)
 	}
-	off := 8
-	for i := uint64(0); i < edges; i++ {
-		u, v := le.Uint32(data[off:]), le.Uint32(data[off+4:])
-		if uint64(u) >= vertices || uint64(v) >= vertices {
-			return nil, fmt.Errorf("wal: graph section edge (%d,%d) outside %d vertices", u, v, vertices)
-		}
-		if !g.MustAddEdge(u, v) {
-			return nil, fmt.Errorf("wal: graph section repeats edge (%d,%d)", u, v)
-		}
-		off += 8
+	g, err := graph.FromEdges(int(vertices), int(edges), func(i int) (uint32, uint32) {
+		e := data[8+8*i:]
+		return le.Uint32(e), le.Uint32(e[4:])
+	})
+	if err != nil {
+		return nil, fmt.Errorf("wal: graph section: %w", err)
 	}
 	return g, nil
 }
@@ -139,53 +139,17 @@ func crcSkipSpans(data []byte, spans []dynhl.Span) uint32 {
 	return crc32.Update(crc, crc32.IEEETable, data[pos:])
 }
 
-// sliceWriter adapts an append-grown byte slice to io.Writer, so the
-// labelling streams straight into the checkpoint image.
-type sliceWriter struct{ buf *[]byte }
-
-func (w sliceWriter) Write(p []byte) (int, error) {
-	*w.buf = append(*w.buf, p...)
-	return len(p), nil
-}
-
 // writeCheckpoint atomically writes the checkpoint for epoch: temp file,
-// fsync, rename, directory fsync. It returns the final path. The whole
-// image is assembled in one buffer — the graph and labelling stream into
-// it directly, with the labelling length patched in afterwards, so peak
-// memory is one copy of the checkpoint, not three.
+// fsync, rename, directory fsync. It returns the final path.
 func writeCheckpoint(dir string, epoch uint64, src checkpointable) (string, error) {
-	g := src.Graph()
-	le := binary.LittleEndian
-	buf := make([]byte, 0, len(ckptMagic)+4*8+8*int(g.NumEdges())+4)
-	buf = append(buf, ckptMagic...)
-	buf = le.AppendUint64(buf, epoch)
-	buf = le.AppendUint64(buf, uint64(g.NumVertices()))
-	buf = le.AppendUint64(buf, 8+8*g.NumEdges()) // graph section length
-	buf = appendGraphSection(buf, g)
-	lenAt := len(buf) // labelling length, patched after the stream
-	buf = le.AppendUint64(buf, 0)
-	// The labelling's file offset is its buffer offset — the image is
-	// written from byte 0 of the file — so alignment computed against the
-	// buffer position holds on disk.
-	_, spans, err := src.SaveAt(sliceWriter{&buf}, int64(len(buf)))
-	if err != nil {
-		return "", fmt.Errorf("wal: checkpoint labelling: %w", err)
-	}
-	le.PutUint64(buf[lenAt:], uint64(len(buf)-lenAt-8))
-	for _, s := range spans {
-		buf = le.AppendUint64(buf, uint64(s.Off))
-		buf = le.AppendUint64(buf, uint64(s.Len))
-	}
-	buf = le.AppendUint32(buf, uint32(len(spans)))
-	buf = le.AppendUint32(buf, crcSkipSpans(buf, spans))
-
 	final := ckptPath(dir, epoch)
 	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o666)
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o666)
 	if err != nil {
 		return "", err
 	}
-	if _, err := f.Write(buf); err == nil {
+	err = writeImage(f, epoch, src)
+	if err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
@@ -208,6 +172,74 @@ func writeCheckpoint(dir string, epoch uint64, src checkpointable) (string, erro
 		return "", err
 	}
 	return final, nil
+}
+
+// writeImage streams the checkpoint image of epoch into the empty file f
+// through a 64 KiB buffer: the graph section and the labelling go straight
+// from the snapshot to the file, so the image is never held in memory. The
+// labelling length is patched in place once the stream is written, and the
+// CRC is computed by reading the bytes outside the entry spans back from
+// the file.
+func writeImage(f *os.File, epoch uint64, src checkpointable) error {
+	g := src.Graph()
+	le := binary.LittleEndian
+	bw := bufio.NewWriterSize(f, 64<<10)
+	var u64 [8]byte
+	putU64 := func(v uint64) {
+		le.PutUint64(u64[:], v)
+		bw.Write(u64[:])
+	}
+	graphLen := 8 + 8*g.NumEdges()
+	bw.WriteString(ckptMagic)
+	putU64(epoch)
+	putU64(uint64(g.NumVertices()))
+	putU64(graphLen)
+	writeGraphSection(bw, g)
+	lenAt := int64(len(ckptMagic)+3*8) + int64(graphLen) // labelling length, patched after the stream
+	putU64(0)
+	labelsLen, spans, err := src.SaveAt(bw, lenAt+8)
+	if err != nil {
+		return fmt.Errorf("wal: checkpoint labelling: %w", err)
+	}
+	for _, s := range spans {
+		putU64(uint64(s.Off))
+		putU64(uint64(s.Len))
+	}
+	var u32 [4]byte
+	le.PutUint32(u32[:], uint32(len(spans)))
+	bw.Write(u32[:])
+	if err := bw.Flush(); err != nil { // bufio errors are sticky: this is the first one
+		return err
+	}
+	le.PutUint64(u64[:], uint64(labelsLen))
+	if _, err := f.WriteAt(u64[:], lenAt); err != nil {
+		return err
+	}
+	// The CRC covers what crcSkipSpans covers; the bytes outside the spans
+	// are read back in pieces rather than held.
+	end := lenAt + 8 + labelsLen + 16*int64(len(spans)) + 4
+	var crc uint32
+	buf := make([]byte, 64<<10)
+	for pos, i := int64(0), 0; pos < end; i++ {
+		hi := end
+		if i < len(spans) {
+			hi = spans[i].Off
+		}
+		for pos < hi {
+			n, err := f.ReadAt(buf[:min(int64(len(buf)), hi-pos)], pos)
+			if err != nil {
+				return err
+			}
+			crc = crc32.Update(crc, crc32.IEEETable, buf[:n])
+			pos += int64(n)
+		}
+		if i < len(spans) {
+			pos = spans[i].Off + spans[i].Len
+		}
+	}
+	le.PutUint32(u32[:], crc)
+	_, err = f.WriteAt(u32[:], end)
+	return err
 }
 
 // ckptState is a decoded checkpoint, ready to rebuild an oracle. Its

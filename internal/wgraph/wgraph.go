@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/bitset"
+	"repro/internal/cow"
 	"repro/internal/graph"
 )
 
@@ -21,45 +21,38 @@ type Arc struct {
 
 // Graph is an undirected, positively-weighted dynamic graph.
 type Graph struct {
-	adj   [][]Arc
+	adj   cow.Table[Arc] // copy-on-write across forks (see Fork)
 	edges uint64
-
-	// shared is non-nil only on forks: a set bit means that adjacency
-	// list's backing array still belongs to the parent and is copied before
-	// the first mutation (see Fork).
-	shared *bitset.Set
 }
 
-// New returns an empty weighted graph with capacity hints for n vertices.
-func New(n int) *Graph { return &Graph{adj: make([][]Arc, 0, n)} }
+// New returns an empty weighted graph. The vertex-count hint n is unused:
+// adjacency grows one chunk of vertices at a time.
+func New(n int) *Graph { return &Graph{} }
 
 // NumVertices returns the number of vertices.
-func (g *Graph) NumVertices() int { return len(g.adj) }
+func (g *Graph) NumVertices() int { return g.adj.Len() }
 
 // NumEdges returns the number of undirected edges.
 func (g *Graph) NumEdges() uint64 { return g.edges }
 
 // AddVertex appends a new isolated vertex and returns its id.
 func (g *Graph) AddVertex() uint32 {
-	g.adj = append(g.adj, nil)
-	if g.shared != nil {
-		g.shared.Grow(len(g.adj)) // new bits are clear: the fork owns new vertices
-	}
-	return uint32(len(g.adj) - 1)
+	g.adj.Grow(g.adj.Len() + 1)
+	return uint32(g.adj.Len() - 1)
 }
 
 // HasVertex reports whether v exists.
-func (g *Graph) HasVertex(v uint32) bool { return int(v) < len(g.adj) }
+func (g *Graph) HasVertex(v uint32) bool { return int(v) < g.adj.Len() }
 
 // Neighbors returns the weighted adjacency of v (owned by the graph).
-func (g *Graph) Neighbors(v uint32) []Arc { return g.adj[v] }
+func (g *Graph) Neighbors(v uint32) []Arc { return g.adj.Row(v) }
 
 // Weight returns the weight of edge (u,v), or 0 if absent.
 func (g *Graph) Weight(u, v uint32) graph.Dist {
-	if int(u) >= len(g.adj) {
+	if !g.HasVertex(u) {
 		return 0
 	}
-	for _, a := range g.adj[u] {
+	for _, a := range g.adj.Row(u) {
 		if a.To == v {
 			return a.W
 		}
@@ -79,16 +72,16 @@ func (g *Graph) AddEdge(u, v uint32, w graph.Dist) (bool, error) {
 	if w < 1 || w == graph.Inf {
 		return false, fmt.Errorf("wgraph: edge (%d,%d): weight %d out of range", u, v, w)
 	}
-	if int(u) >= len(g.adj) || int(v) >= len(g.adj) {
-		return false, fmt.Errorf("%w: edge (%d,%d) with %d vertices", graph.ErrVertexUnknown, u, v, len(g.adj))
+	if !g.HasVertex(u) || !g.HasVertex(v) {
+		return false, fmt.Errorf("%w: edge (%d,%d) with %d vertices", graph.ErrVertexUnknown, u, v, g.NumVertices())
 	}
 	if g.HasEdge(u, v) {
 		return false, nil
 	}
-	g.own(u)
-	g.own(v)
-	g.adj[u] = append(g.adj[u], Arc{To: v, W: w})
-	g.adj[v] = append(g.adj[v], Arc{To: u, W: w})
+	au := g.adj.Mut(u)
+	*au = append(*au, Arc{To: v, W: w})
+	av := g.adj.Mut(v)
+	*av = append(*av, Arc{To: u, W: w})
 	g.edges++
 	return true, nil
 }
@@ -101,40 +94,25 @@ func (g *Graph) RemoveEdge(u, v uint32) (graph.Dist, error) {
 	if u == v {
 		return 0, graph.ErrSelfLoop
 	}
-	if int(u) >= len(g.adj) || int(v) >= len(g.adj) {
-		return 0, fmt.Errorf("%w: edge (%d,%d) with %d vertices", graph.ErrVertexUnknown, u, v, len(g.adj))
+	if !g.HasVertex(u) || !g.HasVertex(v) {
+		return 0, fmt.Errorf("%w: edge (%d,%d) with %d vertices", graph.ErrVertexUnknown, u, v, g.NumVertices())
 	}
 	if !g.HasEdge(u, v) {
 		return 0, fmt.Errorf("%w: (%d,%d)", graph.ErrEdgeUnknown, u, v)
 	}
-	g.own(u)
-	g.own(v)
-	w, _ := removeArc(&g.adj[u], v)
-	removeArc(&g.adj[v], u)
+	w, _ := removeArc(g.adj.Mut(u), v)
+	removeArc(g.adj.Mut(v), u)
 	g.edges--
 	return w, nil
 }
 
-// Fork returns a copy-on-write copy: adjacency headers are copied (O(|V|))
-// while every neighbour list's backing array stays shared with g until the
-// fork first mutates it. Mutating the fork never writes to memory reachable
+// Fork returns a copy-on-write copy: only the chunk directory of the
+// adjacency table and one bit per vertex are copied, and the fork's first
+// write to a vertex copies its chunk of list headers and then its list
+// (see internal/cow). Mutating the fork never writes to memory reachable
 // from g; g must be treated as frozen afterwards (snapshot discipline).
 func (g *Graph) Fork() *Graph {
-	return &Graph{
-		adj:    append([][]Arc(nil), g.adj...),
-		edges:  g.edges,
-		shared: bitset.NewAllSet(len(g.adj)),
-	}
-}
-
-// own makes adj[v] writable on a fork, copying the shared backing array on
-// first touch.
-func (g *Graph) own(v uint32) {
-	if g.shared == nil || !g.shared.Get(v) {
-		return
-	}
-	g.adj[v] = append(make([]Arc, 0, len(g.adj[v])+1), g.adj[v]...)
-	g.shared.Clear(v)
+	return &Graph{adj: g.adj.Fork(), edges: g.edges}
 }
 
 // removeArc deletes the arc to x from *list (swap with last; adjacency
@@ -154,7 +132,7 @@ func removeArc(list *[]Arc, x uint32) (graph.Dist, bool) {
 
 // MustAddEdge inserts (u,v,w), growing the vertex set as needed.
 func (g *Graph) MustAddEdge(u, v uint32, w graph.Dist) bool {
-	for uint32(len(g.adj)) <= max(u, v) {
+	for !g.HasVertex(max(u, v)) {
 		g.AddVertex()
 	}
 	ok, err := g.AddEdge(u, v, w)
@@ -166,13 +144,7 @@ func (g *Graph) MustAddEdge(u, v uint32, w graph.Dist) bool {
 
 // Clone returns a deep copy.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{adj: make([][]Arc, len(g.adj)), edges: g.edges}
-	for v, as := range g.adj {
-		if len(as) > 0 {
-			c.adj[v] = append([]Arc(nil), as...)
-		}
-	}
-	return c
+	return &Graph{adj: g.adj.Clone(), edges: g.edges}
 }
 
 // Item is a priority-queue element.
@@ -296,7 +268,7 @@ func (g *Graph) Dijkstra(src uint32, dist []graph.Dist) []uint32 {
 			continue // stale entry
 		}
 		order = append(order, it.V)
-		for _, a := range g.adj[it.V] {
+		for _, a := range g.adj.Row(it.V) {
 			if nd := graph.AddDist(it.D, a.W); nd < dist[a.To] {
 				dist[a.To] = nd
 				pq.PushItem(Item{V: a.To, D: nd})
@@ -376,7 +348,7 @@ func settle(g *Graph, pq *PQ, dist, other []graph.Dist, src, dst uint32, avoid f
 		if avoid != nil && it.V != src && avoid(it.V) {
 			return it.D // settled but not expanded: removed vertex
 		}
-		for _, a := range g.adj[it.V] {
+		for _, a := range g.adj.Row(it.V) {
 			if avoid != nil && a.To != dst && a.To != src && avoid(a.To) {
 				continue
 			}

@@ -122,7 +122,7 @@ func TestDeleteVertexWeighted(t *testing.T) {
 	if len(g.Neighbors(v)) != 0 {
 		t.Errorf("vertex %d still has edges", v)
 	}
-	if l := idx.Labels(0)[v]; len(l) != 0 {
+	if l := idx.Label(0, v); len(l) != 0 {
 		t.Errorf("isolated vertex kept entries: %v", l)
 	}
 	fresh, err := Build(g, lm)

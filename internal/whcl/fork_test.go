@@ -23,9 +23,9 @@ func TestForkUpdateIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels := make([]hcl.Label, len(idx.Labels(0)))
-	for v, l := range idx.Labels(0) {
-		labels[v] = append(hcl.Label(nil), l...)
+	labels := make([]hcl.Label, idx.Labels(0).Len())
+	for v := range labels {
+		labels[v] = append(hcl.Label(nil), idx.Label(0, uint32(v))...)
 	}
 	hw := append(append([]uint32(nil), idx.Row(0)...), idx.Row(1)...)
 	edges := g.NumEdges()
@@ -42,8 +42,8 @@ func TestForkUpdateIsolation(t *testing.T) {
 	}
 
 	for v := range labels {
-		if !idx.Labels(0)[v].Equal(labels[v]) {
-			t.Fatalf("parent label of %d changed: %v != %v", v, idx.Labels(0)[v], labels[v])
+		if got := hcl.Label(idx.Label(0, uint32(v))); !got.Equal(labels[v]) {
+			t.Fatalf("parent label of %d changed: %v != %v", v, got, labels[v])
 		}
 	}
 	for i, d := range append(append([]uint32(nil), idx.Row(0)...), idx.Row(1)...) {

@@ -171,7 +171,6 @@ func (idx *Index) findAffected(r uint16, a, b uint32, w graph.Dist) (findResult,
 func (idx *Index) classifyAffected(fr *findResult, d *hcl.Delta) {
 	r := d.Rank
 	root := idx.Landmarks[r]
-	labels := idx.Labels(0)
 	covered := make(map[uint32]bool, len(fr.affected))
 	for _, it := range fr.affected {
 		v, dd := it.V, it.D
@@ -208,7 +207,7 @@ func (idx *Index) classifyAffected(fr *findResult, d *hcl.Delta) {
 				}
 				continue
 			}
-			if _, has := labels[n].Get(r); !has {
+			if _, has := idx.Entry(0, n, r); !has {
 				cov = true
 				break
 			}
@@ -216,7 +215,7 @@ func (idx *Index) classifyAffected(fr *findResult, d *hcl.Delta) {
 		covered[v] = cov
 		if !cov {
 			d.Set(v, dd)
-		} else if _, has := labels[v].Get(r); has {
+		} else if _, has := idx.Entry(0, v, r); has {
 			d.Remove(v)
 		}
 	}

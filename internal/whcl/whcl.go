@@ -96,12 +96,7 @@ func (idx *Index) Fork(g *wgraph.Graph) *Index {
 
 // LandmarkDist returns the exact weighted distance from landmark rank r to
 // any vertex v (Equation 1 with Dijkstra distances).
-func (idx *Index) LandmarkDist(r uint16, v uint32) graph.Dist {
-	if s, ok := idx.Rank(v); ok {
-		return idx.Highway(r, s)
-	}
-	return hcl.LandmarkVia(idx.Row(r), idx.Label(0, v))
-}
+func (idx *Index) LandmarkDist(r uint16, v uint32) graph.Dist { return idx.PassDist(0, r, v) }
 
 // UpperBound returns the best u–v distance through the highway network.
 func (idx *Index) UpperBound(u, v uint32) graph.Dist {

@@ -6,9 +6,11 @@ package dynhl_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	dynhl "repro"
+	"repro/internal/gen"
 	"repro/internal/testutil"
 )
 
@@ -18,7 +20,39 @@ import (
 // workers=1 is the serial engine; compare sub-benchmarks for the scaling
 // curve. Single-core hosts time-slice the workers, so the parallel cases
 // then measure fan overhead rather than speedup.
+//
+// Deleting the edge just inserted is cheap for DecHL — a fresh edge lies on
+// few shortest-path DAGs — so the churn case measures what a rewiring
+// workload pays instead: each iteration deletes a uniformly random existing
+// edge of a Barabási–Albert graph (50k vertices, m = 8, 20 landmarks) and
+// inserts a uniformly random non-edge, serially.
 func BenchmarkRepairParallel(b *testing.B) {
+	b.Run("churn", func(b *testing.B) {
+		g := gen.BarabasiAlbert(50_000, 8, 9)
+		x, err := dynhl.Build(g, dynhl.Options{Landmarks: 20, RepairWorkers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var edges [][2]uint32
+		g.Edges(func(u, v uint32) { edges = append(edges, [2]uint32{u, v}) })
+		rng := rand.New(rand.NewSource(33))
+		n := g.NumVertices()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			j := rng.Intn(len(edges))
+			if _, err := x.DeleteEdge(edges[j][0], edges[j][1]); err != nil {
+				b.Fatal(err)
+			}
+			u, v := uint32(rng.Intn(n)), uint32(rng.Intn(n))
+			for u == v || g.HasEdge(u, v) {
+				u, v = uint32(rng.Intn(n)), uint32(rng.Intn(n))
+			}
+			if _, err := x.InsertEdge(u, v, 0); err != nil {
+				b.Fatal(err)
+			}
+			edges[j] = [2]uint32{u, v}
+		}
+	})
 	base := testutil.RandomConnectedGraph(50_000, 100_000, 9)
 	churn := testutil.NonEdges(base, 4096, 33)
 	for _, w := range []int{1, 2, 4, 8} {
