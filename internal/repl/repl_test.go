@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -102,7 +103,13 @@ func startLeader(t testing.TB, n int, seed int64) (*Leader, *wal.Durable, *dynhl
 // startFollower connects a follower and waits for its bootstrap.
 func startFollower(t testing.TB, l *Leader) *Follower {
 	t.Helper()
-	f := StartFollower(l.Addr(), testOpts(t))
+	return startFollowerWith(t, l, testOpts(t))
+}
+
+// startFollowerWith is startFollower with the follower's options given.
+func startFollowerWith(t testing.TB, l *Leader, opts Options) *Follower {
+	t.Helper()
+	f := StartFollower(l.Addr(), opts)
 	t.Cleanup(func() { f.Close() })
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -201,8 +208,14 @@ func TestReconnectResume(t *testing.T) {
 func TestTruncatedResumeRebootstraps(t *testing.T) {
 	l, d, mirror := startLeader(t, 32, 3)
 	rng := rand.New(rand.NewSource(3))
-	f := startFollower(t, l)
+	// The follower must stay down until the checkpoint below has moved the
+	// resume floor: a reconnect that beats it, as a 10 ms backoff can on a
+	// loaded host, resumes instead of re-bootstrapping.
+	opts := testOpts(t)
+	opts.ReconnectMin = time.Second
+	f := startFollowerWith(t, l, opts)
 	converge(t, f, d.Epoch())
+	waitCount(t, &l.bootstraps, 1) // the initial image
 	before := l.bootstraps.Load()
 
 	// While the follower is down, the leader checkpoints past its epoch:
@@ -218,8 +231,20 @@ func TestTruncatedResumeRebootstraps(t *testing.T) {
 	}
 	converge(t, f, d.Epoch())
 	assertIdentical(t, d.Store(), f.Store(), rng)
-	if got := l.bootstraps.Load(); got <= before {
-		t.Fatalf("checkpoint past the follower's epoch should force a re-bootstrap (bootstraps %d -> %d)", before, got)
+	waitCount(t, &l.bootstraps, before+1) // a checkpoint past the follower's epoch forces a re-bootstrap
+}
+
+// waitCount waits for a leader counter to reach want. The leader counts a
+// frame after writing it, so a follower can apply the frame before the
+// count moves.
+func waitCount(t *testing.T, c *atomic.Uint64, want uint64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Load() < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("leader counter at %d, want %d", c.Load(), want)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

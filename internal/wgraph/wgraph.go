@@ -7,6 +7,7 @@ package wgraph
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"repro/internal/cow"
@@ -153,64 +154,85 @@ type Item struct {
 	D graph.Dist
 }
 
-// PQ is a binary min-heap of Items ordered by distance. PushItem and
-// PopItem sift by hand instead of going through container/heap: boxing an
-// Item into the interface argument of heap.Push allocates on every push,
-// which would put an allocation inside the Dijkstra inner loop.
-type PQ []Item
+// PQ is a monotone radix heap of Items ordered by distance (Ahuja,
+// Mehlhorn, Orlin & Tarjan, JACM 1990). It relies on the Dijkstra
+// contract: every key pushed is at least the key last popped (0 after
+// Reset), which holds whenever keys are a popped distance plus a
+// non-negative weight. A push that breaks the contract is a bug and pops
+// out of order.
+//
+// Bucket i holds the keys d with bits.Len32(d ^ last) = i, where last is
+// the key last popped; bucket 0 holds keys equal to last. A push is one
+// append. A pop takes from bucket 0, first refilling it from the lowest
+// non-empty bucket when it is empty: that bucket's minimum becomes last and
+// its items move to strictly lower buckets, so each item moves at most 32
+// times over its life in the queue. Items of equal key pop in unspecified
+// order. The zero PQ is empty and ready to use; the buckets keep their
+// capacity across Reset, so a reused PQ allocates nothing in steady state.
+type PQ struct {
+	b    [33][]Item
+	last graph.Dist
+	n    int
+}
 
-func (p PQ) Len() int { return len(p) }
+// Len returns the number of queued items, stale ones included.
+func (p *PQ) Len() int { return p.n }
 
-// PushItem inserts it, keeping the heap order.
+// PushItem inserts it; it.D must be at least the key last popped.
 func (p *PQ) PushItem(it Item) {
-	h := append(*p, it)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent].D <= h[i].D {
-			break
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
-	*p = h
+	i := bits.Len32(it.D ^ p.last)
+	p.b[i] = append(p.b[i], it)
+	p.n++
 }
 
-// PopItem removes and returns the minimum-distance item.
+// PopItem removes and returns a minimum-distance item. The queue must not
+// be empty.
 func (p *PQ) PopItem() Item {
-	h := *p
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h[l].D < h[small].D {
-			small = l
-		}
-		if r < n && h[r].D < h[small].D {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
+	if len(p.b[0]) == 0 {
+		p.refill()
 	}
-	*p = h
-	return top
+	b0 := p.b[0]
+	it := b0[len(b0)-1]
+	p.b[0] = b0[:len(b0)-1]
+	p.n--
+	return it
 }
 
-// Reset empties the heap, keeping its capacity.
-func (p *PQ) Reset() { *p = (*p)[:0] }
+// refill makes the minimum of the lowest non-empty bucket the new last key
+// and redistributes that bucket: its keys agree with last on every bit from
+// its index up, so each lands in a lower bucket, the minimum in bucket 0.
+func (p *PQ) refill() {
+	i := 1
+	for len(p.b[i]) == 0 {
+		i++
+	}
+	src := p.b[i]
+	m := src[0].D
+	for _, it := range src[1:] {
+		m = min(m, it.D)
+	}
+	p.last = m
+	for _, it := range src {
+		j := bits.Len32(it.D ^ m)
+		p.b[j] = append(p.b[j], it)
+	}
+	p.b[i] = src[:0]
+}
+
+// Reset empties the queue, keeping each bucket's capacity.
+func (p *PQ) Reset() {
+	for i := range p.b {
+		p.b[i] = p.b[i][:0]
+	}
+	p.last, p.n = 0, 0
+}
 
 // QuerySpace is the per-query scratch of the bounded bidirectional Dijkstra
 // (Sparsified): two distance vectors whose entries are graph.Inf between
-// queries, the touched list used to restore them sparsely, and the two
-// priority-queue buffers. Mirrors bfs.QuerySpace for the weighted searches;
-// a steady-state query allocates nothing.
+// queries, the touched list used to restore them sparsely, and one radix
+// heap per side, whose buckets keep their capacity from query to query.
+// Mirrors bfs.QuerySpace for the weighted searches; a steady-state query
+// allocates nothing.
 type QuerySpace struct {
 	DistU, DistV []graph.Dist
 	Touched      []uint32
@@ -290,7 +312,7 @@ func (g *Graph) Dist(u, v uint32) graph.Dist {
 // exempt), returning the distance or graph.Inf when it exceeds bound.
 // s carries all scratch: distance vectors of length ≥ NumVertices whose
 // entries must all be graph.Inf on entry (restored sparsely on return) and
-// the two priority-queue buffers. A steady-state query allocates nothing.
+// the two radix heaps. A steady-state query allocates nothing.
 func (g *Graph) Sparsified(u, v uint32, bound graph.Dist, avoid func(uint32) bool, s *QuerySpace) graph.Dist {
 	if u == v {
 		return 0
@@ -307,8 +329,9 @@ func (g *Graph) Sparsified(u, v uint32, bound graph.Dist, avoid func(uint32) boo
 		}
 		s.Touched = touched // keep the grown capacity
 	}()
-	pqU, pqV := s.pqU[:0], s.pqV[:0]
-	defer func() { s.pqU, s.pqV = pqU[:0], pqV[:0] }()
+	pqU, pqV := &s.pqU, &s.pqV
+	pqU.Reset() // a search that stopped at its bound leaves items behind
+	pqV.Reset()
 	distU[u] = 0
 	distV[v] = 0
 	touched = append(touched, u, v)
@@ -324,9 +347,9 @@ func (g *Graph) Sparsified(u, v uint32, bound graph.Dist, avoid func(uint32) boo
 			break // settled radii already cover every candidate below best
 		}
 		if topU <= topV {
-			topU = settle(g, &pqU, distU, distV, u, v, avoid, &best, &touched)
+			topU = settle(g, pqU, distU, distV, u, v, avoid, &best, &touched)
 		} else {
-			topV = settle(g, &pqV, distV, distU, v, u, avoid, &best, &touched)
+			topV = settle(g, pqV, distV, distU, v, u, avoid, &best, &touched)
 		}
 	}
 	if bound != graph.Inf && best > bound {
@@ -338,7 +361,8 @@ func (g *Graph) Sparsified(u, v uint32, bound graph.Dist, avoid func(uint32) boo
 // settle pops one vertex from the side rooted at src and relaxes its edges,
 // recording meets with the opposite side. Distance entries are graph.Inf
 // for undiscovered vertices; every first discovery is appended to touched
-// so the caller can restore sparsely.
+// so the caller can restore sparsely. An arc is checked against avoid only
+// when it would improve a distance, as bfs's expand does.
 func settle(g *Graph, pq *PQ, dist, other []graph.Dist, src, dst uint32, avoid func(uint32) bool, best *graph.Dist, touched *[]uint32) graph.Dist {
 	for pq.Len() > 0 {
 		it := pq.PopItem()
@@ -349,20 +373,21 @@ func settle(g *Graph, pq *PQ, dist, other []graph.Dist, src, dst uint32, avoid f
 			return it.D // settled but not expanded: removed vertex
 		}
 		for _, a := range g.adj.Row(it.V) {
-			if avoid != nil && a.To != dst && a.To != src && avoid(a.To) {
+			nd := graph.AddDist(it.D, a.W)
+			if nd >= dist[a.To] {
 				continue
 			}
-			nd := graph.AddDist(it.D, a.W)
-			if nd < dist[a.To] {
-				if dist[a.To] == graph.Inf {
-					*touched = append(*touched, a.To)
-				}
-				dist[a.To] = nd
-				pq.PushItem(Item{V: a.To, D: nd})
-				if od := other[a.To]; od != graph.Inf {
-					if t := graph.AddDist(nd, od); t < *best {
-						*best = t
-					}
+			if avoid != nil && a.To != dst && a.To != src && avoid(a.To) {
+				continue // vertex removed from the sparsified graph
+			}
+			if dist[a.To] == graph.Inf {
+				*touched = append(*touched, a.To)
+			}
+			dist[a.To] = nd
+			pq.PushItem(Item{V: a.To, D: nd})
+			if od := other[a.To]; od != graph.Inf {
+				if t := graph.AddDist(nd, od); t < *best {
+					*best = t
 				}
 			}
 		}

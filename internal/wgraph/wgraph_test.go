@@ -1,8 +1,10 @@
 package wgraph
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -39,10 +41,20 @@ func TestAddEdgeValidation(t *testing.T) {
 	}
 }
 
+// TestDijkstraAgainstBellmanFord checks Dijkstra against Bellman–Ford on
+// small random graphs. Every other graph draws weights up to 1<<30, so keys
+// fill the radix heap's high buckets. A chain of 1<<30 weights pushes 1<<31
+// while the last key popped is 1<<30 (bucket 32) and reaches 3<<30; every
+// sum past it saturates graph.AddDist, and Dijkstra must report those
+// vertices as graph.Inf.
 func TestDijkstraAgainstBellmanFord(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for iter := 0; iter < 40; iter++ {
+	for iter := 0; iter < 80; iter++ {
 		n := 20
+		maxW := 9
+		if iter%2 == 1 {
+			maxW = 1 << 30
+		}
 		g := New(n)
 		for i := 0; i < n; i++ {
 			g.AddVertex()
@@ -51,60 +63,123 @@ func TestDijkstraAgainstBellmanFord(t *testing.T) {
 			u := uint32(rng.Intn(n))
 			v := uint32(rng.Intn(n))
 			if u != v {
-				_, _ = g.AddEdge(u, v, 1+graph.Dist(rng.Intn(9)))
+				_, _ = g.AddEdge(u, v, 1+graph.Dist(rng.Intn(maxW)))
 			}
 		}
-		src := uint32(rng.Intn(n))
-		// Bellman–Ford oracle.
-		want := make([]graph.Dist, n)
-		for i := range want {
-			want[i] = graph.Inf
-		}
-		want[src] = 0
-		for round := 0; round < n; round++ {
-			changed := false
-			for u := uint32(0); u < uint32(n); u++ {
-				if want[u] == graph.Inf {
-					continue
-				}
-				for _, a := range g.Neighbors(u) {
-					if nd := want[u] + a.W; nd < want[a.To] {
-						want[a.To] = nd
-						changed = true
-					}
-				}
-			}
-			if !changed {
-				break
-			}
-		}
-		got := make([]graph.Dist, n)
-		g.Dijkstra(src, got)
-		for v := 0; v < n; v++ {
-			if got[v] != want[v] {
-				t.Fatalf("iter %d: dist[%d]: Dijkstra %d, Bellman-Ford %d", iter, v, got[v], want[v])
-			}
-		}
+		checkDijkstra(t, g, uint32(rng.Intn(n)))
+	}
+	chain := New(7)
+	for v := uint32(1); v < 6; v++ {
+		chain.MustAddEdge(v-1, v, 1<<30)
+	}
+	chain.MustAddEdge(3, 6, 5)
+	dist := checkDijkstra(t, chain, 0)
+	if dist[3] != 3<<30 || dist[6] != 3<<30+5 || dist[4] != graph.Inf || dist[5] != graph.Inf {
+		t.Errorf("chain distances %v: want 3<<30 at 3, 3<<30+5 at 6, Inf at 4 and 5", dist)
 	}
 }
 
-func TestPQOrdering(t *testing.T) {
-	var pq PQ
-	for _, d := range []graph.Dist{5, 1, 9, 3, 3, 7} {
-		pq.PushItem(Item{V: uint32(d), D: d})
+// checkDijkstra compares g.Dijkstra from src with a Bellman–Ford oracle
+// that adds with graph.AddDist, and returns the distances.
+func checkDijkstra(t *testing.T, g *Graph, src uint32) []graph.Dist {
+	t.Helper()
+	n := g.NumVertices()
+	want := make([]graph.Dist, n)
+	for i := range want {
+		want[i] = graph.Inf
 	}
-	prev := graph.Dist(0)
-	for pq.Len() > 0 {
-		it := pq.PopItem()
-		if it.D < prev {
-			t.Fatalf("heap order violated: %d after %d", it.D, prev)
+	want[src] = 0
+	for round := 0; round < n; round++ {
+		changed := false
+		for u := uint32(0); u < uint32(n); u++ {
+			for _, a := range g.Neighbors(u) {
+				if nd := graph.AddDist(want[u], a.W); nd < want[a.To] {
+					want[a.To] = nd
+					changed = true
+				}
+			}
 		}
-		prev = it.D
+		if !changed {
+			break
+		}
 	}
-	pq.PushItem(Item{V: 1, D: 1})
-	pq.Reset()
-	if pq.Len() != 0 {
-		t.Error("Reset must empty the queue")
+	got := make([]graph.Dist, n)
+	g.Dijkstra(src, got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("Dijkstra from %d: %v, Bellman-Ford %v", src, got, want)
+	}
+	return got
+}
+
+// TestPQOrdering checks the radix heap against a sorted reference over
+// random monotone interleavings of pushes and pops: keys are pushed at or
+// above the last popped key, with duplicates of queued and popped keys and
+// keys up to graph.Inf-1, which lands in bucket 32 while the last popped
+// key is below 1<<31.
+func TestPQOrdering(t *testing.T) {
+	const top = graph.Inf - 1
+	rng := rand.New(rand.NewSource(5))
+	var pq PQ
+	pushedTop := 0
+	for round := 0; round < 300; round++ {
+		pq.Reset()
+		var ref []Item // queued items in push order
+		last := graph.Dist(0)
+		key := func() graph.Dist {
+			switch rng.Intn(6) {
+			case 0:
+				return last
+			case 1:
+				if len(ref) > 0 {
+					return ref[rng.Intn(len(ref))].D
+				}
+			case 2:
+				return top
+			case 3:
+				return last + graph.Dist(rng.Int63n(int64(min(top-last, 15))+1))
+			}
+			return last + graph.Dist(rng.Int63n(int64(top-last)+1))
+		}
+		for step := 0; step < 200 || len(ref) > 0; step++ {
+			if step < 200 && (len(ref) == 0 || rng.Intn(3) > 0) {
+				it := Item{V: uint32(step), D: key()}
+				if it.D == top && last < 1<<31 {
+					pushedTop++
+				}
+				pq.PushItem(it)
+				ref = append(ref, it)
+			} else {
+				it := pq.PopItem()
+				lo := slices.MinFunc(ref, func(a, b Item) int { return cmp.Compare(a.D, b.D) }).D
+				i := slices.Index(ref, it)
+				if it.D != lo || i < 0 {
+					t.Fatalf("round %d step %d: popped %+v, want an item of key %d from the queue", round, step, it, lo)
+				}
+				ref = slices.Delete(ref, i, i+1)
+				last = it.D
+			}
+			if pq.Len() != len(ref) {
+				t.Fatalf("round %d step %d: Len %d, want %d", round, step, pq.Len(), len(ref))
+			}
+		}
+	}
+	if pushedTop == 0 {
+		t.Error("no key reached bucket 32")
+	}
+
+	// A reused queue allocates nothing once its buckets have grown.
+	cycle := func() {
+		pq.Reset()
+		for d := graph.Dist(0); d < 64; d++ {
+			pq.PushItem(Item{V: uint32(d), D: d * 3 % 64})
+			pq.PushItem(Item{V: uint32(d), D: top - d})
+		}
+		for pq.Len() > 0 {
+			pq.PopItem()
+		}
+	}
+	if a := testing.AllocsPerRun(10, cycle); a != 0 {
+		t.Errorf("warm push/pop cycle: %v allocs, want 0", a)
 	}
 }
 

@@ -68,8 +68,8 @@ func (idx *Index) InsertEdge(a, b uint32, w graph.Dist) (Stats, error) {
 	for r := range ds {
 		ds[r].Rank = uint16(r)
 	}
-	hcl.Repair(&idx.Core, &scratches, ds, false, func(_ *scratch, r int, d *hcl.Delta) {
-		fr, ok := idx.findAffected(d.Rank, a, b, w)
+	hcl.Repair(&idx.Core, &scratches, ds, false, func(ws *scratch, r int, d *hcl.Delta) {
+		fr, ok := idx.findAffected(&ws.pq, d.Rank, a, b, w)
 		fr.skipped = !ok
 		finds[r] = fr
 		if ok {
@@ -108,10 +108,11 @@ func (idx *Index) InsertVertex(arcs []wgraph.Arc) (uint32, Stats, error) {
 	return v, agg, nil
 }
 
-// findAffected runs the jumped Dijkstra of one landmark. The new candidate
-// distance of the far endpoint is d(r, near) + w; a vertex is affected iff
-// its old distance is at least its best new through-edge distance.
-func (idx *Index) findAffected(r uint16, a, b uint32, w graph.Dist) (findResult, bool) {
+// findAffected runs the jumped Dijkstra of one landmark on the worker's
+// queue pq. The new candidate distance of the far endpoint is
+// d(r, near) + w; a vertex is affected iff its old distance is at least its
+// best new through-edge distance.
+func (idx *Index) findAffected(pq *wgraph.PQ, r uint16, a, b uint32, w graph.Dist) (findResult, bool) {
 	da := idx.LandmarkDist(r, a)
 	db := idx.LandmarkDist(r, b)
 	if db < da {
@@ -139,7 +140,7 @@ func (idx *Index) findAffected(r uint16, a, b uint32, w graph.Dist) (findResult,
 		fr.oldDist[v] = d
 		return d
 	}
-	var pq wgraph.PQ
+	pq.Reset()
 	fr.newDist[b] = cand
 	pq.PushItem(wgraph.Item{V: b, D: cand})
 	for pq.Len() > 0 {

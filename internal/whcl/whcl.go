@@ -33,7 +33,8 @@ type Index struct {
 }
 
 // scratch is one worker's repair state: the rebuild scratch plus the
-// priority queue of the covered-flag Dijkstra.
+// priority queue shared by the covered-flag Dijkstra (build and DecHL) and
+// the jumped Dijkstra of IncHL+.
 type scratch struct {
 	hcl.Scratch
 	pq wgraph.PQ

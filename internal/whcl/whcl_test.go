@@ -119,10 +119,24 @@ func TestDijkstraWeightedPath(t *testing.T) {
 	}
 }
 
+// TestSparsifiedWeightedMatchesOracle checks the bounded bidirectional
+// Dijkstra against Dijkstra on the pruned graph. A third of the graphs draw
+// weights 1–6; the rest draw weights up to 1<<30, and the sparse ones among
+// them have paths long enough to saturate graph.AddDist, which both sides
+// must report as graph.Inf.
 func TestSparsifiedWeightedMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for iter := 0; iter < 150; iter++ {
-		g := randomWeighted(25, 45, 6, rng.Int63())
+	saturated := 0
+	for iter := 0; iter < 300; iter++ {
+		var g *wgraph.Graph
+		switch iter % 3 {
+		case 0:
+			g = randomWeighted(25, 45, 6, rng.Int63())
+		case 1:
+			g = randomWeighted(25, 45, 1<<30, rng.Int63())
+		default:
+			g = randomWeighted(25, 30, 1<<30, rng.Int63())
+		}
 		av := uint32(rng.Intn(25))
 		u := uint32(rng.Intn(25))
 		v := uint32(rng.Intn(25))
@@ -144,6 +158,9 @@ func TestSparsifiedWeightedMatchesOracle(t *testing.T) {
 			}
 		}
 		want := pruned.Dist(u, v)
+		if want == graph.Inf && connected(pruned, u, v) {
+			saturated++
+		}
 		qs := &wgraph.QuerySpace{DistU: make([]graph.Dist, 25), DistV: make([]graph.Dist, 25)}
 		for i := range qs.DistU {
 			qs.DistU[i] = graph.Inf
@@ -153,6 +170,23 @@ func TestSparsifiedWeightedMatchesOracle(t *testing.T) {
 			t.Fatalf("iter %d: Sparsified(%d,%d) avoiding %d: got %d, want %d", iter, u, v, av, got, want)
 		}
 	}
+	if saturated == 0 {
+		t.Error("no connected pair saturated graph.AddDist")
+	}
+}
+
+// connected reports whether some path joins u and v, whatever its weight.
+func connected(g *wgraph.Graph, u, v uint32) bool {
+	seen := map[uint32]bool{u: true}
+	for front := []uint32{u}; len(front) > 0; front = front[1:] {
+		for _, a := range g.Neighbors(front[0]) {
+			if !seen[a.To] {
+				seen[a.To] = true
+				front = append(front, a.To)
+			}
+		}
+	}
+	return seen[v]
 }
 
 func TestBuildQueryMatchesDijkstraOracle(t *testing.T) {
