@@ -5,9 +5,14 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 
+	"repro/internal/bfs"
+	"repro/internal/digraph"
+	"repro/internal/graph"
 	"repro/internal/testutil"
+	"repro/internal/wgraph"
 )
 
 // FuzzPackedDifferential drives a fuzz-derived op stream through two
@@ -324,6 +329,104 @@ func FuzzReadIndex(f *testing.F) {
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatal("save → load → save is not byte-identical")
+		}
+	})
+}
+
+// FuzzSparsified runs the three bounded searches, bfs.Sparsified,
+// digraph.Sparsified and wgraph.Sparsified, on one fuzz-derived graph and
+// avoid set, against plain BFS and Dijkstra on the pruned graph, where the
+// avoided vertices other than the endpoints lose their edges. Each search
+// runs at every bound of testutil.BoundsAround(d), d its pruned distance,
+// and at the literal bound data[3]%16, and must return d exactly when
+// d < bound and graph.Inf otherwise. data[0] sizes the graph (3–34
+// vertices), data[1] and data[2] are the endpoints, data[4] and data[5]
+// each avoid a vertex unless their top bit is set, and every later triple
+// (a, b, w) adds the edge a–b, the arc a→b and a weighted edge of weight
+// w%8+1, or 1<<30 for w = 255, which saturates graph.AddDist.
+func FuzzSparsified(f *testing.F) {
+	ring := func(n, u, v, av0, av1 byte) []byte {
+		data := []byte{n - 3, u, v, 0, av0, av1}
+		for i := byte(0); i < n; i++ {
+			data = append(data, i, (i+1)%n, i)
+		}
+		return data
+	}
+	f.Add(ring(7, 0, 3, 0x80, 0x80))
+	f.Add(ring(8, 1, 5, 3, 0x80))
+	f.Add(ring(9, 2, 6, 4, 8))
+	f.Add([]byte{20, 0, 9, 5, 0x80, 2, 0, 1, 1, 1, 2, 255, 2, 9, 3, 0, 4, 7, 4, 9, 1, 0, 2, 2, 3, 9, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 6 {
+			return
+		}
+		n := 3 + int(data[0]%32)
+		u, v := uint32(data[1])%uint32(n), uint32(data[2])%uint32(n)
+		var av []uint32
+		for _, b := range data[4:6] {
+			if b&0x80 == 0 {
+				av = append(av, uint32(b)%uint32(n))
+			}
+		}
+		avoid := func(x uint32) bool { return slices.Contains(av, x) }
+		kept := func(x uint32) bool { return !avoid(x) || x == u || x == v }
+
+		ug, pu := graph.New(n), graph.New(n)
+		dg, pd := digraph.New(n), digraph.New(n)
+		wg, pw := wgraph.New(n), wgraph.New(n)
+		for i := 0; i < n; i++ {
+			ug.AddVertex()
+			pu.AddVertex()
+			dg.AddVertex()
+			pd.AddVertex()
+			wg.AddVertex()
+			pw.AddVertex()
+		}
+		for i := 6; i+2 < len(data); i += 3 {
+			a, b := uint32(data[i])%uint32(n), uint32(data[i+1])%uint32(n)
+			w := 1 + graph.Dist(data[i+2]%8)
+			if data[i+2] == 255 {
+				w = 1 << 30
+			}
+			if a == b {
+				continue
+			}
+			ug.AddEdge(a, b)
+			dg.AddEdge(a, b)
+			wg.AddEdge(a, b, w)
+			if kept(a) && kept(b) {
+				pu.AddEdge(a, b)
+				pd.AddEdge(a, b)
+				pw.AddEdge(a, b, w)
+			}
+		}
+
+		bs, ws := bfs.Spaces.Get(n), wgraph.Spaces.Get(n)
+		defer bfs.Spaces.Put(bs)
+		defer wgraph.Spaces.Put(ws)
+		for _, c := range []struct {
+			name   string
+			d      graph.Dist
+			search func(bound graph.Dist) graph.Dist
+		}{
+			{"bfs", bfs.Dist(pu, u, v), func(bound graph.Dist) graph.Dist { return bfs.Sparsified(ug, u, v, bound, avoid, bs) }},
+			{"digraph", pd.Dist(u, v), func(bound graph.Dist) graph.Dist { return dg.Sparsified(u, v, bound, avoid, bs) }},
+			{"wgraph", pw.Dist(u, v), func(bound graph.Dist) graph.Dist { return wg.Sparsified(u, v, bound, avoid, ws) }},
+		} {
+			for _, bound := range append(testutil.BoundsAround(c.d), graph.Dist(data[3]%16)) {
+				want := c.d
+				if c.d >= bound {
+					want = graph.Inf
+				}
+				if got := c.search(bound); got != want {
+					t.Fatalf("%s: Sparsified(%d,%d) avoiding %v, bound %d: got %d, want %d", c.name, u, v, av, bound, got, want)
+				}
+			}
+		}
+		for x := 0; x < n; x++ {
+			if bs.DistU[x] != graph.Inf || bs.DistV[x] != graph.Inf || ws.DistU[x] != graph.Inf || ws.DistV[x] != graph.Inf {
+				t.Fatalf("scratch not restored at vertex %d", x)
+			}
 		}
 	})
 }

@@ -126,19 +126,26 @@ func Dist(g *graph.Graph, u, v uint32) graph.Dist {
 // Sparsified runs a bidirectional BFS between u and v on the subgraph
 // G[V\R] obtained by removing every vertex for which avoid reports true
 // (the endpoints themselves are kept even if avoid holds, matching Q(u,v,Γ)
-// in the paper). The search is bounded: as soon as it can prove the
-// sparsified distance exceeds bound it returns graph.Inf.
+// in the paper). The bound is exclusive: the search looks only for paths
+// shorter than bound, returns their length when one exists and graph.Inf
+// otherwise, so a caller holding an upper bound d⊤ passes d⊤ itself and
+// takes the smaller of the two. With bound 0 nothing qualifies, not even
+// u == v.
+//
+// The level that can only produce paths of length exactly best-1 is a
+// meet-only scan: it looks for one edge from the smaller frontier into the
+// other side and writes nothing.
 //
 // s carries all scratch: distance vectors of length ≥ g.NumVertices()
 // whose entries must all be graph.Inf on entry (restored sparsely before
 // returning, so pooled scratch needs no re-clearing) and the frontier
 // buffers. A steady-state query allocates nothing.
 func Sparsified(g *graph.Graph, u, v uint32, bound graph.Dist, avoid func(uint32) bool, s *QuerySpace) graph.Dist {
-	if u == v {
-		return 0
-	}
 	if bound == 0 {
 		return graph.Inf
+	}
+	if u == v {
+		return 0
 	}
 	distU, distV := s.DistU, s.DistV
 	touched := s.Touched[:0]
@@ -157,16 +164,23 @@ func Sparsified(g *graph.Graph, u, v uint32, bound graph.Dist, avoid func(uint32
 	frontV := append(s.Fronts[1][:0], v)
 	spare := s.Fronts[2][:0]
 	var du, dv graph.Dist // levels fully expanded on each side
-	best := graph.Inf
-	if bound != graph.Inf {
-		best = bound + 1 // sentinel meaning "nothing within bound yet"
-	}
+	best := bound         // nothing shorter than bound found yet
 
 	for len(frontU) > 0 && len(frontV) > 0 {
 		// After expanding du levels on one side and dv on the other, every
-		// path of length ≤ du+dv has been recorded as a meeting, so once
-		// du+dv+1 ≥ best no undiscovered path can improve on best.
-		if best != graph.Inf && graph.AddDist(graph.AddDist(du, dv), 1) >= best {
+		// path of length ≤ du+dv has been recorded as a meeting, so the
+		// next level finds only paths of length du+dv+1: once that is
+		// ≥ best no undiscovered path can improve on best, and when it is
+		// best-1 the level need only look for one meeting.
+		next := graph.AddDist(du+dv, 1)
+		if next >= best {
+			break
+		}
+		if next+1 == best {
+			if len(frontU) <= len(frontV) && meets(g, u, frontU, distV, avoid) ||
+				len(frontU) > len(frontV) && meets(g, v, frontV, distU, avoid) {
+				best = next
+			}
 			break
 		}
 		if len(frontU) <= len(frontV) {
@@ -180,10 +194,28 @@ func Sparsified(g *graph.Graph, u, v uint32, bound graph.Dist, avoid func(uint32
 		}
 	}
 	s.Fronts[0], s.Fronts[1], s.Fronts[2] = frontU, frontV, spare
-	if bound != graph.Inf && best > bound {
+	if best == bound {
 		return graph.Inf
 	}
 	return best
+}
+
+// meets reports whether some vertex of front, the deepest level of the side
+// rooted at src, has a neighbour the other side has reached. Such a
+// neighbour passed the other side's avoid check when it was discovered, so
+// only the frontier vertices are checked here.
+func meets(g *graph.Graph, src uint32, front []uint32, other []graph.Dist, avoid func(uint32) bool) bool {
+	for _, x := range front {
+		if avoid != nil && x != src && avoid(x) {
+			continue
+		}
+		for _, w := range g.Neighbors(x) {
+			if other[w] != graph.Inf {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // expand advances one BFS level of the side rooted at src, whose opposite

@@ -2,6 +2,7 @@ package bfs_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -110,6 +111,8 @@ func TestSparsifiedEndpointExemptFromAvoid(t *testing.T) {
 }
 
 func TestSparsifiedRespectsBound(t *testing.T) {
+	// The bound is exclusive: on a path of length 5 only bounds above 5
+	// return it, and bound 0 hides even u == v.
 	g := graph.New(6)
 	for i := 0; i < 6; i++ {
 		g.AddVertex()
@@ -118,14 +121,78 @@ func TestSparsifiedRespectsBound(t *testing.T) {
 		g.MustAddEdge(uint32(i), uint32(i+1))
 	}
 	qs := newScratch(6)
-	if got := bfs.Sparsified(g, 0, 5, 4, nil, qs); got != graph.Inf {
-		t.Errorf("bound 4 on distance 5: got %d, want Inf", got)
+	for _, c := range []struct {
+		u, v        uint32
+		bound, want graph.Dist
+	}{
+		{0, 5, 4, graph.Inf},
+		{0, 5, 5, graph.Inf},
+		{0, 5, 6, 5},
+		{0, 5, graph.Inf, 5},
+		{0, 5, 0, graph.Inf},
+		{0, 1, 1, graph.Inf},
+		{0, 1, 2, 1},
+		{2, 2, 0, graph.Inf},
+		{2, 2, 1, 0},
+	} {
+		if got := bfs.Sparsified(g, c.u, c.v, c.bound, nil, qs); got != c.want {
+			t.Errorf("Sparsified(%d,%d) bound %d: got %d, want %d", c.u, c.v, c.bound, got, c.want)
+		}
 	}
-	if got := bfs.Sparsified(g, 0, 5, 5, nil, qs); got != 5 {
-		t.Errorf("bound 5 on distance 5: got %d, want 5", got)
+}
+
+// pruned returns g without the edges of avoided vertices other than u and
+// v: the graph G[V\R] on which Sparsified searches.
+func pruned(g *graph.Graph, avoid func(uint32) bool, u, v uint32) *graph.Graph {
+	p := graph.New(g.NumVertices())
+	for i := 0; i < g.NumVertices(); i++ {
+		p.AddVertex()
 	}
-	if got := bfs.Sparsified(g, 0, 5, 0, nil, qs); got != graph.Inf {
-		t.Errorf("bound 0: got %d, want Inf", got)
+	g.Edges(func(x, y uint32) {
+		xBad := avoid(x) && x != u && x != v
+		yBad := avoid(y) && y != u && y != v
+		if !xBad && !yBad {
+			p.MustAddEdge(x, y)
+		}
+	})
+	return p
+}
+
+// TestSparsifiedExclusiveBound checks Sparsified against BFS on the pruned
+// graph at the bounds around the pruned distance d (testutil.BoundsAround).
+// Half the graphs are cycles of odd and even length, so the meet-only last
+// level finds a meeting at bound d+1 and misses one at bound d.
+func TestSparsifiedExclusiveBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	qs := newScratch(40)
+	for iter := 0; iter < 600; iter++ {
+		n := 3 + rng.Intn(30)
+		g := graph.New(n)
+		for i := 0; i < n; i++ {
+			g.AddVertex()
+		}
+		for i := 0; i < 2*n; i++ {
+			x, y := uint32(i%n), uint32((i+1)%n)
+			if iter%2 == 1 {
+				x, y = uint32(rng.Intn(n)), uint32(rng.Intn(n))
+			}
+			if x != y {
+				_, _ = g.AddEdge(x, y)
+			}
+		}
+		av := []uint32{uint32(rng.Intn(n)), uint32(rng.Intn(n))}[:rng.Intn(3)]
+		avoid := func(x uint32) bool { return slices.Contains(av, x) }
+		u, v := uint32(rng.Intn(n)), uint32(rng.Intn(n))
+		d := bfs.Dist(pruned(g, avoid, u, v), u, v)
+		for _, bound := range testutil.BoundsAround(d) {
+			want := d
+			if d >= bound {
+				want = graph.Inf
+			}
+			if got := bfs.Sparsified(g, u, v, bound, avoid, qs); got != want {
+				t.Fatalf("iter %d: Sparsified(%d,%d) avoiding %v, bound %d: got %d, want %d", iter, u, v, av, bound, got, want)
+			}
+		}
 	}
 }
 
@@ -141,20 +208,7 @@ func TestSparsifiedQuickAgainstAvoidedOracle(t *testing.T) {
 		u := uint32(rng.Intn(n))
 		v := uint32(rng.Intn(n))
 		avoid := func(x uint32) bool { return x == av1 || x == av2 }
-		// Build the pruned graph: drop all edges incident to avoided
-		// vertices except those incident to u or v themselves.
-		pruned := graph.New(n)
-		for i := 0; i < n; i++ {
-			pruned.AddVertex()
-		}
-		g.Edges(func(x, y uint32) {
-			xBad := avoid(x) && x != u && x != v
-			yBad := avoid(y) && y != u && y != v
-			if !xBad && !yBad {
-				pruned.MustAddEdge(x, y)
-			}
-		})
-		want := bfs.Dist(pruned, u, v)
+		want := bfs.Dist(pruned(g, avoid, u, v), u, v)
 		qs := newScratch(n)
 		got := bfs.Sparsified(g, u, v, graph.Inf, avoid, qs)
 		return got == want
@@ -167,8 +221,8 @@ func TestSparsifiedQuickAgainstAvoidedOracle(t *testing.T) {
 }
 
 func TestSparsifiedQuickBoundNeverLies(t *testing.T) {
-	// Property: with a finite bound, the result is either Inf or a value
-	// within the bound equal to the unbounded result.
+	// Property: with a finite bound, the result is the unbounded result
+	// when that is below the bound, and Inf otherwise.
 	f := func(seed int64, boundRaw uint8) bool {
 		g := testutil.RandomGraph(25, 40, seed)
 		rng := rand.New(rand.NewSource(seed ^ 0x5ca1e))
@@ -178,7 +232,7 @@ func TestSparsifiedQuickBoundNeverLies(t *testing.T) {
 		qs := newScratch(25)
 		free := bfs.Sparsified(g, u, v, graph.Inf, nil, qs)
 		got := bfs.Sparsified(g, u, v, bound, nil, qs)
-		if free <= bound {
+		if free < bound {
 			return got == free
 		}
 		return got == graph.Inf

@@ -146,7 +146,7 @@ func (idx *Index) Query(u, v uint32) graph.Dist {
 		return top
 	}
 	s := bfs.Spaces.Get(idx.G.NumVertices())
-	sp := idx.G.Sparsified(u, v, top, idx.IsLandmark, s)
+	sp := idx.G.Sparsified(u, v, top, idx.IsLandmark, s) // below top, or Inf
 	bfs.Spaces.Put(s)
 	return min(sp, top)
 }

@@ -174,16 +174,18 @@ func (g *Digraph) Dist(u, v uint32) graph.Dist {
 
 // Sparsified runs a bounded bidirectional directed BFS from u (forward) and
 // v (backward) on the subgraph excluding vertices for which avoid reports
-// true (endpoints exempt), returning the u→v distance or graph.Inf if it
-// exceeds bound. Scratch conventions match bfs.Sparsified: s carries the
-// distance vectors (all graph.Inf on entry, restored sparsely on return)
-// and the frontier buffers, so a steady-state query allocates nothing.
+// true (endpoints exempt). The bound is exclusive, as in bfs.Sparsified:
+// it returns the u→v distance when it is below bound and graph.Inf
+// otherwise, and its last useful level is a meet-only scan. Scratch
+// conventions match bfs.Sparsified: s carries the distance vectors (all
+// graph.Inf on entry, restored sparsely on return) and the frontier
+// buffers, so a steady-state query allocates nothing.
 func (g *Digraph) Sparsified(u, v uint32, bound graph.Dist, avoid func(uint32) bool, s *bfs.QuerySpace) graph.Dist {
-	if u == v {
-		return 0
-	}
 	if bound == 0 {
 		return graph.Inf
+	}
+	if u == v {
+		return 0
 	}
 	distU, distV := s.DistU, s.DistV
 	touched := s.Touched[:0]
@@ -201,12 +203,17 @@ func (g *Digraph) Sparsified(u, v uint32, bound graph.Dist, avoid func(uint32) b
 	frontV := append(s.Fronts[1][:0], v)
 	spare := s.Fronts[2][:0]
 	var du, dv graph.Dist
-	best := graph.Inf
-	if bound != graph.Inf {
-		best = bound + 1
-	}
+	best := bound
 	for len(frontU) > 0 && len(frontV) > 0 {
-		if best != graph.Inf && graph.AddDist(graph.AddDist(du, dv), 1) >= best {
+		next := graph.AddDist(du+dv, 1) // see bfs.Sparsified
+		if next >= best {
+			break
+		}
+		if next+1 == best {
+			if len(frontU) <= len(frontV) && meets(&g.out, u, frontU, distV, avoid) ||
+				len(frontU) > len(frontV) && meets(&g.in, v, frontV, distU, avoid) {
+				best = next
+			}
 			break
 		}
 		if len(frontU) <= len(frontV) {
@@ -220,10 +227,26 @@ func (g *Digraph) Sparsified(u, v uint32, bound graph.Dist, avoid func(uint32) b
 		}
 	}
 	s.Fronts[0], s.Fronts[1], s.Fronts[2] = frontU, frontV, spare
-	if bound != graph.Inf && best > bound {
+	if best == bound {
 		return graph.Inf
 	}
 	return best
+}
+
+// meets is bfs's meet-only level over adj: whether an arc leaves front,
+// the deepest level of the side rooted at src, into the other side.
+func meets(adj *cow.Table[uint32], src uint32, front []uint32, other []graph.Dist, avoid func(uint32) bool) bool {
+	for _, x := range front {
+		if avoid != nil && x != src && avoid(x) {
+			continue
+		}
+		for _, w := range adj.Row(x) {
+			if other[w] != graph.Inf {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func (g *Digraph) expand(adj *cow.Table[uint32], src, dst uint32, front []uint32, depth graph.Dist, dist, other []graph.Dist, avoid func(uint32) bool, best *graph.Dist, touched *[]uint32, next []uint32) []uint32 {

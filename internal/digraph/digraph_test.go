@@ -3,10 +3,12 @@ package digraph
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bfs"
 	"repro/internal/graph"
+	"repro/internal/testutil"
 )
 
 func cycle(n int) *Digraph {
@@ -51,6 +53,33 @@ func TestInOutAdjacency(t *testing.T) {
 	}
 }
 
+func dscratch(n int) *bfs.QuerySpace {
+	qs := &bfs.QuerySpace{DistU: make([]graph.Dist, n), DistV: make([]graph.Dist, n)}
+	for i := range qs.DistU {
+		qs.DistU[i] = graph.Inf
+		qs.DistV[i] = graph.Inf
+	}
+	return qs
+}
+
+// pruned returns g without the arcs of avoided vertices other than u and
+// v: the digraph on which Sparsified searches.
+func pruned(g *Digraph, avoid func(uint32) bool, u, v uint32) *Digraph {
+	p := New(g.NumVertices())
+	for i := 0; i < g.NumVertices(); i++ {
+		p.AddVertex()
+	}
+	kept := func(x uint32) bool { return !avoid(x) || x == u || x == v }
+	for x := uint32(0); x < uint32(g.NumVertices()); x++ {
+		for _, y := range g.Out(x) {
+			if kept(x) && kept(y) {
+				p.MustAddEdge(x, y)
+			}
+		}
+	}
+	return p
+}
+
 func TestSparsifiedDirectedMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for iter := 0; iter < 200; iter++ {
@@ -70,35 +99,14 @@ func TestSparsifiedDirectedMatchesOracle(t *testing.T) {
 		u := uint32(rng.Intn(n))
 		v := uint32(rng.Intn(n))
 		avoid := func(x uint32) bool { return x == av }
-		// Oracle: BFS on a copy without the avoided vertex's edges
-		// (endpoints exempt).
-		pruned := New(n)
-		for i := 0; i < n; i++ {
-			pruned.AddVertex()
-		}
-		for x := uint32(0); x < uint32(n); x++ {
-			for _, y := range g.Out(x) {
-				xBad := avoid(x) && x != u && x != v
-				yBad := avoid(y) && y != u && y != v
-				if !xBad && !yBad {
-					pruned.MustAddEdge(x, y)
-				}
-			}
-		}
-		want := pruned.Dist(u, v)
-		distU := make([]graph.Dist, n)
-		distV := make([]graph.Dist, n)
-		for i := 0; i < n; i++ {
-			distU[i] = graph.Inf
-			distV[i] = graph.Inf
-		}
-		qs := &bfs.QuerySpace{DistU: distU, DistV: distV}
+		want := pruned(g, avoid, u, v).Dist(u, v)
+		qs := dscratch(n)
 		got := g.Sparsified(u, v, graph.Inf, avoid, qs)
 		if got != want {
 			t.Fatalf("iter %d: Sparsified(%d,%d) avoiding %d: got %d, want %d", iter, u, v, av, got, want)
 		}
 		for i := 0; i < n; i++ {
-			if distU[i] != graph.Inf || distV[i] != graph.Inf {
+			if qs.DistU[i] != graph.Inf || qs.DistV[i] != graph.Inf {
 				t.Fatal("scratch not restored")
 			}
 		}
@@ -106,19 +114,65 @@ func TestSparsifiedDirectedMatchesOracle(t *testing.T) {
 }
 
 func TestSparsifiedDirectedBound(t *testing.T) {
+	// The bound is exclusive: 0→5 on the 8-cycle is 5 long, 5→0 is 3.
 	g := cycle(8)
-	distU := make([]graph.Dist, 8)
-	distV := make([]graph.Dist, 8)
-	for i := range distU {
-		distU[i] = graph.Inf
-		distV[i] = graph.Inf
+	qs := dscratch(8)
+	for _, c := range []struct {
+		u, v        uint32
+		bound, want graph.Dist
+	}{
+		{0, 5, 4, graph.Inf},
+		{0, 5, 5, graph.Inf},
+		{0, 5, 6, 5},
+		{5, 0, 3, graph.Inf},
+		{5, 0, 4, 3},
+		{0, 1, 1, graph.Inf},
+		{0, 1, 2, 1},
+		{3, 3, 0, graph.Inf},
+		{3, 3, 1, 0},
+	} {
+		if got := g.Sparsified(c.u, c.v, c.bound, nil, qs); got != c.want {
+			t.Errorf("Sparsified(%d,%d) bound %d: got %d, want %d", c.u, c.v, c.bound, got, c.want)
+		}
 	}
-	qs := &bfs.QuerySpace{DistU: distU, DistV: distV}
-	if got := g.Sparsified(0, 5, 4, nil, qs); got != graph.Inf {
-		t.Errorf("bound 4 on distance 5: got %d", got)
-	}
-	if got := g.Sparsified(0, 5, 5, nil, qs); got != 5 {
-		t.Errorf("bound 5 on distance 5: got %d", got)
+}
+
+// TestSparsifiedDirectedExclusiveBound checks Sparsified against BFS on the
+// pruned digraph at the bounds around the pruned distance d
+// (testutil.BoundsAround). Half the graphs are directed cycles of odd and
+// even length, so the meet-only last level both finds and misses a
+// meeting.
+func TestSparsifiedDirectedExclusiveBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	qs := dscratch(40)
+	for iter := 0; iter < 600; iter++ {
+		n := 3 + rng.Intn(30)
+		g := New(n)
+		for i := 0; i < n; i++ {
+			g.AddVertex()
+		}
+		for i := 0; i < 2*n; i++ {
+			x, y := uint32(i%n), uint32((i+1)%n)
+			if iter%2 == 1 {
+				x, y = uint32(rng.Intn(n)), uint32(rng.Intn(n))
+			}
+			if x != y {
+				_, _ = g.AddEdge(x, y)
+			}
+		}
+		av := []uint32{uint32(rng.Intn(n)), uint32(rng.Intn(n))}[:rng.Intn(3)]
+		avoid := func(x uint32) bool { return slices.Contains(av, x) }
+		u, v := uint32(rng.Intn(n)), uint32(rng.Intn(n))
+		d := pruned(g, avoid, u, v).Dist(u, v)
+		for _, bound := range testutil.BoundsAround(d) {
+			want := d
+			if d >= bound {
+				want = graph.Inf
+			}
+			if got := g.Sparsified(u, v, bound, avoid, qs); got != want {
+				t.Fatalf("iter %d: Sparsified(%d,%d) avoiding %v, bound %d: got %d, want %d", iter, u, v, av, bound, got, want)
+			}
+		}
 	}
 }
 

@@ -104,11 +104,8 @@ func (idx *Index) Query(u, v uint32) graph.Dist {
 	}
 	idx.ensureScratch()
 	avoid := func(x uint32) bool { return idx.isLandmark[x] }
-	sp := bfs.Sparsified(idx.G, u, v, top, avoid, &idx.qs)
-	if sp < top {
-		return sp
-	}
-	return top
+	sp := bfs.Sparsified(idx.G, u, v, top, avoid, &idx.qs) // below top, or Inf
+	return min(sp, top)
 }
 
 // InsertEdge inserts (a,b) and maintains every landmark tree: distances are

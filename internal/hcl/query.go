@@ -76,18 +76,18 @@ func LandmarkVia(row []graph.Dist, lv []Entry) graph.Dist {
 func (idx *Index) LandmarkDist(r uint16, v uint32) graph.Dist { return idx.PassDist(0, r, v) }
 
 // Query answers an exact distance query Q(u,v,Γ): it computes the highway
-// upper bound d⊤ and then runs a d⊤-bounded bidirectional BFS over the
-// landmark-sparsified graph G[V\R]; the smaller of the two is the exact
-// distance (Section 3 of the paper).
+// upper bound d⊤ and then runs a bidirectional BFS over the
+// landmark-sparsified graph G[V\R] for a path shorter than d⊤; the smaller
+// of the two is the exact distance (Section 3 of the paper).
 func (idx *Index) Query(u, v uint32) graph.Dist {
 	if u == v {
 		return 0
 	}
 	top := idx.UpperBound(u, v)
 	if top <= 1 {
-		// Either the vertices are adjacent through a landmark path of
-		// length 1 (impossible for distinct non-landmarks, so this is a
-		// landmark endpoint case) — no shorter path can exist.
+		// Two distinct non-landmarks are each at least 1 from every label
+		// landmark, so their d⊤ is at least 2: d⊤ ≤ 1 means a landmark
+		// endpoint, whose Equation 1 bound is exact.
 		return top
 	}
 	if _, uIsL := idx.Rank(u); uIsL {
@@ -97,10 +97,7 @@ func (idx *Index) Query(u, v uint32) graph.Dist {
 		return top
 	}
 	s := bfs.Spaces.Get(idx.G.NumVertices())
-	sp := bfs.Sparsified(idx.G, u, v, top, idx.IsLandmark, s)
+	sp := bfs.Sparsified(idx.G, u, v, top, idx.IsLandmark, s) // below top, or Inf
 	bfs.Spaces.Put(s)
-	if sp < top {
-		return sp
-	}
-	return top
+	return min(sp, top)
 }

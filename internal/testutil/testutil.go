@@ -76,6 +76,16 @@ func NonEdges(g *graph.Graph, count int, seed int64) [][2]uint32 {
 	return out
 }
 
+// BoundsAround returns the bounds that pin an exclusive search bound at a
+// distance d: d−1 and d, which must hide d, and d+1 and graph.Inf, which
+// must find it. For d = 0 and d = graph.Inf they are 0, 1 and graph.Inf.
+func BoundsAround(d graph.Dist) []graph.Dist {
+	if d == 0 || d == graph.Inf {
+		return []graph.Dist{0, 1, graph.Inf}
+	}
+	return []graph.Dist{d - 1, d, d + 1, graph.Inf}
+}
+
 // AllPairsOracle computes the exact all-pairs distances of g with one BFS
 // per vertex. Quadratic memory: test-sized graphs only.
 func AllPairsOracle(g *graph.Graph) [][]graph.Dist {

@@ -309,16 +309,18 @@ func (g *Graph) Dist(u, v uint32) graph.Dist {
 
 // Sparsified runs a bounded bidirectional Dijkstra between u and v on the
 // subgraph excluding vertices for which avoid reports true (endpoints
-// exempt), returning the distance or graph.Inf when it exceeds bound.
+// exempt). The bound is exclusive, as in bfs.Sparsified: it returns the
+// distance when it is below bound and graph.Inf otherwise. Each step
+// settles one vertex on the side with fewer queued items.
 // s carries all scratch: distance vectors of length ≥ NumVertices whose
 // entries must all be graph.Inf on entry (restored sparsely on return) and
 // the two radix heaps. A steady-state query allocates nothing.
 func (g *Graph) Sparsified(u, v uint32, bound graph.Dist, avoid func(uint32) bool, s *QuerySpace) graph.Dist {
-	if u == v {
-		return 0
-	}
 	if bound == 0 {
 		return graph.Inf
+	}
+	if u == v {
+		return 0
 	}
 	distU, distV := s.DistU, s.DistV
 	touched := s.Touched[:0]
@@ -337,22 +339,19 @@ func (g *Graph) Sparsified(u, v uint32, bound graph.Dist, avoid func(uint32) boo
 	touched = append(touched, u, v)
 	pqU.PushItem(Item{V: u, D: 0})
 	pqV.PushItem(Item{V: v, D: 0})
-	best := graph.Inf
-	if bound != graph.Inf {
-		best = bound + 1
-	}
+	best := bound // nothing shorter than bound found yet
 	topU, topV := graph.Dist(0), graph.Dist(0)
 	for pqU.Len() > 0 && pqV.Len() > 0 {
-		if best != graph.Inf && graph.AddDist(topU, topV) >= best {
+		if graph.AddDist(topU, topV) >= best {
 			break // settled radii already cover every candidate below best
 		}
-		if topU <= topV {
-			topU = settle(g, pqU, distU, distV, u, v, avoid, &best, &touched)
+		if pqU.Len() <= pqV.Len() { // grow the side with fewer queued items
+			topU = settle(g, pqU, distU, distV, u, v, topV, avoid, &best, &touched)
 		} else {
-			topV = settle(g, pqV, distV, distU, v, u, avoid, &best, &touched)
+			topV = settle(g, pqV, distV, distU, v, u, topU, avoid, &best, &touched)
 		}
 	}
-	if bound != graph.Inf && best > bound {
+	if best == bound {
 		return graph.Inf
 	}
 	return best
@@ -363,7 +362,14 @@ func (g *Graph) Sparsified(u, v uint32, bound graph.Dist, avoid func(uint32) boo
 // for undiscovered vertices; every first discovery is appended to touched
 // so the caller can restore sparsely. An arc is checked against avoid only
 // when it would improve a distance, as bfs's expand does.
-func settle(g *Graph, pq *PQ, dist, other []graph.Dist, src, dst uint32, avoid func(uint32) bool, best *graph.Dist, touched *[]uint32) graph.Dist {
+//
+// A relaxed vertex is neither written nor pushed when its new distance plus
+// otherTop, the key the opposite side last settled, is at least best. A
+// shortest path shorter than best stays findable: where it leaves this
+// side's settled part, the opposite side has either settled the rest of it
+// already, and the meet check above records the path, or the rest is at
+// least otherTop long.
+func settle(g *Graph, pq *PQ, dist, other []graph.Dist, src, dst uint32, otherTop graph.Dist, avoid func(uint32) bool, best *graph.Dist, touched *[]uint32) graph.Dist {
 	for pq.Len() > 0 {
 		it := pq.PopItem()
 		if dist[it.V] != it.D {
@@ -380,16 +386,19 @@ func settle(g *Graph, pq *PQ, dist, other []graph.Dist, src, dst uint32, avoid f
 			if avoid != nil && a.To != dst && a.To != src && avoid(a.To) {
 				continue // vertex removed from the sparsified graph
 			}
-			if dist[a.To] == graph.Inf {
-				*touched = append(*touched, a.To)
-			}
-			dist[a.To] = nd
-			pq.PushItem(Item{V: a.To, D: nd})
 			if od := other[a.To]; od != graph.Inf {
 				if t := graph.AddDist(nd, od); t < *best {
 					*best = t
 				}
 			}
+			if graph.AddDist(nd, otherTop) >= *best {
+				continue
+			}
+			if dist[a.To] == graph.Inf {
+				*touched = append(*touched, a.To)
+			}
+			dist[a.To] = nd
+			pq.PushItem(Item{V: a.To, D: nd})
 		}
 		return it.D
 	}

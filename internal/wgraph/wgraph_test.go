@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/testutil"
 )
 
 func TestAddEdgeValidation(t *testing.T) {
@@ -209,11 +210,73 @@ func TestSparsifiedEndpoints(t *testing.T) {
 	if got := g.Sparsified(0, 2, graph.Inf, avoidMid, wscratch(3)); got != graph.Inf {
 		t.Errorf("avoiding the middle: got %d, want Inf", got)
 	}
-	if got := g.Sparsified(0, 2, 3, nil, wscratch(3)); got != graph.Inf {
-		t.Errorf("bound 3 on distance 4: got %d, want Inf", got)
+	// The bound is exclusive, and bound 0 hides even u == v.
+	for _, c := range []struct {
+		u, v        uint32
+		bound, want graph.Dist
+	}{
+		{0, 2, 3, graph.Inf},
+		{0, 2, 4, graph.Inf},
+		{0, 2, 5, 4},
+		{0, 1, 2, graph.Inf},
+		{0, 1, 3, 2},
+		{1, 1, 0, graph.Inf},
+		{1, 1, 1, 0},
+	} {
+		if got := g.Sparsified(c.u, c.v, c.bound, nil, wscratch(3)); got != c.want {
+			t.Errorf("Sparsified(%d,%d) bound %d: got %d, want %d", c.u, c.v, c.bound, got, c.want)
+		}
 	}
-	if got := g.Sparsified(0, 2, 4, nil, wscratch(3)); got != 4 {
-		t.Errorf("bound 4 on distance 4: got %d", got)
+}
+
+// TestSparsifiedWeightedExclusiveBound checks Sparsified against Dijkstra on
+// the pruned graph at the bounds around the pruned distance d
+// (testutil.BoundsAround). Graphs are random or cycles of odd and even
+// length, with unit weights (where the search behaves as a BFS), weights
+// 1–4, or weights up to 1<<30 that saturate graph.AddDist.
+func TestSparsifiedWeightedExclusiveBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	qs := wscratch(40)
+	for iter := 0; iter < 900; iter++ {
+		n := 3 + rng.Intn(30)
+		maxW := []int{1, 4, 1 << 30}[iter%3]
+		g := New(n)
+		for i := 0; i < n; i++ {
+			g.AddVertex()
+		}
+		for i := 0; i < n; i++ {
+			x, y := uint32(i), uint32((i+1)%n)
+			if iter%2 == 1 {
+				x, y = uint32(rng.Intn(n)), uint32(rng.Intn(n))
+			}
+			if x != y {
+				_, _ = g.AddEdge(x, y, 1+graph.Dist(rng.Intn(maxW)))
+			}
+		}
+		av := []uint32{uint32(rng.Intn(n)), uint32(rng.Intn(n))}[:rng.Intn(3)]
+		avoid := func(x uint32) bool { return slices.Contains(av, x) }
+		u, v := uint32(rng.Intn(n)), uint32(rng.Intn(n))
+		p := New(n)
+		for i := 0; i < n; i++ {
+			p.AddVertex()
+		}
+		for x := uint32(0); x < uint32(n); x++ {
+			for _, a := range g.Neighbors(x) {
+				if x < a.To && (!avoid(x) || x == u || x == v) && (!avoid(a.To) || a.To == u || a.To == v) {
+					p.MustAddEdge(x, a.To, a.W)
+				}
+			}
+		}
+		d := p.Dist(u, v)
+		for _, bound := range testutil.BoundsAround(d) {
+			want := d
+			if d >= bound {
+				want = graph.Inf
+			}
+			if got := g.Sparsified(u, v, bound, avoid, qs); got != want {
+				t.Fatalf("iter %d: Sparsified(%d,%d) avoiding %v, bound %d: got %d, want %d", iter, u, v, av, bound, got, want)
+			}
+		}
 	}
 }
 

@@ -128,7 +128,7 @@ func (idx *Index) Query(u, v uint32) graph.Dist {
 		return top
 	}
 	s := wgraph.Spaces.Get(idx.G.NumVertices())
-	sp := idx.G.Sparsified(u, v, top, idx.IsLandmark, s)
+	sp := idx.G.Sparsified(u, v, top, idx.IsLandmark, s) // below top, or Inf
 	wgraph.Spaces.Put(s)
 	return min(sp, top)
 }

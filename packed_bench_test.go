@@ -8,9 +8,12 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	dynhl "repro"
+	"repro/internal/gen"
 	"repro/internal/testutil"
 )
 
@@ -65,6 +68,72 @@ func BenchmarkQuery(b *testing.B) {
 			packed.Query(p.U, p.V)
 		}
 	})
+}
+
+// queryFixture is a Store's published snapshot and 4,096 uniform random
+// pairs over its vertices, every pair already queried once.
+type queryFixture struct {
+	view  dynhl.View
+	pairs []dynhl.Pair
+}
+
+func newQueryFixture(o dynhl.Oracle) queryFixture {
+	view := dynhl.NewStore(o).Snapshot()
+	n := view.NumVertices()
+	rng := rand.New(rand.NewSource(77))
+	pairs := make([]dynhl.Pair, 4096)
+	for i := range pairs {
+		pairs[i] = dynhl.Pair{U: uint32(rng.Intn(n)), V: uint32(rng.Intn(n))}
+		view.Query(pairs[i].U, pairs[i].V)
+	}
+	return queryFixture{view, pairs}
+}
+
+// run times one view.Query per iteration, cycling through the pairs, and
+// fails unless it reports 0 allocs/op. The query scratch pool caches per
+// processor, and each round of a benchmark runs on a new goroutine, so the
+// pairs the round will time are queried first on that goroutine: the
+// scratch it times has grown as large as those pairs need.
+func (f queryFixture) run(b *testing.B) {
+	for _, p := range f.pairs[:min(b.N, len(f.pairs))] {
+		f.view.Query(p.U, p.V)
+	}
+	var before, after runtime.MemStats
+	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := f.pairs[i%len(f.pairs)]
+		f.view.Query(p.U, p.V)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	if a := (after.Mallocs - before.Mallocs) / uint64(b.N); a != 0 {
+		b.Fatalf("%d allocs/op, want 0", a)
+	}
+}
+
+// socialQueries is the social-read shape: a Barabási–Albert graph of
+// 200,000 vertices with m = 8 and 20 landmarks. It is built and warmed
+// once per test binary.
+var socialQueries = sync.OnceValues(func() (queryFixture, error) {
+	idx, err := dynhl.Build(gen.BarabasiAlbert(200_000, 8, 11), dynhl.Options{Landmarks: 20})
+	if err != nil {
+		return queryFixture{}, err
+	}
+	return newQueryFixture(idx), nil
+})
+
+// BenchmarkQuerySocial measures one query on a Store's published snapshot
+// over uniform random pairs of the social-read shape. On this graph the
+// Eq. 2 bound is exact for most pairs and the bounded search's levels are
+// wide, which BenchmarkQuery's sparse random graph does not show.
+func BenchmarkQuerySocial(b *testing.B) {
+	f, err := socialQueries()
+	if err != nil {
+		b.Fatal(err)
+	}
+	f.run(b)
 }
 
 // BenchmarkQueryBatch compares batch queries on both layouts. Batches stay

@@ -5,6 +5,7 @@ package dynhl_test
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	dynhl "repro"
@@ -38,29 +39,24 @@ func weightedBenchGraph() *dynhl.WeightedGraph {
 	return g
 }
 
-// BenchmarkWeightedQuery measures one weighted query on a Store's
-// published snapshot over uniform random pairs. It must stay
-// allocation-free.
-func BenchmarkWeightedQuery(b *testing.B) {
+// weightedQueries is a query fixture over the weighted benchmark graph with
+// 20 landmarks, built and warmed once per test binary.
+var weightedQueries = sync.OnceValues(func() (queryFixture, error) {
 	idx, err := dynhl.BuildWeighted(weightedBenchGraph(), dynhl.Options{Landmarks: weightedBenchLand})
+	if err != nil {
+		return queryFixture{}, err
+	}
+	return newQueryFixture(idx), nil
+})
+
+// BenchmarkWeightedQuery measures one weighted query on a Store's
+// published snapshot over uniform random pairs, at 0 allocs/op.
+func BenchmarkWeightedQuery(b *testing.B) {
+	f, err := weightedQueries()
 	if err != nil {
 		b.Fatal(err)
 	}
-	view := dynhl.NewStore(idx).Snapshot()
-	rng := rand.New(rand.NewSource(77))
-	pairs := make([]dynhl.Pair, 4096)
-	for i := range pairs {
-		pairs[i] = dynhl.Pair{U: uint32(rng.Intn(weightedBenchN)), V: uint32(rng.Intn(weightedBenchN))}
-	}
-	for _, p := range pairs[:64] {
-		view.Query(p.U, p.V) // warm the query scratch pool
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pairs[i%len(pairs)]
-		view.Query(p.U, p.V)
-	}
+	f.run(b)
 }
 
 // BenchmarkBuildWeighted measures the serial construction of the weighted
