@@ -90,7 +90,7 @@ func (x *DirectedIndex) InsertEdge(u, v uint32, w Dist) (UpdateSummary, error) {
 	if w > 1 {
 		return UpdateSummary{}, fmt.Errorf("dynhl: directed oracle is unweighted, got edge weight %d", w)
 	}
-	return directedSummary(x.idx.InsertEdge(u, v))
+	return summary(x.idx.InsertEdge(u, v))
 }
 
 // InsertVertex adds a vertex with the given initial arcs: Arc.In selects
@@ -111,7 +111,7 @@ func (x *DirectedIndex) InsertVertex(arcs []Arc) (uint32, UpdateSummary, error) 
 	if err != nil {
 		return 0, UpdateSummary{}, err
 	}
-	sum, err := directedSummary(st, nil)
+	sum, err := summary(st, nil)
 	return id, sum, err
 }
 
@@ -127,28 +127,14 @@ func (x *DirectedIndex) fork() variant {
 // DeleteEdge removes the directed edge u→v and repairs both label sets
 // with DecHL (see Oracle.DeleteEdge).
 func (x *DirectedIndex) DeleteEdge(u, v uint32) (UpdateSummary, error) {
-	return directedSummary(x.idx.DeleteEdge(u, v))
+	return summary(x.idx.DeleteEdge(u, v))
 }
 
 // DeleteVertex disconnects vertex v by deleting all of its outgoing and
 // incoming edges; the id survives as an isolated vertex. Deleting a
 // landmark is an error.
 func (x *DirectedIndex) DeleteVertex(v uint32) (UpdateSummary, error) {
-	return directedSummary(x.idx.DeleteVertex(v))
-}
-
-func directedSummary(st dhcl.Stats, err error) (UpdateSummary, error) {
-	if err != nil {
-		return UpdateSummary{}, err
-	}
-	return UpdateSummary{
-		Landmarks:      st.LandmarksTotal,
-		Skipped:        st.PassesSkipped,
-		Affected:       st.AffectedForward + st.AffectedBack,
-		EntriesAdded:   st.EntriesAdded,
-		EntriesRemoved: st.EntriesRemoved,
-		HighwayUpdates: st.HighwayUpdates,
-	}, nil
+	return summary(x.idx.DeleteVertex(v))
 }
 
 // Verify audits both label directions against BFS ground truth.

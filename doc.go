@@ -135,12 +135,15 @@
 // landmarks and their rank table, the k×k highway, one label direction
 // (two on the directed variant, forward and backward) as a copy-on-write
 // table with its packed form, and the repair knobs. Fork, pack,
-// serialisation and the repair engine are implemented there once, and so
-// is the local DecHL repair of the two unit-weight variants
-// (Core.RepairDeletion: affected set, new distances, covered-flag
-// propagation). A variant adds only its query kernels (BFS or Dijkstra,
-// out- or in-edges), the searches that find what an insertion changed, and
-// its deletions' affected test; the weighted one keeps a covered-Dijkstra
+// serialisation, the repair engine and the update statistics (hcl.Stats)
+// are implemented there once, and so are the two local repairs of the
+// unit-weight variants: IncHL+'s jumped BFS and covered/uncovered
+// classification (Core.RepairInsertion) and DecHL's affected set, new
+// distances and covered-flag propagation (Core.RepairDeletion), both on
+// one pooled, epoch-stamped scratch. A unit-weight variant adds only
+// its query kernels (BFS over neighbours, or out- and in-edges) and the
+// affected tests that pick each pass's start vertex; the weighted one
+// keeps its own jumped Dijkstra for insertions and a covered-Dijkstra
 // rebuild for deletions.
 //
 // Inside one repair, the per-landmark work is independent by construction:

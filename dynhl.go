@@ -217,7 +217,7 @@ func (x *Index) InsertEdge(u, v uint32, w Dist) (UpdateSummary, error) {
 	if w > 1 {
 		return UpdateSummary{}, fmt.Errorf("dynhl: undirected oracle is unweighted, got edge weight %d", w)
 	}
-	return undirectedSummary(x.upd.InsertEdge(u, v))
+	return summary(x.upd.InsertEdge(u, v))
 }
 
 // InsertVertex adds a new vertex joined to the given existing neighbours
@@ -232,7 +232,7 @@ func (x *Index) InsertVertex(arcs []Arc) (uint32, UpdateSummary, error) {
 	if err != nil {
 		return 0, UpdateSummary{}, err
 	}
-	sum, err := undirectedSummary(st, nil)
+	sum, err := summary(st, nil)
 	return id, sum, err
 }
 
@@ -243,32 +243,32 @@ func (x *Index) Apply(ops []Op) ([]UpdateSummary, error) { return applyOps(x, op
 // fork returns the copy-on-write working copy backing Store publishes: the
 // graph and label store share everything an update does not touch.
 func (x *Index) fork() variant {
-	y := newIndex(x.upd.Fork(x.upd.G.Fork()))
-	y.upd.Strategy = x.upd.Strategy
-	return y
+	return newIndex(x.upd.Fork(x.upd.G.Fork()))
 }
 
 // DeleteEdge removes the undirected edge (u,v) from the graph and repairs
 // the labelling with DecHL (see Oracle.DeleteEdge). Deleting an edge that
 // is not present returns ErrNoSuchEdge.
 func (x *Index) DeleteEdge(u, v uint32) (UpdateSummary, error) {
-	return undirectedSummary(x.upd.DeleteEdge(u, v))
+	return summary(x.upd.DeleteEdge(u, v))
 }
 
 // DeleteVertex disconnects vertex v by deleting all of its incident edges;
 // the id survives as an isolated vertex. Deleting a landmark is an error.
 func (x *Index) DeleteVertex(v uint32) (UpdateSummary, error) {
-	return undirectedSummary(x.upd.DeleteVertex(v))
+	return summary(x.upd.DeleteVertex(v))
 }
 
-func undirectedSummary(st inchl.Stats, err error) (UpdateSummary, error) {
+// summary converts any variant's update statistics to the summary every
+// oracle reports.
+func summary(st hcl.Stats, err error) (UpdateSummary, error) {
 	if err != nil {
 		return UpdateSummary{}, err
 	}
 	return UpdateSummary{
 		Landmarks:      st.LandmarksTotal,
 		Skipped:        st.LandmarksSkipped,
-		Affected:       st.AffectedUnion,
+		Affected:       st.Affected(),
 		EntriesAdded:   st.EntriesAdded,
 		EntriesRemoved: st.EntriesRemoved,
 		HighwayUpdates: st.HighwayUpdates,
@@ -351,9 +351,7 @@ func (x *Index) adopt(idx *hcl.Index, err error) error {
 		return err
 	}
 	x.inherit(&idx.Core)
-	strategy := x.upd.Strategy
 	*x = *newIndex(idx)
-	x.upd.Strategy = strategy
 	return nil
 }
 

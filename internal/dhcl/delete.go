@@ -57,12 +57,12 @@ func (idx *Index) DeleteEdge(a, b uint32) (Stats, error) {
 		if da := idx.DistF(r, a); da != graph.Inf && graph.AddDist(da, 1) == idx.DistF(r, b) {
 			ds = append(ds, hcl.Delta{Rank: r, Dir: fwd})
 		} else {
-			st.PassesSkipped++
+			st.LandmarksSkipped++
 		}
 		if db := idx.DistB(r, b); db != graph.Inf && graph.AddDist(db, 1) == idx.DistB(r, a) {
 			back = append(back, hcl.Delta{Rank: r, Dir: bwd})
 		} else {
-			st.PassesSkipped++
+			st.LandmarksSkipped++
 		}
 	}
 	ds = append(ds, back...)
@@ -77,11 +77,7 @@ func (idx *Index) DeleteEdge(a, b uint32) (Stats, error) {
 			idx.RepairDeletion(ws, d, a, g.In, g.Out)
 		}
 	})
-	for i := range ds {
-		ch := ds[i].Changes()
-		st.add(ch)
-		st.affected(ds[i].Dir, ch.Total())
-	}
+	st.AddEdits(ds)
 	return st, nil
 }
 
@@ -101,7 +97,7 @@ func (idx *Index) DeleteVertex(v uint32) (Stats, error) {
 	del := func(x, y uint32) error {
 		st, err := idx.DeleteEdge(x, y)
 		if err == nil {
-			agg.plus(st)
+			agg.Plus(st)
 		}
 		return err
 	}

@@ -13,8 +13,9 @@ import (
 // rank table, the k×k highway of landmark-to-landmark distances, one or two
 // label directions, and the repair knobs. hcl.Index, dhcl.Index and
 // whcl.Index embed it and add their graph, their query kernels and the
-// searches that find what an update changed; fork, pack, serialisation and
-// the repair engine (repair.go) are implemented here once.
+// affected tests of their updates; fork, pack, serialisation, the repair
+// engine (repair.go) and the local insertion and deletion repairs of the
+// unit-weight variants (delete.go) are implemented here once.
 //
 // Queries are safe for any number of concurrent readers; mutations require
 // exclusive access.

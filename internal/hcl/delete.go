@@ -1,9 +1,28 @@
-// The local deletion repair (DecHL) of the unit-weight variants: after an
-// arc of landmark r's shortest-path DAG is deleted, it repairs r's entries
-// and highway cells in one direction by visiting only the vertices whose
-// distance or covered flag can change, in the manner of Ramalingam and
-// Reps' decremental shortest paths. With unit weights the distances of two
-// neighbours differ by at most one, which is what keeps the search local:
+// The local repairs of the unit-weight variants: after an arc is inserted
+// (IncHL+) or deleted (DecHL), they repair landmark r's entries and highway
+// cells in one direction by visiting only the vertices whose distance or
+// covered flag can change. Both run on the same per-vertex slots: a
+// vertex's old distance, read by Equation 1 off the frozen labelling on
+// first touch, its new distance when it changes, and its recomputed
+// covered flag. With unit weights the distances of two neighbours differ
+// by at most one, which is what keeps both searches local.
+//
+// Insertion (Algorithms 2 and 3 of the paper). The new arc's head b moves
+// to depth π = d(r, tail) + 1 when that is at most its old distance.
+//
+//   - Find: a FIFO BFS from b at depth π over children collects Λ_r, the
+//     vertices whose old distance is at least their depth in the search —
+//     their distance shrinks or they gain a shortest-path parent through
+//     the new arc (Lemma 4.3). Nothing else changes.
+//   - Classify: Λ_r is walked in level order. A landmark gets its highway
+//     cell; any other vertex is covered iff some parent one level up is a
+//     landmark other than r or covered itself (Lemma 4.6), reading an
+//     affected parent's recomputed flag and any other parent's old one.
+//     Uncovered vertices get an entry at their new distance, even an
+//     unchanged one, and covered ones lose theirs.
+//
+// Deletion, in the manner of Ramalingam and Reps' decremental shortest
+// paths:
 //
 //   - The affected set A — the vertices whose distance from r grows — is
 //     closed downward: a vertex is in A iff every DAG parent it has left
@@ -23,8 +42,8 @@
 //     following only children of vertices whose flag flipped; old flags
 //     are read off the minimal labelling (an r-entry iff uncovered).
 //
-// The edits are exactly those Diff would derive from a full rebuild, so the
-// labelling stays byte-identical to a fresh build.
+// Either way the labelling ends as a full rebuild would leave it, so it
+// stays byte-identical to a fresh build.
 
 package hcl
 
@@ -37,25 +56,25 @@ import (
 	"repro/internal/queue"
 )
 
-// slot is one vertex's state in a local deletion repair, valid only while
-// its stamp equals the scratch's epoch.
+// slot is one vertex's state in a local repair, valid only while its stamp
+// equals the scratch's epoch.
 type slot struct {
 	stamp uint32
-	old   graph.Dist // distance before the deletion
-	cur   graph.Dist // new distance, for vertices in A (tentative while relaxing)
+	old   graph.Dist // distance before the update
+	cur   graph.Dist // new distance, for affected vertices (tentative while relaxing)
 	flags uint8
 }
 
 // Slot flags.
 const (
-	inA      uint8 = 1 << iota // the vertex's distance grows
+	inA      uint8 = 1 << iota // the vertex is affected: in A or Λ_r
 	queued                     // reached by the affected-set walk
 	settled                    // new distance final
 	flagged                    // covered flag recomputed
 	coverNow                   // the recomputed flag
 )
 
-// dist is the vertex's distance after the deletion.
+// dist is the vertex's distance after the update.
 func (s *slot) dist() graph.Dist {
 	if s.flags&inA != 0 {
 		return s.cur
@@ -63,29 +82,57 @@ func (s *slot) dist() graph.Dist {
 	return s.old
 }
 
-// deletion is one local repair task: landmark d.Rank in direction d.Dir.
-type deletion struct {
+// local is one local repair task: landmark d.Rank in direction d.Dir.
+type local struct {
 	c                 *Core
 	ws                *Scratch
+	slots             []slot // ws.slots, sized for the task
+	epoch             uint32 // ws.epoch, the task's
 	d                 *Delta
 	root              uint32
 	children, parents func(uint32) []uint32
 }
 
-// at returns v's slot, stamping it — and looking up v's old distance by
-// Equation 1 on the frozen labelling — on first touch.
-func (x *deletion) at(v uint32) *slot {
-	s := &x.ws.slots[v]
-	if s.stamp != x.ws.epoch {
-		*s = slot{stamp: x.ws.epoch, old: x.c.PassDist(x.d.Dir, x.d.Rank, v)}
+// begin starts a repair task on ws: it sizes the slots and moves to a fresh
+// epoch, so every slot reads as untouched.
+func (c *Core) begin(ws *Scratch, d *Delta, children, parents func(uint32) []uint32) *local {
+	ws.next(len(c.rankArr))
+	return &local{c: c, ws: ws, slots: ws.slots, epoch: ws.epoch, d: d, root: c.Landmarks[d.Rank], children: children, parents: parents}
+}
+
+// next sizes the slots for n vertices and starts a fresh epoch, clearing
+// the stamps on wraparound.
+func (s *Scratch) next(n int) {
+	s.slots = Grow(s.slots, n)
+	if s.epoch == math.MaxUint32 {
+		clear(s.slots)
+		s.epoch = 0
+	}
+	s.epoch++
+}
+
+// at returns v's slot, stamping it on first touch. The check inlines; the
+// stamping does not.
+func (x *local) at(v uint32) *slot {
+	s := &x.slots[v]
+	if s.stamp != x.epoch {
+		x.stamp(s, v)
 	}
 	return s
 }
 
-// wasCovered reads v's covered flag before the deletion off the minimal
+// stamp claims s for the current epoch, looking up v's old distance by
+// Equation 1 on the frozen labelling.
+//
+//go:noinline
+func (x *local) stamp(s *slot, v uint32) {
+	*s = slot{stamp: x.epoch, old: x.c.PassDist(x.d.Dir, x.d.Rank, v)}
+}
+
+// wasCovered reads v's covered flag before the update off the minimal
 // labelling: the root is uncovered, other landmarks are covered, and any
 // other vertex is covered iff it holds no entry of the root.
-func (x *deletion) wasCovered(v uint32) bool {
+func (x *local) wasCovered(v uint32) bool {
 	if v == x.root {
 		return false
 	}
@@ -94,6 +141,61 @@ func (x *deletion) wasCovered(v uint32) bool {
 	}
 	_, has := x.c.Entry(x.d.Dir, v, x.d.Rank)
 	return !has
+}
+
+// RepairInsertion buffers into d the repair of landmark d.Rank's entries
+// and highway cells in direction d.Dir after the insertion of an arc whose
+// head b now sits at distance pi, one more than its tail's: the caller has
+// checked that pi is at most b's old distance (otherwise nothing changes).
+// The graph must already hold the arc, and the labelling must be the
+// frozen pre-insertion one. children and parents are the pass's adjacency,
+// as for RepairDeletion. It appends Λ_r to out in level order and returns
+// it. See the file comment for the method.
+func (c *Core) RepairInsertion(ws *Scratch, d *Delta, b uint32, pi graph.Dist, children, parents func(uint32) []uint32, out []uint32) []uint32 {
+	x := c.begin(ws, d, children, parents)
+	base := len(out)
+	x.slots[b] = slot{stamp: x.epoch, cur: pi, flags: inA} // its old distance is never read
+	out = append(out, b)
+	for i := base; i < len(out); i++ {
+		next := x.at(out[i]).cur + 1
+		for _, w := range children(out[i]) {
+			if sw := x.at(w); sw.flags&inA == 0 && sw.old >= next {
+				sw.flags, sw.cur = inA, next
+				out = append(out, w)
+			}
+		}
+	}
+	for _, v := range out[base:] {
+		sv := x.at(v)
+		if x.covered(v, sv.cur) {
+			sv.flags |= coverNow
+		}
+		sv.flags |= flagged
+		if s := c.rankArr[v]; s != noRank {
+			d.Cell(s, sv.cur)
+		} else if sv.flags&coverNow == 0 {
+			d.Set(v, sv.cur)
+		} else if _, had := c.Entry(d.Dir, v, d.Rank); had {
+			d.Remove(v)
+		}
+	}
+	return out
+}
+
+// CountDistinct counts the distinct vertices visit reports, on a fresh
+// epoch of pooled scratch.
+func (c *Core) CountDistinct(visit func(see func(uint32))) int {
+	ws := Scratches.Get()
+	defer Scratches.Put(ws)
+	ws.next(len(c.rankArr))
+	count := 0
+	visit(func(v uint32) {
+		if s := &ws.slots[v]; s.stamp != ws.epoch {
+			s.stamp = ws.epoch
+			count++
+		}
+	})
+	return count
 }
 
 // RepairDeletion buffers into d the repair of landmark d.Rank's entries and
@@ -105,13 +207,7 @@ func (x *deletion) wasCovered(v uint32) bool {
 // Out and In on a forward pass, In and Out on a backward one. See the file
 // comment for the method.
 func (c *Core) RepairDeletion(ws *Scratch, d *Delta, b uint32, children, parents func(uint32) []uint32) {
-	ws.slots = Grow(ws.slots, len(c.rankArr))
-	if ws.epoch == math.MaxUint32 {
-		clear(ws.slots)
-		ws.epoch = 0
-	}
-	ws.epoch++
-	x := &deletion{c: c, ws: ws, d: d, root: c.Landmarks[d.Rank], children: children, parents: parents}
+	x := c.begin(ws, d, children, parents)
 	x.findAffected(b)
 	x.relax()
 	x.reflag()
@@ -121,7 +217,7 @@ func (c *Core) RepairDeletion(ws *Scratch, d *Delta, b uint32, children, parents
 // findAffected walks the old levels from b and splits what it reaches into
 // A (ws.affected, in level order) and the rejected candidates, which keep
 // their distance but lost a parent (ws.kept).
-func (x *deletion) findAffected(b uint32) {
+func (x *local) findAffected(b uint32) {
 	ws := x.ws
 	ws.affected, ws.kept = ws.affected[:0], ws.kept[:0]
 	q := &ws.q
@@ -149,7 +245,7 @@ func (x *deletion) findAffected(b uint32) {
 // keepsParent reports whether v, at old distance dv ≥ 1, still has a DAG
 // parent outside A. The walk is level-ordered, so every parent in A has
 // been decided already.
-func (x *deletion) keepsParent(v uint32, dv graph.Dist) bool {
+func (x *local) keepsParent(v uint32, dv graph.Dist) bool {
 	for _, p := range x.parents(v) {
 		if sp := x.at(p); sp.old == dv-1 && sp.flags&inA == 0 {
 			return true
@@ -160,7 +256,7 @@ func (x *deletion) keepsParent(v uint32, dv graph.Dist) bool {
 
 // relax computes the new distances of A: each vertex starts from its best
 // parent outside A, and the seeds relax inside A in distance order.
-func (x *deletion) relax() {
+func (x *local) relax() {
 	ws := x.ws
 	ws.seeds = ws.seeds[:0]
 	for _, v := range ws.affected {
@@ -197,7 +293,7 @@ func (x *deletion) relax() {
 // reflag recomputes covered flags in increasing new distance, starting from
 // A and the rejected candidates and following the children of every vertex
 // whose flag flipped. ws.done lists every vertex it recomputed.
-func (x *deletion) reflag() {
+func (x *local) reflag() {
 	ws := x.ws
 	ws.seeds, ws.done = ws.seeds[:0], ws.done[:0]
 	for _, v := range ws.affected {
@@ -237,7 +333,7 @@ func (x *deletion) reflag() {
 // covered computes v's covered flag at new distance dv ≥ 1: v is another
 // landmark, or some DAG parent is covered. Parents sit one level lower, so
 // every parent whose flag is recomputed at all has been already.
-func (x *deletion) covered(v uint32, dv graph.Dist) bool {
+func (x *local) covered(v uint32, dv graph.Dist) bool {
 	if x.c.rankArr[v] != noRank {
 		return v != x.root
 	}
@@ -260,7 +356,7 @@ func (x *deletion) covered(v uint32, dv graph.Dist) bool {
 // emit buffers the edits: a highway cell for every landmark in A, and for
 // every other vertex whose distance or flag was recomputed the entry its
 // new state calls for, where it differs from the frozen one.
-func (x *deletion) emit() {
+func (x *local) emit() {
 	c, d := x.c, x.d
 	for _, v := range x.ws.affected {
 		if s := c.rankArr[v]; s != noRank {
@@ -277,7 +373,7 @@ func (x *deletion) emit() {
 }
 
 // entry buffers the edit, if any, that gives non-landmark v its new entry.
-func (x *deletion) entry(v uint32) {
+func (x *local) entry(v uint32) {
 	sv := x.at(v)
 	nd := sv.dist()
 	old, had := x.c.Entry(x.d.Dir, v, x.d.Rank)
@@ -293,7 +389,7 @@ func (x *deletion) entry(v uint32) {
 
 // order returns the distance-ordered pop over ws.seeds, sorted here, and
 // the emptied FIFO.
-func (x *deletion) order() ordered {
+func (x *local) order() ordered {
 	ws := x.ws
 	slices.SortFunc(ws.seeds, func(p, q queue.Pair) int { return cmp.Compare(p.D, q.D) })
 	ws.fifo.Reset()

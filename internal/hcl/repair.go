@@ -1,9 +1,9 @@
 // The parallel repair engine of all three variants. Every expensive phase
 // of an update is landmark-independent: a task for landmark r in label
-// direction dir — the jumped find search and covered/uncovered
-// classification of an insertion, the local repair of a deletion
-// (delete.go), or the covered-flag rebuild search of a construction or a
-// weighted deletion — reads only the frozen pre-repair labelling, and its
+// direction dir — the local repair of an insertion or a deletion
+// (delete.go), the weighted variant's jumped Dijkstra and classification,
+// or the covered-flag rebuild search of a construction or a weighted
+// deletion — reads only the frozen pre-repair labelling, and its
 // edits touch only rank-r entries of its direction and highway cells (r,s)
 // (forward) or (s,r) (backward). Updates therefore fan tasks across
 // workers, each computing a Delta against the unmodified labelling with its
@@ -92,6 +92,59 @@ func (d *Delta) Changes() Changes {
 	return ch
 }
 
+// Stats reports what one update did, feeding the paper's Figure 1
+// (affected percentages), the Table 1 and Figures 3–4 instrumentation and
+// the update summaries; every variant reports it. A skipped task is one
+// the affected test eliminated (Lemma 4.3): a landmark, or a (landmark,
+// direction) pass on the directed variant.
+type Stats struct {
+	LandmarksTotal   int // |R|
+	LandmarksSkipped int // skipped tasks
+	AffectedSum      int // Σ_r |Λ_r|; a deletion counts one vertex per edit
+	AffectedUnion    int // |∪_r Λ_r|, the paper's affected vertices; undirected variant only
+	EntriesAdded     int // label entries added or modified
+	EntriesRemoved   int // label entries removed (outdated/redundant)
+	HighwayUpdates   int // highway cells refreshed
+}
+
+// Add counts one merged delta's edits.
+func (st *Stats) Add(ch Changes) {
+	st.EntriesAdded += ch.Added
+	st.EntriesRemoved += ch.Removed
+	st.HighwayUpdates += ch.Highway
+}
+
+// AddEdits counts merged deltas of repairs that report no affected set —
+// a deletion or a rebuild — charging each edit as one affected vertex.
+func (st *Stats) AddEdits(ds []Delta) {
+	for i := range ds {
+		ch := ds[i].Changes()
+		st.Add(ch)
+		st.AffectedSum += ch.Total()
+	}
+}
+
+// Plus aggregates the counters of a component update, all but
+// LandmarksTotal.
+func (st *Stats) Plus(o Stats) {
+	st.LandmarksSkipped += o.LandmarksSkipped
+	st.AffectedSum += o.AffectedSum
+	st.AffectedUnion += o.AffectedUnion
+	st.EntriesAdded += o.EntriesAdded
+	st.EntriesRemoved += o.EntriesRemoved
+	st.HighwayUpdates += o.HighwayUpdates
+}
+
+// Affected is the affected-vertex count an update summary reports: the
+// union where the variant counts one, else the sum. A counted union is
+// zero only when the sum is, so a zero union selects the sum.
+func (st Stats) Affected() int {
+	if st.AffectedUnion != 0 {
+		return st.AffectedUnion
+	}
+	return st.AffectedSum
+}
+
 // Touched calls fn for every vertex a merged delta changed: the landmark of
 // each highway cell, then the vertex of each label edit.
 func (c *Core) Touched(d *Delta, fn func(v uint32)) {
@@ -104,10 +157,11 @@ func (c *Core) Touched(d *Delta, fn func(v uint32)) {
 }
 
 // Scratch is one worker's state for the covered-flag searches: a distance
-// and a covered flag per vertex for the rebuild searches, the stamped
-// per-vertex slots and work lists of the local deletion repair, and the
-// queues both use. Variants with other searches embed it in their own
-// worker scratch.
+// and a covered flag per vertex for the rebuild searches, the epoch-stamped
+// per-vertex slots and work lists of the local insertion and deletion
+// repairs (a slot is current only while its stamp equals epoch, so a task
+// starts by bumping the epoch instead of clearing), and the queues. The
+// weighted variant embeds it in its own worker scratch.
 type Scratch struct {
 	dist    []graph.Dist
 	covered []bool
@@ -155,7 +209,7 @@ func (p *Pool[S]) Get() *S {
 // Put returns s to the pool.
 func (p *Pool[S]) Put(s *S) { p.p.Put(s) }
 
-// Scratches is the pool of rebuild scratch.
+// Scratches is the pool of the unit-weight variants' scratch.
 var Scratches Pool[Scratch]
 
 // Repair runs task for every delta of ds across the core's Workers — each

@@ -81,17 +81,13 @@ func (u *Updater) DeleteEdge(a, b uint32) (Stats, error) {
 	if err := g.RemoveEdge(a, b); err != nil {
 		return st, fmt.Errorf("inchl: delete (%d,%d): %w", a, b, err)
 	}
-	hcl.Repair(&u.Core, &scratches, ds, true, func(sc *scratch, t int, d *hcl.Delta) {
-		u.RepairDeletion(&sc.Scratch, d, heads[t], g.Neighbors, g.Neighbors)
+	hcl.Repair(&u.Core, &hcl.Scratches, ds, true, func(ws *hcl.Scratch, t int, d *hcl.Delta) {
+		u.RepairDeletion(ws, d, heads[t], g.Neighbors, g.Neighbors)
 	})
 	// Every change a repair made touches one vertex: AffectedSum counts
 	// them, AffectedUnion the distinct vertices.
-	for i := range ds {
-		ch := ds[i].Changes()
-		st.add(ch)
-		st.AffectedSum += ch.Total()
-	}
-	st.AffectedUnion = u.countDistinct(func(see func(uint32)) {
+	st.AddEdits(ds)
+	st.AffectedUnion = u.CountDistinct(func(see func(uint32)) {
 		for i := range ds {
 			u.Touched(&ds[i], see)
 		}
@@ -119,7 +115,7 @@ func (u *Updater) DeleteVertex(v uint32) (Stats, error) {
 		if err != nil {
 			return agg, err
 		}
-		agg.plus(st)
+		agg.Plus(st)
 	}
 	return agg, nil
 }

@@ -55,11 +55,7 @@ func (idx *Index) DeleteEdge(a, b uint32) (Stats, error) {
 	hcl.Repair(&idx.Core, &scratches, ds, true, func(ws *scratch, _ int, d *hcl.Delta) {
 		idx.rebuildLandmark(ws, d)
 	})
-	for i := range ds {
-		ch := ds[i].Changes()
-		st.add(ch)
-		st.AffectedSum += ch.Total()
-	}
+	st.AddEdits(ds)
 	return st, nil
 }
 
@@ -116,7 +112,7 @@ func (idx *Index) DeleteVertex(v uint32) (Stats, error) {
 		if err != nil {
 			return agg, err
 		}
-		agg.plus(st)
+		agg.Plus(st)
 	}
 	return agg, nil
 }

@@ -8,31 +8,9 @@ import (
 	"repro/internal/wgraph"
 )
 
-// Stats reports what one weighted insertion did.
-type Stats struct {
-	LandmarksTotal   int
-	LandmarksSkipped int
-	AffectedSum      int
-	EntriesAdded     int
-	EntriesRemoved   int
-	HighwayUpdates   int
-}
-
-// add counts one merged delta's edits.
-func (st *Stats) add(ch hcl.Changes) {
-	st.EntriesAdded += ch.Added
-	st.EntriesRemoved += ch.Removed
-	st.HighwayUpdates += ch.Highway
-}
-
-// plus aggregates the counters of a component update.
-func (st *Stats) plus(o Stats) {
-	st.LandmarksSkipped += o.LandmarksSkipped
-	st.AffectedSum += o.AffectedSum
-	st.EntriesAdded += o.EntriesAdded
-	st.EntriesRemoved += o.EntriesRemoved
-	st.HighwayUpdates += o.HighwayUpdates
-}
+// Stats reports what one weighted update did. The variant counts no
+// affected union: AffectedSum is its affected-vertex figure.
+type Stats = hcl.Stats
 
 // findResult carries one landmark's affected set from find to repair.
 type findResult struct {
@@ -82,7 +60,7 @@ func (idx *Index) InsertEdge(a, b uint32, w graph.Dist) (Stats, error) {
 			continue
 		}
 		st.AffectedSum += len(finds[r].affected)
-		st.add(ds[r].Changes())
+		st.Add(ds[r].Changes())
 	}
 	return st, nil
 }
@@ -103,7 +81,7 @@ func (idx *Index) InsertVertex(arcs []wgraph.Arc) (uint32, Stats, error) {
 		if err != nil {
 			return v, agg, err
 		}
-		agg.plus(st)
+		agg.Plus(st)
 	}
 	return v, agg, nil
 }

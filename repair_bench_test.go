@@ -25,7 +25,11 @@ import (
 // few shortest-path DAGs — so the churn case measures what a rewiring
 // workload pays instead: each iteration deletes a uniformly random existing
 // edge of a Barabási–Albert graph (50k vertices, m = 8, 20 landmarks) and
-// inserts a uniformly random non-edge, serially.
+// inserts a uniformly random non-edge, serially. directed-insert runs the
+// directed variant's insertion alone on the same graph, each edge an arc
+// from its older to its newer endpoint: every iteration inserts a
+// uniformly random new arc, so both forward and backward passes repair.
+// Both cases report allocations, since a repair's scratch is pooled.
 func BenchmarkRepairParallel(b *testing.B) {
 	b.Run("churn", func(b *testing.B) {
 		g := gen.BarabasiAlbert(50_000, 8, 9)
@@ -37,6 +41,7 @@ func BenchmarkRepairParallel(b *testing.B) {
 		g.Edges(func(u, v uint32) { edges = append(edges, [2]uint32{u, v}) })
 		rng := rand.New(rand.NewSource(33))
 		n := g.NumVertices()
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			j := rng.Intn(len(edges))
@@ -51,6 +56,31 @@ func BenchmarkRepairParallel(b *testing.B) {
 				b.Fatal(err)
 			}
 			edges[j] = [2]uint32{u, v}
+		}
+	})
+	b.Run("directed-insert", func(b *testing.B) {
+		g := gen.BarabasiAlbert(50_000, 8, 9)
+		n := g.NumVertices()
+		dg := dynhl.NewDigraph(n)
+		for i := 0; i < n; i++ {
+			dg.AddVertex()
+		}
+		g.Edges(func(u, v uint32) { dg.AddEdge(min(u, v), max(u, v)) })
+		x, err := dynhl.BuildDirected(dg, dynhl.Options{Landmarks: 20, RepairWorkers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(33))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			u, v := uint32(rng.Intn(n)), uint32(rng.Intn(n))
+			for u == v || dg.HasEdge(u, v) {
+				u, v = uint32(rng.Intn(n)), uint32(rng.Intn(n))
+			}
+			if _, err := x.InsertEdge(u, v, 0); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	base := testutil.RandomConnectedGraph(50_000, 100_000, 9)

@@ -91,7 +91,7 @@ func (x *WeightedIndex) QueryBatch(pairs []Pair) []Dist {
 // InsertEdge inserts the undirected edge (u,v) with weight w (0 means 1)
 // and repairs the labelling.
 func (x *WeightedIndex) InsertEdge(u, v uint32, w Dist) (UpdateSummary, error) {
-	return weightedSummary(x.idx.InsertEdge(u, v, max(w, 1)))
+	return summary(x.idx.InsertEdge(u, v, max(w, 1)))
 }
 
 // InsertVertex adds a vertex with initial weighted edges (Arc.W of 0 means
@@ -108,7 +108,7 @@ func (x *WeightedIndex) InsertVertex(arcs []Arc) (uint32, UpdateSummary, error) 
 	if err != nil {
 		return 0, UpdateSummary{}, err
 	}
-	sum, err := weightedSummary(st, nil)
+	sum, err := summary(st, nil)
 	return id, sum, err
 }
 
@@ -124,27 +124,13 @@ func (x *WeightedIndex) fork() variant {
 // DeleteEdge removes the undirected weighted edge (u,v) and repairs the
 // labelling with DecHL (see Oracle.DeleteEdge).
 func (x *WeightedIndex) DeleteEdge(u, v uint32) (UpdateSummary, error) {
-	return weightedSummary(x.idx.DeleteEdge(u, v))
+	return summary(x.idx.DeleteEdge(u, v))
 }
 
 // DeleteVertex disconnects vertex v by deleting all of its incident edges;
 // the id survives as an isolated vertex. Deleting a landmark is an error.
 func (x *WeightedIndex) DeleteVertex(v uint32) (UpdateSummary, error) {
-	return weightedSummary(x.idx.DeleteVertex(v))
-}
-
-func weightedSummary(st whcl.Stats, err error) (UpdateSummary, error) {
-	if err != nil {
-		return UpdateSummary{}, err
-	}
-	return UpdateSummary{
-		Landmarks:      st.LandmarksTotal,
-		Skipped:        st.LandmarksSkipped,
-		Affected:       st.AffectedSum,
-		EntriesAdded:   st.EntriesAdded,
-		EntriesRemoved: st.EntriesRemoved,
-		HighwayUpdates: st.HighwayUpdates,
-	}, nil
+	return summary(x.idx.DeleteVertex(v))
 }
 
 // Verify audits the labelling against Dijkstra ground truth.
