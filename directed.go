@@ -87,8 +87,8 @@ func (x *DirectedIndex) QueryBatch(pairs []Pair) []Dist {
 // InsertEdge inserts the directed edge u→v and repairs both label sets.
 // The graph is unweighted, so w must be 0 or 1.
 func (x *DirectedIndex) InsertEdge(u, v uint32, w Dist) (UpdateSummary, error) {
-	if w > 1 {
-		return UpdateSummary{}, fmt.Errorf("dynhl: directed oracle is unweighted, got edge weight %d", w)
+	if err := unitWeight("directed", w); err != nil {
+		return UpdateSummary{}, err
 	}
 	return summary(x.idx.InsertEdge(u, v))
 }
@@ -96,16 +96,9 @@ func (x *DirectedIndex) InsertEdge(u, v uint32, w Dist) (UpdateSummary, error) {
 // InsertVertex adds a vertex with the given initial arcs: Arc.In selects
 // the direction (To→new rather than new→To) and weights must be 0 or 1.
 func (x *DirectedIndex) InsertVertex(arcs []Arc) (uint32, UpdateSummary, error) {
-	var outTo, inFrom []uint32
-	for _, a := range arcs {
-		if a.W > 1 {
-			return 0, UpdateSummary{}, fmt.Errorf("dynhl: directed oracle is unweighted, got arc weight %d", a.W)
-		}
-		if a.In {
-			inFrom = append(inFrom, a.To)
-		} else {
-			outTo = append(outTo, a.To)
-		}
+	outTo, inFrom, err := splitArcs(arcs)
+	if err != nil {
+		return 0, UpdateSummary{}, err
 	}
 	id, st, err := x.idx.InsertVertex(outTo, inFrom)
 	if err != nil {
@@ -122,6 +115,22 @@ func (x *DirectedIndex) Apply(ops []Op) ([]UpdateSummary, error) { return applyO
 // fork returns the copy-on-write working copy backing Store publishes.
 func (x *DirectedIndex) fork() variant {
 	return newDirected(x.idx.Fork(x.idx.G.Fork()))
+}
+
+// splitArcs splits a new vertex's arcs into out- and in-neighbours,
+// rejecting weights the unweighted digraph cannot represent.
+func splitArcs(arcs []Arc) (outTo, inFrom []uint32, err error) {
+	for _, a := range arcs {
+		if a.W > 1 {
+			return nil, nil, fmt.Errorf("dynhl: directed oracle is unweighted, got arc weight %d", a.W)
+		}
+		if a.In {
+			inFrom = append(inFrom, a.To)
+		} else {
+			outTo = append(outTo, a.To)
+		}
+	}
+	return outTo, inFrom, nil
 }
 
 // DeleteEdge removes the directed edge u→v and repairs both label sets

@@ -107,20 +107,24 @@
 // group — and one atomic publish for all of them. Each caller's future
 // then resolves with its own per-op summaries and the shared epoch;
 // ApplyResult.Coalesced reports whether the epoch was shared. Commit work
-// is pipelined: while one group packs, appends and publishes, the
-// committer already repairs the next group on a fork of the unpublished
-// tip, so the queue keeps moving at the speed of the slower stage rather
-// than their sum. Under contention the group size grows with the backlog
-// and the commit overhead per op shrinks accordingly (BenchmarkApplyConcurrent
-// measures the effect; see EXPERIMENTS.md).
+// is pipelined. The committer first validates the group: each caller's
+// ops run through the variant's own checks against a view of the graph
+// that records the group's edits, so the live callers and the group's WAL
+// record are known before any label work. The committer then appends the
+// record while a repairer goroutine repairs and packs the same group, and
+// the epoch publishes once both are done, so the fsync hides the repair.
+// While the repairer publishes one group the committer already validates
+// and appends the next. Under contention the group size grows with the
+// backlog and the commit overhead per op shrinks accordingly
+// (BenchmarkApplyConcurrent measures the effect; see EXPERIMENTS.md).
 //
 // Coalescing never weakens the per-batch contract. Each caller's ops are
-// validated as their own segment of the group against the group's fork:
-// if a segment fails, that caller alone is rejected with the error
-// attributed to its failing op (OpError carries the op index and kind) and
-// the group is redone without it — co-batched callers are never poisoned
-// by a neighbour's invalid batch, and a rejected caller observes the same
-// all-or-nothing outcome as if it had applied alone. A caller whose
+// validated as their own segment of the group, on top of the segments
+// accepted before it: if a segment fails, that caller alone is rejected
+// with the error attributed to its failing op (OpError carries the op
+// index and kind) and its edits are dropped — co-batched callers are never
+// poisoned by a neighbour's invalid batch, and a rejected caller observes
+// the same all-or-nothing outcome as if it had applied alone. A caller whose
 // context is cancelled while its batch still waits on the queue is
 // excised without side effects and gets the context error; once the
 // committer has claimed the batch, the commit proceeds and the caller is
@@ -309,10 +313,13 @@
 // follow the Prometheus naming idiom under a dynhl_ prefix, labelled by
 // index variant: dynhl_query_seconds and dynhl_query_batch_seconds time
 // the read path, dynhl_snapshot_pins_total counts epoch pins, and
-// dynhl_apply_stage_seconds breaks every published epoch into the five
+// dynhl_apply_stage_seconds breaks every published epoch into the
 // pipeline stages a write crosses — coalesce_wait (enqueue to claim),
-// repair (fork + IncHL+/DecHL), pack (CSR freeze), wal_commit (append +
-// fsync via the durability hook) and publish (snapshot swap) — with
+// repair (validation, fork + IncHL+/DecHL), pack (CSR freeze), wal_commit
+// (append + fsync via the durability layer, running alongside repair and
+// pack), wal_wait (how long publish still waited on that append after
+// pack: the part of the fsync the repair did not hide) and publish
+// (snapshot swap) — with
 // dynhl_apply_group_callers/_ops recording how much each group coalesced.
 // The repair engine reports dynhl_repair_workers (the resolved fan-out)
 // and dynhl_repair_landmark_seconds (per-landmark task latency, observed

@@ -214,8 +214,8 @@ func (x *Index) QueryBatch(pairs []Pair) []Dist {
 // the labelling with IncHL+. The edge must be new and both endpoints must
 // exist; the graph is unweighted, so w must be 0 or 1.
 func (x *Index) InsertEdge(u, v uint32, w Dist) (UpdateSummary, error) {
-	if w > 1 {
-		return UpdateSummary{}, fmt.Errorf("dynhl: undirected oracle is unweighted, got edge weight %d", w)
+	if err := unitWeight("undirected", w); err != nil {
+		return UpdateSummary{}, err
 	}
 	return summary(x.upd.InsertEdge(u, v))
 }
@@ -273,6 +273,15 @@ func summary(st hcl.Stats, err error) (UpdateSummary, error) {
 		EntriesRemoved: st.EntriesRemoved,
 		HighwayUpdates: st.HighwayUpdates,
 	}, nil
+}
+
+// unitWeight rejects the edge weights an unweighted variant cannot
+// represent.
+func unitWeight(variant string, w Dist) error {
+	if w > 1 {
+		return fmt.Errorf("dynhl: %s oracle is unweighted, got edge weight %d", variant, w)
+	}
+	return nil
 }
 
 // plainNeighbors reduces arcs to a neighbour list for the undirected

@@ -40,14 +40,8 @@ import (
 func (idx *Index) DeleteEdge(a, b uint32) (Stats, error) {
 	var st Stats
 	g := idx.G
-	if !g.HasVertex(a) || !g.HasVertex(b) {
-		return st, fmt.Errorf("dhcl: delete (%d,%d): %w", a, b, graph.ErrVertexUnknown)
-	}
-	if a == b {
-		return st, fmt.Errorf("dhcl: delete (%d,%d): %w", a, b, graph.ErrSelfLoop)
-	}
-	if !g.HasEdge(a, b) {
-		return st, fmt.Errorf("dhcl: delete (%d,%d): %w", a, b, graph.ErrEdgeUnknown)
+	if err := CheckDelete(g, a, b); err != nil {
+		return st, err
 	}
 	st.LandmarksTotal = idx.NumLandmarks()
 
@@ -87,11 +81,8 @@ func (idx *Index) DeleteEdge(a, b uint32) (Stats, error) {
 func (idx *Index) DeleteVertex(v uint32) (Stats, error) {
 	var agg Stats
 	g := idx.G
-	if !g.HasVertex(v) {
-		return agg, fmt.Errorf("dhcl: delete vertex %d: %w", v, graph.ErrVertexUnknown)
-	}
-	if idx.IsLandmark(v) {
-		return agg, fmt.Errorf("dhcl: delete vertex %d: cannot delete a landmark", v)
+	if err := CheckDeleteVertex(g, &idx.Core, v); err != nil {
+		return agg, err
 	}
 	agg.LandmarksTotal = idx.NumLandmarks()
 	del := func(x, y uint32) error {
@@ -112,4 +103,31 @@ func (idx *Index) DeleteVertex(v uint32) (Stats, error) {
 		}
 	}
 	return agg, nil
+}
+
+// CheckDelete is DeleteEdge's validity check: a→b must be an arc of g
+// (see CheckInsert).
+func CheckDelete(g graph.EdgeSet, a, b uint32) error {
+	if !g.HasVertex(a) || !g.HasVertex(b) {
+		return fmt.Errorf("dhcl: delete (%d,%d): %w", a, b, graph.ErrVertexUnknown)
+	}
+	if a == b {
+		return fmt.Errorf("dhcl: delete (%d,%d): %w", a, b, graph.ErrSelfLoop)
+	}
+	if !g.HasEdge(a, b) {
+		return fmt.Errorf("dhcl: delete (%d,%d): %w", a, b, graph.ErrEdgeUnknown)
+	}
+	return nil
+}
+
+// CheckDeleteVertex is DeleteVertex's validity check: v must be a vertex
+// of g and not one of c's landmarks.
+func CheckDeleteVertex(g graph.EdgeSet, c *hcl.Core, v uint32) error {
+	if !g.HasVertex(v) {
+		return fmt.Errorf("dhcl: delete vertex %d: %w", v, graph.ErrVertexUnknown)
+	}
+	if c.IsLandmark(v) {
+		return fmt.Errorf("dhcl: delete vertex %d: cannot delete a landmark", v)
+	}
+	return nil
 }

@@ -23,14 +23,8 @@ type Stats = hcl.Stats
 func (idx *Index) InsertEdge(a, b uint32) (Stats, error) {
 	var st Stats
 	g := idx.G
-	if !g.HasVertex(a) || !g.HasVertex(b) {
-		return st, fmt.Errorf("dhcl: insert (%d,%d): %w", a, b, graph.ErrVertexUnknown)
-	}
-	if a == b {
-		return st, fmt.Errorf("dhcl: insert (%d,%d): %w", a, b, graph.ErrSelfLoop)
-	}
-	if g.HasEdge(a, b) {
-		return st, fmt.Errorf("dhcl: insert (%d,%d): %w", a, b, graph.ErrEdgeExists)
+	if err := CheckInsert(g, a, b); err != nil {
+		return st, err
 	}
 	if _, err := g.AddEdge(a, b); err != nil {
 		return st, err
@@ -60,15 +54,8 @@ func (idx *Index) InsertEdge(a, b uint32) (Stats, error) {
 // in-neighbours, applied as sequential edge insertions.
 func (idx *Index) InsertVertex(outTo, inFrom []uint32) (uint32, Stats, error) {
 	var agg Stats
-	for _, w := range outTo {
-		if !idx.G.HasVertex(w) {
-			return 0, agg, fmt.Errorf("dhcl: insert vertex: neighbour %d: %w", w, graph.ErrVertexUnknown)
-		}
-	}
-	for _, w := range inFrom {
-		if !idx.G.HasVertex(w) {
-			return 0, agg, fmt.Errorf("dhcl: insert vertex: neighbour %d: %w", w, graph.ErrVertexUnknown)
-		}
+	if err := CheckNeighbors(idx.G, outTo, inFrom); err != nil {
+		return 0, agg, err
 	}
 	v := idx.G.AddVertex()
 	idx.EnsureVertex(v)
@@ -91,6 +78,37 @@ func (idx *Index) InsertVertex(outTo, inFrom []uint32) (uint32, Stats, error) {
 		}
 	}
 	return v, agg, nil
+}
+
+// CheckInsert is InsertEdge's validity check: a→b must join two distinct
+// vertices of g and not be an arc yet. Batch validation runs it on a view
+// of the graph with the batch's earlier edits applied, so a batch is
+// judged by exactly the checks its repair would run.
+func CheckInsert(g graph.EdgeSet, a, b uint32) error {
+	if !g.HasVertex(a) || !g.HasVertex(b) {
+		return fmt.Errorf("dhcl: insert (%d,%d): %w", a, b, graph.ErrVertexUnknown)
+	}
+	if a == b {
+		return fmt.Errorf("dhcl: insert (%d,%d): %w", a, b, graph.ErrSelfLoop)
+	}
+	if g.HasEdge(a, b) {
+		return fmt.Errorf("dhcl: insert (%d,%d): %w", a, b, graph.ErrEdgeExists)
+	}
+	return nil
+}
+
+// CheckNeighbors is InsertVertex's check of the neighbour lists: every
+// neighbour must be a vertex of g. The arcs to and from the new vertex are
+// then checked one by one, by CheckInsert, out-arcs first.
+func CheckNeighbors(g graph.EdgeSet, outTo, inFrom []uint32) error {
+	for _, ws := range [][]uint32{outTo, inFrom} {
+		for _, w := range ws {
+			if !g.HasVertex(w) {
+				return fmt.Errorf("dhcl: insert vertex: neighbour %d: %w", w, graph.ErrVertexUnknown)
+			}
+		}
+	}
+	return nil
 }
 
 // insertPass repairs one (landmark, direction) pass after the insertion of

@@ -29,6 +29,14 @@ func AddDist(a, b Dist) Dist {
 	return Inf
 }
 
+// EdgeSet is what the update validity checks of the labelling packages
+// read: a graph, or a batch validator's view of one with the batch's edits
+// applied. HasEdge is false when either endpoint is not a vertex.
+type EdgeSet interface {
+	HasVertex(v uint32) bool
+	HasEdge(u, v uint32) bool
+}
+
 // Errors reported by mutating operations. They are shared as sentinels by
 // the directed and weighted substrates too, so every layer up to the HTTP
 // service can classify failures with errors.Is instead of string matching.

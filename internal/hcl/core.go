@@ -174,8 +174,11 @@ func (c *Core) Rank(v uint32) (uint16, bool) {
 	return r, r != noRank
 }
 
-// IsLandmark reports whether v is a landmark.
-func (c *Core) IsLandmark(v uint32) bool { return c.rankArr[v] != noRank }
+// IsLandmark reports whether v is a landmark. A vertex beyond the
+// labelling, which a batch being validated may have added, is not one.
+func (c *Core) IsLandmark(v uint32) bool {
+	return int(v) < len(c.rankArr) && c.rankArr[v] != noRank
+}
 
 // Highway returns the highway cell (i,j): d(r_i, r_j), directed r_i → r_j
 // on the directed variant.

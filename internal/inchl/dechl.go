@@ -49,14 +49,8 @@ import (
 func (u *Updater) DeleteEdge(a, b uint32) (Stats, error) {
 	var st Stats
 	g := u.G
-	if !g.HasVertex(a) || !g.HasVertex(b) {
-		return st, fmt.Errorf("inchl: delete (%d,%d): %w", a, b, graph.ErrVertexUnknown)
-	}
-	if a == b {
-		return st, fmt.Errorf("inchl: delete (%d,%d): %w", a, b, graph.ErrSelfLoop)
-	}
-	if !g.HasEdge(a, b) {
-		return st, fmt.Errorf("inchl: delete (%d,%d): %w", a, b, graph.ErrEdgeUnknown)
+	if err := CheckDelete(g, a, b); err != nil {
+		return st, err
 	}
 	st.LandmarksTotal = u.NumLandmarks()
 
@@ -103,11 +97,8 @@ func (u *Updater) DeleteEdge(a, b uint32) (Stats, error) {
 func (u *Updater) DeleteVertex(v uint32) (Stats, error) {
 	var agg Stats
 	g := u.G
-	if !g.HasVertex(v) {
-		return agg, fmt.Errorf("inchl: delete vertex %d: %w", v, graph.ErrVertexUnknown)
-	}
-	if u.IsLandmark(v) {
-		return agg, fmt.Errorf("inchl: delete vertex %d: cannot delete a landmark", v)
+	if err := CheckDeleteVertex(g, &u.Core, v); err != nil {
+		return agg, err
 	}
 	agg.LandmarksTotal = u.NumLandmarks()
 	for _, w := range append([]uint32(nil), g.Neighbors(v)...) {
@@ -118,4 +109,31 @@ func (u *Updater) DeleteVertex(v uint32) (Stats, error) {
 		agg.Plus(st)
 	}
 	return agg, nil
+}
+
+// CheckDelete is DeleteEdge's validity check: (a,b) must be an edge of g
+// (see CheckInsert).
+func CheckDelete(g graph.EdgeSet, a, b uint32) error {
+	if !g.HasVertex(a) || !g.HasVertex(b) {
+		return fmt.Errorf("inchl: delete (%d,%d): %w", a, b, graph.ErrVertexUnknown)
+	}
+	if a == b {
+		return fmt.Errorf("inchl: delete (%d,%d): %w", a, b, graph.ErrSelfLoop)
+	}
+	if !g.HasEdge(a, b) {
+		return fmt.Errorf("inchl: delete (%d,%d): %w", a, b, graph.ErrEdgeUnknown)
+	}
+	return nil
+}
+
+// CheckDeleteVertex is DeleteVertex's validity check: v must be a vertex
+// of g and not one of c's landmarks.
+func CheckDeleteVertex(g graph.EdgeSet, c *hcl.Core, v uint32) error {
+	if !g.HasVertex(v) {
+		return fmt.Errorf("inchl: delete vertex %d: %w", v, graph.ErrVertexUnknown)
+	}
+	if c.IsLandmark(v) {
+		return fmt.Errorf("inchl: delete vertex %d: cannot delete a landmark", v)
+	}
+	return nil
 }

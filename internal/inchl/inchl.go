@@ -86,14 +86,8 @@ func New(idx *hcl.Index) *Updater {
 func (u *Updater) InsertEdge(a, b uint32) (Stats, error) {
 	var st Stats
 	g := u.G
-	if !g.HasVertex(a) || !g.HasVertex(b) {
-		return st, fmt.Errorf("inchl: insert (%d,%d): %w", a, b, graph.ErrVertexUnknown)
-	}
-	if a == b {
-		return st, fmt.Errorf("inchl: insert (%d,%d): %w", a, b, graph.ErrSelfLoop)
-	}
-	if g.HasEdge(a, b) {
-		return st, fmt.Errorf("inchl: insert (%d,%d): %w", a, b, graph.ErrEdgeExists)
+	if err := CheckInsert(g, a, b); err != nil {
+		return st, err
 	}
 	k := u.NumLandmarks()
 	st.LandmarksTotal = k
@@ -167,13 +161,10 @@ func (u *Updater) jump(r uint16, a, b uint32) (head uint32, pi graph.Dist, ok bo
 // and statistics aggregated over the component insertions.
 func (u *Updater) InsertVertex(neighbors []uint32) (uint32, Stats, error) {
 	var agg Stats
-	g := u.G
-	for _, w := range neighbors {
-		if !g.HasVertex(w) {
-			return 0, agg, fmt.Errorf("inchl: insert vertex: neighbour %d: %w", w, graph.ErrVertexUnknown)
-		}
+	if err := CheckNeighbors(u.G, neighbors); err != nil {
+		return 0, agg, err
 	}
-	v := g.AddVertex()
+	v := u.G.AddVertex()
 	u.EnsureVertex(v)
 	agg.LandmarksTotal = u.NumLandmarks()
 	for _, w := range neighbors {
@@ -184,4 +175,33 @@ func (u *Updater) InsertVertex(neighbors []uint32) (uint32, Stats, error) {
 		agg.Plus(st)
 	}
 	return v, agg, nil
+}
+
+// CheckInsert is InsertEdge's validity check: (a,b) must join two
+// distinct vertices of g and not be an edge yet. Batch validation runs it
+// on a view of the graph with the batch's earlier edits applied, so a
+// batch is judged by exactly the checks its repair would run.
+func CheckInsert(g graph.EdgeSet, a, b uint32) error {
+	if !g.HasVertex(a) || !g.HasVertex(b) {
+		return fmt.Errorf("inchl: insert (%d,%d): %w", a, b, graph.ErrVertexUnknown)
+	}
+	if a == b {
+		return fmt.Errorf("inchl: insert (%d,%d): %w", a, b, graph.ErrSelfLoop)
+	}
+	if g.HasEdge(a, b) {
+		return fmt.Errorf("inchl: insert (%d,%d): %w", a, b, graph.ErrEdgeExists)
+	}
+	return nil
+}
+
+// CheckNeighbors is InsertVertex's check of the neighbour list: every
+// neighbour must be a vertex of g. The edges to the new vertex are then
+// checked one by one, by CheckInsert.
+func CheckNeighbors(g graph.EdgeSet, neighbors []uint32) error {
+	for _, w := range neighbors {
+		if !g.HasVertex(w) {
+			return fmt.Errorf("inchl: insert vertex: neighbour %d: %w", w, graph.ErrVertexUnknown)
+		}
+	}
+	return nil
 }

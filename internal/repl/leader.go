@@ -174,7 +174,7 @@ func (l *Leader) serve(s *session) {
 			}
 			if rec.Ops == nil {
 				// A Load epoch has no replayable record; its state exists
-				// only as the checkpoint Commit captured, so ship that.
+				// only as the checkpoint Capture took, so ship that.
 				if lastSent, err = l.sendSnapshot(s); err != nil {
 					return
 				}

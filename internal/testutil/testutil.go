@@ -1,9 +1,12 @@
 // Package testutil provides deterministic random graphs and ground-truth
-// oracles shared by the test suites of the labelling packages.
+// oracles shared by the test suites of the labelling packages, and the
+// helpers the write-pipeline tests share.
 package testutil
 
 import (
+	"context"
 	"math/rand"
+	"sync"
 
 	"repro/internal/bfs"
 	"repro/internal/graph"
@@ -95,4 +98,25 @@ func AllPairsOracle(g *graph.Graph) [][]graph.Dist {
 		d[v] = bfs.Distances(g, uint32(v))
 	}
 	return d
+}
+
+// QueuedContext returns a never-cancelled context that closes queued the
+// first time its Done method is called. Store.ApplyCtx asks for Done only
+// once the batch is on the apply queue, so a test learns from queued that
+// the batch is queued: batches handed to ApplyCtx one at a time, each
+// after the previous one's queued closed, queue in that order.
+func QueuedContext() (ctx context.Context, queued <-chan struct{}) {
+	c := &queuedCtx{Context: context.Background(), queued: make(chan struct{})}
+	return c, c.queued
+}
+
+type queuedCtx struct {
+	context.Context
+	queued chan struct{}
+	once   sync.Once
+}
+
+func (c *queuedCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.queued) })
+	return c.Context.Done()
 }

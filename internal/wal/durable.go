@@ -200,26 +200,14 @@ func (d *Durable) Epoch() uint64 { return d.store.Epoch() }
 // Durable replayed (zero for a fresh directory).
 func (d *Durable) Replayed() uint64 { return d.replayed }
 
-// Commit implements dynhl.Durability: the record for epoch is appended (and
-// under SyncAlways durable) before the store publishes it. An epoch
-// published without an op batch (Store.Load) cannot be replayed from ops,
-// so it is captured as a synchronous checkpoint of the incoming snapshot
-// instead. That checkpoint is then the only route across its epoch: older
-// checkpoints cannot bridge the record-less gap, so should it ever be
-// damaged, recovery refuses rather than falling back past it.
-func (d *Durable) Commit(epoch uint64, ops []dynhl.Op, next dynhl.View) error {
+// Append implements dynhl.Durability: the record for epoch is appended (and
+// under SyncAlways durable) before the store publishes it. The store
+// repairs the labelling while the append runs and publishes once both are
+// done, so a successful Append is always followed by the publish of its
+// epoch.
+func (d *Durable) Append(epoch uint64, ops []dynhl.Op) error {
 	if d.closed.Load() {
-		return errors.New("wal: durable store is closed")
-	}
-	if ops == nil {
-		d.opts.Logf("wal: epoch %d published without ops (Load): captured as a checkpoint; older checkpoints cannot recover past it", epoch)
-		if _, err := d.checkpointView(next); err != nil {
-			return err
-		}
-		// A record-less epoch cannot be replayed; the nil-Ops notice tells
-		// subscribers to fetch the fresh checkpoint instead.
-		d.notifyCommit(TailRecord{Epoch: epoch})
-		return nil
+		return errClosed
 	}
 	size, err := d.log.Append(epoch, ops)
 	if err != nil {
@@ -235,6 +223,38 @@ func (d *Durable) Commit(epoch uint64, ops []dynhl.Op, next dynhl.View) error {
 	}
 	return nil
 }
+
+// Capture implements dynhl.Durability: an epoch published without an op
+// batch (Store.Load) cannot be replayed from ops, so it is captured as a
+// synchronous checkpoint of the incoming snapshot instead. That checkpoint
+// is then the only route across its epoch: older checkpoints cannot bridge
+// the record-less gap, so should it ever be damaged, recovery refuses
+// rather than falling back past it.
+func (d *Durable) Capture(next dynhl.View) error {
+	if d.closed.Load() {
+		return errClosed
+	}
+	epoch := next.Epoch()
+	d.opts.Logf("wal: epoch %d published without ops (Load): captured as a checkpoint; older checkpoints cannot recover past it", epoch)
+	if _, err := d.checkpointView(next); err != nil {
+		return err
+	}
+	// A record-less epoch cannot be replayed; the nil-Ops notice tells
+	// subscribers to fetch the fresh checkpoint instead.
+	d.notifyCommit(TailRecord{Epoch: epoch})
+	return nil
+}
+
+// Commit makes epoch durable outside a Store's pipeline: Append when ops
+// holds the batch that produced it, Capture of next when ops is nil.
+func (d *Durable) Commit(epoch uint64, ops []dynhl.Op, next dynhl.View) error {
+	if ops == nil {
+		return d.Capture(next)
+	}
+	return d.Append(epoch, ops)
+}
+
+var errClosed = errors.New("wal: durable store is closed")
 
 // Checkpoint writes the current snapshot's full state, rotates the log and
 // removes segments and checkpoints it supersedes. It runs against a pinned
@@ -304,8 +324,8 @@ func (d *Durable) run() {
 		case <-d.stop:
 			return
 		case epoch := <-d.ckptc:
-			// Commit fires the trigger before its epoch publishes, and a
-			// successful Commit always publishes: wait for that, so the
+			// Append fires the trigger before its epoch publishes, and a
+			// successful Append always publishes: wait for that, so the
 			// checkpoint covers the records that triggered it.
 			d.store.WaitEpoch(context.Background(), epoch)
 			if _, err := d.Checkpoint(); err != nil {

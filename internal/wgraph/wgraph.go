@@ -67,11 +67,8 @@ func (g *Graph) HasEdge(u, v uint32) bool { return g.Weight(u, v) != 0 }
 // AddEdge inserts the undirected edge (u,v) with weight w ≥ 1, reporting
 // whether it was new.
 func (g *Graph) AddEdge(u, v uint32, w graph.Dist) (bool, error) {
-	if u == v {
-		return false, graph.ErrSelfLoop
-	}
-	if w < 1 || w == graph.Inf {
-		return false, fmt.Errorf("wgraph: edge (%d,%d): weight %d out of range", u, v, w)
+	if err := CheckArc(u, v, w); err != nil {
+		return false, err
 	}
 	if !g.HasVertex(u) || !g.HasVertex(v) {
 		return false, fmt.Errorf("%w: edge (%d,%d) with %d vertices", graph.ErrVertexUnknown, u, v, g.NumVertices())
@@ -85,6 +82,18 @@ func (g *Graph) AddEdge(u, v uint32, w graph.Dist) (bool, error) {
 	*av = append(*av, Arc{To: u, W: w})
 	g.edges++
 	return true, nil
+}
+
+// CheckArc rejects what no weighted graph can hold: a self-loop (u == v)
+// or a weight outside [1, Inf).
+func CheckArc(u, v uint32, w graph.Dist) error {
+	if u == v {
+		return graph.ErrSelfLoop
+	}
+	if w < 1 || w == graph.Inf {
+		return fmt.Errorf("wgraph: edge (%d,%d): weight %d out of range", u, v, w)
+	}
+	return nil
 }
 
 // RemoveEdge deletes the undirected edge (u,v), returning its weight. It

@@ -24,16 +24,10 @@ import (
 func (idx *Index) DeleteEdge(a, b uint32) (Stats, error) {
 	var st Stats
 	g := idx.G
-	if !g.HasVertex(a) || !g.HasVertex(b) {
-		return st, fmt.Errorf("whcl: delete (%d,%d): %w", a, b, graph.ErrVertexUnknown)
-	}
-	if a == b {
-		return st, fmt.Errorf("whcl: delete (%d,%d): %w", a, b, graph.ErrSelfLoop)
+	if err := CheckDelete(g, a, b); err != nil {
+		return st, err
 	}
 	w := g.Weight(a, b)
-	if w == 0 {
-		return st, fmt.Errorf("whcl: delete (%d,%d): %w", a, b, graph.ErrEdgeUnknown)
-	}
 	st.LandmarksTotal = idx.NumLandmarks()
 
 	var ds []hcl.Delta
@@ -100,11 +94,8 @@ func (idx *Index) rebuildLandmark(ws *scratch, d *hcl.Delta) {
 func (idx *Index) DeleteVertex(v uint32) (Stats, error) {
 	var agg Stats
 	g := idx.G
-	if !g.HasVertex(v) {
-		return agg, fmt.Errorf("whcl: delete vertex %d: %w", v, graph.ErrVertexUnknown)
-	}
-	if idx.IsLandmark(v) {
-		return agg, fmt.Errorf("whcl: delete vertex %d: cannot delete a landmark", v)
+	if err := CheckDeleteVertex(g, &idx.Core, v); err != nil {
+		return agg, err
 	}
 	agg.LandmarksTotal = idx.NumLandmarks()
 	for _, a := range append([]wgraph.Arc(nil), g.Neighbors(v)...) {
@@ -115,4 +106,31 @@ func (idx *Index) DeleteVertex(v uint32) (Stats, error) {
 		agg.Plus(st)
 	}
 	return agg, nil
+}
+
+// CheckDelete is DeleteEdge's validity check: (a,b) must be an edge of g
+// (see CheckInsert).
+func CheckDelete(g graph.EdgeSet, a, b uint32) error {
+	if !g.HasVertex(a) || !g.HasVertex(b) {
+		return fmt.Errorf("whcl: delete (%d,%d): %w", a, b, graph.ErrVertexUnknown)
+	}
+	if a == b {
+		return fmt.Errorf("whcl: delete (%d,%d): %w", a, b, graph.ErrSelfLoop)
+	}
+	if !g.HasEdge(a, b) {
+		return fmt.Errorf("whcl: delete (%d,%d): %w", a, b, graph.ErrEdgeUnknown)
+	}
+	return nil
+}
+
+// CheckDeleteVertex is DeleteVertex's validity check: v must be a vertex
+// of g and not one of c's landmarks.
+func CheckDeleteVertex(g graph.EdgeSet, c *hcl.Core, v uint32) error {
+	if !g.HasVertex(v) {
+		return fmt.Errorf("whcl: delete vertex %d: %w", v, graph.ErrVertexUnknown)
+	}
+	if c.IsLandmark(v) {
+		return fmt.Errorf("whcl: delete vertex %d: cannot delete a landmark", v)
+	}
+	return nil
 }

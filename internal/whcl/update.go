@@ -30,11 +30,8 @@ type findResult struct {
 func (idx *Index) InsertEdge(a, b uint32, w graph.Dist) (Stats, error) {
 	var st Stats
 	g := idx.G
-	if !g.HasVertex(a) || !g.HasVertex(b) {
-		return st, fmt.Errorf("whcl: insert (%d,%d): %w", a, b, graph.ErrVertexUnknown)
-	}
-	if g.HasEdge(a, b) {
-		return st, fmt.Errorf("whcl: insert (%d,%d): %w", a, b, graph.ErrEdgeExists)
+	if err := CheckInsert(g, a, b, w); err != nil {
+		return st, err
 	}
 	if _, err := g.AddEdge(a, b, w); err != nil {
 		return st, err
@@ -68,10 +65,8 @@ func (idx *Index) InsertEdge(a, b uint32, w graph.Dist) (Stats, error) {
 // InsertVertex adds a new vertex with the given initial weighted edges.
 func (idx *Index) InsertVertex(arcs []wgraph.Arc) (uint32, Stats, error) {
 	var agg Stats
-	for _, a := range arcs {
-		if !idx.G.HasVertex(a.To) {
-			return 0, agg, fmt.Errorf("whcl: insert vertex: neighbour %d: %w", a.To, graph.ErrVertexUnknown)
-		}
+	if err := CheckNeighbors(idx.G, arcs); err != nil {
+		return 0, agg, err
 	}
 	v := idx.G.AddVertex()
 	idx.EnsureVertex(v)
@@ -84,6 +79,33 @@ func (idx *Index) InsertVertex(arcs []wgraph.Arc) (uint32, Stats, error) {
 		agg.Plus(st)
 	}
 	return v, agg, nil
+}
+
+// CheckInsert is InsertEdge's validity check: (a,b) must join two
+// vertices of g and not be an edge yet, and the graph must be able to hold
+// it (wgraph.CheckArc: no self-loop, weight in range). Batch validation
+// runs it on a view of the graph with the batch's earlier edits applied,
+// so a batch is judged by exactly the checks its repair would run.
+func CheckInsert(g graph.EdgeSet, a, b uint32, w graph.Dist) error {
+	if !g.HasVertex(a) || !g.HasVertex(b) {
+		return fmt.Errorf("whcl: insert (%d,%d): %w", a, b, graph.ErrVertexUnknown)
+	}
+	if g.HasEdge(a, b) {
+		return fmt.Errorf("whcl: insert (%d,%d): %w", a, b, graph.ErrEdgeExists)
+	}
+	return wgraph.CheckArc(a, b, w)
+}
+
+// CheckNeighbors is InsertVertex's check of the neighbour list: every
+// neighbour must be a vertex of g. The edges to the new vertex are then
+// checked one by one, by CheckInsert.
+func CheckNeighbors(g graph.EdgeSet, arcs []wgraph.Arc) error {
+	for _, a := range arcs {
+		if !g.HasVertex(a.To) {
+			return fmt.Errorf("whcl: insert vertex: neighbour %d: %w", a.To, graph.ErrVertexUnknown)
+		}
+	}
+	return nil
 }
 
 // findAffected runs the jumped Dijkstra of one landmark on the worker's

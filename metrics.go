@@ -51,9 +51,10 @@ type storeMetrics struct {
 
 	// Write pipeline stages (store_queue.go).
 	stageWait    *obs.Histogram // coalesce wait: enqueue -> claimed
-	stageRepair  *obs.Histogram // fork + applyOps over the group
+	stageRepair  *obs.Histogram // validation pre-pass, fork + repair of the live callers
 	stagePack    *obs.Histogram // freeze into the packed read form
 	stageCommit  *obs.Histogram // durability hook: WAL append + fsync
+	stageWALWait *obs.Histogram // publish waiting on the append after pack
 	stagePublish *obs.Histogram // snapshot swap + waiter wakeup
 	groupCallers *obs.Histogram // dynhl_apply_group_callers
 	groupOps     *obs.Histogram // dynhl_apply_group_ops
@@ -100,6 +101,8 @@ func newStoreMetrics(s *Store, variant string) *storeMetrics {
 			"Write-pipeline stage latency.", obs.Label{Name: "stage", Value: "pack"}),
 		stageCommit: r.Duration("dynhl_apply_stage_seconds",
 			"Write-pipeline stage latency.", obs.Label{Name: "stage", Value: "wal_commit"}),
+		stageWALWait: r.Duration("dynhl_apply_stage_seconds",
+			"Write-pipeline stage latency.", obs.Label{Name: "stage", Value: "wal_wait"}),
 		stagePublish: r.Duration("dynhl_apply_stage_seconds",
 			"Write-pipeline stage latency.", obs.Label{Name: "stage", Value: "publish"}),
 		groupCallers: r.Values("dynhl_apply_group_callers",

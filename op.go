@@ -264,13 +264,21 @@ func (e *OpError) Error() string {
 
 func (e *OpError) Unwrap() error { return e.Err }
 
+// mutator is the write half of an Oracle: what applyOps drives.
+type mutator interface {
+	InsertEdge(u, v uint32, w Dist) (UpdateSummary, error)
+	InsertVertex(arcs []Arc) (uint32, UpdateSummary, error)
+	DeleteEdge(u, v uint32) (UpdateSummary, error)
+	DeleteVertex(v uint32) (UpdateSummary, error)
+}
+
 // applyOps applies ops to o in order, stopping at the first failure. The
 // returned summaries cover the ops that succeeded; the error is an *OpError
 // wrapping the op index and kind around the oracle's sentinel. Plain
 // variants expose this directly (a mid-batch failure leaves the earlier ops
 // applied); the Store turns it into an all-or-nothing publish by applying
 // to a discardable fork.
-func applyOps(o Oracle, ops []Op) ([]UpdateSummary, error) {
+func applyOps(o mutator, ops []Op) ([]UpdateSummary, error) {
 	out := make([]UpdateSummary, 0, len(ops))
 	for i, op := range ops {
 		var s UpdateSummary

@@ -70,12 +70,15 @@ type View interface {
 //   - the repair knobs tune the parallel repair engine (per-landmark
 //     fan-out, per-task timer). Forks inherit them, so tuning the current
 //     snapshot covers every future epoch;
+//   - checker returns the validity pre-pass the pipeline runs on a batch
+//     before any label work starts (opCheck);
 //   - Save, Load and LoadMappedFile serialise and swap in labellings.
 type variant interface {
 	Oracle
 	Saver
 	Loader
 	fork() variant
+	checker() opCheck
 	packLabels()
 	setRepairWorkers(n int)
 	repairWorkers() int
@@ -247,22 +250,29 @@ func (s *Store) replication() Replication {
 }
 
 // Durability is a write-ahead durability layer attached to a Store with
-// AttachDurability (implemented by internal/wal). The Store calls Commit
-// with every snapshot about to be published — after the batch has been
-// applied to the working copy, before readers can see it — so the layer
-// can make the batch durable first; a Commit error aborts the publish and
-// the epoch does not advance. ops is the batch that produced the epoch,
-// or nil when the snapshot was published without one (Load), in which case
-// the layer must capture next itself (e.g. by checkpointing it).
+// AttachDurability (implemented by internal/wal). It has two entry points,
+// and a Store publishes an epoch only after the one that covers it
+// succeeded; an error aborts the publish and the epoch does not advance.
+//
+//   - Append makes the op batch that produces epoch durable. The write
+//     pipeline calls it as soon as a group's valid callers are known, in
+//     epoch order, and repairs the labelling while the append (and its
+//     fsync) runs, so it gets no View: the state the ops produce does not
+//     exist yet. An epoch's Append starts only after the previous epoch's
+//     Append succeeded.
+//   - Capture makes next durable when it was published without an op
+//     batch (Load), so the layer must capture the state itself, e.g. by
+//     checkpointing it. No Append runs meanwhile.
 type Durability interface {
-	Commit(epoch uint64, ops []Op, next View) error
+	Append(epoch uint64, ops []Op) error
+	Capture(next View) error
 	DurabilityStats() DurabilityStats
 }
 
 // AttachDurability registers d as the store's durability layer: every
-// subsequent publish calls d.Commit before becoming visible, and Stats
-// reports d's counters. A Store accepts at most one layer; attaching to a
-// store that already has one is an error.
+// subsequent publish waits for d.Append or d.Capture to succeed before
+// becoming visible, and Stats reports d's counters. A Store accepts at
+// most one layer; attaching to a store that already has one is an error.
 func (s *Store) AttachDurability(d Durability) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
@@ -277,19 +287,6 @@ func (s *Store) AttachDurability(d Durability) error {
 func (s *Store) durability() Durability {
 	if d, ok := s.dur.Load().(*Durability); ok {
 		return *d
-	}
-	return nil
-}
-
-// commit runs the attached durability layer's pre-publish hook for next;
-// the caller must not publish when it errors.
-func (s *Store) commit(next *snapshot, ops []Op) error {
-	d := s.durability()
-	if d == nil {
-		return nil
-	}
-	if err := d.Commit(next.epoch, ops, &view{sn: next, m: s.metrics}); err != nil {
-		return fmt.Errorf("dynhl: durability commit of epoch %d: %w", next.epoch, err)
 	}
 	return nil
 }
@@ -641,8 +638,10 @@ func (s *Store) publishLoaded(load func(variant) error) (uint64, error) {
 	s.tuneRepair(work)
 	work.packLabels() // loads arrive packed; idempotent
 	next := &snapshot{o: work, epoch: cur.epoch + 1}
-	if err := s.commit(next, nil); err != nil {
-		return cur.epoch, err
+	if d := s.durability(); d != nil {
+		if err := d.Capture(&view{sn: next, m: s.metrics}); err != nil {
+			return cur.epoch, fmt.Errorf("dynhl: durability commit of epoch %d: %w", next.epoch, err)
+		}
 	}
 	s.publish(next)
 	return next.epoch, nil

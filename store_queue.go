@@ -1,6 +1,7 @@
 package dynhl
 
 import (
+	"fmt"
 	"sync/atomic"
 	"time"
 )
@@ -8,24 +9,42 @@ import (
 // This file is the group-commit write pipeline behind Store.ApplyCtx.
 //
 // Concurrent callers enqueue their op batches on the store's apply queue
-// and park on a promised-epoch future. A committer goroutine — spawned on
-// demand, retired when the queue drains — takes everything waiting, forms
-// one group, and repairs all of it on a single copy-on-write fork; a
-// publisher goroutine then freezes that fork into the packed read form,
-// appends the combined batch to the durability layer as one WAL record
-// (one fsync covers every coalesced caller) and publishes it as one epoch.
-// The two run as a pipeline: while the publisher packs, appends and fsyncs
-// group N, the committer is already repairing group N+1 on a fork of N's
-// still-unpublished working copy, so repair latency and commit latency
-// overlap instead of adding up.
+// and park on a promised-epoch future. Two goroutines, spawned on demand
+// and retired when the queue drains, take each group of callers through
+// four steps and publish it as one epoch:
 //
-// Per-caller all-or-nothing survives coalescing: each caller's ops are
-// applied as one contiguous segment, and a segment that fails validation
-// rejects only that caller — the group is re-repaired without it, so what
-// publishes is exactly what a serial execution in arrival order would have
-// produced. A rejection observed against a predecessor that later fails to
-// commit is provisional and re-validated, so callers never see errors
-// caused by state that was never published.
+//  1. Validate (committer). The committer takes everything waiting and
+//     runs each caller's ops, in arrival order, through the variant's
+//     validity checks (opCheck): the same check functions the repairs
+//     call, over a view of the graph that records the accepted callers'
+//     edits. A caller whose ops fail is rejected alone; the rest are the
+//     group's live callers. No label work has happened yet.
+//  2. Append (committer). The committer hands the group to the repairer
+//     and appends the live callers' ops, concatenated in arrival order, to
+//     the durability layer as one WAL record: one fsync covers every
+//     coalesced caller.
+//  3. Repair and pack (repairer), while the disk works: the live callers'
+//     ops are applied once to a fork of the previous group's labelling and
+//     the fork is frozen into the packed read form.
+//  4. Publish (repairer), once the append returned: the snapshot is
+//     swapped in and the futures resolve. A failed append discards the
+//     repaired fork whole and fails every live caller.
+//
+// Only publish needs both the repaired labelling and the durable record,
+// so the fsync hides the repair and pack of its own group. The committer
+// makes the blocking append itself and leaves the CPU work to the
+// repairer: an append started on a goroutine of its own beside a running
+// repair waits for a processor, on a small host until the repair is done.
+//
+// Appends run one at a time in epoch order, so the committer validates
+// the next group against the labelling of the last successfully appended
+// group, once the repairer has built it: an append that succeeded always
+// publishes, so that state is final, and a group after a failed append is
+// validated as if the failed one had never been formed. While the
+// repairer still publishes group N, the committer already validates and
+// appends group N+1. Per-caller all-or-nothing survives coalescing: what
+// publishes is exactly what a serial execution in arrival order would
+// have produced, and the log holds only ops that publish.
 
 // applyReq request states: the committer CASes Pending→Claimed when it
 // takes the request into a group; a cancelled caller CASes
@@ -57,37 +76,26 @@ func (r *applyReq) resolve(res ApplyResult, err error) {
 	r.done <- applyOutcome{res: res, err: err}
 }
 
-// rejection is a caller whose ops failed validation, held unresolved while
-// the state it was validated against is still uncommitted.
+// rejection is a caller whose ops failed validation.
 type rejection struct {
-	req   *applyReq
-	epoch uint64 // the epoch the ops were validated against
-	err   error
+	req *applyReq
+	err error
 }
 
 // commitGroup is one coalesced batch travelling down the pipeline.
 type commitGroup struct {
-	reqs      []*applyReq       // every claimed caller, kept for redo after a failed base
 	live      []*applyReq       // callers whose ops validated, in arrival order
 	sums      [][]UpdateSummary // per live caller, parallel to live
-	rejected  []rejection       // provisional until the group's base commits
+	rejected  []rejection       // resolved once epoch-1 is published
 	ops       []Op              // the live callers' ops concatenated: the WAL record
-	work      variant           // the repaired fork
+	validated time.Duration     // validation time, charged to the repair stage
 	epoch     uint64            // the epoch the group publishes as
 	coalesced bool              // more than one caller shares the epoch
-	err       error             // set by the publisher when the commit failed
-}
-
-// resolveRejections fails the rejected callers. Called only once the state
-// their validation ran against is known committed (which is also why the
-// rejection counter lives here: a provisional rejection redone against a
-// republished base must not count twice).
-func (g *commitGroup) resolveRejections(m *storeMetrics) {
-	m.rejected.Add(uint64(len(g.rejected)))
-	for _, rej := range g.rejected {
-		rej.req.resolve(ApplyResult{Epoch: rej.epoch}, rej.err)
-	}
-	g.rejected = nil
+	work      variant           // the repaired, packed fork; read once repaired is closed
+	repaired  chan struct{}     // closed once work is built
+	appended  chan struct{}     // closed once the append returned
+	err       error             // the append's failure; read once appended is closed
+	done      chan struct{}     // closed once every caller is resolved
 }
 
 // enqueue appends r to the apply queue, spawning the committer if none is
@@ -136,104 +144,83 @@ func (s *Store) tryStop() bool {
 }
 
 // commitLoop is the committer: it forms groups from whatever the queue
-// holds, repairs each on one fork of the pipeline tip, and hands the result
-// to the publisher, overlapping the next group's repair with the previous
-// group's pack, WAL append/fsync and publish. It holds the writer lock for
-// its whole run, serialising the pipeline against Load, Reset and the
-// Attach calls, and exits when the queue stays empty.
+// holds, validates each against the labelling of the last appended group,
+// hands it to the repairer (repairLoop) and appends it. It holds
+// the writer lock for its whole run, serialising the pipeline against
+// Load, Reset and the Attach calls, and exits once the queue stays empty
+// and the repairer has resolved every group.
 func (s *Store) commitLoop() {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 
-	pubc := make(chan *commitGroup)
-	outc := make(chan *commitGroup, 1)
-	go s.publishLoop(pubc, outc)
-	defer close(pubc)
+	sn := s.cur.Load()
+	repc := make(chan *commitGroup, 1)
+	defer close(repc)
+	go s.repairLoop(sn.o, repc)
 
-	var inflight *commitGroup // sent to the publisher, outcome not yet seen
+	base, epoch := sn.o, sn.epoch // what the next group is validated against
+	var pending *commitGroup      // appended, its repair not yet waited for
+	var last *commitGroup         // the newest group handed to the repairer, until done
 	for {
 		reqs := s.takeQueue()
 		if reqs == nil {
-			if inflight == nil {
+			if last == nil {
 				if s.tryStop() {
 					return
 				}
 				continue // a request slipped in behind takeQueue
 			}
-			// Nothing to repair meanwhile: wait the inflight group out. Its
-			// outcome only matters to a successor repaired on top of it,
-			// and there is none.
-			<-outc
-			inflight = nil
+			// Wait for the repairer to resolve the last group. A request
+			// arriving meanwhile could not be validated before the group's
+			// repair is done anyway.
+			<-last.done
+			last = nil
 			continue
 		}
-		var g *commitGroup
-		if inflight == nil {
-			sn := s.cur.Load()
-			g = s.repairGroup(sn.o, sn.epoch, reqs, true)
-		} else {
-			// The pipeline overlap: repair on the unpublished tip while the
-			// publisher is still packing and fsyncing it.
-			g = s.repairGroup(inflight.work, inflight.epoch, reqs, false)
-			prev := <-outc
-			inflight = nil
-			if prev.err != nil {
-				// The tip never published, so everything repaired on it —
-				// rejections included — was validated against state that no
-				// longer exists. Redo the whole group on the published
-				// snapshot.
-				sn := s.cur.Load()
-				g = s.repairGroup(sn.o, sn.epoch, g.reqs, true)
-			} else {
-				g.resolveRejections(s.metrics)
-			}
+		if pending != nil {
+			<-pending.repaired
+			base, epoch = pending.work, pending.epoch
+			pending = nil
 		}
+		g := s.validate(base.checker(), epoch, reqs)
+		repc <- g
+		last = g
 		if len(g.live) == 0 {
 			continue // every caller was rejected: no epoch to publish
 		}
-		pubc <- g
-		inflight = g
+		start := time.Now()
+		if d := s.durability(); d != nil {
+			if err := d.Append(g.epoch, g.ops); err != nil {
+				g.err = fmt.Errorf("dynhl: durability commit of epoch %d: %w", g.epoch, err)
+			}
+		}
+		s.metrics.stageCommit.Since(start)
+		close(g.appended)
+		if g.err == nil {
+			pending = g
+		}
 	}
 }
 
-// repairGroup coalesces reqs into one batch repaired on a single fork of
-// base. Each caller's ops run as one contiguous segment; when a segment
-// fails, that caller alone is rejected and the survivors are redone on a
-// fresh fork — the group publishes exactly what a serial execution in
-// arrival order would have, and a rejected caller's partial effects never
-// reach the fork that publishes. baseCommitted says whether base is
-// already published state; rejections against an unpublished base stay
-// provisional (see commitLoop).
-func (s *Store) repairGroup(base variant, baseEpoch uint64, reqs []*applyReq, baseCommitted bool) *commitGroup {
+// validate coalesces reqs into one group publishing as epoch+1: each
+// caller's ops run through a fork of check, the pre-pass over the state at
+// epoch, on top of the callers accepted before it.
+func (s *Store) validate(check opCheck, epoch uint64, reqs []*applyReq) *commitGroup {
 	start := time.Now()
-	defer s.metrics.stageRepair.Since(start)
-	g := &commitGroup{reqs: reqs, epoch: baseEpoch + 1}
-	live := append([]*applyReq(nil), reqs...)
-	for {
-		work := base.fork()
-		g.sums = g.sums[:0]
-		failed := -1
-		for i, r := range live {
-			sums, err := applyOps(work, r.ops)
-			if err != nil {
-				g.rejected = append(g.rejected, rejection{req: r, epoch: baseEpoch, err: err})
-				failed = i
-				break
-			}
-			g.sums = append(g.sums, sums)
-		}
-		if failed < 0 {
-			g.work = work
-			g.live = live
-			break
-		}
-		live = append(live[:failed], live[failed+1:]...)
-		if len(live) == 0 {
-			break // nothing survived; g.work stays nil
-		}
+	g := &commitGroup{
+		epoch:    epoch + 1,
+		repaired: make(chan struct{}),
+		appended: make(chan struct{}),
+		done:     make(chan struct{}),
 	}
-	if baseCommitted {
-		g.resolveRejections(s.metrics)
+	for _, r := range reqs {
+		try := check.fork()
+		if _, err := applyOps(try, r.ops); err != nil {
+			g.rejected = append(g.rejected, rejection{req: r, err: err})
+			continue
+		}
+		check = try
+		g.live = append(g.live, r)
 	}
 	switch len(g.live) {
 	case 0:
@@ -250,51 +237,76 @@ func (s *Store) repairGroup(base variant, baseEpoch uint64, reqs []*applyReq, ba
 			g.ops = append(g.ops, r.ops...)
 		}
 	}
+	g.validated = time.Since(start)
 	return g
 }
 
-// publishLoop is the publisher half of the pipeline: pack the repaired
-// group into the read representation, append the combined batch to the
-// durability layer as one record — one fsync covers every coalesced caller
-// — publish the epoch, and resolve the futures. Outcomes flow back on outc
-// so the committer knows whether the tip it repaired on actually became
-// real.
-func (s *Store) publishLoop(pubc <-chan *commitGroup, outc chan<- *commitGroup) {
-	m := s.metrics
-	for g := range pubc {
-		m.groups.Inc()
-		m.callers.Add(uint64(len(g.live)))
-		m.opsApplied.Add(uint64(len(g.ops)))
-		m.groupCallers.Observe(uint64(len(g.live)))
-		m.groupOps.Observe(uint64(len(g.ops)))
-		t := time.Now()
-		g.work.packLabels()
-		m.stagePack.Since(t)
-		next := &snapshot{o: g.work, epoch: g.epoch}
-		t = time.Now()
-		err := s.commit(next, g.ops)
-		m.stageCommit.Since(t)
-		if err != nil {
-			// Not durable, not published: the fork is discarded whole and
-			// every co-batched caller sees the commit error.
-			m.commitErrs.Inc()
-			g.err = err
-			for _, r := range g.live {
-				r.resolve(ApplyResult{Epoch: g.epoch - 1}, err)
-			}
-			outc <- g
-			continue
+// repairLoop is the repairer: it takes the committer's groups in epoch
+// order, repairs, packs and publishes each on top of the last published
+// labelling, tip, and resolves its callers. It exits when the committer
+// closes repc.
+func (s *Store) repairLoop(tip variant, repc <-chan *commitGroup) {
+	for g := range repc {
+		if len(g.live) > 0 {
+			tip = s.repairGroup(tip, g)
 		}
-		t = time.Now()
-		s.publish(next)
-		m.stagePublish.Since(t)
-		for i, r := range g.live {
-			r.resolve(ApplyResult{
-				Summaries: g.sums[i],
-				Epoch:     g.epoch,
-				Coalesced: g.coalesced,
-			}, nil)
+		// Rejections were judged against epoch-1, which is published by now.
+		s.metrics.rejected.Add(uint64(len(g.rejected)))
+		for _, rej := range g.rejected {
+			rej.req.resolve(ApplyResult{Epoch: g.epoch - 1}, rej.err)
 		}
-		outc <- g
+		close(g.done)
 	}
+}
+
+// repairGroup repairs the live callers of g once on a fork of tip, packs
+// the fork, and publishes it when g's append succeeded; it returns the
+// labelling the next group builds on.
+func (s *Store) repairGroup(tip variant, g *commitGroup) variant {
+	m := s.metrics
+	m.groups.Inc()
+	m.callers.Add(uint64(len(g.live)))
+	m.opsApplied.Add(uint64(len(g.ops)))
+	m.groupCallers.Observe(uint64(len(g.live)))
+	m.groupOps.Observe(uint64(len(g.ops)))
+	start := time.Now()
+	work := tip.fork()
+	for _, r := range g.live {
+		sums, err := applyOps(work, r.ops)
+		if err != nil {
+			// The ops may be durable already, so the store cannot back
+			// out: validation and repair disagreeing is a bug.
+			panic(fmt.Sprintf("dynhl: validated ops failed their repair: %v", err))
+		}
+		g.sums = append(g.sums, sums)
+	}
+	m.stageRepair.ObserveDuration(g.validated + time.Since(start))
+	t := time.Now()
+	work.packLabels()
+	m.stagePack.Since(t)
+	g.work = work
+	close(g.repaired)
+	t = time.Now()
+	<-g.appended
+	m.stageWALWait.Since(t)
+	if g.err != nil {
+		// Not durable, not published: the fork is discarded whole and
+		// every co-batched caller sees the commit error.
+		m.commitErrs.Inc()
+		for _, r := range g.live {
+			r.resolve(ApplyResult{Epoch: g.epoch - 1}, g.err)
+		}
+		return tip
+	}
+	t = time.Now()
+	s.publish(&snapshot{o: work, epoch: g.epoch})
+	m.stagePublish.Since(t)
+	for i, r := range g.live {
+		r.resolve(ApplyResult{
+			Summaries: g.sums[i],
+			Epoch:     g.epoch,
+			Coalesced: g.coalesced,
+		}, nil)
+	}
+	return work
 }

@@ -97,12 +97,9 @@ func (x *WeightedIndex) InsertEdge(u, v uint32, w Dist) (UpdateSummary, error) {
 // InsertVertex adds a vertex with initial weighted edges (Arc.W of 0 means
 // 1; Arc.In is rejected — the graph is undirected).
 func (x *WeightedIndex) InsertVertex(arcs []Arc) (uint32, UpdateSummary, error) {
-	ws := make([]WeightedArc, len(arcs))
-	for i, a := range arcs {
-		if a.In {
-			return 0, UpdateSummary{}, fmt.Errorf("dynhl: weighted oracle has no incoming arcs")
-		}
-		ws[i] = WeightedArc{To: a.To, W: max(a.W, 1)}
+	ws, err := weightedArcs(arcs)
+	if err != nil {
+		return 0, UpdateSummary{}, err
 	}
 	id, st, err := x.idx.InsertVertex(ws)
 	if err != nil {
@@ -119,6 +116,19 @@ func (x *WeightedIndex) Apply(ops []Op) ([]UpdateSummary, error) { return applyO
 // fork returns the copy-on-write working copy backing Store publishes.
 func (x *WeightedIndex) fork() variant {
 	return newWeighted(x.idx.Fork(x.idx.G.Fork()))
+}
+
+// weightedArcs converts a new vertex's arcs to weighted edges (W of 0
+// means 1), rejecting directions the undirected graph cannot represent.
+func weightedArcs(arcs []Arc) ([]WeightedArc, error) {
+	ws := make([]WeightedArc, len(arcs))
+	for i, a := range arcs {
+		if a.In {
+			return nil, fmt.Errorf("dynhl: weighted oracle has no incoming arcs")
+		}
+		ws[i] = WeightedArc{To: a.To, W: max(a.W, 1)}
+	}
+	return ws, nil
 }
 
 // DeleteEdge removes the undirected weighted edge (u,v) and repairs the
