@@ -170,6 +170,34 @@
 // epoch allocates nothing per vertex beyond the chunks and labels it
 // rewrites.
 //
+// # Construction: a direction-optimizing covered-flag BFS
+//
+// A build runs one covered-flag BFS per landmark and label direction
+// (hcl.Core.RebuildBFS) and merges the entries of every vertex no other
+// landmark covers. The BFS is direction-optimizing (Beamer, Asanović &
+// Patterson, SC 2012), level by level over a forward and a backward
+// adjacency — the neighbours twice on the undirected variant, out- and
+// in-arcs on the directed one. A top-down level scans the frontier's
+// children. A bottom-up level has every unvisited vertex scan its parents
+// for one in the frontier, stopping at the first covered one, because a
+// covered parent settles the vertex's flag; on a small-world graph that
+// skips most arcs of the two or three widest levels. Both directions give
+// a vertex its distance and the OR of all its frontier parents' flags, so
+// the labelling is the same whichever way a level runs. The switch is
+// Beamer's arcs test — bottom-up once the frontier's arcs exceed 1/14 of
+// the unvisited vertices' arcs — taken only for a frontier of at least
+// n/24 vertices that grows fast enough to outnumber the unvisited vertices
+// within one more level, so a ring lattice never pays for it; a bottom-up
+// search turns top-down again once its frontier shrinks below n/24.
+//
+// The graph such a build reads comes from an edge-list file in one pass:
+// graph.ParseEdgeList parses the lines into endpoint arrays without a
+// per-line allocation, and graph.Rows lays every adjacency list out at
+// its final length in one allocation, in the order AddEdge calls would
+// give, dropping repeated edges (the checkpoint decode, graph.FromEdges,
+// rejects them instead). A "# vertices=N" header keeps trailing isolated
+// vertices.
+//
 // # Two label representations: a copy-on-write table, a packed arena
 //
 // The labelling lives in two forms, split along the same read/write line as

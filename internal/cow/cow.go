@@ -155,3 +155,14 @@ func (t *Table[T]) Clone() Table[T] {
 	}
 	return c
 }
+
+// Grow returns s resized to n elements, keeping its contents and extending
+// its storage geometrically, so a per-vertex array tracking a growing graph
+// is not reallocated per added vertex. Elements beyond the old capacity are
+// zero.
+func Grow[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
+}

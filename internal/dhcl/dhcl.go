@@ -72,15 +72,15 @@ func attach(g *digraph.Digraph, c hcl.Core, err error) (*Index, error) {
 }
 
 // rebuildPass runs the covered-flag BFS of one (landmark, direction) pass —
-// forward over out-edges, backward over in-edges — over the current graph
-// and buffers the replacement of that direction's rank-r entries and
-// highway cells into d.
+// forward over out-edges, backward over in-edges, with the reverse arcs as
+// parents — over the current graph and buffers the replacement of that
+// direction's rank-r entries and highway cells into d.
 func (idx *Index) rebuildPass(ws *hcl.Scratch, d *hcl.Delta) {
-	adj := idx.G.In
 	if d.Dir == fwd {
-		adj = idx.G.Out
+		idx.RebuildBFS(ws, d, idx.G.Out, idx.G.In)
+	} else {
+		idx.RebuildBFS(ws, d, idx.G.In, idx.G.Out)
 	}
-	idx.RebuildBFS(ws, d, adj)
 }
 
 // ReadIndex deserialises a labelling written by WriteTo and attaches it to

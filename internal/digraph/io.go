@@ -1,26 +1,29 @@
 package digraph
 
 import (
+	"fmt"
 	"io"
 
 	"repro/internal/graph"
 )
 
 // ReadEdgeList parses a whitespace-separated arc list, one "u v" pair per
-// line meaning the directed edge u→v, in the graph.ForEachEdge format.
-// Vertices are created as needed; duplicate arcs and self-loops are
-// silently dropped.
+// line meaning the directed edge u→v, in the graph.ParseEdgeList format.
+// Duplicate arcs and self-loops are dropped; both adjacency directions
+// hold their arcs in file order, as AddEdge calls would.
 func ReadEdgeList(r io.Reader) (*Digraph, error) {
-	g := New(0)
-	err := graph.ForEachEdge(r, "digraph", func(u, v uint32, _ []string) error {
-		for !g.HasVertex(max(u, v)) {
-			g.AddVertex()
-		}
-		_, err := g.AddEdge(u, v)
-		return err
-	})
+	l, err := graph.ParseEdgeList(r, "digraph", false)
 	if err != nil {
 		return nil, err
 	}
-	return g, nil
+	m := len(l.U)
+	out, _, arcs, err := graph.Rows(l.N, m, l.Edge, nil, false, false)
+	if err != nil {
+		return nil, fmt.Errorf("digraph: %w", err)
+	}
+	in, _, _, err := graph.Rows(l.N, m, func(i int) (uint32, uint32) { return l.V[i], l.U[i] }, nil, false, false)
+	if err != nil {
+		return nil, fmt.Errorf("digraph: %w", err)
+	}
+	return &Digraph{out: out, in: in, edges: uint64(arcs)}, nil
 }

@@ -174,47 +174,15 @@ func (g *Graph) MustAddEdge(u, v uint32) bool {
 // FromEdges returns the graph on n vertices whose edges are edge(0), …,
 // edge(m-1), each listed once. It reports an endpoint out of range, a
 // self-loop or a repeated edge. The adjacency lists hold their neighbours
-// in the order m AddEdge calls would give them, but are laid out in one
-// allocation at their final lengths: no list grows and no insertion scans
-// for a duplicate, which is what makes a checkpoint's graph cheap to load.
+// in the order m AddEdge calls would give them, but are laid out by Rows at
+// their final lengths: no list grows and no insertion scans for a
+// duplicate, which is what makes a checkpoint's graph cheap to load.
 func FromEdges(n, m int, edge func(i int) (u, v uint32)) (*Graph, error) {
-	end := make([]uint32, n+1) // end[v+1] counts, then ends, v's list
-	for i := 0; i < m; i++ {
-		u, v := edge(i)
-		if int(u) >= n || int(v) >= n {
-			return nil, fmt.Errorf("%w: edge (%d,%d) with %d vertices", ErrVertexUnknown, u, v, n)
-		}
-		if u == v {
-			return nil, fmt.Errorf("%w: (%d,%d)", ErrSelfLoop, u, v)
-		}
-		end[u+1]++
-		end[v+1]++
+	adj, _, edges, err := Rows(n, m, edge, nil, true, true)
+	if err != nil {
+		return nil, err
 	}
-	for v := 1; v <= n; v++ {
-		end[v] += end[v-1]
-	}
-	all := make([]uint32, 2*m)
-	for i := 0; i < m; i++ {
-		u, v := edge(i)
-		all[end[u]], all[end[v]] = v, u
-		end[u]++
-		end[v]++
-	}
-	g := &Graph{adj: cow.Make[uint32](n), edges: uint64(m)}
-	mark := make([]uint32, n) // mark[w] == v+1: w is already in v's list
-	start := uint32(0)
-	for v := uint32(0); int(v) < n; v++ {
-		l := all[start:end[v]:end[v]] // capacity-clamped: appends copy out
-		start = end[v]
-		*g.adj.Mut(v) = l
-		for _, w := range l {
-			if mark[w] == v+1 {
-				return nil, fmt.Errorf("%w: (%d,%d) listed twice", ErrEdgeExists, v, w)
-			}
-			mark[w] = v + 1
-		}
-	}
-	return g, nil
+	return &Graph{adj: adj, edges: uint64(edges)}, nil
 }
 
 // Fork returns a copy-on-write copy of the graph. It copies only the chunk

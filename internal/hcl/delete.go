@@ -52,6 +52,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/cow"
 	"repro/internal/graph"
 	"repro/internal/queue"
 )
@@ -103,7 +104,7 @@ func (c *Core) begin(ws *Scratch, d *Delta, children, parents func(uint32) []uin
 // next sizes the slots for n vertices and starts a fresh epoch, clearing
 // the stamps on wraparound.
 func (s *Scratch) next(n int) {
-	s.slots = Grow(s.slots, n)
+	s.slots = cow.Grow(s.slots, n)
 	if s.epoch == math.MaxUint32 {
 		clear(s.slots)
 		s.epoch = 0

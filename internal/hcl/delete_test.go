@@ -82,8 +82,8 @@ func (g *adj) build(t *testing.T, lms []uint32) *Core {
 		t.Fatal(err)
 	}
 	Construct(&c, &Scratches, 1, func(ws *Scratch, d *Delta) {
-		children, _ := g.pass(d.Dir)
-		c.RebuildBFS(ws, d, children)
+		children, parents := g.pass(d.Dir)
+		c.RebuildBFS(ws, d, children, parents)
 	})
 	return &c
 }

@@ -46,7 +46,7 @@ func BuildParallel(g *graph.Graph, landmarks []uint32, workers int) (*Index, err
 		return nil, err
 	}
 	Construct(&idx.Core, &Scratches, workers, func(ws *Scratch, d *Delta) {
-		idx.RebuildBFS(ws, d, g.Neighbors)
+		idx.RebuildBFS(ws, d, g.Neighbors, g.Neighbors)
 	})
 	return idx, nil
 }

@@ -33,6 +33,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cow"
 	"repro/internal/fanout"
 	"repro/internal/graph"
 	"repro/internal/queue"
@@ -165,6 +166,7 @@ func (c *Core) Touched(d *Delta, fn func(v uint32)) {
 type Scratch struct {
 	dist    []graph.Dist
 	covered []bool
+	levels  [2][]uint32 // frontiers of the rebuild searches
 	q       queue.Uint32
 
 	epoch                uint32 // slots stamped otherwise are stale
@@ -177,18 +179,8 @@ type Scratch struct {
 // Arrays returns the distance and covered vectors sized for n vertices.
 // Their contents are left over from earlier searches.
 func (s *Scratch) Arrays(n int) ([]graph.Dist, []bool) {
-	s.dist, s.covered = Grow(s.dist, n), Grow(s.covered, n)
+	s.dist, s.covered = cow.Grow(s.dist, n), cow.Grow(s.covered, n)
 	return s.dist, s.covered
-}
-
-// Grow returns s resized to n elements, keeping its contents and extending
-// its storage geometrically, so a table tracking a growing graph is not
-// reallocated per added vertex. Elements beyond the old capacity are zero.
-func Grow[T any](s []T, n int) []T {
-	if n <= cap(s) {
-		return s[:n]
-	}
-	return append(s[:cap(s)], make([]T, n-cap(s))...)
 }
 
 // Pool is a package-wide free list of per-worker scratch. Every update
@@ -295,38 +287,142 @@ func Construct[S any](c *Core, pool *Pool[S], workers int, search func(ws *S, d 
 	c.Workers = tuned
 }
 
-// RebuildBFS runs the covered-flag BFS of landmark d.Rank over adj — the
-// neighbours, or the out- or in-arcs of a directed pass — and buffers the
-// replacement of its direction's entries and highway cells into d (see
-// Diff). covered(v) holds iff some shortest root–v path contains another
-// landmark; it propagates along shortest-path DAG edges. On an empty
-// labelling this is the construction pass; the RepairRebuild insertion
-// ablation runs it over a populated one.
-func (c *Core) RebuildBFS(ws *Scratch, d *Delta, adj func(uint32) []uint32) {
-	dist, covered := ws.Arrays(len(c.rankArr))
+// RebuildBFS runs the covered-flag BFS of landmark d.Rank over children —
+// the neighbours, or the out- or in-arcs of a directed pass — whose reverse
+// arcs are parents (the same neighbours on an undirected graph), and
+// buffers the replacement of its direction's entries and highway cells
+// into d (see Diff). covered(v) holds iff some shortest root–v path
+// contains another landmark; it propagates along shortest-path DAG edges.
+// On an empty labelling this is the construction pass; the RepairRebuild
+// insertion ablation runs it over a populated one.
+//
+// The search is direction-optimizing (Beamer, Asanović & Patterson,
+// "Direction-Optimizing Breadth-First Search", SC 2012). A top-down level
+// scans the frontier's children, as a queue-based BFS would. A bottom-up
+// level has every unvisited vertex scan its parents for one at the current
+// level and stop at the first covered one, which on a small-world graph
+// skips most of the arcs of the two or three widest levels. Both directions
+// find every vertex of the next level and OR the covered flags of all its
+// parents at the current level, so dist and covered — and the labelling —
+// do not depend on the switch. The switch (see dirSwitch.bottomUp) looks
+// only at frontier sizes, so a high-diameter graph never pays for it.
+func (c *Core) RebuildBFS(ws *Scratch, d *Delta, children, parents func(uint32) []uint32) {
+	n := len(c.rankArr)
+	dist, covered := ws.Arrays(n)
 	for i := range dist {
 		dist[i] = graph.Inf
 	}
 	root := c.Landmarks[d.Rank]
 	dist[root], covered[root] = 0, false
-	q := &ws.q
-	q.Reset()
-	q.Push(root)
-	for !q.Empty() {
-		v := q.Pop()
-		dv, cv := dist[v], covered[v]
-		for _, w := range adj(v) {
+	front, next := append(ws.levels[0][:0], root), ws.levels[1][:0]
+	sw := dirSwitch{n: n, unvisited: n - 1}
+	for level := graph.Dist(0); len(front) > 0; level++ {
+		if sw.bottomUp(level, len(front)) {
+			next = c.pullLevel(level, dist, covered, parents, next[:0])
+		} else {
+			next = c.pushLevel(level, dist, covered, front, children, next[:0])
+		}
+		sw.prev, sw.unvisited = len(front), sw.unvisited-len(next)
+		front, next = next, front
+	}
+	ws.levels = [2][]uint32{front, next}
+	c.Diff(d, dist, covered)
+}
+
+// pushLevel expands the frontier at level top-down: each frontier vertex
+// discovers its unvisited children and passes its covered flag to every
+// child at the next level. It appends the next level to next.
+func (c *Core) pushLevel(level graph.Dist, dist []graph.Dist, covered []bool, front []uint32, children func(uint32) []uint32, next []uint32) []uint32 {
+	for _, v := range front {
+		cv := covered[v]
+		for _, w := range children(v) {
 			switch {
 			case dist[w] == graph.Inf:
-				dist[w] = dv + 1
-				covered[w] = cv || (c.rankArr[w] != noRank && w != root)
-				q.Push(w)
-			case dist[w] == dv+1 && cv:
+				dist[w] = level + 1
+				covered[w] = cv || c.rankArr[w] != noRank // the root is visited
+				next = append(next, w)
+			case dist[w] == level+1 && cv:
 				covered[w] = true
 			}
 		}
 	}
-	c.Diff(d, dist, covered)
+	return next
+}
+
+// pullLevel finds the next level bottom-up: each unvisited vertex scans its
+// parents for one at level, and is covered if it is a landmark or one of
+// them is, so the scan stops at the first covered parent. It appends the
+// next level to next.
+func (c *Core) pullLevel(level graph.Dist, dist []graph.Dist, covered []bool, parents func(uint32) []uint32, next []uint32) []uint32 {
+	for w, dw := range dist {
+		if dw != graph.Inf {
+			continue
+		}
+		found, cw := false, c.rankArr[w] != noRank
+		for _, p := range parents(uint32(w)) {
+			if dist[p] == level {
+				found, cw = true, cw || covered[p]
+				if cw {
+					break
+				}
+			}
+		}
+		if found {
+			dist[w], covered[w] = level+1, cw
+			next = append(next, uint32(w))
+		}
+	}
+	return next
+}
+
+// The switch constants of Beamer et al.: a frontier goes bottom-up once its
+// arcs exceed 1/switchAlpha of the unvisited vertices' arcs, and returns
+// top-down once it shrinks below n/switchBeta vertices. Below n/switchBeta
+// vertices a growing frontier is not tested at all.
+const (
+	switchAlpha = 14
+	switchBeta  = 24
+)
+
+// forceDirection, when set, replaces the switch rule: level d is expanded
+// bottom-up iff it returns true. Tests set it to pin every direction
+// sequence to the same labelling.
+var forceDirection func(level graph.Dist) bool
+
+// dirSwitch is the direction state of one search over n vertices:
+// whether the last level ran bottom-up, the size of the level before the
+// frontier, and how many vertices no level has reached yet.
+type dirSwitch struct {
+	n, prev, unvisited int
+	up                 bool
+}
+
+// bottomUp reports whether the frontier of f vertices is expanded
+// bottom-up.
+//
+// A bottom-up level pays for every unvisited vertex it does not reach, and
+// for every arc of a reached vertex that no covered parent cuts short, so
+// it only wins when the frontier is about to swallow the rest of the graph.
+// A top-down search therefore tests only a frontier that is large (at
+// least n/switchBeta vertices) and growing fast enough that one more level
+// at the same growth rate would outnumber the unvisited vertices. The test
+// is Beamer's, frontier arcs against unvisited arcs, with both counted at
+// the frontier's mean degree, so it reads no adjacency: f·switchAlpha >
+// unvisited. On a ring lattice or a lightly rewired small world the
+// frontier never grows like that. A bottom-up search stays bottom-up until
+// the frontier is small and shrinking.
+func (s *dirSwitch) bottomUp(level graph.Dist, f int) bool {
+	if forceDirection != nil {
+		return forceDirection(level)
+	}
+	large := f >= s.n/switchBeta
+	if s.up {
+		s.up = large || f >= s.prev
+	} else {
+		s.up = large && f > s.prev && uint64(f)*uint64(f) >= uint64(s.unvisited)*uint64(s.prev) &&
+			f*switchAlpha > s.unvisited
+	}
+	return s.up
 }
 
 // Diff buffers into d the edits that make landmark d.Rank's entries and

@@ -19,7 +19,7 @@ func rebuildAll(idx *Index) []Delta {
 		ds[r].Rank = uint16(r)
 	}
 	Repair(&idx.Core, &Scratches, ds, true, func(ws *Scratch, _ int, d *Delta) {
-		idx.RebuildBFS(ws, d, idx.G.Neighbors)
+		idx.RebuildBFS(ws, d, idx.G.Neighbors, idx.G.Neighbors)
 	})
 	return ds
 }

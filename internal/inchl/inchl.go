@@ -111,7 +111,7 @@ func (u *Updater) InsertEdge(a, b uint32) (Stats, error) {
 		case !ok:
 			skipped[r] = true
 		case rebuild:
-			u.RebuildBFS(ws, d, g.Neighbors)
+			u.RebuildBFS(ws, d, g.Neighbors, g.Neighbors)
 		default:
 			affected[r] = u.RepairInsertion(ws, d, head, pi, g.Neighbors, g.Neighbors, nil)
 		}

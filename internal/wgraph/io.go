@@ -3,35 +3,39 @@ package wgraph
 import (
 	"fmt"
 	"io"
-	"strconv"
 
+	"repro/internal/cow"
 	"repro/internal/graph"
 )
 
 // ReadEdgeList parses a whitespace-separated weighted edge list in the
-// graph.ForEachEdge format: one "u v w" triple per line with weight w ≥ 1;
-// a missing third field means weight 1, so plain unweighted edge lists
-// load too. Vertices are created as needed; duplicate edges and self-loops
-// are silently dropped.
+// graph.ParseEdgeList format: one "u v w" triple per line with weight
+// w ≥ 1; a missing third field means weight 1, so plain unweighted edge
+// lists load too. Duplicate edges, in either orientation, and self-loops
+// are dropped; a repeated edge keeps the weight of its first line.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
-	g := New(0)
-	err := graph.ForEachEdge(r, "wgraph", func(u, v uint32, extra []string) error {
-		w := graph.Dist(1)
-		if len(extra) > 0 {
-			parsed, err := strconv.ParseUint(extra[0], 10, 32)
-			if err != nil || parsed == 0 {
-				return fmt.Errorf("bad weight %q", extra[0])
-			}
-			w = graph.Dist(parsed)
-		}
-		for !g.HasVertex(max(u, v)) {
-			g.AddVertex()
-		}
-		_, err := g.AddEdge(u, v, w)
-		return err
-	})
+	l, err := graph.ParseEdgeList(r, "wgraph", true)
 	if err != nil {
 		return nil, err
 	}
-	return g, nil
+	lists, wts, m, err := graph.Rows(l.N, len(l.U), l.Edge, l.W, true, false)
+	if err != nil {
+		return nil, fmt.Errorf("wgraph: %w", err)
+	}
+	// Zip each list with its weights into one slab of arcs.
+	arcs := make([]Arc, len(wts))
+	adj := cow.Make[Arc](l.N)
+	at := 0
+	for v := uint32(0); int(v) < l.N; v++ {
+		row := lists.Row(v)
+		if len(row) == 0 {
+			continue
+		}
+		for j, to := range row {
+			arcs[at+j] = Arc{To: to, W: wts[at+j]}
+		}
+		*adj.Mut(v) = arcs[at : at+len(row) : at+len(row)]
+		at += len(row)
+	}
+	return &Graph{adj: adj, edges: uint64(m)}, nil
 }

@@ -268,15 +268,20 @@ func (sp *SpacePool) Get(n int) *QuerySpace {
 	if s == nil {
 		s = &QuerySpace{}
 	}
-	if len(s.DistU) < n {
-		s.DistU = make([]graph.Dist, n)
-		s.DistV = make([]graph.Dist, n)
-		for i := 0; i < n; i++ {
-			s.DistU[i] = graph.Inf
-			s.DistV[i] = graph.Inf
+	s.fit(n)
+	return s
+}
+
+// fit lengthens the distance vectors to at least n entries. They grow
+// geometrically (cow.Grow) and only the new entries are set to graph.Inf,
+// so the queries after each added vertex do not each rebuild the scratch.
+func (s *QuerySpace) fit(n int) {
+	if old := len(s.DistU); old < n {
+		s.DistU, s.DistV = cow.Grow(s.DistU, n), cow.Grow(s.DistV, n)
+		for i := old; i < n; i++ {
+			s.DistU[i], s.DistV[i] = graph.Inf, graph.Inf
 		}
 	}
-	return s
 }
 
 // Put returns s to the pool; its distance entries must be graph.Inf again,
