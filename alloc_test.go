@@ -7,6 +7,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/testutil"
 )
 
@@ -376,4 +377,33 @@ func TestPackedSurvivesPublish(t *testing.T) {
 			t.Fatalf("epoch %d published unpacked", st.Epoch())
 		}
 	}
+}
+
+// TestLabelHeapOnce pins that a labelling is held once: building the
+// social-read shape at a tenth of its size and wrapping it in a Store adds
+// at most a quarter more heap than the label tables Stats reports, so no
+// second copy of the labels (per-vertex rows beside the packed chunks)
+// survives the build or the first publish.
+func TestLabelHeapOnce(t *testing.T) {
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	g := gen.BarabasiAlbert(50_000, 8, 11)
+	before := heap()
+	idx, err := Build(g, Options{Landmarks: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewStore(idx)
+	added := int64(heap()) - int64(before)
+	packed := st.Snapshot().Stats().PackedBytes
+	t.Logf("labelling added %d B of heap for %d B of label tables", added, packed)
+	if added > packed*5/4 {
+		t.Errorf("labelling added %d B of heap, more than 1.25 × its %d B of label tables", added, packed)
+	}
+	runtime.KeepAlive(st)
 }

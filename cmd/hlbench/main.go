@@ -9,8 +9,8 @@
 //	hlbench -exp fig4 -updates 500           # 500×10 insertions in Fig 4
 //	hlbench -exp repair -workers 1,4,16      # repair-engine scaling sweep
 //
-// Experiments: table1, table2, fig1, fig3, fig4, ablation, packed, mmap,
-// repair, all.
+// Experiments: table1, table2, fig1, fig3, fig4, ablation, mmap, repair,
+// all.
 package main
 
 import (
@@ -26,7 +26,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: table1|table2|fig1|fig3|fig4|ablation|packed|mmap|repair|all")
+		exp       = flag.String("exp", "all", "experiment: table1|table2|fig1|fig3|fig4|ablation|mmap|repair|all")
 		scale     = flag.Float64("scale", 1.0, "proxy size multiplier")
 		updates   = flag.Int("updates", 1000, "edge insertions per dataset")
 		queries   = flag.Int("queries", 10000, "distance queries per dataset")
@@ -70,7 +70,6 @@ func main() {
 
 	runners := map[string]func(exper.Config) error{
 		"table2":   func(c exper.Config) error { _, err := exper.Table2(c); return err },
-		"packed":   func(c exper.Config) error { _, err := exper.Packed(c); return err },
 		"fig1":     func(c exper.Config) error { _, err := exper.Fig1(c); return err },
 		"table1":   func(c exper.Config) error { _, err := exper.Table1(c); return err },
 		"fig3":     func(c exper.Config) error { _, err := exper.Fig3(c); return err },
@@ -79,7 +78,7 @@ func main() {
 		"mmap":     func(c exper.Config) error { _, err := exper.Mmap(c); return err },
 		"repair":   func(c exper.Config) error { _, err := exper.Repair(c); return err },
 	}
-	order := []string{"table2", "fig1", "table1", "fig3", "fig4", "ablation", "packed", "mmap", "repair"}
+	order := []string{"table2", "fig1", "table1", "fig3", "fig4", "ablation", "mmap", "repair"}
 
 	var names []string
 	if *exp == "all" {

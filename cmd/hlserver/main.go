@@ -118,7 +118,7 @@ func main() {
 
 		mmapFlag = flag.String("mmap", "auto", "serve checkpoint and label files out of an mmap instead of decoding a heap copy: auto, on or off")
 
-		repairWorkers = flag.Int("repair-workers", 0, "per-landmark fan-out of update repairs and the delta repack (0 = GOMAXPROCS, 1 = serial; results are identical for every value)")
+		repairWorkers = flag.Int("repair-workers", 0, "per-landmark fan-out of update repairs and their label writes (0 = GOMAXPROCS, 1 = serial; results are identical for every value)")
 
 		debugAddr = flag.String("debug-addr", "", "extra listen address serving /debug/pprof and /metrics (empty = off)")
 		accessLog = flag.Bool("access-log", false, "log one structured line per HTTP request")

@@ -102,7 +102,7 @@
 // queue and parks the caller on a promised-epoch future. A committer
 // goroutine (spawned on demand, retired when the queue drains) claims
 // every batch waiting at that moment as one commit group and pays one
-// copy-on-write fork, one repair pass, one pack, one WAL append — a
+// copy-on-write fork, one repair pass, one WAL append — a
 // single log record, hence a single fsync, covering every caller in the
 // group — and one atomic publish for all of them. Each caller's future
 // then resolves with its own per-op summaries and the shared epoch;
@@ -111,7 +111,7 @@
 // ops run through the variant's own checks against a view of the graph
 // that records the group's edits, so the live callers and the group's WAL
 // record are known before any label work. The committer then appends the
-// record while a repairer goroutine repairs and packs the same group, and
+// record while a repairer goroutine repairs the same group, and
 // the epoch publishes once both are done, so the fsync hides the repair.
 // While the repairer publishes one group the committer already validates
 // and appends the next. Under contention the group size grows with the
@@ -138,7 +138,7 @@
 // The three variants share one labelling core, internal/hcl's Core: the
 // landmarks and their rank table, the k×k highway, one label direction
 // (two on the directed variant, forward and backward) as a copy-on-write
-// table with its packed form, and the repair knobs. Fork, pack,
+// table of packed label chunks, and the repair knobs. Fork,
 // serialisation, the repair engine and the update statistics (hcl.Stats)
 // are implemented there once, and so are the two local repairs of the
 // unit-weight variants: IncHL+'s jumped BFS and covered/uncovered
@@ -157,17 +157,18 @@
 // per-landmark find+repair tasks (per label direction for the directed
 // variant) across Options.RepairWorkers cores (0 = GOMAXPROCS): every
 // task runs against the frozen pre-repair labelling and buffers its edits
-// as a delta, a barrier separates the fan from the merge, and a
-// single-threaded merge applies the deltas in rank order. Because the
+// as a delta, a barrier separates the fan from the merge, and the merge
+// applies the deltas in rank order: the highway cells one delta at a
+// time, the label edits of all deltas one touched chunk at a time, the
+// chunks fanned across the same workers. Because the
 // serial path runs the identical task-then-merge code with one worker,
 // the labelling and the update summaries are byte-identical for every
 // worker count — the knob trades repair latency against cores, never
 // results. Construction is the same fan over an empty labelling
-// (Options.Parallel/Workers), and the pack-on-publish delta repack fills
-// its rebuilt chunks concurrently under the same bound.
+// (Options.Parallel/Workers), whose merge lays every chunk out once.
 // Store.SetRepairWorkers retunes a live store; every worker draws its
 // search scratch from a package pool, so the repair of a freshly forked
-// epoch allocates nothing per vertex beyond the chunks and labels it
+// epoch allocates nothing per vertex beyond the span tables and labels it
 // rewrites.
 //
 // # Construction: a direction-optimizing covered-flag BFS
@@ -198,37 +199,30 @@
 // rejects them instead). A "# vertices=N" header keeps trailing isolated
 // vertices.
 //
-// # Two label representations: a copy-on-write table, a packed arena
+// # One label representation: copy-on-write packed chunks
 //
-// The labelling lives in two forms, split along the same read/write line as
-// the snapshots, both held by the core for every label direction. The
-// mutable build/update representation is one entry slice per vertex, held
-// in 512-vertex chunks of a copy-on-write table (internal/cow, the same
-// table that holds the graphs' adjacency): IncHL+ and DecHL repair it in
-// place, a fork shares every chunk and slice with its parent until it
-// writes one, and it remains the source of truth. The packed
-// read representation (hcl.Packed) flattens those labels into a single
-// contiguous entry arena indexed by a CSR offset table: a published
-// snapshot answers a query by slicing the arena — no per-vertex pointer
-// chase, no slice-header traffic, a handful of large arrays for the garbage
-// collector to scan instead of millions of tiny ones — and the query
-// kernels (Equations 1 and 2) stream at most two contiguous entry spans
-// plus one highway row per outer entry, allocation-free.
+// Every label direction is stored once, as hcl.Packed: the entries of each
+// 512-vertex range laid out back to back in a chunk, with one span per
+// vertex naming its entries. A query slices a label out of its chunk — no
+// per-vertex pointer chase, a few arrays per chunk for the garbage
+// collector instead of one per vertex — and the query kernels (Equations 1
+// and 2) stream at most two contiguous entry spans plus one highway row
+// per outer entry, allocation-free.
 //
-// The Store converts between the two at exactly one point: pack-on-publish.
-// After a batch's repairs succeed on the private fork, the labelling is
-// frozen into the packed form before the epoch becomes visible, so readers
-// only ever see packed snapshots while the updater only ever touches
-// tables. The pack is delta-aware — the arena is chunked by the table's
-// 512-vertex chunks, and a fork reuses by reference every chunk of its
-// parent's arena whose table chunk the batch did not write — so an epoch
-// touching k vertices repacks at most k chunks, not O(|V|). Any label
-// write drops the packed form (the two can never disagree); plain
-// unwrapped indexes simply stay on the table. Stats reports the arena's
-// footprint as PackedBytes, and the one stream codec of the core writes
-// each label direction straight from the table as one CSR block, which is
-// what makes a checkpoint load (and PUT /labels) a bulk copy that arrives
-// already packed, its table chunks pointing into the arena.
+// The same table is what IncHL+ and DecHL write, so a batch needs no
+// separate freeze before its epoch publishes. A fork copies the chunk
+// directory and two owned bits per chunk and shares every chunk with its
+// parent. The repair merge rewrites each chunk the batch touched once: on
+// the chunk's first write in a fork it copies the chunk's span table (4
+// KiB) and small overflow, and appends the rewritten labels to the
+// overflow, leaving the chunk's base entries shared; once the overflow
+// would outgrow a quarter of the base it lays the chunk out afresh
+// instead. So an epoch touching k vertices copies at most k span tables
+// plus what it writes, and the parent's snapshot never sees the writes.
+// Stats reports the tables' memory as PackedBytes, and the stream codec
+// writes each direction straight from its table as one CSR block and
+// reads a block straight into one, chunk by chunk, which is what makes a
+// checkpoint load (and PUT /labels) a bulk copy.
 //
 // # Durability: write-ahead log and checkpoints
 //
@@ -277,22 +271,22 @@
 // use. The copy-in loaders read the same bytes, validating every entry;
 // they treat streams as untrusted and allocate as bytes arrive, never by
 // the sizes a header claims. The WAL tail then replays onto the mapped
-// index directly: the mapping is private (MAP_PRIVATE), so in-place
-// repairs dirty anonymous copies and never the file. Followers bootstrap
+// index directly: repairs never write a chunk's base, so they leave the
+// mapped bytes alone, and the mapping is private (MAP_PRIVATE) anyway. Followers bootstrap
 // the same way by spilling the shipped image to an unlinked temp file
 // (wal.RebuildImageMapped). Stats.MappedBytes reports the region still
 // backing a labelling, next to PackedBytes.
 //
 // The lifecycle rule is reachability, not reference counting: an
-// internal/arena.Mapping is pinned by every index, packed arena chunk and
+// internal/arena.Mapping is pinned by every index, label table and
 // snapshot that still aliases its bytes — forks inherit the pin — and is
 // unmapped by a garbage-collector finalizer once the last such holder is
 // gone. Checkpoint pruning therefore only ever unlinks files, never
 // truncates them: a pinned View keeps serving pages of a checkpoint the
 // pruner deleted minutes ago, and the kernel reclaims the blocks when
-// the mapping drops. Delta repacks migrate only the chunks a batch
-// touched from the mapping to the heap; untouched chunks stay
-// file-backed indefinitely. Everything falls back to the copy-in heap
+// the mapping drops. Writes put only the labels a batch touched on the
+// heap, and a chunk leaves the mapping whole only when a write lays it out
+// afresh; untouched chunks stay file-backed indefinitely. Everything falls back to the copy-in heap
 // load — identical answers, identical Save bytes — when the platform has
 // no mmap (a build-tagged stub gates syscall use), when the host's Entry
 // layout or a stream's alignment rules out the in-place cast (both
@@ -343,10 +337,10 @@
 // the read path, dynhl_snapshot_pins_total counts epoch pins, and
 // dynhl_apply_stage_seconds breaks every published epoch into the
 // pipeline stages a write crosses — coalesce_wait (enqueue to claim),
-// repair (validation, fork + IncHL+/DecHL), pack (CSR freeze), wal_commit
-// (append + fsync via the durability layer, running alongside repair and
-// pack), wal_wait (how long publish still waited on that append after
-// pack: the part of the fsync the repair did not hide) and publish
+// repair (validation, fork + IncHL+/DecHL and their label writes),
+// wal_commit (append + fsync via the durability layer, running alongside
+// repair), wal_wait (how long publish still waited on that append after
+// repair: the part of the fsync the repair did not hide) and publish
 // (snapshot swap) — with
 // dynhl_apply_group_callers/_ops recording how much each group coalesced.
 // The repair engine reports dynhl_repair_workers (the resolved fan-out)

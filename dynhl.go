@@ -56,9 +56,9 @@ type Options struct {
 	Parallel bool
 	Workers  int
 	// RepairWorkers bounds the per-landmark fan-out of the repair engine:
-	// every InsertEdge/DeleteEdge repair and the delta repack at epoch
-	// publish fan their per-landmark (per-pass for the directed variant)
-	// tasks across this many cores. 0 (the default) resolves to GOMAXPROCS,
+	// every InsertEdge/DeleteEdge repair fans its per-landmark (per-pass
+	// for the directed variant) tasks, and then its per-chunk label
+	// writes, across this many cores. 0 (the default) resolves to GOMAXPROCS,
 	// 1 forces the serial path. Every worker count produces a byte-identical
 	// labelling and identical update summaries — the tasks only buffer
 	// deltas against the frozen pre-repair labelling and a single-threaded
@@ -69,8 +69,8 @@ type Options struct {
 
 // labelling is what the three index wrappers share: the hcl core of the
 // labelling they serve and their graph's size. It implements every method
-// that touches only those — statistics, serialisation, packing and the
-// repair knobs.
+// that touches only those — statistics, serialisation and the repair
+// knobs.
 type labelling struct {
 	core *hcl.Core
 	g    interface {
@@ -123,12 +123,8 @@ func (l labelling) SaveAt(w io.Writer, base int64) (int64, []Span, error) {
 	return l.core.WriteToAt(w, base)
 }
 
-// packLabels freezes the labelling into the packed CSR read form the Store
-// serves published snapshots from (see hcl.Packed); delta-aware on forks.
-func (l labelling) packLabels() { l.core.Pack() }
-
-// setRepairWorkers tunes the per-landmark repair fan-out and the delta
-// repack (0 = GOMAXPROCS, 1 = serial); see Options.RepairWorkers.
+// setRepairWorkers tunes the repair fan-out (0 = GOMAXPROCS, 1 =
+// serial); see Options.RepairWorkers.
 func (l labelling) setRepairWorkers(n int) { l.core.Workers = n }
 
 // repairWorkers returns the configured (unresolved) repair fan-out.
@@ -312,11 +308,10 @@ type Stats struct {
 	LabelEntries int64   // size(L), total distance entries
 	Bytes        int64   // labels + highway storage
 	AvgLabelSize float64 // entries per vertex (the paper's l)
-	// PackedBytes is the storage charged for the packed CSR read
-	// representation published snapshots serve queries from — EntryBytes
-	// per arena entry plus the offset index, uniformly across variants
-	// (both label directions for the directed one). Zero when the
-	// labelling is not currently packed (a plain mutable index).
+	// PackedBytes is the memory the label tables hold (hcl.Packed):
+	// eight bytes per entry slot, overflow slots superseded by later
+	// writes included, plus an eight-byte span per vertex, uniformly
+	// across variants (both label directions for the directed one).
 	PackedBytes int64
 	// MappedBytes is the size of the mmap'd region the labelling still
 	// serves entries from (zero-copy boot from a checkpoint or label

@@ -1,5 +1,5 @@
 package dynhl
 
-// PackedGroups returns how many groups the store's write pipeline has
-// repaired and packed, for the external tests that watch its progress.
-func PackedGroups(s *Store) uint64 { return s.metrics.stagePack.Count() }
+// RepairedGroups returns how many groups the store's write pipeline has
+// repaired, for the external tests that watch its progress.
+func RepairedGroups(s *Store) uint64 { return s.metrics.stageRepair.Count() }

@@ -1,6 +1,7 @@
-// Package cow provides the chunked copy-on-write table behind every
-// per-vertex structure a snapshot forks: the adjacency lists of the graph
-// substrates and the label directions of the labelling core.
+// Package cow provides the chunked copy-on-write table behind the
+// adjacency lists of the graph substrates, which every snapshot forks.
+// The label tables of the labelling core (internal/hcl) share its chunk
+// size.
 //
 // A Table holds one slice per vertex, its row, in chunks of ChunkLen rows.
 // Fork copies only the chunk directory and one shared bit per vertex, so
@@ -127,14 +128,6 @@ func (t *Table[T]) Fork() Table[T] {
 	return Table[T]{chunks: slices.Clone(t.chunks), shared: bitset.NewAllSet(t.n), n: t.n}
 }
 
-// NumChunks returns the number of chunks; chunk ci holds rows
-// [ci*ChunkLen, min((ci+1)*ChunkLen, Len())).
-func (t *Table[T]) NumChunks() int { return len(t.chunks) }
-
-// Chunk returns the rows of chunk ci. They alias the table and must not be
-// modified.
-func (t *Table[T]) Chunk(ci int) [][]T { return t.chunks[ci] }
-
 // ChunkShared reports whether chunk ci is still the one the table was
 // forked with: no row in it has been written, and none added, since Fork.
 // It is false on a table that was never forked.
@@ -147,7 +140,7 @@ func (t *Table[T]) ChunkShared(ci int) bool {
 func (t *Table[T]) Clone() Table[T] {
 	c := Make[T](t.n)
 	for ci := range t.chunks {
-		for i, r := range t.Chunk(ci) {
+		for i, r := range t.chunks[ci] {
 			if len(r) > 0 {
 				c.chunks[ci][i] = slices.Clone(r)
 			}

@@ -77,8 +77,8 @@ func TestRowPastLenPanics(t *testing.T) {
 	}
 }
 
-// TestChunkShared pins the per-chunk verdict the packed repack reuses
-// chunks by: only chunks with no written and no added row stay shared.
+// TestChunkShared pins the per-chunk verdict Mut and Grow copy chunks by:
+// only chunks with no written and no added row stay shared.
 func TestChunkShared(t *testing.T) {
 	const n = 2*ChunkLen + 10
 	p := fill(n)

@@ -34,7 +34,7 @@ func highway(idx *Index) []uint32 {
 }
 
 func copyLabels(idx *Index, dir int) []hcl.Label {
-	out := make([]hcl.Label, idx.Labels(dir).Len())
+	out := make([]hcl.Label, idx.Packed(dir).NumVertices())
 	for v := range out {
 		out[v] = append(hcl.Label(nil), idx.Label(dir, uint32(v))...)
 	}

@@ -31,9 +31,6 @@ func TestCodecV2RoundTrip(t *testing.T) {
 	if err := loaded.EqualLabels(idx); err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Packed(fwd) == nil || loaded.Packed(bwd) == nil {
-		t.Fatal("loaded index must arrive packed in both directions")
-	}
 	for u := uint32(0); u < 150; u += 7 {
 		for v := uint32(0); v < 150; v += 11 {
 			if got, want := loaded.Query(u, v), idx.Query(u, v); got != want {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/digraph"
+	"repro/internal/hcl"
 )
 
 // buildAt rebuilds the same directed fixture from scratch (graphs are
@@ -92,28 +93,27 @@ func TestParallelRepairMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestPackParallelMatchesSerial pins that packing with a fan-out yields
-// the same packed form (entries, bytes, every label) as serial packing.
+// TestPackParallelMatchesSerial pins that the merge's chunk rewrites,
+// fanned across workers, leave the same label tables (entries, bytes,
+// every label) as serial ones after a repaired update stream.
 func TestPackParallelMatchesSerial(t *testing.T) {
 	gs, serial := buildAt(t, 60, 200, 5, 4, 1)
 	arcs := nonEdges(gs, 9, 42)
 	runMixedD(t, serial, arcs)
-	serial.Pack()
 
 	_, par := buildAt(t, 60, 200, 5, 4, 4)
 	runMixedD(t, par, arcs)
-	par.Pack()
 
 	for _, side := range []struct {
 		name string
-		s, p interface{ NumEntries() int64 }
+		s, p *hcl.Packed
 	}{
 		{"forward", serial.Packed(fwd), par.Packed(fwd)},
 		{"backward", serial.Packed(bwd), par.Packed(bwd)},
 	} {
-		if side.s.NumEntries() != side.p.NumEntries() {
-			t.Fatalf("%s: packed entries diverged: serial %d, parallel %d",
-				side.name, side.s.NumEntries(), side.p.NumEntries())
+		if side.s.NumEntries() != side.p.NumEntries() || side.s.ArenaBytes() != side.p.ArenaBytes() {
+			t.Fatalf("%s: tables diverged: serial %d entries in %d bytes, parallel %d in %d",
+				side.name, side.s.NumEntries(), side.s.ArenaBytes(), side.p.NumEntries(), side.p.ArenaBytes())
 		}
 	}
 	if err := serial.EqualLabels(par); err != nil {

@@ -210,23 +210,6 @@ func TestConfigUnknownDataset(t *testing.T) {
 	}
 }
 
-func TestPackedExperiment(t *testing.T) {
-	rows, err := Packed(Config{Scale: 0.02, Queries: 200, Datasets: []string{"Skitter"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	r := rows[0]
-	if r.Vertices == 0 || r.Entries == 0 || r.BytesPerVertex <= 0 {
-		t.Fatalf("degenerate row: %+v", r)
-	}
-	if r.PackedMeanUs <= 0 || r.SliceMeanUs <= 0 || r.LoadMs < 0 {
-		t.Fatalf("missing timings: %+v", r)
-	}
-}
-
 func TestRepairSmoke(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := smallCfg(&buf)

@@ -59,7 +59,6 @@ func Mmap(cfg Config) ([]MmapRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("mmap: dataset %s: %w", spec.Name, err)
 		}
-		idx.Pack()
 		queries := SampleQueries(base.NumVertices(), cfg.Queries, cfg.Seed+505)
 
 		f, err := os.CreateTemp("", "hlbench-mmap-*.hl")

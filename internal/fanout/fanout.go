@@ -1,5 +1,5 @@
 // Package fanout is the tiny worker-fan used by the parallel build, repair
-// and repack paths. It deliberately has no dependencies and no state: a call
+// and label-write paths. It deliberately has no dependencies and no state: a call
 // distributes n independent tasks over at most `workers` goroutines via an
 // atomic counter, with the caller participating as worker 0 so that the
 // workers==1 case never spawns and the workers==2 case spawns exactly one

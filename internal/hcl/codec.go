@@ -7,8 +7,7 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/arena"
-	"repro/internal/cow"
+	"repro/internal/bitset"
 	"repro/internal/graph"
 )
 
@@ -94,7 +93,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // file (0 for a file of its own); entry areas are page-aligned relative to
 // it. Labels are written straight from the tables. Returns the bytes
 // written and the absolute span of each table's entry area.
-func WriteStream(w io.Writer, magic string, landmarks []uint32, highway []graph.Dist, base int64, tables ...*cow.Table[Entry]) (int64, []Span, error) {
+func WriteStream(w io.Writer, magic string, landmarks []uint32, highway []graph.Dist, base int64, tables ...*Packed) (int64, []Span, error) {
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriterSize(cw, 1<<16)
 	le := binary.LittleEndian
@@ -105,7 +104,7 @@ func WriteStream(w io.Writer, magic string, landmarks []uint32, highway []graph.
 		bw.Write(u32[:])
 	}
 	bw.WriteString(magic)
-	putU32(uint32(tables[0].Len()))
+	putU32(uint32(tables[0].NumVertices()))
 	putU32(uint32(len(landmarks)))
 	for _, v := range landmarks {
 		putU32(v)
@@ -129,19 +128,16 @@ func WriteStream(w io.Writer, magic string, landmarks []uint32, highway []graph.
 // writeBlock appends the label block of table L to bw, its first byte at
 // absolute offset base, and returns the absolute span of its entry area
 // and the block length. Write errors surface at bw's Flush.
-func writeBlock(bw *bufio.Writer, L *cow.Table[Entry], base, align int64) (Span, int64) {
+func writeBlock(bw *bufio.Writer, L *Packed, base, align int64) (Span, int64) {
 	le := binary.LittleEndian
 	// rows calls fn for every label in vertex order.
 	rows := func(fn func(l []Entry)) {
-		for ci := 0; ci < L.NumChunks(); ci++ {
-			for _, l := range L.Chunk(ci) {
-				fn(l)
-			}
+		for v := 0; v < L.NumVertices(); v++ {
+			fn(L.Label(uint32(v)))
 		}
 	}
-	var total uint64
-	rows(func(l []Entry) { total += uint64(len(l)) })
-	offPad, entPad, entOff, blockLen := blockGeometry(L.Len(), total, base, align)
+	total := uint64(L.NumEntries())
+	offPad, entPad, entOff, blockLen := blockGeometry(L.NumVertices(), total, base, align)
 	var hdr [blockHeaderLen]byte
 	le.PutUint64(hdr[0:], total)
 	le.PutUint32(hdr[8:], uint32(offPad))
@@ -193,13 +189,11 @@ func writeZeros(bw *bufio.Writer, n int64) {
 }
 
 // Stream is a decoded label stream: the landmarks, the row-major |R|×|R|
-// highway, and one label table per block. Each table's labels alias the
-// matching packed arena, so the loaded labelling is already packed.
+// highway, and one label table per block.
 type Stream struct {
 	Landmarks []uint32
 	Highway   []graph.Dist
-	Labels    []cow.Table[Entry]
-	Packed    []*Packed
+	Labels    []Packed
 }
 
 // ReadStream reads a label stream written by WriteStream with the given
@@ -216,7 +210,7 @@ func ReadStream(r io.Reader, magic string, nv, blocks int) (*Stream, error) {
 	}
 	nr := uint32(len(s.Landmarks))
 	for i := range s.Labels {
-		if s.Packed[i], err = readBlock(br, nr, &s.Labels[i]); err != nil {
+		if s.Labels[i], err = readBlock(br, nv, nr); err != nil {
 			return nil, fmt.Errorf("label block %d: %w", i, err)
 		}
 	}
@@ -224,8 +218,7 @@ func ReadStream(r io.Reader, magic string, nv, blocks int) (*Stream, error) {
 }
 
 // readHeader reads and validates a stream header, returning a Stream with
-// landmarks and highway filled and blocks empty label tables of nv
-// vertices allocated.
+// landmarks and highway filled and room for blocks label tables.
 func readHeader(r io.Reader, magic string, nv, blocks int) (*Stream, error) {
 	var hdr [12]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -255,11 +248,7 @@ func readHeader(r io.Reader, magic string, nv, blocks int) (*Stream, error) {
 	if err := validate(landmarks, highway, nv, blocks == 1); err != nil {
 		return nil, err
 	}
-	s := &Stream{Landmarks: landmarks, Highway: highway, Labels: make([]cow.Table[Entry], blocks), Packed: make([]*Packed, blocks)}
-	for i := range s.Labels {
-		s.Labels[i] = cow.Make[Entry](nv)
-	}
-	return s, nil
+	return &Stream{Landmarks: landmarks, Highway: highway, Labels: make([]Packed, blocks)}, nil
 }
 
 // readU32s reads n little-endian u32s in bounded chunks, so the result
@@ -315,31 +304,48 @@ func checkOffsets(off []uint64, nr uint32, total uint64) error {
 	return nil
 }
 
-// chunkOffsets rebases the offsets of one chunk's vertex range to the
-// chunk's own entry slice. Always fits u32: a chunk covers at most
-// packChunkLen vertices of at most 2^16 entries each.
-func chunkOffsets(off []uint64) []uint32 {
-	c := make([]uint32, len(off))
-	for i := range off {
-		c[i] = uint32(off[i] - off[0])
+// loaded returns the table of nv vertices whose labels the block offsets
+// off lay out: chunk ci's base is entries(ci, lo, hi), the block's entries
+// [lo, hi) of its vertex range. The table owns every span table, and the
+// bases unless mapped says they alias a mapping.
+func loaded(nv int, total uint64, off []uint64, mapped bool, entries func(ci int, lo, hi uint64) ([]Entry, error)) (Packed, error) {
+	nc := (nv + packChunkLen - 1) / packChunkLen
+	p := Packed{chunks: make([]packChunk, nc), owned: bitset.New(2 * nc), n: nv, entries: int64(total)}
+	for ci := range p.chunks {
+		lo := ci * packChunkLen
+		hi := min(lo+packChunkLen, nv)
+		base, err := entries(ci, off[lo], off[hi])
+		if err != nil {
+			return Packed{}, err
+		}
+		// The offsets fit u32 relative to the chunk: a chunk covers at
+		// most packChunkLen vertices of at most 2^16 entries each.
+		spans := make([]span, hi-lo)
+		for i := range spans {
+			spans[i] = span{uint32(off[lo+i] - off[lo]), uint32(off[lo+i+1] - off[lo])}
+		}
+		p.chunks[ci] = packChunk{base: base, spans: spans}
+		p.own(ci, ownSpans)
+		if !mapped {
+			p.own(ci, ownBase)
+		}
 	}
-	return c
+	return p, nil
 }
 
-// readBlock reads one label block into the table L (copy-in path). Entries
-// are allocated one packed chunk at a time, as their bytes arrive.
-func readBlock(br *bufio.Reader, nr uint32, L *cow.Table[Entry]) (*Packed, error) {
-	nv := L.Len()
+// readBlock reads one label block over nv vertices (copy-in path). Entries
+// are allocated one chunk at a time, as their bytes arrive.
+func readBlock(br *bufio.Reader, nv int, nr uint32) (Packed, error) {
 	var hdr [blockHeaderLen]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("reading label block header: %w", err)
+		return Packed{}, fmt.Errorf("reading label block header: %w", err)
 	}
 	total, offPad, entPad, err := checkBlockHeader(hdr[:], nv, nr)
 	if err != nil {
-		return nil, err
+		return Packed{}, err
 	}
 	if _, err := br.Discard(int(offPad)); err != nil {
-		return nil, fmt.Errorf("skipping offset pad: %w", err)
+		return Packed{}, fmt.Errorf("skipping offset pad: %w", err)
 	}
 	le := binary.LittleEndian
 	off := make([]uint64, nv+1)
@@ -347,7 +353,7 @@ func readBlock(br *bufio.Reader, nr uint32, L *cow.Table[Entry]) (*Packed, error
 	for done := 0; done < len(off); {
 		b := buf[:8*min(len(off)-done, codecChunk)]
 		if _, err := io.ReadFull(br, b); err != nil {
-			return nil, fmt.Errorf("reading label offsets: %w", err)
+			return Packed{}, fmt.Errorf("reading label offsets: %w", err)
 		}
 		for i := 0; i < len(b); i += 8 {
 			off[done] = le.Uint64(b[i:])
@@ -355,35 +361,30 @@ func readBlock(br *bufio.Reader, nr uint32, L *cow.Table[Entry]) (*Packed, error
 		}
 	}
 	if err := checkOffsets(off, nr, total); err != nil {
-		return nil, err
+		return Packed{}, err
 	}
 	if _, err := br.Discard(int(entPad)); err != nil {
-		return nil, fmt.Errorf("skipping entry pad: %w", err)
+		return Packed{}, fmt.Errorf("skipping entry pad: %w", err)
 	}
-	p := &Packed{chunks: make([]packChunk, (nv+packChunkLen-1)/packChunkLen), n: nv, entries: int64(total)}
-	for ci := range p.chunks {
-		lo := ci * packChunkLen
-		hi := min(lo+packChunkLen, nv)
-		c := packChunk{entries: make([]Entry, off[hi]-off[lo]), off: chunkOffsets(off[lo : hi+1])}
-		for done := 0; done < len(c.entries); {
-			b := buf[:entryStride*min(len(c.entries)-done, codecChunk)]
+	return loaded(nv, total, off, false, func(ci int, lo, hi uint64) ([]Entry, error) {
+		entries := make([]Entry, hi-lo)
+		for done := 0; done < len(entries); {
+			b := buf[:entryStride*min(len(entries)-done, codecChunk)]
 			if _, err := io.ReadFull(br, b); err != nil {
-				return nil, fmt.Errorf("reading label arena at entry %d: %w", off[lo]+uint64(done), err)
+				return nil, fmt.Errorf("reading label arena at entry %d: %w", lo+uint64(done), err)
 			}
 			for i := 0; i < len(b); i += entryStride {
-				c.entries[done] = Entry{Rank: le.Uint16(b[i:]), D: le.Uint32(b[i+4:])}
+				entries[done] = Entry{Rank: le.Uint16(b[i:]), D: le.Uint32(b[i+4:])}
 				done++
 			}
 		}
-		for i := 0; i+1 < len(c.off); i++ {
-			if !ranksValid(c.entries[c.off[i]:c.off[i+1]], nr) {
-				return nil, fmt.Errorf("label %d entries unsorted or out of range", lo+i)
+		for v := ci * packChunkLen; v < min((ci+1)*packChunkLen, nv); v++ {
+			if !ranksValid(entries[off[v]-lo:off[v+1]-lo], nr) {
+				return nil, fmt.Errorf("label %d entries unsorted or out of range", v)
 			}
 		}
-		p.chunks[ci] = c
-	}
-	p.attach(L)
-	return p, nil
+		return entries, nil
+	})
 }
 
 // ranksValid reports whether a label's ranks are strictly increasing and
@@ -399,20 +400,6 @@ func ranksValid(l []Entry, nr uint32) bool {
 	return true
 }
 
-// attach points every label of the table L at its span of p's arena,
-// capacity-clamped so a later write copies out instead of bleeding into
-// the neighbour's span. Empty labels stay nil.
-func (p *Packed) attach(L *cow.Table[Entry]) {
-	for ci := range p.chunks {
-		c := &p.chunks[ci]
-		for i := 0; i+1 < len(c.off); i++ {
-			if lo, hi := c.off[i], c.off[i+1]; lo < hi {
-				*L.Mut(uint32(ci<<packShift + i)) = c.entries[lo:hi:hi]
-			}
-		}
-	}
-}
-
 // WriteTo serialises the labelling (landmarks, highway, labels) to w as a
 // file of its own. The graph is serialised separately.
 func (c *Core) WriteTo(w io.Writer) (int64, error) {
@@ -425,32 +412,28 @@ func (c *Core) WriteTo(w io.Writer) (int64, error) {
 // page-aligned in that file. The returned spans name the raw entry area of
 // each label direction, which a mapped load serves in place.
 func (c *Core) WriteToAt(w io.Writer, base int64) (int64, []Span, error) {
-	tables := make([]*cow.Table[Entry], c.kind.Dirs)
+	tables := make([]*Packed, c.kind.Dirs)
 	for d := range tables {
-		tables[d] = &c.dirs[d].L
+		tables[d] = &c.dirs[d]
 	}
 	return WriteStream(w, c.kind.Magic, c.Landmarks, c.hw, base, tables...)
 }
 
 // ReadCore decodes a label stream of the given kind over n vertices (see
-// ReadStream); the loaded labelling is already packed, its label blocks
-// being the arenas.
+// ReadStream).
 func ReadCore(r io.Reader, kind Kind, n int) (Core, error) {
 	s, err := ReadStream(r, kind.Magic, n, kind.Dirs)
-	return fromStream(kind, s, nil, err)
+	return fromStream(kind, s, err)
 }
 
-// fromStream builds the labelling a decoded or mapped stream describes; m
-// is the mapping its arenas alias, if any.
-func fromStream(kind Kind, s *Stream, m *arena.Mapping, err error) (Core, error) {
+// fromStream builds the labelling a decoded or mapped stream describes.
+func fromStream(kind Kind, s *Stream, err error) (Core, error) {
 	if err != nil {
 		return Core{}, err
 	}
-	c := Core{Landmarks: s.Landmarks, kind: kind, hw: s.Highway, mapRef: m}
-	for d := range s.Labels {
-		c.dirs[d] = labels{L: s.Labels[d], packed: s.Packed[d]}
-	}
-	c.indexRanks(s.Labels[0].Len())
+	c := Core{Landmarks: s.Landmarks, kind: kind, hw: s.Highway}
+	copy(c.dirs[:], s.Labels)
+	c.indexRanks(s.Labels[0].NumVertices())
 	return c, nil
 }
 

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/arena"
-	"repro/internal/cow"
 	"repro/internal/graph"
 )
 
@@ -13,7 +11,7 @@ import (
 // rank table, the k×k highway of landmark-to-landmark distances, one or two
 // label directions, and the repair knobs. hcl.Index, dhcl.Index and
 // whcl.Index embed it and add their graph, their query kernels and the
-// affected tests of their updates; fork, pack, serialisation, the repair
+// affected tests of their updates; fork, serialisation, the repair
 // engine (repair.go) and the local insertion and deletion repairs of the
 // unit-weight variants (delete.go) are implemented here once.
 //
@@ -34,29 +32,16 @@ type Core struct {
 	// hands it on capacity-clamped).
 	rankArr []uint16
 
-	// dirs[:kind.Dirs] are the label tables: the only one of the undirected
-	// and weighted variants, forward then backward on the directed one.
-	dirs [2]labels
-
-	// parent remembers the core this fork was taken from until the fork's
-	// own Pack runs, which reads the parent's packed forms then — not at
-	// fork time — so a fork taken while its parent is still packing (the
-	// pipelined Store repairs epoch N+1 while N packs) still gets the delta
-	// repack. Pack clears it so ancestor chains are not pinned.
-	parent *Core
-
-	// mapRef pins the mmap'd checkpoint this labelling was attached to by a
-	// mapped load, if any. Label slices and packed chunks may alias the
-	// mapped bytes for the rest of its life (copy-on-write repairs migrate
-	// labels to the heap one at a time, never all at once), so every fork
-	// inherits the reference and the region is unmapped only when the last
-	// descendant snapshot is collected.
-	mapRef *arena.Mapping
+	// dirs[:kind.Dirs] are the label tables (see Packed): the only one of
+	// the undirected and weighted variants, forward then backward on the
+	// directed one. Queries read them, the repair merge writes them, and
+	// the stream codec saves and loads them as they are.
+	dirs [2]Packed
 
 	// Workers bounds the fan-out of the per-landmark repair tasks and of
-	// Pack's per-chunk flattening: 0 (the default) resolves to GOMAXPROCS,
-	// 1 forces the serial path. Every worker count produces a byte-identical
-	// labelling and identical update statistics.
+	// the merge's per-chunk rewrites: 0 (the default) resolves to
+	// GOMAXPROCS, 1 forces the serial path. Every worker count produces a
+	// byte-identical labelling and identical update statistics.
 	Workers int
 
 	// RepairTimer, when non-nil, observes the wall time of every repair
@@ -71,18 +56,6 @@ type Core struct {
 type Kind struct {
 	Magic string
 	Dirs  int
-}
-
-// labels is one label direction: the mutable per-vertex table, which is the
-// write representation and the source of truth (copy-on-write across
-// forks), and the packed read form.
-type labels struct {
-	L cow.Table[Entry]
-
-	// packed is the CSR read form of L, non-nil only while the labelling is
-	// publishable (built by Pack, dropped by the first label write);
-	// queries prefer it.
-	packed *Packed
 }
 
 // noRank marks non-landmark vertices in the rank table.
@@ -148,7 +121,7 @@ func NewCore(kind Kind, n int, landmarks []uint32) (Core, error) {
 	}
 	c := Core{Landmarks: append([]uint32(nil), landmarks...), kind: kind, hw: hw}
 	for d := 0; d < kind.Dirs; d++ {
-		c.dirs[d].L = cow.Make[Entry](n)
+		c.dirs[d] = newPacked(n)
 	}
 	c.indexRanks(n)
 	return c, nil
@@ -203,16 +176,9 @@ func (c *Core) setHighway(i, j uint16, d graph.Dist) {
 	}
 }
 
-// Label returns the entry span of vertex v in label direction dir from the
-// packed arena when the labelling is packed, else from the mutable table.
-// The query paths read labels only through it, so both representations
-// answer identically.
-func (c *Core) Label(dir int, v uint32) []Entry {
-	if p := c.dirs[dir].packed; p != nil {
-		return p.Label(v)
-	}
-	return c.dirs[dir].L.Row(v)
-}
+// Label returns the entry span of vertex v in label direction dir. It
+// aliases the labelling and must be treated as read-only.
+func (c *Core) Label(dir int, v uint32) []Entry { return c.dirs[dir].Label(v) }
 
 // Entry returns the distance of landmark rank r in label direction dir of
 // vertex v, if v's label holds one.
@@ -242,32 +208,27 @@ func (c *Core) PassDist(dir int, r uint16, v uint32) graph.Dist {
 	return best
 }
 
-// Labels returns the mutable label table of direction dir. It is the
-// labelling's own: read it, do not write it.
-func (c *Core) Labels(dir int) *cow.Table[Entry] { return &c.dirs[dir].L }
+// Packed returns the label table of direction dir. It is the labelling's
+// own: read it, do not write it.
+func (c *Core) Packed(dir int) *Packed { return &c.dirs[dir] }
 
-// Packed returns the packed read form of direction dir, or nil when the
-// labelling has unpublished label writes (or was never packed).
-func (c *Core) Packed(dir int) *Packed { return c.dirs[dir].packed }
+// PackedLabels is Packed(0), kept only because the benchmark module's
+// layer trace still calls it.
+func (c *Core) PackedLabels() *Packed { return &c.dirs[0] }
 
-// PackedLabels returns the packed read form of the first label direction
-// (the only one of the undirected and weighted variants).
-func (c *Core) PackedLabels() *Packed { return c.dirs[0].packed }
+// Pack does nothing: the labels are always packed. It is kept only
+// because the benchmark module's layer trace still calls it.
+func (c *Core) Pack() {}
 
-// PackedBytes is the storage charged for the packed forms of every
-// direction, zero when the labelling is not packed.
+// PackedBytes is the memory the label tables of every direction hold (see
+// Packed.ArenaBytes).
 func (c *Core) PackedBytes() int64 {
 	var n int64
 	for d := range c.dirs[:c.kind.Dirs] {
-		if p := c.dirs[d].packed; p != nil {
-			n += p.ArenaBytes()
-		}
+		n += c.dirs[d].ArenaBytes()
 	}
 	return n
 }
-
-// unpack drops the packed read forms; every label write goes through here.
-func (c *Core) unpack() { c.dirs[0].packed, c.dirs[1].packed = nil, nil }
 
 // EnsureVertex grows the rank and label tables to cover vertex v, for use
 // after the graph gained vertices.
@@ -275,23 +236,20 @@ func (c *Core) EnsureVertex(v uint32) {
 	if uint32(len(c.rankArr)) > v {
 		return
 	}
-	c.unpack() // the packed forms no longer cover every vertex
 	for uint32(len(c.rankArr)) <= v {
 		c.rankArr = append(c.rankArr, noRank)
 	}
 	for d := range c.dirs[:c.kind.Dirs] {
-		c.dirs[d].L.Grow(len(c.rankArr))
+		c.dirs[d].grow(len(c.rankArr))
 	}
 }
 
 // Fork returns a copy-on-write copy of the core. Only the small highway
-// (k²) and, per label table, the chunk directory and one bit per vertex
-// are copied; the rank table is shared, and the fork's first write to a
-// label copies that label's chunk of headers and then the label (see
-// internal/cow) — an update batch copies only what it touches, while c
-// keeps serving queries unchanged. The fork inherits the repair knobs and
-// starts unpacked: remembering the parent lets its Pack reuse whatever
-// chunks the parent's arenas hold by the time the fork itself is frozen.
+// (k²) and, per label table, the chunk directory and two bits per chunk
+// are copied; the rank table is shared, and the fork's first write to a chunk
+// copies that chunk's span table (see Packed) — an update batch copies
+// only what it touches, while c keeps serving queries unchanged. The fork
+// inherits the repair knobs.
 //
 // Snapshot discipline applies: c must be treated as frozen once forked.
 func (c *Core) Fork() Core {
@@ -301,64 +259,26 @@ func (c *Core) Fork() Core {
 		kind:        c.kind,
 		hw:          append([]graph.Dist(nil), c.hw...),
 		rankArr:     c.rankArr[:n:n], // the fork's first append copies it
-		parent:      c,
-		mapRef:      c.mapRef, // labels may still alias the mapping
 		Workers:     c.Workers,
 		RepairTimer: c.RepairTimer,
 	}
 	for d := range c.dirs[:c.kind.Dirs] {
-		f.dirs[d].L = c.dirs[d].L.Fork()
+		f.dirs[d] = c.dirs[d].Fork()
 	}
 	return f
 }
 
-// Pack builds the packed read form of every label direction (see Packed).
-// On a fork of a packed parent it is delta-aware: chunks whose labels the
-// fork never touched are reused from the parent's arenas by reference.
-// Pack is idempotent, and any later label write drops the packed forms
-// again, so it is meaningful only on labellings about to be frozen (an
-// epoch publish, or a read-mostly plain index).
-func (c *Core) Pack() {
-	for d := range c.dirs[:c.kind.Dirs] {
-		l := &c.dirs[d]
-		if l.packed != nil {
-			continue
-		}
-		var prev *Packed
-		if c.parent != nil {
-			prev = c.parent.dirs[d].packed
-		}
-		l.packed = PackParallel(&l.L, prev, c.Workers)
-	}
-	c.parent = nil
-}
-
 // MappedBytes returns the size of the mmap'd checkpoint region the
-// labelling still holds alive, or 0 when it is fully heap-resident — the
-// mapped half of the Stats PackedBytes/MappedBytes pair.
-func (c *Core) MappedBytes() int64 {
-	if c.mapRef != nil {
-		return c.mapRef.Len()
-	}
-	for d := range c.dirs[:c.kind.Dirs] {
-		if p := c.dirs[d].packed; p != nil && p.MappedBytes() != 0 {
-			return p.MappedBytes()
-		}
-	}
-	return 0
-}
+// labelling still holds alive, or 0 when it never aliased one — the mapped
+// half of the Stats PackedBytes/MappedBytes pair.
+func (c *Core) MappedBytes() int64 { return c.dirs[0].MappedBytes() }
 
 // NumEntries returns size(L), the total number of label entries over every
 // direction.
 func (c *Core) NumEntries() int64 {
 	var n int64
 	for d := range c.dirs[:c.kind.Dirs] {
-		t := &c.dirs[d].L
-		for ci := 0; ci < t.NumChunks(); ci++ {
-			for _, l := range t.Chunk(ci) {
-				n += int64(len(l))
-			}
-		}
+		n += c.dirs[d].NumEntries()
 	}
 	return n
 }
@@ -382,12 +302,12 @@ func (c *Core) Bytes() int64 {
 // use it to assert that maintenance reproduces a fresh build exactly.
 func (c *Core) EqualLabels(o *Core) error {
 	for d := range c.dirs[:c.kind.Dirs] {
-		a, b := &c.dirs[d].L, &o.dirs[d].L
-		if a.Len() != b.Len() {
-			return fmt.Errorf("label table %d size differs: %d vs %d", d, a.Len(), b.Len())
+		a, b := &c.dirs[d], &o.dirs[d]
+		if a.NumVertices() != b.NumVertices() {
+			return fmt.Errorf("label table %d size differs: %d vs %d", d, a.NumVertices(), b.NumVertices())
 		}
-		for v := uint32(0); int(v) < a.Len(); v++ {
-			if la, lb := Label(a.Row(v)), Label(b.Row(v)); !la.Equal(lb) {
+		for v := uint32(0); int(v) < a.NumVertices(); v++ {
+			if la, lb := Label(a.Label(v)), Label(b.Label(v)); !la.Equal(lb) {
 				return fmt.Errorf("label %d of vertex %d differs: %v vs %v", d, v, la, lb)
 			}
 		}

@@ -9,7 +9,7 @@ import (
 // SetEntry writes the entry of landmark rank r in L(v) through the repair
 // merge, as a one-edit delta; RemoveEntry drops it.
 func (idx *Index) SetEntry(v uint32, r uint16, d graph.Dist) {
-	idx.merge(&Delta{Rank: r, ops: []labelOp{{v, d}}}, false)
+	idx.merge([]Delta{{Rank: r, ops: []labelOp{{v, d}}}}, false)
 }
 
 func (idx *Index) RemoveEntry(v uint32, r uint16) { idx.SetEntry(v, r, graph.Inf) }
@@ -34,7 +34,7 @@ func forkFixture(t *testing.T) *Index {
 
 // snapshotLabels captures a deep copy of the labelling for later comparison.
 func snapshotLabels(idx *Index) []Label {
-	out := make([]Label, idx.Labels(0).Len())
+	out := make([]Label, idx.Packed(0).NumVertices())
 	for v := range out {
 		out[v] = append(Label(nil), idx.Label(0, uint32(v))...)
 	}
@@ -66,8 +66,8 @@ func TestForkLabelIsolation(t *testing.T) {
 			t.Fatalf("parent highway cell %d changed", i)
 		}
 	}
-	if idx.Labels(0).Len() != 8 {
-		t.Fatalf("parent label table grew to %d", idx.Labels(0).Len())
+	if idx.Packed(0).NumVertices() != 8 {
+		t.Fatalf("parent label table grew to %d", idx.Packed(0).NumVertices())
 	}
 	if d, ok := f.EntryDist(9, 0); !ok || d != 3 {
 		t.Fatalf("fork entry (9,0): %d %v", d, ok)
@@ -81,13 +81,14 @@ func TestForkLabelIsolation(t *testing.T) {
 }
 
 // TestForkSharesUntouchedLabels pins the economy of the fork: labels the
-// fork never writes share their backing array with the parent.
+// fork never writes share their entries with the parent, those of the
+// written vertex's chunk included.
 func TestForkSharesUntouchedLabels(t *testing.T) {
 	idx := forkFixture(t)
 	f := idx.Fork(idx.G.Fork())
 	f.SetEntry(6, 0, 1)
 	touched, shared := 0, 0
-	for v := uint32(0); int(v) < idx.Labels(0).Len(); v++ {
+	for v := uint32(0); int(v) < idx.Packed(0).NumVertices(); v++ {
 		pl, fl := idx.Label(0, v), f.Label(0, v)
 		if len(pl) == 0 {
 			continue

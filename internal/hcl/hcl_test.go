@@ -237,12 +237,21 @@ func TestUpperBoundExactWhenPathMeetsLandmark(t *testing.T) {
 	}
 }
 
+// set returns l with the entry of rank r set to d, or removed when d is
+// Inf, through the merge's splice kernel.
+func set(l Label, r uint16, d graph.Dist) Label {
+	return splice(nil, l, rankOrder([]Entry{{Rank: r, D: d}}))
+}
+
+// TestLabelSetGetRemove pins the splice kernel on single edits: sets in
+// any rank order keep the label sorted, a set overwrites, and a remove
+// drops the entry or, when absent, changes nothing.
 func TestLabelSetGetRemove(t *testing.T) {
 	var l Label
-	l = l.Set(3, 5)
-	l = l.Set(1, 7)
-	l = l.Set(2, 9)
-	l = l.Set(1, 4) // overwrite
+	l = set(l, 3, 5)
+	l = set(l, 1, 7)
+	l = set(l, 2, 9)
+	l = set(l, 1, 4) // overwrite
 	want := Label{{1, 4}, {2, 9}, {3, 5}}
 	if !l.Equal(want) {
 		t.Fatalf("label after sets: got %v, want %v", l, want)
@@ -253,37 +262,44 @@ func TestLabelSetGetRemove(t *testing.T) {
 	if _, ok := l.Get(8); ok {
 		t.Errorf("Get(8) should miss")
 	}
-	l, removed := l.Remove(2)
-	if !removed {
-		t.Error("remove(2) should report true")
-	}
-	if _, removed = l.Remove(2); removed {
-		t.Error("second remove(2) should report false")
-	}
+	l = set(l, 2, graph.Inf)
 	if !l.Equal(Label{{1, 4}, {3, 5}}) {
 		t.Fatalf("label after remove: got %v", l)
+	}
+	if again := set(l, 2, graph.Inf); !again.Equal(l) {
+		t.Fatalf("removing an absent rank changed the label: %v", again)
+	}
+	// One splice of several edits in arbitrary order, a rank repeated: the
+	// last edit of a rank wins.
+	l = splice(nil, l, rankOrder([]Entry{{Rank: 5, D: 1}, {Rank: 1, D: graph.Inf}, {Rank: 5, D: 2}, {Rank: 0, D: 6}}))
+	if !l.Equal(Label{{0, 6}, {3, 5}, {5, 2}}) {
+		t.Fatalf("label after a multi-edit splice: got %v", l)
 	}
 }
 
 func TestLabelQuickProperty(t *testing.T) {
-	// Property: a label behaves like a map from rank to distance, stays
-	// sorted, and Get mirrors the map.
-	f := func(ops []struct {
+	// Property: a label behaves like a map from rank to distance under
+	// spliced edit batches, stays sorted, and Get mirrors the map.
+	f := func(batches [][]struct {
 		Rank uint16
 		D    uint32
 		Del  bool
 	}) bool {
 		var l Label
 		m := map[uint16]graph.Dist{}
-		for _, op := range ops {
-			r := op.Rank % 64
-			if op.Del {
-				l, _ = l.Remove(r)
-				delete(m, r)
-			} else {
-				l = l.Set(r, op.D)
-				m[r] = op.D
+		for _, ops := range batches {
+			var ed []Entry
+			for _, op := range ops {
+				r, d := op.Rank%64, min(op.D, graph.Inf-1)
+				if op.Del {
+					d = graph.Inf
+					delete(m, r)
+				} else {
+					m[r] = d
+				}
+				ed = append(ed, Entry{Rank: r, D: d})
 			}
+			l = splice(nil, l, rankOrder(ed))
 		}
 		if len(l) != len(m) {
 			return false

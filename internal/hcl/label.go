@@ -7,11 +7,7 @@
 // directed (dhcl) and weighted (whcl) variants share.
 package hcl
 
-import (
-	"sort"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // Entry is one distance entry (r_i, δ_L(r_i, v)) of a vertex label. The
 // landmark is identified by its rank (index into Index.Landmarks), not by
@@ -41,8 +37,8 @@ const entryScanMax = 16
 
 // FindEntry returns the distance recorded for landmark rank r in the
 // sorted-by-rank entry span es. It is the one shared lookup behind
-// Label.Get, Packed.Get and the dhcl/whcl read paths — both label
-// representations and all three variants resolve entries through it.
+// Label.Get and the dhcl/whcl read paths: all three variants resolve
+// entries through it.
 func FindEntry(es []Entry, r uint16) (graph.Dist, bool) {
 	if len(es) > entryScanMax {
 		// sort.Search specialised to the span, saving the indirect
@@ -70,36 +66,6 @@ func FindEntry(es []Entry, r uint16) (graph.Dist, bool) {
 		}
 	}
 	return graph.Inf, false
-}
-
-// Set inserts or updates the entry for rank r, keeping the label sorted,
-// returning the updated label (append semantics, like the built-in append).
-// Appending past the highest rank, the order in which construction fills
-// labels, skips the search.
-func (l Label) Set(r uint16, d graph.Dist) Label {
-	if n := len(l); n == 0 || l[n-1].Rank < r {
-		return append(l, Entry{Rank: r, D: d})
-	}
-	i := sort.Search(len(l), func(i int) bool { return l[i].Rank >= r })
-	if i < len(l) && l[i].Rank == r {
-		l[i].D = d
-		return l
-	}
-	l = append(l, Entry{})
-	copy(l[i+1:], l[i:])
-	l[i] = Entry{Rank: r, D: d}
-	return l
-}
-
-// Remove deletes the entry for rank r if present, reporting whether it was,
-// returning the updated label.
-func (l Label) Remove(r uint16) (Label, bool) {
-	i := sort.Search(len(l), func(i int) bool { return l[i].Rank >= r })
-	if i >= len(l) || l[i].Rank != r {
-		return l, false
-	}
-	copy(l[i:], l[i+1:])
-	return l[:len(l)-1], true
 }
 
 // Equal reports whether two labels hold identical entries.

@@ -7,7 +7,6 @@ import (
 	"unsafe"
 
 	"repro/internal/arena"
-	"repro/internal/cow"
 	"repro/internal/graph"
 )
 
@@ -44,8 +43,8 @@ var entryLayoutOK = func() bool {
 
 // MapStream attaches the label stream at offset streamOff of the mapping m
 // — the mapped counterpart of ReadStream. The header and offset tables are
-// validated and the header copied; every table's entry arena is served
-// straight out of the mapped bytes, and each packed form pins m. Returns
+// validated and the header copied; every table's chunks alias the mapped
+// entries until a write rebuilds them, and each table pins m. Returns
 // ErrNotMappable when the host layout or the blocks' actual alignment
 // rules out the in-place cast.
 func MapStream(m *arena.Mapping, streamOff int64, magic string, nv, blocks int) (*Stream, error) {
@@ -64,62 +63,54 @@ func MapStream(m *arena.Mapping, streamOff int64, magic string, nv, blocks int) 
 	nr := uint32(len(s.Landmarks))
 	at := headerLen(int64(nr))
 	for i := range s.Labels {
-		p, n, err := mapBlock(data[at:], nr, &s.Labels[i])
+		p, n, err := mapBlock(data[at:], nv, nr)
 		if err != nil {
 			return nil, fmt.Errorf("label block %d: %w", i, err)
 		}
 		p.ref = m
-		s.Packed[i] = p
+		s.Labels[i] = p
 		at += n
 	}
 	return s, nil
 }
 
-// mapBlock interprets the label block at the start of data in place,
-// pointing the table L's labels at the mapped entries chunk by chunk, and
-// returns its packed form and total length.
-func mapBlock(data []byte, nr uint32, L *cow.Table[Entry]) (*Packed, int64, error) {
-	nv := L.Len()
+// mapBlock interprets the label block over nv vertices at the start of
+// data in place, each chunk's base aliasing its mapped entries, and
+// returns the table and the block length.
+func mapBlock(data []byte, nv int, nr uint32) (Packed, int64, error) {
 	if len(data) < blockHeaderLen {
-		return nil, 0, fmt.Errorf("label block truncated")
+		return Packed{}, 0, fmt.Errorf("label block truncated")
 	}
 	total, offPad, entPad, err := checkBlockHeader(data, nv, nr)
 	if err != nil {
-		return nil, 0, err
+		return Packed{}, 0, err
 	}
 	offStart := blockHeaderLen + offPad
 	entStart := offStart + 8*int64(nv+1) + entPad
 	blockLen := entStart + int64(total)*entryStride
 	if int64(len(data)) < blockLen {
-		return nil, 0, fmt.Errorf("label block truncated: have %d of %d bytes", len(data), blockLen)
+		return Packed{}, 0, fmt.Errorf("label block truncated: have %d of %d bytes", len(data), blockLen)
 	}
 	offPtr := unsafe.Pointer(&data[offStart])
 	if uintptr(offPtr)%8 != 0 {
-		return nil, 0, ErrNotMappable
+		return Packed{}, 0, ErrNotMappable
 	}
 	off := unsafe.Slice((*uint64)(offPtr), nv+1)
 	if err := checkOffsets(off, nr, total); err != nil {
-		return nil, 0, err
+		return Packed{}, 0, err
 	}
 	var entries []Entry
 	if total > 0 {
 		entPtr := unsafe.Pointer(&data[entStart])
 		if uintptr(entPtr)%unsafe.Alignof(Entry{}) != 0 {
-			return nil, 0, ErrNotMappable
+			return Packed{}, 0, ErrNotMappable
 		}
 		entries = unsafe.Slice((*Entry)(entPtr), total)
 	}
-	p := &Packed{chunks: make([]packChunk, (nv+packChunkLen-1)/packChunkLen), n: nv, entries: int64(total)}
-	for ci := range p.chunks {
-		lo := ci * packChunkLen
-		hi := min(lo+packChunkLen, nv)
-		p.chunks[ci] = packChunk{
-			entries: entries[off[lo]:off[hi]:off[hi]],
-			off:     chunkOffsets(off[lo : hi+1]),
-		}
-	}
-	p.attach(L)
-	return p, blockLen, nil
+	p, err := loaded(nv, total, off, true, func(_ int, lo, hi uint64) ([]Entry, error) {
+		return entries[lo:hi:hi], nil
+	})
+	return p, blockLen, err
 }
 
 // MapCore attaches the label stream of the given kind at offset streamOff
@@ -129,7 +120,7 @@ func mapBlock(data []byte, nr uint32, L *cow.Table[Entry]) (*Packed, int64, erro
 // fall back to ReadCore.
 func MapCore(m *arena.Mapping, streamOff int64, kind Kind, n int) (Core, error) {
 	s, err := MapStream(m, streamOff, kind.Magic, n, kind.Dirs)
-	return fromStream(kind, s, m, err)
+	return fromStream(kind, s, err)
 }
 
 // ReadIndexMapped attaches the index stream at offset streamOff of the

@@ -74,7 +74,7 @@ func TestWriteToMappableSpans(t *testing.T) {
 	// The span really is the raw native entry area: decode the first
 	// non-empty label straight out of it.
 	le := binary.LittleEndian
-	for v := uint32(0); int(v) < idx.Labels(0).Len(); v++ {
+	for v := uint32(0); int(v) < idx.Packed(0).NumVertices(); v++ {
 		if len(idx.Label(0, uint32(v))) == 0 {
 			continue
 		}
@@ -127,13 +127,13 @@ func TestReadIndexMapped(t *testing.T) {
 	if err := idx.EqualLabels(back); err != nil {
 		t.Fatal(err)
 	}
-	if back.PackedLabels() == nil {
+	if back.Packed(0) == nil {
 		t.Fatal("mapped index not packed")
 	}
 	if got := back.MappedBytes(); got != m.Len() {
 		t.Fatalf("MappedBytes = %d, want %d", got, m.Len())
 	}
-	if got := back.PackedLabels().MappedBytes(); got != m.Len() {
+	if got := back.Packed(0).MappedBytes(); got != m.Len() {
 		t.Fatalf("Packed.MappedBytes = %d, want %d", got, m.Len())
 	}
 	for u := uint32(0); u < 50; u++ {
@@ -146,15 +146,14 @@ func TestReadIndexMapped(t *testing.T) {
 }
 
 // TestMappedForkRepack pins the mixed heap/mapped chunk ownership: a fork
-// of a mapped index touches one chunk, repacks, and the delta pack must
-// reuse the untouched mapped chunk while rebuilding the touched one on
-// the heap — and still answer exactly like a copy-in index given the same
-// churn.
+// of a mapped index writes labels of one chunk onto the heap, every other
+// label still aliases the mapping, and the fork answers exactly like a
+// copy-in index given the same churn.
 func TestMappedForkRepack(t *testing.T) {
 	if !arena.Supported() {
 		t.Skip("mmap not supported")
 	}
-	// Two packed chunks: vertices [0,4096) and [4096,5000).
+	// Ten chunks of 512 vertices, the last partial.
 	g := testutil.RandomGraph(5000, 9000, 3)
 	idx, err := Build(g, landmark.ByDegree(g, 6))
 	if err != nil {
@@ -187,19 +186,23 @@ func TestMappedForkRepack(t *testing.T) {
 		f.SetEntry(4500, 0, 3)
 		f.SetEntry(4600, 1, 5)
 		f.RemoveEntry(4700, 0)
-		f.Pack()
 		return f
 	}
 	fm, fc := churn(mapped), churn(copyIn)
 	if err := fm.EqualLabels(fc); err != nil {
 		t.Fatal(err)
 	}
-	// The untouched chunk was reused from the mapped parent, so the fork's
-	// packed form still pins the mapping.
-	if got := fm.PackedLabels().MappedBytes(); got != m.Len() {
-		t.Fatalf("fork Packed.MappedBytes = %d, want %d (chunk 0 should still be mapped)", got, m.Len())
+	// The untouched labels still alias the mapped parent, so the fork's
+	// table still pins the mapping.
+	for _, v := range []uint32{10, 4501} {
+		if a, b := fm.Label(0, v), mapped.Label(0, v); len(a) == 0 || &a[0] != &b[0] {
+			t.Fatalf("fork label of %d no longer aliases the mapping", v)
+		}
 	}
-	if fc.PackedLabels().MappedBytes() != 0 {
+	if got := fm.Packed(0).MappedBytes(); got != m.Len() {
+		t.Fatalf("fork Packed.MappedBytes = %d, want %d", got, m.Len())
+	}
+	if fc.Packed(0).MappedBytes() != 0 {
 		t.Fatal("copy-in fork claims mapped bytes")
 	}
 	for u := uint32(4400); u < 4800; u += 7 {
@@ -249,8 +252,8 @@ func TestV2CodecCorruptionRejected(t *testing.T) {
 			// with ≥2 entries: ranks must strictly increase.
 			offStart := blockOff + blockHeaderLen + int64(le.Uint32(b[blockOff+8:]))
 			entPad := int64(le.Uint32(b[blockOff+12:]))
-			entStart := offStart + 8*int64(idx.Labels(0).Len()+1) + entPad
-			for v := 0; v < idx.Labels(0).Len(); v++ {
+			entStart := offStart + 8*int64(idx.Packed(0).NumVertices()+1) + entPad
+			for v := 0; v < idx.Packed(0).NumVertices(); v++ {
 				if len(idx.Label(0, uint32(v))) >= 2 {
 					var at int64
 					for u := 0; u < v; u++ {

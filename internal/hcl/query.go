@@ -34,10 +34,9 @@ func (c *Core) UpperBoundVia(lu, lv []Entry) graph.Dist {
 
 // UpperBoundMat is the Equation 2 kernel over two entry spans and a flat
 // k×k row-major highway: the minimum of eu.D + δ_H(eu,ev) + ev.D over all
-// entry pairs. All three variants and both label representations (spans of
-// the arena or whole labels — the layouts are identical) share this one
-// inner loop, which streams one highway row per outer entry, so a query
-// touches at most two contiguous entry streams plus |L(u)| rows. For the
+// entry pairs. All three variants share this one inner loop, which streams
+// one highway row per outer entry, so a query touches at most two
+// contiguous entry streams plus |L(u)| rows. For the
 // directed variant lu is the backward label of the source (mat rows are
 // indexed by its ranks) and lv the forward label of the target.
 func UpperBoundMat(mat []graph.Dist, k int, lu, lv []Entry) graph.Dist {

@@ -7,8 +7,9 @@
 // edits touch only rank-r entries of its direction and highway cells (r,s)
 // (forward) or (s,r) (backward). Updates therefore fan tasks across
 // workers, each computing a Delta against the unmodified labelling with its
-// own pooled scratch, and after a full barrier a single thread merges the
-// deltas in task order, the serial apply order. The serial path
+// own pooled scratch, and after a full barrier the merge applies the
+// deltas in task order, the serial apply order: the highway cells one
+// delta at a time, the label edits one touched chunk at a time. The serial path
 // (Workers == 1) runs the identical task+merge code, so the labelling is
 // byte-identical for every worker count.
 //
@@ -233,45 +234,40 @@ func Repair[S any](c *Core, pool *Pool[S], ds []Delta, recheck bool, task func(w
 	for _, s := range scs {
 		pool.Put(s)
 	}
-	for i := range ds {
-		c.merge(&ds[i], recheck)
-	}
+	c.merge(ds, recheck)
 }
 
-// merge applies one delta. With recheck, a highway cell the live matrix
-// already holds is dropped — an earlier-merged task wrote the same new
-// distance, and serial would not have written or counted it either.
-func (c *Core) merge(d *Delta, recheck bool) {
-	kept := d.hw[:0]
-	for _, h := range d.hw {
-		i, j := d.Rank, h.s
-		if d.Dir == 1 {
-			i, j = j, i
+// merge applies the deltas in order. The highway cells go one delta at a
+// time; with recheck, a cell the live matrix already holds is dropped — an
+// earlier-merged task wrote the same new distance, and serial would not
+// have written or counted it either. The label edits of each direction go
+// in one pass over the chunks they touch (see Packed.apply).
+func (c *Core) merge(ds []Delta, recheck bool) {
+	for k := range ds {
+		d := &ds[k]
+		kept := d.hw[:0]
+		for _, h := range d.hw {
+			i, j := d.Rank, h.s
+			if d.Dir == 1 {
+				i, j = j, i
+			}
+			if recheck && c.Highway(i, j) == h.d {
+				continue
+			}
+			c.setHighway(i, j, h.d)
+			kept = append(kept, h)
 		}
-		if recheck && c.Highway(i, j) == h.d {
-			continue
-		}
-		c.setHighway(i, j, h.d)
-		kept = append(kept, h)
+		d.hw = kept
 	}
-	d.hw = kept
-	if len(d.ops) > 0 {
-		c.unpack() // the table is the write representation
-	}
-	L := &c.dirs[d.Dir].L
-	for _, op := range d.ops {
-		l := L.Mut(op.v)
-		if op.d == graph.Inf {
-			*l, _ = Label(*l).Remove(d.Rank)
-		} else {
-			*l = Label(*l).Set(d.Rank, op.d)
-		}
+	for dir := range c.dirs[:c.kind.Dirs] {
+		c.dirs[dir].apply(ds, dir, c.Workers)
 	}
 }
 
 // Construct fills an empty labelling: one search per landmark and label
 // direction, fanned across workers (0 = GOMAXPROCS, 1 = serial) and merged
-// in rank order, so every worker count builds the same labelling. search
+// in rank order, so every worker count builds the same labelling. The
+// merge lays every chunk out once, from all the deltas. search
 // runs the covered-flag search of d.Rank in direction d.Dir and buffers its
 // entries and highway cells into d.
 func Construct[S any](c *Core, pool *Pool[S], workers int, search func(ws *S, d *Delta)) {
@@ -437,8 +433,8 @@ func (s *dirSwitch) bottomUp(level graph.Dist, f int) bool {
 func (c *Core) Diff(d *Delta, dist []graph.Dist, covered []bool) {
 	r := d.Rank
 	root := c.Landmarks[r]
-	L := &c.dirs[d.Dir].L
-	for v := range L.Len() {
+	L := &c.dirs[d.Dir]
+	for v := range L.NumVertices() {
 		if uint32(v) == root {
 			continue
 		}
@@ -452,7 +448,7 @@ func (c *Core) Diff(d *Delta, dist []graph.Dist, covered []bool) {
 			}
 			continue
 		}
-		old, had := FindEntry(L.Row(uint32(v)), r)
+		old, had := FindEntry(L.Label(uint32(v)), r)
 		if dist[v] != graph.Inf && !covered[v] {
 			if !had || old != dist[v] {
 				d.Set(uint32(v), dist[v])

@@ -141,7 +141,7 @@ func TestMetricsExposition(t *testing.T) {
 	if v := samples[`dynhl_query_batch_seconds_count{variant="undirected"}`]; v < 1 {
 		t.Fatalf("batch histogram count %v, want >= 1", v)
 	}
-	for _, stage := range []string{"coalesce_wait", "repair", "pack", "wal_commit", "publish"} {
+	for _, stage := range []string{"coalesce_wait", "repair", "wal_commit", "publish"} {
 		name := fmt.Sprintf(`dynhl_apply_stage_seconds_count{stage=%q}`, stage)
 		if v, ok := samples[name]; !ok {
 			t.Errorf("missing pipeline stage series %s", name)

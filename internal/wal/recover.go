@@ -77,8 +77,8 @@ func Recover(dir string, opts Options) (*Durable, error) {
 	}
 	// The tail was applied to the plain index as one coalesced replay (the
 	// same batching insight as the store's group commit, on the boot path):
-	// wrapping it here packs once and publishes once, at the last logged
-	// epoch, instead of paying one fork + pack + publish per record.
+	// wrapping it here publishes once, at the last logged epoch, instead
+	// of paying one fork + publish per record.
 	recoveriesTotal.Add(1)
 	replayedTotal.Add(replayed)
 	store := dynhl.NewStoreAt(idx, last)
@@ -136,7 +136,7 @@ func mapCheckpoint(path string) (*dynhl.Index, uint64, error) {
 
 // replay applies the log tail beyond ckptEpoch directly to the plain
 // oracle — no store wrapping yet, so the whole tail is one coalesced
-// batch: no per-record fork, pack or publish. It returns the last epoch
+// batch: no per-record fork or publish. It returns the last epoch
 // applied (ckptEpoch when the log held nothing newer) and how many records
 // it replayed. Records at or below ckptEpoch (kept for an older
 // checkpoint) are skipped; beyond it epochs must be contiguous.

@@ -23,7 +23,7 @@ func TestForkUpdateIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels := make([]hcl.Label, idx.Labels(0).Len())
+	labels := make([]hcl.Label, idx.Packed(0).NumVertices())
 	for v := range labels {
 		labels[v] = append(hcl.Label(nil), idx.Label(0, uint32(v))...)
 	}

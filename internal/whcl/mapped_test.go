@@ -31,9 +31,6 @@ func TestCodecV2RoundTrip(t *testing.T) {
 	if err := loaded.EqualLabels(idx); err != nil {
 		t.Fatal(err)
 	}
-	if loaded.PackedLabels() == nil {
-		t.Fatal("loaded index must arrive packed")
-	}
 	for u := uint32(0); u < 150; u += 7 {
 		for v := uint32(0); v < 150; v += 11 {
 			if got, want := loaded.Query(u, v), idx.Query(u, v); got != want {

@@ -95,20 +95,20 @@ func TestParallelRepairMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestPackParallelMatchesSerial pins that packing with a fan-out yields
-// the same packed form as serial packing after a repaired update stream.
+// TestPackParallelMatchesSerial pins that the merge's chunk rewrites,
+// fanned across workers, leave the same label table as serial ones after a
+// repaired update stream.
 func TestPackParallelMatchesSerial(t *testing.T) {
 	gs, serial := buildAt(t, 60, 200, 8, 5, 4, 1)
 	edges := nonEdges(gs, 9, 42)
 	runMixedW(t, serial, edges)
-	serial.Pack()
 
 	_, par := buildAt(t, 60, 200, 8, 5, 4, 4)
 	runMixedW(t, par, edges)
-	par.Pack()
 
-	if s, p := serial.PackedLabels().NumEntries(), par.PackedLabels().NumEntries(); s != p {
-		t.Fatalf("packed entries diverged: serial %d, parallel %d", s, p)
+	if s, p := serial.Packed(0), par.Packed(0); s.NumEntries() != p.NumEntries() || s.ArenaBytes() != p.ArenaBytes() {
+		t.Fatalf("tables diverged: serial %d entries in %d bytes, parallel %d in %d",
+			s.NumEntries(), s.ArenaBytes(), p.NumEntries(), p.ArenaBytes())
 	}
 	if err := serial.EqualLabels(par); err != nil {
 		t.Fatal(err)

@@ -52,9 +52,8 @@ type storeMetrics struct {
 	// Write pipeline stages (store_queue.go).
 	stageWait    *obs.Histogram // coalesce wait: enqueue -> claimed
 	stageRepair  *obs.Histogram // validation pre-pass, fork + repair of the live callers
-	stagePack    *obs.Histogram // freeze into the packed read form
 	stageCommit  *obs.Histogram // durability hook: WAL append + fsync
-	stageWALWait *obs.Histogram // publish waiting on the append after pack
+	stageWALWait *obs.Histogram // publish waiting on the append after repair
 	stagePublish *obs.Histogram // snapshot swap + waiter wakeup
 	groupCallers *obs.Histogram // dynhl_apply_group_callers
 	groupOps     *obs.Histogram // dynhl_apply_group_ops
@@ -97,8 +96,6 @@ func newStoreMetrics(s *Store, variant string) *storeMetrics {
 			"Write-pipeline stage latency.", obs.Label{Name: "stage", Value: "coalesce_wait"}),
 		stageRepair: r.Duration("dynhl_apply_stage_seconds",
 			"Write-pipeline stage latency.", obs.Label{Name: "stage", Value: "repair"}),
-		stagePack: r.Duration("dynhl_apply_stage_seconds",
-			"Write-pipeline stage latency.", obs.Label{Name: "stage", Value: "pack"}),
 		stageCommit: r.Duration("dynhl_apply_stage_seconds",
 			"Write-pipeline stage latency.", obs.Label{Name: "stage", Value: "wal_commit"}),
 		stageWALWait: r.Duration("dynhl_apply_stage_seconds",

@@ -56,7 +56,7 @@ func TestPipelineStageMetrics(t *testing.T) {
 		}
 	}
 	text := exposition(t, st)
-	for _, stage := range []string{"coalesce_wait", "repair", "pack", "wal_commit", "publish"} {
+	for _, stage := range []string{"coalesce_wait", "repair", "wal_commit", "publish"} {
 		series := fmt.Sprintf(`dynhl_apply_stage_seconds_count{stage=%q}`, stage)
 		if got := sampleValue(t, text, series); got < 4 {
 			t.Errorf("stage %s recorded %g groups, want >= 4", stage, got)

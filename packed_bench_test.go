@@ -1,7 +1,6 @@
-// Benchmarks for the packed label arena: the same labelling queried
-// through the mutable per-vertex slice form versus the CSR-flattened read
-// representation published snapshots serve from, plus the cost of the
-// pack itself (full and delta-aware) and of loading a packed checkpoint.
+// Benchmarks for the packed label store: queries on a Store's published
+// snapshot, the per-epoch cost of a write (fork, repair and its chunk
+// writes, publish), and loading a saved labelling.
 package dynhl_test
 
 import (
@@ -23,51 +22,34 @@ const (
 	packedBenchLand  = 20
 )
 
-// packedBenchSetup builds two identical oracles over the same 50k-vertex
-// graph: one left on the slice representation, one wrapped in a Store so
-// its published snapshot answers from the packed arena.
-func packedBenchSetup(b *testing.B) (slice *dynhl.Index, packed dynhl.View, pairs []dynhl.Pair) {
+// packedBenchSetup builds an oracle over a 50k-vertex graph, wraps it in
+// a Store and returns its published snapshot and 4,096 random pairs.
+func packedBenchSetup(b *testing.B) (dynhl.View, []dynhl.Pair) {
 	b.Helper()
 	g := testutil.RandomConnectedGraph(packedBenchN, packedBenchEdges, 9)
-	slice, err := dynhl.Build(g, dynhl.Options{Landmarks: packedBenchLand})
+	idx, err := dynhl.Build(g, dynhl.Options{Landmarks: packedBenchLand})
 	if err != nil {
 		b.Fatal(err)
-	}
-	packedIdx, err := dynhl.Build(g.Clone(), dynhl.Options{Landmarks: packedBenchLand})
-	if err != nil {
-		b.Fatal(err)
-	}
-	st := dynhl.NewStore(packedIdx)
-	if st.Snapshot().Stats().PackedBytes == 0 {
-		b.Fatal("store snapshot is not packed")
 	}
 	rng := rand.New(rand.NewSource(77))
-	pairs = make([]dynhl.Pair, 4096)
+	pairs := make([]dynhl.Pair, 4096)
 	for i := range pairs {
 		pairs[i] = dynhl.Pair{U: uint32(rng.Intn(packedBenchN)), V: uint32(rng.Intn(packedBenchN))}
 	}
-	return slice, st.Snapshot(), pairs
+	return dynhl.NewStore(idx).Snapshot(), pairs
 }
 
-// BenchmarkQuery compares one exact distance query on the slice layout
-// (pointer chase per label) against the packed arena (two contiguous entry
-// streams); both paths must run allocation-free in steady state.
+// BenchmarkQuery measures one exact distance query on a published
+// snapshot: two contiguous entry spans and the bounded search. It must run
+// allocation-free in steady state.
 func BenchmarkQuery(b *testing.B) {
-	slice, packed, pairs := packedBenchSetup(b)
-	b.Run("slice", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			slice.Query(p.U, p.V)
-		}
-	})
-	b.Run("packed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			packed.Query(p.U, p.V)
-		}
-	})
+	view, pairs := packedBenchSetup(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i%len(pairs)]
+		view.Query(p.U, p.V)
+	}
 }
 
 // queryFixture is a Store's published snapshot and 4,096 uniform random
@@ -136,31 +118,24 @@ func BenchmarkQuerySocial(b *testing.B) {
 	f.run(b)
 }
 
-// BenchmarkQueryBatch compares batch queries on both layouts. Batches stay
-// at the serial-path size so the numbers measure representation, not
-// goroutine fan-out; the only allocation per batch is its result slice.
+// BenchmarkQueryBatch measures a batch query on a published snapshot.
+// Batches stay at the serial-path size so the numbers measure the label
+// and search kernels, not goroutine fan-out; the only allocation per batch
+// is its result slice.
 func BenchmarkQueryBatch(b *testing.B) {
-	slice, packed, pairs := packedBenchSetup(b)
+	view, pairs := packedBenchSetup(b)
 	batch := pairs[:64]
-	b.Run("slice", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			slice.QueryBatch(batch)
-		}
-	})
-	b.Run("packed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			packed.QueryBatch(batch)
-		}
-	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		view.QueryBatch(batch)
+	}
 }
 
 // BenchmarkPackPublish measures the complete per-epoch publish cost on a
 // 50k-vertex store: each iteration is two Store.Apply calls (insert one
-// edge, delete it again), each paying fork + IncHL+/DecHL repair +
-// delta-aware repack of only the touched arena chunks + publish. The full
-// 50k-label flatten is measured separately by internal/hcl's BenchmarkPack.
+// edge, delete it again), each paying fork + IncHL+/DecHL repair, whose
+// merge writes only the touched label chunks, + publish.
 func BenchmarkPackPublish(b *testing.B) {
 	g := testutil.RandomConnectedGraph(packedBenchN, packedBenchEdges, 9)
 	idx, err := dynhl.Build(g.Clone(), dynhl.Options{Landmarks: packedBenchLand})
@@ -172,6 +147,7 @@ func BenchmarkPackPublish(b *testing.B) {
 	if g.HasEdge(u, v) {
 		b.Fatal("benchmark edge already present")
 	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := st.Apply([]dynhl.Op{dynhl.InsertEdgeOp(u, v, 0)}); err != nil {
 			b.Fatal(err)
@@ -182,9 +158,9 @@ func BenchmarkPackPublish(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadLabels measures restoring a 50k-vertex packed labelling from
-// its serialised form — the checkpoint-load path: one bulk arena read
-// instead of per-vertex decodes.
+// BenchmarkLoadLabels measures restoring a 50k-vertex labelling from its
+// serialised form — the checkpoint-load path: one chunk of entries at a
+// time instead of per-vertex decodes.
 func BenchmarkLoadLabels(b *testing.B) {
 	g := testutil.RandomConnectedGraph(packedBenchN, packedBenchEdges, 9)
 	idx, err := dynhl.Build(g, dynhl.Options{Landmarks: packedBenchLand})
@@ -196,6 +172,7 @@ func BenchmarkLoadLabels(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(buf.Len()))
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := dynhl.LoadIndex(bytes.NewReader(buf.Bytes()), g); err != nil {
 			b.Fatal(err)
@@ -214,6 +191,7 @@ func BenchmarkFork(b *testing.B) {
 				b.Fatal(err)
 			}
 			st := dynhl.NewStore(idx)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				// An empty batch short-circuits, so apply the smallest
 				// possible real batch: one insert of an existing edge is

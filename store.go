@@ -62,11 +62,6 @@ type View interface {
 //
 //   - fork returns a copy-on-write working copy whose mutations never
 //     touch the receiver;
-//   - packLabels freezes the labelling into its packed CSR read form
-//     (hcl.Packed and friends), delta-aware on forks of packed parents. The
-//     Store calls it on every snapshot it is about to publish, so published
-//     versions serve queries from contiguous arenas; the per-vertex slice
-//     form stays the write representation;
 //   - the repair knobs tune the parallel repair engine (per-landmark
 //     fan-out, per-task timer). Forks inherit them, so tuning the current
 //     snapshot covers every future epoch;
@@ -79,7 +74,6 @@ type variant interface {
 	Loader
 	fork() variant
 	checker() opCheck
-	packLabels()
 	setRepairWorkers(n int)
 	repairWorkers() int
 	setRepairTimer(f func(time.Duration))
@@ -105,7 +99,7 @@ type snapshot struct {
 // A Store is safe for any number of concurrent readers and writers.
 // Concurrent writers are not merely serialised: the group-commit pipeline
 // (ApplyCtx, store_queue.go) coalesces every batch waiting on the apply
-// queue into one combined fork + repair + pack + WAL record + publish,
+// queue into one combined fork + repair + WAL record + publish,
 // resolving each caller with its own slice of the result — under write
 // contention the per-caller commit overheads amortise across the group
 // instead of queueing up. The Store implements Oracle (single mutations
@@ -323,7 +317,6 @@ func newStore(o Oracle, epoch uint64) *Store {
 	s := &Store{}
 	s.metrics = newStoreMetrics(s, variantOf(v))
 	s.tuneRepair(v)
-	v.packLabels() // the first epoch serves from the packed read form too
 	s.cur.Store(&snapshot{o: v, epoch: epoch})
 	return s
 }
@@ -419,7 +412,6 @@ func (s *Store) Reset(o Oracle, epoch uint64) error {
 		return errors.New("dynhl: cannot reset a durable store (its log would not cover the new state)")
 	}
 	s.tuneRepair(v)
-	v.packLabels()
 	s.publish(&snapshot{o: v, epoch: epoch})
 	return nil
 }
@@ -636,7 +628,6 @@ func (s *Store) publishLoaded(load func(variant) error) (uint64, error) {
 		return cur.epoch, err
 	}
 	s.tuneRepair(work)
-	work.packLabels() // loads arrive packed; idempotent
 	next := &snapshot{o: work, epoch: cur.epoch + 1}
 	if d := s.durability(); d != nil {
 		if err := d.Capture(&view{sn: next, m: s.metrics}); err != nil {

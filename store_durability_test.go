@@ -193,14 +193,14 @@ func (f *gatedDurability) Capture(dynhl.View) error { return errors.New("unexpec
 
 func (f *gatedDurability) DurabilityStats() dynhl.DurabilityStats { return dynhl.DurabilityStats{} }
 
-// waitPacked waits until the store's pipeline has repaired and packed n
-// groups in total.
-func waitPacked(t *testing.T, store *dynhl.Store, n uint64) {
+// waitRepaired waits until the store's pipeline has repaired n groups in
+// total, as its repair-stage histogram counts them.
+func waitRepaired(t *testing.T, store *dynhl.Store, n uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for dynhl.PackedGroups(store) < n {
+	for dynhl.RepairedGroups(store) < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("the pipeline packed %d groups, want %d", dynhl.PackedGroups(store), n)
+			t.Fatalf("the pipeline repaired %d groups, want %d", dynhl.RepairedGroups(store), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -231,7 +231,7 @@ func applyQueued(store *dynhl.Store, ops ...dynhl.Op) <-chan error {
 }
 
 // TestAppendOverlapsRepair checks that a group's WAL append runs alongside
-// its repair: the group is repaired and packed while its append is still
+// its repair: the group is repaired while its append is still
 // blocked, yet the epoch stays invisible until the append returns, and a
 // failed append discards the repaired fork.
 func TestAppendOverlapsRepair(t *testing.T) {
@@ -253,7 +253,7 @@ func TestAppendOverlapsRepair(t *testing.T) {
 		if a := <-gate.started; a.epoch != 1 || !reflect.DeepEqual(a.ops, []dynhl.Op{ins}) {
 			t.Fatalf("round %d: append of epoch %d ops %v, want epoch 1 and the insert", round, a.epoch, a.ops)
 		}
-		waitPacked(t, store, uint64(round+1))
+		waitRepaired(t, store, uint64(round+1))
 		if store.Epoch() != 0 || store.Query(u, v) == 1 {
 			t.Fatalf("round %d: the epoch is visible before its append returned", round)
 		}

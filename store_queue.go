@@ -23,15 +23,15 @@ import (
 //     and appends the live callers' ops, concatenated in arrival order, to
 //     the durability layer as one WAL record: one fsync covers every
 //     coalesced caller.
-//  3. Repair and pack (repairer), while the disk works: the live callers'
-//     ops are applied once to a fork of the previous group's labelling and
-//     the fork is frozen into the packed read form.
+//  3. Repair (repairer), while the disk works: the live callers' ops are
+//     applied once to a fork of the previous group's labelling, whose
+//     repairs write the label chunks they touch.
 //  4. Publish (repairer), once the append returned: the snapshot is
 //     swapped in and the futures resolve. A failed append discards the
 //     repaired fork whole and fails every live caller.
 //
 // Only publish needs both the repaired labelling and the durable record,
-// so the fsync hides the repair and pack of its own group. The committer
+// so the fsync hides the repair of its own group. The committer
 // makes the blocking append itself and leaves the CPU work to the
 // repairer: an append started on a goroutine of its own beside a running
 // repair waits for a processor, on a small host until the repair is done.
@@ -91,7 +91,7 @@ type commitGroup struct {
 	validated time.Duration     // validation time, charged to the repair stage
 	epoch     uint64            // the epoch the group publishes as
 	coalesced bool              // more than one caller shares the epoch
-	work      variant           // the repaired, packed fork; read once repaired is closed
+	work      variant           // the repaired fork; read once repaired is closed
 	repaired  chan struct{}     // closed once work is built
 	appended  chan struct{}     // closed once the append returned
 	err       error             // the append's failure; read once appended is closed
@@ -242,7 +242,7 @@ func (s *Store) validate(check opCheck, epoch uint64, reqs []*applyReq) *commitG
 }
 
 // repairLoop is the repairer: it takes the committer's groups in epoch
-// order, repairs, packs and publishes each on top of the last published
+// order, repairs and publishes each on top of the last published
 // labelling, tip, and resolves its callers. It exits when the committer
 // closes repc.
 func (s *Store) repairLoop(tip variant, repc <-chan *commitGroup) {
@@ -259,9 +259,9 @@ func (s *Store) repairLoop(tip variant, repc <-chan *commitGroup) {
 	}
 }
 
-// repairGroup repairs the live callers of g once on a fork of tip, packs
-// the fork, and publishes it when g's append succeeded; it returns the
-// labelling the next group builds on.
+// repairGroup repairs the live callers of g once on a fork of tip and
+// publishes the fork when g's append succeeded; it returns the labelling
+// the next group builds on.
 func (s *Store) repairGroup(tip variant, g *commitGroup) variant {
 	m := s.metrics
 	m.groups.Inc()
@@ -281,12 +281,9 @@ func (s *Store) repairGroup(tip variant, g *commitGroup) variant {
 		g.sums = append(g.sums, sums)
 	}
 	m.stageRepair.ObserveDuration(g.validated + time.Since(start))
-	t := time.Now()
-	work.packLabels()
-	m.stagePack.Since(t)
 	g.work = work
 	close(g.repaired)
-	t = time.Now()
+	t := time.Now()
 	<-g.appended
 	m.stageWALWait.Since(t)
 	if g.err != nil {
