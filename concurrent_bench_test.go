@@ -8,6 +8,7 @@
 package dynhl_test
 
 import (
+	"math/rand"
 	"sort"
 	"sync"
 	"testing"
@@ -259,6 +260,33 @@ func BenchmarkReadUnderWrite(b *testing.B) {
 						b.Error(err)
 						return
 					}
+				}
+			}
+		})
+	})
+	// snapshot/insert-vertex grows the graph by one vertex with two edges
+	// per write, so every published epoch has more vertices than the query
+	// scratch handed out before it: its p99 beside snapshot/sustained's is
+	// the cost of growing that scratch.
+	b.Run("snapshot/insert-vertex", func(b *testing.B) {
+		idx, pairs := benchOracle(b)
+		st := dynhl.NewStore(idx)
+		n := idx.Graph().NumVertices()
+		rng := rand.New(rand.NewSource(benchSeed + 13))
+		run(b, pairs, st.Query, func(stop <-chan struct{}) {
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				a, c := uint32(rng.Intn(n)), uint32(rng.Intn(n-1))
+				if c >= a {
+					c++
+				}
+				if _, err := st.Apply([]dynhl.Op{dynhl.InsertVertexOp(dynhl.Arc{To: a}, dynhl.Arc{To: c})}); err != nil {
+					b.Error(err)
+					return
 				}
 			}
 		})

@@ -58,10 +58,10 @@
 // # Concurrency: versioned snapshots
 //
 // Queries on every variant are safe for any number of concurrent readers —
-// each in-flight query draws its own scratch from a pool — but readers must
-// not race mutations. The Store packages that contract for the paper's
-// target workloads (microsecond read-only lookups, rare repairs) around
-// immutable published snapshots instead of locks:
+// each in-flight query draws its own scratch from one pool (see below) —
+// but readers must not race mutations. The Store packages that contract
+// for the paper's target workloads (microsecond read-only lookups, rare
+// repairs) around immutable published snapshots instead of locks:
 //
 //   - Readers load the current snapshot with one atomic pointer load and
 //     run entirely lock-free. No repair — however long — ever stalls a
@@ -145,10 +145,25 @@
 // classification (Core.RepairInsertion) and DecHL's affected set, new
 // distances and covered-flag propagation (Core.RepairDeletion), both on
 // one pooled, epoch-stamped scratch. A unit-weight variant adds only
-// its query kernels (BFS over neighbours, or out- and in-edges) and the
-// affected tests that pick each pass's start vertex; the weighted one
+// the affected tests that pick each pass's start vertex; the weighted one
 // keeps its own jumped Dijkstra for insertions and a covered-Dijkstra
 // rebuild for deletions.
+//
+// Queries share one search toolkit. A unit-weight query refines its
+// Equation 2 bound with internal/bfs's one bounded bidirectional BFS,
+// which walks a forward and a backward adjacency table: an undirected
+// graph passes its neighbour table twice, a digraph its out- and in-arcs.
+// The weighted variant runs the bounded bidirectional Dijkstra of
+// internal/wgraph on internal/queue's radix heap. Every indexed search,
+// the IncFD baseline's included, draws its scratch (two distance vectors,
+// the touched list, the BFS frontiers and the two heaps) from one
+// process-wide pool, bfs.Spaces. The pool keeps at most one idle scratch
+// per processor. A query takes its own processor's scratch first, which
+// that processor's cache likely still holds, and any other one otherwise,
+// so a warmed scratch serves the next query whichever processor runs it.
+// Unlike a sync.Pool's, the pool's scratch survives garbage collection, so
+// a steady-state query allocates nothing. A scratch grows geometrically
+// when the graph gains vertices and fills only its new tail.
 //
 // Inside one repair, the per-landmark work is independent by construction:
 // landmark r's repair writes only rank-r label entries and highway row r,

@@ -15,23 +15,24 @@ import (
 	"repro/internal/wgraph"
 )
 
-// FuzzPackedDifferential drives a fuzz-derived op stream through two
-// independent read paths and a ground-truth oracle at every epoch:
+// FuzzPackedDifferential drives a fuzz-derived op stream through a Store
+// and a plain Index and checks both against a ground-truth oracle at every
+// epoch:
 //
-//   - a Store, whose published snapshots answer from the packed CSR arena
-//     (pack-on-publish),
-//   - a plain Index fed the same batches, which stays on the mutable
-//     per-vertex slice form (plain Apply never packs),
+//   - a Store, whose published snapshots answer from copy-on-write forks,
+//   - a plain Index fed the same batches through its own Apply,
 //   - all-pairs BFS over a mirror of the graph.
 //
-// The store runs its repairs under a fuzz-derived worker count while the
-// plain index stays serial, so the differential also covers the parallel
-// repair engine: any schedule-dependent divergence from the serial result
-// shows up as a labelling mismatch.
+// Both indexes keep their labels in the same representation, the packed
+// chunks of internal/hcl. The store runs its repairs under a fuzz-derived
+// worker count while the plain index stays serial, so the differential
+// covers the parallel repair engine and the snapshot forks: any
+// schedule-dependent divergence from the serial result shows up as a
+// labelling mismatch.
 //
-// Any divergence means the two label representations disagree or the
-// labelling itself is wrong. The seed corpus runs on every plain `go test`;
-// `go test -fuzz=FuzzPackedDifferential` explores further.
+// Any divergence means the store's forks and the serial index disagree or
+// the labelling itself is wrong. The seed corpus runs on every plain
+// `go test`; `go test -fuzz=FuzzPackedDifferential` explores further.
 func FuzzPackedDifferential(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{0x10, 0x80, 0x33, 0x01, 0xfe, 0x44, 0x12, 0x90, 0x07, 0x65, 0xab, 0xcd, 0x21, 0x43})
@@ -401,9 +402,9 @@ func FuzzSparsified(f *testing.F) {
 			}
 		}
 
-		bs, ws := bfs.Spaces.Get(n), wgraph.Spaces.Get(n)
+		bs, ws := bfs.Spaces.Get(n), bfs.Spaces.Get(n)
 		defer bfs.Spaces.Put(bs)
-		defer wgraph.Spaces.Put(ws)
+		defer bfs.Spaces.Put(ws)
 		for _, c := range []struct {
 			name   string
 			d      graph.Dist

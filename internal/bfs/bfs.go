@@ -1,58 +1,125 @@
-// Package bfs implements the breadth-first-search toolkit shared by the
-// labelling methods: full single-source BFS, distance queries between single
-// pairs, and the bounded bidirectional search over a landmark-sparsified
-// graph that turns a highway-cover upper bound into an exact distance
-// (Section 3 of Farhan & Wang, EDBT 2021).
+// Package bfs is the search toolkit of the labelling methods. It has one
+// full single-source BFS and one bounded bidirectional BFS, the search that
+// turns a highway-cover upper bound into an exact distance (Q(u,v,Γ),
+// Section 3 of Farhan & Wang, EDBT 2021). Both walk copy-on-write adjacency
+// tables: an undirected graph passes its one table as the forward and the
+// backward table, a digraph its out- and in-arcs. The package also holds
+// the query scratch of every indexed search, BFS and Dijkstra alike, and
+// the one pool that hands it out.
 package bfs
 
 import (
-	"sync"
+	"runtime"
+	"sync/atomic"
+	_ "unsafe" // for go:linkname
 
 	"repro/internal/cow"
 	"repro/internal/graph"
 	"repro/internal/queue"
 )
 
-// QuerySpace is the per-query scratch of the bounded bidirectional searches
-// (Sparsified here and digraph.Sparsified): two distance vectors whose
-// entries are graph.Inf between queries, the touched list used to restore
-// them sparsely, and the frontier buffers the search levels rotate through.
-// Keeping the frontiers here (instead of allocating per level) is what
-// makes the indexed query paths allocation-free in steady state.
+// QuerySpace is the per-query scratch of the bounded bidirectional
+// searches, the BFS here and the Dijkstra of wgraph: two distance vectors
+// whose entries are graph.Inf between queries, the touched list used to
+// restore them sparsely, the three frontier buffers the BFS levels rotate
+// through and one radix heap per side for the Dijkstra. Every buffer keeps
+// its capacity from query to query, which is what makes the indexed query
+// paths allocation-free in steady state.
 type QuerySpace struct {
 	DistU, DistV []graph.Dist
 	Touched      []uint32
-
-	// Fronts are the three frontier buffers the bidirectional searches
-	// rotate (Sparsified here and digraph.Sparsified): the two live sides
-	// plus the level under construction. Capacity persists across queries
-	// drawn from the same pool.
-	Fronts [3][]uint32
+	Fronts       [3][]uint32
+	Heaps        [2]queue.PQ
 }
 
 // SpacePool hands out query scratch sized for at least n vertices. Handing
-// every in-flight query its own QuerySpace — instead of sharing one set of
-// buffers on the index — is what makes the indexed query paths safe for any
+// every in-flight query its own QuerySpace, instead of sharing one set of
+// buffers on the index, is what makes the indexed query paths safe for any
 // number of concurrent readers.
+//
+// The pool keeps at most one idle scratch per processor, so at most
+// GOMAXPROCS (the largest it has been). Put leaves a scratch in the slot of
+// the processor it runs on, and Get takes its own processor's scratch
+// first, whose lines that processor's cache most likely still holds.
+// Unlike a sync.Pool, whose per-processor slot no other processor can
+// reach and whose contents a garbage collection drops, a Get that finds
+// its own slot empty takes any other slot's scratch, even one left above a
+// since lowered GOMAXPROCS, and no collection drops one. The zero value is
+// an empty pool ready to use.
 type SpacePool struct {
-	pool sync.Pool
+	slots [maxProcs]spaceSlot
 }
 
-// Spaces is the query scratch pool shared by every BFS-based index (hcl,
-// dhcl). One process-wide pool, rather than one per index, lets a freshly
-// published epoch answer its first queries from scratch warmed by earlier
-// epochs, and keeps no index alive through the runtime's pool registry.
+// maxProcs is the number of slots; processors beyond it share slots.
+const maxProcs = 128
+
+// spaceSlot is one processor's idle scratch. The padding on both sides
+// gives the pointer a cache line of its own, shared neither with the
+// neighbouring slots nor with whatever the linker places beside a pool:
+// sharing it cost BenchmarkReadsSnapshotParallel about a third of its
+// throughput on a 2-vCPU VM.
+type spaceSlot struct {
+	_ [64]byte
+	s atomic.Pointer[QuerySpace]
+	_ [56]byte
+}
+
+// Spaces is the query scratch pool shared by every indexed search (hcl,
+// dhcl, whcl, fulldyn). One process-wide pool, rather than one per index,
+// lets a freshly published epoch answer its first queries from scratch
+// warmed by earlier epochs.
 var Spaces SpacePool
 
-// Get returns a QuerySpace covering n vertices, entries all graph.Inf.
+// Get returns a QuerySpace covering n vertices, distance entries all
+// graph.Inf.
 func (sp *SpacePool) Get(n int) *QuerySpace {
-	s, _ := sp.pool.Get().(*QuerySpace)
+	s := sp.slots[proc()%maxProcs].s.Swap(nil)
+	for i := 0; s == nil && i < maxProcs; i++ {
+		if sl := &sp.slots[i].s; sl.Load() != nil {
+			s = sl.Swap(nil)
+		}
+	}
 	if s == nil {
-		s = &QuerySpace{}
+		s = new(QuerySpace)
 	}
 	s.fit(n)
 	return s
 }
+
+// Put returns s to the pool for reuse; s must be restored (all distance
+// entries graph.Inf), which the searches guarantee on return. When its own
+// processor's slot is taken, s goes to the first free slot below
+// GOMAXPROCS, and is dropped when there is none.
+func (sp *SpacePool) Put(s *QuerySpace) {
+	if sp.slots[proc()%maxProcs].s.CompareAndSwap(nil, s) {
+		return
+	}
+	for i, k := 0, min(runtime.GOMAXPROCS(0), maxProcs); i < k; i++ {
+		if sl := &sp.slots[i].s; sl.Load() == nil && sl.CompareAndSwap(nil, s) {
+			return
+		}
+	}
+}
+
+// proc returns the id of the processor running the caller, below
+// GOMAXPROCS. It pins and at once unpins the goroutine, as sync.Pool does,
+// so the id only says where to look first: the goroutine may move to
+// another processor right after.
+func proc() int {
+	p := procPin()
+	procUnpin()
+	return p
+}
+
+// procPin and procUnpin are the runtime's. Its source marks both as kept
+// linkable from outside the standard library with their signatures
+// unchanged, for the packages that already link them.
+//
+//go:linkname procPin runtime.procPin
+func procPin() int
+
+//go:linkname procUnpin runtime.procUnpin
+func procUnpin()
 
 // fit lengthens the distance vectors to at least n entries. They grow
 // geometrically (cow.Grow) and only the new entries are set to graph.Inf,
@@ -66,14 +133,14 @@ func (s *QuerySpace) fit(n int) {
 	}
 }
 
-// Put returns s to the pool for reuse; s must be restored (all distance
-// entries graph.Inf), which Sparsified guarantees on return.
-func (sp *SpacePool) Put(s *QuerySpace) { sp.pool.Put(s) }
-
-// All computes the distances from src to every vertex, writing them into
-// dist, which must have length g.NumVertices(). Unreached vertices get
+// All computes the distances from src to every vertex of g, writing them
+// into dist, which must have length g.NumVertices(). Unreached vertices get
 // graph.Inf.
-func All(g *graph.Graph, src uint32, dist []graph.Dist) {
+func All(g *graph.Graph, src uint32, dist []graph.Dist) { AllOver(g.Adj(), src, dist) }
+
+// AllOver is All over one adjacency table: the distances from src along
+// the table's rows, into dist of length adj.Len().
+func AllOver(adj *cow.Table[uint32], src uint32, dist []graph.Dist) {
 	for i := range dist {
 		dist[i] = graph.Inf
 	}
@@ -83,7 +150,7 @@ func All(g *graph.Graph, src uint32, dist []graph.Dist) {
 	for !q.Empty() {
 		v := q.Pop()
 		dv := dist[v]
-		for _, w := range g.Neighbors(v) {
+		for _, w := range adj.Row(v) {
 			if dist[w] == graph.Inf {
 				dist[w] = dv + 1
 				q.Push(w)
@@ -102,51 +169,36 @@ func Distances(g *graph.Graph, src uint32) []graph.Dist {
 // Dist returns the exact distance between u and v with a plain BFS. It is
 // the ground-truth oracle used by tests and benchmark baselines, not by any
 // indexed query path.
-func Dist(g *graph.Graph, u, v uint32) graph.Dist {
-	if u == v {
-		return 0
-	}
-	dist := make([]graph.Dist, g.NumVertices())
-	for i := range dist {
-		dist[i] = graph.Inf
-	}
-	dist[u] = 0
-	q := queue.NewUint32(64)
-	q.Push(u)
-	for !q.Empty() {
-		x := q.Pop()
-		dx := dist[x]
-		for _, w := range g.Neighbors(x) {
-			if dist[w] == graph.Inf {
-				if w == v {
-					return dx + 1
-				}
-				dist[w] = dx + 1
-				q.Push(w)
-			}
-		}
-	}
-	return graph.Inf
+func Dist(g *graph.Graph, u, v uint32) graph.Dist { return Distances(g, u)[v] }
+
+// Sparsified runs the bounded bidirectional BFS of SparsifiedOver between
+// u and v on the undirected graph g, whose one adjacency table serves both
+// sides.
+func Sparsified(g *graph.Graph, u, v uint32, bound graph.Dist, avoid func(uint32) bool, s *QuerySpace) graph.Dist {
+	adj := g.Adj()
+	return SparsifiedOver(adj, adj, u, v, bound, avoid, s)
 }
 
-// Sparsified runs a bidirectional BFS between u and v on the subgraph
-// G[V\R] obtained by removing every vertex for which avoid reports true
-// (the endpoints themselves are kept even if avoid holds, matching Q(u,v,Γ)
-// in the paper). The bound is exclusive: the search looks only for paths
-// shorter than bound, returns their length when one exists and graph.Inf
-// otherwise, so a caller holding an upper bound d⊤ passes d⊤ itself and
-// takes the smaller of the two. With bound 0 nothing qualifies, not even
-// u == v.
+// SparsifiedOver runs a bidirectional BFS from u along fwd and from v
+// along bwd on the subgraph G[V\R] obtained by removing every vertex for
+// which avoid reports true (the endpoints themselves are kept even if
+// avoid holds, matching Q(u,v,Γ) in the paper). For a digraph fwd holds
+// the out-arcs and bwd the in-arcs, so the search finds u→v paths; an
+// undirected graph passes its one table twice. The bound is exclusive: the
+// search looks only for paths shorter than bound, returns their length
+// when one exists and graph.Inf otherwise, so a caller holding an upper
+// bound d⊤ passes d⊤ itself and takes the smaller of the two. With bound 0
+// nothing qualifies, not even u == v.
 //
 // The level that can only produce paths of length exactly best-1 is a
-// meet-only scan: it looks for one edge from the smaller frontier into the
+// meet-only scan: it looks for one arc from the smaller frontier into the
 // other side and writes nothing.
 //
-// s carries all scratch: distance vectors of length ≥ g.NumVertices()
-// whose entries must all be graph.Inf on entry (restored sparsely before
+// s carries all scratch: distance vectors of length ≥ the tables' whose
+// entries must all be graph.Inf on entry (restored sparsely before
 // returning, so pooled scratch needs no re-clearing) and the frontier
 // buffers. A steady-state query allocates nothing.
-func Sparsified(g *graph.Graph, u, v uint32, bound graph.Dist, avoid func(uint32) bool, s *QuerySpace) graph.Dist {
+func SparsifiedOver(fwd, bwd *cow.Table[uint32], u, v uint32, bound graph.Dist, avoid func(uint32) bool, s *QuerySpace) graph.Dist {
 	if bound == 0 {
 		return graph.Inf
 	}
@@ -183,18 +235,18 @@ func Sparsified(g *graph.Graph, u, v uint32, bound graph.Dist, avoid func(uint32
 			break
 		}
 		if next+1 == best {
-			if len(frontU) <= len(frontV) && meets(g, u, frontU, distV, avoid) ||
-				len(frontU) > len(frontV) && meets(g, v, frontV, distU, avoid) {
+			if len(frontU) <= len(frontV) && meets(fwd, u, frontU, distV, avoid) ||
+				len(frontU) > len(frontV) && meets(bwd, v, frontV, distU, avoid) {
 				best = next
 			}
 			break
 		}
 		if len(frontU) <= len(frontV) {
-			next := expand(g, u, v, frontU, du, distU, distV, avoid, &best, &touched, spare)
+			next := expand(fwd, u, v, frontU, du, distU, distV, avoid, &best, &touched, spare)
 			spare, frontU = frontU[:0], next
 			du++
 		} else {
-			next := expand(g, v, u, frontV, dv, distV, distU, avoid, &best, &touched, spare)
+			next := expand(bwd, v, u, frontV, dv, distV, distU, avoid, &best, &touched, spare)
 			spare, frontV = frontV[:0], next
 			dv++
 		}
@@ -207,15 +259,15 @@ func Sparsified(g *graph.Graph, u, v uint32, bound graph.Dist, avoid func(uint32
 }
 
 // meets reports whether some vertex of front, the deepest level of the side
-// rooted at src, has a neighbour the other side has reached. Such a
-// neighbour passed the other side's avoid check when it was discovered, so
-// only the frontier vertices are checked here.
-func meets(g *graph.Graph, src uint32, front []uint32, other []graph.Dist, avoid func(uint32) bool) bool {
+// rooted at src, has an arc in adj to a vertex the other side has reached.
+// Such a vertex passed the other side's avoid check when it was discovered,
+// so only the frontier vertices are checked here.
+func meets(adj *cow.Table[uint32], src uint32, front []uint32, other []graph.Dist, avoid func(uint32) bool) bool {
 	for _, x := range front {
 		if avoid != nil && x != src && avoid(x) {
 			continue
 		}
-		for _, w := range g.Neighbors(x) {
+		for _, w := range adj.Row(x) {
 			if other[w] != graph.Inf {
 				return true
 			}
@@ -224,16 +276,16 @@ func meets(g *graph.Graph, src uint32, front []uint32, other []graph.Dist, avoid
 	return false
 }
 
-// expand advances one BFS level of the side rooted at src, whose opposite
-// endpoint is dst, appending the next level into next (length 0, reused
-// capacity). Removed vertices are neither discovered nor expanded, except
-// for the two endpoints.
-func expand(g *graph.Graph, src, dst uint32, front []uint32, depth graph.Dist, dist, other []graph.Dist, avoid func(uint32) bool, best *graph.Dist, touched *[]uint32, next []uint32) []uint32 {
+// expand advances one BFS level along adj of the side rooted at src, whose
+// opposite endpoint is dst, appending the next level into next (length 0,
+// reused capacity). Removed vertices are neither discovered nor expanded,
+// except for the two endpoints.
+func expand(adj *cow.Table[uint32], src, dst uint32, front []uint32, depth graph.Dist, dist, other []graph.Dist, avoid func(uint32) bool, best *graph.Dist, touched *[]uint32, next []uint32) []uint32 {
 	for _, x := range front {
 		if avoid != nil && x != src && avoid(x) {
 			continue
 		}
-		for _, w := range g.Neighbors(x) {
+		for _, w := range adj.Row(x) {
 			if dist[w] != graph.Inf {
 				continue
 			}

@@ -1,7 +1,8 @@
 // Package digraph provides the directed dynamic graph substrate for the
 // directed extension of IncHL+ (Section 5 of Farhan & Wang, EDBT 2021):
-// adjacency in both directions, online edge/vertex insertion, and the
-// forward/backward BFS primitives the directed labelling needs.
+// adjacency in both directions and online edge/vertex insertion. Its
+// searches, full and bounded, are internal/bfs's, run forward over the
+// out-arcs and backward over the in-arcs.
 package digraph
 
 import (
@@ -10,7 +11,6 @@ import (
 	"repro/internal/bfs"
 	"repro/internal/cow"
 	"repro/internal/graph"
-	"repro/internal/queue"
 )
 
 // Digraph is a directed, unweighted dynamic graph over vertices
@@ -134,33 +134,10 @@ func (g *Digraph) OutDegree(v uint32) int { return len(g.out.Row(v)) }
 func (g *Digraph) InDegree(v uint32) int { return len(g.in.Row(v)) }
 
 // Forward computes d(src→v) for all v into dist (length NumVertices).
-func (g *Digraph) Forward(src uint32, dist []graph.Dist) {
-	g.bfs(src, dist, &g.out)
-}
+func (g *Digraph) Forward(src uint32, dist []graph.Dist) { bfs.AllOver(&g.out, src, dist) }
 
 // Backward computes d(v→src) for all v into dist.
-func (g *Digraph) Backward(src uint32, dist []graph.Dist) {
-	g.bfs(src, dist, &g.in)
-}
-
-func (g *Digraph) bfs(src uint32, dist []graph.Dist, adj *cow.Table[uint32]) {
-	for i := range dist {
-		dist[i] = graph.Inf
-	}
-	dist[src] = 0
-	q := queue.NewUint32(64)
-	q.Push(src)
-	for !q.Empty() {
-		v := q.Pop()
-		dv := dist[v]
-		for _, w := range adj.Row(v) {
-			if dist[w] == graph.Inf {
-				dist[w] = dv + 1
-				q.Push(w)
-			}
-		}
-	}
-}
+func (g *Digraph) Backward(src uint32, dist []graph.Dist) { bfs.AllOver(&g.in, src, dist) }
 
 // Dist returns the exact directed distance u→v by plain BFS (test oracle).
 func (g *Digraph) Dist(u, v uint32) graph.Dist {
@@ -172,104 +149,10 @@ func (g *Digraph) Dist(u, v uint32) graph.Dist {
 	return dist[v]
 }
 
-// Sparsified runs a bounded bidirectional directed BFS from u (forward) and
-// v (backward) on the subgraph excluding vertices for which avoid reports
-// true (endpoints exempt). The bound is exclusive, as in bfs.Sparsified:
-// it returns the u→v distance when it is below bound and graph.Inf
-// otherwise, and its last useful level is a meet-only scan. Scratch
-// conventions match bfs.Sparsified: s carries the distance vectors (all
-// graph.Inf on entry, restored sparsely on return) and the frontier
-// buffers, so a steady-state query allocates nothing.
+// Sparsified runs bfs.SparsifiedOver from u forward along the out-arcs
+// and from v backward along the in-arcs: the u→v distance on the subgraph
+// without the vertices for which avoid reports true (endpoints exempt),
+// when it is below the exclusive bound, and graph.Inf otherwise.
 func (g *Digraph) Sparsified(u, v uint32, bound graph.Dist, avoid func(uint32) bool, s *bfs.QuerySpace) graph.Dist {
-	if bound == 0 {
-		return graph.Inf
-	}
-	if u == v {
-		return 0
-	}
-	distU, distV := s.DistU, s.DistV
-	touched := s.Touched[:0]
-	defer func() {
-		for _, x := range touched {
-			distU[x] = graph.Inf
-			distV[x] = graph.Inf
-		}
-		s.Touched = touched // keep the grown capacity
-	}()
-	distU[u] = 0
-	distV[v] = 0
-	touched = append(touched, u, v)
-	frontU := append(s.Fronts[0][:0], u)
-	frontV := append(s.Fronts[1][:0], v)
-	spare := s.Fronts[2][:0]
-	var du, dv graph.Dist
-	best := bound
-	for len(frontU) > 0 && len(frontV) > 0 {
-		next := graph.AddDist(du+dv, 1) // see bfs.Sparsified
-		if next >= best {
-			break
-		}
-		if next+1 == best {
-			if len(frontU) <= len(frontV) && meets(&g.out, u, frontU, distV, avoid) ||
-				len(frontU) > len(frontV) && meets(&g.in, v, frontV, distU, avoid) {
-				best = next
-			}
-			break
-		}
-		if len(frontU) <= len(frontV) {
-			next := g.expand(&g.out, u, v, frontU, du, distU, distV, avoid, &best, &touched, spare)
-			spare, frontU = frontU[:0], next
-			du++
-		} else {
-			next := g.expand(&g.in, v, u, frontV, dv, distV, distU, avoid, &best, &touched, spare)
-			spare, frontV = frontV[:0], next
-			dv++
-		}
-	}
-	s.Fronts[0], s.Fronts[1], s.Fronts[2] = frontU, frontV, spare
-	if best == bound {
-		return graph.Inf
-	}
-	return best
-}
-
-// meets is bfs's meet-only level over adj: whether an arc leaves front,
-// the deepest level of the side rooted at src, into the other side.
-func meets(adj *cow.Table[uint32], src uint32, front []uint32, other []graph.Dist, avoid func(uint32) bool) bool {
-	for _, x := range front {
-		if avoid != nil && x != src && avoid(x) {
-			continue
-		}
-		for _, w := range adj.Row(x) {
-			if other[w] != graph.Inf {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func (g *Digraph) expand(adj *cow.Table[uint32], src, dst uint32, front []uint32, depth graph.Dist, dist, other []graph.Dist, avoid func(uint32) bool, best *graph.Dist, touched *[]uint32, next []uint32) []uint32 {
-	for _, x := range front {
-		if avoid != nil && x != src && avoid(x) {
-			continue
-		}
-		for _, w := range adj.Row(x) {
-			if dist[w] != graph.Inf {
-				continue
-			}
-			if avoid != nil && w != dst && w != src && avoid(w) {
-				continue
-			}
-			dist[w] = depth + 1
-			*touched = append(*touched, w)
-			if other[w] != graph.Inf {
-				if t := graph.AddDist(depth+1, other[w]); t < *best {
-					*best = t
-				}
-			}
-			next = append(next, w)
-		}
-	}
-	return next
+	return bfs.SparsifiedOver(&g.out, &g.in, u, v, bound, avoid, s)
 }

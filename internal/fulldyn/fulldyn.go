@@ -31,8 +31,7 @@ type Index struct {
 
 	isLandmark map[uint32]bool
 
-	// query scratch
-	qs       bfs.QuerySpace
+	// update scratch
 	q        queue.PairQueue
 	improved []uint32
 }
@@ -102,9 +101,10 @@ func (idx *Index) Query(u, v uint32) graph.Dist {
 	if top <= 1 {
 		return top
 	}
-	idx.ensureScratch()
 	avoid := func(x uint32) bool { return idx.isLandmark[x] }
-	sp := bfs.Sparsified(idx.G, u, v, top, avoid, &idx.qs) // below top, or Inf
+	s := bfs.Spaces.Get(idx.G.NumVertices())
+	sp := bfs.Sparsified(idx.G, u, v, top, avoid, s) // below top, or Inf
+	bfs.Spaces.Put(s)
 	return min(sp, top)
 }
 
@@ -301,17 +301,4 @@ func (idx *Index) VerifyTrees() error {
 		}
 	}
 	return nil
-}
-
-func (idx *Index) ensureScratch() {
-	n := idx.G.NumVertices()
-	if len(idx.qs.DistU) >= n {
-		return
-	}
-	idx.qs.DistU = make([]graph.Dist, n)
-	idx.qs.DistV = make([]graph.Dist, n)
-	for i := 0; i < n; i++ {
-		idx.qs.DistU[i] = graph.Inf
-		idx.qs.DistV[i] = graph.Inf
-	}
 }

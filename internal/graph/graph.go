@@ -86,6 +86,11 @@ func (g *Graph) Degree(v uint32) int { return len(g.adj.Row(v)) }
 // the graph and must not be modified; it may be invalidated by AddEdge.
 func (g *Graph) Neighbors(v uint32) []uint32 { return g.adj.Row(v) }
 
+// Adj returns the adjacency table whose row v is Neighbors(v), for the
+// searches of internal/bfs. It is owned by the graph and must not be
+// modified.
+func (g *Graph) Adj() *cow.Table[uint32] { return &g.adj }
+
 // HasEdge reports whether the undirected edge (u,v) exists.
 func (g *Graph) HasEdge(u, v uint32) bool {
 	if !g.HasVertex(u) || !g.HasVertex(v) {

@@ -1,6 +1,7 @@
-// Package queue provides ring-buffer FIFO queues used by the breadth-first
-// searches throughout this repository. They avoid the per-element allocation
-// of container/list and the head-slice churn of append/shift slices.
+// Package queue provides the queues of the searches in this repository:
+// ring-buffer FIFOs for the breadth-first searches, which avoid the
+// per-element allocation of container/list and the head-slice churn of
+// append/shift slices, and the monotone radix heap (PQ) of every Dijkstra.
 package queue
 
 // Uint32 is a FIFO queue of uint32 values backed by a growable ring buffer.

@@ -1,17 +1,19 @@
 // Package wgraph provides the positively-weighted undirected graph
 // substrate for the weighted extension of IncHL+ (Section 5 of Farhan &
-// Wang, EDBT 2021), together with the Dijkstra primitives that replace BFS
-// there. Weights are integral and at least 1, which keeps the
-// shortest-path DAG acyclic across equal-distance vertices.
+// Wang, EDBT 2021), together with the two Dijkstras that replace BFS there:
+// a full one and the bounded bidirectional one of the queries. Both run on
+// queue's radix heap, and the bounded one on the query scratch that bfs
+// hands out to every indexed search. Weights are integral and at least 1,
+// which keeps the shortest-path DAG acyclic across equal-distance vertices.
 package wgraph
 
 import (
 	"fmt"
-	"math/bits"
-	"sync"
 
+	"repro/internal/bfs"
 	"repro/internal/cow"
 	"repro/internal/graph"
+	"repro/internal/queue"
 )
 
 // Arc is one weighted adjacency entry.
@@ -157,136 +159,13 @@ func (g *Graph) Clone() *Graph {
 	return &Graph{adj: g.adj.Clone(), edges: g.edges}
 }
 
-// Item is a priority-queue element.
-type Item struct {
-	V uint32
-	D graph.Dist
-}
-
-// PQ is a monotone radix heap of Items ordered by distance (Ahuja,
-// Mehlhorn, Orlin & Tarjan, JACM 1990). It relies on the Dijkstra
-// contract: every key pushed is at least the key last popped (0 after
-// Reset), which holds whenever keys are a popped distance plus a
-// non-negative weight. A push that breaks the contract is a bug and pops
-// out of order.
-//
-// Bucket i holds the keys d with bits.Len32(d ^ last) = i, where last is
-// the key last popped; bucket 0 holds keys equal to last. A push is one
-// append. A pop takes from bucket 0, first refilling it from the lowest
-// non-empty bucket when it is empty: that bucket's minimum becomes last and
-// its items move to strictly lower buckets, so each item moves at most 32
-// times over its life in the queue. Items of equal key pop in unspecified
-// order. The zero PQ is empty and ready to use; the buckets keep their
-// capacity across Reset, so a reused PQ allocates nothing in steady state.
-type PQ struct {
-	b    [33][]Item
-	last graph.Dist
-	n    int
-}
-
-// Len returns the number of queued items, stale ones included.
-func (p *PQ) Len() int { return p.n }
-
-// PushItem inserts it; it.D must be at least the key last popped.
-func (p *PQ) PushItem(it Item) {
-	i := bits.Len32(it.D ^ p.last)
-	p.b[i] = append(p.b[i], it)
-	p.n++
-}
-
-// PopItem removes and returns a minimum-distance item. The queue must not
-// be empty.
-func (p *PQ) PopItem() Item {
-	if len(p.b[0]) == 0 {
-		p.refill()
-	}
-	b0 := p.b[0]
-	it := b0[len(b0)-1]
-	p.b[0] = b0[:len(b0)-1]
-	p.n--
-	return it
-}
-
-// refill makes the minimum of the lowest non-empty bucket the new last key
-// and redistributes that bucket: its keys agree with last on every bit from
-// its index up, so each lands in a lower bucket, the minimum in bucket 0.
-func (p *PQ) refill() {
-	i := 1
-	for len(p.b[i]) == 0 {
-		i++
-	}
-	src := p.b[i]
-	m := src[0].D
-	for _, it := range src[1:] {
-		m = min(m, it.D)
-	}
-	p.last = m
-	for _, it := range src {
-		j := bits.Len32(it.D ^ m)
-		p.b[j] = append(p.b[j], it)
-	}
-	p.b[i] = src[:0]
-}
-
-// Reset empties the queue, keeping each bucket's capacity.
-func (p *PQ) Reset() {
-	for i := range p.b {
-		p.b[i] = p.b[i][:0]
-	}
-	p.last, p.n = 0, 0
-}
-
-// QuerySpace is the per-query scratch of the bounded bidirectional Dijkstra
-// (Sparsified): two distance vectors whose entries are graph.Inf between
-// queries, the touched list used to restore them sparsely, and one radix
-// heap per side, whose buckets keep their capacity from query to query.
-// Mirrors bfs.QuerySpace for the weighted searches; a steady-state query
-// allocates nothing.
-type QuerySpace struct {
-	DistU, DistV []graph.Dist
-	Touched      []uint32
-	pqU, pqV     PQ
-}
-
-// SpacePool hands out query scratch sized for at least n vertices, giving
-// every in-flight query its own buffers so queries stay safe for any number
-// of concurrent readers.
-type SpacePool struct {
-	pool sync.Pool
-}
-
-// Spaces is the query scratch pool shared by every weighted index. One
-// process-wide pool, rather than one per index, lets a freshly published
-// epoch answer its first queries from scratch warmed by earlier epochs,
-// and keeps no index alive through the runtime's pool registry.
-var Spaces SpacePool
-
-// Get returns a QuerySpace covering n vertices, distance entries all
-// graph.Inf.
-func (sp *SpacePool) Get(n int) *QuerySpace {
-	s, _ := sp.pool.Get().(*QuerySpace)
-	if s == nil {
-		s = &QuerySpace{}
-	}
-	s.fit(n)
-	return s
-}
-
-// fit lengthens the distance vectors to at least n entries. They grow
-// geometrically (cow.Grow) and only the new entries are set to graph.Inf,
-// so the queries after each added vertex do not each rebuild the scratch.
-func (s *QuerySpace) fit(n int) {
-	if old := len(s.DistU); old < n {
-		s.DistU, s.DistV = cow.Grow(s.DistU, n), cow.Grow(s.DistV, n)
-		for i := old; i < n; i++ {
-			s.DistU[i], s.DistV[i] = graph.Inf, graph.Inf
-		}
-	}
-}
-
-// Put returns s to the pool; its distance entries must be graph.Inf again,
-// which Sparsified guarantees on return.
-func (sp *SpacePool) Put(s *QuerySpace) { sp.pool.Put(s) }
+// QuerySpace and SpacePool name bfs's query scratch and pool, which carry
+// Sparsified's two radix heaps too. Only the bench/trace harness still
+// uses these names.
+type (
+	QuerySpace = bfs.QuerySpace
+	SpacePool  = bfs.SpacePool
+)
 
 // Dijkstra computes the distances from src into dist (length NumVertices),
 // returning the vertices it settled in non-decreasing distance order.
@@ -295,9 +174,9 @@ func (g *Graph) Dijkstra(src uint32, dist []graph.Dist) []uint32 {
 		dist[i] = graph.Inf
 	}
 	order := make([]uint32, 0, 64)
-	var pq PQ
+	var pq queue.PQ
 	dist[src] = 0
-	pq.PushItem(Item{V: src, D: 0})
+	pq.PushItem(queue.Item{V: src, D: 0})
 	for pq.Len() > 0 {
 		it := pq.PopItem()
 		if it.D != dist[it.V] {
@@ -307,7 +186,7 @@ func (g *Graph) Dijkstra(src uint32, dist []graph.Dist) []uint32 {
 		for _, a := range g.adj.Row(it.V) {
 			if nd := graph.AddDist(it.D, a.W); nd < dist[a.To] {
 				dist[a.To] = nd
-				pq.PushItem(Item{V: a.To, D: nd})
+				pq.PushItem(queue.Item{V: a.To, D: nd})
 			}
 		}
 	}
@@ -328,8 +207,8 @@ func (g *Graph) Dist(u, v uint32) graph.Dist {
 // settles one vertex on the side with fewer queued items.
 // s carries all scratch: distance vectors of length ≥ NumVertices whose
 // entries must all be graph.Inf on entry (restored sparsely on return) and
-// the two radix heaps. A steady-state query allocates nothing.
-func (g *Graph) Sparsified(u, v uint32, bound graph.Dist, avoid func(uint32) bool, s *QuerySpace) graph.Dist {
+// the two radix heaps (s.Heaps). A steady-state query allocates nothing.
+func (g *Graph) Sparsified(u, v uint32, bound graph.Dist, avoid func(uint32) bool, s *bfs.QuerySpace) graph.Dist {
 	if bound == 0 {
 		return graph.Inf
 	}
@@ -345,14 +224,14 @@ func (g *Graph) Sparsified(u, v uint32, bound graph.Dist, avoid func(uint32) boo
 		}
 		s.Touched = touched // keep the grown capacity
 	}()
-	pqU, pqV := &s.pqU, &s.pqV
+	pqU, pqV := &s.Heaps[0], &s.Heaps[1]
 	pqU.Reset() // a search that stopped at its bound leaves items behind
 	pqV.Reset()
 	distU[u] = 0
 	distV[v] = 0
 	touched = append(touched, u, v)
-	pqU.PushItem(Item{V: u, D: 0})
-	pqV.PushItem(Item{V: v, D: 0})
+	pqU.PushItem(queue.Item{V: u, D: 0})
+	pqV.PushItem(queue.Item{V: v, D: 0})
 	best := bound // nothing shorter than bound found yet
 	topU, topV := graph.Dist(0), graph.Dist(0)
 	for pqU.Len() > 0 && pqV.Len() > 0 {
@@ -383,7 +262,7 @@ func (g *Graph) Sparsified(u, v uint32, bound graph.Dist, avoid func(uint32) boo
 // side's settled part, the opposite side has either settled the rest of it
 // already, and the meet check above records the path, or the rest is at
 // least otherTop long.
-func settle(g *Graph, pq *PQ, dist, other []graph.Dist, src, dst uint32, otherTop graph.Dist, avoid func(uint32) bool, best *graph.Dist, touched *[]uint32) graph.Dist {
+func settle(g *Graph, pq *queue.PQ, dist, other []graph.Dist, src, dst uint32, otherTop graph.Dist, avoid func(uint32) bool, best *graph.Dist, touched *[]uint32) graph.Dist {
 	for pq.Len() > 0 {
 		it := pq.PopItem()
 		if dist[it.V] != it.D {
@@ -412,7 +291,7 @@ func settle(g *Graph, pq *PQ, dist, other []graph.Dist, src, dst uint32, otherTo
 				*touched = append(*touched, a.To)
 			}
 			dist[a.To] = nd
-			pq.PushItem(Item{V: a.To, D: nd})
+			pq.PushItem(queue.Item{V: a.To, D: nd})
 		}
 		return it.D
 	}

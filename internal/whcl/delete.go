@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/hcl"
+	"repro/internal/queue"
 	"repro/internal/wgraph"
 )
 
@@ -68,7 +69,7 @@ func (idx *Index) rebuildLandmark(ws *scratch, d *hcl.Delta) {
 	dist[root] = 0
 	pq := &ws.pq
 	pq.Reset()
-	pq.PushItem(wgraph.Item{V: root})
+	pq.PushItem(queue.Item{V: root})
 	for pq.Len() > 0 {
 		it := pq.PopItem()
 		v := it.V
@@ -79,7 +80,7 @@ func (idx *Index) rebuildLandmark(ws *scratch, d *hcl.Delta) {
 		for _, a := range idx.G.Neighbors(v) {
 			if nd := graph.AddDist(it.D, a.W); nd < dist[a.To] {
 				dist[a.To] = nd
-				pq.PushItem(wgraph.Item{V: a.To, D: nd})
+				pq.PushItem(queue.Item{V: a.To, D: nd})
 			} else if !cov && graph.AddDist(dist[a.To], a.W) == it.D && covered[a.To] {
 				cov = true // a settled shortest-path parent is covered
 			}

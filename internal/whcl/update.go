@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/hcl"
+	"repro/internal/queue"
 	"repro/internal/wgraph"
 )
 
@@ -15,7 +16,7 @@ type Stats = hcl.Stats
 // findResult carries one landmark's affected set from find to repair.
 type findResult struct {
 	skipped  bool                  // landmark eliminated: the edge shortens nothing
-	affected []wgraph.Item         // settle order: non-decreasing new distance
+	affected []queue.Item          // settle order: non-decreasing new distance
 	newDist  map[uint32]graph.Dist // affected vertex -> new distance
 	oldDist  map[uint32]graph.Dist // scanned vertex -> old distance
 }
@@ -112,7 +113,7 @@ func CheckNeighbors(g graph.EdgeSet, arcs []wgraph.Arc) error {
 // queue pq. The new candidate distance of the far endpoint is
 // d(r, near) + w; a vertex is affected iff its old distance is at least its
 // best new through-edge distance.
-func (idx *Index) findAffected(pq *wgraph.PQ, r uint16, a, b uint32, w graph.Dist) (findResult, bool) {
+func (idx *Index) findAffected(pq *queue.PQ, r uint16, a, b uint32, w graph.Dist) (findResult, bool) {
 	da := idx.LandmarkDist(r, a)
 	db := idx.LandmarkDist(r, b)
 	if db < da {
@@ -142,7 +143,7 @@ func (idx *Index) findAffected(pq *wgraph.PQ, r uint16, a, b uint32, w graph.Dis
 	}
 	pq.Reset()
 	fr.newDist[b] = cand
-	pq.PushItem(wgraph.Item{V: b, D: cand})
+	pq.PushItem(queue.Item{V: b, D: cand})
 	for pq.Len() > 0 {
 		it := pq.PopItem()
 		if fr.newDist[it.V] != it.D {
@@ -156,7 +157,7 @@ func (idx *Index) findAffected(pq *wgraph.PQ, r uint16, a, b uint32, w graph.Dis
 			}
 			if cache(arc.To) >= nd {
 				fr.newDist[arc.To] = nd
-				pq.PushItem(wgraph.Item{V: arc.To, D: nd})
+				pq.PushItem(queue.Item{V: arc.To, D: nd})
 			}
 		}
 	}

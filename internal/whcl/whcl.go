@@ -12,8 +12,10 @@ import (
 	"io"
 
 	"repro/internal/arena"
+	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/hcl"
+	"repro/internal/queue"
 	"repro/internal/wgraph"
 )
 
@@ -37,7 +39,7 @@ type Index struct {
 // the jumped Dijkstra of IncHL+.
 type scratch struct {
 	hcl.Scratch
-	pq wgraph.PQ
+	pq queue.PQ
 }
 
 var scratches hcl.Pool[scratch]
@@ -127,9 +129,9 @@ func (idx *Index) Query(u, v uint32) graph.Dist {
 	if idx.IsLandmark(u) || idx.IsLandmark(v) {
 		return top
 	}
-	s := wgraph.Spaces.Get(idx.G.NumVertices())
+	s := bfs.Spaces.Get(idx.G.NumVertices())
 	sp := idx.G.Sparsified(u, v, top, idx.IsLandmark, s) // below top, or Inf
-	wgraph.Spaces.Put(s)
+	bfs.Spaces.Put(s)
 	return min(sp, top)
 }
 

@@ -72,10 +72,9 @@ func newQueryFixture(o dynhl.Oracle) queryFixture {
 }
 
 // run times one view.Query per iteration, cycling through the pairs, and
-// fails unless it reports 0 allocs/op. The query scratch pool caches per
-// processor, and each round of a benchmark runs on a new goroutine, so the
-// pairs the round will time are queried first on that goroutine: the
-// scratch it times has grown as large as those pairs need.
+// fails unless it reports 0 allocs/op. The pairs the round will time are
+// queried first, so the pooled scratch it times has grown as large as
+// those pairs need.
 func (f queryFixture) run(b *testing.B) {
 	for _, p := range f.pairs[:min(b.N, len(f.pairs))] {
 		f.view.Query(p.U, p.V)
@@ -112,6 +111,41 @@ var socialQueries = sync.OnceValues(func() (queryFixture, error) {
 // wide, which BenchmarkQuery's sparse random graph does not show.
 func BenchmarkQuerySocial(b *testing.B) {
 	f, err := socialQueries()
+	if err != nil {
+		b.Fatal(err)
+	}
+	f.run(b)
+}
+
+// directedQueries is the social-read graph with each edge turned into one
+// arc of a coin-flipped direction, and 20 landmarks: the directed search
+// on the social-read shape. It is built and warmed once per test binary.
+var directedQueries = sync.OnceValues(func() (queryFixture, error) {
+	g := gen.BarabasiAlbert(200_000, 8, 11)
+	dg := dynhl.NewDigraph(g.NumVertices())
+	for i := 0; i < g.NumVertices(); i++ {
+		dg.AddVertex()
+	}
+	rng := rand.New(rand.NewSource(12))
+	g.Edges(func(u, v uint32) {
+		if rng.Intn(2) == 0 {
+			u, v = v, u
+		}
+		dg.MustAddEdge(u, v)
+	})
+	x, err := dynhl.BuildDirected(dg, dynhl.Options{Landmarks: 20})
+	if err != nil {
+		return queryFixture{}, err
+	}
+	return newQueryFixture(x), nil
+})
+
+// BenchmarkDirectedQuery measures one directed query on a Store's
+// published snapshot over uniform random pairs of the directed social-read
+// shape: the directed Eq. 2 bound and the bounded search forward over
+// out-arcs and backward over in-arcs, at 0 allocs/op.
+func BenchmarkDirectedQuery(b *testing.B) {
+	f, err := directedQueries()
 	if err != nil {
 		b.Fatal(err)
 	}
