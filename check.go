@@ -3,11 +3,9 @@ package dynhl
 import (
 	"maps"
 
-	"repro/internal/dhcl"
 	"repro/internal/digraph"
 	"repro/internal/graph"
 	"repro/internal/hcl"
-	"repro/internal/inchl"
 	"repro/internal/wgraph"
 	"repro/internal/whcl"
 )
@@ -102,7 +100,7 @@ func (k *indexCheck) InsertEdge(u, v uint32, w Dist) (UpdateSummary, error) {
 	if err := unitWeight("undirected", w); err != nil {
 		return UpdateSummary{}, err
 	}
-	if err := inchl.CheckInsert(k, u, v); err != nil {
+	if err := hcl.CheckInsert(k, u, v); err != nil {
 		return UpdateSummary{}, err
 	}
 	k.set(u, v, true)
@@ -110,7 +108,7 @@ func (k *indexCheck) InsertEdge(u, v uint32, w Dist) (UpdateSummary, error) {
 }
 
 func (k *indexCheck) DeleteEdge(u, v uint32) (UpdateSummary, error) {
-	if err := inchl.CheckDelete(k, u, v); err != nil {
+	if err := hcl.CheckDelete(k, u, v); err != nil {
 		return UpdateSummary{}, err
 	}
 	k.set(u, v, false)
@@ -120,14 +118,14 @@ func (k *indexCheck) DeleteEdge(u, v uint32) (UpdateSummary, error) {
 func (k *indexCheck) InsertVertex(arcs []Arc) (uint32, UpdateSummary, error) {
 	neighbors, err := plainNeighbors("undirected", arcs)
 	if err == nil {
-		err = inchl.CheckNeighbors(k, neighbors)
+		err = hcl.CheckNeighbors(k, neighbors)
 	}
 	if err != nil {
 		return 0, UpdateSummary{}, err
 	}
 	id := k.addVertex()
 	for _, w := range neighbors {
-		if err := inchl.CheckInsert(k, id, w); err != nil {
+		if err := hcl.CheckInsert(k, id, w); err != nil {
 			return 0, UpdateSummary{}, err
 		}
 		k.set(id, w, true)
@@ -136,7 +134,7 @@ func (k *indexCheck) InsertVertex(arcs []Arc) (uint32, UpdateSummary, error) {
 }
 
 func (k *indexCheck) DeleteVertex(v uint32) (UpdateSummary, error) {
-	if err := inchl.CheckDeleteVertex(k, k.c, v); err != nil {
+	if err := hcl.CheckDeleteVertex(k, k.c, v); err != nil {
 		return UpdateSummary{}, err
 	}
 	var ns []uint32
@@ -168,7 +166,7 @@ func (k *directedCheck) InsertEdge(u, v uint32, w Dist) (UpdateSummary, error) {
 	if err := unitWeight("directed", w); err != nil {
 		return UpdateSummary{}, err
 	}
-	if err := dhcl.CheckInsert(k, u, v); err != nil {
+	if err := hcl.CheckInsert(k, u, v); err != nil {
 		return UpdateSummary{}, err
 	}
 	k.set(u, v, true)
@@ -176,7 +174,7 @@ func (k *directedCheck) InsertEdge(u, v uint32, w Dist) (UpdateSummary, error) {
 }
 
 func (k *directedCheck) DeleteEdge(u, v uint32) (UpdateSummary, error) {
-	if err := dhcl.CheckDelete(k, u, v); err != nil {
+	if err := hcl.CheckDelete(k, u, v); err != nil {
 		return UpdateSummary{}, err
 	}
 	k.set(u, v, false)
@@ -186,14 +184,14 @@ func (k *directedCheck) DeleteEdge(u, v uint32) (UpdateSummary, error) {
 func (k *directedCheck) InsertVertex(arcs []Arc) (uint32, UpdateSummary, error) {
 	outTo, inFrom, err := splitArcs(arcs)
 	if err == nil {
-		err = dhcl.CheckNeighbors(k, outTo, inFrom)
+		err = hcl.CheckNeighbors(k, outTo, inFrom)
 	}
 	if err != nil {
 		return 0, UpdateSummary{}, err
 	}
 	id := k.addVertex()
 	add := func(a, b uint32) error {
-		if err := dhcl.CheckInsert(k, a, b); err != nil {
+		if err := hcl.CheckInsert(k, a, b); err != nil {
 			return err
 		}
 		k.set(a, b, true)
@@ -213,7 +211,7 @@ func (k *directedCheck) InsertVertex(arcs []Arc) (uint32, UpdateSummary, error) 
 }
 
 func (k *directedCheck) DeleteVertex(v uint32) (UpdateSummary, error) {
-	if err := dhcl.CheckDeleteVertex(k, k.c, v); err != nil {
+	if err := hcl.CheckDeleteVertex(k, k.c, v); err != nil {
 		return UpdateSummary{}, err
 	}
 	var out, in []uint32
@@ -250,7 +248,7 @@ func (k *weightedCheck) InsertEdge(u, v uint32, w Dist) (UpdateSummary, error) {
 }
 
 func (k *weightedCheck) DeleteEdge(u, v uint32) (UpdateSummary, error) {
-	if err := whcl.CheckDelete(k, u, v); err != nil {
+	if err := hcl.CheckDelete(k, u, v); err != nil {
 		return UpdateSummary{}, err
 	}
 	k.set(u, v, false)
@@ -260,7 +258,7 @@ func (k *weightedCheck) DeleteEdge(u, v uint32) (UpdateSummary, error) {
 func (k *weightedCheck) InsertVertex(arcs []Arc) (uint32, UpdateSummary, error) {
 	ws, err := weightedArcs(arcs)
 	if err == nil {
-		err = whcl.CheckNeighbors(k, ws)
+		err = hcl.CheckNeighbors(k, ws)
 	}
 	if err != nil {
 		return 0, UpdateSummary{}, err
@@ -276,7 +274,7 @@ func (k *weightedCheck) InsertVertex(arcs []Arc) (uint32, UpdateSummary, error) 
 }
 
 func (k *weightedCheck) DeleteVertex(v uint32) (UpdateSummary, error) {
-	if err := whcl.CheckDeleteVertex(k, k.c, v); err != nil {
+	if err := hcl.CheckDeleteVertex(k, k.c, v); err != nil {
 		return UpdateSummary{}, err
 	}
 	var ns []uint32

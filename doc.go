@@ -18,10 +18,10 @@
 // each landmark's labelled distances (it lies on a landmark's shortest-path
 // DAG iff the endpoint distances differ by exactly the edge weight), and
 // only the affected landmarks are repaired, resetting to Inf whatever the
-// deletion disconnected. On unweighted graphs the repair is local, in the
-// manner of Ramalingam and Reps' decremental shortest paths: it visits the
-// vertices whose distance grows and those whose covered flag can flip, not
-// the graph; the weighted variant re-runs the landmark's covered Dijkstra.
+// deletion disconnected. The repair is local on all three variants, in
+// the manner of Ramalingam and Reps' decremental shortest paths (stated for
+// positive weights): it visits the vertices whose distance grows and those
+// whose covered flag can flip, not the graph.
 // The repaired labelling is identical to a fresh build, so minimality is
 // preserved in both directions of churn.
 //
@@ -140,14 +140,17 @@
 // (two on the directed variant, forward and backward) as a copy-on-write
 // table of packed label chunks, and the repair knobs. Fork,
 // serialisation, the repair engine and the update statistics (hcl.Stats)
-// are implemented there once, and so are the two local repairs of the
-// unit-weight variants: IncHL+'s jumped BFS and covered/uncovered
-// classification (Core.RepairInsertion) and DecHL's affected set, new
-// distances and covered-flag propagation (Core.RepairDeletion), both on
-// one pooled, epoch-stamped scratch. A unit-weight variant adds only
-// the affected tests that pick each pass's start vertex; the weighted one
-// keeps its own jumped Dijkstra for insertions and a covered-Dijkstra
-// rebuild for deletions.
+// are implemented there once, and so are the two local repairs of all
+// three variants: IncHL+'s jumped search and covered/uncovered
+// classification (hcl.RepairInsertion) and DecHL's affected set, new
+// distances and covered-flag propagation (hcl.RepairDeletion), both on one
+// pooled, epoch-stamped scratch. The kernels are generic over the arc: a
+// bare target on the unit-weight variants, which walk in FIFO order, and a
+// target with a weight on the weighted one, which walks in the order of a
+// monotone radix heap — IncHL+ with Dijkstra in place of BFS, as the paper
+// extends it. The arc's size is a constant in each instantiation, so the
+// unit kernels compile without the weighted branches. A variant adds only
+// the affected tests that pick each pass's start vertex.
 //
 // Queries share one search toolkit. A unit-weight query refines its
 // Equation 2 bound with internal/bfs's one bounded bidirectional BFS,

@@ -155,15 +155,18 @@ func FuzzPackedDifferential(f *testing.F) {
 }
 
 // FuzzDeleteMatchesBuild drives fuzz-derived edge deletions and insertions
-// through the undirected and the directed index and requires the labelling
-// after every op to equal a fresh build over the same graph and landmarks:
-// the local DecHL repair must reproduce a rebuild exactly. It is the
-// differential FuzzPackedDifferential cannot be, since both indexes that
-// one compares run the same repair. The first byte shapes the random graph
-// (vertex count and density, from forests full of bridges to about two
-// edges per vertex), the second picks the random landmark set's size and
-// the repair fan-out; each later pair of bytes names an arc, deleted when
-// present and inserted otherwise.
+// through the undirected, the directed and the weighted index and requires
+// the labelling after every op to equal a fresh build over the same graph
+// and landmarks: the local IncHL+ and DecHL repairs must reproduce a
+// rebuild exactly. It is the differential FuzzPackedDifferential cannot
+// be, since both indexes that one compares run the same repair. The first
+// byte shapes the random graph (vertex count and density, from forests
+// full of bridges to about two edges per vertex), the second picks the
+// random landmark set's size and the repair fan-out; each later pair of
+// bytes names an arc, deleted when present and inserted otherwise. The
+// weighted graph has the same edges, with weights 1–8 drawn from a second
+// source seeded by the first two bytes; an inserted edge's weight comes
+// from what its two bytes leave over after naming the arc.
 func FuzzDeleteMatchesBuild(f *testing.F) {
 	f.Add([]byte{7, 3, 1, 2, 3, 4, 5, 6, 1, 2, 9, 9, 0, 5, 2, 1})
 	f.Add([]byte{200, 17, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0, 0, 1, 1, 2})
@@ -177,15 +180,18 @@ func FuzzDeleteMatchesBuild(f *testing.F) {
 		k := 1 + int(data[1]%8)
 		opt := Options{RepairWorkers: 1 + int(data[1]/8)%3}
 		rng := rand.New(rand.NewSource(int64(data[0])<<8 | int64(data[1])))
-		ug, dg := NewGraph(n), NewDigraph(n)
+		wrng := rand.New(rand.NewSource(int64(data[1])<<8 | int64(data[0])))
+		ug, dg, wg := NewGraph(n), NewDigraph(n), NewWeightedGraph(n)
 		for i := 0; i < n; i++ {
 			ug.AddVertex()
 			dg.AddVertex()
+			wg.AddVertex()
 		}
 		for i := 0; i < m; i++ {
 			if a, b := uint32(rng.Intn(n)), uint32(rng.Intn(n)); a != b {
 				ug.AddEdge(a, b)
 				dg.AddEdge(a, b)
+				wg.AddEdge(a, b, Dist(1+wrng.Intn(8)))
 			}
 		}
 		var lms []uint32
@@ -197,6 +203,10 @@ func FuzzDeleteMatchesBuild(f *testing.F) {
 			t.Fatal(err)
 		}
 		d, err := BuildDirectedWithLandmarks(dg, lms, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := BuildWeightedWithLandmarks(wg, lms, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,6 +231,14 @@ func FuzzDeleteMatchesBuild(f *testing.F) {
 			if err != nil {
 				t.Fatalf("directed op %d on %d→%d: %v", i/2, a, b, err)
 			}
+			if wg.HasEdge(a, b) {
+				_, err = w.DeleteEdge(a, b)
+			} else {
+				_, err = w.InsertEdge(a, b, Dist(1+(int(data[i])/n+int(data[i+1])/n)%8))
+			}
+			if err != nil {
+				t.Fatalf("weighted op %d on (%d,%d): %v", i/2, a, b, err)
+			}
 			fu, err := BuildWithLandmarks(ug.Clone(), lms, Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -234,6 +252,13 @@ func FuzzDeleteMatchesBuild(f *testing.F) {
 			}
 			if err := d.idx.EqualLabels(fd.idx); err != nil {
 				t.Fatalf("directed, after op %d on %d→%d: %v", i/2, a, b, err)
+			}
+			fw, err := BuildWeightedWithLandmarks(wg.Clone(), lms, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.idx.EqualLabels(fw.idx); err != nil {
+				t.Fatalf("weighted, after op %d on (%d,%d): %v", i/2, a, b, err)
 			}
 		}
 	})

@@ -5,7 +5,7 @@
 // is four labelled lookups per landmark.
 //
 // Each affected (landmark, direction) pass is repaired locally by
-// hcl.Core.RepairDeletion, in the pass's orientation: a forward pass
+// hcl.RepairDeletion, in the pass's orientation: a forward pass
 // starts from b and treats out-arcs as children and in-arcs as parents, a
 // backward pass starts from a with the roles swapped.
 //
@@ -37,10 +37,10 @@ import (
 
 // DeleteEdge removes the directed edge a→b and repairs both label sets.
 // Deleting an edge that does not exist is an error (graph.ErrEdgeUnknown).
-func (idx *Index) DeleteEdge(a, b uint32) (Stats, error) {
-	var st Stats
+func (idx *Index) DeleteEdge(a, b uint32) (hcl.Stats, error) {
+	var st hcl.Stats
 	g := idx.G
-	if err := CheckDelete(g, a, b); err != nil {
+	if err := hcl.CheckDelete(g, a, b); err != nil {
 		return st, err
 	}
 	st.LandmarksTotal = idx.NumLandmarks()
@@ -64,11 +64,11 @@ func (idx *Index) DeleteEdge(a, b uint32) (Stats, error) {
 	if err := g.RemoveEdge(a, b); err != nil {
 		return st, fmt.Errorf("dhcl: delete (%d,%d): %w", a, b, err)
 	}
-	hcl.Repair(&idx.Core, &hcl.Scratches, ds, true, func(ws *hcl.Scratch, _ int, d *hcl.Delta) {
+	hcl.Repair(&idx.Core, ds, true, func(ws *hcl.Scratch, _ int, d *hcl.Delta) {
 		if d.Dir == fwd {
-			idx.RepairDeletion(ws, d, b, g.Out, g.In)
+			hcl.RepairDeletion(&idx.Core, ws, d, b, g.Out, g.In)
 		} else {
-			idx.RepairDeletion(ws, d, a, g.In, g.Out)
+			hcl.RepairDeletion(&idx.Core, ws, d, a, g.In, g.Out)
 		}
 	})
 	st.AddEdits(ds)
@@ -78,10 +78,10 @@ func (idx *Index) DeleteEdge(a, b uint32) (Stats, error) {
 // DeleteVertex disconnects vertex v by deleting all of its outgoing and
 // incoming edges. The id survives as an isolated vertex; deleting a
 // landmark is rejected.
-func (idx *Index) DeleteVertex(v uint32) (Stats, error) {
-	var agg Stats
+func (idx *Index) DeleteVertex(v uint32) (hcl.Stats, error) {
+	var agg hcl.Stats
 	g := idx.G
-	if err := CheckDeleteVertex(g, &idx.Core, v); err != nil {
+	if err := hcl.CheckDeleteVertex(g, &idx.Core, v); err != nil {
 		return agg, err
 	}
 	agg.LandmarksTotal = idx.NumLandmarks()
@@ -103,31 +103,4 @@ func (idx *Index) DeleteVertex(v uint32) (Stats, error) {
 		}
 	}
 	return agg, nil
-}
-
-// CheckDelete is DeleteEdge's validity check: a→b must be an arc of g
-// (see CheckInsert).
-func CheckDelete(g graph.EdgeSet, a, b uint32) error {
-	if !g.HasVertex(a) || !g.HasVertex(b) {
-		return fmt.Errorf("dhcl: delete (%d,%d): %w", a, b, graph.ErrVertexUnknown)
-	}
-	if a == b {
-		return fmt.Errorf("dhcl: delete (%d,%d): %w", a, b, graph.ErrSelfLoop)
-	}
-	if !g.HasEdge(a, b) {
-		return fmt.Errorf("dhcl: delete (%d,%d): %w", a, b, graph.ErrEdgeUnknown)
-	}
-	return nil
-}
-
-// CheckDeleteVertex is DeleteVertex's validity check: v must be a vertex
-// of g and not one of c's landmarks.
-func CheckDeleteVertex(g graph.EdgeSet, c *hcl.Core, v uint32) error {
-	if !g.HasVertex(v) {
-		return fmt.Errorf("dhcl: delete vertex %d: %w", v, graph.ErrVertexUnknown)
-	}
-	if c.IsLandmark(v) {
-		return fmt.Errorf("dhcl: delete vertex %d: cannot delete a landmark", v)
-	}
-	return nil
 }

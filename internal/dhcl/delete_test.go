@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/digraph"
 	"repro/internal/graph"
+	"repro/internal/hcl"
 )
 
 // arcsOf snapshots the current directed edge set.
@@ -54,7 +55,7 @@ func TestDeleteEdgeMatchesRebuildDirected(t *testing.T) {
 			for i := 0; i < 30; i++ {
 				arcs := arcsOf(g)
 				infBefore := countInf(highway(idx))
-				var st Stats
+				var st hcl.Stats
 				var what string
 				if len(arcs) == 0 || rng.Intn(5) == 0 {
 					n := g.NumVertices()

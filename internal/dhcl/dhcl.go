@@ -59,7 +59,7 @@ func BuildParallel(g *digraph.Digraph, landmarks []uint32, workers int) (*Index,
 	if err != nil {
 		return nil, err
 	}
-	hcl.Construct(&idx.Core, &hcl.Scratches, workers, idx.rebuildPass)
+	hcl.Construct(&idx.Core, workers, idx.rebuildPass)
 	return idx, nil
 }
 

@@ -23,9 +23,9 @@ func buildAt(t *testing.T, n, m int, seed int64, k, workers int) (*digraph.Digra
 
 // runMixedD drives the same insert/delete arc stream through idx; every
 // third inserted arc is deleted again so both repair paths execute.
-func runMixedD(t *testing.T, idx *Index, arcs [][2]uint32) []Stats {
+func runMixedD(t *testing.T, idx *Index, arcs [][2]uint32) []hcl.Stats {
 	t.Helper()
-	var log []Stats
+	var log []hcl.Stats
 	for i, e := range arcs {
 		st, err := idx.InsertEdge(e[0], e[1])
 		if err != nil {

@@ -1,29 +1,24 @@
 package dhcl
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
 	"repro/internal/hcl"
 )
-
-// Stats reports what one directed update did. LandmarksSkipped counts
-// eliminated (landmark, direction) passes, of 2|R|, and AffectedSum the
-// affected vertices of both directions.
-type Stats = hcl.Stats
 
 // InsertEdge inserts the directed edge a→b and repairs both label sets:
 // forward distances can only change downstream of b, backward distances
 // only upstream of a (the directed analogue of Lemma 4.3). The 2|R|
 // (landmark, direction) passes fan across Workers cores — each task runs
-// the IncHL+ kernel (hcl.Core.RepairInsertion) in its orientation against
-// the pre-update labelling (no repair has mutated anything yet: tasks only
+// the IncHL+ kernel (hcl.RepairInsertion) in its orientation against the
+// pre-update labelling (no repair has mutated anything yet: tasks only
 // buffer deltas) — and the merge applies the deltas in serial pass order,
-// forward before backward per rank.
-func (idx *Index) InsertEdge(a, b uint32) (Stats, error) {
-	var st Stats
+// forward before backward per rank. In the returned statistics,
+// LandmarksSkipped counts eliminated (landmark, direction) passes, of
+// 2|R|, and AffectedSum the affected vertices of both directions.
+func (idx *Index) InsertEdge(a, b uint32) (hcl.Stats, error) {
+	var st hcl.Stats
 	g := idx.G
-	if err := CheckInsert(g, a, b); err != nil {
+	if err := hcl.CheckInsert(g, a, b); err != nil {
 		return st, err
 	}
 	if _, err := g.AddEdge(a, b); err != nil {
@@ -36,7 +31,7 @@ func (idx *Index) InsertEdge(a, b uint32) (Stats, error) {
 	for t := range ds {
 		ds[t] = hcl.Delta{Rank: uint16(t / 2), Dir: t % 2}
 	}
-	hcl.Repair(&idx.Core, &hcl.Scratches, ds, false, func(ws *hcl.Scratch, t int, d *hcl.Delta) {
+	hcl.Repair(&idx.Core, ds, false, func(ws *hcl.Scratch, t int, d *hcl.Delta) {
 		affected[t] = idx.insertPass(ws, d, a, b)
 	})
 	for t := range ds {
@@ -52,9 +47,9 @@ func (idx *Index) InsertEdge(a, b uint32) (Stats, error) {
 
 // InsertVertex adds a new vertex with the given initial out- and
 // in-neighbours, applied as sequential edge insertions.
-func (idx *Index) InsertVertex(outTo, inFrom []uint32) (uint32, Stats, error) {
-	var agg Stats
-	if err := CheckNeighbors(idx.G, outTo, inFrom); err != nil {
+func (idx *Index) InsertVertex(outTo, inFrom []uint32) (uint32, hcl.Stats, error) {
+	var agg hcl.Stats
+	if err := hcl.CheckNeighbors(idx.G, outTo, inFrom); err != nil {
 		return 0, agg, err
 	}
 	v := idx.G.AddVertex()
@@ -80,37 +75,6 @@ func (idx *Index) InsertVertex(outTo, inFrom []uint32) (uint32, Stats, error) {
 	return v, agg, nil
 }
 
-// CheckInsert is InsertEdge's validity check: a→b must join two distinct
-// vertices of g and not be an arc yet. Batch validation runs it on a view
-// of the graph with the batch's earlier edits applied, so a batch is
-// judged by exactly the checks its repair would run.
-func CheckInsert(g graph.EdgeSet, a, b uint32) error {
-	if !g.HasVertex(a) || !g.HasVertex(b) {
-		return fmt.Errorf("dhcl: insert (%d,%d): %w", a, b, graph.ErrVertexUnknown)
-	}
-	if a == b {
-		return fmt.Errorf("dhcl: insert (%d,%d): %w", a, b, graph.ErrSelfLoop)
-	}
-	if g.HasEdge(a, b) {
-		return fmt.Errorf("dhcl: insert (%d,%d): %w", a, b, graph.ErrEdgeExists)
-	}
-	return nil
-}
-
-// CheckNeighbors is InsertVertex's check of the neighbour lists: every
-// neighbour must be a vertex of g. The arcs to and from the new vertex are
-// then checked one by one, by CheckInsert, out-arcs first.
-func CheckNeighbors(g graph.EdgeSet, outTo, inFrom []uint32) error {
-	for _, ws := range [][]uint32{outTo, inFrom} {
-		for _, w := range ws {
-			if !g.HasVertex(w) {
-				return fmt.Errorf("dhcl: insert vertex: neighbour %d: %w", w, graph.ErrVertexUnknown)
-			}
-		}
-	}
-	return nil
-}
-
 // insertPass repairs one (landmark, direction) pass after the insertion of
 // a→b and returns the size of its affected set, or -1 when the pass is
 // eliminated: the new edge lies on no shortest path to or from r. A
@@ -127,5 +91,5 @@ func (idx *Index) insertPass(ws *hcl.Scratch, d *hcl.Delta, a, b uint32) int {
 	if near == graph.Inf || idx.PassDist(d.Dir, d.Rank, head) <= near {
 		return -1
 	}
-	return len(idx.RepairInsertion(ws, d, head, near+1, children, parents, nil))
+	return len(hcl.RepairInsertion(&idx.Core, ws, d, head, near+1, children, parents, nil))
 }

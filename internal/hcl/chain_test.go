@@ -12,14 +12,14 @@ import (
 )
 
 // clone returns a deep copy of g.
-func (g *adj) clone() *adj {
-	c := &adj{directed: g.directed, out: make([][]uint32, len(g.out))}
+func (g *adj[A]) clone() *adj[A] {
+	c := &adj[A]{directed: g.directed, out: make([][]A, len(g.out))}
 	for v := range g.out {
 		c.out[v] = slices.Clone(g.out[v])
 	}
 	c.in = c.out
 	if g.directed {
-		c.in = make([][]uint32, len(g.in))
+		c.in = make([][]A, len(g.in))
 		for v := range g.in {
 			c.in[v] = slices.Clone(g.in[v])
 		}
@@ -50,14 +50,14 @@ func TestForkChainKeepsAncestors(t *testing.T) {
 		// Two full chunks and a partial third, which the added vertices
 		// fill past a chunk boundary.
 		n := 2*packChunkLen + packChunkLen - 12
-		g := newAdj(n, false)
+		g := newAdj[uint32](n, false)
 		for v := 1; v < n; v++ {
-			g.add(uint32(rng.Intn(v)), uint32(v)) // a random tree keeps it connected
+			g.add(uint32(rng.Intn(v)), uint32(v), 1) // a random tree keeps it connected
 		}
 		for range n {
 			a, b := uint32(rng.Intn(n)), uint32(rng.Intn(n))
 			if a != b && !g.has(a, b) && !g.has(b, a) {
-				g.add(a, b)
+				g.add(a, b, 1)
 			}
 		}
 		lms := []uint32{0, 1, 2, uint32(n / 2), uint32(n - 1)}
@@ -105,11 +105,11 @@ func TestForkChainKeepsAncestors(t *testing.T) {
 					cg.out = append(cg.out, nil)
 					cg.in = cg.out
 					child.EnsureVertex(v)
-					insert(t, &child, cg, uint32(rng.Intn(int(v))), v)
+					insert(t, &child, cg, uint32(rng.Intn(int(v))), v, 1)
 				case k <= 2:
 					a, b := uint32(rng.Intn(len(cg.out))), uint32(rng.Intn(len(cg.out)))
 					if a != b && !cg.has(a, b) && !cg.has(b, a) {
-						insert(t, &child, cg, a, b)
+						insert(t, &child, cg, a, b, 1)
 					}
 				default:
 					a := uint32(rng.Intn(len(cg.out)))

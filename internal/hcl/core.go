@@ -12,8 +12,9 @@ import (
 // label directions, and the repair knobs. hcl.Index, dhcl.Index and
 // whcl.Index embed it and add their graph, their query kernels and the
 // affected tests of their updates; fork, serialisation, the repair
-// engine (repair.go) and the local insertion and deletion repairs of the
-// unit-weight variants (delete.go) are implemented here once.
+// engine (repair.go), the update checks (check.go) and the local
+// insertion and deletion repairs of all three variants (delete.go) are
+// implemented here once.
 //
 // Queries are safe for any number of concurrent readers; mutations require
 // exclusive access.

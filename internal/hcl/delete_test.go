@@ -8,70 +8,97 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/wgraph"
 )
 
-// adj is a small mutable test graph: out- and in-lists, one shared list
-// per vertex when undirected.
-type adj struct {
+// adj is a small mutable test graph: out- and in-lists of arcs, one shared
+// list per vertex when undirected. Arcs are bare targets or weighted.
+type adj[A Arc] struct {
 	directed bool
-	out, in  [][]uint32
+	out, in  [][]A
 }
 
-func newAdj(n int, directed bool) *adj {
-	g := &adj{directed: directed, out: make([][]uint32, n), in: make([][]uint32, n)}
+func newAdj[A Arc](n int, directed bool) *adj[A] {
+	g := &adj[A]{directed: directed, out: make([][]A, n), in: make([][]A, n)}
 	if !directed {
 		g.in = g.out
 	}
 	return g
 }
 
-func (g *adj) has(a, b uint32) bool { return slices.Contains(g.out[a], b) }
-
-func (g *adj) add(a, b uint32) {
-	g.out[a] = append(g.out[a], b)
-	g.in[b] = append(g.in[b], a)
+// arcTo returns the arc to v of weight w, which a unit arc drops.
+func arcTo[A Arc](v uint32, w graph.Dist) A {
+	var a A
+	switch p := any(&a).(type) {
+	case *uint32:
+		*p = v
+	case *wgraph.Arc:
+		*p = wgraph.Arc{To: v, W: w}
+	}
+	return a
 }
 
-func (g *adj) remove(a, b uint32) {
-	drop := func(l []uint32, v uint32) []uint32 { return slices.Delete(l, slices.Index(l, v), slices.Index(l, v)+1) }
+func (g *adj[A]) has(a, b uint32) bool {
+	return slices.ContainsFunc(g.out[a], func(x A) bool { return to(x) == b })
+}
+
+// weight returns the weight of the arc a→b, 1 on unit arcs.
+func (g *adj[A]) weight(a, b uint32) graph.Dist {
+	i := slices.IndexFunc(g.out[a], func(x A) bool { return to(x) == b })
+	return plus(0, g.out[a][i])
+}
+
+func (g *adj[A]) add(a, b uint32, w graph.Dist) {
+	g.out[a] = append(g.out[a], arcTo[A](b, w))
+	g.in[b] = append(g.in[b], arcTo[A](a, w))
+}
+
+func (g *adj[A]) remove(a, b uint32) {
+	drop := func(l []A, v uint32) []A { return slices.DeleteFunc(l, func(x A) bool { return to(x) == v }) }
 	g.out[a] = drop(g.out[a], b)
 	g.in[b] = drop(g.in[b], a)
 }
 
 // pass returns the children and parents of label direction dir: out- then
 // in-arcs forward, the reverse backward.
-func (g *adj) pass(dir int) (children, parents func(uint32) []uint32) {
-	out := func(v uint32) []uint32 { return g.out[v] }
-	in := func(v uint32) []uint32 { return g.in[v] }
+func (g *adj[A]) pass(dir int) (children, parents func(uint32) []A) {
+	out := func(v uint32) []A { return g.out[v] }
+	in := func(v uint32) []A { return g.in[v] }
 	if dir == 1 {
 		return in, out
 	}
 	return out, in
 }
 
-// bfsFrom returns the distances from s over children.
-func bfsFrom(n int, s uint32, children func(uint32) []uint32) []graph.Dist {
+// distFrom returns the distances from s over children, by a quadratic
+// Dijkstra.
+func distFrom[A Arc](n int, s uint32, children func(uint32) []A) []graph.Dist {
 	dist := make([]graph.Dist, n)
 	for i := range dist {
 		dist[i] = graph.Inf
 	}
 	dist[s] = 0
-	q := []uint32{s}
-	for len(q) > 0 {
-		v := q[0]
-		q = q[1:]
-		for _, w := range children(v) {
-			if dist[w] == graph.Inf {
-				dist[w] = dist[v] + 1
-				q = append(q, w)
+	done := make([]bool, n)
+	for {
+		v := -1
+		for u := range n {
+			if !done[u] && dist[u] != graph.Inf && (v < 0 || dist[u] < dist[v]) {
+				v = u
 			}
 		}
+		if v < 0 {
+			return dist
+		}
+		done[v] = true
+		for _, a := range children(uint32(v)) {
+			dist[to(a)] = min(dist[to(a)], plus(dist[v], a))
+		}
 	}
-	return dist
 }
 
-// build constructs the labelling of g from scratch.
-func (g *adj) build(t *testing.T, lms []uint32) *Core {
+// build constructs the labelling of g from scratch: the covered-flag BFS
+// on unit arcs, the covered-flag Dijkstra on weighted ones.
+func (g *adj[A]) build(t *testing.T, lms []uint32) *Core {
 	t.Helper()
 	dirs := 1
 	if g.directed {
@@ -81,9 +108,14 @@ func (g *adj) build(t *testing.T, lms []uint32) *Core {
 	if err != nil {
 		t.Fatal(err)
 	}
-	Construct(&c, &Scratches, 1, func(ws *Scratch, d *Delta) {
+	Construct(&c, 1, func(ws *Scratch, d *Delta) {
 		children, parents := g.pass(d.Dir)
-		c.RebuildBFS(ws, d, children, parents)
+		switch ch := any(children).(type) {
+		case func(uint32) []uint32:
+			c.RebuildBFS(ws, d, ch, any(parents).(func(uint32) []uint32))
+		case func(uint32) []wgraph.Arc:
+			c.RebuildDijkstra(ws, d, ch)
+		}
 	})
 	return &c
 }
@@ -95,13 +127,14 @@ type task struct {
 	pi   graph.Dist
 }
 
-// insert adds a→b to g and repairs c with RepairInsertion, checking each
-// pass's affected set against BFS on the changed graph. It returns the
-// merged deltas.
-func insert(t *testing.T, c *Core, g *adj, a, b uint32) []Delta {
+// insert adds a→b of weight w to g and repairs c with RepairInsertion,
+// checking each pass's affected set against Dijkstra on the changed graph.
+// It returns the merged deltas.
+func insert[A Arc](t *testing.T, c *Core, g *adj[A], a, b uint32, w graph.Dist) []Delta {
 	t.Helper()
 	var ds []Delta
 	var ts []task
+	w = plus(0, arcTo[A](b, w)) // 1 on unit arcs
 	for r := range c.Landmarks {
 		for dir := 0; dir < c.kind.Dirs; dir++ {
 			tail, head := a, b
@@ -112,19 +145,20 @@ func insert(t *testing.T, c *Core, g *adj, a, b uint32) []Delta {
 			if !g.directed && dh < dt {
 				tail, head, dt, dh = head, tail, dh, dt
 			}
-			if dt == graph.Inf || dh <= dt {
+			pi := graph.AddDist(dt, w)
+			if dt == graph.Inf || pi > dh {
 				continue // the arc shortens nothing (Lemma 4.3)
 			}
 			ds = append(ds, Delta{Rank: uint16(r), Dir: dir})
-			ts = append(ts, task{head, dt + 1})
+			ts = append(ts, task{head, pi})
 		}
 	}
-	g.add(a, b)
+	g.add(a, b, w)
 	affected := make([][]uint32, len(ds))
-	Repair(c, &Scratches, ds, false, func(ws *Scratch, i int, d *Delta) {
+	Repair(c, ds, false, func(ws *Scratch, i int, d *Delta) {
 		children, parents := g.pass(d.Dir)
 		sentinel := []uint32{math.MaxUint32}
-		out := c.RepairInsertion(ws, d, ts[i].head, ts[i].pi, children, parents, sentinel)
+		out := RepairInsertion(c, ws, d, ts[i].head, ts[i].pi, children, parents, sentinel)
 		if out[0] != math.MaxUint32 {
 			t.Errorf("RepairInsertion overwrote out's prefix")
 		}
@@ -134,8 +168,8 @@ func insert(t *testing.T, c *Core, g *adj, a, b uint32) []Delta {
 	n := len(g.out)
 	for i, d := range ds {
 		children, _ := g.pass(d.Dir)
-		fromRoot := bfsFrom(n, c.Landmarks[d.Rank], children)
-		fromHead := bfsFrom(n, ts[i].head, children)
+		fromRoot := distFrom(n, c.Landmarks[d.Rank], children)
+		fromHead := distFrom(n, ts[i].head, children)
 		var want []uint32
 		for v := range n {
 			if fromHead[v] != graph.Inf && ts[i].pi+fromHead[v] == fromRoot[v] {
@@ -153,9 +187,10 @@ func insert(t *testing.T, c *Core, g *adj, a, b uint32) []Delta {
 
 // remove deletes a→b from g and repairs c with RepairDeletion on every pass
 // whose shortest-path DAG held the arc.
-func remove(c *Core, g *adj, a, b uint32) {
+func remove[A Arc](c *Core, g *adj[A], a, b uint32) {
 	var ds []Delta
 	var heads []uint32
+	w := g.weight(a, b)
 	for r := range c.Landmarks {
 		for dir := 0; dir < c.kind.Dirs; dir++ {
 			tail, head := a, b
@@ -166,7 +201,7 @@ func remove(c *Core, g *adj, a, b uint32) {
 			if !g.directed && dh < dt {
 				tail, head, dt, dh = head, tail, dh, dt
 			}
-			if dt == graph.Inf || dt+1 != dh {
+			if dt == graph.Inf || graph.AddDist(dt, w) != dh {
 				continue // not on the DAG: nothing changes
 			}
 			ds = append(ds, Delta{Rank: uint16(r), Dir: dir})
@@ -174,50 +209,55 @@ func remove(c *Core, g *adj, a, b uint32) {
 		}
 	}
 	g.remove(a, b)
-	Repair(c, &Scratches, ds, true, func(ws *Scratch, i int, d *Delta) {
+	Repair(c, ds, true, func(ws *Scratch, i int, d *Delta) {
 		children, parents := g.pass(d.Dir)
-		c.RepairDeletion(ws, d, heads[i], children, parents)
+		RepairDeletion(c, ws, d, heads[i], children, parents)
 	})
 }
 
 // TestLocalRepairsMatchBuild replays random insert/delete streams through
-// the two local repairs, undirected and directed, and checks after every
-// update that the labelling equals a fresh construction.
+// the two local repairs — undirected and directed on unit arcs, and
+// undirected with weights 1–8 — and checks after every update that the
+// labelling equals a fresh construction.
 func TestLocalRepairsMatchBuild(t *testing.T) {
-	for _, directed := range []bool{false, true} {
-		for seed := int64(1); seed <= 12; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			n := 12 + rng.Intn(20)
-			g := newAdj(n, directed)
-			var arcs [][2]uint32
-			for range n + rng.Intn(2*n) {
+	t.Run("undirected", func(t *testing.T) { replayLocalRepairs[uint32](t, false) })
+	t.Run("directed", func(t *testing.T) { replayLocalRepairs[uint32](t, true) })
+	t.Run("weighted", func(t *testing.T) { replayLocalRepairs[wgraph.Arc](t, false) })
+}
+
+func replayLocalRepairs[A Arc](t *testing.T, directed bool) {
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 12 + rng.Intn(20)
+		g := newAdj[A](n, directed)
+		var arcs [][2]uint32
+		for range n + rng.Intn(2*n) {
+			a, b := uint32(rng.Intn(n)), uint32(rng.Intn(n))
+			if a != b && !g.has(a, b) && (directed || !g.has(b, a)) {
+				g.add(a, b, graph.Dist(1+rng.Intn(8)))
+				arcs = append(arcs, [2]uint32{a, b})
+			}
+		}
+		lms := make([]uint32, 1+rng.Intn(5))
+		for i, v := range rng.Perm(n)[:len(lms)] {
+			lms[i] = uint32(v)
+		}
+		c := g.build(t, lms)
+		for op := range 40 {
+			if len(arcs) > 0 && rng.Intn(2) == 0 {
+				i := rng.Intn(len(arcs))
+				remove(c, g, arcs[i][0], arcs[i][1])
+				arcs = slices.Delete(arcs, i, i+1)
+			} else {
 				a, b := uint32(rng.Intn(n)), uint32(rng.Intn(n))
-				if a != b && !g.has(a, b) && (directed || !g.has(b, a)) {
-					g.add(a, b)
-					arcs = append(arcs, [2]uint32{a, b})
+				if a == b || g.has(a, b) || (!directed && g.has(b, a)) {
+					continue
 				}
+				insert(t, c, g, a, b, graph.Dist(1+rng.Intn(8)))
+				arcs = append(arcs, [2]uint32{a, b})
 			}
-			lms := make([]uint32, 1+rng.Intn(5))
-			for i, v := range rng.Perm(n)[:len(lms)] {
-				lms[i] = uint32(v)
-			}
-			c := g.build(t, lms)
-			for op := range 40 {
-				if len(arcs) > 0 && rng.Intn(2) == 0 {
-					i := rng.Intn(len(arcs))
-					remove(c, g, arcs[i][0], arcs[i][1])
-					arcs = slices.Delete(arcs, i, i+1)
-				} else {
-					a, b := uint32(rng.Intn(n)), uint32(rng.Intn(n))
-					if a == b || g.has(a, b) || (!directed && g.has(b, a)) {
-						continue
-					}
-					insert(t, c, g, a, b)
-					arcs = append(arcs, [2]uint32{a, b})
-				}
-				if err := c.EqualLabels(g.build(t, lms)); err != nil {
-					t.Fatalf("directed=%v seed %d op %d: %v", directed, seed, op, err)
-				}
+			if err := c.EqualLabels(g.build(t, lms)); err != nil {
+				t.Fatalf("seed %d op %d: %v", seed, op, err)
 			}
 		}
 	}
@@ -230,9 +270,9 @@ func TestLocalRepairsMatchBuild(t *testing.T) {
 func TestInsertionAtEqualDistance(t *testing.T) {
 	// Landmarks 0 and 1 are adjacent; 0-2-3 and 0-4-5 are paths, so 3 and
 	// 5 hold entries of landmark 0 at distance 2.
-	g := newAdj(6, false)
+	g := newAdj[uint32](6, false)
 	for _, e := range [][2]uint32{{0, 1}, {0, 2}, {2, 3}, {0, 4}, {4, 5}} {
-		g.add(e[0], e[1])
+		g.add(e[0], e[1], 1)
 	}
 	c := g.build(t, []uint32{0, 1})
 	for _, v := range []uint32{3, 5} {
@@ -242,7 +282,7 @@ func TestInsertionAtEqualDistance(t *testing.T) {
 	}
 
 	// 1-3: vertex 3 gains the landmark 1 as a parent and becomes covered.
-	ds := insert(t, c, g, 1, 3)
+	ds := insert(t, c, g, 1, 3, 1)
 	if _, ok := c.Entry(0, 3, 0); ok {
 		t.Error("vertex 3 kept its rank-0 entry behind a landmark parent")
 	}
@@ -255,7 +295,7 @@ func TestInsertionAtEqualDistance(t *testing.T) {
 
 	// 2-5: vertex 5 gains the uncovered parent 2 and keeps its entry, which
 	// the repair sets again.
-	ds = insert(t, c, g, 2, 5)
+	ds = insert(t, c, g, 2, 5, 1)
 	if ch := ds[0].Changes(); ds[0].Rank != 0 || ch != (Changes{Added: 1}) {
 		t.Errorf("rank %d edits %+v, want one set on rank 0", ds[0].Rank, ch)
 	}
@@ -270,16 +310,16 @@ func TestInsertionAtEqualDistance(t *testing.T) {
 // TestScratchEpochWraps runs a repair on scratch whose epoch is about to
 // wrap: stamps left from the previous cycle must not read as current.
 func TestScratchEpochWraps(t *testing.T) {
-	g := newAdj(8, false)
+	g := newAdj[uint32](8, false)
 	for i := uint32(0); i+1 < 8; i++ {
-		g.add(i, i+1)
+		g.add(i, i+1, 1)
 	}
 	c := g.build(t, []uint32{0, 7})
-	g.add(0, 4)
+	g.add(0, 4, 1)
 	children, parents := g.pass(0)
 	run := func(ws *Scratch) Delta {
 		d := Delta{Rank: 0}
-		c.RepairInsertion(ws, &d, 4, 1, children, parents, nil)
+		RepairInsertion(c, ws, &d, 4, 1, children, parents, nil)
 		return d
 	}
 	want := run(new(Scratch))
@@ -298,7 +338,7 @@ func TestScratchEpochWraps(t *testing.T) {
 }
 
 func TestCountDistinct(t *testing.T) {
-	g := newAdj(10, false)
+	g := newAdj[uint32](10, false)
 	c := g.build(t, []uint32{0})
 	got := c.CountDistinct(func(see func(uint32)) {
 		for _, v := range []uint32{3, 1, 3, 9, 1, 0} {

@@ -45,7 +45,7 @@ func BuildParallel(g *graph.Graph, landmarks []uint32, workers int) (*Index, err
 	if err != nil {
 		return nil, err
 	}
-	Construct(&idx.Core, &Scratches, workers, func(ws *Scratch, d *Delta) {
+	Construct(&idx.Core, workers, func(ws *Scratch, d *Delta) {
 		idx.RebuildBFS(ws, d, g.Neighbors, g.Neighbors)
 	})
 	return idx, nil

@@ -56,28 +56,28 @@ var directions = []struct {
 // kernelCase is a test graph with its landmarks.
 type kernelCase struct {
 	name string
-	g    *adj
+	g    *adj[uint32]
 	lms  []uint32
 }
 
 // fromEdges returns g's edges as a test graph; a directed one orients each
 // edge at random and keeps a fifth of them in both directions.
-func fromEdges(g *graph.Graph, directed bool, rng *rand.Rand) *adj {
-	a := newAdj(g.NumVertices(), directed)
+func fromEdges(g *graph.Graph, directed bool, rng *rand.Rand) *adj[uint32] {
+	a := newAdj[uint32](g.NumVertices(), directed)
 	g.Edges(func(u, v uint32) {
 		if directed && rng.Intn(2) == 0 {
 			u, v = v, u
 		}
-		a.add(u, v)
+		a.add(u, v, 1)
 		if directed && rng.Intn(5) == 0 {
-			a.add(v, u)
+			a.add(v, u, 1)
 		}
 	})
 	return a
 }
 
 // topDegree returns the k vertices of largest out-degree.
-func topDegree(g *adj, k int) []uint32 {
+func topDegree(g *adj[uint32], k int) []uint32 {
 	vs := make([]uint32, len(g.out))
 	for i := range vs {
 		vs[i] = uint32(i)

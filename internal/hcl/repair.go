@@ -1,17 +1,16 @@
 // The parallel repair engine of all three variants. Every expensive phase
 // of an update is landmark-independent: a task for landmark r in label
 // direction dir — the local repair of an insertion or a deletion
-// (delete.go), the weighted variant's jumped Dijkstra and classification,
-// or the covered-flag rebuild search of a construction or a weighted
-// deletion — reads only the frozen pre-repair labelling, and its
-// edits touch only rank-r entries of its direction and highway cells (r,s)
-// (forward) or (s,r) (backward). Updates therefore fan tasks across
-// workers, each computing a Delta against the unmodified labelling with its
-// own pooled scratch, and after a full barrier the merge applies the
-// deltas in task order, the serial apply order: the highway cells one
-// delta at a time, the label edits one touched chunk at a time. The serial path
-// (Workers == 1) runs the identical task+merge code, so the labelling is
-// byte-identical for every worker count.
+// (delete.go), or the covered-flag search of a construction — reads only
+// the frozen pre-repair labelling, and its edits touch only rank-r entries
+// of its direction and highway cells (r,s) (forward) or (s,r) (backward).
+// Updates therefore fan tasks across workers, each computing a Delta
+// against the unmodified labelling with its own pooled scratch, and after a
+// full barrier the merge applies the deltas in task order, the serial apply
+// order: the highway cells one delta at a time, the label edits one touched
+// chunk at a time. The serial path (Workers == 1) runs the identical
+// task+merge code, so the labelling is byte-identical for every worker
+// count.
 //
 // Two invariants make worker-side decisions exact rather than speculative:
 //
@@ -23,8 +22,7 @@
 //     forward cell of r), but any two tasks that write the same cell in one
 //     update write the same new distance. Insertion repairs never read the
 //     highway, so their cells apply unconditionally. Deletion repairs and
-//     rebuild searches compare against the frozen highway, so their tasks
-//     emit candidate cells wherever the pre-update value differs — a
+//     construction searches write cells whose pre-update value differs — a
 //     superset of what serial writes — and the merge re-checks each against
 //     the live matrix, reproducing serial's writes and counts exactly.
 
@@ -38,6 +36,7 @@ import (
 	"repro/internal/fanout"
 	"repro/internal/graph"
 	"repro/internal/queue"
+	"repro/internal/wgraph"
 )
 
 // labelOp is one label edit of a delta: set the entry of vertex v to d, or
@@ -159,27 +158,28 @@ func (c *Core) Touched(d *Delta, fn func(v uint32)) {
 }
 
 // Scratch is one worker's state for the covered-flag searches: a distance
-// and a covered flag per vertex for the rebuild searches, the epoch-stamped
-// per-vertex slots and work lists of the local insertion and deletion
-// repairs (a slot is current only while its stamp equals epoch, so a task
-// starts by bumping the epoch instead of clearing), and the queues. The
-// weighted variant embeds it in its own worker scratch.
+// and a covered flag per vertex for the construction searches, the
+// epoch-stamped per-vertex slots and work lists of the local insertion and
+// deletion repairs (a slot is current only while its stamp equals epoch, so
+// a task starts by bumping the epoch instead of clearing), the FIFO that
+// orders the unit-arc walks and the radix heap that orders the weighted
+// ones. All three variants draw it from Scratches.
 type Scratch struct {
 	dist    []graph.Dist
 	covered []bool
-	levels  [2][]uint32 // frontiers of the rebuild searches
-	q       queue.Uint32
+	levels  [2][]uint32 // frontiers of the construction BFS
 
 	epoch                uint32 // slots stamped otherwise are stale
 	slots                []slot
 	affected, kept, done []uint32
 	seeds                []queue.Pair
-	fifo                 queue.PairQueue
+	fifo                 []queue.Pair
+	pq                   queue.PQ
 }
 
-// Arrays returns the distance and covered vectors sized for n vertices.
+// arrays returns the distance and covered vectors sized for n vertices.
 // Their contents are left over from earlier searches.
-func (s *Scratch) Arrays(n int) ([]graph.Dist, []bool) {
+func (s *Scratch) arrays(n int) ([]graph.Dist, []bool) {
 	s.dist, s.covered = cow.Grow(s.dist, n), cow.Grow(s.covered, n)
 	return s.dist, s.covered
 }
@@ -202,24 +202,24 @@ func (p *Pool[S]) Get() *S {
 // Put returns s to the pool.
 func (p *Pool[S]) Put(s *S) { p.p.Put(s) }
 
-// Scratches is the pool of the unit-weight variants' scratch.
+// Scratches is the pool of the repair and construction tasks' scratch.
 var Scratches Pool[Scratch]
 
 // Repair runs task for every delta of ds across the core's Workers — each
 // task reads the frozen labelling and fills only its own delta ds[t] — and
-// then merges the deltas in order. Each worker draws its scratch from pool,
-// and tasks are timed through RepairTimer when it is set. recheck selects
-// the rebuild merge, which re-checks every highway cell against the live
-// matrix; insertion deltas apply as they are. Afterwards every delta holds
-// exactly the edits it made (see Changes and Touched).
-func Repair[S any](c *Core, pool *Pool[S], ds []Delta, recheck bool, task func(ws *S, t int, d *Delta)) {
+// then merges the deltas in order. Each worker draws its scratch from
+// Scratches, and tasks are timed through RepairTimer when it is set.
+// recheck selects the merge that re-checks every highway cell against the
+// live matrix; insertion deltas apply as they are. Afterwards every delta
+// holds exactly the edits it made (see Changes and Touched).
+func Repair(c *Core, ds []Delta, recheck bool, task func(ws *Scratch, t int, d *Delta)) {
 	if len(ds) == 0 {
 		return
 	}
 	workers := min(fanout.Resolve(c.Workers), len(ds))
-	scs := make([]*S, workers)
+	scs := make([]*Scratch, workers)
 	for i := range scs {
-		scs[i] = pool.Get()
+		scs[i] = Scratches.Get()
 	}
 	timer := c.RepairTimer
 	fanout.Run(workers, len(ds), func(w, t int) {
@@ -232,7 +232,7 @@ func Repair[S any](c *Core, pool *Pool[S], ds []Delta, recheck bool, task func(w
 		timer(time.Since(start))
 	})
 	for _, s := range scs {
-		pool.Put(s)
+		Scratches.Put(s)
 	}
 	c.merge(ds, recheck)
 }
@@ -270,7 +270,7 @@ func (c *Core) merge(ds []Delta, recheck bool) {
 // merge lays every chunk out once, from all the deltas. search
 // runs the covered-flag search of d.Rank in direction d.Dir and buffers its
 // entries and highway cells into d.
-func Construct[S any](c *Core, pool *Pool[S], workers int, search func(ws *S, d *Delta)) {
+func Construct(c *Core, workers int, search func(ws *Scratch, d *Delta)) {
 	ds := make([]Delta, 0, c.kind.Dirs*len(c.Landmarks))
 	for r := range c.Landmarks {
 		for dir := 0; dir < c.kind.Dirs; dir++ {
@@ -279,7 +279,7 @@ func Construct[S any](c *Core, pool *Pool[S], workers int, search func(ws *S, d 
 	}
 	tuned := c.Workers
 	c.Workers = workers
-	Repair(c, pool, ds, true, func(ws *S, _ int, d *Delta) { search(ws, d) })
+	Repair(c, ds, true, func(ws *Scratch, _ int, d *Delta) { search(ws, d) })
 	c.Workers = tuned
 }
 
@@ -304,7 +304,7 @@ func Construct[S any](c *Core, pool *Pool[S], workers int, search func(ws *S, d 
 // only at frontier sizes, so a high-diameter graph never pays for it.
 func (c *Core) RebuildBFS(ws *Scratch, d *Delta, children, parents func(uint32) []uint32) {
 	n := len(c.rankArr)
-	dist, covered := ws.Arrays(n)
+	dist, covered := ws.arrays(n)
 	for i := range dist {
 		dist[i] = graph.Inf
 	}
@@ -419,6 +419,41 @@ func (s *dirSwitch) bottomUp(level graph.Dist, f int) bool {
 			f*switchAlpha > s.unvisited
 	}
 	return s.up
+}
+
+// RebuildDijkstra is the weighted variant's covered-flag search: a
+// Dijkstra from landmark d.Rank over neighbors that buffers its entries and
+// highway cells into d, as RebuildBFS does. Weights are at least 1, so
+// every shortest-path parent of a vertex settles strictly before it: a
+// vertex's covered flag is final the moment it settles.
+func (c *Core) RebuildDijkstra(ws *Scratch, d *Delta, neighbors func(uint32) []wgraph.Arc) {
+	dist, covered := ws.arrays(len(c.rankArr))
+	for i := range dist {
+		dist[i] = graph.Inf
+	}
+	root := c.Landmarks[d.Rank]
+	dist[root] = 0
+	pq := &ws.pq
+	pq.Reset()
+	pq.PushItem(queue.Item{V: root})
+	for pq.Len() > 0 {
+		it := pq.PopItem()
+		v := it.V
+		if it.D != dist[v] {
+			continue // stale queue entry
+		}
+		cov := c.rankArr[v] != noRank && v != root
+		for _, a := range neighbors(v) {
+			if nd := graph.AddDist(it.D, a.W); nd < dist[a.To] {
+				dist[a.To] = nd
+				pq.PushItem(queue.Item{V: a.To, D: nd})
+			} else if !cov && graph.AddDist(dist[a.To], a.W) == it.D && covered[a.To] {
+				cov = true // a settled shortest-path parent is covered
+			}
+		}
+		covered[v] = cov
+	}
+	c.Diff(d, dist, covered)
 }
 
 // Diff buffers into d the edits that make landmark d.Rank's entries and

@@ -18,7 +18,7 @@ func rebuildAll(idx *Index) []Delta {
 	for r := range ds {
 		ds[r].Rank = uint16(r)
 	}
-	Repair(&idx.Core, &Scratches, ds, true, func(ws *Scratch, _ int, d *Delta) {
+	Repair(&idx.Core, ds, true, func(ws *Scratch, _ int, d *Delta) {
 		idx.RebuildBFS(ws, d, idx.G.Neighbors, idx.G.Neighbors)
 	})
 	return ds

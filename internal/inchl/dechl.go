@@ -8,7 +8,7 @@
 // landmarks (the common case: an edge sits on the shortest-path DAGs of few
 // landmarks) keep their entries untouched.
 //
-// Each affected landmark is repaired locally (hcl.Core.RepairDeletion),
+// Each affected landmark is repaired locally (hcl.RepairDeletion),
 // starting from the endpoint one level further from it:
 //
 //   - Affected set: the vertices whose distance grows are exactly those
@@ -49,7 +49,7 @@ import (
 func (u *Updater) DeleteEdge(a, b uint32) (Stats, error) {
 	var st Stats
 	g := u.G
-	if err := CheckDelete(g, a, b); err != nil {
+	if err := hcl.CheckDelete(g, a, b); err != nil {
 		return st, err
 	}
 	st.LandmarksTotal = u.NumLandmarks()
@@ -75,8 +75,8 @@ func (u *Updater) DeleteEdge(a, b uint32) (Stats, error) {
 	if err := g.RemoveEdge(a, b); err != nil {
 		return st, fmt.Errorf("inchl: delete (%d,%d): %w", a, b, err)
 	}
-	hcl.Repair(&u.Core, &hcl.Scratches, ds, true, func(ws *hcl.Scratch, t int, d *hcl.Delta) {
-		u.RepairDeletion(ws, d, heads[t], g.Neighbors, g.Neighbors)
+	hcl.Repair(&u.Core, ds, true, func(ws *hcl.Scratch, t int, d *hcl.Delta) {
+		hcl.RepairDeletion(&u.Core, ws, d, heads[t], g.Neighbors, g.Neighbors)
 	})
 	// Every change a repair made touches one vertex: AffectedSum counts
 	// them, AffectedUnion the distinct vertices.
@@ -97,7 +97,7 @@ func (u *Updater) DeleteEdge(a, b uint32) (Stats, error) {
 func (u *Updater) DeleteVertex(v uint32) (Stats, error) {
 	var agg Stats
 	g := u.G
-	if err := CheckDeleteVertex(g, &u.Core, v); err != nil {
+	if err := hcl.CheckDeleteVertex(g, &u.Core, v); err != nil {
 		return agg, err
 	}
 	agg.LandmarksTotal = u.NumLandmarks()
@@ -109,31 +109,4 @@ func (u *Updater) DeleteVertex(v uint32) (Stats, error) {
 		agg.Plus(st)
 	}
 	return agg, nil
-}
-
-// CheckDelete is DeleteEdge's validity check: (a,b) must be an edge of g
-// (see CheckInsert).
-func CheckDelete(g graph.EdgeSet, a, b uint32) error {
-	if !g.HasVertex(a) || !g.HasVertex(b) {
-		return fmt.Errorf("inchl: delete (%d,%d): %w", a, b, graph.ErrVertexUnknown)
-	}
-	if a == b {
-		return fmt.Errorf("inchl: delete (%d,%d): %w", a, b, graph.ErrSelfLoop)
-	}
-	if !g.HasEdge(a, b) {
-		return fmt.Errorf("inchl: delete (%d,%d): %w", a, b, graph.ErrEdgeUnknown)
-	}
-	return nil
-}
-
-// CheckDeleteVertex is DeleteVertex's validity check: v must be a vertex
-// of g and not one of c's landmarks.
-func CheckDeleteVertex(g graph.EdgeSet, c *hcl.Core, v uint32) error {
-	if !g.HasVertex(v) {
-		return fmt.Errorf("inchl: delete vertex %d: %w", v, graph.ErrVertexUnknown)
-	}
-	if c.IsLandmark(v) {
-		return fmt.Errorf("inchl: delete vertex %d: cannot delete a landmark", v)
-	}
-	return nil
 }

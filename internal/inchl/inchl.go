@@ -17,10 +17,10 @@
 //     uncovered ones (their r-entry is set to the new exact distance), and
 //     refreshes the highway rows of affected landmarks.
 //
-// The find and repair phases are the unit-weight insertion kernel of
-// internal/hcl (hcl.Core.RepairInsertion), which the directed variant runs
-// once per direction; this package supplies the skip test, the jump and
-// the statistics.
+// The find and repair phases are the insertion kernel of internal/hcl
+// (hcl.RepairInsertion), which the directed variant runs once per
+// direction and the weighted one with Dijkstra order; this package
+// supplies the skip test, the jump and the statistics.
 //
 // Deviation from the paper's pseudocode, for correctness: Algorithm 1
 // interleaves find and repair per landmark, but a repair mutates label
@@ -86,7 +86,7 @@ func New(idx *hcl.Index) *Updater {
 func (u *Updater) InsertEdge(a, b uint32) (Stats, error) {
 	var st Stats
 	g := u.G
-	if err := CheckInsert(g, a, b); err != nil {
+	if err := hcl.CheckInsert(g, a, b); err != nil {
 		return st, err
 	}
 	k := u.NumLandmarks()
@@ -105,7 +105,7 @@ func (u *Updater) InsertEdge(a, b uint32) (Stats, error) {
 		ds[r].Rank = uint16(r)
 	}
 	rebuild := u.Strategy == RepairRebuild
-	hcl.Repair(&u.Core, &hcl.Scratches, ds, rebuild, func(ws *hcl.Scratch, r int, d *hcl.Delta) {
+	hcl.Repair(&u.Core, ds, rebuild, func(ws *hcl.Scratch, r int, d *hcl.Delta) {
 		head, pi, ok := u.jump(d.Rank, a, b)
 		switch {
 		case !ok:
@@ -113,7 +113,7 @@ func (u *Updater) InsertEdge(a, b uint32) (Stats, error) {
 		case rebuild:
 			u.RebuildBFS(ws, d, g.Neighbors, g.Neighbors)
 		default:
-			affected[r] = u.RepairInsertion(ws, d, head, pi, g.Neighbors, g.Neighbors, nil)
+			affected[r] = hcl.RepairInsertion(&u.Core, ws, d, head, pi, g.Neighbors, g.Neighbors, nil)
 		}
 	})
 	for r := range ds {
@@ -161,7 +161,7 @@ func (u *Updater) jump(r uint16, a, b uint32) (head uint32, pi graph.Dist, ok bo
 // and statistics aggregated over the component insertions.
 func (u *Updater) InsertVertex(neighbors []uint32) (uint32, Stats, error) {
 	var agg Stats
-	if err := CheckNeighbors(u.G, neighbors); err != nil {
+	if err := hcl.CheckNeighbors(u.G, neighbors); err != nil {
 		return 0, agg, err
 	}
 	v := u.G.AddVertex()
@@ -175,33 +175,4 @@ func (u *Updater) InsertVertex(neighbors []uint32) (uint32, Stats, error) {
 		agg.Plus(st)
 	}
 	return v, agg, nil
-}
-
-// CheckInsert is InsertEdge's validity check: (a,b) must join two
-// distinct vertices of g and not be an edge yet. Batch validation runs it
-// on a view of the graph with the batch's earlier edits applied, so a
-// batch is judged by exactly the checks its repair would run.
-func CheckInsert(g graph.EdgeSet, a, b uint32) error {
-	if !g.HasVertex(a) || !g.HasVertex(b) {
-		return fmt.Errorf("inchl: insert (%d,%d): %w", a, b, graph.ErrVertexUnknown)
-	}
-	if a == b {
-		return fmt.Errorf("inchl: insert (%d,%d): %w", a, b, graph.ErrSelfLoop)
-	}
-	if g.HasEdge(a, b) {
-		return fmt.Errorf("inchl: insert (%d,%d): %w", a, b, graph.ErrEdgeExists)
-	}
-	return nil
-}
-
-// CheckNeighbors is InsertVertex's check of the neighbour list: every
-// neighbour must be a vertex of g. The edges to the new vertex are then
-// checked one by one, by CheckInsert.
-func CheckNeighbors(g graph.EdgeSet, neighbors []uint32) error {
-	for _, w := range neighbors {
-		if !g.HasVertex(w) {
-			return fmt.Errorf("inchl: insert vertex: neighbour %d: %w", w, graph.ErrVertexUnknown)
-		}
-	}
-	return nil
 }

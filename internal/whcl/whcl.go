@@ -4,7 +4,11 @@
 // covered/uncovered classification of Lemma 4.6 and the minimality argument
 // carry over unchanged because edge weights are positive integers: a
 // shortest-path parent always has a strictly smaller distance, so
-// processing vertices in distance order is well-founded.
+// processing vertices in distance order is well-founded. Construction runs
+// hcl's covered-flag Dijkstra per landmark, and updates run the same local
+// IncHL+ and DecHL kernels as the unit-weight variants (hcl.RepairInsertion
+// and hcl.RepairDeletion) over weighted arcs; this package supplies the
+// Lemma 4.3 skip tests and the start vertices.
 package whcl
 
 import (
@@ -15,7 +19,6 @@ import (
 	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/hcl"
-	"repro/internal/queue"
 	"repro/internal/wgraph"
 )
 
@@ -34,16 +37,6 @@ type Index struct {
 	G *wgraph.Graph
 }
 
-// scratch is one worker's repair state: the rebuild scratch plus the
-// priority queue shared by the covered-flag Dijkstra (build and DecHL) and
-// the jumped Dijkstra of IncHL+.
-type scratch struct {
-	hcl.Scratch
-	pq queue.PQ
-}
-
-var scratches hcl.Pool[scratch]
-
 // Build constructs the minimal weighted labelling with one covered-flag
 // Dijkstra per landmark.
 func Build(g *wgraph.Graph, landmarks []uint32) (*Index, error) {
@@ -61,7 +54,9 @@ func BuildParallel(g *wgraph.Graph, landmarks []uint32, workers int) (*Index, er
 	if err != nil {
 		return nil, err
 	}
-	hcl.Construct(&idx.Core, &scratches, workers, idx.rebuildLandmark)
+	hcl.Construct(&idx.Core, workers, func(ws *hcl.Scratch, d *hcl.Delta) {
+		idx.RebuildDijkstra(ws, d, g.Neighbors)
+	})
 	return idx, nil
 }
 

@@ -97,9 +97,11 @@ type Oracle interface {
 	// — and repairs the labelling with DecHL: the removed edge is tested
 	// against each landmark's labelled distances (it lies on a landmark's
 	// shortest-path DAG iff the endpoint distances differ by exactly the
-	// edge weight) and only the affected landmarks re-run their pruned
-	// search to patch labels and highway entries, including resets to Inf
-	// when the deletion disconnects vertices. ErrNoSuchEdge when absent.
+	// edge weight), and each affected landmark is repaired locally: only
+	// the vertices whose distance grows or whose covered flag can flip are
+	// visited, and their labels and highway entries are patched, including
+	// resets to Inf when the deletion disconnects vertices. ErrNoSuchEdge
+	// when absent.
 	DeleteEdge(u, v uint32) (UpdateSummary, error)
 	// DeleteVertex disconnects vertex v by deleting all of its incident
 	// edges, one DecHL repair per edge. Vertex ids are a contiguous

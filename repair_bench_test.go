@@ -29,7 +29,11 @@ import (
 // directed variant's insertion alone on the same graph, each edge an arc
 // from its older to its newer endpoint: every iteration inserts a
 // uniformly random new arc, so both forward and backward passes repair.
-// Both cases report allocations, since a repair's scratch is pooled.
+// weighted-churn runs the weighted variant on the weighted-batch graph
+// (web-locality, 40k vertices, degree 20, weights 1–8, 20 landmarks): each
+// iteration deletes a uniformly random existing edge and inserts it again
+// with its weight. The three cases report allocations, since a repair's
+// scratch is pooled.
 func BenchmarkRepairParallel(b *testing.B) {
 	b.Run("churn", func(b *testing.B) {
 		g := gen.BarabasiAlbert(50_000, 8, 9)
@@ -79,6 +83,33 @@ func BenchmarkRepairParallel(b *testing.B) {
 				u, v = uint32(rng.Intn(n)), uint32(rng.Intn(n))
 			}
 			if _, err := x.InsertEdge(u, v, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("weighted-churn", func(b *testing.B) {
+		g := weightedBenchGraph()
+		x, err := dynhl.BuildWeighted(g, dynhl.Options{Landmarks: weightedBenchLand, RepairWorkers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var edges [][3]uint32
+		for u := range uint32(g.NumVertices()) {
+			for _, a := range g.Neighbors(u) {
+				if u < a.To {
+					edges = append(edges, [3]uint32{u, a.To, a.W})
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(33))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e := edges[rng.Intn(len(edges))]
+			if _, err := x.DeleteEdge(e[0], e[1]); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := x.InsertEdge(e[0], e[1], e[2]); err != nil {
 				b.Fatal(err)
 			}
 		}
