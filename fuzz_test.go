@@ -365,11 +365,15 @@ func FuzzReadIndex(f *testing.F) {
 // avoided vertices other than the endpoints lose their edges. Each search
 // runs at every bound of testutil.BoundsAround(d), d its pruned distance,
 // and at the literal bound data[3]%16, and must return d exactly when
-// d < bound and graph.Inf otherwise. data[0] sizes the graph (3–34
-// vertices), data[1] and data[2] are the endpoints, data[4] and data[5]
-// each avoid a vertex unless their top bit is set, and every later triple
-// (a, b, w) adds the edge a–b, the arc a→b and a weighted edge of weight
-// w%8+1, or 1<<30 for w = 255, which saturates graph.AddDist.
+// d < bound and graph.Inf otherwise. The weighted search runs three times:
+// with no lower bound, with the exact pruned distance to the other endpoint
+// as its lower bound, and with (data[3]>>4)/16 of that distance. Every
+// distance and lower-bound entry of the scratch must be graph.Inf again at
+// the end. data[0] sizes the graph (3–34 vertices), data[1] and data[2]
+// are the endpoints, data[4] and data[5] each avoid a vertex unless their
+// top bit is set, and every later triple (a, b, w) adds the edge a–b, the
+// arc a→b and a weighted edge of weight w%8+1, or 1<<30 for w = 255, which
+// saturates graph.AddDist.
 func FuzzSparsified(f *testing.F) {
 	ring := func(n, u, v, av0, av1 byte) []byte {
 		data := []byte{n - 3, u, v, 0, av0, av1}
@@ -430,6 +434,12 @@ func FuzzSparsified(f *testing.F) {
 		bs, ws := bfs.Spaces.Get(n), bfs.Spaces.Get(n)
 		defer bfs.Spaces.Put(bs)
 		defer bfs.Spaces.Put(ws)
+		toU, toV := make([]graph.Dist, n), make([]graph.Dist, n)
+		pw.Dijkstra(u, toU)
+		pw.Dijkstra(v, toV)
+		weighted := func(lower func(x, t uint32) graph.Dist) func(bound graph.Dist) graph.Dist {
+			return func(bound graph.Dist) graph.Dist { return wg.SparsifiedLB(u, v, bound, avoid, lower, ws) }
+		}
 		for _, c := range []struct {
 			name   string
 			d      graph.Dist
@@ -437,7 +447,9 @@ func FuzzSparsified(f *testing.F) {
 		}{
 			{"bfs", bfs.Dist(pu, u, v), func(bound graph.Dist) graph.Dist { return bfs.Sparsified(ug, u, v, bound, avoid, bs) }},
 			{"digraph", pd.Dist(u, v), func(bound graph.Dist) graph.Dist { return dg.Sparsified(u, v, bound, avoid, bs) }},
-			{"wgraph", pw.Dist(u, v), func(bound graph.Dist) graph.Dist { return wg.Sparsified(u, v, bound, avoid, ws) }},
+			{"wgraph", toU[v], func(bound graph.Dist) graph.Dist { return wg.Sparsified(u, v, bound, avoid, ws) }},
+			{"wgraph exact lower bound", toU[v], weighted(testutil.ScaledLowerBounds(toU, toV, v, 1, 1))},
+			{"wgraph scaled lower bound", toU[v], weighted(testutil.ScaledLowerBounds(toU, toV, v, graph.Dist(data[3]>>4), 16))},
 		} {
 			for _, bound := range append(testutil.BoundsAround(c.d), graph.Dist(data[3]%16)) {
 				want := c.d
@@ -450,7 +462,8 @@ func FuzzSparsified(f *testing.F) {
 			}
 		}
 		for x := 0; x < n; x++ {
-			if bs.DistU[x] != graph.Inf || bs.DistV[x] != graph.Inf || ws.DistU[x] != graph.Inf || ws.DistV[x] != graph.Inf {
+			if bs.DistU[x] != graph.Inf || bs.DistV[x] != graph.Inf || ws.DistU[x] != graph.Inf || ws.DistV[x] != graph.Inf ||
+				x < len(ws.LowU) && (ws.LowU[x] != graph.Inf || ws.LowV[x] != graph.Inf) {
 				t.Fatalf("scratch not restored at vertex %d", x)
 			}
 		}

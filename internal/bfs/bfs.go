@@ -22,11 +22,15 @@ import (
 // searches, the BFS here and the Dijkstra of wgraph: two distance vectors
 // whose entries are graph.Inf between queries, the touched list used to
 // restore them sparsely, the three frontier buffers the BFS levels rotate
-// through and one radix heap per side for the Dijkstra. Every buffer keeps
-// its capacity from query to query, which is what makes the indexed query
-// paths allocation-free in steady state.
+// through and one radix heap per side for the Dijkstra. LowU and LowV are
+// the Dijkstra's caches of lower bounds to the opposite endpoint, graph.Inf
+// between queries too; they stay empty until a search that uses them
+// calls FitLower, so the BFS paths never hold them. Every buffer keeps its
+// capacity from query to query, which is what makes the indexed query paths
+// allocation-free in steady state.
 type QuerySpace struct {
 	DistU, DistV []graph.Dist
+	LowU, LowV   []graph.Dist
 	Touched      []uint32
 	Fronts       [3][]uint32
 	Heaps        [2]queue.PQ
@@ -121,15 +125,30 @@ func procPin() int
 //go:linkname procUnpin runtime.procUnpin
 func procUnpin()
 
-// fit lengthens the distance vectors to at least n entries. They grow
-// geometrically (cow.Grow) and only the new entries are set to graph.Inf,
-// so the queries after each added vertex do not each rebuild the scratch.
+// fit lengthens the distance vectors to at least n entries (see growPair).
 func (s *QuerySpace) fit(n int) {
-	if old := len(s.DistU); old < n {
-		s.DistU, s.DistV = cow.Grow(s.DistU, n), cow.Grow(s.DistV, n)
-		for i := old; i < n; i++ {
-			s.DistU[i], s.DistV[i] = graph.Inf, graph.Inf
-		}
+	if len(s.DistU) < n {
+		growPair(&s.DistU, &s.DistV, n)
+	}
+}
+
+// FitLower lengthens the lower-bound caches to at least n entries, as fit
+// does the distance vectors.
+func (s *QuerySpace) FitLower(n int) {
+	if len(s.LowU) < n {
+		growPair(&s.LowU, &s.LowV, n)
+	}
+}
+
+// growPair lengthens two vectors of graph.Inf of equal length to n
+// entries. They grow geometrically (cow.Grow) and only the new entries are
+// set to graph.Inf, so the queries after each added vertex do not each
+// rebuild the scratch.
+func growPair(a, b *[]graph.Dist, n int) {
+	old := len(*a)
+	*a, *b = cow.Grow(*a, n), cow.Grow(*b, n)
+	for i := old; i < n; i++ {
+		(*a)[i], (*b)[i] = graph.Inf, graph.Inf
 	}
 }
 

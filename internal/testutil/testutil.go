@@ -89,6 +89,24 @@ func BoundsAround(d graph.Dist) []graph.Dist {
 	return []graph.Dist{d - 1, d, d + 1, graph.Inf}
 }
 
+// ScaledLowerBounds returns the lower bounds of a weighted search between
+// u and v (wgraph's SparsifiedLB) that answer num/den of the exact distance
+// from x to the endpoint t, read from toU and toV, the distances from u
+// and from v in the searched graph. An unreachable x keeps its graph.Inf.
+// num = den gives the tightest valid bound; num = 0 gives 0 everywhere.
+func ScaledLowerBounds(toU, toV []graph.Dist, v uint32, num, den graph.Dist) func(x, t uint32) graph.Dist {
+	return func(x, t uint32) graph.Dist {
+		d := toU[x]
+		if t == v {
+			d = toV[x]
+		}
+		if d == graph.Inf {
+			return d
+		}
+		return graph.Dist(uint64(d) * uint64(num) / uint64(den))
+	}
+}
+
 // AllPairsOracle computes the exact all-pairs distances of g with one BFS
 // per vertex. Quadratic memory: test-sized graphs only.
 func AllPairsOracle(g *graph.Graph) [][]graph.Dist {

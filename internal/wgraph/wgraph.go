@@ -1,8 +1,9 @@
 // Package wgraph provides the positively-weighted undirected graph
 // substrate for the weighted extension of IncHL+ (Section 5 of Farhan &
 // Wang, EDBT 2021), together with the two Dijkstras that replace BFS there:
-// a full one and the bounded bidirectional one of the queries. Both run on
-// queue's radix heap, and the bounded one on the query scratch that bfs
+// a full one and the bounded bidirectional one of the queries, which a
+// caller's lower bound on the distance to each endpoint may prune. Both run
+// on queue's radix heap, and the bounded one on the query scratch that bfs
 // hands out to every indexed search. Weights are integral and at least 1,
 // which keeps the shortest-path DAG acyclic across equal-distance vertices.
 package wgraph
@@ -208,7 +209,23 @@ func (g *Graph) Dist(u, v uint32) graph.Dist {
 // s carries all scratch: distance vectors of length ≥ NumVertices whose
 // entries must all be graph.Inf on entry (restored sparsely on return) and
 // the two radix heaps (s.Heaps). A steady-state query allocates nothing.
+// It is SparsifiedLB without a lower bound.
 func (g *Graph) Sparsified(u, v uint32, bound graph.Dist, avoid func(uint32) bool, s *bfs.QuerySpace) graph.Dist {
+	return g.SparsifiedLB(u, v, bound, avoid, nil, s)
+}
+
+// SparsifiedLB is Sparsified pruned by a lower bound: lower(x, t), for t
+// one of the endpoints u and v, must be at most the distance from x to t
+// in the subgraph. A side rooted at one endpoint then skips a relaxed
+// vertex x, other than the opposite endpoint t, when its new distance plus
+// lower(x, t) is at least the best path found, since no path through x can
+// then beat it. The Dijkstra order, the bound and the stopping rule are
+// Sparsified's, and so are the answers. lower is asked at most once per
+// vertex and side: s.LowU caches lower(x, v) for the side rooted at u and
+// s.LowV lower(x, u), grown to NumVertices entries on the first such
+// search and restored to graph.Inf on return like the distance vectors. A
+// nil lower is Sparsified, which leaves those caches alone.
+func (g *Graph) SparsifiedLB(u, v uint32, bound graph.Dist, avoid func(uint32) bool, lower func(x, t uint32) graph.Dist, s *bfs.QuerySpace) graph.Dist {
 	if bound == 0 {
 		return graph.Inf
 	}
@@ -217,10 +234,21 @@ func (g *Graph) Sparsified(u, v uint32, bound graph.Dist, avoid func(uint32) boo
 	}
 	distU, distV := s.DistU, s.DistV
 	touched := s.Touched[:0]
+	var lowU, lowV []graph.Dist
+	if lower != nil {
+		s.FitLower(g.NumVertices())
+		lowU, lowV = s.LowU, s.LowV
+	}
 	defer func() {
 		for _, x := range touched {
 			distU[x] = graph.Inf
 			distV[x] = graph.Inf
+		}
+		if lower != nil {
+			for _, x := range touched {
+				lowU[x] = graph.Inf
+				lowV[x] = graph.Inf
+			}
 		}
 		s.Touched = touched // keep the grown capacity
 	}()
@@ -239,9 +267,9 @@ func (g *Graph) Sparsified(u, v uint32, bound graph.Dist, avoid func(uint32) boo
 			break // settled radii already cover every candidate below best
 		}
 		if pqU.Len() <= pqV.Len() { // grow the side with fewer queued items
-			topU = settle(g, pqU, distU, distV, u, v, topV, avoid, &best, &touched)
+			topU = settle(g, pqU, distU, distV, lowU, u, v, topV, avoid, lower, &best, &touched)
 		} else {
-			topV = settle(g, pqV, distV, distU, v, u, topU, avoid, &best, &touched)
+			topV = settle(g, pqV, distV, distU, lowV, v, u, topU, avoid, lower, &best, &touched)
 		}
 	}
 	if best == bound {
@@ -251,18 +279,23 @@ func (g *Graph) Sparsified(u, v uint32, bound graph.Dist, avoid func(uint32) boo
 }
 
 // settle pops one vertex from the side rooted at src and relaxes its edges,
-// recording meets with the opposite side. Distance entries are graph.Inf
-// for undiscovered vertices; every first discovery is appended to touched
-// so the caller can restore sparsely. An arc is checked against avoid only
-// when it would improve a distance, as bfs's expand does.
+// recording meets with the opposite side, rooted at dst. Distance entries
+// are graph.Inf for undiscovered vertices. Every vertex whose distance or
+// lower-bound entry on either side stops being graph.Inf is appended to
+// touched when the first of them is written, so the caller can restore
+// sparsely. An arc is checked against avoid only when it would improve a
+// distance, as bfs's expand does.
 //
 // A relaxed vertex is neither written nor pushed when its new distance plus
 // otherTop, the key the opposite side last settled, is at least best. A
 // shortest path shorter than best stays findable: where it leaves this
 // side's settled part, the opposite side has either settled the rest of it
 // already, and the meet check above records the path, or the rest is at
-// least otherTop long.
-func settle(g *Graph, pq *queue.PQ, dist, other []graph.Dist, src, dst uint32, otherTop graph.Dist, avoid func(uint32) bool, best *graph.Dist, touched *[]uint32) graph.Dist {
+// least otherTop long. With a lower bound, a relaxed vertex x other than
+// dst is skipped too when its new distance plus lower(x, dst), cached in
+// low, is at least best: every path through x is then at least best long,
+// so no vertex of a shorter path is ever skipped at its exact distance.
+func settle(g *Graph, pq *queue.PQ, dist, other, low []graph.Dist, src, dst uint32, otherTop graph.Dist, avoid func(uint32) bool, lower func(x, t uint32) graph.Dist, best *graph.Dist, touched *[]uint32) graph.Dist {
 	for pq.Len() > 0 {
 		it := pq.PopItem()
 		if dist[it.V] != it.D {
@@ -287,7 +320,17 @@ func settle(g *Graph, pq *queue.PQ, dist, other []graph.Dist, src, dst uint32, o
 			if graph.AddDist(nd, otherTop) >= *best {
 				continue
 			}
-			if dist[a.To] == graph.Inf {
+			if lower != nil && a.To != dst {
+				lb := low[a.To]
+				if lb == graph.Inf { // first bound asked for a.To on this side
+					lb = min(lower(a.To, dst), graph.Inf-1) // Inf marks "not asked"
+					low[a.To] = lb
+					*touched = append(*touched, a.To)
+				}
+				if graph.AddDist(nd, lb) >= *best {
+					continue
+				}
+			} else if dist[a.To] == graph.Inf {
 				*touched = append(*touched, a.To)
 			}
 			dist[a.To] = nd

@@ -159,9 +159,12 @@ func TestSparsifiedEndpoints(t *testing.T) {
 
 // TestSparsifiedWeightedExclusiveBound checks Sparsified against Dijkstra on
 // the pruned graph at the bounds around the pruned distance d
-// (testutil.BoundsAround). Graphs are random or cycles of odd and even
-// length, with unit weights (where the search behaves as a BFS), weights
-// 1–4, or weights up to 1<<30 that saturate graph.AddDist.
+// (testutil.BoundsAround), with no lower bound, with the exact pruned
+// distance to the other endpoint (the tightest valid one) and with a random
+// fraction of it, and checks that every distance and lower-bound entry is
+// graph.Inf again after each search. Graphs are random or cycles of odd and
+// even length, with unit weights (where the search behaves as a BFS),
+// weights 1–4, or weights up to 1<<30 that saturate graph.AddDist.
 func TestSparsifiedWeightedExclusiveBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	qs := wscratch(40)
@@ -195,14 +198,30 @@ func TestSparsifiedWeightedExclusiveBound(t *testing.T) {
 				}
 			}
 		}
-		d := p.Dist(u, v)
-		for _, bound := range testutil.BoundsAround(d) {
-			want := d
-			if d >= bound {
-				want = graph.Inf
-			}
-			if got := g.Sparsified(u, v, bound, avoid, qs); got != want {
-				t.Fatalf("iter %d: Sparsified(%d,%d) avoiding %v, bound %d: got %d, want %d", iter, u, v, av, bound, got, want)
+		toU, toV := make([]graph.Dist, n), make([]graph.Dist, n)
+		p.Dijkstra(u, toU)
+		p.Dijkstra(v, toV)
+		d := toU[v]
+		num := graph.Dist(rng.Intn(8))
+		for _, lower := range []func(x, t uint32) graph.Dist{
+			nil,
+			testutil.ScaledLowerBounds(toU, toV, v, 1, 1),
+			testutil.ScaledLowerBounds(toU, toV, v, num, 8),
+		} {
+			for _, bound := range testutil.BoundsAround(d) {
+				want := d
+				if d >= bound {
+					want = graph.Inf
+				}
+				if got := g.SparsifiedLB(u, v, bound, avoid, lower, qs); got != want {
+					t.Fatalf("iter %d: SparsifiedLB(%d,%d) avoiding %v, bound %d, lower bound %v (%d/8): got %d, want %d",
+						iter, u, v, av, bound, lower != nil, num, got, want)
+				}
+				for x := range qs.DistU {
+					if qs.DistU[x] != graph.Inf || qs.DistV[x] != graph.Inf || x < len(qs.LowU) && (qs.LowU[x] != graph.Inf || qs.LowV[x] != graph.Inf) {
+						t.Fatalf("iter %d: scratch not restored at vertex %d", iter, x)
+					}
+				}
 			}
 		}
 	}

@@ -8,7 +8,9 @@
 // hcl's covered-flag Dijkstra per landmark, and updates run the same local
 // IncHL+ and DecHL kernels as the unit-weight variants (hcl.RepairInsertion
 // and hcl.RepairDeletion) over weighted arcs; this package supplies the
-// Lemma 4.3 skip tests and the start vertices.
+// Lemma 4.3 skip tests and the start vertices. A query refines the highway
+// bound with wgraph's bounded bidirectional Dijkstra, pruned by the
+// landmark lower bounds the labels give (hcl.ALT).
 package whcl
 
 import (
@@ -115,7 +117,10 @@ func (idx *Index) UpperBound(u, v uint32) graph.Dist {
 }
 
 // Query answers an exact weighted distance query: the highway upper bound
-// refined by a bounded bidirectional Dijkstra on the sparsified graph.
+// refined by a bounded bidirectional Dijkstra on the sparsified graph. The
+// Dijkstra skips every vertex whose landmark lower bound (hcl.ALT) to the
+// opposite endpoint shows that no path through it beats the best found,
+// which the labels give without another index.
 func (idx *Index) Query(u, v uint32) graph.Dist {
 	if u == v {
 		return 0
@@ -124,8 +129,9 @@ func (idx *Index) Query(u, v uint32) graph.Dist {
 	if idx.IsLandmark(u) || idx.IsLandmark(v) {
 		return top
 	}
+	alt := idx.ALT(u, v)
 	s := bfs.Spaces.Get(idx.G.NumVertices())
-	sp := idx.G.Sparsified(u, v, top, idx.IsLandmark, s) // below top, or Inf
+	sp := idx.G.SparsifiedLB(u, v, top, idx.IsLandmark, alt.Lower, s) // below top, or Inf
 	bfs.Spaces.Put(s)
 	return min(sp, top)
 }

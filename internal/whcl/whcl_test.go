@@ -189,6 +189,13 @@ func connected(g *wgraph.Graph, u, v uint32) bool {
 	return seen[v]
 }
 
+// TestBuildQueryMatchesDijkstraOracle checks every pair's Query against
+// Dijkstra on random weighted graphs, some of them disconnected. For every
+// pair (u, v) it also checks the query's landmark lower bound (hcl.ALT):
+// at every vertex x, Lower(x, t) is at most d(x, t) for t = u and t = v,
+// and at a non-landmark x = u it is the largest |d(r,u) − d(r,v)| over all
+// landmarks r reaching both, which the kept landmarks must include. (A
+// landmark's label is empty, so its bound is 0.)
 func TestBuildQueryMatchesDijkstraOracle(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := randomWeighted(40, 90, 8, seed)
@@ -199,12 +206,34 @@ func TestBuildQueryMatchesDijkstraOracle(t *testing.T) {
 		if err := idx.VerifyCover(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		dist := make([]graph.Dist, 40)
+		dist := make([][]graph.Dist, 40)
+		for u := range dist {
+			dist[u] = make([]graph.Dist, 40)
+			g.Dijkstra(uint32(u), dist[u])
+		}
 		for u := uint32(0); u < 40; u++ {
-			g.Dijkstra(u, dist)
 			for v := uint32(0); v < 40; v++ {
-				if got := idx.Query(u, v); got != dist[v] {
-					t.Fatalf("seed %d: Query(%d,%d): got %d, want %d", seed, u, v, got, dist[v])
+				if got := idx.Query(u, v); got != dist[u][v] {
+					t.Fatalf("seed %d: Query(%d,%d): got %d, want %d", seed, u, v, got, dist[u][v])
+				}
+				alt := idx.ALT(u, v)
+				for x := uint32(0); x < 40; x++ {
+					for _, end := range []uint32{u, v} {
+						if lb := alt.Lower(x, end); lb > dist[x][end] {
+							t.Fatalf("seed %d: pair (%d,%d): Lower(%d,%d) = %d above the distance %d", seed, u, v, x, end, lb, dist[x][end])
+						}
+					}
+				}
+				var gap graph.Dist
+				for _, r := range idx.Landmarks {
+					if du, dv := dist[r][u], dist[r][v]; du != graph.Inf && dv != graph.Inf {
+						gap = max(gap, max(du, dv)-min(du, dv))
+					}
+				}
+				if u != v && !idx.IsLandmark(u) {
+					if lb := alt.Lower(u, v); lb != gap {
+						t.Fatalf("seed %d: pair (%d,%d): Lower(u,v) = %d, want the largest landmark gap %d", seed, u, v, lb, gap)
+					}
 				}
 			}
 		}

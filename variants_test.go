@@ -390,3 +390,121 @@ func TestWeightedAPIRoundTrip(t *testing.T) {
 		t.Error("empty graph must fail")
 	}
 }
+
+// TestWeightedStoreDisconnectionMatchesDijkstra drives a weighted Store
+// through a mixed insert/delete stream that cuts and restores the bridges
+// between four clusters, so that landmarks often reach only part of the
+// graph and whole components reach no landmark at all. All four landmarks
+// sit in the first two clusters. After every op, every pair answered by the
+// published View must equal Dijkstra on a reference graph, Inf included.
+// This is where the queries' landmark lower bounds meet landmarks that do
+// not reach one side of a pair.
+func TestWeightedStoreDisconnectionMatchesDijkstra(t *testing.T) {
+	const clusters, size = 4, 9
+	const n = clusters * size
+	rng := rand.New(rand.NewSource(26))
+	g, ref := NewWeightedGraph(n), NewWeightedGraph(n)
+	for i := 0; i < n; i++ {
+		g.AddVertex()
+		ref.AddVertex()
+	}
+	add := func(u, v uint32, w Dist) {
+		g.MustAddEdge(u, v, w)
+		ref.MustAddEdge(u, v, w)
+	}
+	for c := uint32(0); c < clusters; c++ {
+		for i := uint32(0); i < size; i++ {
+			add(c*size+i, c*size+(i+1)%size, Dist(1+rng.Intn(8)))
+		}
+	}
+	bridges := [][2]uint32{{0, size + 4}, {size, 2*size + 4}, {2 * size, 3*size + 4}}
+	for _, b := range bridges {
+		add(b[0], b[1], Dist(1+rng.Intn(8)))
+	}
+	landmarks := []uint32{1, 5, size + 1, size + 5}
+	idx, err := BuildWeightedWithLandmarks(g, landmarks, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(idx)
+
+	reaches := make([][]Dist, len(landmarks))
+	for i := range reaches {
+		reaches[i] = make([]Dist, n)
+	}
+	dist := make([]Dist, n)
+	var cut, partial, unlabelled, infs int
+	for step := 0; step < 150; step++ {
+		var op Op
+		switch r := rng.Intn(10); {
+		case r < 4: // toggle a bridge
+			b := bridges[rng.Intn(len(bridges))]
+			if ref.HasEdge(b[0], b[1]) {
+				op = DeleteEdgeOp(b[0], b[1])
+			} else {
+				op = InsertEdgeOp(b[0], b[1], Dist(1+rng.Intn(8)))
+			}
+		case r < 7: // delete an edge inside a cluster
+			u := uint32(rng.Intn(n))
+			nb := ref.Neighbors(u)
+			if len(nb) == 0 {
+				continue
+			}
+			op = DeleteEdgeOp(u, nb[rng.Intn(len(nb))].To)
+		default: // insert an edge inside a cluster
+			c := uint32(rng.Intn(clusters)) * size
+			u, v := c+uint32(rng.Intn(size)), c+uint32(rng.Intn(size))
+			if u == v || ref.HasEdge(u, v) {
+				continue
+			}
+			op = InsertEdgeOp(u, v, Dist(1+rng.Intn(8)))
+		}
+		if _, err := s.Apply([]Op{op}); err != nil {
+			t.Fatalf("step %d: %v: %v", step, op, err)
+		}
+		if op.Kind == OpDeleteEdge {
+			if _, err := ref.RemoveEdge(op.U, op.V); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			ref.MustAddEdge(op.U, op.V, op.W)
+		}
+		for i, r := range landmarks {
+			ref.Dijkstra(r, reaches[i])
+		}
+		view := s.Snapshot()
+		for a := uint32(0); a < n; a++ {
+			ref.Dijkstra(a, dist)
+			reached := 0
+			for i := range landmarks {
+				if reaches[i][a] != Inf {
+					reached++
+				}
+			}
+			for b := uint32(0); b < n; b++ {
+				if got := view.Query(a, b); got != dist[b] {
+					t.Fatalf("step %d after %v: Query(%d,%d) = %d, Dijkstra %d", step, op, a, b, got, dist[b])
+				}
+				switch {
+				case dist[b] == Inf:
+					infs++
+				case a != b && reached == 0:
+					unlabelled++
+				case a != b && reached < len(landmarks):
+					partial++
+				}
+			}
+			if reached > 0 && reached < len(landmarks) {
+				cut++
+			}
+		}
+	}
+	// The stream must have exercised what it is for.
+	if cut == 0 || partial == 0 || unlabelled == 0 || infs == 0 {
+		t.Fatalf("stream too tame: %d vertices reached by some landmarks only, %d pairs connected there, %d connected pairs no landmark reaches, %d Inf pairs",
+			cut, partial, unlabelled, infs)
+	}
+	if err := s.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
