@@ -28,7 +28,7 @@
 //	stats              index size statistics (and WAL / replication counters)
 //	role               replication role and link state
 //	lag                replication lag in epochs and unapplied bytes
-//	metrics            nonzero metric series (locally, or the server's /metrics)
+//	metrics            nonzero metric series
 //	checkpoint         write a durability checkpoint (-data-dir only)
 //	verify             O(|R|·|E|) correctness audit of the labelling
 //	help, quit
@@ -36,23 +36,13 @@
 // With -data-dir the session is durable: updates are logged to a WAL
 // before publishing, recovery on start restores the last durable epoch
 // (no -graph needed on later runs), and quit takes a final checkpoint.
-//
-// With -server the shell attaches to a running hlserver instead of
-// building anything locally: q, epoch, stats, role and lag run against its
-// HTTP API — the way to watch a replica's lag or confirm a leader's
-// follower count from a terminal.
-//
-//	hlquery -server http://localhost:8081
 package main
 
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
@@ -75,17 +65,8 @@ func main() {
 		seed      = flag.Int64("seed", 1, "generator and selection seed")
 		parallel  = flag.Bool("parallel", false, "parallel index construction")
 		dataDir   = flag.String("data-dir", "", "durability directory: recover on start, WAL every update, checkpoint on quit")
-		server    = flag.String("server", "", "base URL of a running hlserver: query it remotely instead of building locally")
 	)
 	flag.Parse()
-
-	if *server != "" {
-		if *graphPath != "" || *ds != "" || *dataDir != "" {
-			fatal(fmt.Errorf("-server attaches to a running hlserver; drop -graph/-dataset/-data-dir"))
-		}
-		remoteRepl(strings.TrimRight(*server, "/"))
-		return
-	}
 
 	opt := dynhl.Options{Landmarks: *landmarks, Strategy: *strategy, Seed: *seed, Parallel: *parallel}
 	start := time.Now()
@@ -345,10 +326,9 @@ func execute(o *dynhl.Store, durable *wal.Durable, fields []string) bool {
 	return false
 }
 
-// printStats renders one Stats the same way for every variant and for both
-// local and remote sessions: the index line always carries the packed CSR
-// bytes and the published epoch, with WAL and replication counters on their
-// own lines when present.
+// printStats renders one Stats the same way for every variant: the index
+// line always carries the packed CSR bytes and the published epoch, with
+// WAL and replication counters on their own lines when present.
 func printStats(st dynhl.Stats) {
 	fmt.Printf("vertices=%d edges=%d landmarks=%d entries=%d avg=%.2f bytes=%d packed=%d mapped=%d epoch=%d\n",
 		st.Vertices, st.Edges, st.Landmarks, st.LabelEntries, st.AvgLabelSize, st.Bytes, st.PackedBytes, st.MappedBytes, st.Epoch)
@@ -402,89 +382,6 @@ func printLag(st dynhl.Stats) {
 	fmt.Println(line)
 }
 
-// remoteRepl attaches the shell to a running hlserver: the observability
-// commands run against its HTTP API, nothing is built locally.
-func remoteRepl(base string) {
-	st, err := fetchStats(base)
-	if err != nil {
-		fatal(fmt.Errorf("cannot reach %s: %w", base, err))
-	}
-	fmt.Printf("attached to %s (epoch %d, %d vertices)\n", base, st.Epoch, st.Vertices)
-	sc := bufio.NewScanner(os.Stdin)
-	fmt.Print("> ")
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) > 0 {
-			if quit := remoteExecute(base, fields); quit {
-				return
-			}
-		}
-		fmt.Print("> ")
-	}
-}
-
-// remoteExecute runs one remote command, reporting whether to exit.
-func remoteExecute(base string, fields []string) bool {
-	switch fields[0] {
-	case "q", "query":
-		u, v, err := twoVertices(fields[1:])
-		if err != nil {
-			fmt.Println("error:", err)
-			return false
-		}
-		var dr struct {
-			Distance *uint32 `json:"distance"`
-		}
-		start := time.Now()
-		if err := getJSON(fmt.Sprintf("%s/distance?u=%d&v=%d", base, u, v), &dr); err != nil {
-			fmt.Println("error:", err)
-			return false
-		}
-		el := time.Since(start)
-		if dr.Distance == nil {
-			fmt.Printf("d(%d,%d) = inf (unreachable)  [%v]\n", u, v, el)
-		} else {
-			fmt.Printf("d(%d,%d) = %d  [%v]\n", u, v, *dr.Distance, el)
-		}
-	case "epoch", "stats", "role", "lag":
-		st, err := fetchStats(base)
-		if err != nil {
-			fmt.Println("error:", err)
-			return false
-		}
-		switch fields[0] {
-		case "epoch":
-			fmt.Printf("epoch %d\n", st.Epoch)
-		case "stats":
-			printStats(st)
-		case "role":
-			printRole(st)
-		case "lag":
-			printLag(st)
-		}
-	case "metrics":
-		text, err := getText(base + "/metrics")
-		if err != nil {
-			fmt.Println("error:", err)
-			return false
-		}
-		printMetrics(text)
-	case "help":
-		fmt.Println("remote commands: q <u> <v> | epoch | stats | role | lag | metrics | quit (updates go through the server's own API)")
-	case "quit", "exit":
-		return true
-	default:
-		fmt.Printf("unknown or local-only command %q (try help)\n", fields[0])
-	}
-	return false
-}
-
-// fetchStats retrieves a running hlserver's /stats.
-func fetchStats(base string) (dynhl.Stats, error) {
-	var st dynhl.Stats
-	return st, getJSON(base+"/stats", &st)
-}
-
 // printMetrics renders a Prometheus text exposition for a terminal: the
 // nonzero series, minus the per-bucket histogram lines (the _sum/_count
 // pairs tell the latency story at a glance; scrape /metrics for buckets).
@@ -507,33 +404,6 @@ func printMetrics(text string) {
 	if shown == 0 {
 		fmt.Println("no nonzero series yet (run some queries or updates first)")
 	}
-}
-
-// getText retrieves one GET endpoint's body verbatim.
-func getText(url string) (string, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("GET %s: %s", url, resp.Status)
-	}
-	b, err := io.ReadAll(resp.Body)
-	return string(b), err
-}
-
-// getJSON decodes one GET endpoint into out.
-func getJSON(url string, out any) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: %s", url, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // parseOps parses an apply command's tail: semicolon-separated

@@ -8,6 +8,7 @@ import (
 	"repro/internal/arena"
 	"repro/internal/dhcl"
 	"repro/internal/digraph"
+	"repro/internal/hcl"
 	"repro/internal/landmark"
 )
 
@@ -35,7 +36,7 @@ type DirectedIndex struct {
 }
 
 func newDirected(idx *dhcl.Index) *DirectedIndex {
-	return &DirectedIndex{labelling{&idx.Core, idx.G}, idx}
+	return &DirectedIndex{labelling{&idx.Core, idx.G, directedArcs}, idx}
 }
 
 // BuildDirected constructs the directed labelling of g. Options drives it
@@ -87,25 +88,14 @@ func (x *DirectedIndex) QueryBatch(pairs []Pair) []Dist {
 // InsertEdge inserts the directed edge u→v and repairs both label sets.
 // The graph is unweighted, so w must be 0 or 1.
 func (x *DirectedIndex) InsertEdge(u, v uint32, w Dist) (UpdateSummary, error) {
-	if err := unitWeight("directed", w); err != nil {
-		return UpdateSummary{}, err
-	}
-	return summary(x.idx.InsertEdge(u, v))
+	return insertEdge(x, x.rule, u, v, w)
 }
 
 // InsertVertex adds a vertex with the given initial arcs: Arc.In selects
 // the direction (To→new rather than new→To) and weights must be 0 or 1.
+// The out-arcs are inserted before the in-arcs.
 func (x *DirectedIndex) InsertVertex(arcs []Arc) (uint32, UpdateSummary, error) {
-	outTo, inFrom, err := splitArcs(arcs)
-	if err != nil {
-		return 0, UpdateSummary{}, err
-	}
-	id, st, err := x.idx.InsertVertex(outTo, inFrom)
-	if err != nil {
-		return 0, UpdateSummary{}, err
-	}
-	sum, err := summary(st, nil)
-	return id, sum, err
+	return oracleInsertVertex(x, arcs)
 }
 
 // Apply applies ops in order, stopping at the first failure (see
@@ -117,22 +107,6 @@ func (x *DirectedIndex) fork() variant {
 	return newDirected(x.idx.Fork(x.idx.G.Fork()))
 }
 
-// splitArcs splits a new vertex's arcs into out- and in-neighbours,
-// rejecting weights the unweighted digraph cannot represent.
-func splitArcs(arcs []Arc) (outTo, inFrom []uint32, err error) {
-	for _, a := range arcs {
-		if a.W > 1 {
-			return nil, nil, fmt.Errorf("dynhl: directed oracle is unweighted, got arc weight %d", a.W)
-		}
-		if a.In {
-			inFrom = append(inFrom, a.To)
-		} else {
-			outTo = append(outTo, a.To)
-		}
-	}
-	return outTo, inFrom, nil
-}
-
 // DeleteEdge removes the directed edge u→v and repairs both label sets
 // with DecHL (see Oracle.DeleteEdge).
 func (x *DirectedIndex) DeleteEdge(u, v uint32) (UpdateSummary, error) {
@@ -140,11 +114,24 @@ func (x *DirectedIndex) DeleteEdge(u, v uint32) (UpdateSummary, error) {
 }
 
 // DeleteVertex disconnects vertex v by deleting all of its outgoing and
-// incoming edges; the id survives as an isolated vertex. Deleting a
-// landmark is an error.
+// then all of its incoming edges; the id survives as an isolated vertex.
+// Deleting a landmark is an error.
 func (x *DirectedIndex) DeleteVertex(v uint32) (UpdateSummary, error) {
-	return summary(x.idx.DeleteVertex(v))
+	return oracleDeleteVertex(x, v)
 }
+
+func (x *DirectedIndex) insertEdge(u, v uint32, _ Dist) (hcl.Stats, error) {
+	return x.idx.InsertEdge(u, v)
+}
+
+func (x *DirectedIndex) deleteEdge(u, v uint32) (hcl.Stats, error) { return x.idx.DeleteEdge(u, v) }
+
+func (x *DirectedIndex) incident(v uint32) [][2]uint32 {
+	return edgesAt(v, x.idx.G.Out(v), x.idx.G.In(v))
+}
+
+// checker returns the validity pre-pass over x's graph.
+func (x *DirectedIndex) checker() *prepass { return newPrepass(x, x.labelling) }
 
 // Verify audits both label directions against BFS ground truth.
 func (x *DirectedIndex) Verify() error { return x.idx.VerifyCover() }

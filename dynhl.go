@@ -68,15 +68,25 @@ type Options struct {
 }
 
 // labelling is what the three index wrappers share: the hcl core of the
-// labelling they serve and their graph's size. It implements every method
-// that touches only those — statistics, serialisation and the repair
-// knobs.
+// labelling they serve, their graph and their variant's arc rule. It
+// implements every method that touches only those — statistics,
+// serialisation, the repair knobs and the writer's vertex addition.
 type labelling struct {
 	core *hcl.Core
 	g    interface {
+		graph.EdgeSet
+		AddVertex() uint32
 		NumVertices() int
 		NumEdges() uint64
 	}
+	rule arcRule
+}
+
+// addVertex adds a vertex with no edges and no label entries.
+func (l labelling) addVertex() uint32 {
+	v := l.g.AddVertex()
+	l.core.EnsureVertex(v)
+	return v
 }
 
 // NumVertices returns the current vertex count.
@@ -154,7 +164,7 @@ type Index struct {
 }
 
 func newIndex(idx *hcl.Index) *Index {
-	return &Index{labelling{&idx.Core, idx.G}, inchl.New(idx)}
+	return &Index{labelling{&idx.Core, idx.G, undirectedArcs}, inchl.New(idx)}
 }
 
 // Build constructs the minimal highway cover labelling of g.
@@ -210,26 +220,14 @@ func (x *Index) QueryBatch(pairs []Pair) []Dist {
 // the labelling with IncHL+. The edge must be new and both endpoints must
 // exist; the graph is unweighted, so w must be 0 or 1.
 func (x *Index) InsertEdge(u, v uint32, w Dist) (UpdateSummary, error) {
-	if err := unitWeight("undirected", w); err != nil {
-		return UpdateSummary{}, err
-	}
-	return summary(x.upd.InsertEdge(u, v))
+	return insertEdge(x, x.rule, u, v, w)
 }
 
 // InsertVertex adds a new vertex joined to the given existing neighbours
 // and returns its id. Arcs must be plain (unit weight, outgoing): the graph
 // is undirected and unweighted.
 func (x *Index) InsertVertex(arcs []Arc) (uint32, UpdateSummary, error) {
-	neighbors, err := plainNeighbors("undirected", arcs)
-	if err != nil {
-		return 0, UpdateSummary{}, err
-	}
-	id, st, err := x.upd.InsertVertex(neighbors)
-	if err != nil {
-		return 0, UpdateSummary{}, err
-	}
-	sum, err := summary(st, nil)
-	return id, sum, err
+	return oracleInsertVertex(x, arcs)
 }
 
 // Apply applies ops in order, stopping at the first failure (see
@@ -251,9 +249,16 @@ func (x *Index) DeleteEdge(u, v uint32) (UpdateSummary, error) {
 
 // DeleteVertex disconnects vertex v by deleting all of its incident edges;
 // the id survives as an isolated vertex. Deleting a landmark is an error.
-func (x *Index) DeleteVertex(v uint32) (UpdateSummary, error) {
-	return summary(x.upd.DeleteVertex(v))
-}
+func (x *Index) DeleteVertex(v uint32) (UpdateSummary, error) { return oracleDeleteVertex(x, v) }
+
+func (x *Index) insertEdge(u, v uint32, _ Dist) (hcl.Stats, error) { return x.upd.InsertEdge(u, v) }
+
+func (x *Index) deleteEdge(u, v uint32) (hcl.Stats, error) { return x.upd.DeleteEdge(u, v) }
+
+func (x *Index) incident(v uint32) [][2]uint32 { return edgesAt(v, x.upd.G.Neighbors(v), nil) }
+
+// checker returns the validity pre-pass over x's graph.
+func (x *Index) checker() *prepass { return newPrepass(x, x.labelling) }
 
 // summary converts any variant's update statistics to the summary every
 // oracle reports.
@@ -269,31 +274,6 @@ func summary(st hcl.Stats, err error) (UpdateSummary, error) {
 		EntriesRemoved: st.EntriesRemoved,
 		HighwayUpdates: st.HighwayUpdates,
 	}, nil
-}
-
-// unitWeight rejects the edge weights an unweighted variant cannot
-// represent.
-func unitWeight(variant string, w Dist) error {
-	if w > 1 {
-		return fmt.Errorf("dynhl: %s oracle is unweighted, got edge weight %d", variant, w)
-	}
-	return nil
-}
-
-// plainNeighbors reduces arcs to a neighbour list for the undirected
-// variants, rejecting weights and directions they cannot represent.
-func plainNeighbors(variant string, arcs []Arc) ([]uint32, error) {
-	neighbors := make([]uint32, len(arcs))
-	for i, a := range arcs {
-		if a.W > 1 {
-			return nil, fmt.Errorf("dynhl: %s oracle is unweighted, got arc weight %d", variant, a.W)
-		}
-		if a.In {
-			return nil, fmt.Errorf("dynhl: %s oracle has no incoming arcs", variant)
-		}
-		neighbors[i] = a.To
-	}
-	return neighbors, nil
 }
 
 // Stats describes the index size. Epoch, Durability and Replication are

@@ -74,33 +74,3 @@ func (idx *Index) DeleteEdge(a, b uint32) (hcl.Stats, error) {
 	st.AddEdits(ds)
 	return st, nil
 }
-
-// DeleteVertex disconnects vertex v by deleting all of its outgoing and
-// incoming edges. The id survives as an isolated vertex; deleting a
-// landmark is rejected.
-func (idx *Index) DeleteVertex(v uint32) (hcl.Stats, error) {
-	var agg hcl.Stats
-	g := idx.G
-	if err := hcl.CheckDeleteVertex(g, &idx.Core, v); err != nil {
-		return agg, err
-	}
-	agg.LandmarksTotal = idx.NumLandmarks()
-	del := func(x, y uint32) error {
-		st, err := idx.DeleteEdge(x, y)
-		if err == nil {
-			agg.Plus(st)
-		}
-		return err
-	}
-	for _, w := range append([]uint32(nil), g.Out(v)...) {
-		if err := del(v, w); err != nil {
-			return agg, err
-		}
-	}
-	for _, w := range append([]uint32(nil), g.In(v)...) {
-		if err := del(w, v); err != nil {
-			return agg, err
-		}
-	}
-	return agg, nil
-}

@@ -163,38 +163,4 @@ func TestDeleteEdgeErrorsDirected(t *testing.T) {
 			t.Errorf("missing edge: got %v", err)
 		}
 	}
-	if _, err := idx.DeleteVertex(idx.Landmarks[0]); err == nil {
-		t.Error("deleting a landmark must fail")
-	}
-}
-
-func TestDeleteVertexDirected(t *testing.T) {
-	g := randomDigraph(25, 60, 14)
-	lm := topLandmarks(g, 3)
-	idx, err := Build(g, lm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v uint32
-	for v = 0; ; v++ {
-		if _, isL := idx.Rank(v); !isL && (g.OutDegree(v) > 0 || g.InDegree(v) > 0) {
-			break
-		}
-	}
-	if _, err := idx.DeleteVertex(v); err != nil {
-		t.Fatal(err)
-	}
-	if g.OutDegree(v) != 0 || g.InDegree(v) != 0 {
-		t.Errorf("vertex %d still has edges", v)
-	}
-	if lf, lb := idx.Label(fwd, v), idx.Label(bwd, v); len(lf) != 0 || len(lb) != 0 {
-		t.Errorf("isolated vertex kept entries: %v / %v", lf, lb)
-	}
-	fresh, err := Build(g, lm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.EqualLabels(fresh); err != nil {
-		t.Fatal(err)
-	}
 }

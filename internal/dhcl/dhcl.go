@@ -4,7 +4,9 @@
 // out-edges) and a backward label (distances to landmarks, over in-edges),
 // the highway holds the directed landmark-to-landmark distance matrix, and
 // an insertion triggers two maintenance passes per landmark — one forward
-// from the edge head, one backward from the edge tail.
+// from the edge head, one backward from the edge tail. The package updates
+// edges only; the root package writes the vertex ops over them, out-arcs
+// before in-arcs.
 package dhcl
 
 import (

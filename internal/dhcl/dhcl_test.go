@@ -245,39 +245,6 @@ func TestInsertEdgeErrors(t *testing.T) {
 		t.Error("duplicate must be rejected")
 	}
 }
-
-func TestInsertVertexDirected(t *testing.T) {
-	g := randomDigraph(25, 60, 3)
-	lm := topLandmarks(g, 3)
-	idx, err := Build(g, lm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, st, err := idx.InsertVertex([]uint32{0, 5}, []uint32{7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.HasEdge(v, 0) || !g.HasEdge(v, 5) || !g.HasEdge(7, v) {
-		t.Error("vertex edges missing")
-	}
-	if st.LandmarksTotal != 3 {
-		t.Errorf("stats: %+v", st)
-	}
-	fresh, err := Build(g, lm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.EqualLabels(fresh); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := idx.InsertVertex([]uint32{999}, nil); err == nil {
-		t.Error("unknown out-neighbour must be rejected")
-	}
-	if _, _, err := idx.InsertVertex(nil, []uint32{999}); err == nil {
-		t.Error("unknown in-neighbour must be rejected")
-	}
-}
-
 func TestQuickInsertStreamMinimality(t *testing.T) {
 	f := func(seed int64, kRaw uint8) bool {
 		g := randomDigraph(25, 70, seed)

@@ -57,9 +57,6 @@ func TestForkUpdateIsolation(t *testing.T) {
 	if _, err := f.DeleteEdge(3, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := f.InsertVertex([]uint32{1}, []uint32{5}); err != nil {
-		t.Fatal(err)
-	}
 
 	for v := range lf {
 		if !hcl.Label(idx.Label(fwd, uint32(v))).Equal(lf[v]) || !hcl.Label(idx.Label(bwd, uint32(v))).Equal(lb[v]) {

@@ -45,36 +45,6 @@ func (idx *Index) InsertEdge(a, b uint32) (hcl.Stats, error) {
 	return st, nil
 }
 
-// InsertVertex adds a new vertex with the given initial out- and
-// in-neighbours, applied as sequential edge insertions.
-func (idx *Index) InsertVertex(outTo, inFrom []uint32) (uint32, hcl.Stats, error) {
-	var agg hcl.Stats
-	if err := hcl.CheckNeighbors(idx.G, outTo, inFrom); err != nil {
-		return 0, agg, err
-	}
-	v := idx.G.AddVertex()
-	idx.EnsureVertex(v)
-	agg.LandmarksTotal = idx.NumLandmarks()
-	add := func(x, y uint32) error {
-		st, err := idx.InsertEdge(x, y)
-		if err == nil {
-			agg.Plus(st)
-		}
-		return err
-	}
-	for _, w := range outTo {
-		if err := add(v, w); err != nil {
-			return v, agg, err
-		}
-	}
-	for _, w := range inFrom {
-		if err := add(w, v); err != nil {
-			return v, agg, err
-		}
-	}
-	return v, agg, nil
-}
-
 // insertPass repairs one (landmark, direction) pass after the insertion of
 // a→b and returns the size of its affected set, or -1 when the pass is
 // eliminated: the new edge lies on no shortest path to or from r. A

@@ -6,11 +6,12 @@ import (
 	"repro/internal/graph"
 )
 
-// The validity checks of the three variants' updates. Each variant's
-// method runs them before any edit, and batch validation runs them on a
-// view of the graph with the batch's earlier edits applied, so a batch is
-// judged by exactly the checks its repair would run. An edge is an
-// ordered pair on a directed g.
+// The validity checks of the three variants' updates. The edge repairs
+// run CheckInsert and CheckDelete before any edit. The oracles' validity
+// pre-pass runs all four on a view of the graph with a batch's earlier
+// edits applied, and every vertex op runs through it before it edits, so
+// an op is judged by exactly the checks its repair would run. An edge is
+// an ordered pair on a directed g.
 
 // CheckInsert is the check of an edge insertion: (a,b) must join two
 // distinct vertices of g and not be an edge yet.
@@ -27,16 +28,12 @@ func CheckInsert(g graph.EdgeSet, a, b uint32) error {
 	return nil
 }
 
-// CheckNeighbors is the check of a vertex insertion's neighbour lists:
-// every neighbour must be a vertex of g. The edges to the new vertex are
-// then checked one by one, by CheckInsert.
-func CheckNeighbors[A Arc](g graph.EdgeSet, lists ...[]A) error {
-	for _, l := range lists {
-		for _, a := range l {
-			if !g.HasVertex(to(a)) {
-				return fmt.Errorf("hcl: insert vertex: neighbour %d: %w", to(a), graph.ErrVertexUnknown)
-			}
-		}
+// CheckNeighbor is the check of a vertex insertion's neighbour v: it
+// must be a vertex of g. The edges to the new vertex are then checked one
+// by one, by CheckInsert.
+func CheckNeighbor(g graph.EdgeSet, v uint32) error {
+	if !g.HasVertex(v) {
+		return fmt.Errorf("hcl: insert vertex: neighbour %d: %w", v, graph.ErrVertexUnknown)
 	}
 	return nil
 }

@@ -88,25 +88,3 @@ func (u *Updater) DeleteEdge(a, b uint32) (Stats, error) {
 	})
 	return st, nil
 }
-
-// DeleteVertex disconnects vertex v by deleting all of its incident edges,
-// one DecHL repair per edge. The vertex itself keeps its id (the paper's
-// contiguous 0..n-1 vertex universe does not renumber); once isolated it is
-// unreachable from everything and queries against it answer Inf. Deleting a
-// landmark is rejected: landmarks anchor the labelling.
-func (u *Updater) DeleteVertex(v uint32) (Stats, error) {
-	var agg Stats
-	g := u.G
-	if err := hcl.CheckDeleteVertex(g, &u.Core, v); err != nil {
-		return agg, err
-	}
-	agg.LandmarksTotal = u.NumLandmarks()
-	for _, w := range append([]uint32(nil), g.Neighbors(v)...) {
-		st, err := u.DeleteEdge(v, w)
-		if err != nil {
-			return agg, err
-		}
-		agg.Plus(st)
-	}
-	return agg, nil
-}

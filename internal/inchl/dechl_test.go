@@ -208,29 +208,3 @@ func TestDeleteThenReinsert(t *testing.T) {
 		checkAgainstRebuild(t, u)
 	}
 }
-
-func TestDeleteVertexIsolates(t *testing.T) {
-	g := testutil.RandomConnectedGraph(30, 60, 9)
-	lm := landmark.ByDegree(g, 3)
-	_, u := buildPair(t, g, lm)
-	// Pick a non-landmark vertex with at least one edge.
-	var v uint32
-	for v = 0; ; v++ {
-		if !u.Index.IsLandmark(v) && u.Index.G.Degree(v) > 0 {
-			break
-		}
-	}
-	if _, err := u.DeleteVertex(v); err != nil {
-		t.Fatal(err)
-	}
-	if u.Index.G.Degree(v) != 0 {
-		t.Errorf("vertex %d still has %d edges", v, u.Index.G.Degree(v))
-	}
-	if l := u.Label(0, v); len(l) != 0 {
-		t.Errorf("isolated vertex kept label entries: %v", l)
-	}
-	checkAgainstRebuild(t, u)
-	if _, err := u.DeleteVertex(u.Index.Landmarks[0]); err == nil {
-		t.Error("deleting a landmark must fail")
-	}
-}

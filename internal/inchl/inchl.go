@@ -1,7 +1,10 @@
 // Package inchl implements IncHL+, the online incremental algorithm of
 // Farhan & Wang (EDBT 2021) that maintains a highway cover labelling under
-// edge and vertex insertions while preserving labelling minimality, and
-// its decremental counterpart DecHL (dechl.go).
+// edge insertions while preserving labelling minimality, and its
+// decremental counterpart DecHL (dechl.go). The paper treats a vertex
+// insertion as a new vertex plus a sequence of edge insertions; the root
+// package writes the vertex ops of all three variants that way, over
+// their edge updates.
 //
 // For an inserted edge (a,b) the algorithm runs, per landmark r:
 //
@@ -81,8 +84,7 @@ func New(idx *hcl.Index) *Updater {
 // the changed graph. It is Algorithm 1 (IncHL+) of the paper.
 //
 // Inserting an edge that already exists is an error, matching the paper's
-// update model ((a,b) ∉ E); both endpoints must already be vertices (use
-// InsertVertex for vertex additions).
+// update model ((a,b) ∉ E); both endpoints must already be vertices.
 func (u *Updater) InsertEdge(a, b uint32) (Stats, error) {
 	var st Stats
 	g := u.G
@@ -153,26 +155,4 @@ func (u *Updater) jump(r uint16, a, b uint32) (head uint32, pi graph.Dist, ok bo
 		b, da = a, db
 	}
 	return b, da + 1, true
-}
-
-// InsertVertex adds a new vertex connected to the given existing neighbours
-// (the paper's node insertion: a new node plus a set of edge insertions,
-// processed as sequential edge insertions). It returns the new vertex id
-// and statistics aggregated over the component insertions.
-func (u *Updater) InsertVertex(neighbors []uint32) (uint32, Stats, error) {
-	var agg Stats
-	if err := hcl.CheckNeighbors(u.G, neighbors); err != nil {
-		return 0, agg, err
-	}
-	v := u.G.AddVertex()
-	u.EnsureVertex(v)
-	agg.LandmarksTotal = u.NumLandmarks()
-	for _, w := range neighbors {
-		st, err := u.InsertEdge(v, w)
-		if err != nil {
-			return v, agg, err
-		}
-		agg.Plus(st)
-	}
-	return v, agg, nil
 }

@@ -248,42 +248,6 @@ func TestRandomInsertionsQuickProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestInsertVertex(t *testing.T) {
-	g := testutil.RandomConnectedGraph(30, 40, 5)
-	lm := landmark.ByDegree(g, 3)
-	_, u := buildPair(t, g, lm)
-	v, st, err := u.InsertVertex([]uint32{0, 7, 13})
-	if err != nil {
-		t.Fatalf("InsertVertex: %v", err)
-	}
-	if int(v) != 30 {
-		t.Errorf("new vertex id: got %d, want 30", v)
-	}
-	if st.AffectedSum == 0 {
-		t.Error("vertex insertion should affect at least the new vertex")
-	}
-	if !u.Index.G.HasEdge(v, 7) {
-		t.Error("edge to neighbour 7 missing")
-	}
-	checkAgainstRebuild(t, u)
-	if err := u.Index.VerifyCover(); err != nil {
-		t.Fatal(err)
-	}
-
-	// An isolated vertex insertion is also legal.
-	w, _, err := u.InsertVertex(nil)
-	if err != nil {
-		t.Fatalf("InsertVertex(nil): %v", err)
-	}
-	if got := u.Index.Query(w, 0); got != graph.Inf {
-		t.Errorf("Query(isolated,0): got %d, want Inf", got)
-	}
-	if _, _, err := u.InsertVertex([]uint32{99}); err == nil {
-		t.Error("unknown neighbour must be rejected")
-	}
-}
-
 func TestRepairRebuildStrategyEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := testutil.RandomGraph(50, 90, 70+seed)

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/hcl"
-	"repro/internal/wgraph"
 )
 
 // DeleteEdge removes the undirected weighted edge (a,b) and repairs the
@@ -58,23 +57,4 @@ func (idx *Index) DeleteEdge(a, b uint32) (Stats, error) {
 	})
 	st.AddEdits(ds)
 	return st, nil
-}
-
-// DeleteVertex disconnects vertex v by deleting all of its incident edges.
-// The id survives as an isolated vertex; deleting a landmark is rejected.
-func (idx *Index) DeleteVertex(v uint32) (Stats, error) {
-	var agg Stats
-	g := idx.G
-	if err := hcl.CheckDeleteVertex(g, &idx.Core, v); err != nil {
-		return agg, err
-	}
-	agg.LandmarksTotal = idx.NumLandmarks()
-	for _, a := range append([]wgraph.Arc(nil), g.Neighbors(v)...) {
-		st, err := idx.DeleteEdge(v, a.To)
-		if err != nil {
-			return agg, err
-		}
-		agg.Plus(st)
-	}
-	return agg, nil
 }

@@ -98,38 +98,4 @@ func TestDeleteEdgeErrorsWeighted(t *testing.T) {
 			t.Errorf("missing edge: got %v", err)
 		}
 	}
-	if _, err := idx.DeleteVertex(idx.Landmarks[0]); err == nil {
-		t.Error("deleting a landmark must fail")
-	}
-}
-
-func TestDeleteVertexWeighted(t *testing.T) {
-	g := randomWeighted(25, 50, 4, 8)
-	lm := topLandmarks(g, 3)
-	idx, err := Build(g, lm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v uint32
-	for v = 0; ; v++ {
-		if _, isL := idx.Rank(v); !isL && len(g.Neighbors(v)) > 0 {
-			break
-		}
-	}
-	if _, err := idx.DeleteVertex(v); err != nil {
-		t.Fatal(err)
-	}
-	if len(g.Neighbors(v)) != 0 {
-		t.Errorf("vertex %d still has edges", v)
-	}
-	if l := idx.Label(0, v); len(l) != 0 {
-		t.Errorf("isolated vertex kept entries: %v", l)
-	}
-	fresh, err := Build(g, lm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.EqualLabels(fresh); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -37,9 +37,6 @@ func TestForkUpdateIsolation(t *testing.T) {
 	if _, err := f.DeleteEdge(3, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := f.InsertVertex([]wgraph.Arc{{To: 2, W: 3}}); err != nil {
-		t.Fatal(err)
-	}
 
 	for v := range labels {
 		if got := hcl.Label(idx.Label(0, uint32(v))); !got.Equal(labels[v]) {

@@ -65,25 +65,6 @@ func (idx *Index) insertPass(ws *hcl.Scratch, d *hcl.Delta, a, b uint32, w graph
 	return len(hcl.RepairInsertion(&idx.Core, ws, d, b, pi, g.Neighbors, g.Neighbors, nil))
 }
 
-// InsertVertex adds a new vertex with the given initial weighted edges.
-func (idx *Index) InsertVertex(arcs []wgraph.Arc) (uint32, Stats, error) {
-	var agg Stats
-	if err := hcl.CheckNeighbors(idx.G, arcs); err != nil {
-		return 0, agg, err
-	}
-	v := idx.G.AddVertex()
-	idx.EnsureVertex(v)
-	agg.LandmarksTotal = idx.NumLandmarks()
-	for _, a := range arcs {
-		st, err := idx.InsertEdge(v, a.To, a.W)
-		if err != nil {
-			return v, agg, err
-		}
-		agg.Plus(st)
-	}
-	return v, agg, nil
-}
-
 // CheckInsert is InsertEdge's validity check: hcl.CheckInsert, and the
 // graph must be able to hold the edge (wgraph.CheckArc: weight in range).
 func CheckInsert(g graph.EdgeSet, a, b uint32, w graph.Dist) error {

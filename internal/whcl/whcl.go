@@ -10,7 +10,8 @@
 // and hcl.RepairDeletion) over weighted arcs; this package supplies the
 // Lemma 4.3 skip tests and the start vertices. A query refines the highway
 // bound with wgraph's bounded bidirectional Dijkstra, pruned by the
-// landmark lower bounds the labels give (hcl.ALT).
+// landmark lower bounds the labels give (hcl.ALT). The package updates
+// edges only; the root package writes the vertex ops over them.
 package whcl
 
 import (

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/wgraph"
 )
@@ -161,7 +162,7 @@ func TestSparsifiedWeightedMatchesOracle(t *testing.T) {
 		if want == graph.Inf && connected(pruned, u, v) {
 			saturated++
 		}
-		qs := &wgraph.QuerySpace{DistU: make([]graph.Dist, 25), DistV: make([]graph.Dist, 25)}
+		qs := &bfs.QuerySpace{DistU: make([]graph.Dist, 25), DistV: make([]graph.Dist, 25)}
 		for i := range qs.DistU {
 			qs.DistU[i] = graph.Inf
 			qs.DistV[i] = graph.Inf
@@ -333,33 +334,6 @@ func TestInsertHeavyEdgeIsNoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestInsertVertexWeighted(t *testing.T) {
-	g := randomWeighted(20, 40, 4, 5)
-	lm := topLandmarks(g, 3)
-	idx, err := Build(g, lm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, _, err := idx.InsertVertex([]wgraph.Arc{{To: 0, W: 2}, {To: 9, W: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := Build(g, lm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.EqualLabels(fresh); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := idx.Query(v, 9), g.Dist(v, 9); got != want {
-		t.Errorf("Query(new,9): got %d, want %d", got, want)
-	}
-	if _, _, err := idx.InsertVertex([]wgraph.Arc{{To: 99, W: 1}}); err == nil {
-		t.Error("unknown neighbour must be rejected")
-	}
-}
-
 func TestInsertEdgeErrors(t *testing.T) {
 	g := randomWeighted(8, 10, 3, 2)
 	idx, err := Build(g, topLandmarks(g, 2))

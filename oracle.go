@@ -91,7 +91,10 @@ type Oracle interface {
 	// repairs the labelling with IncHL+.
 	InsertEdge(u, v uint32, w Dist) (UpdateSummary, error)
 	// InsertVertex adds a new vertex with the given initial arcs and
-	// returns its id.
+	// returns its id: the paper's node insertion, a new vertex plus one
+	// edge insertion per arc (out-arcs first on directed oracles). A
+	// rejected vertex op, an InsertVertex or a DeleteVertex, leaves the
+	// oracle unchanged.
 	InsertVertex(arcs []Arc) (uint32, UpdateSummary, error)
 	// DeleteEdge removes the edge (u,v) — directed u→v on directed oracles
 	// — and repairs the labelling with DecHL: the removed edge is tested
@@ -104,7 +107,8 @@ type Oracle interface {
 	// when absent.
 	DeleteEdge(u, v uint32) (UpdateSummary, error)
 	// DeleteVertex disconnects vertex v by deleting all of its incident
-	// edges, one DecHL repair per edge. Vertex ids are a contiguous
+	// edges, one DecHL repair per edge (out-edges first on directed
+	// oracles). Vertex ids are a contiguous
 	// 0..NumVertices-1 universe, so the id itself survives as an isolated
 	// vertex; queries against it answer Inf. Deleting a landmark is an
 	// error — landmarks anchor the labelling.

@@ -65,15 +65,18 @@ type View interface {
 //   - the repair knobs tune the parallel repair engine (per-landmark
 //     fan-out, per-task timer). Forks inherit them, so tuning the current
 //     snapshot covers every future epoch;
-//   - checker returns the validity pre-pass the pipeline runs on a batch
-//     before any label work starts (opCheck);
+//   - the writer methods are the edge-level edits its ops are written
+//     over (write.go), and checker returns the validity pre-pass over
+//     its graph, which the pipeline runs on a batch before any label work
+//     starts and every vertex op runs before it edits;
 //   - Save, Load and LoadMappedFile serialise and swap in labellings.
 type variant interface {
 	Oracle
 	Saver
 	Loader
+	writer
 	fork() variant
-	checker() opCheck
+	checker() *prepass
 	setRepairWorkers(n int)
 	repairWorkers() int
 	setRepairTimer(f func(time.Duration))

@@ -14,11 +14,13 @@ import (
 // four steps and publish it as one epoch:
 //
 //  1. Validate (committer). The committer takes everything waiting and
-//     runs each caller's ops, in arrival order, through the variant's
-//     validity checks (opCheck): the same check functions the repairs
-//     call, over a view of the graph that records the accepted callers'
-//     edits. A caller whose ops fail is rejected alone; the rest are the
-//     group's live callers. No label work has happened yet.
+//     runs each caller's ops, in arrival order, through the validity
+//     pre-pass (prepass, check.go): the oracles' own ops, written once
+//     over an edge-level writer (write.go), on a writer that checks each
+//     edit with the check its repair would run and records it in an
+//     overlay of the graph, which keeps the accepted callers' edits. A
+//     caller whose ops fail is rejected alone; the rest are the group's
+//     live callers. No label work has happened yet.
 //  2. Append (committer). The committer hands the group to the repairer
 //     and appends the live callers' ops, concatenated in arrival order, to
 //     the durability layer as one WAL record: one fsync covers every
@@ -205,7 +207,7 @@ func (s *Store) commitLoop() {
 // validate coalesces reqs into one group publishing as epoch+1: each
 // caller's ops run through a fork of check, the pre-pass over the state at
 // epoch, on top of the callers accepted before it.
-func (s *Store) validate(check opCheck, epoch uint64, reqs []*applyReq) *commitGroup {
+func (s *Store) validate(check *prepass, epoch uint64, reqs []*applyReq) *commitGroup {
 	start := time.Now()
 	g := &commitGroup{
 		epoch:    epoch + 1,

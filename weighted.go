@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"repro/internal/arena"
+	"repro/internal/hcl"
 	"repro/internal/landmark"
 	"repro/internal/wgraph"
 	"repro/internal/whcl"
@@ -38,7 +39,7 @@ type WeightedIndex struct {
 }
 
 func newWeighted(idx *whcl.Index) *WeightedIndex {
-	return &WeightedIndex{labelling{&idx.Core, idx.G}, idx}
+	return &WeightedIndex{labelling{&idx.Core, idx.G, weightedArcs}, idx}
 }
 
 // BuildWeighted constructs the weighted labelling of g. Options drives it
@@ -91,22 +92,13 @@ func (x *WeightedIndex) QueryBatch(pairs []Pair) []Dist {
 // InsertEdge inserts the undirected edge (u,v) with weight w (0 means 1)
 // and repairs the labelling.
 func (x *WeightedIndex) InsertEdge(u, v uint32, w Dist) (UpdateSummary, error) {
-	return summary(x.idx.InsertEdge(u, v, max(w, 1)))
+	return insertEdge(x, x.rule, u, v, w)
 }
 
 // InsertVertex adds a vertex with initial weighted edges (Arc.W of 0 means
 // 1; Arc.In is rejected — the graph is undirected).
 func (x *WeightedIndex) InsertVertex(arcs []Arc) (uint32, UpdateSummary, error) {
-	ws, err := weightedArcs(arcs)
-	if err != nil {
-		return 0, UpdateSummary{}, err
-	}
-	id, st, err := x.idx.InsertVertex(ws)
-	if err != nil {
-		return 0, UpdateSummary{}, err
-	}
-	sum, err := summary(st, nil)
-	return id, sum, err
+	return oracleInsertVertex(x, arcs)
 }
 
 // Apply applies ops in order, stopping at the first failure (see
@@ -118,19 +110,6 @@ func (x *WeightedIndex) fork() variant {
 	return newWeighted(x.idx.Fork(x.idx.G.Fork()))
 }
 
-// weightedArcs converts a new vertex's arcs to weighted edges (W of 0
-// means 1), rejecting directions the undirected graph cannot represent.
-func weightedArcs(arcs []Arc) ([]WeightedArc, error) {
-	ws := make([]WeightedArc, len(arcs))
-	for i, a := range arcs {
-		if a.In {
-			return nil, fmt.Errorf("dynhl: weighted oracle has no incoming arcs")
-		}
-		ws[i] = WeightedArc{To: a.To, W: max(a.W, 1)}
-	}
-	return ws, nil
-}
-
 // DeleteEdge removes the undirected weighted edge (u,v) and repairs the
 // labelling with DecHL (see Oracle.DeleteEdge).
 func (x *WeightedIndex) DeleteEdge(u, v uint32) (UpdateSummary, error) {
@@ -140,8 +119,25 @@ func (x *WeightedIndex) DeleteEdge(u, v uint32) (UpdateSummary, error) {
 // DeleteVertex disconnects vertex v by deleting all of its incident edges;
 // the id survives as an isolated vertex. Deleting a landmark is an error.
 func (x *WeightedIndex) DeleteVertex(v uint32) (UpdateSummary, error) {
-	return summary(x.idx.DeleteVertex(v))
+	return oracleDeleteVertex(x, v)
 }
+
+func (x *WeightedIndex) insertEdge(u, v uint32, w Dist) (hcl.Stats, error) {
+	return x.idx.InsertEdge(u, v, w)
+}
+
+func (x *WeightedIndex) deleteEdge(u, v uint32) (hcl.Stats, error) { return x.idx.DeleteEdge(u, v) }
+
+func (x *WeightedIndex) incident(v uint32) [][2]uint32 {
+	var es [][2]uint32
+	for _, a := range x.idx.G.Neighbors(v) {
+		es = append(es, [2]uint32{v, a.To})
+	}
+	return es
+}
+
+// checker returns the validity pre-pass over x's graph.
+func (x *WeightedIndex) checker() *prepass { return newPrepass(x, x.labelling) }
 
 // Verify audits the labelling against Dijkstra ground truth.
 func (x *WeightedIndex) Verify() error { return x.idx.VerifyCover() }
