@@ -53,7 +53,7 @@ func (k *prepass) HasEdge(u, v uint32) bool {
 }
 
 func (k *prepass) insertEdge(u, v uint32, w Dist) (hcl.Stats, error) {
-	if err := k.rule.checkInsert(k, u, v, w); err != nil {
+	if err := hcl.CheckInsert(k, u, v, w); err != nil {
 		return hcl.Stats{}, err
 	}
 	k.edits[k.key(u, v)] = true

@@ -2,14 +2,12 @@ package dynhl
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"repro/internal/arena"
 	"repro/internal/dhcl"
 	"repro/internal/digraph"
 	"repro/internal/hcl"
-	"repro/internal/landmark"
 )
 
 // Digraph is a directed, unweighted dynamic graph (Section 5 of the paper:
@@ -46,15 +44,7 @@ func newDirected(idx *dhcl.Index) *DirectedIndex {
 // RepairWorkers sets the repair engine's fan-out. The result is identical
 // for every worker count.
 func BuildDirected(g *Digraph, opt Options) (*DirectedIndex, error) {
-	if opt.Landmarks <= 0 {
-		opt.Landmarks = 20
-	}
-	n := g.NumVertices()
-	if n == 0 {
-		return nil, fmt.Errorf("dynhl: cannot index an empty graph")
-	}
-	degree := func(v uint32) int { return g.OutDegree(v) + g.InDegree(v) }
-	lms, err := landmark.SelectBy(n, degree, g.NumEdges(), opt.Landmarks, opt.Strategy, opt.Seed)
+	lms, err := selectLandmarks(g, func(v uint32) int { return g.OutDegree(v) + g.InDegree(v) }, opt)
 	if err != nil {
 		return nil, err
 	}

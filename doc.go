@@ -149,8 +149,14 @@
 // target with a weight on the weighted one, which walks in the order of a
 // monotone radix heap — IncHL+ with Dijkstra in place of BFS, as the paper
 // extends it. The arc's size is a constant in each instantiation, so the
-// unit kernels compile without the weighted branches. A variant adds only
-// the affected tests that pick each pass's start vertex.
+// unit kernels compile without the weighted branches. One driver runs
+// them for every variant (hcl.InsertEdge and hcl.DeleteEdge): the check,
+// the graph edit, one task per (landmark, label direction) pass with its
+// Lemma 4.3 test and its jump to d(r, tail) + w, and the statistics. A
+// pass orients the edge by the labelling's kind, either way on an
+// undirected graph, a→b forward and b→a backward on a directed one, and
+// the edge's length is 1 or its weight; a variant adds only its graph
+// edit and adjacency.
 //
 // Queries share one search toolkit. A unit-weight query refines its
 // Equation 2 bound with internal/bfs's one bounded bidirectional BFS,

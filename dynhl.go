@@ -82,6 +82,10 @@ type labelling struct {
 	rule arcRule
 }
 
+// labels returns the labelling, for code that holds its wrapper as a
+// variant.
+func (l labelling) labels() labelling { return l }
+
 // addVertex adds a vertex with no edges and no label entries.
 func (l labelling) addVertex() uint32 {
 	v := l.g.AddVertex()
@@ -169,17 +173,29 @@ func newIndex(idx *hcl.Index) *Index {
 
 // Build constructs the minimal highway cover labelling of g.
 func Build(g *Graph, opt Options) (*Index, error) {
-	if opt.Landmarks <= 0 {
-		opt.Landmarks = 20
-	}
-	if g.NumVertices() == 0 {
-		return nil, fmt.Errorf("dynhl: cannot index an empty graph")
-	}
-	lms, err := landmark.Select(g, opt.Landmarks, opt.Strategy, opt.Seed)
+	lms, err := selectLandmarks(g, g.Degree, opt)
 	if err != nil {
 		return nil, err
 	}
 	return BuildWithLandmarks(g, lms, opt)
+}
+
+// selectLandmarks picks the landmarks Options ask for among g's vertices,
+// ranked by degree: Options.Landmarks of them (default 20) by
+// Options.Strategy. An empty graph has none to pick.
+func selectLandmarks(g interface {
+	NumVertices() int
+	NumEdges() uint64
+}, degree func(uint32) int, opt Options) ([]uint32, error) {
+	n := g.NumVertices()
+	if n == 0 {
+		return nil, fmt.Errorf("dynhl: cannot index an empty graph")
+	}
+	k := opt.Landmarks
+	if k <= 0 {
+		k = 20
+	}
+	return landmark.SelectBy(n, degree, g.NumEdges(), k, opt.Strategy, opt.Seed)
 }
 
 // BuildWithLandmarks constructs the labelling with an explicit landmark set

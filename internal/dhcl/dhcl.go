@@ -3,10 +3,12 @@
 // every vertex stores a forward label (distances from landmarks, over
 // out-edges) and a backward label (distances to landmarks, over in-edges),
 // the highway holds the directed landmark-to-landmark distance matrix, and
-// an insertion triggers two maintenance passes per landmark — one forward
-// from the edge head, one backward from the edge tail. The package updates
-// edges only; the root package writes the vertex ops over them, out-arcs
-// before in-arcs.
+// an update runs two passes per landmark — one forward from the edge head,
+// one backward from the edge tail. The updates are hcl's one IncHL+ and
+// DecHL driver (hcl.InsertEdge and hcl.DeleteEdge), which orients the arc
+// per pass; this package supplies the graph edit and each direction's
+// adjacency. The package updates edges only; the root package writes the
+// vertex ops over them, out-arcs before in-arcs.
 package dhcl
 
 import (
@@ -115,27 +117,6 @@ func (idx *Index) DistF(r uint16, v uint32) graph.Dist { return idx.PassDist(fwd
 
 // DistB returns the exact directed distance v → landmark(r).
 func (idx *Index) DistB(r uint16, v uint32) graph.Dist { return idx.PassDist(bwd, r, v) }
-
-// UpperBound returns the best u→v distance through the highway network.
-func (idx *Index) UpperBound(u, v uint32) graph.Dist {
-	if u == v {
-		return 0
-	}
-	ru, uIsL := idx.Rank(u)
-	rv, vIsL := idx.Rank(v)
-	switch {
-	case uIsL && vIsL:
-		return idx.Highway(ru, rv)
-	case uIsL:
-		return idx.DistF(ru, v)
-	case vIsL:
-		return idx.DistB(rv, u)
-	}
-	// Equation 2, directed: min over eu ∈ L_b(u), ev ∈ L_f(v) of
-	// δ(u→eu) + δ_H(eu→ev) + δ(ev→v), the shared kernel over the flat
-	// highway matrix.
-	return idx.UpperBoundVia(idx.Label(bwd, u), idx.Label(fwd, v))
-}
 
 // Query answers an exact directed distance query u→v: the highway upper
 // bound refined by a bounded bidirectional search on the sparsified graph.

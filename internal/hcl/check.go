@@ -4,18 +4,20 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
+	"repro/internal/wgraph"
 )
 
-// The validity checks of the three variants' updates. The edge repairs
-// run CheckInsert and CheckDelete before any edit. The oracles' validity
-// pre-pass runs all four on a view of the graph with a batch's earlier
-// edits applied, and every vertex op runs through it before it edits, so
-// an op is judged by exactly the checks its repair would run. An edge is
-// an ordered pair on a directed g.
+// The validity checks of the three variants' updates. The edge updates
+// (update.go) run CheckInsert and CheckDelete before any edit. The
+// oracles' validity pre-pass runs all four on a view of the graph with a
+// batch's earlier edits applied, and every vertex op runs through it
+// before it edits, so an op is judged by exactly the checks its repair
+// would run. An edge is an ordered pair on a directed g.
 
 // CheckInsert is the check of an edge insertion: (a,b) must join two
-// distinct vertices of g and not be an edge yet.
-func CheckInsert(g graph.EdgeSet, a, b uint32) error {
+// distinct vertices of g and not be an edge yet, and its length w must be
+// one a graph can hold (wgraph.CheckArc: 1 on the unit-weight graphs).
+func CheckInsert(g graph.EdgeSet, a, b uint32, w graph.Dist) error {
 	if !g.HasVertex(a) || !g.HasVertex(b) {
 		return fmt.Errorf("hcl: insert (%d,%d): %w", a, b, graph.ErrVertexUnknown)
 	}
@@ -25,7 +27,7 @@ func CheckInsert(g graph.EdgeSet, a, b uint32) error {
 	if g.HasEdge(a, b) {
 		return fmt.Errorf("hcl: insert (%d,%d): %w", a, b, graph.ErrEdgeExists)
 	}
-	return nil
+	return wgraph.CheckArc(a, b, w)
 }
 
 // CheckNeighbor is the check of a vertex insertion's neighbour v: it

@@ -10,11 +10,12 @@ import (
 // Core is the labelling the three variants share: the landmarks and their
 // rank table, the k×k highway of landmark-to-landmark distances, one or two
 // label directions, and the repair knobs. hcl.Index, dhcl.Index and
-// whcl.Index embed it and add their graph, their query kernels and the
-// affected tests of their updates; fork, serialisation, the repair
-// engine (repair.go), the update checks (check.go) and the local
-// insertion and deletion repairs of all three variants (delete.go) are
-// implemented here once.
+// whcl.Index embed it and add their graph, its edit and adjacency, and
+// their query searches; fork, serialisation, the highway upper bound, the
+// repair engine (repair.go), the update checks (check.go), the edge
+// updates with their Lemma 4.3 tests and statistics (update.go) and the
+// local insertion and deletion repairs (delete.go) of all three variants
+// are implemented here once.
 //
 // Queries are safe for any number of concurrent readers; mutations require
 // exclusive access.

@@ -3,8 +3,9 @@
 // maintains incrementally: per-vertex landmark distance labels, the
 // landmark-to-landmark highway, static construction, and the exact
 // upper-bound + bounded-search query of Section 3 of the paper. Its Core
-// (core.go) and repair engine (repair.go) are the labelling machinery the
-// directed (dhcl) and weighted (whcl) variants share.
+// (core.go), repair engine (repair.go) and edge updates (update.go) are
+// the labelling machinery the directed (dhcl) and weighted (whcl) variants
+// share.
 package hcl
 
 import "repro/internal/graph"

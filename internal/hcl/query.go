@@ -7,23 +7,26 @@ import (
 
 // UpperBound computes d⊤(u,v), the smallest distance achievable through the
 // highway network (Equation 2 of the paper): the minimum over label entry
-// pairs of δ_L(r_i,u) + δ_H(r_i,r_j) + δ_L(r_j,v). Landmark endpoints are
-// resolved through the highway directly (Equation 1).
-func (idx *Index) UpperBound(u, v uint32) graph.Dist {
+// pairs of δ_L(u,r_i) + δ_H(r_i,r_j) + δ_L(r_j,v), reading u's backward
+// label (its only one on a single-direction labelling) against v's forward
+// one. Landmark endpoints are resolved through the highway directly
+// (Equation 1).
+func (c *Core) UpperBound(u, v uint32) graph.Dist {
 	if u == v {
 		return 0
 	}
-	ru, uIsL := idx.Rank(u)
-	rv, vIsL := idx.Rank(v)
+	back := c.kind.Dirs - 1
+	ru, uIsL := c.Rank(u)
+	rv, vIsL := c.Rank(v)
 	switch {
 	case uIsL && vIsL:
-		return idx.Highway(ru, rv)
+		return c.Highway(ru, rv)
 	case uIsL:
-		return LandmarkVia(idx.Row(ru), idx.Label(0, v))
+		return c.PassDist(0, ru, v)
 	case vIsL:
-		return LandmarkVia(idx.Row(rv), idx.Label(0, u))
+		return c.PassDist(back, rv, u)
 	}
-	return idx.UpperBoundVia(idx.Label(0, u), idx.Label(0, v))
+	return c.UpperBoundVia(c.Label(back, u), c.Label(0, v))
 }
 
 // UpperBoundVia is the Equation 2 kernel over the core's highway (see

@@ -271,16 +271,23 @@ func (c *Core) merge(ds []Delta, recheck bool) {
 // runs the covered-flag search of d.Rank in direction d.Dir and buffers its
 // entries and highway cells into d.
 func Construct(c *Core, workers int, search func(ws *Scratch, d *Delta)) {
+	tuned := c.Workers
+	c.Workers = workers
+	Repair(c, c.passes(), true, func(ws *Scratch, _ int, d *Delta) { search(ws, d) })
+	c.Workers = tuned
+}
+
+// passes returns one empty delta per (landmark, label direction) pass in
+// rank-major order, forward before backward: the task order of every
+// construction and update.
+func (c *Core) passes() []Delta {
 	ds := make([]Delta, 0, c.kind.Dirs*len(c.Landmarks))
 	for r := range c.Landmarks {
 		for dir := 0; dir < c.kind.Dirs; dir++ {
 			ds = append(ds, Delta{Rank: uint16(r), Dir: dir})
 		}
 	}
-	tuned := c.Workers
-	c.Workers = workers
-	Repair(c, ds, true, func(ws *Scratch, _ int, d *Delta) { search(ws, d) })
-	c.Workers = tuned
+	return ds
 }
 
 // RebuildBFS runs the covered-flag BFS of landmark d.Rank over children —

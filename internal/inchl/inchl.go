@@ -1,9 +1,9 @@
 // Package inchl implements IncHL+, the online incremental algorithm of
 // Farhan & Wang (EDBT 2021) that maintains a highway cover labelling under
 // edge insertions while preserving labelling minimality, and its
-// decremental counterpart DecHL (dechl.go). The paper treats a vertex
-// insertion as a new vertex plus a sequence of edge insertions; the root
-// package writes the vertex ops of all three variants that way, over
+// decremental counterpart DecHL, on undirected graphs. The paper treats a
+// vertex insertion as a new vertex plus a sequence of edge insertions; the
+// root package writes the vertex ops of all three variants that way, over
 // their edge updates.
 //
 // For an inserted edge (a,b) the algorithm runs, per landmark r:
@@ -20,10 +20,19 @@
 //     uncovered ones (their r-entry is set to the new exact distance), and
 //     refreshes the highway rows of affected landmarks.
 //
-// The find and repair phases are the insertion kernel of internal/hcl
-// (hcl.RepairInsertion), which the directed variant runs once per
-// direction and the weighted one with Dijkstra order; this package
-// supplies the skip test, the jump and the statistics.
+// DecHL covers the deletions the paper leaves out. Removing (a,b) can
+// change landmark r's labelling — its distances or the covered flags of
+// its shortest-path DAG — only when the edge lies on that DAG, i.e. when
+// |d_G(r,a) − d_G(r,b)| = 1, so the affected test is two labelled lookups
+// and no search. Each affected landmark is repaired locally from the
+// endpoint one level further from it (hcl.RepairDeletion, whose file
+// comment gives the method and why its edits equal a fresh build's).
+//
+// Both updates are the edge updates of internal/hcl (hcl.InsertEdge and
+// hcl.DeleteEdge): one driver runs the tests, the kernels and the
+// statistics for all three variants, the directed one once per direction
+// and the weighted one in Dijkstra order. This package adds the undirected
+// graph's edit and adjacency, and the RepairRebuild ablation.
 //
 // Deviation from the paper's pseudocode, for correctness: Algorithm 1
 // interleaves find and repair per landmark, but a repair mutates label
@@ -38,12 +47,7 @@
 // per-landmark affected lists.
 package inchl
 
-import (
-	"fmt"
-
-	"repro/internal/graph"
-	"repro/internal/hcl"
-)
+import "repro/internal/hcl"
 
 // RepairStrategy selects how labels of affected vertices are repaired.
 type RepairStrategy int
@@ -81,78 +85,29 @@ func New(idx *hcl.Index) *Updater {
 
 // InsertEdge inserts the undirected edge (a,b) into the graph and repairs
 // the labelling so that it is again the minimal highway cover labelling of
-// the changed graph. It is Algorithm 1 (IncHL+) of the paper.
+// the changed graph (hcl.InsertEdge). It is Algorithm 1 (IncHL+) of the
+// paper.
 //
 // Inserting an edge that already exists is an error, matching the paper's
 // update model ((a,b) ∉ E); both endpoints must already be vertices.
 func (u *Updater) InsertEdge(a, b uint32) (Stats, error) {
-	var st Stats
 	g := u.G
-	if err := hcl.CheckInsert(g, a, b); err != nil {
-		return st, err
+	var rebuild func(*hcl.Scratch, *hcl.Delta)
+	if u.Strategy == RepairRebuild {
+		rebuild = func(ws *hcl.Scratch, d *hcl.Delta) { u.RebuildBFS(ws, d, g.Neighbors, g.Neighbors) }
 	}
-	k := u.NumLandmarks()
-	st.LandmarksTotal = k
-
-	// The tasks below read the old labelling, so they see d_G even though
-	// the adjacency already contains (a,b) — BFS expansion, not labelled
-	// distances, is what needs the new edge.
-	if _, err := g.AddEdge(a, b); err != nil {
-		return st, fmt.Errorf("inchl: insert (%d,%d): %w", a, b, err)
-	}
-	skipped := make([]bool, k)
-	affected := make([][]uint32, k) // Λ_r in level order
-	ds := make([]hcl.Delta, k)
-	for r := range ds {
-		ds[r].Rank = uint16(r)
-	}
-	rebuild := u.Strategy == RepairRebuild
-	hcl.Repair(&u.Core, ds, rebuild, func(ws *hcl.Scratch, r int, d *hcl.Delta) {
-		head, pi, ok := u.jump(d.Rank, a, b)
-		switch {
-		case !ok:
-			skipped[r] = true
-		case rebuild:
-			u.RebuildBFS(ws, d, g.Neighbors, g.Neighbors)
-		default:
-			affected[r] = hcl.RepairInsertion(&u.Core, ws, d, head, pi, g.Neighbors, g.Neighbors, nil)
-		}
-	})
-	for r := range ds {
-		switch {
-		case skipped[r]:
-			st.LandmarksSkipped++
-		case rebuild:
-			st.AddEdits(ds[r : r+1])
-		default:
-			st.Add(ds[r].Changes())
-			st.AffectedSum += len(affected[r])
-		}
-	}
-	st.AffectedUnion = u.CountDistinct(func(see func(uint32)) {
-		for r := range ds {
-			if rebuild {
-				u.Touched(&ds[r], see)
-			}
-			for _, v := range affected[r] {
-				see(v)
-			}
-		}
-	})
-	return st, nil
+	return hcl.InsertEdge(&u.Core, g, a, b, 1, func() error {
+		_, err := g.AddEdge(a, b)
+		return err
+	}, hcl.Undirected(g.Neighbors), rebuild)
 }
 
-// jump is the Lemma 4.3 and 4.4 step of landmark r for the new edge (a,b):
-// it returns the endpoint farther from r and its depth in the jumped BFS,
-// one more than the nearer endpoint's distance, or ok=false when
-// d_G(r,a) = d_G(r,b) and so Λ_r = ∅.
-func (u *Updater) jump(r uint16, a, b uint32) (head uint32, pi graph.Dist, ok bool) {
-	da, db := u.LandmarkDist(r, a), u.LandmarkDist(r, b)
-	if da == db {
-		return 0, 0, false
-	}
-	if db < da {
-		b, da = a, db
-	}
-	return b, da + 1, true
+// DeleteEdge removes the undirected edge (a,b) from the graph and repairs
+// the labelling so that it is again the minimal highway cover labelling of
+// the changed graph (hcl.DeleteEdge, DecHL). Deleting an edge that does
+// not exist is an error (graph.ErrEdgeUnknown), mirroring InsertEdge's
+// update model.
+func (u *Updater) DeleteEdge(a, b uint32) (Stats, error) {
+	g := u.G
+	return hcl.DeleteEdge(&u.Core, g, a, b, 1, func() error { return g.RemoveEdge(a, b) }, hcl.Undirected(g.Neighbors))
 }

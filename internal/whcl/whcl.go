@@ -5,13 +5,14 @@
 // carry over unchanged because edge weights are positive integers: a
 // shortest-path parent always has a strictly smaller distance, so
 // processing vertices in distance order is well-founded. Construction runs
-// hcl's covered-flag Dijkstra per landmark, and updates run the same local
-// IncHL+ and DecHL kernels as the unit-weight variants (hcl.RepairInsertion
-// and hcl.RepairDeletion) over weighted arcs; this package supplies the
-// Lemma 4.3 skip tests and the start vertices. A query refines the highway
-// bound with wgraph's bounded bidirectional Dijkstra, pruned by the
-// landmark lower bounds the labels give (hcl.ALT). The package updates
-// edges only; the root package writes the vertex ops over them.
+// hcl's covered-flag Dijkstra per landmark, and the edge updates are hcl's
+// one IncHL+ and DecHL driver (hcl.InsertEdge and hcl.DeleteEdge), the
+// unit-weight variants' own, over weighted arcs: the edge's length is its
+// weight. This package supplies the graph edit and the adjacency. A query
+// refines the highway bound with wgraph's bounded bidirectional Dijkstra,
+// pruned by the landmark lower bounds the labels give (hcl.ALT). The
+// package updates edges only; the root package writes the vertex ops over
+// them.
 package whcl
 
 import (
@@ -98,24 +99,6 @@ func (idx *Index) Fork(g *wgraph.Graph) *Index {
 // LandmarkDist returns the exact weighted distance from landmark rank r to
 // any vertex v (Equation 1 with Dijkstra distances).
 func (idx *Index) LandmarkDist(r uint16, v uint32) graph.Dist { return idx.PassDist(0, r, v) }
-
-// UpperBound returns the best u–v distance through the highway network.
-func (idx *Index) UpperBound(u, v uint32) graph.Dist {
-	if u == v {
-		return 0
-	}
-	ru, uIsL := idx.Rank(u)
-	rv, vIsL := idx.Rank(v)
-	switch {
-	case uIsL && vIsL:
-		return idx.Highway(ru, rv)
-	case uIsL:
-		return idx.LandmarkDist(ru, v)
-	case vIsL:
-		return idx.LandmarkDist(rv, u)
-	}
-	return idx.UpperBoundVia(idx.Label(0, u), idx.Label(0, v))
-}
 
 // Query answers an exact weighted distance query: the highway upper bound
 // refined by a bounded bidirectional Dijkstra on the sparsified graph. The

@@ -117,10 +117,9 @@ func BenchmarkQuerySocial(b *testing.B) {
 	f.run(b)
 }
 
-// directedQueries is the social-read graph with each edge turned into one
-// arc of a coin-flipped direction, and 20 landmarks: the directed search
-// on the social-read shape. It is built and warmed once per test binary.
-var directedQueries = sync.OnceValues(func() (queryFixture, error) {
+// socialDigraph is the social-read graph with each edge turned into one
+// arc of a coin-flipped direction: the directed social-read shape.
+func socialDigraph() *dynhl.Digraph {
 	g := gen.BarabasiAlbert(200_000, 8, 11)
 	dg := dynhl.NewDigraph(g.NumVertices())
 	for i := 0; i < g.NumVertices(); i++ {
@@ -133,7 +132,14 @@ var directedQueries = sync.OnceValues(func() (queryFixture, error) {
 		}
 		dg.MustAddEdge(u, v)
 	})
-	x, err := dynhl.BuildDirected(dg, dynhl.Options{Landmarks: 20})
+	return dg
+}
+
+// directedQueries is the directed social-read shape with 20 landmarks: the
+// directed search on the social-read shape. It is built and warmed once
+// per test binary.
+var directedQueries = sync.OnceValues(func() (queryFixture, error) {
+	x, err := dynhl.BuildDirected(socialDigraph(), dynhl.Options{Landmarks: 20})
 	if err != nil {
 		return queryFixture{}, err
 	}

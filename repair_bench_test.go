@@ -29,10 +29,12 @@ import (
 // directed variant's insertion alone on the same graph, each edge an arc
 // from its older to its newer endpoint: every iteration inserts a
 // uniformly random new arc, so both forward and backward passes repair.
-// weighted-churn runs the weighted variant on the weighted-batch graph
-// (web-locality, 40k vertices, degree 20, weights 1–8, 20 landmarks): each
-// iteration deletes a uniformly random existing edge and inserts it again
-// with its weight. The three cases report allocations, since a repair's
+// directed-churn runs the directed variant's deletion on the directed
+// social-read shape (socialDigraph, 20 landmarks): each iteration deletes
+// a uniformly random existing arc and inserts it again. weighted-churn
+// runs the weighted variant on the weighted-batch graph (web-locality, 40k
+// vertices, degree 20, weights 1–8, 20 landmarks): each iteration deletes
+// a uniformly random existing edge and inserts it again with its weight. The four cases report allocations, since a repair's
 // scratch is pooled.
 func BenchmarkRepairParallel(b *testing.B) {
 	b.Run("churn", func(b *testing.B) {
@@ -83,6 +85,31 @@ func BenchmarkRepairParallel(b *testing.B) {
 				u, v = uint32(rng.Intn(n)), uint32(rng.Intn(n))
 			}
 			if _, err := x.InsertEdge(u, v, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("directed-churn", func(b *testing.B) {
+		dg := socialDigraph()
+		x, err := dynhl.BuildDirected(dg, dynhl.Options{Landmarks: 20, RepairWorkers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var arcs [][2]uint32
+		for u := range uint32(dg.NumVertices()) {
+			for _, v := range dg.Out(u) {
+				arcs = append(arcs, [2]uint32{u, v})
+			}
+		}
+		rng := rand.New(rand.NewSource(33))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e := arcs[rng.Intn(len(arcs))]
+			if _, err := x.DeleteEdge(e[0], e[1]); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := x.InsertEdge(e[0], e[1], 0); err != nil {
 				b.Fatal(err)
 			}
 		}

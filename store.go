@@ -68,7 +68,8 @@ type View interface {
 //   - the writer methods are the edge-level edits its ops are written
 //     over (write.go), and checker returns the validity pre-pass over
 //     its graph, which the pipeline runs on a batch before any label work
-//     starts and every vertex op runs before it edits;
+//     starts and a plain oracle's vertex op runs before it edits; labels
+//     returns the labelling the wrapper serves;
 //   - Save, Load and LoadMappedFile serialise and swap in labellings.
 type variant interface {
 	Oracle
@@ -77,6 +78,7 @@ type variant interface {
 	writer
 	fork() variant
 	checker() *prepass
+	labels() labelling
 	setRepairWorkers(n int)
 	repairWorkers() int
 	setRepairTimer(f func(time.Duration))

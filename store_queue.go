@@ -27,7 +27,9 @@ import (
 //     coalesced caller.
 //  3. Repair (repairer), while the disk works: the live callers' ops are
 //     applied once to a fork of the previous group's labelling, whose
-//     repairs write the label chunks they touch.
+//     repairs write the label chunks they touch. They passed the pre-pass
+//     already, so their vertex ops skip the one a plain oracle runs
+//     (validated, write.go).
 //  4. Publish (repairer), once the append returned: the snapshot is
 //     swapped in and the futures resolve. A failed append discards the
 //     repaired fork whole and fails every live caller.
@@ -274,7 +276,7 @@ func (s *Store) repairGroup(tip variant, g *commitGroup) variant {
 	start := time.Now()
 	work := tip.fork()
 	for _, r := range g.live {
-		sums, err := applyOps(work, r.ops)
+		sums, err := applyOps(validated{work}, r.ops)
 		if err != nil {
 			// The ops may be durable already, so the store cannot back
 			// out: validation and repair disagreeing is a bug.

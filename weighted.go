@@ -2,12 +2,10 @@ package dynhl
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"repro/internal/arena"
 	"repro/internal/hcl"
-	"repro/internal/landmark"
 	"repro/internal/wgraph"
 	"repro/internal/whcl"
 )
@@ -49,15 +47,7 @@ func newWeighted(idx *whcl.Index) *WeightedIndex {
 // across cores, and RepairWorkers sets the repair engine's fan-out. The
 // result is identical for every worker count.
 func BuildWeighted(g *WeightedGraph, opt Options) (*WeightedIndex, error) {
-	if opt.Landmarks <= 0 {
-		opt.Landmarks = 20
-	}
-	n := g.NumVertices()
-	if n == 0 {
-		return nil, fmt.Errorf("dynhl: cannot index an empty graph")
-	}
-	degree := func(v uint32) int { return len(g.Neighbors(v)) }
-	lms, err := landmark.SelectBy(n, degree, g.NumEdges(), opt.Landmarks, opt.Strategy, opt.Seed)
+	lms, err := selectLandmarks(g, func(v uint32) int { return len(g.Neighbors(v)) }, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -3,9 +3,7 @@ package dynhl
 import (
 	"fmt"
 
-	"repro/internal/graph"
 	"repro/internal/hcl"
-	"repro/internal/whcl"
 )
 
 // This file is the one write path of the three oracles and of their
@@ -73,14 +71,6 @@ func (r arcRule) arcs(arcs []Arc) ([]Arc, error) {
 	return append(out, in...), nil
 }
 
-// checkInsert is the check the variant's repair runs on an edge insertion.
-func (r arcRule) checkInsert(g graph.EdgeSet, u, v uint32, w Dist) error {
-	if r.weighted {
-		return whcl.CheckInsert(g, u, v, w)
-	}
-	return hcl.CheckInsert(g, u, v)
-}
-
 // insertEdge is InsertEdge on w under rule.
 func insertEdge(w writer, rule arcRule, u, v uint32, weight Dist) (UpdateSummary, error) {
 	weight, err := rule.weight(weight)
@@ -123,32 +113,44 @@ func deleteVertex(w writer, v uint32) (hcl.Stats, error) {
 	return agg, nil
 }
 
-// The oracles' vertex ops run through the pre-pass on a fresh overlay
-// first, so a rejected op leaves the oracle unchanged; on the oracle
-// itself they then cannot fail.
+// An oracle's vertex ops run through the pre-pass on a fresh overlay
+// first, so a rejected op leaves the oracle unchanged, and then as
+// validated ops, which cannot fail.
 
 func oracleInsertVertex(x variant, arcs []Arc) (uint32, UpdateSummary, error) {
-	k := x.checker()
-	arcs, err := k.vertexArcs(arcs)
-	if err == nil {
-		_, _, err = insertVertex(k, arcs)
+	if _, _, err := x.checker().InsertVertex(arcs); err != nil {
+		return 0, UpdateSummary{}, err
 	}
+	return validated{x}.InsertVertex(arcs)
+}
+
+func oracleDeleteVertex(x variant, v uint32) (UpdateSummary, error) {
+	if _, err := x.checker().DeleteVertex(v); err != nil {
+		return UpdateSummary{}, err
+	}
+	return validated{x}.DeleteVertex(v)
+}
+
+// validated is an oracle whose ops a pre-pass has accepted already, as a
+// Store group's are by the committer: its vertex ops go straight to the
+// edge repairs.
+type validated struct{ variant }
+
+func (x validated) InsertVertex(arcs []Arc) (uint32, UpdateSummary, error) {
+	l := x.labels()
+	arcs, err := l.rule.arcs(arcs)
 	if err != nil {
 		return 0, UpdateSummary{}, err
 	}
 	id, st, err := insertVertex(x, arcs)
-	st.LandmarksTotal = k.core.NumLandmarks()
+	st.LandmarksTotal = l.core.NumLandmarks()
 	sum, err := summary(st, err)
 	return id, sum, err
 }
 
-func oracleDeleteVertex(x variant, v uint32) (UpdateSummary, error) {
-	k := x.checker()
-	if _, err := k.DeleteVertex(v); err != nil {
-		return UpdateSummary{}, err
-	}
+func (x validated) DeleteVertex(v uint32) (UpdateSummary, error) {
 	st, err := deleteVertex(x, v)
-	st.LandmarksTotal = k.core.NumLandmarks()
+	st.LandmarksTotal = x.labels().core.NumLandmarks()
 	return summary(st, err)
 }
 
