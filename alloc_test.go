@@ -249,21 +249,21 @@ func TestForkedRepairAllocs(t *testing.T) {
 		near, far [2]uint32
 	}{
 		{"undirected", u, 1, g.HasEdge, [2]uint32{lu, g.Neighbors(lu)[0]},
-			farthestArc(t, n, func(v uint32) Dist { return u.upd.LandmarkDist(0, v) },
+			farthestArc(t, n, func(v uint32) Dist { return u.core.PassDist(0, 0, v) },
 				func(v uint32, fn func(p uint32, w Dist)) {
 					for _, p := range g.Neighbors(v) {
 						fn(p, 1)
 					}
 				})},
 		{"directed", d, 2, dg.HasEdge, [2]uint32{ld, dg.Out(ld)[0]},
-			farthestArc(t, n, func(v uint32) Dist { return d.idx.DistF(0, v) },
+			farthestArc(t, n, func(v uint32) Dist { return d.core.PassDist(0, 0, v) },
 				func(v uint32, fn func(p uint32, w Dist)) {
 					for _, p := range dg.In(v) {
 						fn(p, 1)
 					}
 				})},
 		{"weighted", w, 1, wg.HasEdge, [2]uint32{lw, wg.Neighbors(lw)[0].To},
-			farthestArc(t, n, func(v uint32) Dist { return w.idx.LandmarkDist(0, v) },
+			farthestArc(t, n, func(v uint32) Dist { return w.core.PassDist(0, 0, v) },
 				func(v uint32, fn func(p uint32, w Dist)) {
 					for _, a := range wg.Neighbors(v) {
 						fn(a.To, a.W)

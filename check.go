@@ -3,29 +3,24 @@ package dynhl
 import (
 	"maps"
 
-	"repro/internal/graph"
 	"repro/internal/hcl"
 )
 
 // prepass is the validity pre-pass of all three variants: a writer over
 // an overlay of an oracle's frozen graph that checks each edit with the
 // check its repair would run and records it, with no label work. Its ops
-// are the oracles' own (write.go), under the same arc rule, so running a
+// are the oracle's own (write.go), under the same arc rule, so running a
 // batch through applyOps on one fails exactly where the oracle would, with
 // the same OpError, at the cost of what the batch touches. fork branches
 // it, so a rejected batch's edits drop with its branch.
 type prepass struct {
-	base  writer        // the oracle, for the edges at its vertices
-	g     graph.EdgeSet // the oracle's graph
-	core  *hcl.Core
-	rule  arcRule
+	o     *oracle            // the oracle: its graph, core, arc rule and edges
 	n     uint32             // vertex count after the edits
 	edits map[[2]uint32]bool // edited edges: added (true) or removed (false)
 }
 
-func newPrepass(base writer, l labelling) *prepass {
-	return &prepass{base: base, g: l.g, core: l.core, rule: l.rule,
-		n: uint32(l.g.NumVertices()), edits: map[[2]uint32]bool{}}
+func newPrepass(o *oracle) *prepass {
+	return &prepass{o: o, n: uint32(o.g.NumVertices()), edits: map[[2]uint32]bool{}}
 }
 
 func (k *prepass) fork() *prepass {
@@ -35,7 +30,7 @@ func (k *prepass) fork() *prepass {
 }
 
 func (k *prepass) key(u, v uint32) [2]uint32 {
-	if !k.rule.directed && u > v {
+	if !k.o.rule.directed && u > v {
 		u, v = v, u
 	}
 	return [2]uint32{u, v}
@@ -49,7 +44,7 @@ func (k *prepass) HasEdge(u, v uint32) bool {
 	if e, ok := k.edits[k.key(u, v)]; ok {
 		return e
 	}
-	return k.g.HasEdge(u, v)
+	return k.o.g.HasEdge(u, v)
 }
 
 func (k *prepass) insertEdge(u, v uint32, w Dist) (hcl.Stats, error) {
@@ -77,15 +72,15 @@ func (k *prepass) addVertex() uint32 {
 // edges the edits added.
 func (k *prepass) incident(v uint32) [][2]uint32 {
 	var es [][2]uint32
-	if k.g.HasVertex(v) {
-		for _, e := range k.base.incident(v) {
+	if k.o.g.HasVertex(v) {
+		for _, e := range k.o.incident(v) {
 			if k.HasEdge(e[0], e[1]) {
 				es = append(es, e)
 			}
 		}
 	}
 	for e, added := range k.edits {
-		if added && (e[0] == v || e[1] == v) && !k.g.HasEdge(e[0], e[1]) {
+		if added && (e[0] == v || e[1] == v) && !k.o.g.HasEdge(e[0], e[1]) {
 			es = append(es, e)
 		}
 	}
@@ -93,7 +88,7 @@ func (k *prepass) incident(v uint32) [][2]uint32 {
 }
 
 func (k *prepass) InsertEdge(u, v uint32, w Dist) (UpdateSummary, error) {
-	return insertEdge(k, k.rule, u, v, w)
+	return insertEdge(k, k.o.rule, u, v, w)
 }
 
 func (k *prepass) DeleteEdge(u, v uint32) (UpdateSummary, error) {
@@ -112,7 +107,7 @@ func (k *prepass) InsertVertex(arcs []Arc) (uint32, UpdateSummary, error) {
 // vertexArcs reads a new vertex's arcs under the arc rule and checks that
 // every neighbour exists, before the vertex is added.
 func (k *prepass) vertexArcs(arcs []Arc) ([]Arc, error) {
-	arcs, err := k.rule.arcs(arcs)
+	arcs, err := k.o.rule.arcs(arcs)
 	for i := 0; err == nil && i < len(arcs); i++ {
 		err = hcl.CheckNeighbor(k, arcs[i].To)
 	}
@@ -122,7 +117,7 @@ func (k *prepass) vertexArcs(arcs []Arc) ([]Arc, error) {
 // DeleteVertex checks that v is a vertex and no landmark before it
 // deletes the edges at v.
 func (k *prepass) DeleteVertex(v uint32) (UpdateSummary, error) {
-	if err := hcl.CheckDeleteVertex(k, k.core, v); err != nil {
+	if err := hcl.CheckDeleteVertex(k, k.o.core, v); err != nil {
 		return UpdateSummary{}, err
 	}
 	_, err := deleteVertex(k, v)

@@ -1,7 +1,6 @@
 package dynhl
 
 import (
-	"context"
 	"io"
 
 	"repro/internal/arena"
@@ -23,19 +22,40 @@ func NewDigraph(n int) *Digraph { return digraph.New(n) }
 func ReadDigraph(r io.Reader) (*Digraph, error) { return digraph.ReadEdgeList(r) }
 
 // DirectedIndex is a dynamic exact distance oracle over a directed graph,
-// maintained incrementally by the directed IncHL+ variant.
+// maintained incrementally by the directed IncHL+ variant. An edge is the
+// arc u→v, and its weight must be 0 or 1. A new vertex's arcs choose their
+// direction with Arc.In (To→new rather than new→To); its out-arcs are
+// inserted before its in-arcs, and DeleteVertex deletes the out-arcs
+// before the in-arcs.
 //
 // A DirectedIndex implements Oracle. Queries are safe for any number of
 // concurrent readers; readers must not race the Insert methods — wrap with
 // NewStore for that.
-type DirectedIndex struct {
-	labelling
-	idx *dhcl.Index
+type DirectedIndex struct{ oracle }
+
+// directed is the directed variant's label index, with forward and
+// backward labels (internal/dhcl).
+type directed struct{ *dhcl.Index }
+
+func newDirected(idx *dhcl.Index) oracle {
+	return oracle{&idx.Core, idx.G, directedArcs, directed{idx}}
 }
 
-func newDirected(idx *dhcl.Index) *DirectedIndex {
-	return &DirectedIndex{labelling{&idx.Core, idx.G, directedArcs}, idx}
+func (x directed) insertEdge(u, v uint32, _ Dist) (hcl.Stats, error) { return x.InsertEdge(u, v) }
+
+func (x directed) incident(v uint32) [][2]uint32 { return edgesAt(v, x.G.Out(v), x.G.In(v)) }
+
+func (x directed) fork() oracle { return newDirected(x.Fork(x.G.Fork())) }
+
+func (x directed) read(r io.Reader) (oracle, error) {
+	return loaded(newDirected)(dhcl.ReadIndex(r, x.G))
 }
+
+func (x directed) mapped(m *arena.Mapping) (oracle, error) {
+	return loaded(newDirected)(dhcl.ReadIndexMapped(m, 0, x.G))
+}
+
+func (directed) wrap(o oracle) variant { return &DirectedIndex{o} }
 
 // BuildDirected constructs the directed labelling of g. Options drives it
 // exactly as Build does the undirected one — landmark count, selection
@@ -59,96 +79,12 @@ func BuildDirectedWithLandmarks(g *Digraph, landmarks []uint32, opt Options) (*D
 		return nil, err
 	}
 	idx.Workers = opt.RepairWorkers
-	return newDirected(idx), nil
+	return &DirectedIndex{newDirected(idx)}, nil
 }
 
 // Graph returns the underlying directed graph. Treat it as read-only;
 // mutate through the DirectedIndex methods.
-func (x *DirectedIndex) Graph() *Digraph { return x.idx.G }
-
-// Query returns the exact directed distance u→v, Inf when unreachable.
-func (x *DirectedIndex) Query(u, v uint32) Dist { return x.idx.Query(u, v) }
-
-// QueryBatch answers many pairs, fanning large batches across workers.
-func (x *DirectedIndex) QueryBatch(pairs []Pair) []Dist {
-	out, _ := queryBatchCtx(context.Background(), x, pairs)
-	return out
-}
-
-// InsertEdge inserts the directed edge u→v and repairs both label sets.
-// The graph is unweighted, so w must be 0 or 1.
-func (x *DirectedIndex) InsertEdge(u, v uint32, w Dist) (UpdateSummary, error) {
-	return insertEdge(x, x.rule, u, v, w)
-}
-
-// InsertVertex adds a vertex with the given initial arcs: Arc.In selects
-// the direction (To→new rather than new→To) and weights must be 0 or 1.
-// The out-arcs are inserted before the in-arcs.
-func (x *DirectedIndex) InsertVertex(arcs []Arc) (uint32, UpdateSummary, error) {
-	return oracleInsertVertex(x, arcs)
-}
-
-// Apply applies ops in order, stopping at the first failure (see
-// Oracle.Apply); wrap with NewStore for all-or-nothing batches.
-func (x *DirectedIndex) Apply(ops []Op) ([]UpdateSummary, error) { return applyOps(x, ops) }
-
-// fork returns the copy-on-write working copy backing Store publishes.
-func (x *DirectedIndex) fork() variant {
-	return newDirected(x.idx.Fork(x.idx.G.Fork()))
-}
-
-// DeleteEdge removes the directed edge u→v and repairs both label sets
-// with DecHL (see Oracle.DeleteEdge).
-func (x *DirectedIndex) DeleteEdge(u, v uint32) (UpdateSummary, error) {
-	return summary(x.idx.DeleteEdge(u, v))
-}
-
-// DeleteVertex disconnects vertex v by deleting all of its outgoing and
-// then all of its incoming edges; the id survives as an isolated vertex.
-// Deleting a landmark is an error.
-func (x *DirectedIndex) DeleteVertex(v uint32) (UpdateSummary, error) {
-	return oracleDeleteVertex(x, v)
-}
-
-func (x *DirectedIndex) insertEdge(u, v uint32, _ Dist) (hcl.Stats, error) {
-	return x.idx.InsertEdge(u, v)
-}
-
-func (x *DirectedIndex) deleteEdge(u, v uint32) (hcl.Stats, error) { return x.idx.DeleteEdge(u, v) }
-
-func (x *DirectedIndex) incident(v uint32) [][2]uint32 {
-	return edgesAt(v, x.idx.G.Out(v), x.idx.G.In(v))
-}
-
-// checker returns the validity pre-pass over x's graph.
-func (x *DirectedIndex) checker() *prepass { return newPrepass(x, x.labelling) }
-
-// Verify audits both label directions against BFS ground truth.
-func (x *DirectedIndex) Verify() error { return x.idx.VerifyCover() }
-
-// Load swaps in a labelling saved with Save, replacing the current one. The
-// stream must have been saved over the index's current graph; the loaded
-// labelling arrives packed. Use Verify for a full consistency audit after
-// loading from untrusted storage.
-func (x *DirectedIndex) Load(r io.Reader) error { return x.adopt(dhcl.ReadIndex(r, x.idx.G)) }
-
-// LoadMappedFile is the directed variant's mapped label-file load (see
-// Index.LoadMappedFile).
-func (x *DirectedIndex) LoadMappedFile(path string) error {
-	return x.adopt(mapFile(path, func(m *arena.Mapping) (*dhcl.Index, error) {
-		return dhcl.ReadIndexMapped(m, 0, x.idx.G)
-	}))
-}
-
-// adopt installs a loaded labelling, carrying over the repair settings.
-func (x *DirectedIndex) adopt(idx *dhcl.Index, err error) error {
-	if err != nil {
-		return err
-	}
-	x.inherit(&idx.Core)
-	*x = *newDirected(idx)
-	return nil
-}
+func (x *DirectedIndex) Graph() *Digraph { return x.lab.(directed).G }
 
 // LoadDirectedIndex restores a labelling saved with Save and attaches it to
 // g, which must be the graph it was built over.
@@ -157,5 +93,5 @@ func LoadDirectedIndex(r io.Reader, g *Digraph) (*DirectedIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newDirected(idx), nil
+	return &DirectedIndex{newDirected(idx)}, nil
 }

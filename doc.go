@@ -30,11 +30,17 @@
 // All three index variants present one API, the Oracle interface: Index
 // over undirected unweighted graphs (the paper's main setting), and the
 // Section 5 extensions DirectedIndex (forward and backward labels per
-// vertex) and WeightedIndex (Dijkstra replaces BFS). Each is built by an
-// Options-driven constructor — Build, BuildDirected, BuildWeighted — with
-// the same landmark-count, selection-strategy and seed knobs. Code written
-// against Oracle, like the HTTP service in internal/httpapi, serves any
-// variant:
+// vertex) and WeightedIndex (Dijkstra replaces BFS). The three exported
+// types share one implementation: each embeds the same oracle, which
+// writes the queries, the ops, the loads and the statistics once, and
+// reaches what the variant does differently — its query search, its cover
+// audit, its edge updates and its fork — through its label index. A type
+// adds only its Graph accessor and its constructors, so the method
+// contracts live on Oracle and each type comment gives the variant's own
+// facts. Each is built by an Options-driven constructor — Build,
+// BuildDirected, BuildWeighted — with the same landmark-count,
+// selection-strategy and seed knobs. Code written against Oracle, like the
+// HTTP service in internal/httpapi, serves any variant:
 //
 //	g := dynhl.NewGraph(0)
 //	// ... add vertices and edges ...

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/arena"
 	"repro/internal/fanout"
@@ -67,11 +66,15 @@ type Options struct {
 	RepairWorkers int
 }
 
-// labelling is what the three index wrappers share: the hcl core of the
-// labelling they serve, their graph and their variant's arc rule. It
-// implements every method that touches only those — statistics,
-// serialisation, the repair knobs and the writer's vertex addition.
-type labelling struct {
+// oracle is the one implementation of Index, DirectedIndex and
+// WeightedIndex: each embeds it and adds only its Graph accessor and
+// constructors. It serves the hcl core of a labelling over the graph g,
+// reads the weight and direction of each op's edges under the variant's
+// arc rule, and reaches what the variants do differently through lab.
+// Besides Oracle, Saver, Loader and SaveAt it is the edge-level writer the
+// ops are written over (write.go); its repair settings are the core's
+// Workers and RepairTimer, which forks and loads carry over.
+type oracle struct {
 	core *hcl.Core
 	g    interface {
 		graph.EdgeSet
@@ -80,41 +83,67 @@ type labelling struct {
 		NumEdges() uint64
 	}
 	rule arcRule
+	lab  labels
 }
 
-// labels returns the labelling, for code that holds its wrapper as a
-// variant.
-func (l labelling) labels() labelling { return l }
-
-// addVertex adds a vertex with no edges and no label entries.
-func (l labelling) addVertex() uint32 {
-	v := l.g.AddVertex()
-	l.core.EnsureVertex(v)
-	return v
+// labels is what the variants' label indexes do differently: the query
+// search, the cover audit and the edge deletion (methods of
+// inchl.Updater, dhcl.Index and whcl.Index), the edge insertion with its
+// weight, the edges at a vertex, the fork, the copy-in and mapped loads,
+// and the wrapping of an oracle in the variant's exported type.
+type labels interface {
+	Query(u, v uint32) Dist
+	VerifyCover() error
+	DeleteEdge(u, v uint32) (hcl.Stats, error)
+	insertEdge(u, v uint32, w Dist) (hcl.Stats, error)
+	// incident lists the edges at v, out-arcs before in-arcs.
+	incident(v uint32) [][2]uint32
+	// fork returns the oracle of a copy-on-write copy of the labelling
+	// and its graph.
+	fork() oracle
+	// read and mapped load a labelling saved over the same graph, copied
+	// in from r or served from m.
+	read(r io.Reader) (oracle, error)
+	mapped(m *arena.Mapping) (oracle, error)
+	wrap(o oracle) variant
 }
+
+// loaded makes the oracle of a loaded label index with mk, or passes on
+// the load's error.
+func loaded[I any](mk func(I) oracle) func(I, error) (oracle, error) {
+	return func(idx I, err error) (oracle, error) {
+		if err != nil {
+			return oracle{}, err
+		}
+		return mk(idx), nil
+	}
+}
+
+// base returns the oracle a variant embeds (see variant).
+func (o *oracle) base() *oracle { return o }
 
 // NumVertices returns the current vertex count.
-func (l labelling) NumVertices() int { return l.g.NumVertices() }
+func (o oracle) NumVertices() int { return o.g.NumVertices() }
 
 // Landmarks returns the landmark vertex ids in rank order.
-func (l labelling) Landmarks() []uint32 {
-	return append([]uint32(nil), l.core.Landmarks...)
+func (o oracle) Landmarks() []uint32 {
+	return append([]uint32(nil), o.core.Landmarks...)
 }
 
 // Stats returns current size statistics; LabelEntries counts every label
 // direction (forward and backward on the directed variant).
-func (l labelling) Stats() Stats {
-	entries, bytes := l.core.Sizes()
-	n := l.g.NumVertices()
+func (o oracle) Stats() Stats {
+	entries, bytes := o.core.Sizes()
+	n := o.g.NumVertices()
 	st := Stats{
 		Vertices:      n,
-		Edges:         l.g.NumEdges(),
-		Landmarks:     l.core.NumLandmarks(),
+		Edges:         o.g.NumEdges(),
+		Landmarks:     o.core.NumLandmarks(),
 		LabelEntries:  entries,
 		Bytes:         bytes,
-		PackedBytes:   l.core.PackedBytes(),
-		MappedBytes:   l.core.MappedBytes(),
-		RepairWorkers: fanout.Resolve(l.core.Workers),
+		PackedBytes:   o.core.PackedBytes(),
+		MappedBytes:   o.core.MappedBytes(),
+		RepairWorkers: fanout.Resolve(o.core.Workers),
 	}
 	if n > 0 {
 		st.AvgLabelSize = float64(entries) / float64(n)
@@ -125,51 +154,141 @@ func (l labelling) Stats() Stats {
 // Save serialises the labelling to w in a compact binary format (every
 // label direction stored as one contiguous CSR arena). The graph is not
 // included — persist it separately with WriteGraph.
-func (l labelling) Save(w io.Writer) error {
-	_, err := l.core.WriteTo(w)
+func (o oracle) Save(w io.Writer) error {
+	_, err := o.core.WriteTo(w)
 	return err
 }
 
 // SaveAt is Save for a stream landing at absolute offset base of a larger
 // file, such as a checkpoint: entry arenas are page-aligned relative to
 // the file, and the returned spans name them within it.
-func (l labelling) SaveAt(w io.Writer, base int64) (int64, []Span, error) {
-	return l.core.WriteToAt(w, base)
+func (o oracle) SaveAt(w io.Writer, base int64) (int64, []Span, error) {
+	return o.core.WriteToAt(w, base)
 }
 
-// setRepairWorkers tunes the repair fan-out (0 = GOMAXPROCS, 1 =
-// serial); see Options.RepairWorkers.
-func (l labelling) setRepairWorkers(n int) { l.core.Workers = n }
+// Query is Oracle.Query: the variant's query search.
+func (o *oracle) Query(u, v uint32) Dist { return o.lab.Query(u, v) }
 
-// repairWorkers returns the configured (unresolved) repair fan-out.
-func (l labelling) repairWorkers() int { return l.core.Workers }
-
-// setRepairTimer installs f as the per-task repair timer; it is called
-// from worker goroutines and must be safe for concurrent use.
-func (l labelling) setRepairTimer(f func(time.Duration)) { l.core.RepairTimer = f }
-
-// inherit carries the repair settings over to a labelling about to replace
-// this one.
-func (l labelling) inherit(c *hcl.Core) {
-	c.Workers, c.RepairTimer = l.core.Workers, l.core.RepairTimer
+// QueryBatch is Oracle.QueryBatch.
+func (o *oracle) QueryBatch(pairs []Pair) []Dist {
+	out, _ := queryBatchCtx(context.Background(), o, pairs)
+	return out
 }
+
+// InsertEdge is Oracle.InsertEdge, the weight read by the arc rule.
+func (o *oracle) InsertEdge(u, v uint32, w Dist) (UpdateSummary, error) {
+	return insertEdge(o, o.rule, u, v, w)
+}
+
+// DeleteEdge is Oracle.DeleteEdge.
+func (o *oracle) DeleteEdge(u, v uint32) (UpdateSummary, error) {
+	return summary(o.lab.DeleteEdge(u, v))
+}
+
+// InsertVertex and DeleteVertex are Oracle's vertex ops. Each runs
+// through the pre-pass on a fresh overlay first, so a rejected op leaves
+// the oracle unchanged, and then as a validated op, which cannot fail.
+func (o *oracle) InsertVertex(arcs []Arc) (uint32, UpdateSummary, error) {
+	if _, _, err := o.checker().InsertVertex(arcs); err != nil {
+		return 0, UpdateSummary{}, err
+	}
+	return validated{o}.InsertVertex(arcs)
+}
+
+func (o *oracle) DeleteVertex(v uint32) (UpdateSummary, error) {
+	if _, err := o.checker().DeleteVertex(v); err != nil {
+		return UpdateSummary{}, err
+	}
+	return validated{o}.DeleteVertex(v)
+}
+
+// Apply is Oracle.Apply: it stops at the first failure.
+func (o *oracle) Apply(ops []Op) ([]UpdateSummary, error) { return applyOps(o, ops) }
+
+// Verify is Oracle.Verify: the variant's cover audit.
+func (o *oracle) Verify() error { return o.lab.VerifyCover() }
+
+// Load is Loader.Load.
+func (o *oracle) Load(r io.Reader) error { return o.adopt(o.lab.read(r)) }
+
+// LoadMappedFile swaps in the labelling saved at path, like Load but
+// serving entries straight out of an mmap of the file. The file must have
+// been saved over the oracle's current graph. ErrNotMappable when this
+// host cannot serve it in place — fall back to Load.
+func (o *oracle) LoadMappedFile(path string) error {
+	return o.adopt(mapFile(path, o.lab.mapped))
+}
+
+// adopt installs a loaded labelling, carrying over the repair settings.
+func (o *oracle) adopt(n oracle, err error) error {
+	if err != nil {
+		return err
+	}
+	n.core.Workers, n.core.RepairTimer = o.core.Workers, o.core.RepairTimer
+	*o = n
+	return nil
+}
+
+// fork returns the copy-on-write working copy backing Store publishes:
+// the graph and label store share everything an update does not touch.
+func (o *oracle) fork() variant {
+	f := o.lab.fork()
+	return f.lab.wrap(f)
+}
+
+// checker returns the validity pre-pass over the oracle's graph.
+func (o *oracle) checker() *prepass { return newPrepass(o) }
+
+// addVertex adds a vertex with no edges and no label entries.
+func (o *oracle) addVertex() uint32 {
+	v := o.g.AddVertex()
+	o.core.EnsureVertex(v)
+	return v
+}
+
+func (o *oracle) insertEdge(u, v uint32, w Dist) (hcl.Stats, error) {
+	return o.lab.insertEdge(u, v, w)
+}
+
+func (o *oracle) deleteEdge(u, v uint32) (hcl.Stats, error) { return o.lab.DeleteEdge(u, v) }
+
+func (o *oracle) incident(v uint32) [][2]uint32 { return o.lab.incident(v) }
 
 // Index is a dynamic distance oracle over a Graph: a highway cover
 // labelling maintained incrementally by IncHL+. The Index owns the graph
 // passed to Build — all further mutations must go through InsertEdge /
-// InsertVertex so that graph and labelling stay consistent.
+// InsertVertex so that graph and labelling stay consistent. The graph is
+// undirected and unweighted: an edge's weight must be 0 or 1, and a new
+// vertex's arcs plain (unit weight, outgoing).
 //
 // An Index implements Oracle (and Saver/Loader). Queries are safe for any
 // number of concurrent readers; readers must not race the Insert methods —
 // wrap with NewStore for that.
-type Index struct {
-	labelling
-	upd *inchl.Updater
+type Index struct{ oracle }
+
+// undirected is the undirected variant's label index, maintained by
+// IncHL+ and DecHL (internal/inchl).
+type undirected struct{ *inchl.Updater }
+
+func newIndex(idx *hcl.Index) oracle {
+	return oracle{&idx.Core, idx.G, undirectedArcs, undirected{inchl.New(idx)}}
 }
 
-func newIndex(idx *hcl.Index) *Index {
-	return &Index{labelling{&idx.Core, idx.G, undirectedArcs}, inchl.New(idx)}
+func (x undirected) insertEdge(u, v uint32, _ Dist) (hcl.Stats, error) { return x.InsertEdge(u, v) }
+
+func (x undirected) incident(v uint32) [][2]uint32 { return edgesAt(v, x.G.Neighbors(v), nil) }
+
+func (x undirected) fork() oracle { return newIndex(x.Fork(x.G.Fork())) }
+
+func (x undirected) read(r io.Reader) (oracle, error) {
+	return loaded(newIndex)(hcl.ReadIndex(r, x.G))
 }
+
+func (x undirected) mapped(m *arena.Mapping) (oracle, error) {
+	return loaded(newIndex)(hcl.ReadIndexMapped(m, 0, x.G))
+}
+
+func (undirected) wrap(o oracle) variant { return &Index{o} }
 
 // Build constructs the minimal highway cover labelling of g.
 func Build(g *Graph, opt Options) (*Index, error) {
@@ -206,7 +325,7 @@ func BuildWithLandmarks(g *Graph, landmarks []uint32, opt Options) (*Index, erro
 		return nil, err
 	}
 	idx.Workers = opt.RepairWorkers
-	return newIndex(idx), nil
+	return &Index{newIndex(idx)}, nil
 }
 
 // buildWorkers is the construction fan-out Options ask for: Workers when
@@ -220,61 +339,7 @@ func buildWorkers(opt Options) int {
 
 // Graph returns the underlying graph. Treat it as read-only; mutate through
 // the Index methods.
-func (x *Index) Graph() *Graph { return x.upd.G }
-
-// Query returns the exact shortest-path distance between u and v in the
-// current graph, or Inf when they are disconnected.
-func (x *Index) Query(u, v uint32) Dist { return x.upd.Query(u, v) }
-
-// QueryBatch answers many pairs, fanning large batches across workers.
-func (x *Index) QueryBatch(pairs []Pair) []Dist {
-	out, _ := queryBatchCtx(context.Background(), x, pairs)
-	return out
-}
-
-// InsertEdge inserts the undirected edge (u,v) into the graph and repairs
-// the labelling with IncHL+. The edge must be new and both endpoints must
-// exist; the graph is unweighted, so w must be 0 or 1.
-func (x *Index) InsertEdge(u, v uint32, w Dist) (UpdateSummary, error) {
-	return insertEdge(x, x.rule, u, v, w)
-}
-
-// InsertVertex adds a new vertex joined to the given existing neighbours
-// and returns its id. Arcs must be plain (unit weight, outgoing): the graph
-// is undirected and unweighted.
-func (x *Index) InsertVertex(arcs []Arc) (uint32, UpdateSummary, error) {
-	return oracleInsertVertex(x, arcs)
-}
-
-// Apply applies ops in order, stopping at the first failure (see
-// Oracle.Apply); wrap with NewStore for all-or-nothing batches.
-func (x *Index) Apply(ops []Op) ([]UpdateSummary, error) { return applyOps(x, ops) }
-
-// fork returns the copy-on-write working copy backing Store publishes: the
-// graph and label store share everything an update does not touch.
-func (x *Index) fork() variant {
-	return newIndex(x.upd.Fork(x.upd.G.Fork()))
-}
-
-// DeleteEdge removes the undirected edge (u,v) from the graph and repairs
-// the labelling with DecHL (see Oracle.DeleteEdge). Deleting an edge that
-// is not present returns ErrNoSuchEdge.
-func (x *Index) DeleteEdge(u, v uint32) (UpdateSummary, error) {
-	return summary(x.upd.DeleteEdge(u, v))
-}
-
-// DeleteVertex disconnects vertex v by deleting all of its incident edges;
-// the id survives as an isolated vertex. Deleting a landmark is an error.
-func (x *Index) DeleteVertex(v uint32) (UpdateSummary, error) { return oracleDeleteVertex(x, v) }
-
-func (x *Index) insertEdge(u, v uint32, _ Dist) (hcl.Stats, error) { return x.upd.InsertEdge(u, v) }
-
-func (x *Index) deleteEdge(u, v uint32) (hcl.Stats, error) { return x.upd.DeleteEdge(u, v) }
-
-func (x *Index) incident(v uint32) [][2]uint32 { return edgesAt(v, x.upd.G.Neighbors(v), nil) }
-
-// checker returns the validity pre-pass over x's graph.
-func (x *Index) checker() *prepass { return newPrepass(x, x.labelling) }
+func (x *Index) Graph() *Graph { return x.lab.(undirected).G }
 
 // summary converts any variant's update statistics to the summary every
 // oracle reports.
@@ -325,36 +390,6 @@ type Stats struct {
 	Replication   *ReplicationStats `json:",omitempty"`
 }
 
-// Verify checks the highway cover property of the current labelling against
-// ground-truth BFS distances; it is O(|R|·|E|) and intended for tests and
-// debugging.
-func (x *Index) Verify() error { return x.upd.VerifyCover() }
-
-// Load swaps in a labelling saved with Save, replacing the current one. The
-// stream must have been saved over the index's current graph. Use Verify
-// for a full consistency audit after loading from untrusted storage.
-func (x *Index) Load(r io.Reader) error { return x.adopt(hcl.ReadIndex(r, x.upd.G)) }
-
-// LoadMappedFile swaps in the labelling saved at path, like Load but
-// serving entries straight out of an mmap of the file. The file must have
-// been saved over the index's current graph. ErrNotMappable when this host
-// cannot serve it in place — fall back to Load.
-func (x *Index) LoadMappedFile(path string) error {
-	return x.adopt(mapFile(path, func(m *arena.Mapping) (*hcl.Index, error) {
-		return hcl.ReadIndexMapped(m, 0, x.upd.G)
-	}))
-}
-
-// adopt installs a loaded labelling, carrying over the repair settings.
-func (x *Index) adopt(idx *hcl.Index, err error) error {
-	if err != nil {
-		return err
-	}
-	x.inherit(&idx.Core)
-	*x = *newIndex(idx)
-	return nil
-}
-
 // LoadIndex restores a labelling saved with Save and attaches it to g,
 // which must be the graph it was built over. Use (*Index).Verify for a full
 // consistency audit after loading from untrusted storage.
@@ -363,5 +398,5 @@ func LoadIndex(r io.Reader, g *Graph) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newIndex(idx), nil
+	return &Index{newIndex(idx)}, nil
 }

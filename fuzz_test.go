@@ -148,7 +148,7 @@ func FuzzPackedDifferential(f *testing.F) {
 		// The final packed and slice labellings must agree entry for entry,
 		// not just on sampled answers.
 		final := st.Unwrap().(*Index)
-		if err := final.upd.EqualLabels(plain.upd.Index); err != nil {
+		if err := final.core.EqualLabels(plain.core); err != nil {
 			t.Fatalf("packed store and slice index labellings diverged: %v", err)
 		}
 	})
@@ -243,21 +243,21 @@ func FuzzDeleteMatchesBuild(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := u.upd.EqualLabels(fu.upd.Index); err != nil {
+			if err := u.core.EqualLabels(fu.core); err != nil {
 				t.Fatalf("undirected, after op %d on (%d,%d): %v", i/2, a, b, err)
 			}
 			fd, err := BuildDirectedWithLandmarks(dg.Clone(), lms, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := d.idx.EqualLabels(fd.idx); err != nil {
+			if err := d.core.EqualLabels(fd.core); err != nil {
 				t.Fatalf("directed, after op %d on %d→%d: %v", i/2, a, b, err)
 			}
 			fw, err := BuildWeightedWithLandmarks(wg.Clone(), lms, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := w.idx.EqualLabels(fw.idx); err != nil {
+			if err := w.core.EqualLabels(fw.core); err != nil {
 				t.Fatalf("weighted, after op %d on (%d,%d): %v", i/2, a, b, err)
 			}
 		}

@@ -112,12 +112,6 @@ func (idx *Index) Fork(g *digraph.Digraph) *Index {
 	return &Index{Core: idx.Core.Fork(), G: g}
 }
 
-// DistF returns the exact directed distance landmark(r) → v.
-func (idx *Index) DistF(r uint16, v uint32) graph.Dist { return idx.PassDist(fwd, r, v) }
-
-// DistB returns the exact directed distance v → landmark(r).
-func (idx *Index) DistB(r uint16, v uint32) graph.Dist { return idx.PassDist(bwd, r, v) }
-
 // Query answers an exact directed distance query u→v: the highway upper
 // bound refined by a bounded bidirectional search on the sparsified graph.
 func (idx *Index) Query(u, v uint32) graph.Dist {
@@ -134,29 +128,16 @@ func (idx *Index) Query(u, v uint32) graph.Dist {
 	return min(sp, top)
 }
 
-// VerifyCover checks both directions of the directed highway cover property
-// against ground-truth BFS: DistF(r,v) = d(r→v) and DistB(r,v) = d(v→r)
-// for every landmark and vertex. O(|R|·|E|); for tests and audits.
+// VerifyCover audits both label directions against BFS ground truth:
+// forward BFS from each landmark, backward BFS to it.
 func (idx *Index) VerifyCover() error {
-	n := idx.G.NumVertices()
-	dist := make([]graph.Dist, n)
-	for r := range idx.Landmarks {
-		idx.G.Forward(idx.Landmarks[r], dist)
-		for v := 0; v < n; v++ {
-			if got := idx.DistF(uint16(r), uint32(v)); got != dist[v] {
-				return fmt.Errorf("dhcl: forward cover violated: landmark %d to %d: label %d, BFS %d",
-					idx.Landmarks[r], v, got, dist[v])
-			}
+	return idx.Core.VerifyCover(func(dir int, src uint32, dist []graph.Dist) {
+		if dir == fwd {
+			idx.G.Forward(src, dist)
+		} else {
+			idx.G.Backward(src, dist)
 		}
-		idx.G.Backward(idx.Landmarks[r], dist)
-		for v := 0; v < n; v++ {
-			if got := idx.DistB(uint16(r), uint32(v)); got != dist[v] {
-				return fmt.Errorf("dhcl: backward cover violated: %d to landmark %d: label %d, BFS %d",
-					v, idx.Landmarks[r], got, dist[v])
-			}
-		}
-	}
-	return nil
+	})
 }
 
 // EqualLabels reports whether two indexes hold identical labels in both

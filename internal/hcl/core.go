@@ -12,10 +12,10 @@ import (
 // label directions, and the repair knobs. hcl.Index, dhcl.Index and
 // whcl.Index embed it and add their graph, its edit and adjacency, and
 // their query searches; fork, serialisation, the highway upper bound, the
-// repair engine (repair.go), the update checks (check.go), the edge
-// updates with their Lemma 4.3 tests and statistics (update.go) and the
-// local insertion and deletion repairs (delete.go) of all three variants
-// are implemented here once.
+// cover audit (verify.go), the repair engine (repair.go), the update
+// checks (check.go), the edge updates with their Lemma 4.3 tests and
+// statistics (update.go) and the local insertion and deletion repairs
+// (delete.go) of all three variants are implemented here once.
 //
 // Queries are safe for any number of concurrent readers; mutations require
 // exclusive access.

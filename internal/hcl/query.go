@@ -72,11 +72,6 @@ func LandmarkVia(row []graph.Dist, lv []Entry) graph.Dist {
 	return best
 }
 
-// LandmarkDist returns d_G(r, v) for landmark rank r and any vertex v,
-// exactly, using the highway for landmark v and Equation 1 otherwise. This
-// is the Q(r, ·, Γ) primitive that drives Algorithm 2 of IncHL+.
-func (idx *Index) LandmarkDist(r uint16, v uint32) graph.Dist { return idx.PassDist(0, r, v) }
-
 // Query answers an exact distance query Q(u,v,Γ): it computes the highway
 // upper bound d⊤ and then runs a bidirectional BFS over the
 // landmark-sparsified graph G[V\R] for a path shorter than d⊤; the smaller

@@ -8,24 +8,32 @@ import (
 )
 
 // VerifyCover checks the highway cover property (Definition 3.2) and the
-// exactness of the highway against ground-truth BFS distances: for every
-// landmark r and vertex v, min over entries of δ_L(r_i,v) + δ_H(r,r_i) must
-// equal d_G(r,v), and δ_H must hold exact landmark distances. It is O(|R|·m)
-// and intended for tests and offline validation.
-func (idx *Index) VerifyCover() error {
-	n := idx.G.NumVertices()
-	dist := make([]graph.Dist, n)
-	for r := range idx.Landmarks {
-		bfs.All(idx.G, idx.Landmarks[r], dist)
-		for v := 0; v < n; v++ {
-			got := idx.LandmarkDist(uint16(r), uint32(v))
-			if got != dist[v] {
-				return fmt.Errorf("hcl: cover violated: landmark %d (rank %d) to vertex %d: label says %s, BFS says %s",
-					idx.Landmarks[r], r, v, distString(got), distString(dist[v]))
+// exactness of the highway against ground-truth distances, in every label
+// direction: for every landmark r and vertex v, PassDist must equal the
+// distance that search gives, which fills dist with the distances from
+// the landmark src over direction dir's arcs (BFS, a forward or backward
+// BFS, or Dijkstra). It is O(|R|·m) per direction and intended for tests
+// and offline validation.
+func (c *Core) VerifyCover(search func(dir int, src uint32, dist []graph.Dist)) error {
+	dist := make([]graph.Dist, len(c.rankArr))
+	for dir := 0; dir < c.kind.Dirs; dir++ {
+		for r, src := range c.Landmarks {
+			search(dir, src, dist)
+			for v, want := range dist {
+				if got := c.PassDist(dir, uint16(r), uint32(v)); got != want {
+					return fmt.Errorf("hcl: cover violated in direction %d: landmark %d (rank %d), vertex %d: label says %s, search says %s",
+						dir, src, r, v, distString(got), distString(want))
+				}
 			}
 		}
 	}
 	return nil
+}
+
+// VerifyCover audits the labelling against ground-truth BFS distances
+// (Core.VerifyCover).
+func (idx *Index) VerifyCover() error {
+	return idx.Core.VerifyCover(func(_ int, src uint32, dist []graph.Dist) { bfs.All(idx.G, src, dist) })
 }
 
 // VerifyMinimal checks minimality by rebuilding the labelling from scratch

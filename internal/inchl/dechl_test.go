@@ -45,8 +45,8 @@ func TestDeleteEdgeSimplePath(t *testing.T) {
 		if _, ok := u.Index.EntryDist(v, 0); ok {
 			t.Errorf("vertex %d unreachable but still has an entry", v)
 		}
-		if d := u.Index.LandmarkDist(0, v); d != graph.Inf {
-			t.Errorf("LandmarkDist(0,%d): got %d, want Inf", v, d)
+		if d := u.PassDist(0, 0, v); d != graph.Inf {
+			t.Errorf("PassDist(0, 0, %d): got %d, want Inf", v, d)
 		}
 	}
 	checkAgainstRebuild(t, u)

@@ -99,11 +99,6 @@ func byWeightedRandomFunc(n int, degree func(uint32) int, edges uint64, k int, s
 	return out
 }
 
-// Select picks k landmarks from g using the named strategy.
-func Select(g *graph.Graph, k int, strategy string, seed int64) ([]uint32, error) {
-	return SelectBy(g.NumVertices(), g.Degree, g.NumEdges(), k, strategy, seed)
-}
-
 // SelectBy picks k landmarks among vertices 0..n-1 using the named strategy
 // over an arbitrary degree function. edges is the graph's edge count with
 // Σ_v degree(v) = 2·edges (which holds for undirected degree, weighted

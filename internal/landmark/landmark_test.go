@@ -79,12 +79,12 @@ func TestByWeightedRandomDistinct(t *testing.T) {
 func TestSelect(t *testing.T) {
 	g := testutil.RandomConnectedGraph(20, 30, 1)
 	for _, s := range []string{TopDegree, Random, WeightedRandom, ""} {
-		lm, err := Select(g, 3, s, 1)
+		lm, err := SelectBy(g.NumVertices(), g.Degree, g.NumEdges(), 3, s, 1)
 		if err != nil || len(lm) != 3 {
 			t.Errorf("Select(%q): %v, %d landmarks", s, err, len(lm))
 		}
 	}
-	if _, err := Select(g, 3, "nope", 1); err == nil {
+	if _, err := SelectBy(g.NumVertices(), g.Degree, g.NumEdges(), 3, "nope", 1); err == nil {
 		t.Error("unknown strategy must fail")
 	}
 }

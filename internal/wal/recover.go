@@ -42,11 +42,16 @@ func Recover(dir string, opts Options) (*Durable, error) {
 			// arenas), so boot cost stops scaling with labelling size.
 			// Replay still works: the mapping is private, so in-place
 			// label repairs dirty anonymous copies, never the file.
-			mapped, epoch, err := mapCheckpoint(c.path)
+			m, err := arena.MapFile(c.path)
+			var mapped *dynhl.Index
+			var epoch uint64
+			if err == nil {
+				mapped, epoch, err = mapCheckpoint(m, c.path)
+			}
 			switch {
 			case err == nil:
 				idx, st.epoch = mapped, epoch
-			case errors.Is(err, dynhl.ErrNotMappable):
+			case errors.Is(err, dynhl.ErrNotMappable), errors.Is(err, arena.ErrUnsupported):
 				// No mmap here, or a layout this host cannot map: quiet
 				// copy-in.
 			default:
@@ -100,36 +105,30 @@ func rebuildIndex(st ckptState) (*dynhl.Index, error) {
 	return idx, nil
 }
 
-// mapCheckpoint is the zero-copy variant of readCheckpoint+rebuildIndex:
-// it mmaps the checkpoint file and attaches the labelling in place. The
-// graph is still decoded to the heap (it is mutated by every update; the
-// labels are the bulk of the state). Returns dynhl.ErrNotMappable when
-// this host cannot map the checkpoint; the mapping is owned by the
+// mapCheckpoint is the zero-copy variant of decodeCheckpoint+rebuildIndex
+// over the mapping m of a checkpoint, named name in errors: it attaches
+// the labelling in place. The graph is still decoded to the heap (it is
+// mutated by every update; the labels are the bulk of the state). m is
+// closed on any error, dynhl.ErrNotMappable among them when this host
+// cannot serve the labelling in place; otherwise it is owned by the
 // returned index and unmapped by the garbage collector once no snapshot
 // aliases it — checkpoint pruning only ever unlinks files, so a pruned
 // checkpoint's pages stay valid for as long as anything still reads them.
-func mapCheckpoint(path string) (*dynhl.Index, uint64, error) {
-	m, err := arena.MapFile(path)
-	if err != nil {
-		if errors.Is(err, arena.ErrUnsupported) {
-			err = fmt.Errorf("%w: %s", dynhl.ErrNotMappable, err)
+func mapCheckpoint(m *arena.Mapping, name string) (*dynhl.Index, uint64, error) {
+	st, err := decodeCheckpoint(m.Data(), name)
+	var g *dynhl.Graph
+	if err == nil {
+		g, err = decodeGraphSection(st.graph, st.vertices)
+	}
+	var idx *dynhl.Index
+	if err == nil {
+		if idx, err = dynhl.LoadIndexMapped(m, st.labelsOff, g); err != nil {
+			err = fmt.Errorf("wal: checkpoint labelling: %w", err)
 		}
-		return nil, 0, err
 	}
-	st, err := decodeCheckpoint(m.Data(), path)
 	if err != nil {
 		m.Close()
 		return nil, 0, err
-	}
-	g, err := decodeGraphSection(st.graph, st.vertices)
-	if err != nil {
-		m.Close()
-		return nil, 0, err
-	}
-	idx, err := dynhl.LoadIndexMapped(m, st.labelsOff, g)
-	if err != nil {
-		m.Close()
-		return nil, 0, fmt.Errorf("wal: checkpoint labelling: %w", err)
 	}
 	return idx, st.epoch, nil
 }

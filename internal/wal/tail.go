@@ -252,23 +252,9 @@ func RebuildImageMapped(data []byte, mode MapMode) (*dynhl.Index, uint64, error)
 	if err != nil {
 		return RebuildImage(data)
 	}
-	st, err := decodeCheckpoint(m.Data(), "checkpoint image")
-	if err != nil {
-		m.Close()
-		return nil, 0, err
+	idx, epoch, err := mapCheckpoint(m, "checkpoint image")
+	if errors.Is(err, dynhl.ErrNotMappable) {
+		return RebuildImage(data)
 	}
-	g, err := decodeGraphSection(st.graph, st.vertices)
-	if err != nil {
-		m.Close()
-		return nil, 0, err
-	}
-	idx, err := dynhl.LoadIndexMapped(m, st.labelsOff, g)
-	if err != nil {
-		m.Close()
-		if errors.Is(err, dynhl.ErrNotMappable) {
-			return RebuildImage(data)
-		}
-		return nil, 0, fmt.Errorf("wal: shipped checkpoint labelling: %w", err)
-	}
-	return idx, st.epoch, nil
+	return idx, epoch, err
 }

@@ -96,10 +96,6 @@ func (idx *Index) Fork(g *wgraph.Graph) *Index {
 	return &Index{Core: idx.Core.Fork(), G: g}
 }
 
-// LandmarkDist returns the exact weighted distance from landmark rank r to
-// any vertex v (Equation 1 with Dijkstra distances).
-func (idx *Index) LandmarkDist(r uint16, v uint32) graph.Dist { return idx.PassDist(0, r, v) }
-
 // Query answers an exact weighted distance query: the highway upper bound
 // refined by a bounded bidirectional Dijkstra on the sparsified graph. The
 // Dijkstra skips every vertex whose landmark lower bound (hcl.ALT) to the
@@ -120,20 +116,9 @@ func (idx *Index) Query(u, v uint32) graph.Dist {
 	return min(sp, top)
 }
 
-// VerifyCover checks Equation 1 against ground-truth Dijkstra distances.
+// VerifyCover audits the labelling against Dijkstra ground truth.
 func (idx *Index) VerifyCover() error {
-	n := idx.G.NumVertices()
-	dist := make([]graph.Dist, n)
-	for r := range idx.Landmarks {
-		idx.G.Dijkstra(idx.Landmarks[r], dist)
-		for v := 0; v < n; v++ {
-			if got := idx.LandmarkDist(uint16(r), uint32(v)); got != dist[v] {
-				return fmt.Errorf("whcl: cover violated: landmark %d to %d: label %d, Dijkstra %d",
-					idx.Landmarks[r], v, got, dist[v])
-			}
-		}
-	}
-	return nil
+	return idx.Core.VerifyCover(func(_ int, src uint32, dist []graph.Dist) { idx.G.Dijkstra(src, dist) })
 }
 
 // EqualLabels reports whether two indexes are identical, labels and

@@ -38,7 +38,7 @@ func LoadIndexMapped(m *arena.Mapping, off int64, g *Graph) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newIndex(idx), nil
+	return &Index{newIndex(idx)}, nil
 }
 
 // mapFile mmaps the label file at path and attaches it with attach; the
@@ -77,7 +77,7 @@ func MapDirectedIndexFile(path string, g *Digraph) (*DirectedIndex, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newDirected(idx), nil
+		return &DirectedIndex{newDirected(idx)}, nil
 	})
 }
 
@@ -88,6 +88,6 @@ func MapWeightedIndexFile(path string, g *WeightedGraph) (*WeightedIndex, error)
 		if err != nil {
 			return nil, err
 		}
-		return newWeighted(idx), nil
+		return &WeightedIndex{newWeighted(idx)}, nil
 	})
 }

@@ -23,15 +23,7 @@ import (
 const slowLogMinInterval = 100 * time.Millisecond
 
 // variantOf names the wrapped oracle variant for the variant= label.
-func variantOf(o variant) string {
-	switch o.(type) {
-	case *DirectedIndex:
-		return "directed"
-	case *WeightedIndex:
-		return "weighted"
-	}
-	return "undirected"
-}
+func variantOf(o variant) string { return o.base().rule.name }
 
 // storeMetrics is one Store's metric set. All fields are registered once
 // at store construction; the hot paths touch only the atomics behind

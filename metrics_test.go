@@ -1,7 +1,12 @@
 package dynhl
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -157,5 +162,98 @@ func TestSnapshotPinsCounter(t *testing.T) {
 	st.Snapshot()
 	if got := st.metrics.pins.Value() - before; got != 2 {
 		t.Errorf("pins advanced by %d, want 2", got)
+	}
+}
+
+// TestStoreVariantLabelAndType checks, for each of the three variants,
+// that a store labels its slow-query lines and its /metrics series with
+// the variant's name, and that Unwrap returns the variant's exported type
+// when the store is built and after Load and LoadMappedFile.
+func TestStoreVariantLabelAndType(t *testing.T) {
+	const vertices = 30
+	rng := rand.New(rand.NewSource(29))
+	ug, dg, wg := NewGraph(vertices), NewDigraph(vertices), NewWeightedGraph(vertices)
+	for i := 0; i < vertices; i++ {
+		ug.AddVertex()
+		dg.AddVertex()
+		wg.AddVertex()
+	}
+	for v := uint32(1); v < vertices; v++ {
+		for range 3 {
+			u := uint32(rng.Intn(int(v)))
+			ug.AddEdge(u, v)
+			dg.AddEdge(u, v)
+			dg.AddEdge(v, u)
+			wg.AddEdge(u, v, Dist(1+rng.Intn(4)))
+		}
+	}
+	opts := Options{Landmarks: 3}
+	ux, err := Build(ug, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dx, err := BuildDirected(dg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wx, err := BuildWeighted(wg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		o      Oracle
+		isType func(Oracle) bool
+	}{
+		{"undirected", ux, func(o Oracle) bool { _, ok := o.(*Index); return ok }},
+		{"directed", dx, func(o Oracle) bool { _, ok := o.(*DirectedIndex); return ok }},
+		{"weighted", wx, func(o Oracle) bool { _, ok := o.(*WeightedIndex); return ok }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := NewStore(tc.o)
+			unwrapped := func(after string) {
+				t.Helper()
+				if !tc.isType(st.Unwrap()) {
+					t.Errorf("after %s: Unwrap returned %T", after, st.Unwrap())
+				}
+				if err := st.Verify(); err != nil {
+					t.Errorf("after %s: %v", after, err)
+				}
+			}
+			unwrapped("NewStore")
+
+			var line string
+			st.SetSlowQueryLog(time.Nanosecond, func(format string, args ...any) {
+				line = fmt.Sprintf(format, args...)
+			})
+			st.Query(0, vertices-1)
+			if want := "variant=" + tc.name; !strings.Contains(line, want) {
+				t.Errorf("slow-query line %q missing %q", line, want)
+			}
+			series := fmt.Sprintf("dynhl_query_seconds_count{variant=%q}", tc.name)
+			if got := sampleValue(t, exposition(t, st), series); got != 1 {
+				t.Errorf("%s = %g, want 1", series, got)
+			}
+
+			var saved bytes.Buffer
+			if err := st.Save(&saved); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "labels.bin")
+			if err := os.WriteFile(path, saved.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Load(bytes.NewReader(saved.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+			unwrapped("Load")
+			if _, err := st.LoadMappedFile(path); errors.Is(err, ErrNotMappable) {
+				t.Log("no mapped load on this host:", err)
+			} else if err != nil {
+				t.Fatal(err)
+			} else {
+				unwrapped("LoadMappedFile")
+			}
+		})
 	}
 }

@@ -70,8 +70,10 @@ type UpdateSummary struct {
 
 // Oracle is the unified fully dynamic exact-distance oracle implemented by
 // all three index variants — Index (undirected), DirectedIndex and
-// WeightedIndex — and by the Store that serves them. Code written against
-// Oracle (the HTTP service, the REPL, benchmarks) serves any variant.
+// WeightedIndex, which share one implementation — and by the Store that
+// serves them. Code written against Oracle (the HTTP service, the REPL,
+// benchmarks) serves any variant. The method contracts below hold for
+// every variant; each variant's type comment gives its own facts.
 //
 // The update model is fully dynamic: insertions are absorbed by IncHL+
 // (the paper's algorithm) and deletions by its decremental counterpart
@@ -88,7 +90,8 @@ type Oracle interface {
 	QueryBatch(pairs []Pair) []Dist
 	// InsertEdge inserts the edge (u,v) — directed u→v on directed oracles
 	// — with weight w (0 means 1; unweighted oracles reject w > 1) and
-	// repairs the labelling with IncHL+.
+	// repairs the labelling with IncHL+. The edge must be new
+	// (ErrEdgeExists) and both endpoints must exist (ErrNoSuchVertex).
 	InsertEdge(u, v uint32, w Dist) (UpdateSummary, error)
 	// InsertVertex adds a new vertex with the given initial arcs and
 	// returns its id: the paper's node insertion, a new vertex plus one
@@ -139,7 +142,9 @@ type Saver interface {
 
 // Loader is the capability interface of oracles that can swap in a
 // labelling previously written by Save, replacing their current one. The
-// stream must have been saved over the same graph.
+// stream must have been saved over the same graph; the loaded labelling
+// arrives packed. Use Verify for a full consistency audit after loading
+// from untrusted storage.
 type Loader interface {
 	Load(r io.Reader) error
 }

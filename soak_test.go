@@ -115,11 +115,11 @@ func TestSaveLoadThenUpdate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fresh, err := hcl.Build(g2, restored.upd.Landmarks)
+	fresh, err := hcl.Build(g2, restored.core.Landmarks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.upd.EqualLabels(fresh); err != nil {
+	if err := restored.core.EqualLabels(&fresh.Core); err != nil {
 		t.Fatalf("restored index diverged after updates: %v", err)
 	}
 	if err := restored.Verify(); err != nil {

@@ -57,32 +57,27 @@ type View interface {
 	Save(w io.Writer) error
 }
 
-// variant is what a Store needs of the oracle it wraps, implemented by the
-// three in-package index types (Index, DirectedIndex, WeightedIndex):
+// variant is what a Store wraps and Unwrap returns: one of the package's
+// index types (Index, DirectedIndex, WeightedIndex), each an embedded
+// oracle, which implements once what the store needs:
 //
 //   - fork returns a copy-on-write working copy whose mutations never
 //     touch the receiver;
-//   - the repair knobs tune the parallel repair engine (per-landmark
-//     fan-out, per-task timer). Forks inherit them, so tuning the current
-//     snapshot covers every future epoch;
 //   - the writer methods are the edge-level edits its ops are written
 //     over (write.go), and checker returns the validity pre-pass over
 //     its graph, which the pipeline runs on a batch before any label work
-//     starts and a plain oracle's vertex op runs before it edits; labels
-//     returns the labelling the wrapper serves;
-//   - Save, Load and LoadMappedFile serialise and swap in labellings.
+//     starts;
+//   - base returns the oracle itself, for the loads and the repair
+//     settings (the core's per-landmark fan-out and per-task timer).
+//     Forks and loads inherit the settings, so tuning the current
+//     snapshot covers every future epoch.
 type variant interface {
 	Oracle
 	Saver
-	Loader
 	writer
 	fork() variant
 	checker() *prepass
-	labels() labelling
-	setRepairWorkers(n int)
-	repairWorkers() int
-	setRepairTimer(f func(time.Duration))
-	LoadMappedFile(path string) error
+	base() *oracle
 }
 
 // snapshot is one published version: an oracle frozen at an epoch.
@@ -331,11 +326,12 @@ func newStore(o Oracle, epoch uint64) *Store {
 // any previously requested fan-out, and refreshes the resolved-worker
 // mirror.
 func (s *Store) tuneRepair(o variant) {
+	c := o.base().core
 	if s.repairReq != 0 {
-		o.setRepairWorkers(s.repairReq)
+		c.Workers = s.repairReq
 	}
-	o.setRepairTimer(s.metrics.repairLandmark.ObserveDuration)
-	s.repairW.Store(int64(fanout.Resolve(o.repairWorkers())))
+	c.RepairTimer = s.metrics.repairLandmark.ObserveDuration
+	s.repairW.Store(int64(fanout.Resolve(c.Workers)))
 }
 
 // SetRepairWorkers tunes the per-landmark fan-out of the repair engine for
@@ -347,7 +343,7 @@ func (s *Store) SetRepairWorkers(n int) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	s.repairReq = n
-	s.cur.Load().o.setRepairWorkers(n)
+	s.cur.Load().o.base().core.Workers = n
 	s.repairW.Store(int64(fanout.Resolve(n)))
 }
 
@@ -607,7 +603,7 @@ func (s *Store) Load(r io.Reader) error {
 // LoadEpoch is Load also reporting the epoch the loaded labelling was
 // published as (unchanged on failure).
 func (s *Store) LoadEpoch(r io.Reader) (uint64, error) {
-	return s.publishLoaded(func(o variant) error { return o.Load(r) })
+	return s.publishLoaded(func(o *oracle) error { return o.Load(r) })
 }
 
 // LoadMappedFile publishes a snapshot whose labelling is served straight
@@ -618,18 +614,18 @@ func (s *Store) LoadEpoch(r io.Reader) (uint64, error) {
 // ErrNotMappable when this host cannot serve the file in place — fall back
 // to Load.
 func (s *Store) LoadMappedFile(path string) (uint64, error) {
-	return s.publishLoaded(func(o variant) error { return o.LoadMappedFile(path) })
+	return s.publishLoaded(func(o *oracle) error { return o.LoadMappedFile(path) })
 }
 
 // publishLoaded swaps a labelling into a fork of the current snapshot with
 // load and publishes the fork as the next epoch. On failure the fork is
 // discarded and the epoch is unchanged.
-func (s *Store) publishLoaded(load func(variant) error) (uint64, error) {
+func (s *Store) publishLoaded(load func(*oracle) error) (uint64, error) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	cur := s.cur.Load()
 	work := cur.o.fork()
-	if err := load(work); err != nil {
+	if err := load(work.base()); err != nil {
 		return cur.epoch, err
 	}
 	s.tuneRepair(work)

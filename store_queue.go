@@ -276,7 +276,7 @@ func (s *Store) repairGroup(tip variant, g *commitGroup) variant {
 	start := time.Now()
 	work := tip.fork()
 	for _, r := range g.live {
-		sums, err := applyOps(validated{work}, r.ops)
+		sums, err := applyOps(validated{work.base()}, r.ops)
 		if err != nil {
 			// The ops may be durable already, so the store cannot back
 			// out: validation and repair disagreeing is a bug.

@@ -6,15 +6,15 @@ import (
 	"repro/internal/hcl"
 )
 
-// This file is the one write path of the three oracles and of their
-// validity pre-pass (check.go). Each of them is a writer, four edge-level
+// This file is the one write path of the oracle and of its validity
+// pre-pass (check.go). Each of them is a writer, four edge-level
 // edits, and the ops are written once over it: an edge op is one edit
 // under the variant's arc rule, and a vertex op is the paper's
 // decomposition of it, a new vertex plus a sequence of edge insertions,
 // or the deletion of every edge at the vertex.
 
 // writer is the edge-level write surface the ops are written over. The
-// oracles implement it by repairing their labelling on each edit, the
+// oracle implements it by repairing its labelling on each edit, the
 // pre-pass by checking the edit and recording it. On the directed variant
 // an edge is an arc, u→v; w is a weight as the arc rule reads it.
 type writer interface {
@@ -113,44 +113,25 @@ func deleteVertex(w writer, v uint32) (hcl.Stats, error) {
 	return agg, nil
 }
 
-// An oracle's vertex ops run through the pre-pass on a fresh overlay
-// first, so a rejected op leaves the oracle unchanged, and then as
-// validated ops, which cannot fail.
-
-func oracleInsertVertex(x variant, arcs []Arc) (uint32, UpdateSummary, error) {
-	if _, _, err := x.checker().InsertVertex(arcs); err != nil {
-		return 0, UpdateSummary{}, err
-	}
-	return validated{x}.InsertVertex(arcs)
-}
-
-func oracleDeleteVertex(x variant, v uint32) (UpdateSummary, error) {
-	if _, err := x.checker().DeleteVertex(v); err != nil {
-		return UpdateSummary{}, err
-	}
-	return validated{x}.DeleteVertex(v)
-}
-
 // validated is an oracle whose ops a pre-pass has accepted already, as a
 // Store group's are by the committer: its vertex ops go straight to the
 // edge repairs.
-type validated struct{ variant }
+type validated struct{ *oracle }
 
 func (x validated) InsertVertex(arcs []Arc) (uint32, UpdateSummary, error) {
-	l := x.labels()
-	arcs, err := l.rule.arcs(arcs)
+	arcs, err := x.rule.arcs(arcs)
 	if err != nil {
 		return 0, UpdateSummary{}, err
 	}
 	id, st, err := insertVertex(x, arcs)
-	st.LandmarksTotal = l.core.NumLandmarks()
+	st.LandmarksTotal = x.core.NumLandmarks()
 	sum, err := summary(st, err)
 	return id, sum, err
 }
 
 func (x validated) DeleteVertex(v uint32) (UpdateSummary, error) {
 	st, err := deleteVertex(x, v)
-	st.LandmarksTotal = x.labels().core.NumLandmarks()
+	st.LandmarksTotal = x.core.NumLandmarks()
 	return summary(st, err)
 }
 
