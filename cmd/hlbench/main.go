@@ -7,17 +7,16 @@
 //	hlbench -exp table1 -scale 0.5           # half-size proxies
 //	hlbench -exp fig3 -datasets Skitter,UK   # subset of datasets
 //	hlbench -exp fig4 -updates 500           # 500×10 insertions in Fig 4
-//	hlbench -exp repair -workers 1,4,16      # repair-engine scaling sweep
 //
-// Experiments: table1, table2, fig1, fig3, fig4, ablation, mmap, repair,
-// all.
+// Experiments: table1, table2, fig1, fig3, fig4, ablation, all. The
+// mapped-checkpoint boot and the repair fan-out are measured by the root
+// benchmarks BenchmarkMappedBoot and BenchmarkRepairParallel.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -26,14 +25,13 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: table1|table2|fig1|fig3|fig4|ablation|mmap|repair|all")
+		exp       = flag.String("exp", "all", "experiment: table1|table2|fig1|fig3|fig4|ablation|all")
 		scale     = flag.Float64("scale", 1.0, "proxy size multiplier")
 		updates   = flag.Int("updates", 1000, "edge insertions per dataset")
 		queries   = flag.Int("queries", 10000, "distance queries per dataset")
 		landmarks = flag.Int("landmarks", 0, "override |R| (0 = per-dataset default)")
 		seed      = flag.Int64("seed", 1, "workload seed")
 		datasets  = flag.String("datasets", "", "comma-separated dataset subset (default all)")
-		workers   = flag.String("workers", "", "comma-separated repair fan-out sweep for -exp repair (default 1,2,4,8)")
 		out       = flag.String("out", "", "write output to file instead of stdout")
 	)
 	flag.Parse()
@@ -58,15 +56,6 @@ func main() {
 	if *datasets != "" {
 		cfg.Datasets = strings.Split(*datasets, ",")
 	}
-	if *workers != "" {
-		for _, s := range strings.Split(*workers, ",") {
-			w, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || w < 1 {
-				fatal(fmt.Errorf("bad -workers entry %q (want positive integers)", s))
-			}
-			cfg.Workers = append(cfg.Workers, w)
-		}
-	}
 
 	runners := map[string]func(exper.Config) error{
 		"table2":   func(c exper.Config) error { _, err := exper.Table2(c); return err },
@@ -75,10 +64,8 @@ func main() {
 		"fig3":     func(c exper.Config) error { _, err := exper.Fig3(c); return err },
 		"fig4":     func(c exper.Config) error { _, err := exper.Fig4(c); return err },
 		"ablation": func(c exper.Config) error { _, err := exper.Ablation(c); return err },
-		"mmap":     func(c exper.Config) error { _, err := exper.Mmap(c); return err },
-		"repair":   func(c exper.Config) error { _, err := exper.Repair(c); return err },
 	}
-	order := []string{"table2", "fig1", "table1", "fig3", "fig4", "ablation", "mmap", "repair"}
+	order := []string{"table2", "fig1", "table1", "fig3", "fig4", "ablation"}
 
 	var names []string
 	if *exp == "all" {

@@ -43,6 +43,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -63,12 +64,11 @@ func main() {
 		landmarks = flag.Int("landmarks", 20, "number of landmarks |R|")
 		strategy  = flag.String("strategy", "", "landmark selection strategy (topdegree, random, weighted)")
 		seed      = flag.Int64("seed", 1, "generator and selection seed")
-		parallel  = flag.Bool("parallel", false, "parallel index construction")
 		dataDir   = flag.String("data-dir", "", "durability directory: recover on start, WAL every update, checkpoint on quit")
 	)
 	flag.Parse()
 
-	opt := dynhl.Options{Landmarks: *landmarks, Strategy: *strategy, Seed: *seed, Parallel: *parallel}
+	opt := dynhl.Options{Landmarks: *landmarks, Strategy: *strategy, Seed: *seed, Parallel: true}
 	start := time.Now()
 	var store *dynhl.Store
 	var durable *wal.Durable
@@ -118,7 +118,7 @@ func repl(o *dynhl.Store, durable *wal.Durable) {
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
 		if len(fields) > 0 {
-			if quit := execute(o, durable, fields); quit {
+			if quit := execute(os.Stdout, o, durable, fields); quit {
 				return
 			}
 		}
@@ -127,7 +127,7 @@ func repl(o *dynhl.Store, durable *wal.Durable) {
 }
 
 // execute runs one command, reporting whether the REPL should exit.
-func execute(o *dynhl.Store, durable *wal.Durable, fields []string) bool {
+func execute(w io.Writer, o *dynhl.Store, durable *wal.Durable, fields []string) bool {
 	switch fields[0] {
 	case "q", "query":
 		u, v, err := twoVertices(fields[1:])
@@ -135,16 +135,16 @@ func execute(o *dynhl.Store, durable *wal.Durable, fields []string) bool {
 			err = checkVertices(o, u, v)
 		}
 		if err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(w, "error:", err)
 			return false
 		}
 		start := time.Now()
 		d := o.Query(u, v)
 		el := time.Since(start)
 		if d == dynhl.Inf {
-			fmt.Printf("d(%d,%d) = inf (unreachable)  [%v]\n", u, v, el)
+			fmt.Fprintf(w, "d(%d,%d) = inf (unreachable)  [%v]\n", u, v, el)
 		} else {
-			fmt.Printf("d(%d,%d) = %d  [%v]\n", u, v, d, el)
+			fmt.Fprintf(w, "d(%d,%d) = %d  [%v]\n", u, v, d, el)
 		}
 	case "qb":
 		pairs, err := parsePairs(fields[1:])
@@ -155,7 +155,7 @@ func execute(o *dynhl.Store, durable *wal.Durable, fields []string) bool {
 			err = checkVertices(o, p.U, p.V)
 		}
 		if err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(w, "error:", err)
 			return false
 		}
 		start := time.Now()
@@ -163,165 +163,55 @@ func execute(o *dynhl.Store, durable *wal.Durable, fields []string) bool {
 		el := time.Since(start)
 		for i, d := range ds {
 			if d == dynhl.Inf {
-				fmt.Printf("d(%d,%d) = inf\n", pairs[i].U, pairs[i].V)
+				fmt.Fprintf(w, "d(%d,%d) = inf\n", pairs[i].U, pairs[i].V)
 			} else {
-				fmt.Printf("d(%d,%d) = %d\n", pairs[i].U, pairs[i].V, d)
+				fmt.Fprintf(w, "d(%d,%d) = %d\n", pairs[i].U, pairs[i].V, d)
 			}
 		}
-		fmt.Printf("%d pairs  [%v]\n", len(pairs), el)
-	case "add":
-		if len(fields) < 3 || len(fields) > 4 {
-			fmt.Println("error: usage add <u> <v> [w]")
-			return false
-		}
-		u, v, err := twoVertices(fields[1:3])
-		if err != nil {
-			fmt.Println("error:", err)
-			return false
-		}
-		var w dynhl.Dist
-		if len(fields) == 4 {
-			parsed, err := strconv.ParseUint(fields[3], 10, 32)
-			if err != nil {
-				fmt.Println("error:", err)
-				return false
-			}
-			w = dynhl.Dist(parsed)
-		}
-		start := time.Now()
-		st, err := o.InsertEdge(u, v, w)
-		if err != nil {
-			fmt.Println("error:", err)
-			return false
-		}
-		fmt.Printf("inserted (%d,%d): %d affected, +%d/-%d entries  [%v]\n",
-			u, v, st.Affected, st.EntriesAdded, st.EntriesRemoved, time.Since(start))
-	case "addv":
-		if len(fields) != 2 {
-			fmt.Println("error: usage addv n1,n2,...")
-			return false
-		}
-		var ns []uint32
-		for _, s := range strings.Split(fields[1], ",") {
-			n, err := strconv.ParseUint(s, 10, 32)
-			if err != nil {
-				fmt.Println("error:", err)
-				return false
-			}
-			ns = append(ns, uint32(n))
-		}
-		v, st, err := o.InsertVertex(dynhl.Arcs(ns...))
-		if err != nil {
-			fmt.Println("error:", err)
-			return false
-		}
-		fmt.Printf("inserted vertex %d (%d neighbours, %d affected)\n", v, len(ns), st.Affected)
-	case "de", "del":
-		if len(fields) != 3 {
-			fmt.Println("error: usage de <u> <v>")
-			return false
-		}
-		u, v, err := twoVertices(fields[1:3])
-		if err != nil {
-			fmt.Println("error:", err)
-			return false
-		}
-		start := time.Now()
-		st, err := o.DeleteEdge(u, v)
-		if err != nil {
-			fmt.Println("error:", err)
-			return false
-		}
-		fmt.Printf("deleted (%d,%d): %d affected, +%d/-%d entries  [%v]\n",
-			u, v, st.Affected, st.EntriesAdded, st.EntriesRemoved, time.Since(start))
-	case "dv", "delv":
-		if len(fields) != 2 {
-			fmt.Println("error: usage dv <v>")
-			return false
-		}
-		v, err := strconv.ParseUint(fields[1], 10, 32)
-		if err != nil {
-			fmt.Println("error:", err)
-			return false
-		}
-		start := time.Now()
-		st, err := o.DeleteVertex(uint32(v))
-		if err != nil {
-			fmt.Println("error:", err)
-			return false
-		}
-		fmt.Printf("isolated vertex %d: +%d/-%d entries  [%v]\n",
-			v, st.EntriesAdded, st.EntriesRemoved, time.Since(start))
-	case "apply":
-		ops, err := parseOps(fields[1:])
-		if err != nil {
-			fmt.Println("error:", err)
-			return false
-		}
-		start := time.Now()
-		res, err := o.ApplyCtx(context.Background(), ops)
-		if err != nil {
-			fmt.Println("error (batch discarded, epoch unchanged):", err)
-			return false
-		}
-		sums := res.Summaries
-		added, removed := 0, 0
-		for _, s := range sums {
-			added += s.EntriesAdded
-			removed += s.EntriesRemoved
-		}
-		note := ""
-		if res.Coalesced {
-			note = " (group commit, epoch shared with concurrent writers)"
-		}
-		fmt.Printf("applied %d ops as epoch %d%s: +%d/-%d entries  [%v]\n",
-			len(sums), res.Epoch, note, added, removed, time.Since(start))
-		for i, s := range sums {
-			if s.NewVertex != nil {
-				fmt.Printf("  op %d inserted vertex %d\n", i, *s.NewVertex)
-			}
-		}
+		fmt.Fprintf(w, "%d pairs  [%v]\n", len(pairs), el)
+	case "add", "addv", "de", "del", "dv", "delv", "apply":
+		update(w, o, fields)
 	case "epoch":
-		fmt.Printf("epoch %d\n", o.Epoch())
+		fmt.Fprintf(w, "epoch %d\n", o.Epoch())
 	case "stats":
-		printStats(o.Stats())
+		printStats(w, o.Stats())
 	case "role":
-		printRole(o.Stats())
+		printRole(w, o.Stats())
 	case "lag":
-		printLag(o.Stats())
+		printLag(w, o.Stats())
 	case "checkpoint":
 		if durable == nil {
-			fmt.Println("error: not a durable session (start with -data-dir)")
+			fmt.Fprintln(w, "error: not a durable session (start with -data-dir)")
 			return false
 		}
 		start := time.Now()
 		epoch, err := durable.Checkpoint()
 		if err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(w, "error:", err)
 			return false
 		}
-		fmt.Printf("checkpointed epoch %d  [%v]\n", epoch, time.Since(start))
+		fmt.Fprintf(w, "checkpointed epoch %d  [%v]\n", epoch, time.Since(start))
 	case "verify":
 		start := time.Now()
 		if err := o.Verify(); err != nil {
-			fmt.Println("VERIFY FAILED:", err)
+			fmt.Fprintln(w, "VERIFY FAILED:", err)
 		} else {
-			fmt.Printf("labelling verified exact [%v]\n", time.Since(start))
+			fmt.Fprintf(w, "labelling verified exact [%v]\n", time.Since(start))
 		}
 	case "metrics":
 		var b strings.Builder
 		regs := append(o.MetricsRegistries(), obs.Runtime())
 		if err := obs.WriteAll(&b, regs...); err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(w, "error:", err)
 			return false
 		}
-		printMetrics(b.String())
+		printMetrics(w, b.String())
 	case "help":
-		fmt.Println("commands: q <u> <v> | qb <u> <v> [<u> <v> ...] | add <u> <v> [w] | addv n1,n2,... | de <u> <v> | dv <v> | apply <op> ; <op> ... | epoch | stats | role | lag | metrics | checkpoint | verify | quit")
+		fmt.Fprintln(w, "commands: q <u> <v> | qb <u> <v> [<u> <v> ...] | add <u> <v> [w] | addv n1,n2,... | de <u> <v> | dv <v> | apply <op> ; <op> ... | epoch | stats | role | lag | metrics | checkpoint | verify | quit")
 	case "quit", "exit":
 		return true
 	default:
-		fmt.Printf("unknown command %q (try help)\n", fields[0])
+		fmt.Fprintf(w, "unknown command %q (try help)\n", fields[0])
 	}
 	return false
 }
@@ -329,29 +219,29 @@ func execute(o *dynhl.Store, durable *wal.Durable, fields []string) bool {
 // printStats renders one Stats the same way for every variant: the index
 // line always carries the packed CSR bytes and the published epoch, with
 // WAL and replication counters on their own lines when present.
-func printStats(st dynhl.Stats) {
-	fmt.Printf("vertices=%d edges=%d landmarks=%d entries=%d avg=%.2f bytes=%d packed=%d mapped=%d epoch=%d\n",
+func printStats(w io.Writer, st dynhl.Stats) {
+	fmt.Fprintf(w, "vertices=%d edges=%d landmarks=%d entries=%d avg=%.2f bytes=%d packed=%d mapped=%d epoch=%d\n",
 		st.Vertices, st.Edges, st.Landmarks, st.LabelEntries, st.AvgLabelSize, st.Bytes, st.PackedBytes, st.MappedBytes, st.Epoch)
 	if d := st.Durability; d != nil {
-		fmt.Printf("wal: records=%d bytes=%d syncs=%d durable_epoch=%d checkpoint_epoch=%d segments=%d replayed=%d\n",
+		fmt.Fprintf(w, "wal: records=%d bytes=%d syncs=%d durable_epoch=%d checkpoint_epoch=%d segments=%d replayed=%d\n",
 			d.Records, d.Bytes, d.Syncs, d.DurableEpoch, d.CheckpointEpoch, d.Segments, d.Replayed)
 	}
 	if r := st.Replication; r != nil {
-		fmt.Printf("repl: role=%s ready=%v connected=%v leader_epoch=%d lag_epochs=%d lag_bytes=%d followers=%d\n",
+		fmt.Fprintf(w, "repl: role=%s ready=%v connected=%v leader_epoch=%d lag_epochs=%d lag_bytes=%d followers=%d\n",
 			r.Role, r.Ready, r.Connected, r.LeaderEpoch, r.LagEpochs, r.LagBytes, r.Followers)
 	}
 }
 
 // printRole renders the replication role and link state.
-func printRole(st dynhl.Stats) {
+func printRole(w io.Writer, st dynhl.Stats) {
 	r := st.Replication
 	if r == nil {
-		fmt.Println("role standalone (no replication link)")
+		fmt.Fprintln(w, "role standalone (no replication link)")
 		return
 	}
 	switch r.Role {
 	case "leader":
-		fmt.Printf("role leader: epoch %d, %d followers, shipped %d records / %d bytes (%d bootstraps, %d resumes)\n",
+		fmt.Fprintf(w, "role leader: epoch %d, %d followers, shipped %d records / %d bytes (%d bootstraps, %d resumes)\n",
 			st.Epoch, r.Followers, r.ShippedRecords, r.ShippedBytes, r.Bootstraps, r.Resumes)
 	default:
 		state := "bootstrapping"
@@ -362,16 +252,16 @@ func printRole(st dynhl.Stats) {
 		if r.Connected {
 			link = "connected"
 		}
-		fmt.Printf("role follower of %s: %s, link %s, epoch %d (leader at %d)\n",
+		fmt.Fprintf(w, "role follower of %s: %s, link %s, epoch %d (leader at %d)\n",
 			r.Leader, state, link, st.Epoch, r.LeaderEpoch)
 	}
 }
 
 // printLag renders how far the store trails (or leads) its replication peer.
-func printLag(st dynhl.Stats) {
+func printLag(w io.Writer, st dynhl.Stats) {
 	r := st.Replication
 	if r == nil {
-		fmt.Println("lag: standalone store, no replication link")
+		fmt.Fprintln(w, "lag: standalone store, no replication link")
 		return
 	}
 	line := fmt.Sprintf("lag: %d epochs, %d bytes unapplied (epoch %d, leader at %d)",
@@ -379,13 +269,13 @@ func printLag(st dynhl.Stats) {
 	if !r.LastContact.IsZero() {
 		line += fmt.Sprintf(", last contact %v ago", time.Since(r.LastContact).Round(time.Millisecond))
 	}
-	fmt.Println(line)
+	fmt.Fprintln(w, line)
 }
 
 // printMetrics renders a Prometheus text exposition for a terminal: the
 // nonzero series, minus the per-bucket histogram lines (the _sum/_count
 // pairs tell the latency story at a glance; scrape /metrics for buckets).
-func printMetrics(text string) {
+func printMetrics(w io.Writer, text string) {
 	shown := 0
 	for _, line := range strings.Split(text, "\n") {
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -398,16 +288,76 @@ func printMetrics(text string) {
 		if v, err := strconv.ParseFloat(value, 64); err == nil && v == 0 {
 			continue
 		}
-		fmt.Println(line)
+		fmt.Fprintln(w, line)
 		shown++
 	}
 	if shown == 0 {
-		fmt.Println("no nonzero series yet (run some queries or updates first)")
+		fmt.Fprintln(w, "no nonzero series yet (run some queries or updates first)")
+	}
+}
+
+// update runs an update command through ApplyCtx, the Store's one write
+// path: add, addv, de and dv publish their one op as an epoch, apply its
+// whole batch as one.
+func update(w io.Writer, o *dynhl.Store, fields []string) {
+	batch := fields[0] == "apply"
+	var ops []dynhl.Op
+	var err error
+	if batch {
+		ops, err = parseOps(fields[1:])
+	} else {
+		var op dynhl.Op
+		op, err = parseOp(fields)
+		ops = []dynhl.Op{op}
+	}
+	if err != nil {
+		fmt.Fprintln(w, "error:", err)
+		return
+	}
+	start := time.Now()
+	res, err := o.ApplyCtx(context.Background(), ops)
+	el := time.Since(start)
+	switch {
+	case err != nil && batch:
+		fmt.Fprintln(w, "error (batch discarded, epoch unchanged):", err)
+	case err != nil:
+		fmt.Fprintln(w, "error:", err)
+	case batch:
+		added, removed := 0, 0
+		for _, s := range res.Summaries {
+			added += s.EntriesAdded
+			removed += s.EntriesRemoved
+		}
+		note := ""
+		if res.Coalesced {
+			note = " (group commit, epoch shared with concurrent writers)"
+		}
+		fmt.Fprintf(w, "applied %d ops as epoch %d%s: +%d/-%d entries  [%v]\n",
+			len(ops), res.Epoch, note, added, removed, el)
+		for i, s := range res.Summaries {
+			if s.NewVertex != nil {
+				fmt.Fprintf(w, "  op %d inserted vertex %d\n", i, *s.NewVertex)
+			}
+		}
+	default:
+		op, s := ops[0], res.Summaries[0]
+		switch op.Kind {
+		case dynhl.OpInsertEdge:
+			fmt.Fprintf(w, "inserted (%d,%d): %d affected, +%d/-%d entries  [%v]\n",
+				op.U, op.V, s.Affected, s.EntriesAdded, s.EntriesRemoved, el)
+		case dynhl.OpInsertVertex:
+			fmt.Fprintf(w, "inserted vertex %d (%d neighbours, %d affected)\n", *s.NewVertex, len(op.Arcs), s.Affected)
+		case dynhl.OpDeleteEdge:
+			fmt.Fprintf(w, "deleted (%d,%d): %d affected, +%d/-%d entries  [%v]\n",
+				op.U, op.V, s.Affected, s.EntriesAdded, s.EntriesRemoved, el)
+		case dynhl.OpDeleteVertex:
+			fmt.Fprintf(w, "isolated vertex %d: +%d/-%d entries  [%v]\n", op.V, s.EntriesAdded, s.EntriesRemoved, el)
+		}
 	}
 }
 
 // parseOps parses an apply command's tail: semicolon-separated
-// add/addv/de/dv sub-commands sharing the single-update syntax.
+// add/addv/de/dv sub-commands in the single-update syntax.
 func parseOps(args []string) ([]dynhl.Op, error) {
 	if len(args) == 0 {
 		return nil, fmt.Errorf("usage: apply <op> [; <op> ...] with ops add <u> <v> [w] | addv n1,n2,... | de <u> <v> | dv <v>")
@@ -418,60 +368,71 @@ func parseOps(args []string) ([]dynhl.Op, error) {
 		if len(fields) == 0 {
 			continue
 		}
-		switch fields[0] {
-		case "add":
-			if len(fields) < 3 || len(fields) > 4 {
-				return nil, fmt.Errorf("add: usage add <u> <v> [w]")
-			}
-			u, v, err := twoVertices(fields[1:3])
-			if err != nil {
-				return nil, err
-			}
-			var w dynhl.Dist
-			if len(fields) == 4 {
-				parsed, err := strconv.ParseUint(fields[3], 10, 32)
-				if err != nil {
-					return nil, err
-				}
-				w = dynhl.Dist(parsed)
-			}
-			ops = append(ops, dynhl.InsertEdgeOp(u, v, w))
-		case "addv":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("addv: usage addv n1,n2,...")
-			}
-			var arcs []dynhl.Arc
-			for _, s := range strings.Split(fields[1], ",") {
-				n, err := strconv.ParseUint(s, 10, 32)
-				if err != nil {
-					return nil, err
-				}
-				arcs = append(arcs, dynhl.Arc{To: uint32(n)})
-			}
-			ops = append(ops, dynhl.InsertVertexOp(arcs...))
-		case "de", "del":
-			u, v, err := twoVertices(fields[1:])
-			if err != nil {
-				return nil, err
-			}
-			ops = append(ops, dynhl.DeleteEdgeOp(u, v))
-		case "dv", "delv":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("dv: usage dv <v>")
-			}
-			n, err := strconv.ParseUint(fields[1], 10, 32)
-			if err != nil {
-				return nil, err
-			}
-			ops = append(ops, dynhl.DeleteVertexOp(uint32(n)))
-		default:
-			return nil, fmt.Errorf("unknown op %q (want add, addv, de or dv)", fields[0])
+		op, err := parseOp(fields)
+		if err != nil {
+			return nil, err
 		}
+		ops = append(ops, op)
 	}
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("empty op batch")
 	}
 	return ops, nil
+}
+
+// parseOp parses one add/addv/de/dv command.
+func parseOp(fields []string) (dynhl.Op, error) {
+	switch fields[0] {
+	case "add":
+		if len(fields) < 3 || len(fields) > 4 {
+			return dynhl.Op{}, fmt.Errorf("usage add <u> <v> [w]")
+		}
+		u, v, err := twoVertices(fields[1:3])
+		if err != nil {
+			return dynhl.Op{}, err
+		}
+		var w dynhl.Dist
+		if len(fields) == 4 {
+			parsed, err := strconv.ParseUint(fields[3], 10, 32)
+			if err != nil {
+				return dynhl.Op{}, err
+			}
+			w = dynhl.Dist(parsed)
+		}
+		return dynhl.InsertEdgeOp(u, v, w), nil
+	case "addv":
+		if len(fields) != 2 {
+			return dynhl.Op{}, fmt.Errorf("usage addv n1,n2,...")
+		}
+		var arcs []dynhl.Arc
+		for _, s := range strings.Split(fields[1], ",") {
+			n, err := strconv.ParseUint(s, 10, 32)
+			if err != nil {
+				return dynhl.Op{}, err
+			}
+			arcs = append(arcs, dynhl.Arc{To: uint32(n)})
+		}
+		return dynhl.InsertVertexOp(arcs...), nil
+	case "de", "del":
+		if len(fields) != 3 {
+			return dynhl.Op{}, fmt.Errorf("usage de <u> <v>")
+		}
+		u, v, err := twoVertices(fields[1:])
+		if err != nil {
+			return dynhl.Op{}, err
+		}
+		return dynhl.DeleteEdgeOp(u, v), nil
+	case "dv", "delv":
+		if len(fields) != 2 {
+			return dynhl.Op{}, fmt.Errorf("usage dv <v>")
+		}
+		n, err := strconv.ParseUint(fields[1], 10, 32)
+		if err != nil {
+			return dynhl.Op{}, err
+		}
+		return dynhl.DeleteVertexOp(uint32(n)), nil
+	}
+	return dynhl.Op{}, fmt.Errorf("unknown op %q (want add, addv, de or dv)", fields[0])
 }
 
 // checkVertices guards the query paths: Oracle.Query panics on ids the

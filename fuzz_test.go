@@ -166,7 +166,10 @@ func FuzzPackedDifferential(f *testing.F) {
 // bytes names an arc, deleted when present and inserted otherwise. The
 // weighted graph has the same edges, with weights 1–8 drawn from a second
 // source seeded by the first two bytes; an inserted edge's weight comes
-// from what its two bytes leave over after naming the arc.
+// from what its two bytes leave over after naming the arc. An input costs
+// up to 64 ops with three fresh builds each, so bound the minimization of
+// new inputs (CI passes -fuzzminimizetime=2s): under the default 60 s
+// budget one long input holds a worker for tens of seconds.
 func FuzzDeleteMatchesBuild(f *testing.F) {
 	f.Add([]byte{7, 3, 1, 2, 3, 4, 5, 6, 1, 2, 9, 9, 0, 5, 2, 1})
 	f.Add([]byte{200, 17, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0, 0, 1, 1, 2})

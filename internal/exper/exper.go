@@ -34,10 +34,6 @@ type Config struct {
 	Seed int64
 	// Datasets selects a subset by name (default: all 12).
 	Datasets []string
-	// Workers is the fan-out sweep for the repair experiment (default
-	// 1, 2, 4, 8); the first entry is the speedup baseline. Other
-	// experiments ignore it.
-	Workers []int
 	// Out receives the rendered tables (nil discards them).
 	Out io.Writer
 }

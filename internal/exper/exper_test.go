@@ -209,29 +209,3 @@ func TestConfigUnknownDataset(t *testing.T) {
 		t.Error("unknown dataset must error")
 	}
 }
-
-func TestRepairSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := smallCfg(&buf)
-	cfg.Datasets = []string{"Flickr"}
-	cfg.Updates = 12
-	cfg.Workers = []int{1, 2}
-	rows, err := Repair(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows, want 2", len(rows))
-	}
-	for i, r := range rows {
-		if r.Workers != cfg.Workers[i] {
-			t.Errorf("row %d: workers %d, want %d", i, r.Workers, cfg.Workers[i])
-		}
-		if r.BuildMs <= 0 || r.InsertUs <= 0 || r.DeleteUs <= 0 {
-			t.Errorf("row %+v has missing timings", r)
-		}
-	}
-	if base := rows[0]; base.BuildSpeedup != 1 || base.RepairSpeedup != 1 {
-		t.Errorf("serial baseline speedups = %.2f/%.2f, want 1/1", base.BuildSpeedup, base.RepairSpeedup)
-	}
-}

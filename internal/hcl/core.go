@@ -251,7 +251,8 @@ func (c *Core) EnsureVertex(v uint32) {
 // are copied; the rank table is shared, and the fork's first write to a chunk
 // copies that chunk's span table (see Packed) — an update batch copies
 // only what it touches, while c keeps serving queries unchanged. The fork
-// inherits the repair knobs.
+// starts with c's repair knobs; an owner that retunes them sets them on
+// the fork, never on c, which readers may still be querying.
 //
 // Snapshot discipline applies: c must be treated as frozen once forked.
 func (c *Core) Fork() Core {

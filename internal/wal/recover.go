@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 
 	dynhl "repro"
@@ -137,54 +138,39 @@ func mapCheckpoint(m *arena.Mapping, name string) (*dynhl.Index, uint64, error) 
 // oracle — no store wrapping yet, so the whole tail is one coalesced
 // batch: no per-record fork or publish. It returns the last epoch
 // applied (ckptEpoch when the log held nothing newer) and how many records
-// it replayed. Records at or below ckptEpoch (kept for an older
-// checkpoint) are skipped; beyond it epochs must be contiguous.
+// it replayed. The epochs beyond ckptEpoch must be contiguous, and a torn
+// record is truncated away only at the very end of the log.
 func replay(o dynhl.Oracle, dir string, ckptEpoch uint64, logf func(string, ...any)) (uint64, uint64, error) {
-	segs, err := listSegments(dir)
+	t, err := OpenTail(dir, ckptEpoch+1)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return ckptEpoch, 0, nil // no log yet: the checkpoint is the whole state
-		}
-		return 0, 0, err
+		return 0, 0, fmt.Errorf("wal: refusing to recover: %w", err)
 	}
 	epoch := ckptEpoch
 	var replayed uint64
-	for i, seg := range segs {
-		last := i == len(segs)-1
-		data, err := os.ReadFile(seg.path)
-		if err != nil {
-			return 0, 0, err
+	for {
+		rec, err := t.Next()
+		if errors.Is(err, io.EOF) {
+			break
 		}
-		off := 0
-		for off < len(data) {
-			rec, next, err := decodeRecord(data, off)
-			switch {
-			case errors.Is(err, errTorn):
-				if !last {
-					return 0, 0, fmt.Errorf("wal: %s: torn record at offset %d mid-log (later segments exist): refusing to recover", seg.path, off)
-				}
-				// A crash cut the final append short; the record's epoch
-				// was never published, so dropping it loses nothing.
-				tornTailsTotal.Add(1)
-				logf("wal: truncating torn record at end of %s (offset %d, %d trailing bytes)", seg.path, off, len(data)-off)
-				if err := os.Truncate(seg.path, int64(off)); err != nil {
-					return 0, 0, fmt.Errorf("wal: truncating torn tail: %w", err)
-				}
-				return epoch, replayed, nil
-			case err != nil:
-				return 0, 0, fmt.Errorf("wal: %s: refusing to recover past damaged log: %w", seg.path, err)
-			}
-			if rec.epoch > ckptEpoch {
-				if rec.epoch != epoch+1 {
-					return 0, 0, fmt.Errorf("wal: %s: record for epoch %d where %d was expected (gap in the log): refusing to recover", seg.path, rec.epoch, epoch+1)
-				}
-				if _, err := o.Apply(rec.ops); err != nil {
-					return 0, 0, fmt.Errorf("wal: replaying epoch %d: %w", rec.epoch, err)
-				}
-				epoch = rec.epoch
-				replayed++
-			}
-			off = next
+		if err != nil {
+			return 0, 0, fmt.Errorf("wal: refusing to recover: %w", err)
+		}
+		if rec.Epoch != epoch+1 {
+			return 0, 0, fmt.Errorf("wal: record for epoch %d where %d was expected (gap in the log): refusing to recover", rec.Epoch, epoch+1)
+		}
+		if _, err := o.Apply(rec.Ops); err != nil {
+			return 0, 0, fmt.Errorf("wal: replaying epoch %d: %w", rec.Epoch, err)
+		}
+		epoch = rec.Epoch
+		replayed++
+	}
+	if path, off, trailing, ok := t.tornTail(); ok {
+		// A crash cut the final append short; the record's epoch was
+		// never published, so dropping it loses nothing.
+		tornTailsTotal.Add(1)
+		logf("wal: truncating torn record at end of %s (offset %d, %d trailing bytes)", path, off, trailing)
+		if err := os.Truncate(path, int64(off)); err != nil {
+			return 0, 0, fmt.Errorf("wal: truncating torn tail: %w", err)
 		}
 	}
 	return epoch, replayed, nil

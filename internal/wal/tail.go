@@ -32,8 +32,10 @@ type TailRecord struct {
 // records appended after that are not (reliably) seen — pair it with
 // SubscribeCommits, subscribing first, to hand off from disk catch-up to
 // live streaming without a gap. A torn record at the very end of the log is
-// end-of-tail (a live append in progress), not an error; a segment removed
-// mid-read by a concurrent checkpoint truncation reports ErrEpochTruncated.
+// end-of-tail (a live append in progress, or a crash's), not an error, and
+// tornTail says where it starts; a segment removed mid-read by a concurrent
+// checkpoint truncation reports ErrEpochTruncated. Recovery replays the
+// log through the same reader.
 type TailReader struct {
 	from uint64
 	segs []segment
@@ -41,6 +43,7 @@ type TailReader struct {
 	data []byte // current segment's bytes
 	off  int
 	path string // current segment's path, for error text
+	torn bool   // the tail ended in a torn record at off
 }
 
 // OpenTail opens a tail over the log directory dir (the "wal" subdirectory
@@ -95,6 +98,7 @@ func (t *TailReader) Next() (TailRecord, error) {
 			switch {
 			case errors.Is(err, errTorn):
 				if t.i >= len(t.segs) {
+					t.torn = true
 					return TailRecord{}, io.EOF // live append in progress
 				}
 				return TailRecord{}, fmt.Errorf("wal: %s: torn record at offset %d mid-log", t.path, t.off)
@@ -109,6 +113,13 @@ func (t *TailReader) Next() (TailRecord, error) {
 		}
 		t.data = nil
 	}
+}
+
+// tornTail reports whether the tail that Next ended with io.EOF ended in
+// a torn record, and where that record starts: the segment's path, its
+// offset there, and the bytes from it to the end of the segment.
+func (t *TailReader) tornTail() (path string, off, trailing int, ok bool) {
+	return t.path, t.off, len(t.data) - t.off, t.torn
 }
 
 // TailFrom returns a TailReader over this durable store's log for epochs

@@ -340,6 +340,62 @@ func TestCorruptRecord(t *testing.T) {
 	}
 }
 
+// oneRecordSegments writes n single-op records into a fresh durable
+// directory, one record per segment, and abandons it as a crash would. It
+// returns the directory and its segments in epoch order.
+func oneRecordSegments(t *testing.T, n int) (string, []segment) {
+	t.Helper()
+	dir := t.TempDir()
+	opts := quietOpts(t)
+	opts.SegmentBytes = 1 // rotate after every record
+	d, err := Create(dir, buildIndex(t, 30, 4), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	churn(t, d.Store(), n)
+	d.abandon()
+	segs, err := listSegments(walDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) < n {
+		t.Fatalf("%d segments for %d records", len(segs), n)
+	}
+	return dir, segs
+}
+
+// TestTornRecordMidLog cuts a record short in a segment that later
+// segments follow. A crash tears only the final append, so recovery
+// refuses instead of truncating.
+func TestTornRecordMidLog(t *testing.T) {
+	for i := 0; i < 2; i++ {
+		dir, segs := oneRecordSegments(t, 3)
+		cutTail(t, segs[i].path, 4)
+		if _, err := Recover(dir, quietOpts(t)); err == nil {
+			t.Fatalf("recovered over a torn record in segment %d of %d", i, len(segs))
+		} else if !strings.Contains(err.Error(), "refusing") {
+			t.Fatalf("segment %d: unexpected error: %v", i, err)
+		}
+	}
+}
+
+// TestRecoverRefusesEpochGap removes one segment of the log, so the
+// records beyond the checkpoint no longer follow each other epoch by
+// epoch: recovery refuses rather than skip the missing epochs.
+func TestRecoverRefusesEpochGap(t *testing.T) {
+	for i := 0; i < 2; i++ {
+		dir, segs := oneRecordSegments(t, 3)
+		if err := os.Remove(segs[i].path); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Recover(dir, quietOpts(t)); err == nil {
+			t.Fatalf("recovered with the segment of epoch %d missing", segs[i].first)
+		} else if !strings.Contains(err.Error(), "refusing") {
+			t.Fatalf("epoch %d missing: unexpected error: %v", segs[i].first, err)
+		}
+	}
+}
+
 // TestCheckpointTruncatesLog checks a checkpoint rotates the log, prunes
 // superseded segments once two checkpoints cover them, and that recovery
 // after a crash replays only the tail.

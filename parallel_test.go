@@ -3,6 +3,7 @@ package dynhl
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/testutil"
@@ -202,5 +203,65 @@ func TestStoreRepairWorkersDeterminism(t *testing.T) {
 	}
 	if got := par.Stats().RepairWorkers; got != 3 {
 		t.Fatalf("Stats().RepairWorkers = %d, want 3", got)
+	}
+}
+
+// TestSetRepairWorkersDuringStats retunes a store in one goroutine while
+// another reads its stats, a View's and the Store's, and a writer
+// commits. Under -race it fails if a retune writes a snapshot that
+// readers can reach.
+func TestSetRepairWorkersDuringStats(t *testing.T) {
+	g := testutil.RandomConnectedGraph(40, 70, 5)
+	edges := testutil.NonEdges(g, 20, 3)
+	x, err := Build(g, Options{Landmarks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewStore(x)
+	st.SetRepairWorkers(1)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			st.SetRepairWorkers(1 + i%3)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if w := st.Snapshot().Stats().RepairWorkers; w < 1 {
+				t.Errorf("View.Stats().RepairWorkers = %d", w)
+			}
+			if w := st.Stats().RepairWorkers; w < 1 || w > 3 {
+				t.Errorf("Store.Stats().RepairWorkers = %d, want 1..3", w)
+			}
+		}
+	}()
+	for _, e := range edges {
+		if _, err := st.InsertEdge(e[0], e[1], 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+
+	st.SetRepairWorkers(2)
+	if _, err := st.DeleteEdge(edges[0][0], edges[0][1]); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Snapshot().Stats().RepairWorkers; got != 2 {
+		t.Fatalf("after a write at SetRepairWorkers(2): View.Stats().RepairWorkers = %d", got)
 	}
 }

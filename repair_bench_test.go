@@ -1,7 +1,5 @@
-// Benchmarks for the parallel repair engine: the same insert+delete churn
-// replayed at each worker count. The repaired labelling is byte-identical
-// across fan-outs (parallel_test.go pins it), so the sweep isolates the
-// wall-clock effect of fanning the per-landmark repair tasks.
+// Benchmarks for the repair engine: serial repairs of four workloads, and
+// one churn replayed at each repair fan-out.
 package dynhl_test
 
 import (
@@ -14,28 +12,37 @@ import (
 	"repro/internal/testutil"
 )
 
-// BenchmarkRepairParallel measures one insert repair plus one delete
-// repair per iteration (net-zero churn, so the index stays at a stable
-// size for any N) on the 50k-vertex kernel proxy, across repair fan-outs.
-// workers=1 is the serial engine; compare sub-benchmarks for the scaling
-// curve. Single-core hosts time-slice the workers, so the parallel cases
-// then measure fan overhead rather than speedup.
+// BenchmarkRepairParallel times repairs in five groups. The first four pin
+// RepairWorkers: 1 and time one workload each, serially:
 //
-// Deleting the edge just inserted is cheap for DecHL — a fresh edge lies on
-// few shortest-path DAGs — so the churn case measures what a rewiring
-// workload pays instead: each iteration deletes a uniformly random existing
-// edge of a Barabási–Albert graph (50k vertices, m = 8, 20 landmarks) and
-// inserts a uniformly random non-edge, serially. directed-insert runs the
-// directed variant's insertion alone on the same graph, each edge an arc
-// from its older to its newer endpoint: every iteration inserts a
-// uniformly random new arc, so both forward and backward passes repair.
-// directed-churn runs the directed variant's deletion on the directed
-// social-read shape (socialDigraph, 20 landmarks): each iteration deletes
-// a uniformly random existing arc and inserts it again. weighted-churn
-// runs the weighted variant on the weighted-batch graph (web-locality, 40k
-// vertices, degree 20, weights 1–8, 20 landmarks): each iteration deletes
-// a uniformly random existing edge and inserts it again with its weight. The four cases report allocations, since a repair's
-// scratch is pooled.
+//   - churn deletes a uniformly random existing edge of a Barabási–Albert
+//     graph (50k vertices, m = 8, 20 landmarks) and inserts a uniformly
+//     random non-edge: what a rewiring workload pays.
+//   - directed-insert runs the directed variant's insertion alone on the
+//     same graph, each edge an arc from its older to its newer endpoint:
+//     every iteration inserts a uniformly random new arc, so both forward
+//     and backward passes repair.
+//   - directed-churn runs the directed variant's deletion on the directed
+//     social-read shape (socialDigraph, 20 landmarks): each iteration
+//     deletes a uniformly random existing arc and inserts it again.
+//   - weighted-churn runs the weighted variant on the weighted-batch graph
+//     (web-locality, 40k vertices, degree 20, weights 1–8, 20 landmarks):
+//     each iteration deletes a uniformly random existing edge and inserts
+//     it again with its weight.
+//
+// These four report allocations, since a repair's scratch is pooled.
+//
+// The fifth group, workers=N, sweeps the repair fan-out over 1, 2, 4 and
+// 8. Each iteration inserts an edge and deletes it again (net-zero churn,
+// so the index keeps a stable size for any N) on the 50k-vertex kernel
+// proxy (100k edges, 16 landmarks), and a row times the two together.
+// workers=1 is the serial engine. The repaired labelling is byte-identical
+// across fan-outs (parallel_test.go pins it), so the rows differ only in
+// the wall-clock effect of fanning the per-landmark repair tasks.
+// Single-core hosts time-slice the workers, so there the parallel rows
+// measure fan overhead rather than speedup. Deleting the edge just
+// inserted is cheap for DecHL, since a fresh edge lies on few
+// shortest-path DAGs; that is why churn deletes a random edge instead.
 func BenchmarkRepairParallel(b *testing.B) {
 	b.Run("churn", func(b *testing.B) {
 		g := gen.BarabasiAlbert(50_000, 8, 9)

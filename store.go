@@ -137,13 +137,11 @@ type Store struct {
 	// pipeline with atomic adds only.
 	metrics *storeMetrics
 
-	// repairW mirrors the resolved per-landmark repair fan-out of the
-	// wrapped oracle for RepairWorkers and the dynhl_repair_workers gauge
-	// (atomic: the gauge reads it off the scrape path); repairReq remembers
-	// the last requested raw value (under wmu) so oracles swapped in by
-	// Reset or a load inherit it.
-	repairW   atomic.Int64
-	repairReq int
+	// repairWorkers is the requested per-landmark repair fan-out (raw:
+	// 0 = GOMAXPROCS). The store owns it: the committer sets it on each
+	// group's private fork, and Reset and the loads on their oracle before
+	// publishing it, so no published snapshot is ever written.
+	repairWorkers atomic.Int64
 }
 
 // DurabilityStats describes the state of a durability layer attached with
@@ -316,22 +314,19 @@ func newStore(o Oracle, epoch uint64) *Store {
 	}
 	s := &Store{}
 	s.metrics = newStoreMetrics(s, variantOf(v))
+	s.repairWorkers.Store(int64(v.base().core.Workers))
 	s.tuneRepair(v)
 	s.cur.Store(&snapshot{o: v, epoch: epoch})
 	return s
 }
 
-// tuneRepair attaches the store's repair instrumentation to o (the
-// per-landmark task timer feeding dynhl_repair_landmark_seconds), applies
-// any previously requested fan-out, and refreshes the resolved-worker
-// mirror.
+// tuneRepair gives o, which no reader can reach yet, the store's repair
+// settings: the requested fan-out and the per-landmark task timer feeding
+// dynhl_repair_landmark_seconds.
 func (s *Store) tuneRepair(o variant) {
 	c := o.base().core
-	if s.repairReq != 0 {
-		c.Workers = s.repairReq
-	}
+	c.Workers = int(s.repairWorkers.Load())
 	c.RepairTimer = s.metrics.repairLandmark.ObserveDuration
-	s.repairW.Store(int64(fanout.Resolve(c.Workers)))
 }
 
 // SetRepairWorkers tunes the per-landmark fan-out of the repair engine for
@@ -339,17 +334,11 @@ func (s *Store) tuneRepair(o variant) {
 // Options.RepairWorkers). The labelling is byte-identical for every worker
 // count, so the knob trades repair latency against cores without affecting
 // results.
-func (s *Store) SetRepairWorkers(n int) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	s.repairReq = n
-	s.cur.Load().o.base().core.Workers = n
-	s.repairW.Store(int64(fanout.Resolve(n)))
-}
+func (s *Store) SetRepairWorkers(n int) { s.repairWorkers.Store(int64(n)) }
 
 // RepairWorkers returns the resolved per-landmark repair fan-out of the
-// wrapped oracle.
-func (s *Store) RepairWorkers() int { return int(s.repairW.Load()) }
+// store's writes.
+func (s *Store) RepairWorkers() int { return fanout.Resolve(int(s.repairWorkers.Load())) }
 
 // publish installs next as the current version and wakes every WaitEpoch
 // caller parked on the previous one.
@@ -573,6 +562,7 @@ func (s *Store) Stats() Stats {
 	sn := s.cur.Load()
 	st := sn.o.Stats()
 	st.Epoch = sn.epoch
+	st.RepairWorkers = s.RepairWorkers()
 	if d := s.durability(); d != nil {
 		ds := d.DurabilityStats()
 		st.Durability = &ds

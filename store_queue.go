@@ -275,6 +275,7 @@ func (s *Store) repairGroup(tip variant, g *commitGroup) variant {
 	m.groupOps.Observe(uint64(len(g.ops)))
 	start := time.Now()
 	work := tip.fork()
+	work.base().core.Workers = int(s.repairWorkers.Load())
 	for _, r := range g.live {
 		sums, err := applyOps(validated{work.base()}, r.ops)
 		if err != nil {
