@@ -56,11 +56,12 @@
 // graph) instead of constructing labels at boot, and -save-labels writes
 // the final labelling on graceful shutdown for the next boot to load.
 //
-// -mmap (default auto) serves checkpoint and label files straight out
-// of an mmap instead of decoding a heap copy, so boot cost stops scaling
-// with labelling size — entries page in on first touch. MappedBytes in
-// /stats and mapped_bytes in /healthz report the mapped region; -mmap off
-// forces the copy-in loads everywhere.
+// Checkpoints, -load-labels files and a follower's shipped image are
+// served straight out of an mmap wherever the host can map them, so boot
+// cost stops scaling with labelling size — entries page in on first touch;
+// elsewhere they are decoded onto the heap, with the same answers.
+// MappedBytes in /stats and mapped_bytes in /healthz report the mapped
+// region.
 //
 // Observability: GET /metrics exposes Prometheus text metrics (query
 // latency histograms, write-pipeline stage timings, WAL and replication
@@ -78,7 +79,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -109,14 +109,12 @@ func main() {
 		fsyncMode  = flag.String("fsync", "always", "WAL fsync policy with -data-dir: always, interval or off")
 		fsyncEvery = flag.Duration("fsync-interval", 100*time.Millisecond, "fsync cadence with -fsync interval")
 		ckptEvery  = flag.Int("checkpoint-every", 10000, "WAL records between automatic checkpoints with -data-dir (0 = manual and shutdown only)")
-		loadLabels = flag.String("load-labels", "", "labelling file to load at boot instead of constructing labels (undirected; saved over the same -graph)")
+		loadLabels = flag.String("load-labels", "", "labelling file to load at boot instead of constructing labels (saved over the same -graph and -mode)")
 		saveLabels = flag.String("save-labels", "", "labelling file to write on graceful shutdown")
 
 		role       = flag.String("role", "standalone", "serving role: standalone, leader (stream checkpoints + WAL to followers) or follower (replicate from -leader-addr)")
 		replAddr   = flag.String("replicate-addr", ":7601", "replication listen address with -role leader")
 		leaderAddr = flag.String("leader-addr", "", "leader replication address with -role follower")
-
-		mmapFlag = flag.String("mmap", "auto", "serve checkpoint and label files out of an mmap instead of decoding a heap copy: auto, on or off")
 
 		repairWorkers = flag.Int("repair-workers", 0, "per-landmark fan-out of update repairs and their label writes (0 = GOMAXPROCS, 1 = serial; results are identical for every value)")
 
@@ -126,17 +124,12 @@ func main() {
 	)
 	flag.Parse()
 
-	mmapMode, err := parseMapMode(*mmapFlag)
-	if err != nil {
-		log.Fatal("hlserver: ", err)
-	}
-
 	switch *role {
 	case "follower":
 		if *leaderAddr == "" {
 			log.Fatal("hlserver: -role follower requires -leader-addr")
 		}
-		runFollower(*addr, *leaderAddr, mmapMode, *repairWorkers, *debugAddr, *accessLog, *slowQuery)
+		runFollower(*addr, *leaderAddr, *repairWorkers, *debugAddr, *accessLog, *slowQuery)
 		return
 	case "standalone", "leader", "":
 		if *role == "leader" && *dataDir == "" {
@@ -165,7 +158,6 @@ func main() {
 			FsyncInterval:   *fsyncEvery,
 			CheckpointEvery: *ckptEvery,
 			Logf:            log.Printf,
-			Mmap:            mmapMode,
 		})
 		if err != nil {
 			log.Fatal("hlserver: ", err)
@@ -195,7 +187,7 @@ func main() {
 	store.SetRepairWorkers(*repairWorkers)
 	log.Printf("repair engine: %d workers", store.RepairWorkers())
 	if *loadLabels != "" {
-		if err := loadLabelFile(store, *loadLabels, mmapMode); err != nil {
+		if _, err := store.LoadFile(*loadLabels); err != nil {
 			log.Fatal("hlserver: ", err)
 		}
 		if mapped := store.Stats().MappedBytes; mapped > 0 {
@@ -255,8 +247,8 @@ func main() {
 
 // runFollower serves a read replica: no local graph, labels or WAL — the
 // whole state is bootstrapped and then replayed from the leader.
-func runFollower(addr, leaderAddr string, mmapMode wal.MapMode, repairWorkers int, debugAddr string, accessLog bool, slowQuery time.Duration) {
-	f := repl.StartFollower(leaderAddr, repl.Options{Logf: log.Printf, Mmap: mmapMode, RepairWorkers: repairWorkers})
+func runFollower(addr, leaderAddr string, repairWorkers int, debugAddr string, accessLog bool, slowQuery time.Duration) {
+	f := repl.StartFollower(leaderAddr, repl.Options{Logf: log.Printf, RepairWorkers: repairWorkers})
 	log.Printf("replicating from %s (reads 503 until the first bootstrap lands)", leaderAddr)
 	go func() {
 		if err := f.WaitReady(context.Background()); err != nil {
@@ -348,37 +340,6 @@ func serve(addr string, handler http.Handler, shutdown func()) {
 		shutdown()
 		log.Print("bye")
 	}
-}
-
-// parseMapMode resolves the -mmap flag.
-func parseMapMode(s string) (wal.MapMode, error) {
-	switch s {
-	case "auto", "":
-		return wal.MapAuto, nil
-	case "on":
-		return wal.MapOn, nil
-	case "off":
-		return wal.MapOff, nil
-	}
-	return 0, fmt.Errorf("unknown -mmap mode %q (want auto, on or off)", s)
-}
-
-// loadLabelFile publishes the labelling stored in path (Save format over
-// the server's current graph) as a new epoch. When the mmap mode allows
-// it, the labels are served straight out of an mmap of the file instead of
-// a heap copy.
-func loadLabelFile(store *dynhl.Store, path string, mode wal.MapMode) error {
-	if mode.Enabled() {
-		if _, err := store.LoadMappedFile(path); !errors.Is(err, dynhl.ErrNotMappable) {
-			return err
-		}
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return store.Load(f)
 }
 
 // saveLabelFile writes the current snapshot's labelling to path, for the

@@ -306,16 +306,17 @@
 // deliberately skips. That CRC shape is the point: recovery can mmap the
 // checkpoint file, validate everything except the entry arenas — headers,
 // graph, offset tables are fully checked — and attach the entries in place
-// (LoadIndexMapped, MapIndexFile, Store.LoadMappedFile), so boot cost
-// stops scaling with labelling size and entry pages fault in on first
-// use. The copy-in loaders read the same bytes, validating every entry;
-// they treat streams as untrusted and allocate as bytes arrive, never by
-// the sizes a header claims. The WAL tail then replays onto the mapped
-// index directly: repairs never write a chunk's base, so they leave the
-// mapped bytes alone, and the mapping is private (MAP_PRIVATE) anyway. Followers bootstrap
-// the same way by spilling the shipped image to an unlinked temp file
-// (wal.RebuildImageMapped). Stats.MappedBytes reports the region still
-// backing a labelling, next to PackedBytes.
+// (LoadIndexMapped), so boot cost stops scaling with labelling size and
+// entry pages fault in on first use. The copy-in loaders read the same
+// bytes, validating every entry; they treat streams as untrusted and
+// allocate as bytes arrive, never by the sizes a header claims. The WAL
+// tail then replays onto the mapped index directly: repairs never write a
+// chunk's base, so they leave the mapped bytes alone, and the mapping is
+// private (MAP_PRIVATE) anyway. Followers bootstrap the same way by
+// spilling the shipped image to an unlinked temp file (wal.RebuildImage),
+// and Store.LoadFile serves a label file the same way.
+// Stats.MappedBytes reports the region still backing a labelling, next to
+// PackedBytes.
 //
 // The lifecycle rule is reachability, not reference counting: an
 // internal/arena.Mapping is pinned by every index, label table and
@@ -326,13 +327,17 @@
 // pruner deleted minutes ago, and the kernel reclaims the blocks when
 // the mapping drops. Writes put only the labels a batch touched on the
 // heap, and a chunk leaves the mapping whole only when a write lays it out
-// afresh; untouched chunks stay file-backed indefinitely. Everything falls back to the copy-in heap
-// load — identical answers, identical Save bytes — when the platform has
-// no mmap (a build-tagged stub gates syscall use), when the host's Entry
-// layout or a stream's alignment rules out the in-place cast (both
-// reported as the quiet sentinel ErrNotMappable), or when -mmap off
-// (wal.MapOff) asks for it; -mmap auto probes support and is the
-// default.
+// afresh; untouched chunks stay file-backed indefinitely.
+//
+// No option selects the load. One function in internal/wal (for
+// checkpoint files and shipped images) and Store.LoadFile (for label
+// files) map wherever the host can, and decode the copy-in heap load —
+// identical answers, identical Save bytes — when the platform has no mmap
+// (a build-tagged stub gates syscall use), when the mapping itself fails,
+// or when the host's Entry layout or a stream's alignment rules out the
+// in-place cast (reported as the quiet sentinel ErrNotMappable). Any other
+// error means the bytes are damaged: they are rejected once, not decoded a
+// second time.
 //
 // # Replication: WAL shipping to read-scaling followers
 //

@@ -2,8 +2,10 @@ package dynhl
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"os"
 
 	"repro/internal/arena"
 	"repro/internal/fanout"
@@ -211,12 +213,30 @@ func (o *oracle) Verify() error { return o.lab.VerifyCover() }
 // Load is Loader.Load.
 func (o *oracle) Load(r io.Reader) error { return o.adopt(o.lab.read(r)) }
 
-// LoadMappedFile swaps in the labelling saved at path, like Load but
-// serving entries straight out of an mmap of the file. The file must have
-// been saved over the oracle's current graph. ErrNotMappable when this
-// host cannot serve it in place — fall back to Load.
-func (o *oracle) LoadMappedFile(path string) error {
-	return o.adopt(mapFile(path, o.lab.mapped))
+// LoadFile swaps in the labelling saved at path over the oracle's current
+// graph. It is the one place that chooses between the two label loads:
+// where this host can, the entries are served straight out of an mmap of
+// the file (which may then be unlinked), and otherwise — no mmap here, a
+// mapping that fails, or ErrNotMappable — they are decoded onto the heap
+// like Load. The oracle answers and saves the same either way. Any other
+// error means the file is damaged and is returned without a second read.
+func (o *oracle) LoadFile(path string) error {
+	if m, err := arena.MapFile(path); err == nil {
+		n, err := o.lab.mapped(m)
+		if err == nil {
+			return o.adopt(n, nil)
+		}
+		m.Close()
+		if !errors.Is(err, ErrNotMappable) {
+			return err
+		}
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return o.Load(f)
 }
 
 // adopt installs a loaded labelling, carrying over the repair settings.

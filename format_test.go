@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	dynhl "repro"
+	"repro/internal/arena"
 	"repro/internal/testutil"
 	"repro/internal/wal"
 )
@@ -89,21 +90,17 @@ func TestGoldenLabelFiles(t *testing.T) {
 		file   string
 		built  dynhl.Oracle
 		copyIn func(data []byte) (dynhl.Oracle, error)
-		mapped func(path string) (dynhl.Oracle, error)
 	}{
 		{"labels.hcl3", u,
-			func(data []byte) (dynhl.Oracle, error) { return dynhl.LoadIndex(bytes.NewReader(data), u.Graph()) },
-			func(path string) (dynhl.Oracle, error) { return dynhl.MapIndexFile(path, u.Graph()) }},
+			func(data []byte) (dynhl.Oracle, error) { return dynhl.LoadIndex(bytes.NewReader(data), u.Graph()) }},
 		{"labels.dhl2", d,
 			func(data []byte) (dynhl.Oracle, error) {
 				return dynhl.LoadDirectedIndex(bytes.NewReader(data), d.Graph())
-			},
-			func(path string) (dynhl.Oracle, error) { return dynhl.MapDirectedIndexFile(path, d.Graph()) }},
+			}},
 		{"labels.whl2", w,
 			func(data []byte) (dynhl.Oracle, error) {
 				return dynhl.LoadWeightedIndex(bytes.NewReader(data), w.Graph())
-			},
-			func(path string) (dynhl.Oracle, error) { return dynhl.MapWeightedIndexFile(path, w.Graph()) }},
+			}},
 	}
 	for _, c := range cases {
 		t.Run(c.file, func(t *testing.T) {
@@ -121,11 +118,15 @@ func TestGoldenLabelFiles(t *testing.T) {
 				t.Fatalf("copy-in load: %v", err)
 			}
 			loaded["copy-in"] = x
-			if dynhl.MmapSupported() {
-				if loaded["mapped"], err = c.mapped(filepath.Join("testdata", c.file)); err != nil {
-					t.Fatalf("mapped load: %v", err)
-				}
+			// Store.LoadFile maps the file wherever this host can.
+			st := dynhl.NewStore(c.built)
+			if _, err := st.LoadFile(filepath.Join("testdata", c.file)); err != nil {
+				t.Fatalf("file load: %v", err)
 			}
+			if arena.Supported() && st.Stats().MappedBytes == 0 {
+				t.Fatal("file load on a host with mmap reports MappedBytes=0")
+			}
+			loaded["mapped"] = st.Unwrap()
 			for how, x := range loaded {
 				var again bytes.Buffer
 				if err := x.(dynhl.Saver).Save(&again); err != nil {
@@ -144,6 +145,43 @@ func TestGoldenLabelFiles(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLoadFileRejectsDamagedFiles feeds Store.LoadFile a truncated label
+// file, an empty one (which cannot be mapped, so it takes the copy-in
+// read) and a missing one: each must fail and leave the epoch and the
+// served labelling as they were.
+func TestLoadFileRejectsDamagedFiles(t *testing.T) {
+	u, _, _ := goldenOracles(t)
+	st := dynhl.NewStore(u)
+	var before bytes.Buffer
+	if err := st.Save(&before); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	golden := readGolden(t, "labels.hcl3")
+	files := map[string][]byte{"truncated": golden[:len(golden)/2], "empty": nil}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"truncated", "empty", "missing"} {
+		epoch, err := st.LoadFile(filepath.Join(dir, name))
+		if err == nil {
+			t.Fatalf("%s label file accepted", name)
+		}
+		if epoch != 0 || st.Epoch() != 0 {
+			t.Fatalf("%s label file moved the epoch to %d", name, st.Epoch())
+		}
+	}
+	var after bytes.Buffer
+	if err := st.Save(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatal("a rejected label file changed the served labelling")
 	}
 }
 
@@ -177,34 +215,46 @@ func TestGoldenCheckpoint(t *testing.T) {
 	if !bytes.Equal(written, golden) {
 		t.Fatalf("checkpoint writer output (%d bytes) differs from the golden file (%d bytes)", len(written), len(golden))
 	}
-	for _, mode := range []wal.MapMode{wal.MapOff, wal.MapAuto} {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, name), golden, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		d, err := wal.Recover(dir, wal.Options{Mmap: mode, Logf: t.Logf})
-		if err != nil {
-			t.Fatalf("mode %d: %v", mode, err)
-		}
-		st := d.Store()
-		if st.Epoch() != want.Epoch() {
-			t.Fatalf("mode %d: recovered epoch %d, want %d", mode, st.Epoch(), want.Epoch())
-		}
-		if mode == wal.MapAuto && dynhl.MmapSupported() && st.Stats().MappedBytes == 0 {
-			t.Fatal("mapped recovery of the golden checkpoint reports MappedBytes=0")
-		}
+	// Recovery maps the checkpoint wherever this host can; the reference
+	// is a copy-in load of the same labelling over a copy of its graph.
+	copyIn, err := dynhl.LoadIndex(bytes.NewReader(wantLabels.Bytes()), want.Unwrap().(*dynhl.Index).Graph().Fork())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, name), golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err = wal.Recover(dir, wal.Options{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	st := d.Store()
+	if st.Epoch() != want.Epoch() {
+		t.Fatalf("recovered epoch %d, want %d", st.Epoch(), want.Epoch())
+	}
+	if arena.Supported() && st.Stats().MappedBytes == 0 {
+		t.Fatal("recovery of the golden checkpoint on a host with mmap reports MappedBytes=0")
+	}
+	for how, x := range map[string]dynhl.Saver{"copy-in": copyIn, "recovered": st} {
 		var got bytes.Buffer
-		if err := st.Save(&got); err != nil {
+		if err := x.Save(&got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), wantLabels.Bytes()) {
-			t.Fatalf("mode %d: recovered labelling differs from the rebuilt one", mode)
+			t.Fatalf("%s labelling differs from the rebuilt one", how)
 		}
-		if err := st.Verify(); err != nil {
-			t.Fatal(err)
+	}
+	n := uint32(st.NumVertices())
+	for a := uint32(0); a < n; a += 7 {
+		for b := uint32(1); b < n; b += 11 {
+			if got, want := st.Query(a, b), copyIn.Query(a, b); got != want {
+				t.Fatalf("Query(%d,%d): recovered %d, copy-in %d", a, b, got, want)
+			}
 		}
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := st.Verify(); err != nil {
+		t.Fatal(err)
 	}
 }

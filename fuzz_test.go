@@ -242,21 +242,23 @@ func FuzzDeleteMatchesBuild(f *testing.F) {
 			if err != nil {
 				t.Fatalf("weighted op %d on (%d,%d): %v", i/2, a, b, err)
 			}
-			fu, err := BuildWithLandmarks(ug.Clone(), lms, Options{})
+			// A build only reads its graph, and each fresh index is
+			// dropped before the next op, so no graph copy is needed.
+			fu, err := BuildWithLandmarks(ug, lms, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := u.core.EqualLabels(fu.core); err != nil {
 				t.Fatalf("undirected, after op %d on (%d,%d): %v", i/2, a, b, err)
 			}
-			fd, err := BuildDirectedWithLandmarks(dg.Clone(), lms, Options{})
+			fd, err := BuildDirectedWithLandmarks(dg, lms, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := d.core.EqualLabels(fd.core); err != nil {
 				t.Fatalf("directed, after op %d on %d→%d: %v", i/2, a, b, err)
 			}
-			fw, err := BuildWeightedWithLandmarks(wg.Clone(), lms, Options{})
+			fw, err := BuildWeightedWithLandmarks(wg, lms, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -22,10 +22,11 @@
 //	POST   /vertices           {"neighbors":[..]} or {"arcs":[{"to":T,"w":W,
 //	                           "in":B},..]} — insert a vertex
 //	DELETE /vertices?v=V       disconnect a vertex (all incident edges)
-//	GET    /labels             download the labelling (binary stream; 501
-//	                           when the variant cannot serialise)
+//	GET    /labels             download the labelling (binary stream; 500
+//	                           when writing it fails)
 //	PUT    /labels             replace the labelling from a stream saved
-//	                           over the same graph (501 when unsupported)
+//	                           over the same graph (400 when the stream is
+//	                           rejected, 413 beyond the labelling size cap)
 //	GET    /stats              index size statistics, current epoch, and —
 //	                           on a durable server — the WAL counters; on a
 //	                           replicated one, role and lag
@@ -448,11 +449,34 @@ type edgeRequest struct {
 	W dynhl.Dist `json:"w"` // optional; 0 means 1, >1 only on weighted oracles
 }
 
-// edgeResponse reports what the insertion did.
+// edgeResponse reports what an edge insertion or deletion, or a vertex
+// deletion, did.
 type edgeResponse struct {
 	Affected       int `json:"affected"`
 	EntriesAdded   int `json:"entries_added"`
 	EntriesRemoved int `json:"entries_removed"`
+}
+
+func edgeResult(sum dynhl.UpdateSummary) edgeResponse {
+	return edgeResponse{Affected: sum.Affected, EntriesAdded: sum.EntriesAdded, EntriesRemoved: sum.EntriesRemoved}
+}
+
+// applyOne publishes op as a batch of its own — the write path of the
+// single-op endpoints — and tags the epoch. When it reports false it has
+// already answered: 503 on a replica, or the status applyError maps the
+// failure to.
+func (s *Server) applyOne(w http.ResponseWriter, r *http.Request, op dynhl.Op) (dynhl.UpdateSummary, bool) {
+	st, ok := s.writeStore(w)
+	if !ok {
+		return dynhl.UpdateSummary{}, false
+	}
+	res, err := st.ApplyCtx(r.Context(), []dynhl.Op{op})
+	tagEpoch(w, res.Epoch)
+	if err != nil {
+		applyError(w, err)
+		return dynhl.UpdateSummary{}, false
+	}
+	return res.Summaries[0], true
 }
 
 func (s *Server) insertEdge(w http.ResponseWriter, r *http.Request) {
@@ -460,21 +484,9 @@ func (s *Server) insertEdge(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	st, ok := s.writeStore(w)
-	if !ok {
-		return
+	if sum, ok := s.applyOne(w, r, dynhl.InsertEdgeOp(req.U, req.V, req.W)); ok {
+		writeJSON(w, http.StatusOK, edgeResult(sum))
 	}
-	res, err := st.ApplyCtx(r.Context(), []dynhl.Op{dynhl.InsertEdgeOp(req.U, req.V, req.W)})
-	tagEpoch(w, res.Epoch)
-	if err != nil {
-		applyError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, edgeResponse{
-		Affected:       res.Summaries[0].Affected,
-		EntriesAdded:   res.Summaries[0].EntriesAdded,
-		EntriesRemoved: res.Summaries[0].EntriesRemoved,
-	})
 }
 
 // deleteEdge serves DELETE /edges?u=U&v=V: the edge is removed and the
@@ -490,21 +502,9 @@ func (s *Server) deleteEdge(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	st, ok := s.writeStore(w)
-	if !ok {
-		return
+	if sum, ok := s.applyOne(w, r, dynhl.DeleteEdgeOp(u, v)); ok {
+		writeJSON(w, http.StatusOK, edgeResult(sum))
 	}
-	res, err := st.ApplyCtx(r.Context(), []dynhl.Op{dynhl.DeleteEdgeOp(u, v)})
-	tagEpoch(w, res.Epoch)
-	if err != nil {
-		applyError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, edgeResponse{
-		Affected:       res.Summaries[0].Affected,
-		EntriesAdded:   res.Summaries[0].EntriesAdded,
-		EntriesRemoved: res.Summaries[0].EntriesRemoved,
-	})
 }
 
 // deleteVertex serves DELETE /vertices?v=V: every incident edge of v is
@@ -515,21 +515,9 @@ func (s *Server) deleteVertex(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	st, ok := s.writeStore(w)
-	if !ok {
-		return
+	if sum, ok := s.applyOne(w, r, dynhl.DeleteVertexOp(v)); ok {
+		writeJSON(w, http.StatusOK, edgeResult(sum))
 	}
-	res, err := st.ApplyCtx(r.Context(), []dynhl.Op{dynhl.DeleteVertexOp(v)})
-	tagEpoch(w, res.Epoch)
-	if err != nil {
-		applyError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, edgeResponse{
-		Affected:       res.Summaries[0].Affected,
-		EntriesAdded:   res.Summaries[0].EntriesAdded,
-		EntriesRemoved: res.Summaries[0].EntriesRemoved,
-	})
 }
 
 type vertexRequest struct {
@@ -549,18 +537,10 @@ func (s *Server) insertVertex(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	st, ok := s.writeStore(w)
-	if !ok {
-		return
-	}
 	arcs := append(dynhl.Arcs(req.Neighbors...), req.Arcs...)
-	res, err := st.ApplyCtx(r.Context(), []dynhl.Op{dynhl.InsertVertexOp(arcs...)})
-	tagEpoch(w, res.Epoch)
-	if err != nil {
-		applyError(w, err)
-		return
+	if sum, ok := s.applyOne(w, r, dynhl.InsertVertexOp(arcs...)); ok {
+		writeJSON(w, http.StatusOK, vertexResponse{ID: *sum.NewVertex, Affected: sum.Affected})
 	}
-	writeJSON(w, http.StatusOK, vertexResponse{ID: *res.Summaries[0].NewVertex, Affected: res.Summaries[0].Affected})
 }
 
 // saveLabels serves GET /labels: one snapshot's labelling as a binary
@@ -751,8 +731,6 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) boo
 	return true
 }
 
-// updateError maps a mutation failure onto a status code through the dynhl
-// sentinel errors.
 // applyError maps write-path failures: a request context cancelled while
 // the batch was still queued gets 499 ("client closed request"), exactly
 // as batch reads already do; everything else is an update error.
@@ -764,6 +742,8 @@ func applyError(w http.ResponseWriter, err error) {
 	updateError(w, err)
 }
 
+// updateError maps a mutation failure onto a status code through the dynhl
+// sentinel errors.
 func updateError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, dynhl.ErrNoSuchVertex), errors.Is(err, dynhl.ErrNoSuchEdge):

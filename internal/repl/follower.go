@@ -281,7 +281,7 @@ func (f *Follower) apply(conn net.Conn, queue <-chan item) error {
 // epoch to acknowledge.
 func (f *Follower) applyOne(it item) (ack uint64, send bool, err error) {
 	if it.img != nil {
-		idx, epoch, err := wal.RebuildImageMapped(it.img, f.opts.Mmap)
+		idx, epoch, err := wal.RebuildImage(it.img)
 		if err != nil {
 			return 0, false, fmt.Errorf("repl: shipped checkpoint image: %w", err)
 		}

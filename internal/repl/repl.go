@@ -10,8 +10,9 @@
 // verbatim), catch-up is the log tail (wal.TailReader), and live streaming
 // is the commit subscription (wal.SubscribeCommits) — replication adds no
 // second write path and no second serialisation format. A follower
-// bootstraps through the same wal.RebuildImage/dynhl.LoadIndex route a
-// crash recovery takes, then replays shipped batches through
+// bootstraps through wal.RebuildImage, the checkpoint load a crash
+// recovery takes (mapped where the host can, copied in otherwise), then
+// replays shipped batches through
 // Store.ApplyCtx; because epochs advance by exactly one per publish on
 // both sides, leader and follower publish identical epoch numbers for
 // identical states.
@@ -50,8 +51,6 @@ import (
 	"log"
 	"net"
 	"time"
-
-	"repro/internal/wal"
 )
 
 // Frame types. Values are part of the wire protocol.
@@ -90,12 +89,6 @@ type Options struct {
 	// Logf receives connection lifecycle and failure messages
 	// (default log.Printf).
 	Logf func(format string, args ...any)
-	// Mmap selects how the follower attaches a shipped checkpoint image:
-	// under wal.MapAuto (the zero value) and wal.MapOn the image is
-	// spilled to an unlinked temp file and the labels served out of an
-	// mmap of it, so bootstrap does not hold a heap copy of the entries;
-	// wal.MapOff decodes to the heap. Leader side ignores it.
-	Mmap wal.MapMode
 	// RepairWorkers bounds the per-landmark fan-out of the follower's
 	// replay repairs (0 = GOMAXPROCS, 1 = serial; see
 	// dynhl.Options.RepairWorkers). Leader side ignores it.

@@ -244,7 +244,7 @@ func writeImage(f *os.File, epoch uint64, src checkpointable) error {
 
 // ckptState is a decoded checkpoint, ready to rebuild an oracle. Its
 // sections alias the decoded image; labelsOff is where the labelling
-// stream starts within it, which lets a mapped boot hand the labelling's
+// stream starts within it, which lets a mapped load hand the labelling's
 // file offset to dynhl.LoadIndexMapped instead of decoding st.labels.
 type ckptState struct {
 	epoch     uint64
@@ -252,15 +252,6 @@ type ckptState struct {
 	graph     []byte
 	labels    []byte
 	labelsOff int64
-}
-
-// readCheckpoint validates and decodes one checkpoint file.
-func readCheckpoint(path string) (ckptState, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return ckptState{}, err
-	}
-	return decodeCheckpoint(data, path)
 }
 
 // decodeCheckpoint validates and decodes a checkpoint image, whether read

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	dynhl "repro"
-	"repro/internal/arena"
 )
 
 // Options configures a Durable.
@@ -31,38 +30,6 @@ type Options struct {
 	// Logf receives recovery warnings and background-checkpoint failures
 	// (default log.Printf).
 	Logf func(format string, args ...any)
-	// Mmap selects how recovery attaches the checkpoint labelling: MapAuto
-	// (the zero value) serves checkpoints out of an mmap on platforms that
-	// support it, MapOn insists on trying even where unsupported (the
-	// attempt fails and recovery falls back, with a warning), MapOff always
-	// decodes a heap copy. Only the load path is affected — the checkpoint
-	// format is the same either way.
-	Mmap MapMode
-}
-
-// MapMode is the Options.Mmap policy for mmap-served checkpoint boots.
-type MapMode int
-
-const (
-	// MapAuto mmaps checkpoints where the platform supports it.
-	MapAuto MapMode = iota
-	// MapOn attempts the mapped boot unconditionally.
-	MapOn
-	// MapOff always takes the copy-in load.
-	MapOff
-)
-
-// Enabled reports whether this mode wants the mapped paths attempted
-// (how commands resolve their -mmap flag against the platform).
-func (m MapMode) Enabled() bool {
-	switch m {
-	case MapOn:
-		return true
-	case MapOff:
-		return false
-	default:
-		return arena.Supported()
-	}
 }
 
 func (o Options) withDefaults() Options {

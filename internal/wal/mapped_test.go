@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -27,7 +29,7 @@ func samplePairs(n int) []dynhl.Pair {
 }
 
 // newestCheckpoint returns the path of dir's newest checkpoint file.
-func newestCheckpoint(t *testing.T, dir string) string {
+func newestCheckpoint(t testing.TB, dir string) string {
 	t.Helper()
 	cks, err := listCheckpoints(dir)
 	if err != nil || len(cks) == 0 {
@@ -55,11 +57,7 @@ func TestCheckpointV2RoundTrip(t *testing.T) {
 	if string(data[:len(ckptMagic)]) != ckptMagic {
 		t.Fatalf("checkpoint magic %q, want %q", data[:len(ckptMagic)], ckptMagic)
 	}
-	st, err := decodeCheckpoint(data, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := rebuildIndex(st)
+	back, _, err := copyIn(data, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,33 +160,25 @@ func TestRecoverMappedMatchesCopyIn(t *testing.T) {
 	dirCopy := t.TempDir()
 	copyTree(t, dir, dirCopy)
 
-	mappedOpts := quietOpts(t)
-	mappedOpts.Mmap = MapOn
-	dm, err := Recover(dir, mappedOpts)
+	dm, err := Recover(dir, quietOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dm.Close()
-	copyOpts := quietOpts(t)
-	copyOpts.Mmap = MapOff
-	dc, err := Recover(dirCopy, copyOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dc.Close()
+	sc := recoverCopyIn(t, dirCopy)
 
-	if got, want := dm.Store().Epoch(), dc.Store().Epoch(); got != want {
+	if got, want := dm.Store().Epoch(), sc.Epoch(); got != want {
 		t.Fatalf("mapped recovery at epoch %d, copy-in at %d", got, want)
 	}
 	if mb := dm.Store().Stats().MappedBytes; mb == 0 {
 		t.Fatal("mapped recovery reports MappedBytes=0")
 	}
-	if mb := dc.Store().Stats().MappedBytes; mb != 0 {
+	if mb := sc.Stats().MappedBytes; mb != 0 {
 		t.Fatalf("copy-in recovery reports MappedBytes=%d, want 0", mb)
 	}
 	n := dm.Store().NumVertices()
 	for _, p := range samplePairs(n) {
-		if got, want := dm.Store().Query(p.U, p.V), dc.Store().Query(p.U, p.V); got != want {
+		if got, want := dm.Store().Query(p.U, p.V), sc.Query(p.U, p.V); got != want {
 			t.Fatalf("Query(%d,%d): mapped %d, copy-in %d", p.U, p.V, got, want)
 		}
 	}
@@ -196,7 +186,7 @@ func TestRecoverMappedMatchesCopyIn(t *testing.T) {
 	if err := dm.Store().Save(&bm); err != nil {
 		t.Fatal(err)
 	}
-	if err := dc.Store().Save(&bc); err != nil {
+	if err := sc.Save(&bc); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(bm.Bytes(), bc.Bytes()) {
@@ -226,21 +216,12 @@ func TestMappedDifferentialUnderChurn(t *testing.T) {
 	dirCopy := t.TempDir()
 	copyTree(t, dir, dirCopy)
 
-	mappedOpts := quietOpts(t)
-	mappedOpts.Mmap = MapOn
-	dm, err := Recover(dir, mappedOpts)
+	dm, err := Recover(dir, quietOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dm.Close()
-	copyOpts := quietOpts(t)
-	copyOpts.Mmap = MapOff
-	dc, err := Recover(dirCopy, copyOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dc.Close()
-	sm, sc := dm.Store(), dc.Store()
+	sm, sc := dm.Store(), recoverCopyIn(t, dirCopy)
 	if sm.Stats().MappedBytes == 0 {
 		t.Fatal("mapped store reports MappedBytes=0")
 	}
@@ -319,7 +300,6 @@ func TestMappedViewOutlivesCheckpointPruning(t *testing.T) {
 	}
 
 	opts := quietOpts(t)
-	opts.Mmap = MapOn
 	d, err = Recover(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -380,11 +360,11 @@ func TestMappedViewOutlivesCheckpointPruning(t *testing.T) {
 	}
 }
 
-// TestRebuildImageMapped pins the follower bootstrap path: rebuilding a
-// shipped v2 image under MapAuto serves the labels from an unlinked temp
-// spill, answers identically to the copy-in rebuild, and MapOff still
-// takes the heap route.
-func TestRebuildImageMapped(t *testing.T) {
+// TestRebuildImageMatchesCopyIn pins the follower bootstrap path:
+// rebuilding a shipped image serves the labels from an unlinked temp spill
+// where the host can map, and answers and serialises exactly like the
+// copy-in decode of the same image.
+func TestRebuildImageMatchesCopyIn(t *testing.T) {
 	dir := t.TempDir()
 	idx := buildIndex(t, 60, 7)
 	d, err := Create(dir, idx, quietOpts(t))
@@ -397,45 +377,158 @@ func TestRebuildImageMapped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plain, epochP, err := RebuildImage(img)
+	plain, epochP, err := copyIn(img, "checkpoint image")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapped, epochM, err := RebuildImageMapped(img, MapAuto)
+	mapped, epochM, err := RebuildImage(img)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if epochP != epochM {
 		t.Fatalf("epochs differ: %d vs %d", epochP, epochM)
 	}
+	if plain.Stats().MappedBytes != 0 {
+		t.Fatalf("copy-in rebuild reports MappedBytes=%d", plain.Stats().MappedBytes)
+	}
 	if arena.Supported() {
 		if mapped.Stats().MappedBytes == 0 {
-			t.Fatal("MapAuto rebuild on a supported platform reports MappedBytes=0")
+			t.Fatal("rebuild on a supported platform reports MappedBytes=0")
 		}
 	} else if mapped.Stats().MappedBytes != 0 {
-		t.Fatal("MapAuto rebuild on an unsupported platform must fall back")
+		t.Fatal("rebuild on an unsupported platform must fall back")
 	}
 	for _, p := range samplePairs(60) {
 		if got, want := mapped.Query(p.U, p.V), plain.Query(p.U, p.V); got != want {
 			t.Fatalf("Query(%d,%d): mapped %d, plain %d", p.U, p.V, got, want)
 		}
 	}
-	off, _, err := RebuildImageMapped(img, MapOff)
-	if err != nil {
+	var bm, bp bytes.Buffer
+	if err := mapped.Save(&bm); err != nil {
 		t.Fatal(err)
 	}
-	if off.Stats().MappedBytes != 0 {
-		t.Fatalf("MapOff rebuild reports MappedBytes=%d", off.Stats().MappedBytes)
+	if err := plain.Save(&bp); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bm.Bytes(), bp.Bytes()) {
+		t.Fatal("mapped and copy-in rebuilds serialise differently")
 	}
 
 	// Errors still surface: a corrupted image is rejected, not mapped.
 	bad := append([]byte(nil), img...)
 	bad[20] ^= 0xff
-	_, _, err = RebuildImageMapped(bad, MapAuto)
+	_, _, err = RebuildImage(bad)
 	if err == nil {
 		t.Fatal("corrupted image accepted")
 	}
 	if errors.Is(err, dynhl.ErrNotMappable) {
 		t.Fatal("corruption must not masquerade as not-mappable")
+	}
+}
+
+// recoverCopyIn is Recover with the labelling decoded onto the heap: the
+// newest checkpoint in dir through copyIn, then the log tail replayed onto
+// it. It is the reference a mapped recovery is compared against.
+func recoverCopyIn(t *testing.T, dir string) *dynhl.Store {
+	t.Helper()
+	path := newestCheckpoint(t, dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, epoch, err := copyIn(data, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, _, err := replay(idx, walDir(dir), epoch, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dynhl.NewStoreAt(idx, last)
+}
+
+// TestGoldenCheckpointCopyIn loads the golden checkpoint file written by an
+// earlier release (the root package's testdata, which also pins the
+// writer) both ways: the copy-in decode and the load Recover takes must
+// agree on the epoch, every sampled distance and the serialised labelling.
+func TestGoldenCheckpointCopyIn(t *testing.T) {
+	path := filepath.Join("..", "..", "testdata", "checkpoint-00000000000000000003.ckpt")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, epochP, err := copyIn(data, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, epochL, err := openCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if epochP != 3 || epochL != 3 {
+		t.Fatalf("epochs %d (copy-in) and %d (loaded), want 3", epochP, epochL)
+	}
+	if arena.Supported() && loaded.Stats().MappedBytes == 0 {
+		t.Fatal("golden checkpoint load on a host with mmap reports MappedBytes=0")
+	}
+	for _, p := range samplePairs(plain.NumVertices()) {
+		if got, want := loaded.Query(p.U, p.V), plain.Query(p.U, p.V); got != want {
+			t.Fatalf("Query(%d,%d): loaded %d, copy-in %d", p.U, p.V, got, want)
+		}
+	}
+	var bl, bp bytes.Buffer
+	if err := loaded.Save(&bl); err != nil {
+		t.Fatal(err)
+	}
+	if err := plain.Save(&bp); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bl.Bytes(), bp.Bytes()) {
+		t.Fatal("loaded and copy-in golden checkpoints serialise differently")
+	}
+	if err := plain.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDamagedCheckpointTriedOnce corrupts the newest checkpoint and checks
+// that recovery reports it once, as skipped, and boots from the older
+// one: a damaged image is not decoded a second time by the other load.
+func TestDamagedCheckpointTriedOnce(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Create(dir, buildIndex(t, 40, 8), quietOpts(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertFresh(t, d.Store())
+	if _, err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	d.abandon()
+	path := newestCheckpoint(t, dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(path, data, 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	var lines []string
+	r, err := Recover(dir, Options{Logf: func(format string, args ...any) {
+		if line := fmt.Sprintf(format, args...); strings.Contains(line, path) {
+			lines = append(lines, line)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if len(lines) != 1 || !strings.Contains(lines[0], "skipping damaged checkpoint") {
+		t.Fatalf("recovery logged %q about the damaged checkpoint, want one skip", lines)
+	}
+	if err := r.Store().Verify(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -32,52 +32,20 @@ func Recover(dir string, opts Options) (*Durable, error) {
 	if len(cks) == 0 {
 		return nil, ErrNoState
 	}
-	var st ckptState
 	var idx *dynhl.Index
+	var epoch uint64
 	var ckErr error
 	for _, c := range cks {
-		if opts.Mmap.Enabled() {
-			// The mapped boot serves the checkpoint's label entries
-			// straight out of the page cache — it faults in only the
-			// header, graph and offset pages (the CRC skips the entry
-			// arenas), so boot cost stops scaling with labelling size.
-			// Replay still works: the mapping is private, so in-place
-			// label repairs dirty anonymous copies, never the file.
-			m, err := arena.MapFile(c.path)
-			var mapped *dynhl.Index
-			var epoch uint64
-			if err == nil {
-				mapped, epoch, err = mapCheckpoint(m, c.path)
-			}
-			switch {
-			case err == nil:
-				idx, st.epoch = mapped, epoch
-			case errors.Is(err, dynhl.ErrNotMappable), errors.Is(err, arena.ErrUnsupported):
-				// No mmap here, or a layout this host cannot map: quiet
-				// copy-in.
-			default:
-				opts.Logf("wal: mapped boot of %s failed (%v); falling back to copy-in", c.path, err)
-			}
+		if idx, epoch, ckErr = openCheckpoint(c.path); ckErr == nil {
+			break
 		}
-		if idx == nil {
-			if st, ckErr = readCheckpoint(c.path); ckErr != nil {
-				ckptFallbacksTotal.Add(1)
-				opts.Logf("wal: skipping damaged checkpoint %s: %v", c.path, ckErr)
-				continue
-			}
-		}
-		break
+		ckptFallbacksTotal.Add(1)
+		opts.Logf("wal: skipping damaged checkpoint %s: %v", c.path, ckErr)
 	}
-	if idx == nil && st.graph == nil {
+	if idx == nil {
 		return nil, fmt.Errorf("wal: no usable checkpoint in %s (newest error: %w)", dir, ckErr)
 	}
-
-	if idx == nil {
-		if idx, err = rebuildIndex(st); err != nil {
-			return nil, err
-		}
-	}
-	last, replayed, err := replay(idx, walDir(dir), st.epoch, opts.Logf)
+	last, replayed, err := replay(idx, walDir(dir), epoch, opts.Logf)
 	if err != nil {
 		return nil, err
 	}
@@ -88,48 +56,77 @@ func Recover(dir string, opts Options) (*Durable, error) {
 	recoveriesTotal.Add(1)
 	replayedTotal.Add(replayed)
 	store := dynhl.NewStoreAt(idx, last)
-	return attach(dir, store, st.epoch, replayed, opts)
+	return attach(dir, store, epoch, replayed, opts)
 }
 
-// rebuildIndex reconstructs the oracle a checkpoint captured: the graph
-// from its binary edge array, then the labelling attached to it — no
-// landmark searches, no label construction.
-func rebuildIndex(st ckptState) (*dynhl.Index, error) {
-	g, err := decodeGraphSection(st.graph, st.vertices)
-	if err != nil {
-		return nil, err
-	}
-	idx, err := dynhl.LoadIndex(bytes.NewReader(st.labels), g)
-	if err != nil {
-		return nil, fmt.Errorf("wal: checkpoint labelling: %w", err)
-	}
-	return idx, nil
+// openCheckpoint loads the checkpoint file at path into the oracle it
+// captured and the epoch it was taken at (see loadImage).
+func openCheckpoint(path string) (*dynhl.Index, uint64, error) {
+	return loadImage(path,
+		func() (*arena.Mapping, error) { return arena.MapFile(path) },
+		func() ([]byte, error) { return os.ReadFile(path) })
 }
 
-// mapCheckpoint is the zero-copy variant of decodeCheckpoint+rebuildIndex
-// over the mapping m of a checkpoint, named name in errors: it attaches
-// the labelling in place. The graph is still decoded to the heap (it is
-// mutated by every update; the labels are the bulk of the state). m is
-// closed on any error, dynhl.ErrNotMappable among them when this host
-// cannot serve the labelling in place; otherwise it is owned by the
-// returned index and unmapped by the garbage collector once no snapshot
-// aliases it — checkpoint pruning only ever unlinks files, so a pruned
-// checkpoint's pages stay valid for as long as anything still reads them.
-func mapCheckpoint(m *arena.Mapping, name string) (*dynhl.Index, uint64, error) {
-	st, err := decodeCheckpoint(m.Data(), name)
-	var g *dynhl.Graph
-	if err == nil {
-		g, err = decodeGraphSection(st.graph, st.vertices)
-	}
-	var idx *dynhl.Index
-	if err == nil {
-		if idx, err = dynhl.LoadIndexMapped(m, st.labelsOff, g); err != nil {
-			err = fmt.Errorf("wal: checkpoint labelling: %w", err)
+// loadImage turns a checkpoint image, named name in errors, into the
+// oracle it captured and the epoch it was taken at. It is the one place
+// that chooses between the two loads. Where mapImage can map the image and
+// the labelling's layout suits this host, the entries are served straight
+// out of the mapping: only the header, graph and offset pages are faulted
+// in (the CRC skips the entry arenas), so boot cost stops scaling with
+// labelling size, and the mapping is private, so replayed repairs never
+// write the file. Otherwise — no mmap on this platform, a mapping that
+// fails, or dynhl.ErrNotMappable — readImage's bytes are decoded onto the
+// heap (copyIn). Any other error means the image is damaged; it is
+// returned at once, not decoded a second time.
+//
+// A mapping is owned by the returned index and unmapped by the garbage
+// collector once no snapshot aliases it: checkpoint pruning only ever
+// unlinks files, so a pruned checkpoint's pages stay valid for as long as
+// anything still reads them.
+func loadImage(name string, mapImage func() (*arena.Mapping, error), readImage func() ([]byte, error)) (*dynhl.Index, uint64, error) {
+	if m, err := mapImage(); err == nil {
+		idx, epoch, err := decodeImage(m.Data(), name, func(st ckptState, g *dynhl.Graph) (*dynhl.Index, error) {
+			return dynhl.LoadIndexMapped(m, st.labelsOff, g)
+		})
+		if err == nil {
+			return idx, epoch, nil
+		}
+		m.Close()
+		if !errors.Is(err, dynhl.ErrNotMappable) {
+			return nil, 0, err
 		}
 	}
+	data, err := readImage()
 	if err != nil {
-		m.Close()
 		return nil, 0, err
+	}
+	return copyIn(data, name)
+}
+
+// copyIn decodes a checkpoint image onto the heap, validating every label
+// entry: the only load on a host without mmap, and the reference the
+// mapped load is tested against.
+func copyIn(data []byte, name string) (*dynhl.Index, uint64, error) {
+	return decodeImage(data, name, func(st ckptState, g *dynhl.Graph) (*dynhl.Index, error) {
+		return dynhl.LoadIndex(bytes.NewReader(st.labels), g)
+	})
+}
+
+// decodeImage validates a checkpoint image, decodes its graph onto the
+// heap (every update mutates it; the labels are the bulk of the state) and
+// attaches the labelling with labels.
+func decodeImage(data []byte, name string, labels func(ckptState, *dynhl.Graph) (*dynhl.Index, error)) (*dynhl.Index, uint64, error) {
+	st, err := decodeCheckpoint(data, name)
+	if err != nil {
+		return nil, 0, err
+	}
+	g, err := decodeGraphSection(st.graph, st.vertices)
+	if err != nil {
+		return nil, 0, err
+	}
+	idx, err := labels(st, g)
+	if err != nil {
+		return nil, 0, fmt.Errorf("wal: checkpoint labelling: %w", err)
 	}
 	return idx, st.epoch, nil
 }

@@ -236,36 +236,13 @@ func (d *Durable) CheckpointImage() (uint64, []byte, error) {
 // RebuildImage decodes a checkpoint image (the bytes of a checkpoint file,
 // as shipped by CheckpointImage) back into the oracle it captured and the
 // epoch it was taken at — the follower side of a replication bootstrap.
+// Where the host can, the image is spilled to an unlinked temp file and
+// the labels are served out of a mapping of it, so a follower keeps one
+// file-backed copy of the entries instead of a heap copy next to the
+// received buffer; otherwise they are decoded onto the heap. The oracle
+// answers the same either way.
 func RebuildImage(data []byte) (*dynhl.Index, uint64, error) {
-	st, err := decodeCheckpoint(data, "checkpoint image")
-	if err != nil {
-		return nil, 0, err
-	}
-	idx, err := rebuildIndex(st)
-	if err != nil {
-		return nil, 0, err
-	}
-	return idx, st.epoch, nil
-}
-
-// RebuildImageMapped is RebuildImage serving the labels zero-copy: the
-// image is spilled to an unlinked temp file, mmap'd, and the labelling
-// attached in place, so a follower bootstrapping from a large shipped
-// checkpoint keeps one file-backed copy of the entries instead of a heap
-// copy next to the received buffer. Falls back to RebuildImage whenever
-// mode declines or mapping fails — the result is the same oracle either
-// way.
-func RebuildImageMapped(data []byte, mode MapMode) (*dynhl.Index, uint64, error) {
-	if !mode.Enabled() {
-		return RebuildImage(data)
-	}
-	m, err := arena.MapBytes(data)
-	if err != nil {
-		return RebuildImage(data)
-	}
-	idx, epoch, err := mapCheckpoint(m, "checkpoint image")
-	if errors.Is(err, dynhl.ErrNotMappable) {
-		return RebuildImage(data)
-	}
-	return idx, epoch, err
+	return loadImage("checkpoint image",
+		func() (*arena.Mapping, error) { return arena.MapBytes(data) },
+		func() ([]byte, error) { return data, nil })
 }

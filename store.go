@@ -596,15 +596,15 @@ func (s *Store) LoadEpoch(r io.Reader) (uint64, error) {
 	return s.publishLoaded(func(o *oracle) error { return o.Load(r) })
 }
 
-// LoadMappedFile publishes a snapshot whose labelling is served straight
-// out of an mmap of the label file at path, bumping the epoch like Load.
-// The mapping stays alive for as long as any published snapshot may alias
-// its entries and is unmapped by the garbage collector after the last such
-// snapshot is released; the file may be unlinked while mapped.
-// ErrNotMappable when this host cannot serve the file in place — fall back
-// to Load.
-func (s *Store) LoadMappedFile(path string) (uint64, error) {
-	return s.publishLoaded(func(o *oracle) error { return o.LoadMappedFile(path) })
+// LoadFile publishes a snapshot whose labelling is the label file at path,
+// bumping the epoch like Load. Where this host can, the entries are served
+// straight out of an mmap of the file, so boot cost stops scaling with
+// labelling size; the mapping stays alive for as long as any published
+// snapshot may alias its entries and is unmapped by the garbage collector
+// after the last such snapshot is released, and the file may be unlinked
+// while mapped. Otherwise the file is decoded onto the heap like Load.
+func (s *Store) LoadFile(path string) (uint64, error) {
+	return s.publishLoaded(func(o *oracle) error { return o.LoadFile(path) })
 }
 
 // publishLoaded swaps a labelling into a fork of the current snapshot with
