@@ -59,7 +59,8 @@
 // Checkpoints, -load-labels files and a follower's shipped image are
 // served straight out of an mmap wherever the host can map them, so boot
 // cost stops scaling with labelling size — entries page in on first touch;
-// elsewhere they are decoded onto the heap, with the same answers.
+// elsewhere they are read onto the heap and attached there, with the same
+// answers.
 // MappedBytes in /stats and mapped_bytes in /healthz report the mapped
 // region.
 //

@@ -47,12 +47,8 @@ func (x directed) incident(v uint32) [][2]uint32 { return edgesAt(v, x.G.Out(v),
 
 func (x directed) fork() oracle { return newDirected(x.Fork(x.G.Fork())) }
 
-func (x directed) read(r io.Reader) (oracle, error) {
-	return loaded(newDirected)(dhcl.ReadIndex(r, x.G))
-}
-
-func (x directed) mapped(m *arena.Mapping) (oracle, error) {
-	return loaded(newDirected)(dhcl.ReadIndexMapped(m, 0, x.G))
+func (x directed) attach(data []byte, m *arena.Mapping) (oracle, error) {
+	return loaded(newDirected)(dhcl.AttachIndex(data, m, x.G))
 }
 
 func (directed) wrap(o oracle) variant { return &DirectedIndex{o} }

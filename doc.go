@@ -306,17 +306,26 @@
 // deliberately skips. That CRC shape is the point: recovery can mmap the
 // checkpoint file, validate everything except the entry arenas — headers,
 // graph, offset tables are fully checked — and attach the entries in place
-// (LoadIndexMapped), so boot cost stops scaling with labelling size and
-// entry pages fault in on first use. The copy-in loaders read the same
-// bytes, validating every entry; they treat streams as untrusted and
-// allocate as bytes arrive, never by the sizes a header claims. The WAL
-// tail then replays onto the mapped index directly: repairs never write a
-// chunk's base, so they leave the mapped bytes alone, and the mapping is
-// private (MAP_PRIVATE) anyway. Followers bootstrap the same way by
-// spilling the shipped image to an unlinked temp file (wal.RebuildImage),
-// and Store.LoadFile serves a label file the same way.
-// Stats.MappedBytes reports the region still backing a labelling, next to
-// PackedBytes.
+// (AttachIndex), so boot cost stops scaling with labelling size and
+// entry pages fault in on first use. The WAL tail then replays onto the
+// mapped index directly: repairs never write a chunk's base, so they leave
+// the mapped bytes alone, and the mapping is private (MAP_PRIVATE) anyway.
+// Followers bootstrap the same way by spilling the shipped image to an
+// unlinked temp file (wal.RebuildImage), and Store.LoadFile serves a label
+// file the same way. Stats.MappedBytes reports the region still backing a
+// labelling, next to PackedBytes.
+//
+// There is one label decoder (internal/hcl AttachCore), and it attaches
+// bytes in place whichever of two places they come from. From a mapping,
+// the labelling pins it and the entries are served unread. From the heap —
+// LoadIndex, Load and PUT /labels read their input to the end first, and a
+// host that cannot map a file reads it whole — the labelling aliases the
+// bytes without ever writing them, and every label's ranks are checked,
+// since such bytes may be untrusted. The decoder treats every stream as
+// untrusted in its structure and allocates only for bytes that are there,
+// never by the sizes a header claims. Where the host's entry layout
+// differs from the wire layout or a block lands misaligned, it decodes
+// that block into fresh memory itself; callers never see the difference.
 //
 // The lifecycle rule is reachability, not reference counting: an
 // internal/arena.Mapping is pinned by every index, label table and
@@ -331,13 +340,12 @@
 //
 // No option selects the load. One function in internal/wal (for
 // checkpoint files and shipped images) and Store.LoadFile (for label
-// files) map wherever the host can, and decode the copy-in heap load —
-// identical answers, identical Save bytes — when the platform has no mmap
-// (a build-tagged stub gates syscall use), when the mapping itself fails,
-// or when the host's Entry layout or a stream's alignment rules out the
-// in-place cast (reported as the quiet sentinel ErrNotMappable). Any other
-// error means the bytes are damaged: they are rejected once, not decoded a
-// second time.
+// files) map wherever the host can, and read the bytes onto the heap and
+// make the same attach call — identical answers, identical Save bytes —
+// only when the file cannot be mapped at all: the platform has no mmap (a
+// build-tagged stub gates syscall use) or the mapping itself fails. An
+// attach error means the bytes are damaged: they are rejected once, not
+// decoded a second time.
 //
 // # Replication: WAL shipping to read-scaling followers
 //

@@ -2,7 +2,6 @@ package dynhl
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -91,8 +90,8 @@ type oracle struct {
 // labels is what the variants' label indexes do differently: the query
 // search, the cover audit and the edge deletion (methods of
 // inchl.Updater, dhcl.Index and whcl.Index), the edge insertion with its
-// weight, the edges at a vertex, the fork, the copy-in and mapped loads,
-// and the wrapping of an oracle in the variant's exported type.
+// weight, the edges at a vertex, the fork, the load, and the wrapping of
+// an oracle in the variant's exported type.
 type labels interface {
 	Query(u, v uint32) Dist
 	VerifyCover() error
@@ -103,10 +102,10 @@ type labels interface {
 	// fork returns the oracle of a copy-on-write copy of the labelling
 	// and its graph.
 	fork() oracle
-	// read and mapped load a labelling saved over the same graph, copied
-	// in from r or served from m.
-	read(r io.Reader) (oracle, error)
-	mapped(m *arena.Mapping) (oracle, error)
+	// attach loads a labelling saved over the same graph from data,
+	// which lies inside m or is heap bytes when m is nil
+	// (hcl.AttachCore).
+	attach(data []byte, m *arena.Mapping) (oracle, error)
 	wrap(o oracle) variant
 }
 
@@ -210,33 +209,34 @@ func (o *oracle) Apply(ops []Op) ([]UpdateSummary, error) { return applyOps(o, o
 // Verify is Oracle.Verify: the variant's cover audit.
 func (o *oracle) Verify() error { return o.lab.VerifyCover() }
 
-// Load is Loader.Load.
-func (o *oracle) Load(r io.Reader) error { return o.adopt(o.lab.read(r)) }
+// Load is Loader.Load: it reads r to the end and attaches the bytes.
+func (o *oracle) Load(r io.Reader) error {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("reading labelling: %w", err)
+	}
+	return o.adopt(o.lab.attach(data, nil))
+}
 
 // LoadFile swaps in the labelling saved at path over the oracle's current
-// graph. It is the one place that chooses between the two label loads:
-// where this host can, the entries are served straight out of an mmap of
-// the file (which may then be unlinked), and otherwise — no mmap here, a
-// mapping that fails, or ErrNotMappable — they are decoded onto the heap
-// like Load. The oracle answers and saves the same either way. Any other
-// error means the file is damaged and is returned without a second read.
+// graph. Where this host can map the file, the entries are served straight
+// out of the mapping (the file may then be unlinked); where it cannot,
+// the file's bytes are read onto the heap and attached the same way, with
+// every label checked. The oracle answers and saves the same either way,
+// and a damaged file is rejected once, not decoded a second time.
 func (o *oracle) LoadFile(path string) error {
-	if m, err := arena.MapFile(path); err == nil {
-		n, err := o.lab.mapped(m)
-		if err == nil {
-			return o.adopt(n, nil)
-		}
-		m.Close()
-		if !errors.Is(err, ErrNotMappable) {
-			return err
-		}
-	}
-	f, err := os.Open(path)
-	if err != nil {
+	m, err := arena.MapFile(path)
+	var data []byte
+	if err == nil {
+		data = m.Data()
+	} else if data, err = os.ReadFile(path); err != nil {
 		return err
 	}
-	defer f.Close()
-	return o.Load(f)
+	n, err := o.lab.attach(data, m)
+	if err != nil && m != nil {
+		m.Close()
+	}
+	return o.adopt(n, err)
 }
 
 // adopt installs a loaded labelling, carrying over the repair settings.
@@ -300,12 +300,8 @@ func (x undirected) incident(v uint32) [][2]uint32 { return edgesAt(v, x.G.Neigh
 
 func (x undirected) fork() oracle { return newIndex(x.Fork(x.G.Fork())) }
 
-func (x undirected) read(r io.Reader) (oracle, error) {
-	return loaded(newIndex)(hcl.ReadIndex(r, x.G))
-}
-
-func (x undirected) mapped(m *arena.Mapping) (oracle, error) {
-	return loaded(newIndex)(hcl.ReadIndexMapped(m, 0, x.G))
+func (x undirected) attach(data []byte, m *arena.Mapping) (oracle, error) {
+	return loaded(newIndex)(hcl.AttachIndex(data, m, x.G))
 }
 
 func (undirected) wrap(o oracle) variant { return &Index{o} }

@@ -23,7 +23,7 @@
 // want the address space back deterministically.
 //
 // On platforms without mmap support (see Supported) the package degrades
-// to errors and callers fall back to the copy-in decode path.
+// to errors and callers attach the bytes from the heap instead.
 package arena
 
 import (
@@ -35,7 +35,7 @@ import (
 )
 
 // ErrUnsupported is returned by the Map functions on platforms without an
-// mmap implementation; callers fall back to copy-in loading.
+// mmap implementation; callers fall back to reading the bytes.
 var ErrUnsupported = errors.New("arena: mmap not supported on this platform")
 
 // Mapping is one mmap'd file region. The bytes are valid until the Mapping

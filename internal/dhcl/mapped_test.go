@@ -64,7 +64,7 @@ func TestReadIndexMapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapped, err := ReadIndexMapped(m, 0, g)
+	mapped, err := AttachIndex(m.Data(), m, g)
 	if err != nil {
 		t.Fatal(err)
 	}

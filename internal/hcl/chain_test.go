@@ -71,7 +71,7 @@ func TestForkChainKeepsAncestors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mapped, err := MapCore(m, 0, root.kind, n)
+			mapped, err := AttachCore(m.Data(), m, root.kind, n)
 			if err != nil {
 				t.Fatal(err)
 			}

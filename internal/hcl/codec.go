@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/arena"
 	"repro/internal/bitset"
 	"repro/internal/graph"
 )
@@ -25,8 +26,10 @@ import (
 //	entPad zero bytes | entries 8B each (u16 rank | u16 zero | u32 dist)
 //
 // Entries are stored in the in-memory layout of Entry, so on little-endian
-// hosts a block's entry area IS a valid []Entry and can be served straight
-// out of an mmap (see mapped.go). The pads let a writer that knows its
+// hosts a block's entry area IS a valid []Entry: AttachCore, the one
+// decoder, serves it in place from a mapping or a heap buffer (see
+// mapped.go) and decodes it only where the host layout or the alignment
+// rules that out. The pads let a writer that knows its
 // absolute position in the enclosing file align the offset table to 8
 // bytes and the entry area to a page boundary; they are self-describing,
 // so a reader never needs the writer's base offset. All integers are
@@ -53,8 +56,8 @@ const entryStride = 8
 // page size in the wild, small enough to reject absurd skips.
 const maxPad = 1 << 20
 
-// codecChunk is the number of values encoded or decoded per buffered block
-// on the bulk paths.
+// codecChunk is the number of values encoded per buffered block by the
+// writer.
 const codecChunk = 4096
 
 // headerLen is the byte length of a stream header over nr landmarks.
@@ -188,84 +191,113 @@ func writeZeros(bw *bufio.Writer, n int64) {
 	}
 }
 
-// Stream is a decoded label stream: the landmarks, the row-major |R|×|R|
-// highway, and one label table per block.
-type Stream struct {
-	Landmarks []uint32
-	Highway   []graph.Dist
-	Labels    []Packed
-}
-
-// ReadStream reads a label stream written by WriteStream with the given
-// magic and block count over a graph of nv vertices, validating it as
-// untrusted input: header fields, monotonic offsets, per-vertex spans of at
-// most |R| entries sorted strictly by rank. Memory grows with the bytes
-// that actually arrive, not with the sizes the stream claims: landmarks,
-// highway and entries are all read in bounded chunks.
-func ReadStream(r io.Reader, magic string, nv, blocks int) (*Stream, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	s, err := readHeader(br, magic, nv, blocks)
-	if err != nil {
-		return nil, err
+// AttachCore attaches the label stream of the given kind over n vertices
+// at the start of data; bytes past the stream are ignored. It is the one
+// label decoder, and it treats the bytes as untrusted: the header, every
+// block's header and its offsets are validated, and nothing is allocated
+// before the bytes that fill it are known to be there. Each block's
+// offsets and entries are served in place where the host layout and
+// their alignment allow (see mapped.go) and decoded into fresh slices
+// otherwise.
+//
+// The bytes come from one of two sources. When m is non-nil, data lies
+// inside m's mapped bytes: every table pins m, and entries served in
+// place are not read at all, so a mapped boot faults in only the header
+// and offset pages. When m is nil, data is heap bytes the labelling now
+// aliases (it never writes them): every label's ranks are checked, as
+// they are for entries decoded by the fallback.
+func AttachCore(data []byte, m *arena.Mapping, kind Kind, n int) (Core, error) {
+	le := binary.LittleEndian
+	if len(data) < 12 {
+		return Core{}, fmt.Errorf("index header truncated: %d bytes", len(data))
 	}
-	nr := uint32(len(s.Landmarks))
-	for i := range s.Labels {
-		if s.Labels[i], err = readBlock(br, nv, nr); err != nil {
-			return nil, fmt.Errorf("label block %d: %w", i, err)
+	if got := string(data[:4]); got != kind.Magic {
+		return Core{}, fmt.Errorf("unsupported index format %q (want %q)", got, kind.Magic)
+	}
+	if got := le.Uint32(data[4:]); int64(got) != int64(n) {
+		return Core{}, fmt.Errorf("index has %d vertices, graph has %d", got, n)
+	}
+	nr := le.Uint32(data[8:])
+	if nr == 0 || nr > maxLandmarks {
+		return Core{}, fmt.Errorf("implausible landmark count %d", nr)
+	}
+	at := headerLen(int64(nr))
+	if int64(len(data)) < at {
+		return Core{}, fmt.Errorf("index header truncated: have %d of %d bytes", len(data), at)
+	}
+	landmarks, highway := u32s(data[12:12+4*nr]), u32s(data[12+4*nr:at])
+	if err := validate(landmarks, highway, n, kind.Dirs == 1); err != nil {
+		return Core{}, err
+	}
+	c := Core{Landmarks: landmarks, kind: kind, hw: highway}
+	for d := range kind.Dirs {
+		p, blockLen, err := attachBlock(data[at:], m, n, nr)
+		if err != nil {
+			return Core{}, fmt.Errorf("label block %d: %w", d, err)
 		}
+		c.dirs[d] = p
+		at += blockLen
 	}
-	return s, nil
+	c.indexRanks(n)
+	return c, nil
 }
 
-// readHeader reads and validates a stream header, returning a Stream with
-// landmarks and highway filled and room for blocks label tables.
-func readHeader(r io.Reader, magic string, nv, blocks int) (*Stream, error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("reading index header: %w", err)
+// u32s decodes b as little-endian u32s.
+func u32s(b []byte) []uint32 {
+	out := make([]uint32, len(b)/4)
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint32(b[4*i:])
 	}
-	if got := string(hdr[:4]); got != magic {
-		return nil, fmt.Errorf("unsupported index format %q (want %q)", got, magic)
+	return out
+}
+
+// attachBlock attaches the label block over nv vertices at the start of
+// data (see AttachCore) and returns its table and the block length.
+func attachBlock(data []byte, m *arena.Mapping, nv int, nr uint32) (Packed, int64, error) {
+	if len(data) < blockHeaderLen {
+		return Packed{}, 0, fmt.Errorf("label block header truncated")
+	}
+	total, offPad, entPad, err := checkBlockHeader(data, nv, nr)
+	if err != nil {
+		return Packed{}, 0, err
+	}
+	offStart := blockHeaderLen + offPad
+	entStart := offStart + 8*int64(nv+1) + entPad
+	blockLen := entStart + int64(total)*entryStride
+	if int64(len(data)) < blockLen {
+		return Packed{}, 0, fmt.Errorf("label block truncated: have %d of %d bytes", len(data), blockLen)
 	}
 	le := binary.LittleEndian
-	if got := le.Uint32(hdr[4:]); int64(got) != int64(nv) {
-		return nil, fmt.Errorf("index has %d vertices, graph has %d", got, nv)
-	}
-	// Bound the claimed sizes before reading them; validate below checks
-	// everything else.
-	nr := le.Uint32(hdr[8:])
-	if nr == 0 || nr > maxLandmarks {
-		return nil, fmt.Errorf("implausible landmark count %d", nr)
-	}
-	landmarks, err := readU32s(r, int(nr))
-	if err != nil {
-		return nil, fmt.Errorf("reading landmarks: %w", err)
-	}
-	highway, err := readU32s(r, int(nr)*int(nr))
-	if err != nil {
-		return nil, fmt.Errorf("reading highway: %w", err)
-	}
-	if err := validate(landmarks, highway, nv, blocks == 1); err != nil {
-		return nil, err
-	}
-	return &Stream{Landmarks: landmarks, Highway: highway, Labels: make([]Packed, blocks)}, nil
-}
-
-// readU32s reads n little-endian u32s in bounded chunks, so the result
-// grows with the bytes that arrive rather than with the claimed count.
-func readU32s(r io.Reader, n int) ([]uint32, error) {
-	out := make([]uint32, 0, min(n, codecChunk))
-	var buf [codecChunk * 4]byte
-	for len(out) < n {
-		b := buf[:4*min(n-len(out), codecChunk)]
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, err
-		}
-		for i := 0; i < len(b); i += 4 {
-			out = append(out, binary.LittleEndian.Uint32(b[i:]))
+	off, ok := inPlace[uint64](data[offStart:], nv+1)
+	if !ok {
+		off = make([]uint64, nv+1)
+		for i := range off {
+			off[i] = le.Uint64(data[offStart+8*int64(i):])
 		}
 	}
-	return out, nil
+	if err := checkOffsets(off, nr, total); err != nil {
+		return Packed{}, 0, err
+	}
+	entries, served := inPlace[Entry](data[entStart:], int(total))
+	if !served {
+		b := data[entStart:blockLen]
+		entries = make([]Entry, total)
+		for i := range entries {
+			entries[i] = Entry{Rank: le.Uint16(b[entryStride*i:]), D: le.Uint32(b[entryStride*i+4:])}
+		}
+	}
+	if m == nil || !served {
+		for v := range nv {
+			if !ranksValid(entries[off[v]:off[v+1]], nr) {
+				return Packed{}, 0, fmt.Errorf("label %d entries unsorted or out of range", v)
+			}
+		}
+	}
+	p := loaded(off, entries, !served)
+	if served {
+		p.ref = m
+	}
+	return p, blockLen, nil
 }
 
 // checkBlockHeader validates the fixed prefix of an untrusted label block
@@ -304,87 +336,30 @@ func checkOffsets(off []uint64, nr uint32, total uint64) error {
 	return nil
 }
 
-// loaded returns the table of nv vertices whose labels the block offsets
-// off lay out: chunk ci's base is entries(ci, lo, hi), the block's entries
-// [lo, hi) of its vertex range. The table owns every span table, and the
-// bases unless mapped says they alias a mapping.
-func loaded(nv int, total uint64, off []uint64, mapped bool, entries func(ci int, lo, hi uint64) ([]Entry, error)) (Packed, error) {
+// loaded returns the table of len(off)-1 vertices whose labels the block
+// offsets off lay out in entries, each chunk's base aliasing its range of
+// entries. The table owns every span table, and the bases too when own
+// says entries is a fresh slice rather than bytes it must never write.
+func loaded(off []uint64, entries []Entry, own bool) Packed {
+	nv := len(off) - 1
 	nc := (nv + packChunkLen - 1) / packChunkLen
-	p := Packed{chunks: make([]packChunk, nc), owned: bitset.New(2 * nc), n: nv, entries: int64(total)}
+	p := Packed{chunks: make([]packChunk, nc), owned: bitset.New(2 * nc), n: nv, entries: int64(len(entries))}
 	for ci := range p.chunks {
 		lo := ci * packChunkLen
 		hi := min(lo+packChunkLen, nv)
-		base, err := entries(ci, off[lo], off[hi])
-		if err != nil {
-			return Packed{}, err
-		}
 		// The offsets fit u32 relative to the chunk: a chunk covers at
 		// most packChunkLen vertices of at most 2^16 entries each.
 		spans := make([]span, hi-lo)
 		for i := range spans {
 			spans[i] = span{uint32(off[lo+i] - off[lo]), uint32(off[lo+i+1] - off[lo])}
 		}
-		p.chunks[ci] = packChunk{base: base, spans: spans}
+		p.chunks[ci] = packChunk{base: entries[off[lo]:off[hi]:off[hi]], spans: spans}
 		p.own(ci, ownSpans)
-		if !mapped {
+		if own {
 			p.own(ci, ownBase)
 		}
 	}
-	return p, nil
-}
-
-// readBlock reads one label block over nv vertices (copy-in path). Entries
-// are allocated one chunk at a time, as their bytes arrive.
-func readBlock(br *bufio.Reader, nv int, nr uint32) (Packed, error) {
-	var hdr [blockHeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return Packed{}, fmt.Errorf("reading label block header: %w", err)
-	}
-	total, offPad, entPad, err := checkBlockHeader(hdr[:], nv, nr)
-	if err != nil {
-		return Packed{}, err
-	}
-	if _, err := br.Discard(int(offPad)); err != nil {
-		return Packed{}, fmt.Errorf("skipping offset pad: %w", err)
-	}
-	le := binary.LittleEndian
-	off := make([]uint64, nv+1)
-	var buf [codecChunk * entryStride]byte
-	for done := 0; done < len(off); {
-		b := buf[:8*min(len(off)-done, codecChunk)]
-		if _, err := io.ReadFull(br, b); err != nil {
-			return Packed{}, fmt.Errorf("reading label offsets: %w", err)
-		}
-		for i := 0; i < len(b); i += 8 {
-			off[done] = le.Uint64(b[i:])
-			done++
-		}
-	}
-	if err := checkOffsets(off, nr, total); err != nil {
-		return Packed{}, err
-	}
-	if _, err := br.Discard(int(entPad)); err != nil {
-		return Packed{}, fmt.Errorf("skipping entry pad: %w", err)
-	}
-	return loaded(nv, total, off, false, func(ci int, lo, hi uint64) ([]Entry, error) {
-		entries := make([]Entry, hi-lo)
-		for done := 0; done < len(entries); {
-			b := buf[:entryStride*min(len(entries)-done, codecChunk)]
-			if _, err := io.ReadFull(br, b); err != nil {
-				return nil, fmt.Errorf("reading label arena at entry %d: %w", lo+uint64(done), err)
-			}
-			for i := 0; i < len(b); i += entryStride {
-				entries[done] = Entry{Rank: le.Uint16(b[i:]), D: le.Uint32(b[i+4:])}
-				done++
-			}
-		}
-		for v := ci * packChunkLen; v < min((ci+1)*packChunkLen, nv); v++ {
-			if !ranksValid(entries[off[v]-lo:off[v+1]-lo], nr) {
-				return nil, fmt.Errorf("label %d entries unsorted or out of range", v)
-			}
-		}
-		return entries, nil
-	})
+	return p
 }
 
 // ranksValid reports whether a label's ranks are strictly increasing and
@@ -419,22 +394,15 @@ func (c *Core) WriteToAt(w io.Writer, base int64) (int64, []Span, error) {
 	return WriteStream(w, c.kind.Magic, c.Landmarks, c.hw, base, tables...)
 }
 
-// ReadCore decodes a label stream of the given kind over n vertices (see
-// ReadStream).
+// ReadCore reads r to the end and attaches the label stream of the given
+// kind over n vertices from the heap (see AttachCore). Memory grows with
+// the bytes that arrive, not with the sizes the stream claims.
 func ReadCore(r io.Reader, kind Kind, n int) (Core, error) {
-	s, err := ReadStream(r, kind.Magic, n, kind.Dirs)
-	return fromStream(kind, s, err)
-}
-
-// fromStream builds the labelling a decoded or mapped stream describes.
-func fromStream(kind Kind, s *Stream, err error) (Core, error) {
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return Core{}, err
+		return Core{}, fmt.Errorf("reading label stream: %w", err)
 	}
-	c := Core{Landmarks: s.Landmarks, kind: kind, hw: s.Highway}
-	copy(c.dirs[:], s.Labels)
-	c.indexRanks(s.Labels[0].NumVertices())
-	return c, nil
+	return AttachCore(data, nil, kind, n)
 }
 
 // ReadIndex deserialises a labelling written by WriteTo and attaches it to

@@ -14,7 +14,9 @@ import (
 
 // TestCodecV2RoundTrip pins the on-disk format: WriteTo writes the HCL3
 // stream, ReadIndex reproduces the labelling exactly, and re-saving the
-// loaded index is byte-identical.
+// loaded index is byte-identical. The same stream attached at an odd
+// offset of a heap buffer, where no block can be served in place, goes
+// through the decoder's fallback and must answer and save the same.
 func TestCodecV2RoundTrip(t *testing.T) {
 	g := testutil.RandomGraph(120, 220, 5)
 	idx, err := Build(g, landmark.ByDegree(g, 8))
@@ -42,6 +44,35 @@ func TestCodecV2RoundTrip(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
 		t.Fatal("re-saving a loaded labelling must be byte-identical")
 	}
+	odd, err := AttachIndex(atOddOffset(buf.Bytes()), nil, g)
+	if err != nil {
+		t.Fatalf("attach at an odd offset: %v", err)
+	}
+	if !odd.Packed(0).owns(0, ownBase) {
+		t.Fatal("a misaligned block was served in place, not decoded")
+	}
+	var oddSaved bytes.Buffer
+	if _, err := odd.WriteTo(&oddSaved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), oddSaved.Bytes()) {
+		t.Fatal("the decoded fallback saves differently from the aligned attach")
+	}
+	for u := uint32(0); u < 120; u += 3 {
+		for v := uint32(1); v < 120; v += 7 {
+			if got, want := odd.Query(u, v), back.Query(u, v); got != want {
+				t.Fatalf("Query(%d,%d): odd offset %d, aligned %d", u, v, got, want)
+			}
+		}
+	}
+}
+
+// atOddOffset returns a copy of b that starts one byte into a heap buffer,
+// misaligned for every type the decoder serves in place.
+func atOddOffset(b []byte) []byte {
+	buf := make([]byte, len(b)+1)
+	copy(buf[1:], b)
+	return buf[1:]
 }
 
 func TestWriteToMappableSpans(t *testing.T) {
@@ -120,7 +151,7 @@ func TestReadIndexMapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadIndexMapped(m, 0, g)
+	back, err := AttachIndex(m.Data(), m, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +195,7 @@ func TestMappedForkRepack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapped, err := ReadIndexMapped(m, 0, g)
+	mapped, err := AttachIndex(m.Data(), m, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,6 +302,9 @@ func TestV2CodecCorruptionRejected(t *testing.T) {
 		data := mut(append([]byte(nil), pristine...))
 		if _, err := ReadIndex(bytes.NewReader(data), g); err == nil {
 			t.Errorf("%s: corrupted v2 stream loaded without error", name)
+		}
+		if _, err := AttachIndex(atOddOffset(data), nil, g); err == nil {
+			t.Errorf("%s: corrupted v2 stream attached at an odd offset without error", name)
 		}
 	}
 }

@@ -93,8 +93,8 @@ type Packed struct {
 	n       int   // vertices covered
 	entries int64 // live entries across all chunks
 
-	// ref pins the mmap'd checkpoint region base arrays may alias (see
-	// MapStream): every fork inherits it, so the mapping stays alive while
+	// ref pins the mmap'd region base arrays may alias (see
+	// AttachCore): every fork inherits it, so the mapping stays alive while
 	// any descendant may still read a mapped chunk. Nil for a labelling
 	// that never aliased one.
 	ref *arena.Mapping

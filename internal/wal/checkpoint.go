@@ -110,7 +110,7 @@ func decodeGraphSection(data []byte, vertices uint64) (*dynhl.Graph, error) {
 		return nil, fmt.Errorf("wal: truncated graph section")
 	}
 	edges := le.Uint64(data)
-	if uint64(len(data)-8) != edges*8 {
+	if rest := uint64(len(data) - 8); rest%8 != 0 || edges != rest/8 {
 		return nil, fmt.Errorf("wal: graph section holds %d bytes for %d edges", len(data)-8, edges)
 	}
 	if vertices > math.MaxUint32 {
@@ -243,15 +243,13 @@ func writeImage(f *os.File, epoch uint64, src checkpointable) error {
 }
 
 // ckptState is a decoded checkpoint, ready to rebuild an oracle. Its
-// sections alias the decoded image; labelsOff is where the labelling
-// stream starts within it, which lets a mapped load hand the labelling's
-// file offset to dynhl.LoadIndexMapped instead of decoding st.labels.
+// sections alias the decoded image, so a mapped load attaches st.labels
+// in place.
 type ckptState struct {
-	epoch     uint64
-	vertices  uint64
-	graph     []byte
-	labels    []byte
-	labelsOff int64
+	epoch    uint64
+	vertices uint64
+	graph    []byte
+	labels   []byte
 }
 
 // decodeCheckpoint validates and decodes a checkpoint image, whether read
@@ -267,24 +265,12 @@ func decodeCheckpoint(data []byte, path string) (ckptState, error) {
 	if len(data) < headerMin+8 {
 		return ckptState{}, fmt.Errorf("wal: %s: truncated checkpoint", path)
 	}
-	nspans := le.Uint32(data[len(data)-8:])
-	if nspans > maxCkptSpans {
-		return ckptState{}, fmt.Errorf("wal: %s: implausible span count %d", path, nspans)
+	bodyLen, spans, err := readSpans(data, path)
+	if err != nil {
+		return ckptState{}, err
 	}
-	bodyLen := len(data) - 8 - 16*int(nspans)
 	if bodyLen < headerMin {
 		return ckptState{}, fmt.Errorf("wal: %s: truncated checkpoint", path)
-	}
-	spans := make([]dynhl.Span, nspans)
-	prevEnd := int64(0)
-	for i := range spans {
-		at := bodyLen + 16*i
-		off, slen := le.Uint64(data[at:]), le.Uint64(data[at+8:])
-		if off > uint64(bodyLen) || slen > uint64(bodyLen)-off || int64(off) < prevEnd {
-			return ckptState{}, fmt.Errorf("wal: %s: span table out of bounds", path)
-		}
-		spans[i] = dynhl.Span{Off: int64(off), Len: int64(slen)}
-		prevEnd = int64(off + slen)
 	}
 	if crcSkipSpans(data[:len(data)-4], spans) != le.Uint32(data[len(data)-4:]) {
 		return ckptState{}, fmt.Errorf("wal: %s: checksum mismatch", path)
@@ -300,7 +286,6 @@ func decodeCheckpoint(data []byte, path string) (ckptState, error) {
 		return v, nil
 	}
 	st := ckptState{}
-	var err error
 	if st.epoch, err = readU64(); err != nil {
 		return ckptState{}, err
 	}
@@ -324,8 +309,39 @@ func decodeCheckpoint(data []byte, path string) (ckptState, error) {
 		return ckptState{}, fmt.Errorf("wal: %s: labelling section length mismatch", path)
 	}
 	st.labels = body[off:]
-	st.labelsOff = int64(off)
+	// The labelling holds an 8-byte offset per vertex, so a vertex count
+	// its bytes cannot back is damage, not an allocation request.
+	if st.vertices > uint64(len(st.labels))/8 {
+		return ckptState{}, fmt.Errorf("wal: %s: %d vertices for a %d-byte labelling", path, st.vertices, len(st.labels))
+	}
 	return st, nil
+}
+
+// readSpans parses the trailer of a checkpoint image of at least 8 bytes:
+// the span table, validated as sorted, non-overlapping and inside the body
+// before it, and the body's length.
+func readSpans(data []byte, path string) (int, []dynhl.Span, error) {
+	le := binary.LittleEndian
+	nspans := le.Uint32(data[len(data)-8:])
+	if nspans > maxCkptSpans {
+		return 0, nil, fmt.Errorf("wal: %s: implausible span count %d", path, nspans)
+	}
+	bodyLen := len(data) - 8 - 16*int(nspans)
+	if bodyLen < 0 {
+		return 0, nil, fmt.Errorf("wal: %s: truncated checkpoint", path)
+	}
+	spans := make([]dynhl.Span, nspans)
+	prevEnd := int64(0)
+	for i := range spans {
+		at := bodyLen + 16*i
+		off, slen := le.Uint64(data[at:]), le.Uint64(data[at+8:])
+		if off > uint64(bodyLen) || slen > uint64(bodyLen)-off || int64(off) < prevEnd {
+			return 0, nil, fmt.Errorf("wal: %s: span table out of bounds", path)
+		}
+		spans[i] = dynhl.Span{Off: int64(off), Len: int64(slen)}
+		prevEnd = int64(off + slen)
+	}
+	return bodyLen, spans, nil
 }
 
 // listCheckpoints returns dir's checkpoint files, newest epoch first.

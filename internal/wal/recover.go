@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -68,54 +67,47 @@ func openCheckpoint(path string) (*dynhl.Index, uint64, error) {
 }
 
 // loadImage turns a checkpoint image, named name in errors, into the
-// oracle it captured and the epoch it was taken at. It is the one place
-// that chooses between the two loads. Where mapImage can map the image and
-// the labelling's layout suits this host, the entries are served straight
-// out of the mapping: only the header, graph and offset pages are faulted
-// in (the CRC skips the entry arenas), so boot cost stops scaling with
-// labelling size, and the mapping is private, so replayed repairs never
-// write the file. Otherwise — no mmap on this platform, a mapping that
-// fails, or dynhl.ErrNotMappable — readImage's bytes are decoded onto the
-// heap (copyIn). Any other error means the image is damaged; it is
-// returned at once, not decoded a second time.
+// oracle it captured and the epoch it was taken at. Where mapImage can map
+// the image, the labels are attached straight out of the mapping: only the
+// header, graph and offset pages are faulted in (the CRC skips the entry
+// arenas), so boot cost stops scaling with labelling size, and the mapping
+// is private, so replayed repairs never write the file. Where it cannot —
+// no mmap on this platform, or a mapping that fails — readImage's bytes
+// are attached from the heap instead (copyIn). A damaged image is rejected
+// once, not decoded a second time.
 //
 // A mapping is owned by the returned index and unmapped by the garbage
 // collector once no snapshot aliases it: checkpoint pruning only ever
 // unlinks files, so a pruned checkpoint's pages stay valid for as long as
 // anything still reads them.
 func loadImage(name string, mapImage func() (*arena.Mapping, error), readImage func() ([]byte, error)) (*dynhl.Index, uint64, error) {
-	if m, err := mapImage(); err == nil {
-		idx, epoch, err := decodeImage(m.Data(), name, func(st ckptState, g *dynhl.Graph) (*dynhl.Index, error) {
-			return dynhl.LoadIndexMapped(m, st.labelsOff, g)
-		})
-		if err == nil {
-			return idx, epoch, nil
-		}
-		m.Close()
-		if !errors.Is(err, dynhl.ErrNotMappable) {
+	m, err := mapImage()
+	if err != nil {
+		data, err := readImage()
+		if err != nil {
 			return nil, 0, err
 		}
+		return copyIn(data, name)
 	}
-	data, err := readImage()
+	idx, epoch, err := decodeImage(m.Data(), m, name)
 	if err != nil {
-		return nil, 0, err
+		m.Close()
 	}
-	return copyIn(data, name)
+	return idx, epoch, err
 }
 
-// copyIn decodes a checkpoint image onto the heap, validating every label
-// entry: the only load on a host without mmap, and the reference the
-// mapped load is tested against.
+// copyIn attaches a checkpoint image held on the heap: the labels alias
+// data, and every label's entries are checked. It is the load on a host
+// without mmap, and the reference the mapped load is tested against.
 func copyIn(data []byte, name string) (*dynhl.Index, uint64, error) {
-	return decodeImage(data, name, func(st ckptState, g *dynhl.Graph) (*dynhl.Index, error) {
-		return dynhl.LoadIndex(bytes.NewReader(st.labels), g)
-	})
+	return decodeImage(data, nil, name)
 }
 
 // decodeImage validates a checkpoint image, decodes its graph onto the
 // heap (every update mutates it; the labels are the bulk of the state) and
-// attaches the labelling with labels.
-func decodeImage(data []byte, name string, labels func(ckptState, *dynhl.Graph) (*dynhl.Index, error)) (*dynhl.Index, uint64, error) {
+// attaches the labelling in place: data lies inside the mapping m, or is
+// heap bytes when m is nil (dynhl.AttachIndex).
+func decodeImage(data []byte, m *arena.Mapping, name string) (*dynhl.Index, uint64, error) {
 	st, err := decodeCheckpoint(data, name)
 	if err != nil {
 		return nil, 0, err
@@ -124,7 +116,7 @@ func decodeImage(data []byte, name string, labels func(ckptState, *dynhl.Graph) 
 	if err != nil {
 		return nil, 0, err
 	}
-	idx, err := labels(st, g)
+	idx, err := dynhl.AttachIndex(st.labels, m, g)
 	if err != nil {
 		return nil, 0, fmt.Errorf("wal: checkpoint labelling: %w", err)
 	}

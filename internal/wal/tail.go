@@ -239,8 +239,8 @@ func (d *Durable) CheckpointImage() (uint64, []byte, error) {
 // Where the host can, the image is spilled to an unlinked temp file and
 // the labels are served out of a mapping of it, so a follower keeps one
 // file-backed copy of the entries instead of a heap copy next to the
-// received buffer; otherwise they are decoded onto the heap. The oracle
-// answers the same either way.
+// received buffer; otherwise they are attached out of data itself. The
+// oracle answers the same either way.
 func RebuildImage(data []byte) (*dynhl.Index, uint64, error) {
 	return loadImage("checkpoint image",
 		func() (*arena.Mapping, error) { return arena.MapBytes(data) },

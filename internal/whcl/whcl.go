@@ -81,12 +81,11 @@ func ReadIndex(r io.Reader, g *wgraph.Graph) (*Index, error) {
 	return attach(g, c, err)
 }
 
-// ReadIndexMapped attaches the index stream at offset streamOff of the
-// mapping m to g, serving the entry arena straight out of the mapped
-// bytes. Returns hcl.ErrNotMappable when this host cannot serve the stream
-// in place — callers fall back to ReadIndex.
-func ReadIndexMapped(m *arena.Mapping, streamOff int64, g *wgraph.Graph) (*Index, error) {
-	c, err := hcl.MapCore(m, streamOff, weighted, g.NumVertices())
+// AttachIndex attaches the index stream at the start of data to g: data
+// lies inside the mapping m, or is heap bytes when m is nil (see
+// hcl.AttachCore).
+func AttachIndex(data []byte, m *arena.Mapping, g *wgraph.Graph) (*Index, error) {
+	c, err := hcl.AttachCore(data, m, weighted, g.NumVertices())
 	return attach(g, c, err)
 }
 

@@ -11,20 +11,14 @@ import (
 // must not be forced to fault in.
 type Span = hcl.Span
 
-// ErrNotMappable reports that a well-formed label stream cannot be served
-// in place on this host — an unsupported host layout or a misaligned
-// placement — and the caller should fall back to the copy-in load. Test
-// with errors.Is.
-var ErrNotMappable = hcl.ErrNotMappable
-
-// LoadIndexMapped attaches the labelling stored at offset off of the
-// mapped region m to g, serving label entries straight out of the mapped
-// bytes — the index holds the mapping alive for as long as any snapshot
-// forked from it may alias the entries. Returns ErrNotMappable (test with
-// errors.Is) when the stream cannot be mapped on this host; the caller
-// then decodes it with LoadIndex.
-func LoadIndexMapped(m *arena.Mapping, off int64, g *Graph) (*Index, error) {
-	idx, err := hcl.ReadIndexMapped(m, off, g)
+// AttachIndex attaches the labelling stream at the start of data to g.
+// When m is non-nil, data lies inside m's mapped bytes: label entries are
+// served straight out of the mapping, and the index holds it alive for as
+// long as any snapshot forked from it may alias the entries. When m is
+// nil, data is heap bytes, which the index aliases but never writes, and
+// every label is checked as LoadIndex checks it.
+func AttachIndex(data []byte, m *arena.Mapping, g *Graph) (*Index, error) {
+	idx, err := hcl.AttachIndex(data, m, g)
 	if err != nil {
 		return nil, err
 	}

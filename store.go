@@ -602,7 +602,8 @@ func (s *Store) LoadEpoch(r io.Reader) (uint64, error) {
 // labelling size; the mapping stays alive for as long as any published
 // snapshot may alias its entries and is unmapped by the garbage collector
 // after the last such snapshot is released, and the file may be unlinked
-// while mapped. Otherwise the file is decoded onto the heap like Load.
+// while mapped. Otherwise the file is read onto the heap and attached like
+// Load.
 func (s *Store) LoadFile(path string) (uint64, error) {
 	return s.publishLoaded(func(o *oracle) error { return o.LoadFile(path) })
 }

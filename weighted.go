@@ -54,12 +54,8 @@ func (x weighted) incident(v uint32) [][2]uint32 {
 
 func (x weighted) fork() oracle { return newWeighted(x.Fork(x.G.Fork())) }
 
-func (x weighted) read(r io.Reader) (oracle, error) {
-	return loaded(newWeighted)(whcl.ReadIndex(r, x.G))
-}
-
-func (x weighted) mapped(m *arena.Mapping) (oracle, error) {
-	return loaded(newWeighted)(whcl.ReadIndexMapped(m, 0, x.G))
+func (x weighted) attach(data []byte, m *arena.Mapping) (oracle, error) {
+	return loaded(newWeighted)(whcl.AttachIndex(data, m, x.G))
 }
 
 func (weighted) wrap(o oracle) variant { return &WeightedIndex{o} }
