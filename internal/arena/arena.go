@@ -77,7 +77,8 @@ func UnmapsTotal() uint64 { return unmapsEver.Load() }
 func MappedBytesTotal() uint64 { return bytesEver.Load() }
 
 // Supported reports whether this platform can serve mapped arenas. When
-// false every Map call returns ErrUnsupported and loads stay on copy-in.
+// false every Map call returns ErrUnsupported and loads read the bytes
+// onto the heap.
 func Supported() bool { return mmapSupported }
 
 // PageSize returns the system page size, the alignment target for mapped
@@ -87,7 +88,7 @@ func PageSize() int { return os.Getpagesize() }
 // MapFile maps the whole of the file at path, read-only on disk but
 // writable in memory through private copy-on-write pages. Empty files are
 // an error (mmap of length zero is invalid); callers treat it like any
-// other fallback-to-copy-in condition.
+// other failure to map: they read the bytes instead.
 func MapFile(path string) (*Mapping, error) {
 	if !mmapSupported {
 		return nil, ErrUnsupported
