@@ -201,9 +201,9 @@ func writeZeros(bw *bufio.Writer, n int64) {
 // otherwise.
 //
 // The bytes come from one of two sources. When m is non-nil, data lies
-// inside m's mapped bytes: every table pins m, and entries served in
-// place are not read at all, so a mapped boot faults in only the header
-// and offset pages. When m is nil, data is heap bytes the labelling now
+// inside m's mapped bytes: a table whose entries are served in place
+// pins m and does not read them, so a mapped boot faults in only the
+// header and offset pages. When m is nil, data is heap bytes the labelling now
 // aliases (it never writes them): every label's ranks are checked, as
 // they are for entries decoded by the fallback.
 func AttachCore(data []byte, m *arena.Mapping, kind Kind, n int) (Core, error) {
