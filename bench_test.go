@@ -14,7 +14,6 @@ import (
 	"repro/internal/fulldyn"
 	"repro/internal/graph"
 	"repro/internal/hcl"
-	"repro/internal/inchl"
 	"repro/internal/landmark"
 	"repro/internal/pll"
 )
@@ -44,9 +43,9 @@ type updater interface {
 	insert(u, v uint32) error
 }
 
-type hlUpdater struct{ u *inchl.Updater }
+type hlUpdater struct{ u *hcl.Labelled[*graph.Graph] }
 
-func (x hlUpdater) insert(u, v uint32) error { _, err := x.u.InsertEdge(u, v); return err }
+func (x hlUpdater) insert(u, v uint32) error { _, err := x.u.InsertEdge(u, v, 1); return err }
 
 type fdUpdater struct{ idx *fulldyn.Index }
 
@@ -90,11 +89,11 @@ func BenchmarkTable1UpdateIncHL(b *testing.B) {
 			base, spec := benchGraph(b, name)
 			lm := landmark.ByDegree(base, spec.Landmarks)
 			benchInsertions(b, base, func(g *graph.Graph) updater {
-				idx, err := hcl.Build(g, lm)
+				idx, err := hcl.Build(g, lm, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
-				return hlUpdater{inchl.New(idx)}
+				return hlUpdater{idx}
 			})
 		})
 	}
@@ -137,11 +136,11 @@ func BenchmarkTable1QueryIncHL(b *testing.B) {
 	for _, name := range benchDatasets {
 		b.Run(name, func(b *testing.B) {
 			base, spec := benchGraph(b, name)
-			idx, err := hcl.Build(base, landmark.ByDegree(base, spec.Landmarks))
+			idx, err := hcl.Build(base, landmark.ByDegree(base, spec.Landmarks), 1)
 			if err != nil {
 				b.Fatal(err)
 			}
-			applyWorkload(b, hlUpdater{inchl.New(idx)}, base)
+			applyWorkload(b, hlUpdater{idx}, base)
 			qs := exper.SampleQueries(base.NumVertices(), 1<<14, benchSeed+3)
 			b.ResetTimer()
 			var sink graph.Dist
@@ -215,7 +214,7 @@ func BenchmarkTable1SizeIncHL(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			base, spec := benchGraph(b, name)
 			for i := 0; i < b.N; i++ {
-				idx, err := hcl.Build(base, landmark.ByDegree(base, spec.Landmarks))
+				idx, err := hcl.Build(base, landmark.ByDegree(base, spec.Landmarks), 1)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -252,28 +251,26 @@ func BenchmarkFig1Affected(b *testing.B) {
 			base, spec := benchGraph(b, name)
 			lm := landmark.ByDegree(base, spec.Landmarks)
 			pool := exper.SampleInsertions(base, poolSize, benchSeed+9)
-			idx, err := hcl.Build(base.Clone(), lm)
+			idx, err := hcl.Build(base.Clone(), lm, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
-			upd := inchl.New(idx)
 			var affected, ops int
 			b.ResetTimer()
 			next := 0
 			for i := 0; i < b.N; i++ {
 				if next == len(pool) {
 					b.StopTimer()
-					idx, err = hcl.Build(base.Clone(), lm)
+					idx, err = hcl.Build(base.Clone(), lm, 1)
 					if err != nil {
 						b.Fatal(err)
 					}
-					upd = inchl.New(idx)
 					next = 0
 					b.StartTimer()
 				}
 				e := pool[next]
 				next++
-				st, err := upd.InsertEdge(e[0], e[1])
+				st, err := idx.InsertEdge(e[0], e[1], 1)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -294,11 +291,11 @@ func BenchmarkFig3Landmarks(b *testing.B) {
 		lm := landmark.ByDegree(base, k)
 		b.Run(benchName("IncHL_R", k), func(b *testing.B) {
 			benchInsertions(b, base, func(g *graph.Graph) updater {
-				idx, err := hcl.Build(g, lm)
+				idx, err := hcl.Build(g, lm, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
-				return hlUpdater{inchl.New(idx)}
+				return hlUpdater{idx}
 			})
 		})
 		b.Run(benchName("IncFD_R", k), func(b *testing.B) {
@@ -321,7 +318,7 @@ func BenchmarkFig4Construction(b *testing.B) {
 			base, spec := benchGraph(b, name)
 			lm := landmark.ByDegree(base, spec.Landmarks)
 			for i := 0; i < b.N; i++ {
-				if _, err := hcl.Build(base, lm); err != nil {
+				if _, err := hcl.Build(base, lm, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -337,11 +334,11 @@ func BenchmarkFig4UpdateStream(b *testing.B) {
 			base, spec := benchGraph(b, name)
 			lm := landmark.ByDegree(base, spec.Landmarks)
 			benchInsertions(b, base, func(g *graph.Graph) updater {
-				idx, err := hcl.Build(g, lm)
+				idx, err := hcl.Build(g, lm, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
-				return hlUpdater{inchl.New(idx)}
+				return hlUpdater{idx}
 			})
 		})
 	}
@@ -353,11 +350,11 @@ func BenchmarkAblationRepairPartial(b *testing.B) {
 	base, spec := benchGraph(b, "Flickr")
 	lm := landmark.ByDegree(base, spec.Landmarks)
 	benchInsertions(b, base, func(g *graph.Graph) updater {
-		idx, err := hcl.Build(g, lm)
+		idx, err := hcl.Build(g, lm, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		return hlUpdater{inchl.New(idx)}
+		return hlUpdater{idx}
 	})
 }
 
@@ -365,13 +362,12 @@ func BenchmarkAblationRepairRebuild(b *testing.B) {
 	base, spec := benchGraph(b, "Flickr")
 	lm := landmark.ByDegree(base, spec.Landmarks)
 	benchInsertions(b, base, func(g *graph.Graph) updater {
-		idx, err := hcl.Build(g, lm)
+		idx, err := hcl.Build(g, lm, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		u := inchl.New(idx)
-		u.Strategy = inchl.RepairRebuild
-		return hlUpdater{u}
+		idx.Strategy = hcl.RepairRebuild
+		return hlUpdater{idx}
 	})
 }
 
@@ -381,7 +377,7 @@ func BenchmarkBuildSerial(b *testing.B) {
 	base, spec := benchGraph(b, "Indochina")
 	lm := landmark.ByDegree(base, spec.Landmarks)
 	for i := 0; i < b.N; i++ {
-		if _, err := hcl.Build(base, lm); err != nil {
+		if _, err := hcl.Build(base, lm, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -391,7 +387,7 @@ func BenchmarkBuildParallel(b *testing.B) {
 	base, spec := benchGraph(b, "Indochina")
 	lm := landmark.ByDegree(base, spec.Landmarks)
 	for i := 0; i < b.N; i++ {
-		if _, err := hcl.BuildParallel(base, lm, 0); err != nil {
+		if _, err := hcl.Build(base, lm, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/exper"
 	"repro/internal/fulldyn"
 	"repro/internal/hcl"
-	"repro/internal/inchl"
 	"repro/internal/landmark"
 	"repro/internal/pll"
 	"repro/internal/testutil"
@@ -24,11 +23,10 @@ func TestDifferentialThreeOracles(t *testing.T) {
 		lm := landmark.ByDegree(base, 5)
 
 		gHL := base.Clone()
-		idxHL, err := hcl.Build(gHL, lm)
+		idxHL, err := hcl.Build(gHL, lm, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		updHL := inchl.New(idxHL)
 
 		gFD := base.Clone()
 		idxFD, err := fulldyn.Build(gFD, lm)
@@ -41,7 +39,7 @@ func TestDifferentialThreeOracles(t *testing.T) {
 
 		inserts := exper.SampleInsertions(base, 25, seed*11+3)
 		for i, e := range inserts {
-			if _, err := updHL.InsertEdge(e[0], e[1]); err != nil {
+			if _, err := idxHL.InsertEdge(e[0], e[1], 1); err != nil {
 				t.Fatal(err)
 			}
 			if err := idxFD.InsertEdge(e[0], e[1]); err != nil {
@@ -85,11 +83,10 @@ func TestDifferentialFullyDynamic(t *testing.T) {
 		lm := landmark.ByDegree(base, 5)
 
 		gHL := base.Clone()
-		idxHL, err := hcl.Build(gHL, lm)
+		idxHL, err := hcl.Build(gHL, lm, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		updHL := inchl.New(idxHL)
 
 		gFD := base.Clone()
 		idxFD, err := fulldyn.Build(gFD, lm)
@@ -104,14 +101,14 @@ func TestDifferentialFullyDynamic(t *testing.T) {
 				continue
 			}
 			if gHL.HasEdge(u, v) {
-				if _, err := updHL.DeleteEdge(u, v); err != nil {
+				if _, err := idxHL.DeleteEdge(u, v); err != nil {
 					t.Fatalf("seed %d step %d: DecHL delete: %v", seed, step, err)
 				}
 				if err := idxFD.DeleteEdge(u, v); err != nil {
 					t.Fatalf("seed %d step %d: IncFD delete: %v", seed, step, err)
 				}
 			} else {
-				if _, err := updHL.InsertEdge(u, v); err != nil {
+				if _, err := idxHL.InsertEdge(u, v, 1); err != nil {
 					t.Fatalf("seed %d step %d: IncHL+ insert: %v", seed, step, err)
 				}
 				if err := idxFD.InsertEdge(u, v); err != nil {
@@ -150,7 +147,7 @@ func TestDifferentialFullyDynamic(t *testing.T) {
 func TestDifferentialUpperBounds(t *testing.T) {
 	g := testutil.RandomConnectedGraph(50, 90, 77)
 	lm := landmark.ByDegree(g, 5)
-	idxHL, err := hcl.Build(g, lm)
+	idxHL, err := hcl.Build(g, lm, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

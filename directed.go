@@ -3,8 +3,6 @@ package dynhl
 import (
 	"io"
 
-	"repro/internal/arena"
-	"repro/internal/dhcl"
 	"repro/internal/digraph"
 	"repro/internal/hcl"
 )
@@ -33,26 +31,6 @@ func ReadDigraph(r io.Reader) (*Digraph, error) { return digraph.ReadEdgeList(r)
 // NewStore for that.
 type DirectedIndex struct{ oracle }
 
-// directed is the directed variant's label index, with forward and
-// backward labels (internal/dhcl).
-type directed struct{ *dhcl.Index }
-
-func newDirected(idx *dhcl.Index) oracle {
-	return oracle{&idx.Core, idx.G, directedArcs, directed{idx}}
-}
-
-func (x directed) insertEdge(u, v uint32, _ Dist) (hcl.Stats, error) { return x.InsertEdge(u, v) }
-
-func (x directed) incident(v uint32) [][2]uint32 { return edgesAt(v, x.G.Out(v), x.G.In(v)) }
-
-func (x directed) fork() oracle { return newDirected(x.Fork(x.G.Fork())) }
-
-func (x directed) attach(data []byte, m *arena.Mapping) (oracle, error) {
-	return loaded(newDirected)(dhcl.AttachIndex(data, m, x.G))
-}
-
-func (directed) wrap(o oracle) variant { return &DirectedIndex{o} }
-
 // BuildDirected constructs the directed labelling of g. Options drives it
 // exactly as Build does the undirected one — landmark count, selection
 // strategy and seed (degree-based strategies use total in+out degree),
@@ -70,24 +48,24 @@ func BuildDirected(g *Digraph, opt Options) (*DirectedIndex, error) {
 // BuildDirectedWithLandmarks constructs the labelling with an explicit
 // landmark set (Options strategy fields are ignored).
 func BuildDirectedWithLandmarks(g *Digraph, landmarks []uint32, opt Options) (*DirectedIndex, error) {
-	idx, err := dhcl.BuildParallel(g, landmarks, buildWorkers(opt))
+	idx, err := hcl.Build(g, landmarks, buildWorkers(opt))
 	if err != nil {
 		return nil, err
 	}
 	idx.Workers = opt.RepairWorkers
-	return &DirectedIndex{newDirected(idx)}, nil
+	return &DirectedIndex{directedLabels.oracle(idx)}, nil
 }
 
 // Graph returns the underlying directed graph. Treat it as read-only;
 // mutate through the DirectedIndex methods.
-func (x *DirectedIndex) Graph() *Digraph { return x.lab.(directed).G }
+func (x *DirectedIndex) Graph() *Digraph { return x.lab.(labelled[*Digraph]).G }
 
 // LoadDirectedIndex restores a labelling saved with Save and attaches it to
 // g, which must be the graph it was built over.
 func LoadDirectedIndex(r io.Reader, g *Digraph) (*DirectedIndex, error) {
-	idx, err := dhcl.ReadIndex(r, g)
+	idx, err := hcl.ReadIndex(r, g)
 	if err != nil {
 		return nil, err
 	}
-	return &DirectedIndex{newDirected(idx)}, nil
+	return &DirectedIndex{directedLabels.oracle(idx)}, nil
 }

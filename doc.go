@@ -141,10 +141,12 @@
 //
 // # The labelling core and its parallel repair engine
 //
-// The three variants share one labelling core, internal/hcl's Core: the
-// landmarks and their rank table, the k×k highway, one label direction
-// (two on the directed variant, forward and backward) as a copy-on-write
-// table of packed label chunks, and the repair knobs. Fork,
+// The three variants are one labelled index, internal/hcl's Labelled,
+// generic over the graph it is bound to. Its Core holds the landmarks and
+// their rank table, the k×k highway, one label direction (two on the
+// directed variant, forward and backward) as a copy-on-write table of
+// packed label chunks, and the repair knobs. Construction, the codec,
+// the query, the cover audit, the edge updates, Fork,
 // serialisation, the repair engine and the update statistics (hcl.Stats)
 // are implemented there once, and so are the two local repairs of all
 // three variants: IncHL+'s jumped search and covered/uncovered
@@ -156,13 +158,15 @@
 // monotone radix heap — IncHL+ with Dijkstra in place of BFS, as the paper
 // extends it. The arc's size is a constant in each instantiation, so the
 // unit kernels compile without the weighted branches. One driver runs
-// them for every variant (hcl.InsertEdge and hcl.DeleteEdge): the check,
+// them for every variant (Labelled.InsertEdge and DeleteEdge): the check,
 // the graph edit, one task per (landmark, label direction) pass with its
 // Lemma 4.3 test and its jump to d(r, tail) + w, and the statistics. A
 // pass orients the edge by the labelling's kind, either way on an
 // undirected graph, a→b forward and b→a backward on a directed one, and
-// the edge's length is 1 or its weight; a variant adds only its graph
-// edit and adjacency.
+// the edge's length is 1 or its weight. What each graph type does
+// differently — its adjacency, bounded query search, full search for the
+// cover audit and graph edit — is its substrate in hcl; the root package
+// reaches the index through one generic adapter.
 //
 // Queries share one search toolkit. A unit-weight query refines its
 // Equation 2 bound with internal/bfs's one bounded bidirectional BFS,
@@ -411,9 +415,8 @@
 // with net/http/pprof and /metrics so profilers stay off the public port.
 //
 // The internal packages hold the substrates and baselines used by the
-// reproduction study: internal/hcl (the labelling core and the undirected
-// labelling), internal/inchl (the IncHL+ algorithm), internal/dhcl and
-// internal/whcl (the directed and weighted variants), internal/pll and internal/fulldyn (the IncPLL and
+// reproduction study: internal/hcl (the labelled index of all three
+// variants, with IncHL+ and DecHL), internal/pll and internal/fulldyn (the IncPLL and
 // IncFD baselines), internal/gen and internal/dataset (synthetic proxies of
 // the paper's 12 networks) and internal/exper (the harness regenerating
 // every table and figure of the paper; see EXPERIMENTS.md).

@@ -10,7 +10,6 @@ import (
 	"repro/internal/fanout"
 	"repro/internal/graph"
 	"repro/internal/hcl"
-	"repro/internal/inchl"
 	"repro/internal/landmark"
 )
 
@@ -71,7 +70,7 @@ type Options struct {
 // WeightedIndex: each embeds it and adds only its Graph accessor and
 // constructors. It serves the hcl core of a labelling over the graph g,
 // reads the weight and direction of each op's edges under the variant's
-// arc rule, and reaches what the variants do differently through lab.
+// arc rule, and reaches the labelled index through its one adapter, lab.
 // Besides Oracle, Saver, Loader and SaveAt it is the edge-level writer the
 // ops are written over (write.go); its repair settings are the core's
 // Workers and RepairTimer, which forks and loads carry over.
@@ -87,37 +86,77 @@ type oracle struct {
 	lab  labels
 }
 
-// labels is what the variants' label indexes do differently: the query
-// search, the cover audit and the edge deletion (methods of
-// inchl.Updater, dhcl.Index and whcl.Index), the edge insertion with its
-// weight, the edges at a vertex, the fork, the load, and the wrapping of
-// an oracle in the variant's exported type.
+// labels is what the oracle reaches through its adapter, labelled[G] for
+// the variant's graph type G: hcl's query, cover audit and edge updates,
+// and the adapter's edges at a vertex, fork and load.
 type labels interface {
 	Query(u, v uint32) Dist
 	VerifyCover() error
+	InsertEdge(u, v uint32, w Dist) (hcl.Stats, error)
 	DeleteEdge(u, v uint32) (hcl.Stats, error)
-	insertEdge(u, v uint32, w Dist) (hcl.Stats, error)
 	// incident lists the edges at v, out-arcs before in-arcs.
 	incident(v uint32) [][2]uint32
-	// fork returns the oracle of a copy-on-write copy of the labelling
-	// and its graph.
-	fork() oracle
+	// fork returns a copy-on-write copy of the labelling and its graph,
+	// wrapped in the variant's exported type.
+	fork() variant
 	// attach loads a labelling saved over the same graph from data,
 	// which lies inside m or is heap bytes when m is nil
 	// (hcl.AttachCore).
 	attach(data []byte, m *arena.Mapping) (oracle, error)
-	wrap(o oracle) variant
 }
 
-// loaded makes the oracle of a loaded label index with mk, or passes on
-// the load's error.
-func loaded[I any](mk func(I) oracle) func(I, error) (oracle, error) {
-	return func(idx I, err error) (oracle, error) {
-		if err != nil {
-			return oracle{}, err
+// labelled is the oracle's one label adapter: hcl's labelled index over a
+// graph of type G, with the variant's arc rule and exported type. It adds
+// what keeps the graph type: the edges at a vertex, the fork and the load.
+type labelled[G graphOf[G]] struct {
+	*hcl.Labelled[G]
+	rule arcRule
+	wrap func(oracle) variant
+}
+
+// graphOf is a variant's graph: a substrate of hcl that can also grow and
+// count its edges.
+type graphOf[G any] interface {
+	hcl.Substrate[G]
+	AddVertex() uint32
+	NumEdges() uint64
+}
+
+// The adapters of the three variants, before they hold an index.
+var (
+	undirectedLabels = labelled[*Graph]{rule: undirectedArcs, wrap: func(o oracle) variant { return &Index{o} }}
+	directedLabels   = labelled[*Digraph]{rule: directedArcs, wrap: func(o oracle) variant { return &DirectedIndex{o} }}
+	weightedLabels   = labelled[*WeightedGraph]{rule: weightedArcs, wrap: func(o oracle) variant { return &WeightedIndex{o} }}
+)
+
+// oracle returns the oracle of idx, a labelling of x's variant.
+func (x labelled[G]) oracle(idx *hcl.Labelled[G]) oracle {
+	x.Labelled = idx
+	return oracle{&idx.Core, idx.G, x.rule, x}
+}
+
+func (x labelled[G]) incident(v uint32) [][2]uint32 {
+	switch g := any(x.G).(type) {
+	case *Digraph:
+		return edgesAt(v, g.Out(v), g.In(v))
+	case *WeightedGraph:
+		es := make([][2]uint32, 0, len(g.Neighbors(v)))
+		for _, a := range g.Neighbors(v) {
+			es = append(es, [2]uint32{v, a.To})
 		}
-		return mk(idx), nil
+		return es
 	}
+	return edgesAt(v, any(x.G).(*Graph).Neighbors(v), nil)
+}
+
+func (x labelled[G]) fork() variant { return x.wrap(x.oracle(x.Fork(x.G.Fork()))) }
+
+func (x labelled[G]) attach(data []byte, m *arena.Mapping) (oracle, error) {
+	idx, err := hcl.AttachIndex(data, m, x.G)
+	if err != nil {
+		return oracle{}, err
+	}
+	return x.oracle(idx), nil
 }
 
 // base returns the oracle a variant embeds (see variant).
@@ -183,7 +222,7 @@ func (o *oracle) InsertEdge(u, v uint32, w Dist) (UpdateSummary, error) {
 
 // DeleteEdge is Oracle.DeleteEdge.
 func (o *oracle) DeleteEdge(u, v uint32) (UpdateSummary, error) {
-	return summary(o.lab.DeleteEdge(u, v))
+	return summary(o.deleteEdge(u, v))
 }
 
 // InsertVertex and DeleteVertex are Oracle's vertex ops. Each runs
@@ -251,10 +290,7 @@ func (o *oracle) adopt(n oracle, err error) error {
 
 // fork returns the copy-on-write working copy backing Store publishes:
 // the graph and label store share everything an update does not touch.
-func (o *oracle) fork() variant {
-	f := o.lab.fork()
-	return f.lab.wrap(f)
-}
+func (o *oracle) fork() variant { return o.lab.fork() }
 
 // checker returns the validity pre-pass over the oracle's graph.
 func (o *oracle) checker() *prepass { return newPrepass(o) }
@@ -267,7 +303,7 @@ func (o *oracle) addVertex() uint32 {
 }
 
 func (o *oracle) insertEdge(u, v uint32, w Dist) (hcl.Stats, error) {
-	return o.lab.insertEdge(u, v, w)
+	return o.lab.InsertEdge(u, v, w)
 }
 
 func (o *oracle) deleteEdge(u, v uint32) (hcl.Stats, error) { return o.lab.DeleteEdge(u, v) }
@@ -285,26 +321,6 @@ func (o *oracle) incident(v uint32) [][2]uint32 { return o.lab.incident(v) }
 // number of concurrent readers; readers must not race the Insert methods —
 // wrap with NewStore for that.
 type Index struct{ oracle }
-
-// undirected is the undirected variant's label index, maintained by
-// IncHL+ and DecHL (internal/inchl).
-type undirected struct{ *inchl.Updater }
-
-func newIndex(idx *hcl.Index) oracle {
-	return oracle{&idx.Core, idx.G, undirectedArcs, undirected{inchl.New(idx)}}
-}
-
-func (x undirected) insertEdge(u, v uint32, _ Dist) (hcl.Stats, error) { return x.InsertEdge(u, v) }
-
-func (x undirected) incident(v uint32) [][2]uint32 { return edgesAt(v, x.G.Neighbors(v), nil) }
-
-func (x undirected) fork() oracle { return newIndex(x.Fork(x.G.Fork())) }
-
-func (x undirected) attach(data []byte, m *arena.Mapping) (oracle, error) {
-	return loaded(newIndex)(hcl.AttachIndex(data, m, x.G))
-}
-
-func (undirected) wrap(o oracle) variant { return &Index{o} }
 
 // Build constructs the minimal highway cover labelling of g.
 func Build(g *Graph, opt Options) (*Index, error) {
@@ -336,12 +352,12 @@ func selectLandmarks(g interface {
 // BuildWithLandmarks constructs the labelling with an explicit landmark set
 // (Options strategy fields are ignored).
 func BuildWithLandmarks(g *Graph, landmarks []uint32, opt Options) (*Index, error) {
-	idx, err := hcl.BuildParallel(g, landmarks, buildWorkers(opt))
+	idx, err := hcl.Build(g, landmarks, buildWorkers(opt))
 	if err != nil {
 		return nil, err
 	}
 	idx.Workers = opt.RepairWorkers
-	return &Index{newIndex(idx)}, nil
+	return &Index{undirectedLabels.oracle(idx)}, nil
 }
 
 // buildWorkers is the construction fan-out Options ask for: Workers when
@@ -355,7 +371,7 @@ func buildWorkers(opt Options) int {
 
 // Graph returns the underlying graph. Treat it as read-only; mutate through
 // the Index methods.
-func (x *Index) Graph() *Graph { return x.lab.(undirected).G }
+func (x *Index) Graph() *Graph { return x.lab.(labelled[*Graph]).G }
 
 // summary converts any variant's update statistics to the summary every
 // oracle reports.
@@ -414,5 +430,5 @@ func LoadIndex(r io.Reader, g *Graph) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{newIndex(idx)}, nil
+	return &Index{undirectedLabels.oracle(idx)}, nil
 }

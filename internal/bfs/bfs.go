@@ -68,10 +68,10 @@ type spaceSlot struct {
 	_ [56]byte
 }
 
-// Spaces is the query scratch pool shared by every indexed search (hcl,
-// dhcl, whcl, fulldyn). One process-wide pool, rather than one per index,
-// lets a freshly published epoch answer its first queries from scratch
-// warmed by earlier epochs.
+// Spaces is the query scratch pool shared by every indexed search (the
+// three variants of hcl, fulldyn). One process-wide pool, rather than one
+// per index, lets a freshly published epoch answer its first queries from
+// scratch warmed by earlier epochs.
 var Spaces SpacePool
 
 // Get returns a QuerySpace covering n vertices, distance entries all

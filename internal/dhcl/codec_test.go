@@ -3,6 +3,7 @@ package dhcl
 import (
 	"bytes"
 	"encoding/binary"
+	"repro/internal/hcl"
 	"strings"
 	"testing"
 )
@@ -14,7 +15,7 @@ import (
 // guarantee.
 func TestCodecRoundTrip(t *testing.T) {
 	g := randomDigraph(120, 400, 41)
-	idx, err := Build(g, topLandmarks(g, 5))
+	idx, err := hcl.Build(g, topLandmarks(g, 5), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +23,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	if _, err := idx.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadIndex(bytes.NewReader(buf.Bytes()), g)
+	loaded, err := hcl.ReadIndex(bytes.NewReader(buf.Bytes()), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestCodecRoundTrip(t *testing.T) {
 // refuse.
 func TestCodecRejectsCorruption(t *testing.T) {
 	g := randomDigraph(40, 120, 43)
-	idx, err := Build(g, topLandmarks(g, 3))
+	idx, err := hcl.Build(g, topLandmarks(g, 3), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,16 +69,16 @@ func TestCodecRejectsCorruption(t *testing.T) {
 	for _, magic := range []string{"XXXX", "DHL1"} {
 		bad := append([]byte(nil), blob...)
 		copy(bad, magic)
-		_, err := ReadIndex(bytes.NewReader(bad), g)
+		_, err := hcl.ReadIndex(bytes.NewReader(bad), g)
 		if err == nil || !strings.Contains(err.Error(), magic) {
 			t.Errorf("magic %q: got %v, want an unsupported-format error", magic, err)
 		}
 	}
-	if _, err := ReadIndex(bytes.NewReader(blob[:len(blob)/2]), g); err == nil {
+	if _, err := hcl.ReadIndex(bytes.NewReader(blob[:len(blob)/2]), g); err == nil {
 		t.Error("truncated stream accepted")
 	}
 	other := randomDigraph(41, 120, 44)
-	if _, err := ReadIndex(bytes.NewReader(blob), other); err == nil {
+	if _, err := hcl.ReadIndex(bytes.NewReader(blob), other); err == nil {
 		t.Error("vertex-count mismatch accepted")
 	}
 
@@ -93,7 +94,7 @@ func TestCodecRejectsCorruption(t *testing.T) {
 		"duplicate landmark": patch(lm+4, idx.Landmarks[0]),
 		"non-zero diagonal":  patch(hw+4*4, 1),
 	} {
-		if _, err := ReadIndex(bytes.NewReader(bad), g); err == nil {
+		if _, err := hcl.ReadIndex(bytes.NewReader(bad), g); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}

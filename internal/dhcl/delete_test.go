@@ -48,7 +48,7 @@ func TestDeleteEdgeMatchesRebuildDirected(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed * 13))
 			g := sh.graph(seed)
 			lm := sh.landmarks(g, rng)
-			idx, err := Build(g, lm)
+			idx, err := hcl.Build(g, lm, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +64,7 @@ func TestDeleteEdgeMatchesRebuildDirected(t *testing.T) {
 						continue
 					}
 					what = fmt.Sprintf("insert %d (%d→%d)", i, a, b)
-					if _, err := idx.InsertEdge(a, b); err != nil {
+					if _, err := idx.InsertEdge(a, b, 1); err != nil {
 						t.Fatalf("%s seed %d %s: %v", sh.name, seed, what, err)
 					}
 				} else {
@@ -80,7 +80,7 @@ func TestDeleteEdgeMatchesRebuildDirected(t *testing.T) {
 				if st.HighwayUpdates > 0 {
 					landmarksMoved++
 				}
-				fresh, err := Build(g, lm)
+				fresh, err := hcl.Build(g, lm, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -122,7 +122,7 @@ func countInf(hw []uint32) int {
 func TestDeleteThenReinsertDirected(t *testing.T) {
 	g := randomDigraph(30, 70, 21)
 	lm := topLandmarks(g, 4)
-	idx, err := Build(g, lm)
+	idx, err := hcl.Build(g, lm, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +133,10 @@ func TestDeleteThenReinsertDirected(t *testing.T) {
 		if _, err := idx.DeleteEdge(e[0], e[1]); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := idx.InsertEdge(e[0], e[1]); err != nil {
+		if _, err := idx.InsertEdge(e[0], e[1], 1); err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := Build(g, lm)
+		fresh, err := hcl.Build(g, lm, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestDeleteThenReinsertDirected(t *testing.T) {
 
 func TestDeleteEdgeErrorsDirected(t *testing.T) {
 	g := randomDigraph(20, 50, 7)
-	idx, err := Build(g, topLandmarks(g, 3))
+	idx, err := hcl.Build(g, topLandmarks(g, 3), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,3 +1,8 @@
+// Package dhcl holds the tests of the directed variant of internal/hcl's
+// labelled index, hcl.Labelled over a digraph.Digraph: forward labels
+// (distances from landmarks, over out-edges), backward labels (distances
+// to landmarks, over in-edges), the directed highway, and the two passes
+// per landmark of every update. The index itself has no code here.
 package dhcl
 
 import (
@@ -8,6 +13,17 @@ import (
 
 	"repro/internal/digraph"
 	"repro/internal/graph"
+	"repro/internal/hcl"
+)
+
+// labelled is the directed labelled index these tests maintain.
+type labelled = hcl.Labelled[*digraph.Digraph]
+
+// The two label directions, and the magic of the directed label stream.
+const (
+	fwd        = 0
+	bwd        = 1
+	codecMagic = "DHL2"
 )
 
 // randomDigraph returns a digraph with n vertices and ~m random directed
@@ -117,7 +133,7 @@ func TestDigraphForwardBackward(t *testing.T) {
 func TestBuildQueryMatchesOracle(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := randomDigraph(45, 160, seed)
-		idx, err := Build(g, topLandmarks(g, 4))
+		idx, err := hcl.Build(g, topLandmarks(g, 4), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +161,7 @@ func TestBuildAsymmetricPath(t *testing.T) {
 	g.MustAddEdge(0, 1)
 	g.MustAddEdge(1, 2)
 	g.MustAddEdge(2, 3)
-	idx, err := Build(g, []uint32{0})
+	idx, err := hcl.Build(g, []uint32{0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,13 +182,13 @@ func TestBuildAsymmetricPath(t *testing.T) {
 
 func TestBuildErrors(t *testing.T) {
 	g := randomDigraph(5, 10, 1)
-	if _, err := Build(g, nil); err == nil {
+	if _, err := hcl.Build(g, nil, 1); err == nil {
 		t.Error("no landmarks must fail")
 	}
-	if _, err := Build(g, []uint32{1, 1}); err == nil {
+	if _, err := hcl.Build(g, []uint32{1, 1}, 1); err == nil {
 		t.Error("duplicate landmarks must fail")
 	}
-	if _, err := Build(g, []uint32{99}); err == nil {
+	if _, err := hcl.Build(g, []uint32{99}, 1); err == nil {
 		t.Error("unknown landmark must fail")
 	}
 }
@@ -181,15 +197,15 @@ func TestInsertEdgeMatchesRebuild(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		g := randomDigraph(40, 110, 50+seed)
 		lm := topLandmarks(g, 3+int(seed%3))
-		idx, err := Build(g, lm)
+		idx, err := hcl.Build(g, lm, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, e := range nonEdges(g, 20, seed*7+1) {
-			if _, err := idx.InsertEdge(e[0], e[1]); err != nil {
+			if _, err := idx.InsertEdge(e[0], e[1], 1); err != nil {
 				t.Fatalf("seed %d insert %d: %v", seed, i, err)
 			}
-			fresh, err := Build(g, lm)
+			fresh, err := hcl.Build(g, lm, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,12 +221,12 @@ func TestInsertEdgeMatchesRebuild(t *testing.T) {
 
 func TestInsertEdgeQueriesStayExact(t *testing.T) {
 	g := randomDigraph(35, 90, 9)
-	idx, err := Build(g, topLandmarks(g, 4))
+	idx, err := hcl.Build(g, topLandmarks(g, 4), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range nonEdges(g, 25, 4) {
-		if _, err := idx.InsertEdge(e[0], e[1]); err != nil {
+		if _, err := idx.InsertEdge(e[0], e[1], 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -227,21 +243,21 @@ func TestInsertEdgeQueriesStayExact(t *testing.T) {
 
 func TestInsertEdgeErrors(t *testing.T) {
 	g := randomDigraph(6, 8, 2)
-	idx, err := Build(g, topLandmarks(g, 2))
+	idx, err := hcl.Build(g, topLandmarks(g, 2), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := idx.InsertEdge(1, 1); err == nil {
+	if _, err := idx.InsertEdge(1, 1, 1); err == nil {
 		t.Error("self-loop must be rejected")
 	}
-	if _, err := idx.InsertEdge(0, 77); err == nil {
+	if _, err := idx.InsertEdge(0, 77, 1); err == nil {
 		t.Error("unknown vertex must be rejected")
 	}
 	e := nonEdges(g, 1, 5)[0]
-	if _, err := idx.InsertEdge(e[0], e[1]); err != nil {
+	if _, err := idx.InsertEdge(e[0], e[1], 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := idx.InsertEdge(e[0], e[1]); err == nil {
+	if _, err := idx.InsertEdge(e[0], e[1], 1); err == nil {
 		t.Error("duplicate must be rejected")
 	}
 }
@@ -249,16 +265,16 @@ func TestQuickInsertStreamMinimality(t *testing.T) {
 	f := func(seed int64, kRaw uint8) bool {
 		g := randomDigraph(25, 70, seed)
 		lm := topLandmarks(g, 1+int(kRaw)%4)
-		idx, err := Build(g, lm)
+		idx, err := hcl.Build(g, lm, 1)
 		if err != nil {
 			return false
 		}
 		for _, e := range nonEdges(g, 10, seed+3) {
-			if _, err := idx.InsertEdge(e[0], e[1]); err != nil {
+			if _, err := idx.InsertEdge(e[0], e[1], 1); err != nil {
 				return false
 			}
 		}
-		fresh, err := Build(g, lm)
+		fresh, err := hcl.Build(g, lm, 1)
 		if err != nil {
 			return false
 		}
@@ -271,7 +287,7 @@ func TestQuickInsertStreamMinimality(t *testing.T) {
 
 func TestBytesAndEntries(t *testing.T) {
 	g := randomDigraph(30, 80, 6)
-	idx, err := Build(g, topLandmarks(g, 3))
+	idx, err := hcl.Build(g, topLandmarks(g, 3), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 	"repro/internal/hcl"
 )
 
-func forkFixture(t *testing.T) *Index {
+func forkFixture(t *testing.T) *labelled {
 	t.Helper()
 	g := digraph.New(8)
 	for i := 0; i < 8; i++ {
@@ -17,7 +17,7 @@ func forkFixture(t *testing.T) *Index {
 		g.MustAddEdge(i, i+1)
 	}
 	g.MustAddEdge(7, 0) // cycle keeps everything reachable both ways
-	idx, err := Build(g, []uint32{0, 4})
+	idx, err := hcl.Build(g, []uint32{0, 4}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func forkFixture(t *testing.T) *Index {
 }
 
 // highway copies the directed highway matrix row by row.
-func highway(idx *Index) []uint32 {
+func highway(idx *labelled) []uint32 {
 	var out []uint32
 	for i := range idx.Landmarks {
 		out = append(out, idx.Row(uint16(i))...)
@@ -33,7 +33,7 @@ func highway(idx *Index) []uint32 {
 	return out
 }
 
-func copyLabels(idx *Index, dir int) []hcl.Label {
+func copyLabels(idx *labelled, dir int) []hcl.Label {
 	out := make([]hcl.Label, idx.Packed(dir).NumVertices())
 	for v := range out {
 		out[v] = append(hcl.Label(nil), idx.Label(dir, uint32(v))...)
@@ -51,7 +51,7 @@ func TestForkUpdateIsolation(t *testing.T) {
 	edges := idx.G.NumEdges()
 
 	f := idx.Fork(idx.G.Fork())
-	if _, err := f.InsertEdge(2, 6); err != nil {
+	if _, err := f.InsertEdge(2, 6, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.DeleteEdge(3, 4); err != nil {

@@ -7,13 +7,14 @@ import (
 	"testing"
 
 	"repro/internal/arena"
+	"repro/internal/hcl"
 )
 
 // TestCodecV2RoundTrip pins the on-disk format: WriteTo writes the DHL2
 // stream and the copy-in ReadIndex reproduces the labelling exactly.
 func TestCodecV2RoundTrip(t *testing.T) {
 	g := randomDigraph(150, 500, 47)
-	idx, err := Build(g, topLandmarks(g, 6))
+	idx, err := hcl.Build(g, topLandmarks(g, 6), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +25,7 @@ func TestCodecV2RoundTrip(t *testing.T) {
 	if got := string(buf.Bytes()[:4]); got != codecMagic {
 		t.Fatalf("WriteTo wrote %q, want %q", got, codecMagic)
 	}
-	loaded, err := ReadIndex(bytes.NewReader(buf.Bytes()), g)
+	loaded, err := hcl.ReadIndex(bytes.NewReader(buf.Bytes()), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestReadIndexMapped(t *testing.T) {
 		t.Skip("mmap not supported")
 	}
 	g := randomDigraph(200, 700, 49)
-	idx, err := Build(g, topLandmarks(g, 7))
+	idx, err := hcl.Build(g, topLandmarks(g, 7), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestReadIndexMapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapped, err := AttachIndex(m.Data(), m, g)
+	mapped, err := hcl.AttachIndex(m.Data(), m, g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,10 +10,10 @@ import (
 // buildAt rebuilds the same directed fixture from scratch (graphs are
 // mutated by updates, so every worker-count run gets its own copy) and
 // pins the index to the given repair fan-out.
-func buildAt(t *testing.T, n, m int, seed int64, k, workers int) (*digraph.Digraph, *Index) {
+func buildAt(t *testing.T, n, m int, seed int64, k, workers int) (*digraph.Digraph, *labelled) {
 	t.Helper()
 	g := randomDigraph(n, m, seed)
-	idx, err := BuildParallel(g, topLandmarks(g, k), workers)
+	idx, err := hcl.Build(g, topLandmarks(g, k), workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,11 +23,11 @@ func buildAt(t *testing.T, n, m int, seed int64, k, workers int) (*digraph.Digra
 
 // runMixedD drives the same insert/delete arc stream through idx; every
 // third inserted arc is deleted again so both repair paths execute.
-func runMixedD(t *testing.T, idx *Index, arcs [][2]uint32) []hcl.Stats {
+func runMixedD(t *testing.T, idx *labelled, arcs [][2]uint32) []hcl.Stats {
 	t.Helper()
 	var log []hcl.Stats
 	for i, e := range arcs {
-		st, err := idx.InsertEdge(e[0], e[1])
+		st, err := idx.InsertEdge(e[0], e[1], 1)
 		if err != nil {
 			t.Fatalf("insert %d (%d,%d): %v", i, e[0], e[1], err)
 		}
@@ -48,13 +48,13 @@ func runMixedD(t *testing.T, idx *Index, arcs [][2]uint32) []hcl.Stats {
 func TestBuildParallelMatchesSerial(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		g := randomDigraph(70, 240, seed)
-		serial, err := Build(g, topLandmarks(g, 5))
+		serial, err := hcl.Build(g, topLandmarks(g, 5), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range []int{2, 0} {
 			g2 := randomDigraph(70, 240, seed)
-			par, err := BuildParallel(g2, topLandmarks(g2, 5), w)
+			par, err := hcl.Build(g2, topLandmarks(g2, 5), w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +66,7 @@ func TestBuildParallelMatchesSerial(t *testing.T) {
 }
 
 // TestParallelRepairMatchesSerial pins the directed repair engine's
-// contract: per-op Stats and the final labelling (labels + both highway
+// contract: per-op hcl.Stats and the final labelling (labels + both highway
 // halves) are identical to the serial path for any worker count.
 func TestParallelRepairMatchesSerial(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {

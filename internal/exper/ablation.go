@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/hcl"
-	"repro/internal/inchl"
 	"repro/internal/landmark"
 	"repro/internal/stats"
 )
@@ -41,13 +40,12 @@ func Ablation(cfg Config) ([]AblationRow, error) {
 		var skipped, totalLm int
 		{
 			g := base.Clone()
-			idx, err := hcl.Build(g, lm)
+			idx, err := hcl.Build(g, lm, 1)
 			if err != nil {
 				return nil, fmt.Errorf("ablation: %s: %w", spec.Name, err)
 			}
-			upd := inchl.New(idx)
 			row.PartialMs, err = timeUpdates(len(inserts), func(i int) error {
-				st, err := upd.InsertEdge(inserts[i][0], inserts[i][1])
+				st, err := idx.InsertEdge(inserts[i][0], inserts[i][1], 1)
 				skipped += st.LandmarksSkipped
 				totalLm += st.LandmarksTotal
 				return err
@@ -58,14 +56,13 @@ func Ablation(cfg Config) ([]AblationRow, error) {
 		}
 		{
 			g := base.Clone()
-			idx, err := hcl.Build(g, lm)
+			idx, err := hcl.Build(g, lm, 1)
 			if err != nil {
 				return nil, fmt.Errorf("ablation: %s: %w", spec.Name, err)
 			}
-			upd := inchl.New(idx)
-			upd.Strategy = inchl.RepairRebuild
+			idx.Strategy = hcl.RepairRebuild
 			row.RebuildMs, err = timeUpdates(len(inserts), func(i int) error {
-				_, err := upd.InsertEdge(inserts[i][0], inserts[i][1])
+				_, err := idx.InsertEdge(inserts[i][0], inserts[i][1], 1)
 				return err
 			})
 			if err != nil {

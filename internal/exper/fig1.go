@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/hcl"
-	"repro/internal/inchl"
 	"repro/internal/landmark"
 	"repro/internal/stats"
 )
@@ -59,15 +58,14 @@ func fig1Dataset(spec dataset.Spec, cfg Config) (Fig1Row, error) {
 	g := dataset.Generate(spec, cfg.Scale, cfg.Seed)
 	k := cfg.landmarkCount(spec)
 	lm := landmark.ByDegree(g, k)
-	idx, err := hcl.Build(g, lm)
+	idx, err := hcl.Build(g, lm, 1)
 	if err != nil {
 		return Fig1Row{}, err
 	}
-	upd := inchl.New(idx)
 	inserts := SampleInsertions(g, cfg.Updates, cfg.Seed+77)
 	row := Fig1Row{Dataset: spec.Name, Vertices: g.NumVertices()}
 	for _, e := range inserts {
-		st, err := upd.InsertEdge(e[0], e[1])
+		st, err := idx.InsertEdge(e[0], e[1], 1)
 		if err != nil {
 			return row, err
 		}

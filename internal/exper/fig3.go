@@ -6,7 +6,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/fulldyn"
 	"repro/internal/hcl"
-	"repro/internal/inchl"
 	"repro/internal/landmark"
 	"repro/internal/stats"
 )
@@ -45,13 +44,12 @@ func Fig3(cfg Config) ([]Fig3Row, error) {
 			row := Fig3Row{Dataset: spec.Name, Landmarks: k}
 
 			gHL := base.Clone()
-			idxHL, err := hcl.Build(gHL, lm)
+			idxHL, err := hcl.Build(gHL, lm, 1)
 			if err != nil {
 				return nil, fmt.Errorf("fig3: %s |R|=%d: %w", spec.Name, k, err)
 			}
-			upd := inchl.New(idxHL)
 			row.IncHLMs, err = timeUpdates(len(inserts), func(i int) error {
-				_, err := upd.InsertEdge(inserts[i][0], inserts[i][1])
+				_, err := idxHL.InsertEdge(inserts[i][0], inserts[i][1], 1)
 				return err
 			})
 			if err != nil {

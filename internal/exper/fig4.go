@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/hcl"
-	"repro/internal/inchl"
 	"repro/internal/landmark"
 )
 
@@ -68,14 +67,13 @@ func fig4Dataset(spec dataset.Spec, cfg Config, total, batch int) (Fig4Row, erro
 
 	row := Fig4Row{Dataset: spec.Name, BatchSize: batch}
 	start := time.Now()
-	idx, err := hcl.Build(g, lm)
+	idx, err := hcl.Build(g, lm, 1)
 	if err != nil {
 		return row, err
 	}
 	row.ConstructionMs = float64(time.Since(start)) / float64(time.Millisecond)
 
 	inserts := SampleInsertions(g, total, cfg.Seed+404)
-	upd := inchl.New(idx)
 	var cum float64
 	for done := 0; done < len(inserts); {
 		end := done + batch
@@ -84,7 +82,7 @@ func fig4Dataset(spec dataset.Spec, cfg Config, total, batch int) (Fig4Row, erro
 		}
 		t0 := time.Now()
 		for ; done < end; done++ {
-			if _, err := upd.InsertEdge(inserts[done][0], inserts[done][1]); err != nil {
+			if _, err := idx.InsertEdge(inserts[done][0], inserts[done][1], 1); err != nil {
 				return row, err
 			}
 		}

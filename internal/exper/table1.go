@@ -9,7 +9,6 @@ import (
 	"repro/internal/fulldyn"
 	"repro/internal/graph"
 	"repro/internal/hcl"
-	"repro/internal/inchl"
 	"repro/internal/landmark"
 	"repro/internal/pll"
 	"repro/internal/stats"
@@ -76,13 +75,12 @@ func table1Dataset(spec dataset.Spec, cfg Config) (Table1Row, error) {
 	// IncHL+ (always feasible — the paper's headline scalability claim).
 	{
 		g := base.Clone()
-		idx, err := hcl.Build(g, lm)
+		idx, err := hcl.Build(g, lm, 1)
 		if err != nil {
 			return row, err
 		}
-		upd := inchl.New(idx)
 		updMs, err := timeUpdates(len(inserts), func(i int) error {
-			_, err := upd.InsertEdge(inserts[i][0], inserts[i][1])
+			_, err := idx.InsertEdge(inserts[i][0], inserts[i][1], 1)
 			return err
 		})
 		if err != nil {

@@ -12,7 +12,7 @@ import (
 	"repro/internal/graph"
 )
 
-// The binary label stream shared by the hcl, dhcl and whcl codecs:
+// The binary label stream of all three variants:
 //
 //	magic | u32 |V| | u32 |R| | landmarks u32×|R| |
 //	highway u32×|R|² (row-major) | one label block per label table
@@ -403,12 +403,4 @@ func ReadCore(r io.Reader, kind Kind, n int) (Core, error) {
 		return Core{}, fmt.Errorf("reading label stream: %w", err)
 	}
 	return AttachCore(data, nil, kind, n)
-}
-
-// ReadIndex deserialises a labelling written by WriteTo and attaches it to
-// g, which must be the graph the index was built over (vertex count is
-// checked; callers needing a stronger guarantee can run VerifyCover).
-func ReadIndex(r io.Reader, g *graph.Graph) (*Index, error) {
-	c, err := ReadCore(r, undirected, g.NumVertices())
-	return attach(g, c, err)
 }

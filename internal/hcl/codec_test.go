@@ -13,7 +13,7 @@ import (
 
 func TestCodecRoundTrip(t *testing.T) {
 	g := testutil.RandomGraph(120, 220, 5)
-	idx, err := Build(g, landmark.ByDegree(g, 8))
+	idx, err := Build(g, landmark.ByDegree(g, 8), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestCodecRoundTrip(t *testing.T) {
 
 func TestCodecRejectsGarbage(t *testing.T) {
 	g := testutil.RandomGraph(10, 15, 1)
-	idx, err := Build(g, landmark.ByDegree(g, 3))
+	idx, err := Build(g, landmark.ByDegree(g, 3), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestCodecRejectsGarbage(t *testing.T) {
 
 func TestCodecRejectsWrongGraph(t *testing.T) {
 	g := testutil.RandomGraph(40, 60, 2)
-	idx, err := Build(g, landmark.ByDegree(g, 4))
+	idx, err := Build(g, landmark.ByDegree(g, 4), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestCodecRejectsWrongGraph(t *testing.T) {
 
 func TestCodecCorruptedLabelRejected(t *testing.T) {
 	g := testutil.RandomGraph(30, 50, 4)
-	idx, err := Build(g, landmark.ByDegree(g, 3))
+	idx, err := Build(g, landmark.ByDegree(g, 3), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,9 @@ import (
 
 // Core is the labelling the three variants share: the landmarks and their
 // rank table, the k×k highway of landmark-to-landmark distances, one or two
-// label directions, and the repair knobs. hcl.Index, dhcl.Index and
-// whcl.Index embed it and add their graph, its edit and adjacency, and
-// their query searches; fork, serialisation, the highway upper bound, the
+// label directions, and the repair knobs. Labelled embeds it and adds the
+// graph, whose substrate (substrate.go) supplies its edit, adjacency and
+// searches; fork, serialisation, the highway upper bound, the
 // cover audit (verify.go), the repair engine (repair.go), the update
 // checks (check.go), the edge updates with their Lemma 4.3 tests and
 // statistics (update.go) and the local insertion and deletion repairs

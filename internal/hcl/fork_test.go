@@ -8,14 +8,14 @@ import (
 
 // SetEntry writes the entry of landmark rank r in L(v) through the repair
 // merge, as a one-edit delta; RemoveEntry drops it.
-func (idx *Index) SetEntry(v uint32, r uint16, d graph.Dist) {
+func (idx *Labelled[G]) SetEntry(v uint32, r uint16, d graph.Dist) {
 	idx.merge([]Delta{{Rank: r, ops: []labelOp{{v, d}}}}, false)
 }
 
-func (idx *Index) RemoveEntry(v uint32, r uint16) { idx.SetEntry(v, r, graph.Inf) }
+func (idx *Labelled[G]) RemoveEntry(v uint32, r uint16) { idx.SetEntry(v, r, graph.Inf) }
 
 // forkFixture builds a small labelled index to fork.
-func forkFixture(t *testing.T) *Index {
+func forkFixture(t *testing.T) *Labelled[*graph.Graph] {
 	t.Helper()
 	g := graph.New(8)
 	for i := 0; i < 8; i++ {
@@ -25,7 +25,7 @@ func forkFixture(t *testing.T) *Index {
 		g.MustAddEdge(i, i+1)
 	}
 	g.MustAddEdge(0, 4)
-	idx, err := Build(g, []uint32{0, 4})
+	idx, err := Build(g, []uint32{0, 4}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func forkFixture(t *testing.T) *Index {
 }
 
 // snapshotLabels captures a deep copy of the labelling for later comparison.
-func snapshotLabels(idx *Index) []Label {
+func snapshotLabels(idx *Labelled[*graph.Graph]) []Label {
 	out := make([]Label, idx.Packed(0).NumVertices())
 	for v := range out {
 		out[v] = append(Label(nil), idx.Label(0, uint32(v))...)
@@ -69,10 +69,10 @@ func TestForkLabelIsolation(t *testing.T) {
 	if idx.Packed(0).NumVertices() != 8 {
 		t.Fatalf("parent label table grew to %d", idx.Packed(0).NumVertices())
 	}
-	if d, ok := f.EntryDist(9, 0); !ok || d != 3 {
+	if d, ok := f.Entry(0, 9, 0); !ok || d != 3 {
 		t.Fatalf("fork entry (9,0): %d %v", d, ok)
 	}
-	if d, ok := f.EntryDist(6, 0); !ok || d != 1 {
+	if d, ok := f.Entry(0, 6, 0); !ok || d != 1 {
 		t.Fatalf("fork overwrite (6,0): %d %v", d, ok)
 	}
 	if f.Highway(0, 1) != 99 || f.Highway(1, 0) != 99 {

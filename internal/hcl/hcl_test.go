@@ -25,7 +25,7 @@ func pathGraph(n int) *graph.Graph {
 
 func TestBuildPathGraph(t *testing.T) {
 	g := pathGraph(7)
-	idx, err := Build(g, []uint32{0, 6})
+	idx, err := Build(g, []uint32{0, 6}, 1)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -36,10 +36,10 @@ func TestBuildPathGraph(t *testing.T) {
 	// to landmark 0 contains no other landmark, so it holds entries for
 	// both landmarks.
 	for v := uint32(1); v <= 5; v++ {
-		if d, ok := idx.EntryDist(v, 0); !ok || d != graph.Dist(v) {
+		if d, ok := idx.Entry(0, v, 0); !ok || d != graph.Dist(v) {
 			t.Errorf("entry (0,%d): got %d,%v want %d", v, d, ok, v)
 		}
-		if d, ok := idx.EntryDist(v, 1); !ok || d != graph.Dist(6-v) {
+		if d, ok := idx.Entry(0, v, 1); !ok || d != graph.Dist(6-v) {
 			t.Errorf("entry (6,%d): got %d,%v want %d", v, d, ok, 6-v)
 		}
 	}
@@ -57,14 +57,14 @@ func TestBuildCoveredVertexGetsNoEntry(t *testing.T) {
 	// 0 - 1 - 2 - 3 with landmarks 0 and 2: every shortest path from 0 to 3
 	// passes through landmark 2, so vertex 3 must have no entry for 0.
 	g := pathGraph(4)
-	idx, err := Build(g, []uint32{0, 2})
+	idx, err := Build(g, []uint32{0, 2}, 1)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if _, ok := idx.EntryDist(3, 0); ok {
+	if _, ok := idx.Entry(0, 3, 0); ok {
 		t.Errorf("vertex 3 should be covered by landmark 2 w.r.t. landmark 0")
 	}
-	if d, ok := idx.EntryDist(3, 1); !ok || d != 1 {
+	if d, ok := idx.Entry(0, 3, 1); !ok || d != 1 {
 		t.Errorf("entry (2,3): got %d,%v want 1", d, ok)
 	}
 	if got := idx.Query(0, 3); got != 3 {
@@ -87,11 +87,11 @@ func TestBuildUncoveredParallelPathKeepsEntry(t *testing.T) {
 	for _, e := range [][2]uint32{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 5}, {5, 6}, {6, 7}, {7, 4}} {
 		g.MustAddEdge(e[0], e[1])
 	}
-	idx, err := Build(g, []uint32{0, 2})
+	idx, err := Build(g, []uint32{0, 2}, 1)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if _, ok := idx.EntryDist(4, 0); ok {
+	if _, ok := idx.Entry(0, 4, 0); ok {
 		t.Errorf("vertex 4 is covered (a shortest 0-4 path passes landmark 2); entry must be absent")
 	}
 	if err := idx.VerifyCover(); err != nil {
@@ -110,7 +110,7 @@ func TestBuildDisconnected(t *testing.T) {
 	g.MustAddEdge(0, 1)
 	g.MustAddEdge(1, 2)
 	g.MustAddEdge(3, 4) // separate component, no landmark
-	idx, err := Build(g, []uint32{0})
+	idx, err := Build(g, []uint32{0}, 1)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -123,20 +123,20 @@ func TestBuildDisconnected(t *testing.T) {
 	if got := idx.Query(5, 5); got != 0 {
 		t.Errorf("Query(5,5): got %d, want 0", got)
 	}
-	if _, ok := idx.EntryDist(3, 0); ok {
+	if _, ok := idx.Entry(0, 3, 0); ok {
 		t.Errorf("unreachable vertex must have no entries")
 	}
 }
 
 func TestBuildErrors(t *testing.T) {
 	g := pathGraph(3)
-	if _, err := Build(g, nil); err == nil {
+	if _, err := Build(g, nil, 1); err == nil {
 		t.Error("Build with no landmarks should fail")
 	}
-	if _, err := Build(g, []uint32{0, 0}); err == nil {
+	if _, err := Build(g, []uint32{0, 0}, 1); err == nil {
 		t.Error("Build with duplicate landmarks should fail")
 	}
-	if _, err := Build(g, []uint32{9}); err == nil {
+	if _, err := Build(g, []uint32{9}, 1); err == nil {
 		t.Error("Build with unknown landmark vertex should fail")
 	}
 }
@@ -145,7 +145,7 @@ func TestBuildRandomVerifyCover(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		g := testutil.RandomGraph(80, 160, seed)
 		lm := landmark.ByDegree(g, 5)
-		idx, err := Build(g, lm)
+		idx, err := Build(g, lm, 1)
 		if err != nil {
 			t.Fatalf("seed %d: Build: %v", seed, err)
 		}
@@ -162,7 +162,7 @@ func TestQueryMatchesBFSOracle(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := testutil.RandomGraph(60, 110, 100+seed)
 		lm := landmark.ByDegree(g, 4)
-		idx, err := Build(g, lm)
+		idx, err := Build(g, lm, 1)
 		if err != nil {
 			t.Fatalf("Build: %v", err)
 		}
@@ -181,12 +181,12 @@ func TestBuildParallelMatchesSerial(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := testutil.RandomConnectedGraph(120, 200, 200+seed)
 		lm := landmark.ByDegree(g, 8)
-		serial, err := Build(g, lm)
+		serial, err := Build(g, lm, 1)
 		if err != nil {
 			t.Fatalf("Build: %v", err)
 		}
 		for _, workers := range []int{1, 2, 4, 0} {
-			par, err := BuildParallel(g, lm, workers)
+			par, err := Build(g, lm, workers)
 			if err != nil {
 				t.Fatalf("BuildParallel(%d): %v", workers, err)
 			}
@@ -200,7 +200,7 @@ func TestBuildParallelMatchesSerial(t *testing.T) {
 func TestUpperBoundIsUpperBound(t *testing.T) {
 	g := testutil.RandomConnectedGraph(70, 140, 7)
 	lm := landmark.ByDegree(g, 5)
-	idx, err := Build(g, lm)
+	idx, err := Build(g, lm, 1)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -225,7 +225,7 @@ func TestUpperBoundExactWhenPathMeetsLandmark(t *testing.T) {
 	for i := uint32(1); i < 6; i++ {
 		g.MustAddEdge(0, i)
 	}
-	idx, err := Build(g, []uint32{0})
+	idx, err := Build(g, []uint32{0}, 1)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -394,7 +394,7 @@ func TestValidate(t *testing.T) {
 
 func TestIndexBytesAndAvg(t *testing.T) {
 	g := pathGraph(5)
-	idx, err := Build(g, []uint32{0})
+	idx, err := Build(g, []uint32{0}, 1)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}

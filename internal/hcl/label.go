@@ -2,10 +2,11 @@
 // the distance-labelling substrate that IncHL+ (Farhan & Wang, EDBT 2021)
 // maintains incrementally: per-vertex landmark distance labels, the
 // landmark-to-landmark highway, static construction, and the exact
-// upper-bound + bounded-search query of Section 3 of the paper. Its Core
-// (core.go), repair engine (repair.go) and edge updates (update.go) are
-// the labelling machinery the directed (dhcl) and weighted (whcl) variants
-// share.
+// upper-bound + bounded-search query of Section 3 of the paper. One
+// labelled index (labelled.go) serves the undirected, directed and
+// weighted variants over its Core (core.go), repair engine (repair.go) and
+// edge updates (update.go); each graph type supplies only its substrate
+// (substrate.go).
 package hcl
 
 import "repro/internal/graph"
@@ -38,8 +39,8 @@ const entryScanMax = 16
 
 // FindEntry returns the distance recorded for landmark rank r in the
 // sorted-by-rank entry span es. It is the one shared lookup behind
-// Label.Get and the dhcl/whcl read paths: all three variants resolve
-// entries through it.
+// Label.Get and Core.Entry: all three variants resolve entries through
+// it.
 func FindEntry(es []Entry, r uint16) (graph.Dist, bool) {
 	if len(es) > entryScanMax {
 		// sort.Search specialised to the span, saving the indirect

@@ -2,9 +2,6 @@ package hcl
 
 import (
 	"unsafe"
-
-	"repro/internal/arena"
-	"repro/internal/graph"
 )
 
 // In-place attach: AttachCore serves a block's offset table and entry area
@@ -46,12 +43,4 @@ func inPlace[T uint64 | Entry](b []byte, n int) ([]T, bool) {
 		return nil, false
 	}
 	return unsafe.Slice((*T)(p), n), true
-}
-
-// AttachIndex attaches the index stream at the start of data to g: data
-// lies inside the mapping m, or is heap bytes when m is nil (see
-// AttachCore).
-func AttachIndex(data []byte, m *arena.Mapping, g *graph.Graph) (*Index, error) {
-	c, err := AttachCore(data, m, undirected, g.NumVertices())
-	return attach(g, c, err)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/arena"
+	"repro/internal/graph"
 	"repro/internal/landmark"
 	"repro/internal/testutil"
 )
@@ -19,7 +20,7 @@ import (
 // through the decoder's fallback and must answer and save the same.
 func TestCodecV2RoundTrip(t *testing.T) {
 	g := testutil.RandomGraph(120, 220, 5)
-	idx, err := Build(g, landmark.ByDegree(g, 8))
+	idx, err := Build(g, landmark.ByDegree(g, 8), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func atOddOffset(b []byte) []byte {
 
 func TestWriteToMappableSpans(t *testing.T) {
 	g := testutil.RandomGraph(200, 400, 7)
-	idx, err := Build(g, landmark.ByDegree(g, 6))
+	idx, err := Build(g, landmark.ByDegree(g, 6), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestWriteToMappableSpans(t *testing.T) {
 }
 
 // writeMappableFile serialises idx to a label file of its own.
-func writeMappableFile(t *testing.T, idx *Index) string {
+func writeMappableFile(t *testing.T, idx *Labelled[*graph.Graph]) string {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := idx.WriteTo(&buf); err != nil {
@@ -143,7 +144,7 @@ func TestReadIndexMapped(t *testing.T) {
 		t.Skip("mmap not supported")
 	}
 	g := testutil.RandomGraph(300, 700, 11)
-	idx, err := Build(g, landmark.ByDegree(g, 8))
+	idx, err := Build(g, landmark.ByDegree(g, 8), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestMappedForkRepack(t *testing.T) {
 	}
 	// Ten chunks of 512 vertices, the last partial.
 	g := testutil.RandomGraph(5000, 9000, 3)
-	idx, err := Build(g, landmark.ByDegree(g, 6))
+	idx, err := Build(g, landmark.ByDegree(g, 6), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestMappedForkRepack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	copyIn, err := func() (*Index, error) {
+	copyIn, err := func() (*Labelled[*graph.Graph], error) {
 		f, err := os.Open(path)
 		if err != nil {
 			return nil, err
@@ -211,7 +212,7 @@ func TestMappedForkRepack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	churn := func(x *Index) *Index {
+	churn := func(x *Labelled[*graph.Graph]) *Labelled[*graph.Graph] {
 		f := x.Fork(x.G)
 		// Touch labels only in the second chunk.
 		f.SetEntry(4500, 0, 3)
@@ -245,7 +246,7 @@ func TestMappedForkRepack(t *testing.T) {
 
 func TestV2CodecCorruptionRejected(t *testing.T) {
 	g := testutil.RandomGraph(80, 160, 9)
-	idx, err := Build(g, landmark.ByDegree(g, 5))
+	idx, err := Build(g, landmark.ByDegree(g, 5), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,17 +4,18 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/testutil"
 )
 
-func benchKernelIndex(b *testing.B) (*Index, []struct{ u, v uint32 }) {
+func benchKernelIndex(b *testing.B) (*Labelled[*graph.Graph], []struct{ u, v uint32 }) {
 	b.Helper()
 	g := testutil.RandomConnectedGraph(50_000, 100_000, 9)
 	lms := make([]uint32, 20)
 	for i := range lms {
 		lms[i] = uint32(i * 601)
 	}
-	idx, err := Build(g, lms)
+	idx, err := Build(g, lms, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -215,7 +215,7 @@ func TestPackOverflowRebuild(t *testing.T) {
 // keep the table the one queries read.
 func TestIndexPackLifecycle(t *testing.T) {
 	g := testutil.RandomConnectedGraph(300, 600, 5)
-	idx, err := Build(g, []uint32{3, 50, 99})
+	idx, err := Build(g, []uint32{3, 50, 99}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestIndexPackLifecycle(t *testing.T) {
 		}
 	}
 	idx.SetEntry(7, 1, 2)
-	if d, ok := idx.EntryDist(7, 1); !ok || d != 2 {
+	if d, ok := idx.Entry(0, 7, 1); !ok || d != 2 {
 		t.Fatalf("written entry reads %d,%v", d, ok)
 	}
 	if idx.PackedBytes() != idx.PackedLabels().ArenaBytes() {

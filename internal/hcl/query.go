@@ -1,7 +1,6 @@
 package hcl
 
 import (
-	"repro/internal/bfs"
 	"repro/internal/graph"
 )
 
@@ -70,33 +69,6 @@ func LandmarkVia(row []graph.Dist, lv []Entry) graph.Dist {
 		}
 	}
 	return best
-}
-
-// Query answers an exact distance query Q(u,v,Γ): it computes the highway
-// upper bound d⊤ and then runs a bidirectional BFS over the
-// landmark-sparsified graph G[V\R] for a path shorter than d⊤; the smaller
-// of the two is the exact distance (Section 3 of the paper).
-func (idx *Index) Query(u, v uint32) graph.Dist {
-	if u == v {
-		return 0
-	}
-	top := idx.UpperBound(u, v)
-	if top <= 1 {
-		// Two distinct non-landmarks are each at least 1 from every label
-		// landmark, so their d⊤ is at least 2: d⊤ ≤ 1 means a landmark
-		// endpoint, whose Equation 1 bound is exact.
-		return top
-	}
-	if _, uIsL := idx.Rank(u); uIsL {
-		return top // Equation 1 is already exact for landmark endpoints
-	}
-	if _, vIsL := idx.Rank(v); vIsL {
-		return top
-	}
-	s := bfs.Spaces.Get(idx.G.NumVertices())
-	sp := bfs.Sparsified(idx.G, u, v, top, idx.IsLandmark, s) // below top, or Inf
-	bfs.Spaces.Put(s)
-	return min(sp, top)
 }
 
 // ALTLandmarks is the number of landmarks an ALT bound reads per vertex.

@@ -13,7 +13,7 @@ import (
 // rebuildAll runs the covered-flag rebuild of every landmark of idx through
 // the repair engine, as DecHL does for the affected ones, and returns the
 // merged deltas.
-func rebuildAll(idx *Index) []Delta {
+func rebuildAll(idx *Labelled[*graph.Graph]) []Delta {
 	ds := make([]Delta, idx.NumLandmarks())
 	for r := range ds {
 		ds[r].Rank = uint16(r)
@@ -30,7 +30,7 @@ func rebuildAll(idx *Index) []Delta {
 // Inf, which the two landmarks' tasks both propose and the merge writes
 // (and counts) once.
 func TestRepairRebuildAfterDeletion(t *testing.T) {
-	idx, err := Build(pathGraph(7), []uint32{0, 6})
+	idx, err := Build(pathGraph(7), []uint32{0, 6}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestRepairWorkersAndTimer(t *testing.T) {
 	for _, workers := range []int{1, 2, 0} {
 		g := testutil.RandomConnectedGraph(300, 500, 13)
 		lm := landmark.ByDegree(g, 6)
-		idx, err := Build(g, lm)
+		idx, err := Build(g, lm, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

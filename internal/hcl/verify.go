@@ -3,7 +3,6 @@ package hcl
 import (
 	"fmt"
 
-	"repro/internal/bfs"
 	"repro/internal/graph"
 )
 
@@ -28,23 +27,4 @@ func (c *Core) VerifyCover(search func(dir int, src uint32, dist []graph.Dist)) 
 		}
 	}
 	return nil
-}
-
-// VerifyCover audits the labelling against ground-truth BFS distances
-// (Core.VerifyCover).
-func (idx *Index) VerifyCover() error {
-	return idx.Core.VerifyCover(func(_ int, src uint32, dist []graph.Dist) { bfs.All(idx.G, src, dist) })
-}
-
-// VerifyMinimal checks minimality by rebuilding the labelling from scratch
-// and requiring the label sets and highway to be identical: the minimal
-// highway cover labelling of a graph for a fixed landmark set is unique (an
-// entry (r,v) exists iff no shortest r–v path contains another landmark),
-// so equality — not just equal size — must hold.
-func (idx *Index) VerifyMinimal() error {
-	fresh, err := Build(idx.G, idx.Landmarks)
-	if err != nil {
-		return fmt.Errorf("hcl: rebuilding for minimality check: %w", err)
-	}
-	return idx.EqualLabels(fresh)
 }

@@ -29,11 +29,11 @@ func TestDeleteEdgeSimplePath(t *testing.T) {
 	if st.LandmarksSkipped != 0 {
 		t.Errorf("shortcut is on the landmark's DAG; skipped = %d", st.LandmarksSkipped)
 	}
-	if d, ok := u.Index.EntryDist(5, 0); !ok || d != 5 {
+	if d, ok := u.Entry(0, 5, 0); !ok || d != 5 {
 		t.Errorf("entry (0,5): got %d,%v want 5", d, ok)
 	}
 	checkAgainstRebuild(t, u)
-	if err := u.Index.VerifyCover(); err != nil {
+	if err := u.VerifyCover(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -42,7 +42,7 @@ func TestDeleteEdgeSimplePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v := uint32(3); v <= 5; v++ {
-		if _, ok := u.Index.EntryDist(v, 0); ok {
+		if _, ok := u.Entry(0, v, 0); ok {
 			t.Errorf("vertex %d unreachable but still has an entry", v)
 		}
 		if d := u.PassDist(0, 0, v); d != graph.Inf {
@@ -50,7 +50,7 @@ func TestDeleteEdgeSimplePath(t *testing.T) {
 		}
 	}
 	checkAgainstRebuild(t, u)
-	if err := u.Index.VerifyCover(); err != nil {
+	if err := u.VerifyCover(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -73,7 +73,7 @@ func TestDeleteEdgeDisconnectsLandmark(t *testing.T) {
 		t.Errorf("highway cell after disconnect: got %d, want Inf", d)
 	}
 	checkAgainstRebuild(t, u)
-	if err := u.Index.VerifyCover(); err != nil {
+	if err := u.VerifyCover(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -92,7 +92,7 @@ func TestDeleteEdgeErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for {
 		a, b = uint32(rng.Intn(20)), uint32(rng.Intn(20))
-		if a != b && !u.Index.G.HasEdge(a, b) {
+		if a != b && !u.G.HasEdge(a, b) {
 			break
 		}
 	}
@@ -130,11 +130,11 @@ func TestRandomDeletionsMatchRebuild(t *testing.T) {
 			k := u.NumLandmarks()
 			for step := 0; step < 30; step++ {
 				var edges [][2]uint32
-				u.Index.G.Edges(func(a, b uint32) { edges = append(edges, [2]uint32{a, b}) })
+				u.G.Edges(func(a, b uint32) { edges = append(edges, [2]uint32{a, b}) })
 				if len(edges) == 0 || rng.Intn(5) == 0 {
-					n := uint32(u.Index.G.NumVertices())
-					if a, b := uint32(rng.Intn(int(n))), uint32(rng.Intn(int(n))); a != b && !u.Index.G.HasEdge(a, b) {
-						if _, err := u.InsertEdge(a, b); err != nil {
+					n := uint32(u.G.NumVertices())
+					if a, b := uint32(rng.Intn(int(n))), uint32(rng.Intn(int(n))); a != b && !u.G.HasEdge(a, b) {
+						if _, err := u.InsertEdge(a, b, 1); err != nil {
 							t.Fatalf("%s seed %d step %d: InsertEdge(%d,%d): %v", sh.name, seed, step, a, b, err)
 						}
 					}
@@ -155,7 +155,7 @@ func TestRandomDeletionsMatchRebuild(t *testing.T) {
 				}
 				checkAgainstRebuild(t, u)
 			}
-			if err := u.Index.VerifyCover(); err != nil {
+			if err := u.VerifyCover(); err != nil {
 				t.Fatalf("%s seed %d: %v", sh.name, seed, err)
 			}
 		}
@@ -176,7 +176,7 @@ func randomLandmarks(g *graph.Graph, k int, rng *rand.Rand) []uint32 {
 }
 
 // infCells counts the highway cells that hold Inf.
-func infCells(u *Updater, k int) int {
+func infCells(u *labelled, k int) int {
 	n := 0
 	for i := 0; i < k; i++ {
 		for _, d := range u.Row(uint16(i)) {
@@ -195,14 +195,14 @@ func TestDeleteThenReinsert(t *testing.T) {
 	lm := landmark.ByDegree(g, 4)
 	_, u := buildPair(t, g, lm)
 	var edges [][2]uint32
-	u.Index.G.Edges(func(a, b uint32) { edges = append(edges, [2]uint32{a, b}) })
+	u.G.Edges(func(a, b uint32) { edges = append(edges, [2]uint32{a, b}) })
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 12; i++ {
 		e := edges[rng.Intn(len(edges))]
 		if _, err := u.DeleteEdge(e[0], e[1]); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := u.InsertEdge(e[0], e[1]); err != nil {
+		if _, err := u.InsertEdge(e[0], e[1], 1); err != nil {
 			t.Fatal(err)
 		}
 		checkAgainstRebuild(t, u)

@@ -13,26 +13,26 @@ import (
 
 // buildPair returns an index over a clone of g plus an updater, leaving g
 // untouched for oracle rebuilds.
-func buildPair(t *testing.T, g *graph.Graph, landmarks []uint32) (*graph.Graph, *Updater) {
+func buildPair(t *testing.T, g *graph.Graph, landmarks []uint32) (*graph.Graph, *labelled) {
 	t.Helper()
 	gc := g.Clone()
-	idx, err := hcl.Build(gc, landmarks)
+	idx, err := hcl.Build(gc, landmarks, 1)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	return gc, New(idx)
+	return gc, idx
 }
 
 // checkAgainstRebuild asserts that the incrementally maintained index is
 // exactly the fresh build of its (already updated) graph — the minimality
 // preservation of Theorem 5.2, plus exactness of every entry.
-func checkAgainstRebuild(t *testing.T, u *Updater) {
+func checkAgainstRebuild(t *testing.T, u *labelled) {
 	t.Helper()
-	fresh, err := hcl.Build(u.Index.G, u.Index.Landmarks)
+	fresh, err := hcl.Build(u.G, u.Landmarks, 1)
 	if err != nil {
 		t.Fatalf("rebuild: %v", err)
 	}
-	if err := u.Index.EqualLabels(fresh); err != nil {
+	if err := u.EqualLabels(fresh); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -47,21 +47,21 @@ func TestInsertEdgeSimplePath(t *testing.T) {
 		g.MustAddEdge(uint32(i), uint32(i+1))
 	}
 	_, u := buildPair(t, g, []uint32{0})
-	st, err := u.InsertEdge(0, 5)
+	st, err := u.InsertEdge(0, 5, 1)
 	if err != nil {
 		t.Fatalf("InsertEdge: %v", err)
 	}
 	if st.AffectedUnion == 0 {
 		t.Error("expected affected vertices")
 	}
-	if d, ok := u.Index.EntryDist(5, 0); !ok || d != 1 {
+	if d, ok := u.Entry(0, 5, 0); !ok || d != 1 {
 		t.Errorf("entry (0,5): got %d,%v want 1", d, ok)
 	}
-	if d, ok := u.Index.EntryDist(3, 0); !ok || d != 3 {
+	if d, ok := u.Entry(0, 3, 0); !ok || d != 3 {
 		t.Errorf("entry (0,3): got %d,%v want 3 (either side of the cycle)", d, ok)
 	}
 	checkAgainstRebuild(t, u)
-	if err := u.Index.VerifyCover(); err != nil {
+	if err := u.VerifyCover(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -80,20 +80,20 @@ func TestInsertEdgeCoveredRemoval(t *testing.T) {
 		g.MustAddEdge(uint32(i), uint32(i+1))
 	}
 	_, u := buildPair(t, g, []uint32{0, 6})
-	if d, ok := u.Index.EntryDist(5, 0); !ok || d != 5 {
+	if d, ok := u.Entry(0, 5, 0); !ok || d != 5 {
 		t.Fatalf("precondition: entry (0,5): got %d,%v want 5", d, ok)
 	}
-	if _, err := u.InsertEdge(0, 6); err != nil {
+	if _, err := u.InsertEdge(0, 6, 1); err != nil {
 		t.Fatalf("InsertEdge: %v", err)
 	}
-	if _, ok := u.Index.EntryDist(5, 0); ok {
+	if _, ok := u.Entry(0, 5, 0); ok {
 		t.Error("entry for landmark 0 at vertex 5 should be removed (covered by landmark 6)")
 	}
 	if got := u.Highway(0, 1); got != 1 {
 		t.Errorf("highway 0-6 after insert: got %d, want 1", got)
 	}
 	checkAgainstRebuild(t, u)
-	if err := u.Index.VerifyCover(); err != nil {
+	if err := u.VerifyCover(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -108,7 +108,7 @@ func TestInsertEdgeEqualDistanceSkips(t *testing.T) {
 	g.MustAddEdge(0, 1)
 	g.MustAddEdge(0, 2)
 	_, u := buildPair(t, g, []uint32{0})
-	st, err := u.InsertEdge(1, 2)
+	st, err := u.InsertEdge(1, 2, 1)
 	if err != nil {
 		t.Fatalf("InsertEdge: %v", err)
 	}
@@ -128,13 +128,13 @@ func TestInsertEdgeErrors(t *testing.T) {
 	}
 	g.MustAddEdge(0, 1)
 	_, u := buildPair(t, g, []uint32{0})
-	if _, err := u.InsertEdge(0, 0); err == nil {
+	if _, err := u.InsertEdge(0, 0, 1); err == nil {
 		t.Error("self-loop must be rejected")
 	}
-	if _, err := u.InsertEdge(0, 1); err == nil {
+	if _, err := u.InsertEdge(0, 1, 1); err == nil {
 		t.Error("duplicate edge must be rejected")
 	}
-	if _, err := u.InsertEdge(0, 9); err == nil {
+	if _, err := u.InsertEdge(0, 9, 1); err == nil {
 		t.Error("unknown vertex must be rejected")
 	}
 }
@@ -150,7 +150,7 @@ func TestInsertEdgeMergesComponents(t *testing.T) {
 	g.MustAddEdge(3, 4)
 	g.MustAddEdge(4, 5)
 	_, u := buildPair(t, g, []uint32{0})
-	st, err := u.InsertEdge(2, 3)
+	st, err := u.InsertEdge(2, 3, 1)
 	if err != nil {
 		t.Fatalf("InsertEdge: %v", err)
 	}
@@ -158,11 +158,11 @@ func TestInsertEdgeMergesComponents(t *testing.T) {
 		t.Errorf("AffectedUnion: got %d, want 3 (the whole B component)", st.AffectedUnion)
 	}
 	for v, want := range map[uint32]graph.Dist{3: 3, 4: 4, 5: 5} {
-		if d, ok := u.Index.EntryDist(v, 0); !ok || d != want {
+		if d, ok := u.Entry(0, v, 0); !ok || d != want {
 			t.Errorf("entry (0,%d): got %d,%v want %d", v, d, ok, want)
 		}
 	}
-	if got := u.Index.Query(0, 5); got != 5 {
+	if got := u.Query(0, 5); got != 5 {
 		t.Errorf("Query(0,5): got %d, want 5", got)
 	}
 	checkAgainstRebuild(t, u)
@@ -177,14 +177,14 @@ func TestInsertEdgeBetweenLandmarks(t *testing.T) {
 	g.MustAddEdge(1, 2)
 	g.MustAddEdge(2, 3)
 	_, u := buildPair(t, g, []uint32{0, 3})
-	if _, err := u.InsertEdge(0, 3); err != nil {
+	if _, err := u.InsertEdge(0, 3, 1); err != nil {
 		t.Fatalf("InsertEdge: %v", err)
 	}
 	if got := u.Highway(0, 1); got != 1 {
 		t.Errorf("highway after landmark-landmark edge: got %d, want 1", got)
 	}
 	checkAgainstRebuild(t, u)
-	if err := u.Index.VerifyCover(); err != nil {
+	if err := u.VerifyCover(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -200,18 +200,18 @@ func TestRandomInsertionsMatchRebuild(t *testing.T) {
 		_, u := buildPair(t, g, lm)
 		inserts := testutil.NonEdges(g, 25, seed*31+7)
 		for i, e := range inserts {
-			if _, err := u.InsertEdge(e[0], e[1]); err != nil {
+			if _, err := u.InsertEdge(e[0], e[1], 1); err != nil {
 				t.Fatalf("seed %d insert %d (%d,%d): %v", seed, i, e[0], e[1], err)
 			}
 			checkAgainstRebuild(t, u)
 		}
-		if err := u.Index.VerifyCover(); err != nil {
+		if err := u.VerifyCover(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		oracle := testutil.AllPairsOracle(u.Index.G)
+		oracle := testutil.AllPairsOracle(u.G)
 		for x := 0; x < 70; x++ {
 			for y := 0; y < 70; y++ {
-				if got := u.Index.Query(uint32(x), uint32(y)); got != oracle[x][y] {
+				if got := u.Query(uint32(x), uint32(y)); got != oracle[x][y] {
 					t.Fatalf("seed %d: Query(%d,%d): got %d, want %d", seed, x, y, got, oracle[x][y])
 				}
 			}
@@ -228,21 +228,21 @@ func TestRandomInsertionsQuickProperty(t *testing.T) {
 		k := 1 + int(kRaw)%6
 		g := testutil.RandomGraph(n, m, seed)
 		lm := landmark.ByDegree(g, k)
-		idx, err := hcl.Build(g, lm)
+		idx, err := hcl.Build(g, lm, 1)
 		if err != nil {
 			return false
 		}
-		u := New(idx)
+		u := idx
 		for _, e := range testutil.NonEdges(g, 12, seed+999) {
-			if _, err := u.InsertEdge(e[0], e[1]); err != nil {
+			if _, err := u.InsertEdge(e[0], e[1], 1); err != nil {
 				return false
 			}
 		}
-		fresh, err := hcl.Build(u.Index.G, lm)
+		fresh, err := hcl.Build(u.G, lm, 1)
 		if err != nil {
 			return false
 		}
-		return u.Index.EqualLabels(fresh) == nil
+		return u.EqualLabels(fresh) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(42))}); err != nil {
 		t.Fatal(err)
@@ -254,15 +254,15 @@ func TestRepairRebuildStrategyEquivalence(t *testing.T) {
 		lm := landmark.ByDegree(g, 4)
 		_, partial := buildPair(t, g, lm)
 		_, rebuild := buildPair(t, g, lm)
-		rebuild.Strategy = RepairRebuild
+		rebuild.Strategy = hcl.RepairRebuild
 		for _, e := range testutil.NonEdges(g, 15, seed) {
-			if _, err := partial.InsertEdge(e[0], e[1]); err != nil {
+			if _, err := partial.InsertEdge(e[0], e[1], 1); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := rebuild.InsertEdge(e[0], e[1]); err != nil {
+			if _, err := rebuild.InsertEdge(e[0], e[1], 1); err != nil {
 				t.Fatal(err)
 			}
-			if err := partial.Index.EqualLabels(rebuild.Index); err != nil {
+			if err := partial.EqualLabels(rebuild); err != nil {
 				t.Fatalf("seed %d: strategies diverged: %v", seed, err)
 			}
 		}
@@ -275,7 +275,7 @@ func TestStatsCounters(t *testing.T) {
 	_, u := buildPair(t, g, lm)
 	var added, removed int
 	for _, e := range testutil.NonEdges(g, 20, 3) {
-		st, err := u.InsertEdge(e[0], e[1])
+		st, err := u.InsertEdge(e[0], e[1], 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,15 +304,18 @@ func TestMinimalitySizeNeverAboveRebuild(t *testing.T) {
 	lm := landmark.ByDegree(g, 5)
 	_, u := buildPair(t, g, lm)
 	for _, e := range testutil.NonEdges(g, 30, 17) {
-		if _, err := u.InsertEdge(e[0], e[1]); err != nil {
+		if _, err := u.InsertEdge(e[0], e[1], 1); err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := hcl.Build(u.Index.G, lm)
+		fresh, err := hcl.Build(u.G, lm, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if u.Index.NumEntries() != fresh.NumEntries() {
-			t.Fatalf("size mismatch: inc %d vs rebuild %d", u.Index.NumEntries(), fresh.NumEntries())
+		if u.NumEntries() != fresh.NumEntries() {
+			t.Fatalf("size mismatch: inc %d vs rebuild %d", u.NumEntries(), fresh.NumEntries())
 		}
 	}
 }
+
+// labelled is the undirected labelled index these tests maintain.
+type labelled = hcl.Labelled[*graph.Graph]

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/hcl"
 	"repro/internal/landmark"
 	"repro/internal/testutil"
 )
@@ -17,11 +18,11 @@ var workerSweep = []int{1, 2, 0}
 // runMixed drives the same insert/delete stream through u and returns the
 // per-op stats; every third inserted edge is deleted again so both repair
 // paths (classify and rebuild) execute.
-func runMixed(t *testing.T, u *Updater, edges [][2]uint32) []Stats {
+func runMixed(t *testing.T, u *labelled, edges [][2]uint32) []hcl.Stats {
 	t.Helper()
-	var log []Stats
+	var log []hcl.Stats
 	for i, e := range edges {
-		st, err := u.InsertEdge(e[0], e[1])
+		st, err := u.InsertEdge(e[0], e[1], 1)
 		if err != nil {
 			t.Fatalf("insert %d (%d,%d): %v", i, e[0], e[1], err)
 		}
@@ -38,7 +39,7 @@ func runMixed(t *testing.T, u *Updater, edges [][2]uint32) []Stats {
 }
 
 // TestParallelRepairMatchesSerial pins the engine's core contract: for any
-// worker count the repaired labelling, the highway and every per-op Stats
+// worker count the repaired labelling, the highway and every per-op hcl.Stats
 // are identical to the serial path's.
 func TestParallelRepairMatchesSerial(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
@@ -60,14 +61,14 @@ func TestParallelRepairMatchesSerial(t *testing.T) {
 						seed, w, i, got[i], want[i])
 				}
 			}
-			if err := serial.Index.EqualLabels(par.Index); err != nil {
+			if err := serial.EqualLabels(par); err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, w, err)
 			}
 		}
 	}
 }
 
-// TestParallelRebuildStrategyMatchesSerial covers the RepairRebuild
+// TestParallelRebuildStrategyMatchesSerial covers the hcl.RepairRebuild
 // strategy, whose per-landmark tasks are full BFS rebuilds.
 func TestParallelRebuildStrategyMatchesSerial(t *testing.T) {
 	g := testutil.RandomConnectedGraph(50, 70, 11)
@@ -75,13 +76,13 @@ func TestParallelRebuildStrategyMatchesSerial(t *testing.T) {
 	edges := testutil.NonEdges(g, 12, 99)
 
 	_, serial := buildPair(t, g, lm)
-	serial.Strategy = RepairRebuild
+	serial.Strategy = hcl.RepairRebuild
 	serial.Workers = 1
 	want := runMixed(t, serial, edges)
 
 	for _, w := range workerSweep[1:] {
 		_, par := buildPair(t, g, lm)
-		par.Strategy = RepairRebuild
+		par.Strategy = hcl.RepairRebuild
 		par.Workers = w
 		got := runMixed(t, par, edges)
 		for i := range want {
@@ -89,7 +90,7 @@ func TestParallelRebuildStrategyMatchesSerial(t *testing.T) {
 				t.Fatalf("workers %d: op %d stats diverged: got %+v, want %+v", w, i, got[i], want[i])
 			}
 		}
-		if err := serial.Index.EqualLabels(par.Index); err != nil {
+		if err := serial.EqualLabels(par); err != nil {
 			t.Fatalf("workers %d: %v", w, err)
 		}
 	}
@@ -106,7 +107,7 @@ func TestRepairTimerObservesTasks(t *testing.T) {
 		var calls atomic.Int64
 		u.RepairTimer = func(time.Duration) { calls.Add(1) }
 		e := testutil.NonEdges(g, 1, 5)[0]
-		if _, err := u.InsertEdge(e[0], e[1]); err != nil {
+		if _, err := u.InsertEdge(e[0], e[1], 1); err != nil {
 			t.Fatal(err)
 		}
 		if got := calls.Load(); got != int64(len(lm)) {
@@ -123,16 +124,16 @@ func TestParallelRepairQueriesExact(t *testing.T) {
 	_, u := buildPair(t, g, lm)
 	u.Workers = 0 // GOMAXPROCS
 	runMixed(t, u, testutil.NonEdges(g, 10, 77))
-	oracle := testutil.AllPairsOracle(u.Index.G)
-	n := u.Index.G.NumVertices()
+	oracle := testutil.AllPairsOracle(u.G)
+	n := u.G.NumVertices()
 	for x := 0; x < n; x++ {
 		for y := 0; y < n; y++ {
-			if got := u.Index.Query(uint32(x), uint32(y)); got != oracle[x][y] {
+			if got := u.Query(uint32(x), uint32(y)); got != oracle[x][y] {
 				t.Fatalf("Query(%d,%d) = %d, BFS %d", x, y, got, oracle[x][y])
 			}
 		}
 	}
-	if err := u.Index.VerifyCover(); err != nil {
+	if err := u.VerifyCover(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,6 +3,7 @@ package whcl
 import (
 	"bytes"
 	"encoding/binary"
+	"repro/internal/hcl"
 	"strings"
 	"testing"
 )
@@ -12,7 +13,7 @@ import (
 // second save is byte-identical to the first.
 func TestCodecRoundTrip(t *testing.T) {
 	g := randomWeighted(120, 400, 7, 51)
-	idx, err := Build(g, topLandmarks(g, 5))
+	idx, err := hcl.Build(g, topLandmarks(g, 5), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +21,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	if _, err := idx.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadIndex(bytes.NewReader(buf.Bytes()), g)
+	loaded, err := hcl.ReadIndex(bytes.NewReader(buf.Bytes()), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestCodecRoundTrip(t *testing.T) {
 // TestCodecRejectsCorruption pins the untrusted-stream validation.
 func TestCodecRejectsCorruption(t *testing.T) {
 	g := randomWeighted(40, 120, 5, 53)
-	idx, err := Build(g, topLandmarks(g, 3))
+	idx, err := hcl.Build(g, topLandmarks(g, 3), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,16 +65,16 @@ func TestCodecRejectsCorruption(t *testing.T) {
 	for _, magic := range []string{"XXXX", "WHL1"} {
 		bad := append([]byte(nil), blob...)
 		copy(bad, magic)
-		_, err := ReadIndex(bytes.NewReader(bad), g)
+		_, err := hcl.ReadIndex(bytes.NewReader(bad), g)
 		if err == nil || !strings.Contains(err.Error(), magic) {
 			t.Errorf("magic %q: got %v, want an unsupported-format error", magic, err)
 		}
 	}
-	if _, err := ReadIndex(bytes.NewReader(blob[:len(blob)/2]), g); err == nil {
+	if _, err := hcl.ReadIndex(bytes.NewReader(blob[:len(blob)/2]), g); err == nil {
 		t.Error("truncated stream accepted")
 	}
 	other := randomWeighted(41, 120, 5, 54)
-	if _, err := ReadIndex(bytes.NewReader(blob), other); err == nil {
+	if _, err := hcl.ReadIndex(bytes.NewReader(blob), other); err == nil {
 		t.Error("vertex-count mismatch accepted")
 	}
 
@@ -90,7 +91,7 @@ func TestCodecRejectsCorruption(t *testing.T) {
 		"non-zero diagonal":  patch(hw+4*4, 1),
 		"asymmetric highway": patch(hw+4*1, idx.Highway(0, 1)+1),
 	} {
-		if _, err := ReadIndex(bytes.NewReader(bad), g); err == nil {
+		if _, err := hcl.ReadIndex(bytes.NewReader(bad), g); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/hcl"
 	"repro/internal/wgraph"
 )
 
@@ -26,7 +27,7 @@ func TestDeleteEdgeMatchesRebuildWeighted(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := randomWeighted(35, 80, 6, 70+seed)
 		lm := topLandmarks(g, 3+int(seed%3))
-		idx, err := Build(g, lm)
+		idx, err := hcl.Build(g, lm, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +41,7 @@ func TestDeleteEdgeMatchesRebuildWeighted(t *testing.T) {
 			if _, err := idx.DeleteEdge(e[0], e[1]); err != nil {
 				t.Fatalf("seed %d delete %d (%d,%d): %v", seed, i, e[0], e[1], err)
 			}
-			fresh, err := Build(g, lm)
+			fresh, err := hcl.Build(g, lm, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +58,7 @@ func TestDeleteEdgeMatchesRebuildWeighted(t *testing.T) {
 func TestDeleteThenReinsertWeighted(t *testing.T) {
 	g := randomWeighted(30, 60, 5, 11)
 	lm := topLandmarks(g, 4)
-	idx, err := Build(g, lm)
+	idx, err := hcl.Build(g, lm, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestDeleteThenReinsertWeighted(t *testing.T) {
 		if _, err := idx.InsertEdge(e[0], e[1], graph.Dist(e[2])); err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := Build(g, lm)
+		fresh, err := hcl.Build(g, lm, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +84,7 @@ func TestDeleteThenReinsertWeighted(t *testing.T) {
 
 func TestDeleteEdgeErrorsWeighted(t *testing.T) {
 	g := randomWeighted(20, 40, 4, 5)
-	idx, err := Build(g, topLandmarks(g, 3))
+	idx, err := hcl.Build(g, topLandmarks(g, 3), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

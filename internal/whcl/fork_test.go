@@ -19,7 +19,7 @@ func TestForkUpdateIsolation(t *testing.T) {
 		g.MustAddEdge(i, i+1, 2)
 	}
 	g.MustAddEdge(0, 4, 5)
-	idx, err := Build(g, []uint32{0, 4})
+	idx, err := hcl.Build(g, []uint32{0, 4}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

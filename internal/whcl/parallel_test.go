@@ -4,16 +4,17 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/hcl"
 	"repro/internal/wgraph"
 )
 
 // buildAt rebuilds the same weighted fixture from scratch (graphs are
 // mutated by updates, so every worker-count run gets its own copy) and
 // pins the index to the given repair fan-out.
-func buildAt(t *testing.T, n, m int, maxW graph.Dist, seed int64, k, workers int) (*wgraph.Graph, *Index) {
+func buildAt(t *testing.T, n, m int, maxW graph.Dist, seed int64, k, workers int) (*wgraph.Graph, *labelled) {
 	t.Helper()
 	g := randomWeighted(n, m, maxW, seed)
-	idx, err := BuildParallel(g, topLandmarks(g, k), workers)
+	idx, err := hcl.Build(g, topLandmarks(g, k), workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,9 +25,9 @@ func buildAt(t *testing.T, n, m int, maxW graph.Dist, seed int64, k, workers int
 // runMixedW drives the same weighted insert/delete stream through idx;
 // every third inserted edge is deleted again so both repair paths
 // (classify on insert, per-landmark rebuild on delete) execute.
-func runMixedW(t *testing.T, idx *Index, edges [][2]uint32) []Stats {
+func runMixedW(t *testing.T, idx *labelled, edges [][2]uint32) []hcl.Stats {
 	t.Helper()
-	var log []Stats
+	var log []hcl.Stats
 	for i, e := range edges {
 		w := graph.Dist(1 + (int(e[0])+int(e[1])+i)%7)
 		st, err := idx.InsertEdge(e[0], e[1], w)
@@ -50,13 +51,13 @@ func runMixedW(t *testing.T, idx *Index, edges [][2]uint32) []Stats {
 func TestBuildParallelMatchesSerial(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		g := randomWeighted(70, 240, 8, seed)
-		serial, err := Build(g, topLandmarks(g, 5))
+		serial, err := hcl.Build(g, topLandmarks(g, 5), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range []int{2, 0} {
 			g2 := randomWeighted(70, 240, 8, seed)
-			par, err := BuildParallel(g2, topLandmarks(g2, 5), w)
+			par, err := hcl.Build(g2, topLandmarks(g2, 5), w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +69,7 @@ func TestBuildParallelMatchesSerial(t *testing.T) {
 }
 
 // TestParallelRepairMatchesSerial pins the weighted repair engine's
-// contract: per-op Stats and the final labelling (labels + highway) are
+// contract: per-op hcl.Stats and the final labelling (labels + highway) are
 // identical to the serial path for any worker count.
 func TestParallelRepairMatchesSerial(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bfs"
 	"repro/internal/graph"
+	"repro/internal/hcl"
 	"repro/internal/wgraph"
 )
 
@@ -200,7 +201,7 @@ func connected(g *wgraph.Graph, u, v uint32) bool {
 func TestBuildQueryMatchesDijkstraOracle(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := randomWeighted(40, 90, 8, seed)
-		idx, err := Build(g, topLandmarks(g, 4))
+		idx, err := hcl.Build(g, topLandmarks(g, 4), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,13 +244,13 @@ func TestBuildQueryMatchesDijkstraOracle(t *testing.T) {
 
 func TestBuildErrors(t *testing.T) {
 	g := randomWeighted(5, 8, 3, 1)
-	if _, err := Build(g, nil); err == nil {
+	if _, err := hcl.Build(g, nil, 1); err == nil {
 		t.Error("no landmarks must fail")
 	}
-	if _, err := Build(g, []uint32{2, 2}); err == nil {
+	if _, err := hcl.Build(g, []uint32{2, 2}, 1); err == nil {
 		t.Error("duplicate landmarks must fail")
 	}
-	if _, err := Build(g, []uint32{50}); err == nil {
+	if _, err := hcl.Build(g, []uint32{50}, 1); err == nil {
 		t.Error("unknown landmark must fail")
 	}
 }
@@ -258,7 +259,7 @@ func TestInsertEdgeMatchesRebuild(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		g := randomWeighted(35, 70, 6, 40+seed)
 		lm := topLandmarks(g, 3+int(seed%3))
-		idx, err := Build(g, lm)
+		idx, err := hcl.Build(g, lm, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +269,7 @@ func TestInsertEdgeMatchesRebuild(t *testing.T) {
 			if _, err := idx.InsertEdge(e[0], e[1], w); err != nil {
 				t.Fatalf("seed %d insert %d: %v", seed, i, err)
 			}
-			fresh, err := Build(g, lm)
+			fresh, err := hcl.Build(g, lm, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -284,7 +285,7 @@ func TestInsertEdgeMatchesRebuild(t *testing.T) {
 
 func TestInsertEdgeQueriesStayExact(t *testing.T) {
 	g := randomWeighted(30, 55, 5, 17)
-	idx, err := Build(g, topLandmarks(g, 4))
+	idx, err := hcl.Build(g, topLandmarks(g, 4), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +311,7 @@ func TestInsertHeavyEdgeIsNoOp(t *testing.T) {
 	// except for the graph itself, and most landmarks skipped.
 	g := randomWeighted(25, 60, 2, 3)
 	lm := topLandmarks(g, 4)
-	idx, err := Build(g, lm)
+	idx, err := hcl.Build(g, lm, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +327,7 @@ func TestInsertHeavyEdgeIsNoOp(t *testing.T) {
 	if idx.NumEntries() != before {
 		t.Error("heavy edge must not change the labelling size")
 	}
-	fresh, err := Build(g, lm)
+	fresh, err := hcl.Build(g, lm, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +337,7 @@ func TestInsertHeavyEdgeIsNoOp(t *testing.T) {
 }
 func TestInsertEdgeErrors(t *testing.T) {
 	g := randomWeighted(8, 10, 3, 2)
-	idx, err := Build(g, topLandmarks(g, 2))
+	idx, err := hcl.Build(g, topLandmarks(g, 2), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +363,7 @@ func TestQuickInsertStreamMinimality(t *testing.T) {
 	f := func(seed int64, kRaw, wRaw uint8) bool {
 		g := randomWeighted(22, 45, 1+graph.Dist(wRaw%7), seed)
 		lm := topLandmarks(g, 1+int(kRaw)%4)
-		idx, err := Build(g, lm)
+		idx, err := hcl.Build(g, lm, 1)
 		if err != nil {
 			return false
 		}
@@ -372,7 +373,7 @@ func TestQuickInsertStreamMinimality(t *testing.T) {
 				return false
 			}
 		}
-		fresh, err := Build(g, lm)
+		fresh, err := hcl.Build(g, lm, 1)
 		if err != nil {
 			return false
 		}
@@ -386,7 +387,7 @@ func TestQuickInsertStreamMinimality(t *testing.T) {
 func TestUnitWeightsMatchUnweighted(t *testing.T) {
 	// With all weights 1, the weighted index must behave like BFS.
 	g := randomWeighted(30, 60, 1, 13)
-	idx, err := Build(g, topLandmarks(g, 3))
+	idx, err := hcl.Build(g, topLandmarks(g, 3), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,3 +401,9 @@ func TestUnitWeightsMatchUnweighted(t *testing.T) {
 		}
 	}
 }
+
+// labelled is the weighted labelled index these tests maintain.
+type labelled = hcl.Labelled[*wgraph.Graph]
+
+// codecMagic is the magic of the weighted label stream.
+const codecMagic = "WHL2"

@@ -22,5 +22,5 @@ func AttachIndex(data []byte, m *arena.Mapping, g *Graph) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{newIndex(idx)}, nil
+	return &Index{undirectedLabels.oracle(idx)}, nil
 }

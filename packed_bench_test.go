@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	dynhl "repro"
 	"repro/internal/gen"
@@ -115,6 +116,49 @@ func BenchmarkQuerySocial(b *testing.B) {
 		b.Fatal(err)
 	}
 	f.run(b)
+}
+
+// coldSweepBytes is the buffer BenchmarkQuerySocialCold reads between
+// queries to evict what the previous query left in the caches.
+const coldSweepBytes = 8 << 20
+
+// coldSink keeps the sweep's reads live.
+var coldSink byte
+
+// BenchmarkQuerySocialCold is BenchmarkQuerySocial with the caches swept
+// before every query: between queries it reads one byte per 64-byte line
+// of an 8 MiB buffer, outside the timed region, so a query finds little of
+// its labels, highway rows and adjacency cached. Its ns/op is the mean of
+// the queries alone. It fails unless it reports 0 allocs/op, as
+// BenchmarkQuerySocial does.
+func BenchmarkQuerySocialCold(b *testing.B) {
+	f, err := socialQueries()
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, coldSweepBytes)
+	var before, after runtime.MemStats
+	var timed time.Duration
+	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < len(buf); j += 64 {
+			coldSink += buf[j]
+		}
+		p := f.pairs[i%len(f.pairs)]
+		start := time.Now()
+		f.view.Query(p.U, p.V)
+		timed += time.Since(start)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	if a := (after.Mallocs - before.Mallocs) / uint64(b.N); a != 0 {
+		b.Fatalf("%d allocs/op, want 0", a)
+	}
+	// The sweep runs with the timer on, so that b.N scales with the wall
+	// time the loop takes; the reported ns/op counts the queries only.
+	b.ReportMetric(float64(timed.Nanoseconds())/float64(b.N), "ns/op")
 }
 
 // socialDigraph is the social-read graph with each edge turned into one

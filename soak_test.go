@@ -115,7 +115,7 @@ func TestSaveLoadThenUpdate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fresh, err := hcl.Build(g2, restored.core.Landmarks)
+	fresh, err := hcl.Build(g2, restored.core.Landmarks, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

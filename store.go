@@ -412,8 +412,13 @@ func (s *Store) Reset(o Oracle, epoch uint64) error {
 // write to it again.
 func (s *Store) Snapshot() View {
 	s.metrics.pins.Inc()
-	return &view{sn: s.cur.Load(), m: s.metrics}
+	return s.current()
 }
+
+// current returns an unpinned view of the current snapshot. The store's
+// own reads run through it, so they and a View share one read path; unlike
+// Snapshot, it counts no pin.
+func (s *Store) current() *view { return &view{sn: s.cur.Load(), m: s.metrics} }
 
 // Epoch returns the current published version number.
 func (s *Store) Epoch() uint64 { return s.cur.Load().epoch }
@@ -492,27 +497,15 @@ func (s *Store) Apply(ops []Op) ([]UpdateSummary, error) {
 }
 
 // Query answers one query against the current snapshot, lock-free.
-func (s *Store) Query(u, v uint32) Dist {
-	sn := s.cur.Load()
-	start := time.Now()
-	d := sn.o.Query(u, v)
-	s.metrics.queryDone(sn.epoch, u, v, d, start)
-	return d
-}
+func (s *Store) Query(u, v uint32) Dist { return s.current().Query(u, v) }
 
 // QueryBatch answers many pairs against one snapshot — the whole batch is
 // consistent with a single epoch — fanning large batches across workers.
-func (s *Store) QueryBatch(pairs []Pair) []Dist {
-	out, _ := s.QueryBatchCtx(context.Background(), pairs)
-	return out
-}
+func (s *Store) QueryBatch(pairs []Pair) []Dist { return s.current().QueryBatch(pairs) }
 
 // QueryBatchCtx is QueryBatch honouring cancellation between chunks.
 func (s *Store) QueryBatchCtx(ctx context.Context, pairs []Pair) ([]Dist, error) {
-	start := time.Now()
-	out, err := queryBatchCtx(ctx, s.cur.Load().o, pairs)
-	s.metrics.batchDone(len(pairs), start)
-	return out, err
+	return s.current().QueryBatchCtx(ctx, pairs)
 }
 
 // InsertEdge publishes a one-op batch (see ApplyCtx); under concurrent
@@ -554,7 +547,7 @@ func (s *Store) DeleteVertex(v uint32) (UpdateSummary, error) {
 }
 
 // NumVertices returns the current snapshot's vertex count.
-func (s *Store) NumVertices() int { return s.cur.Load().o.NumVertices() }
+func (s *Store) NumVertices() int { return s.current().NumVertices() }
 
 // Stats returns the current snapshot's index statistics, stamped with its
 // epoch and — when a durability layer is attached — the WAL counters.
@@ -580,7 +573,7 @@ func (s *Store) Verify() error { return s.cur.Load().o.Verify() }
 // Save serialises the current snapshot's labelling. Snapshots are
 // immutable, so Save runs without blocking writers (a publish during Save
 // simply means Save wrote the epoch it started from).
-func (s *Store) Save(w io.Writer) error { return s.cur.Load().o.Save(w) }
+func (s *Store) Save(w io.Writer) error { return s.current().Save(w) }
 
 // Load publishes a snapshot whose labelling was read from r, bumping the
 // epoch. The stream must have been saved over the snapshot's current

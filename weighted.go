@@ -3,10 +3,8 @@ package dynhl
 import (
 	"io"
 
-	"repro/internal/arena"
 	"repro/internal/hcl"
 	"repro/internal/wgraph"
-	"repro/internal/whcl"
 )
 
 // WeightedGraph is an undirected graph with positive integral edge weights
@@ -34,32 +32,6 @@ func ReadWeightedGraph(r io.Reader) (*WeightedGraph, error) { return wgraph.Read
 // NewStore for that.
 type WeightedIndex struct{ oracle }
 
-// weighted is the weighted variant's label index, repaired in Dijkstra
-// order (internal/whcl).
-type weighted struct{ *whcl.Index }
-
-func newWeighted(idx *whcl.Index) oracle {
-	return oracle{&idx.Core, idx.G, weightedArcs, weighted{idx}}
-}
-
-func (x weighted) insertEdge(u, v uint32, w Dist) (hcl.Stats, error) { return x.InsertEdge(u, v, w) }
-
-func (x weighted) incident(v uint32) [][2]uint32 {
-	var es [][2]uint32
-	for _, a := range x.G.Neighbors(v) {
-		es = append(es, [2]uint32{v, a.To})
-	}
-	return es
-}
-
-func (x weighted) fork() oracle { return newWeighted(x.Fork(x.G.Fork())) }
-
-func (x weighted) attach(data []byte, m *arena.Mapping) (oracle, error) {
-	return loaded(newWeighted)(whcl.AttachIndex(data, m, x.G))
-}
-
-func (weighted) wrap(o oracle) variant { return &WeightedIndex{o} }
-
 // BuildWeighted constructs the weighted labelling of g. Options drives it
 // exactly as Build does the unweighted one — landmark count, selection
 // strategy and seed (degree-based strategies count neighbours, not
@@ -77,24 +49,24 @@ func BuildWeighted(g *WeightedGraph, opt Options) (*WeightedIndex, error) {
 // BuildWeightedWithLandmarks constructs the labelling with an explicit
 // landmark set (Options strategy fields are ignored).
 func BuildWeightedWithLandmarks(g *WeightedGraph, landmarks []uint32, opt Options) (*WeightedIndex, error) {
-	idx, err := whcl.BuildParallel(g, landmarks, buildWorkers(opt))
+	idx, err := hcl.Build(g, landmarks, buildWorkers(opt))
 	if err != nil {
 		return nil, err
 	}
 	idx.Workers = opt.RepairWorkers
-	return &WeightedIndex{newWeighted(idx)}, nil
+	return &WeightedIndex{weightedLabels.oracle(idx)}, nil
 }
 
 // Graph returns the underlying weighted graph. Treat it as read-only;
 // mutate through the WeightedIndex methods.
-func (x *WeightedIndex) Graph() *WeightedGraph { return x.lab.(weighted).G }
+func (x *WeightedIndex) Graph() *WeightedGraph { return x.lab.(labelled[*WeightedGraph]).G }
 
 // LoadWeightedIndex restores a labelling saved with Save and attaches it to
 // g, which must be the graph it was built over.
 func LoadWeightedIndex(r io.Reader, g *WeightedGraph) (*WeightedIndex, error) {
-	idx, err := whcl.ReadIndex(r, g)
+	idx, err := hcl.ReadIndex(r, g)
 	if err != nil {
 		return nil, err
 	}
-	return &WeightedIndex{newWeighted(idx)}, nil
+	return &WeightedIndex{weightedLabels.oracle(idx)}, nil
 }
