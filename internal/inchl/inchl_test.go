@@ -11,8 +11,8 @@ import (
 	"repro/internal/testutil"
 )
 
-// buildPair returns an index over a clone of g plus an updater, leaving g
-// untouched for oracle rebuilds.
+// buildPair returns a clone of g and an index over it, leaving g untouched
+// for oracle rebuilds.
 func buildPair(t *testing.T, g *graph.Graph, landmarks []uint32) (*graph.Graph, *labelled) {
 	t.Helper()
 	gc := g.Clone()
