@@ -178,15 +178,19 @@
 // Equation 1 gives d(r,x) exactly for every landmark r, so on an
 // undirected graph |d(r,x) − d(r,t)| bounds d(x,t) from below at no cost
 // in index size. Per query, hcl.Core.ALT keeps the two landmarks with the
-// largest |d(r,u) − d(r,v)| among those reaching both endpoints, and the
-// search skips a relaxed vertex x when its distance plus the bound to the
-// other endpoint cannot beat the best path found; each side caches the
-// bound per vertex. Answers are unchanged, and on the weighted benchmark
-// graph the search settles a twelfth of the vertices it settled unpruned.
-// Every indexed search, the IncFD baseline's included, draws its scratch
-// (two distance vectors, the touched list, the BFS frontiers, the two heaps
-// and, grown only by the weighted search, the two lower-bound caches) from
-// one process-wide pool, bfs.Spaces. The pool keeps at most one idle scratch
+// largest |d(r,u) − d(r,v)| among those reaching both endpoints. The
+// search asks the bound when it pops a vertex x at its final distance, at
+// most once per vertex and side, and does not expand x when that distance
+// plus the bound to the other endpoint cannot beat the best path found;
+// one pass over L(x) reads d(r,x) for both landmarks. Answers are
+// unchanged, and on the weighted benchmark graph the search expands a
+// twelfth of the vertices it settled unpruned. The labelling's searches
+// check no arc against the landmark set: a query blocks every landmark in
+// its scratch (distance 0 on both sides) before the search and restores
+// them after it, so the search never discovers one. Every indexed search, the
+// IncFD baseline's included, draws its scratch (two distance vectors, the
+// touched list, the BFS frontiers and the two heaps) from one
+// process-wide pool, bfs.Spaces. The pool keeps at most one idle scratch
 // per processor. A query takes its own processor's scratch first, which
 // that processor's cache likely still holds, and any other one otherwise,
 // so a warmed scratch serves the next query whichever processor runs it.
@@ -322,10 +326,12 @@
 // There is one label decoder (internal/hcl AttachCore), and it attaches
 // bytes in place whichever of two places they come from. From a mapping,
 // the labelling pins it and the entries are served unread. From the heap —
-// LoadIndex, Load and PUT /labels read their input to the end first, and a
-// host that cannot map a file reads it whole — the labelling aliases the
-// bytes without ever writing them, and every label's ranks are checked,
-// since such bytes may be untrusted. The decoder treats every stream as
+// LoadIndex, Load and PUT /labels read their input to the end into a
+// buffer of exactly its length (hcl.ReadAll), a host that cannot map a
+// file reads it whole, and a checkpoint loaded so attaches a copy of its
+// label section only — the labelling aliases the bytes without ever
+// writing them, and every label's ranks are checked, since such bytes may
+// be untrusted. The decoder treats every stream as
 // untrusted in its structure and allocates only for bytes that are there,
 // never by the sizes a header claims. Where the host's entry layout
 // differs from the wire layout or a block lands misaligned, it decodes

@@ -250,7 +250,7 @@ func (o *oracle) Verify() error { return o.lab.VerifyCover() }
 
 // Load is Loader.Load: it reads r to the end and attaches the bytes.
 func (o *oracle) Load(r io.Reader) error {
-	data, err := io.ReadAll(r)
+	data, err := hcl.ReadAll(r)
 	if err != nil {
 		return fmt.Errorf("reading labelling: %w", err)
 	}

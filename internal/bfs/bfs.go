@@ -22,15 +22,11 @@ import (
 // searches, the BFS here and the Dijkstra of wgraph: two distance vectors
 // whose entries are graph.Inf between queries, the touched list used to
 // restore them sparsely, the three frontier buffers the BFS levels rotate
-// through and one radix heap per side for the Dijkstra. LowU and LowV are
-// the Dijkstra's caches of lower bounds to the opposite endpoint, graph.Inf
-// between queries too; they stay empty until a search that uses them
-// calls FitLower, so the BFS paths never hold them. Every buffer keeps its
-// capacity from query to query, which is what makes the indexed query paths
-// allocation-free in steady state.
+// through and one radix heap per side for the Dijkstra. Every buffer keeps
+// its capacity from query to query, which is what makes the indexed query
+// paths allocation-free in steady state.
 type QuerySpace struct {
 	DistU, DistV []graph.Dist
-	LowU, LowV   []graph.Dist
 	Touched      []uint32
 	Fronts       [3][]uint32
 	Heaps        [2]queue.PQ
@@ -125,30 +121,17 @@ func procPin() int
 //go:linkname procUnpin runtime.procUnpin
 func procUnpin()
 
-// fit lengthens the distance vectors to at least n entries (see growPair).
+// fit lengthens the distance vectors to at least n entries. They grow
+// geometrically (cow.Grow) and only the new entries are set to graph.Inf,
+// so the queries after each added vertex do not each rebuild the scratch.
 func (s *QuerySpace) fit(n int) {
-	if len(s.DistU) < n {
-		growPair(&s.DistU, &s.DistV, n)
+	old := len(s.DistU)
+	if old >= n {
+		return
 	}
-}
-
-// FitLower lengthens the lower-bound caches to at least n entries, as fit
-// does the distance vectors.
-func (s *QuerySpace) FitLower(n int) {
-	if len(s.LowU) < n {
-		growPair(&s.LowU, &s.LowV, n)
-	}
-}
-
-// growPair lengthens two vectors of graph.Inf of equal length to n
-// entries. They grow geometrically (cow.Grow) and only the new entries are
-// set to graph.Inf, so the queries after each added vertex do not each
-// rebuild the scratch.
-func growPair(a, b *[]graph.Dist, n int) {
-	old := len(*a)
-	*a, *b = cow.Grow(*a, n), cow.Grow(*b, n)
+	s.DistU, s.DistV = cow.Grow(s.DistU, n), cow.Grow(s.DistV, n)
 	for i := old; i < n; i++ {
-		(*a)[i], (*b)[i] = graph.Inf, graph.Inf
+		s.DistU[i], s.DistV[i] = graph.Inf, graph.Inf
 	}
 }
 
@@ -214,9 +197,13 @@ func Sparsified(g *graph.Graph, u, v uint32, bound graph.Dist, avoid func(uint32
 // other side and writes nothing.
 //
 // s carries all scratch: distance vectors of length ≥ the tables' whose
-// entries must all be graph.Inf on entry (restored sparsely before
-// returning, so pooled scratch needs no re-clearing) and the frontier
-// buffers. A steady-state query allocates nothing.
+// entries must be graph.Inf on entry (restored sparsely before returning,
+// so pooled scratch needs no re-clearing) and the frontier buffers. A
+// caller may instead block a vertex other than u and v by giving it
+// distance 0 on both sides: the search then neither discovers it nor
+// counts it as a meet, which removes it as avoid does without a call per
+// arc, and leaves its entries as they were. A steady-state query
+// allocates nothing.
 func SparsifiedOver(fwd, bwd *cow.Table[uint32], u, v uint32, bound graph.Dist, avoid func(uint32) bool, s *QuerySpace) graph.Dist {
 	if bound == 0 {
 		return graph.Inf
@@ -254,8 +241,8 @@ func SparsifiedOver(fwd, bwd *cow.Table[uint32], u, v uint32, bound graph.Dist, 
 			break
 		}
 		if next+1 == best {
-			if len(frontU) <= len(frontV) && meets(fwd, u, frontU, distV, avoid) ||
-				len(frontU) > len(frontV) && meets(bwd, v, frontV, distU, avoid) {
+			if len(frontU) <= len(frontV) && meets(fwd, u, v, frontU, distV, avoid) ||
+				len(frontU) > len(frontV) && meets(bwd, v, u, frontV, distU, avoid) {
 				best = next
 			}
 			break
@@ -278,16 +265,18 @@ func SparsifiedOver(fwd, bwd *cow.Table[uint32], u, v uint32, bound graph.Dist, 
 }
 
 // meets reports whether some vertex of front, the deepest level of the side
-// rooted at src, has an arc in adj to a vertex the other side has reached.
-// Such a vertex passed the other side's avoid check when it was discovered,
-// so only the frontier vertices are checked here.
-func meets(adj *cow.Table[uint32], src uint32, front []uint32, other []graph.Dist, avoid func(uint32) bool) bool {
+// rooted at src, has an arc in adj to a vertex the other side, rooted at
+// dst, has reached. Such a vertex passed the other side's avoid check when
+// it was discovered, so only the frontier vertices are checked here. A
+// blocked vertex reads 0 on the other side too, as only dst itself does
+// among reached ones, so an arc to a 0 entry meets only at dst.
+func meets(adj *cow.Table[uint32], src, dst uint32, front []uint32, other []graph.Dist, avoid func(uint32) bool) bool {
 	for _, x := range front {
 		if avoid != nil && x != src && avoid(x) {
 			continue
 		}
 		for _, w := range adj.Row(x) {
-			if other[w] != graph.Inf {
+			if d := other[w]; d != graph.Inf && (d != 0 || w == dst) {
 				return true
 			}
 		}
@@ -298,7 +287,8 @@ func meets(adj *cow.Table[uint32], src uint32, front []uint32, other []graph.Dis
 // expand advances one BFS level along adj of the side rooted at src, whose
 // opposite endpoint is dst, appending the next level into next (length 0,
 // reused capacity). Removed vertices are neither discovered nor expanded,
-// except for the two endpoints.
+// except for the two endpoints; a blocked one is never discovered, as its
+// distance on this side is already 0.
 func expand(adj *cow.Table[uint32], src, dst uint32, front []uint32, depth graph.Dist, dist, other []graph.Dist, avoid func(uint32) bool, best *graph.Dist, touched *[]uint32, next []uint32) []uint32 {
 	for _, x := range front {
 		if avoid != nil && x != src && avoid(x) {

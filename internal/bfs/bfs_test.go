@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/bfs"
+	"repro/internal/digraph"
 	"repro/internal/graph"
 	"repro/internal/testutil"
 )
@@ -239,5 +240,75 @@ func TestSparsifiedQuickBoundNeverLies(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(5))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMeetOnlyLevelSkipsBlockedVertex pins the meet-only level against a
+// blocked vertex: landmark 2, at distance 0 on both sides of the scratch,
+// neighbours the frontier that level scans, and only the other endpoint,
+// also at 0, may count as a meet there. Each case answers the BFS distance
+// of the graph without the landmark at every bound around it, undirected
+// and directed (arcs as listed), and leaves the blocked entries as they
+// were and every other one graph.Inf.
+func TestMeetOnlyLevelSkipsBlockedVertex(t *testing.T) {
+	const n, land = 6, 2
+	for _, c := range []struct {
+		name string
+		arcs [][2]uint32
+	}{
+		// u's frontier {3} neighbours the landmark; the path avoiding it
+		// is 0-3-4-1.
+		{"blocked neighbour of u's frontier", [][2]uint32{{0, 3}, {3, 2}, {2, 1}, {3, 4}, {4, 1}}},
+		// u's frontier {3, 5} is the larger, so the level scans v's {1},
+		// whose neighbour 2 is blocked.
+		{"blocked neighbour of v's frontier", [][2]uint32{{0, 3}, {0, 5}, {3, 2}, {2, 1}, {3, 4}, {4, 1}}},
+		// u and v are adjacent: the meet at v itself counts.
+		{"endpoint meet", [][2]uint32{{0, 1}, {0, 2}, {2, 1}}},
+	} {
+		ug, dg := graph.New(n), digraph.New(n)
+		keptU, keptD := graph.New(n), digraph.New(n) // without the landmark
+		for i := 0; i < n; i++ {
+			ug.AddVertex()
+			dg.AddVertex()
+			keptU.AddVertex()
+			keptD.AddVertex()
+		}
+		for _, a := range c.arcs {
+			ug.MustAddEdge(a[0], a[1])
+			dg.MustAddEdge(a[0], a[1])
+			if a[0] != land && a[1] != land {
+				keptU.MustAddEdge(a[0], a[1])
+				keptD.MustAddEdge(a[0], a[1])
+			}
+		}
+		qs := newScratch(n)
+		qs.DistU[land], qs.DistV[land] = 0, 0
+		for _, s := range []struct {
+			name   string
+			want   graph.Dist
+			search func(bound graph.Dist) graph.Dist
+		}{
+			{"undirected", bfs.Dist(keptU, 0, 1), func(bound graph.Dist) graph.Dist { return bfs.Sparsified(ug, 0, 1, bound, nil, qs) }},
+			{"directed", keptD.Dist(0, 1), func(bound graph.Dist) graph.Dist { return dg.Sparsified(0, 1, bound, nil, qs) }},
+		} {
+			for _, bound := range testutil.BoundsAround(s.want) {
+				want := s.want
+				if want >= bound {
+					want = graph.Inf
+				}
+				if got := s.search(bound); got != want {
+					t.Errorf("%s, %s: bound %d: got %d, want %d", c.name, s.name, bound, got, want)
+				}
+				for x := range qs.DistU {
+					blocked := graph.Inf
+					if x == land {
+						blocked = 0
+					}
+					if qs.DistU[x] != blocked || qs.DistV[x] != blocked {
+						t.Fatalf("%s, %s: scratch at vertex %d is (%d, %d), want %d", c.name, s.name, x, qs.DistU[x], qs.DistV[x], blocked)
+					}
+				}
+			}
+		}
 	}
 }

@@ -398,9 +398,32 @@ func (c *Core) WriteToAt(w io.Writer, base int64) (int64, []Span, error) {
 // kind over n vertices from the heap (see AttachCore). Memory grows with
 // the bytes that arrive, not with the sizes the stream claims.
 func ReadCore(r io.Reader, kind Kind, n int) (Core, error) {
-	data, err := io.ReadAll(r)
+	data, err := ReadAll(r)
 	if err != nil {
 		return Core{}, fmt.Errorf("reading label stream: %w", err)
 	}
 	return AttachCore(data, nil, kind, n)
+}
+
+// ReadAll reads r to the end into a buffer of exactly the bytes read. A
+// labelling attached from the heap aliases its buffer, so spare capacity
+// would stay alive with it. A reader that tells its remaining length
+// (bytes.Reader, bytes.Buffer, strings.Reader) is read once into a buffer
+// of that length; any other is read to the end and, when that left spare
+// capacity, copied into one of its length.
+func ReadAll(r io.Reader) ([]byte, error) {
+	if l, ok := r.(interface{ Len() int }); ok {
+		data := make([]byte, l.Len())
+		if _, err := io.ReadFull(r, data); err != nil {
+			return nil, err
+		}
+		return data, nil
+	}
+	data, err := io.ReadAll(r)
+	if err != nil || cap(data) == len(data) {
+		return data, err
+	}
+	exact := make([]byte, len(data))
+	copy(exact, data)
+	return exact, nil
 }

@@ -73,7 +73,11 @@ func LandmarkVia(row []graph.Dist, lv []Entry) graph.Dist {
 
 // ALTLandmarks is the number of landmarks an ALT bound reads per vertex.
 // A sweep of 1–4 on the weighted benchmark graph picked it (EXPERIMENTS.md,
-// "goal-directed weighted queries").
+// "goal-directed weighted queries"), and a second sweep kept it once the
+// search asked the bound at pop time ("cheaper bounded searches"): each
+// added landmark cut the vertices popped per search (4,527, 3,745, 3,589,
+// 3,486) by less than its wider pass over L(x) cost, so 1 and 2 were level
+// and 3 and 4 slower.
 const ALTLandmarks = 2
 
 // ALT is the landmark lower bound of Goldberg & Harrelson ("Computing the
@@ -117,19 +121,29 @@ func (c *Core) ALT(u, v uint32) ALT {
 
 // Lower returns a lower bound on d(x, t) for t one of the pair's vertices:
 // the largest |d(r, x) − d(r, t)| over the kept landmarks r, each d(r, x)
-// read by Equation 1 from L(x) against r's highway row. A landmark that
-// does not reach x adds nothing, and neither does a landmark x, whose label
-// is empty, so the bound is finite.
+// read by Equation 1 from L(x) against r's highway row. One pass over L(x)
+// takes the minimum for every kept landmark at once. A landmark that does
+// not reach x adds nothing, and neither does a landmark x, whose label is
+// empty, so the bound is finite.
 func (a *ALT) Lower(x, t uint32) graph.Dist {
 	dt := &a.dv
 	if t == a.u {
 		dt = &a.du
 	}
-	lx := a.c.Label(0, x)
+	var dx [ALTLandmarks]graph.Dist
+	for j := range dx {
+		dx[j] = graph.Inf
+	}
+	rows := a.rows[:a.n]
+	for _, e := range a.c.Label(0, x) {
+		for j, row := range rows {
+			dx[j] = min(dx[j], graph.AddDist(row[e.Rank], e.D))
+		}
+	}
 	var lb graph.Dist
-	for j := 0; j < a.n; j++ {
-		if dx := LandmarkVia(a.rows[j], lx); dx != graph.Inf {
-			lb = max(lb, absDiff(dx, dt[j]))
+	for j := range rows {
+		if dx[j] != graph.Inf {
+			lb = max(lb, absDiff(dx[j], dt[j]))
 		}
 	}
 	return lb

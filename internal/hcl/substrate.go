@@ -36,7 +36,9 @@ type substrate interface {
 	// cells into d: a construction pass, or a RepairRebuild repair.
 	construct(c *Core, ws *Scratch, d *Delta)
 	// search is the bounded bidirectional search of a query u→v over the
-	// landmark-sparsified graph: the distance if below top, else Inf.
+	// landmark-sparsified graph: the distance if below top, else Inf. The
+	// caller has blocked every landmark in qs (distance 0 on both sides),
+	// which removes them from the searched graph.
 	search(c *Core, u, v uint32, top graph.Dist, s *bfs.QuerySpace) graph.Dist
 	// distances fills dist with the distances from the landmark src over
 	// the arcs of label direction dir: the cover audit's ground truth.
@@ -72,7 +74,7 @@ func (s graphSub) construct(c *Core, ws *Scratch, d *Delta) {
 }
 
 func (s graphSub) search(c *Core, u, v uint32, top graph.Dist, qs *bfs.QuerySpace) graph.Dist {
-	return bfs.Sparsified(s.g, u, v, top, c.IsLandmark, qs)
+	return bfs.Sparsified(s.g, u, v, top, nil, qs)
 }
 
 func (s graphSub) distances(_ int, src uint32, dist []graph.Dist) { bfs.All(s.g, src, dist) }
@@ -104,7 +106,7 @@ func (s digraphSub) construct(c *Core, ws *Scratch, d *Delta) {
 }
 
 func (s digraphSub) search(c *Core, u, v uint32, top graph.Dist, qs *bfs.QuerySpace) graph.Dist {
-	return s.g.Sparsified(u, v, top, c.IsLandmark, qs)
+	return s.g.Sparsified(u, v, top, nil, qs)
 }
 
 func (s digraphSub) distances(dir int, src uint32, dist []graph.Dist) {
@@ -128,9 +130,10 @@ func (s digraphSub) remove(c *Core, a, b uint32) (Stats, error) {
 
 // wgraphSub is a weighted graph: Dijkstra replaces BFS throughout, an
 // edge's length is its weight, and a query runs wgraph's bounded
-// bidirectional Dijkstra, which skips every vertex whose landmark lower
-// bound (ALT) to the opposite endpoint shows that no path through it beats
-// the best found — a bound the labels give without another index.
+// bidirectional Dijkstra. It asks the landmark lower bound (ALT) to the
+// opposite endpoint of each vertex it pops, and does not expand one whose
+// bound shows that no path through it beats the best found — a bound the
+// labels give without another index.
 type wgraphSub struct{ g *wgraph.Graph }
 
 func (wgraphSub) kind() Kind { return weighted }
@@ -139,7 +142,7 @@ func (s wgraphSub) construct(c *Core, ws *Scratch, d *Delta) { c.RebuildDijkstra
 
 func (s wgraphSub) search(c *Core, u, v uint32, top graph.Dist, qs *bfs.QuerySpace) graph.Dist {
 	alt := c.ALT(u, v)
-	return s.g.SparsifiedLB(u, v, top, c.IsLandmark, alt.Lower, qs)
+	return s.g.SparsifiedLB(u, v, top, nil, alt.Lower, qs)
 }
 
 func (s wgraphSub) distances(_ int, src uint32, dist []graph.Dist) { s.g.Dijkstra(src, dist) }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -96,17 +97,20 @@ func loadImage(name string, mapImage func() (*arena.Mapping, error), readImage f
 	return idx, epoch, err
 }
 
-// copyIn attaches a checkpoint image held on the heap: the labels alias
-// data, and every label's entries are checked. It is the load on a host
-// without mmap, and the reference the mapped load is tested against.
+// copyIn attaches a checkpoint image held on the heap: the labels alias a
+// copy of the image's label section, so the rest of data is not kept
+// alive with them, and every label's entries are checked. It is the load
+// on a host without mmap, and the reference the mapped load is tested
+// against.
 func copyIn(data []byte, name string) (*dynhl.Index, uint64, error) {
 	return decodeImage(data, nil, name)
 }
 
 // decodeImage validates a checkpoint image, decodes its graph onto the
 // heap (every update mutates it; the labels are the bulk of the state) and
-// attaches the labelling in place: data lies inside the mapping m, or is
-// heap bytes when m is nil (dynhl.AttachIndex).
+// attaches the labelling: in place when data lies inside the mapping m,
+// and from a copy of the label section on the heap when m is nil
+// (dynhl.AttachIndex).
 func decodeImage(data []byte, m *arena.Mapping, name string) (*dynhl.Index, uint64, error) {
 	st, err := decodeCheckpoint(data, name)
 	if err != nil {
@@ -115,6 +119,9 @@ func decodeImage(data []byte, m *arena.Mapping, name string) (*dynhl.Index, uint
 	g, err := decodeGraphSection(st.graph, st.vertices)
 	if err != nil {
 		return nil, 0, err
+	}
+	if m == nil {
+		st.labels = bytes.Clone(st.labels)
 	}
 	idx, err := dynhl.AttachIndex(st.labels, m, g)
 	if err != nil {

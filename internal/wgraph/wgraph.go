@@ -207,24 +207,23 @@ func (g *Graph) Dist(u, v uint32) graph.Dist {
 // distance when it is below bound and graph.Inf otherwise. Each step
 // settles one vertex on the side with fewer queued items.
 // s carries all scratch: distance vectors of length ≥ NumVertices whose
-// entries must all be graph.Inf on entry (restored sparsely on return) and
-// the two radix heaps (s.Heaps). A steady-state query allocates nothing.
-// It is SparsifiedLB without a lower bound.
+// entries are graph.Inf on entry, except that a caller may block a vertex
+// other than u and v by giving it distance 0 on both sides, which removes
+// it as avoid does (restored sparsely on return: blocked entries are left
+// as they were), and the two radix heaps (s.Heaps). A steady-state query
+// allocates nothing. It is SparsifiedLB without a lower bound.
 func (g *Graph) Sparsified(u, v uint32, bound graph.Dist, avoid func(uint32) bool, s *bfs.QuerySpace) graph.Dist {
 	return g.SparsifiedLB(u, v, bound, avoid, nil, s)
 }
 
 // SparsifiedLB is Sparsified pruned by a lower bound: lower(x, t), for t
 // one of the endpoints u and v, must be at most the distance from x to t
-// in the subgraph. A side rooted at one endpoint then skips a relaxed
-// vertex x, other than the opposite endpoint t, when its new distance plus
-// lower(x, t) is at least the best path found, since no path through x can
-// then beat it. The Dijkstra order, the bound and the stopping rule are
-// Sparsified's, and so are the answers. lower is asked at most once per
-// vertex and side: s.LowU caches lower(x, v) for the side rooted at u and
-// s.LowV lower(x, u), grown to NumVertices entries on the first such
-// search and restored to graph.Inf on return like the distance vectors. A
-// nil lower is Sparsified, which leaves those caches alone.
+// in the subgraph. A side rooted at one endpoint asks it once for each
+// vertex x it pops at x's final distance d, and settles x without
+// expanding it when d + lower(x, t) is at least the best path found, since
+// no path through x can then beat it. The Dijkstra order, the bound and
+// the stopping rule are Sparsified's, and so are the answers. A nil lower
+// is Sparsified.
 func (g *Graph) SparsifiedLB(u, v uint32, bound graph.Dist, avoid func(uint32) bool, lower func(x, t uint32) graph.Dist, s *bfs.QuerySpace) graph.Dist {
 	if bound == 0 {
 		return graph.Inf
@@ -234,21 +233,10 @@ func (g *Graph) SparsifiedLB(u, v uint32, bound graph.Dist, avoid func(uint32) b
 	}
 	distU, distV := s.DistU, s.DistV
 	touched := s.Touched[:0]
-	var lowU, lowV []graph.Dist
-	if lower != nil {
-		s.FitLower(g.NumVertices())
-		lowU, lowV = s.LowU, s.LowV
-	}
 	defer func() {
 		for _, x := range touched {
 			distU[x] = graph.Inf
 			distV[x] = graph.Inf
-		}
-		if lower != nil {
-			for _, x := range touched {
-				lowU[x] = graph.Inf
-				lowV[x] = graph.Inf
-			}
 		}
 		s.Touched = touched // keep the grown capacity
 	}()
@@ -267,9 +255,9 @@ func (g *Graph) SparsifiedLB(u, v uint32, bound graph.Dist, avoid func(uint32) b
 			break // settled radii already cover every candidate below best
 		}
 		if pqU.Len() <= pqV.Len() { // grow the side with fewer queued items
-			topU = settle(g, pqU, distU, distV, lowU, u, v, topV, avoid, lower, &best, &touched)
+			topU = settle(g, pqU, distU, distV, u, v, topV, avoid, lower, &best, &touched)
 		} else {
-			topV = settle(g, pqV, distV, distU, lowV, v, u, topU, avoid, lower, &best, &touched)
+			topV = settle(g, pqV, distV, distU, v, u, topU, avoid, lower, &best, &touched)
 		}
 	}
 	if best == bound {
@@ -280,22 +268,29 @@ func (g *Graph) SparsifiedLB(u, v uint32, bound graph.Dist, avoid func(uint32) b
 
 // settle pops one vertex from the side rooted at src and relaxes its edges,
 // recording meets with the opposite side, rooted at dst. Distance entries
-// are graph.Inf for undiscovered vertices. Every vertex whose distance or
-// lower-bound entry on either side stops being graph.Inf is appended to
-// touched when the first of them is written, so the caller can restore
-// sparsely. An arc is checked against avoid only when it would improve a
-// distance, as bfs's expand does.
+// are graph.Inf for undiscovered vertices, and 0 on both sides for a
+// vertex the caller blocked, which no relaxation improves. Every vertex
+// whose distance on this side stops being graph.Inf is appended to touched
+// when it is written, so the caller can restore sparsely. An arc is
+// checked against avoid only when it would improve a distance, as bfs's
+// expand does.
+//
+// A popped vertex x at distance d is settled but not expanded when d, or
+// with a lower bound d + lower(x, dst), is at least best. This is exact: a
+// vertex of a path shorter than best, popped at its exact distance, has
+// d + lower(x, dst) ≤ d + d(x, dst) < best. A vertex is popped at its
+// final distance at most once per side, so lower is asked at most once
+// per vertex and side, and never for dst: writing dst's distance on this
+// side records its meet, so best is at most that distance and the
+// otherTop test below never pushes it.
 //
 // A relaxed vertex is neither written nor pushed when its new distance plus
 // otherTop, the key the opposite side last settled, is at least best. A
 // shortest path shorter than best stays findable: where it leaves this
 // side's settled part, the opposite side has either settled the rest of it
 // already, and the meet check above records the path, or the rest is at
-// least otherTop long. With a lower bound, a relaxed vertex x other than
-// dst is skipped too when its new distance plus lower(x, dst), cached in
-// low, is at least best: every path through x is then at least best long,
-// so no vertex of a shorter path is ever skipped at its exact distance.
-func settle(g *Graph, pq *queue.PQ, dist, other, low []graph.Dist, src, dst uint32, otherTop graph.Dist, avoid func(uint32) bool, lower func(x, t uint32) graph.Dist, best *graph.Dist, touched *[]uint32) graph.Dist {
+// least otherTop long.
+func settle(g *Graph, pq *queue.PQ, dist, other []graph.Dist, src, dst uint32, otherTop graph.Dist, avoid func(uint32) bool, lower func(x, t uint32) graph.Dist, best *graph.Dist, touched *[]uint32) graph.Dist {
 	for pq.Len() > 0 {
 		it := pq.PopItem()
 		if dist[it.V] != it.D {
@@ -303,6 +298,10 @@ func settle(g *Graph, pq *queue.PQ, dist, other, low []graph.Dist, src, dst uint
 		}
 		if avoid != nil && it.V != src && avoid(it.V) {
 			return it.D // settled but not expanded: removed vertex
+		}
+		if it.D >= *best ||
+			lower != nil && graph.AddDist(it.D, lower(it.V, dst)) >= *best {
+			return it.D // settled but not expanded: no shorter path through it
 		}
 		for _, a := range g.adj.Row(it.V) {
 			nd := graph.AddDist(it.D, a.W)
@@ -320,17 +319,7 @@ func settle(g *Graph, pq *queue.PQ, dist, other, low []graph.Dist, src, dst uint
 			if graph.AddDist(nd, otherTop) >= *best {
 				continue
 			}
-			if lower != nil && a.To != dst {
-				lb := low[a.To]
-				if lb == graph.Inf { // first bound asked for a.To on this side
-					lb = min(lower(a.To, dst), graph.Inf-1) // Inf marks "not asked"
-					low[a.To] = lb
-					*touched = append(*touched, a.To)
-				}
-				if graph.AddDist(nd, lb) >= *best {
-					continue
-				}
-			} else if dist[a.To] == graph.Inf {
+			if dist[a.To] == graph.Inf {
 				*touched = append(*touched, a.To)
 			}
 			dist[a.To] = nd

@@ -218,7 +218,7 @@ func TestSparsifiedWeightedExclusiveBound(t *testing.T) {
 						iter, u, v, av, bound, lower != nil, num, got, want)
 				}
 				for x := range qs.DistU {
-					if qs.DistU[x] != graph.Inf || qs.DistV[x] != graph.Inf || x < len(qs.LowU) && (qs.LowU[x] != graph.Inf || qs.LowV[x] != graph.Inf) {
+					if qs.DistU[x] != graph.Inf || qs.DistV[x] != graph.Inf {
 						t.Fatalf("iter %d: scratch not restored at vertex %d", iter, x)
 					}
 				}

@@ -59,6 +59,16 @@ func BenchmarkWeightedQuery(b *testing.B) {
 	f.run(b)
 }
 
+// BenchmarkWeightedQueryCold is BenchmarkWeightedQuery with the caches
+// swept before every query (runCold).
+func BenchmarkWeightedQueryCold(b *testing.B) {
+	f, err := weightedQueries()
+	if err != nil {
+		b.Fatal(err)
+	}
+	f.runCold(b)
+}
+
 // BenchmarkBuildWeighted measures the serial construction of the weighted
 // labelling: one covered-flag Dijkstra per landmark over the whole graph.
 func BenchmarkBuildWeighted(b *testing.B) {
