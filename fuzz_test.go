@@ -373,8 +373,7 @@ func FuzzReadIndex(f *testing.F) {
 // d < bound and graph.Inf otherwise. The weighted search runs three times:
 // with no lower bound, with the exact pruned distance to the other endpoint
 // as its lower bound, and with (data[3]>>4)/16 of that distance. Every
-// distance and lower-bound entry of the scratch must be graph.Inf again at
-// the end. data[0] sizes the graph (3–34 vertices), data[1] and data[2]
+// distance entry of the scratch must be graph.Inf again at the end. data[0] sizes the graph (3–34 vertices), data[1] and data[2]
 // are the endpoints, data[4] and data[5] each avoid a vertex unless their
 // top bit is set, and every later triple (a, b, w) adds the edge a–b, the
 // arc a→b and a weighted edge of weight w%8+1, or 1<<30 for w = 255, which

@@ -161,8 +161,8 @@ func TestSparsifiedEndpoints(t *testing.T) {
 // the pruned graph at the bounds around the pruned distance d
 // (testutil.BoundsAround), with no lower bound, with the exact pruned
 // distance to the other endpoint (the tightest valid one) and with a random
-// fraction of it, and checks that every distance and lower-bound entry is
-// graph.Inf again after each search. Graphs are random or cycles of odd and
+// fraction of it, and checks that every distance entry is graph.Inf again
+// after each search. Graphs are random or cycles of odd and
 // even length, with unit weights (where the search behaves as a BFS),
 // weights 1–4, or weights up to 1<<30 that saturate graph.AddDist.
 func TestSparsifiedWeightedExclusiveBound(t *testing.T) {
