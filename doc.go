@@ -186,8 +186,9 @@
 // unchanged, and on the weighted benchmark graph the search expands a
 // twelfth of the vertices it settled unpruned. The labelling's searches
 // check no arc against the landmark set: a query blocks every landmark in
-// its scratch (distance 0 on both sides) before the search and restores
-// them after it, so the search never discovers one. Every indexed search, the
+// its scratch (bfs.QuerySpace.Block, distance 0 on both sides) before the
+// search and unblocks them after it, so the search never discovers one; the
+// IncFD baseline's query does the same. Every indexed search, the
 // IncFD baseline's included, draws its scratch (two distance vectors, the
 // touched list, the BFS frontiers and the two heaps) from one
 // process-wide pool, bfs.Spaces. The pool keeps at most one idle scratch

@@ -135,6 +135,26 @@ func (s *QuerySpace) fit(n int) {
 	}
 }
 
+// Block removes the vertices vs from the searches run on s until Unblock.
+// It gives each distance 0 on both sides, so neither the BFS here nor the
+// Dijkstra of wgraph discovers or expands one, and meets does not count
+// one: avoid without a call per arc. No vertex of vs may be an endpoint of
+// a search run while it is blocked, and s must fit them all (Spaces.Get
+// with the graph's vertex count).
+func (s *QuerySpace) Block(vs []uint32) {
+	for _, x := range vs {
+		s.DistU[x], s.DistV[x] = 0, 0
+	}
+}
+
+// Unblock returns the entries Block wrote to graph.Inf, which a pooled
+// scratch holds between queries.
+func (s *QuerySpace) Unblock(vs []uint32) {
+	for _, x := range vs {
+		s.DistU[x], s.DistV[x] = graph.Inf, graph.Inf
+	}
+}
+
 // All computes the distances from src to every vertex of g, writing them
 // into dist, which must have length g.NumVertices(). Unreached vertices get
 // graph.Inf.
@@ -198,12 +218,9 @@ func Sparsified(g *graph.Graph, u, v uint32, bound graph.Dist, avoid func(uint32
 //
 // s carries all scratch: distance vectors of length ≥ the tables' whose
 // entries must be graph.Inf on entry (restored sparsely before returning,
-// so pooled scratch needs no re-clearing) and the frontier buffers. A
-// caller may instead block a vertex other than u and v by giving it
-// distance 0 on both sides: the search then neither discovers it nor
-// counts it as a meet, which removes it as avoid does without a call per
-// arc, and leaves its entries as they were. A steady-state query
-// allocates nothing.
+// so pooled scratch needs no re-clearing) and the frontier buffers,
+// except for the vertices s.Block removed, whose entries the search leaves
+// as they were. A steady-state query allocates nothing.
 func SparsifiedOver(fwd, bwd *cow.Table[uint32], u, v uint32, bound graph.Dist, avoid func(uint32) bool, s *QuerySpace) graph.Dist {
 	if bound == 0 {
 		return graph.Inf
@@ -268,8 +285,8 @@ func SparsifiedOver(fwd, bwd *cow.Table[uint32], u, v uint32, bound graph.Dist, 
 // rooted at src, has an arc in adj to a vertex the other side, rooted at
 // dst, has reached. Such a vertex passed the other side's avoid check when
 // it was discovered, so only the frontier vertices are checked here. A
-// blocked vertex reads 0 on the other side too, as only dst itself does
-// among reached ones, so an arc to a 0 entry meets only at dst.
+// vertex removed by Block reads 0 on the other side, as among reached
+// vertices only dst itself does, so an arc to a 0 entry meets only at dst.
 func meets(adj *cow.Table[uint32], src, dst uint32, front []uint32, other []graph.Dist, avoid func(uint32) bool) bool {
 	for _, x := range front {
 		if avoid != nil && x != src && avoid(x) {
@@ -287,8 +304,8 @@ func meets(adj *cow.Table[uint32], src, dst uint32, front []uint32, other []grap
 // expand advances one BFS level along adj of the side rooted at src, whose
 // opposite endpoint is dst, appending the next level into next (length 0,
 // reused capacity). Removed vertices are neither discovered nor expanded,
-// except for the two endpoints; a blocked one is never discovered, as its
-// distance on this side is already 0.
+// except for the two endpoints; one removed by Block is never discovered,
+// as its distance on this side is already 0.
 func expand(adj *cow.Table[uint32], src, dst uint32, front []uint32, depth graph.Dist, dist, other []graph.Dist, avoid func(uint32) bool, best *graph.Dist, touched *[]uint32, next []uint32) []uint32 {
 	for _, x := range front {
 		if avoid != nil && x != src && avoid(x) {

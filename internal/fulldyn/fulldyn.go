@@ -101,9 +101,10 @@ func (idx *Index) Query(u, v uint32) graph.Dist {
 	if top <= 1 {
 		return top
 	}
-	avoid := func(x uint32) bool { return idx.isLandmark[x] }
 	s := bfs.Spaces.Get(idx.G.NumVertices())
-	sp := bfs.Sparsified(idx.G, u, v, top, avoid, s) // below top, or Inf
+	s.Block(idx.Landmarks)
+	sp := bfs.Sparsified(idx.G, u, v, top, nil, s) // below top, or Inf
+	s.Unblock(idx.Landmarks)
 	bfs.Spaces.Put(s)
 	return min(sp, top)
 }

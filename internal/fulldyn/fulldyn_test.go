@@ -254,3 +254,26 @@ func TestMixedInsertDeleteQueriesExact(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestQueryUnblocksLandmarks checks that Query leaves its pooled scratch
+// as it found it: the landmarks it blocks for the search read graph.Inf
+// again on both sides after every query.
+func TestQueryUnblocksLandmarks(t *testing.T) {
+	g := testutil.RandomGraph(50, 90, 3)
+	idx, err := Build(g, landmark.ByDegree(g, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := uint32(0); u < 50; u++ {
+		for v := uint32(0); v < 50; v++ {
+			idx.Query(u, v)
+			s := bfs.Spaces.Get(g.NumVertices())
+			for _, r := range idx.Landmarks {
+				if s.DistU[r] != graph.Inf || s.DistV[r] != graph.Inf {
+					t.Fatalf("after Query(%d,%d): landmark %d is (%d, %d) in the scratch, want Inf", u, v, r, s.DistU[r], s.DistV[r])
+				}
+			}
+			bfs.Spaces.Put(s)
+		}
+	}
+}

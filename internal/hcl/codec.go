@@ -407,18 +407,9 @@ func ReadCore(r io.Reader, kind Kind, n int) (Core, error) {
 
 // ReadAll reads r to the end into a buffer of exactly the bytes read. A
 // labelling attached from the heap aliases its buffer, so spare capacity
-// would stay alive with it. A reader that tells its remaining length
-// (bytes.Reader, bytes.Buffer, strings.Reader) is read once into a buffer
-// of that length; any other is read to the end and, when that left spare
-// capacity, copied into one of its length.
+// would stay alive with it: when io.ReadAll leaves some, the bytes are
+// copied into a buffer of their length.
 func ReadAll(r io.Reader) ([]byte, error) {
-	if l, ok := r.(interface{ Len() int }); ok {
-		data := make([]byte, l.Len())
-		if _, err := io.ReadFull(r, data); err != nil {
-			return nil, err
-		}
-		return data, nil
-	}
 	data, err := io.ReadAll(r)
 	if err != nil || cap(data) == len(data) {
 		return data, err

@@ -134,13 +134,9 @@ func (x *Labelled[G]) Query(u, v uint32) graph.Dist {
 	// The landmarks are blocked in the scratch for the search's length, so
 	// that it removes them from G without a check per arc.
 	s := bfs.Spaces.Get(x.G.NumVertices())
-	for _, r := range x.Landmarks {
-		s.DistU[r], s.DistV[r] = 0, 0
-	}
+	s.Block(x.Landmarks)
 	sp := substrateOf(x.G).search(&x.Core, u, v, top, s) // below top, or Inf
-	for _, r := range x.Landmarks {
-		s.DistU[r], s.DistV[r] = graph.Inf, graph.Inf
-	}
+	s.Unblock(x.Landmarks)
 	bfs.Spaces.Put(s)
 	return min(sp, top)
 }

@@ -37,8 +37,8 @@ type substrate interface {
 	construct(c *Core, ws *Scratch, d *Delta)
 	// search is the bounded bidirectional search of a query u→v over the
 	// landmark-sparsified graph: the distance if below top, else Inf. The
-	// caller has blocked every landmark in qs (distance 0 on both sides),
-	// which removes them from the searched graph.
+	// caller has removed every landmark from the searched graph with
+	// s.Block.
 	search(c *Core, u, v uint32, top graph.Dist, s *bfs.QuerySpace) graph.Dist
 	// distances fills dist with the distances from the landmark src over
 	// the arcs of label direction dir: the cover audit's ground truth.

@@ -207,11 +207,10 @@ func (g *Graph) Dist(u, v uint32) graph.Dist {
 // distance when it is below bound and graph.Inf otherwise. Each step
 // settles one vertex on the side with fewer queued items.
 // s carries all scratch: distance vectors of length ≥ NumVertices whose
-// entries are graph.Inf on entry, except that a caller may block a vertex
-// other than u and v by giving it distance 0 on both sides, which removes
-// it as avoid does (restored sparsely on return: blocked entries are left
-// as they were), and the two radix heaps (s.Heaps). A steady-state query
-// allocates nothing. It is SparsifiedLB without a lower bound.
+// entries are graph.Inf on entry (restored sparsely on return), except
+// for the vertices s.Block removed, and the two radix heaps (s.Heaps). A
+// steady-state query allocates nothing. It is SparsifiedLB without a lower
+// bound.
 func (g *Graph) Sparsified(u, v uint32, bound graph.Dist, avoid func(uint32) bool, s *bfs.QuerySpace) graph.Dist {
 	return g.SparsifiedLB(u, v, bound, avoid, nil, s)
 }
@@ -268,12 +267,12 @@ func (g *Graph) SparsifiedLB(u, v uint32, bound graph.Dist, avoid func(uint32) b
 
 // settle pops one vertex from the side rooted at src and relaxes its edges,
 // recording meets with the opposite side, rooted at dst. Distance entries
-// are graph.Inf for undiscovered vertices, and 0 on both sides for a
-// vertex the caller blocked, which no relaxation improves. Every vertex
-// whose distance on this side stops being graph.Inf is appended to touched
-// when it is written, so the caller can restore sparsely. An arc is
-// checked against avoid only when it would improve a distance, as bfs's
-// expand does.
+// are graph.Inf for undiscovered vertices, and no relaxation improves the
+// 0 of a vertex removed by bfs.QuerySpace.Block. Every vertex whose
+// distance on this side stops being graph.Inf is appended to touched when
+// it is written, so the caller can restore sparsely. An arc is checked
+// against avoid only when it would improve a distance, as bfs's expand
+// does.
 //
 // A popped vertex x at distance d is settled but not expanded when d, or
 // with a lower bound d + lower(x, dst), is at least best. This is exact: a
