@@ -22,14 +22,17 @@ import (
 // searches, the BFS here and the Dijkstra of wgraph: two distance vectors
 // whose entries are graph.Inf between queries, the touched list used to
 // restore them sparsely, the three frontier buffers the BFS levels rotate
-// through and one radix heap per side for the Dijkstra. Every buffer keeps
-// its capacity from query to query, which is what makes the indexed query
-// paths allocation-free in steady state.
+// through, one radix heap per side for the Dijkstra, and Bounds, the
+// weighted search's landmark table (hcl.Core.ALT): d(r, u) and d(r, v) per
+// landmark rank r for the query pair (u, v), which each query overwrites.
+// Every buffer keeps its capacity from query to query, which is what makes
+// the indexed query paths allocation-free in steady state.
 type QuerySpace struct {
 	DistU, DistV []graph.Dist
 	Touched      []uint32
 	Fronts       [3][]uint32
 	Heaps        [2]queue.PQ
+	Bounds       [][2]graph.Dist
 }
 
 // SpacePool hands out query scratch sized for at least n vertices. Handing

@@ -1,6 +1,7 @@
 package hcl
 
 import (
+	"repro/internal/bfs"
 	"repro/internal/graph"
 )
 
@@ -71,79 +72,46 @@ func LandmarkVia(row []graph.Dist, lv []Entry) graph.Dist {
 	return best
 }
 
-// ALTLandmarks is the number of landmarks an ALT bound reads per vertex.
-// A sweep of 1–4 on the weighted benchmark graph picked it (EXPERIMENTS.md,
-// "goal-directed weighted queries"), and a second sweep kept it once the
-// search asked the bound at pop time ("cheaper bounded searches"): each
-// added landmark cut the vertices popped per search (4,527, 3,745, 3,589,
-// 3,486) by less than its wider pass over L(x) cost, so 1 and 2 were level
-// and 3 and 4 slower.
-const ALTLandmarks = 2
-
 // ALT is the landmark lower bound of Goldberg & Harrelson ("Computing the
 // shortest path: A* search meets graph theory", SODA 2005) for one query
-// pair (u, v), read off the labels: Equation 1 gives d(r, x) exactly for
-// every landmark r and vertex x, and on an undirected graph
-// d(x, t) ≥ |d(r, x) − d(r, t)|. Of the landmarks that reach both u and v,
-// it keeps the ALTLandmarks with the largest |d(r, u) − d(r, v)|. It holds
-// only on a single-direction labelling, whose distances are symmetric.
+// pair (u, v), read off the labels. On an undirected graph
+// d(x, t) ≥ |d(r, x) − d(r, t)| for every landmark r, and every entry
+// (r, δ) of L(x) is an exact distance, δ = d(r, x). So the bound at x is one
+// pass over L(x) against a table of d(r, u) and d(r, v), which ALT fills
+// once per query by Equation 1. It holds only on a single-direction
+// labelling, whose distances are symmetric.
 type ALT struct {
-	c      *Core
-	u, v   uint32
-	n      int                        // landmarks kept
-	rows   [ALTLandmarks][]graph.Dist // their highway rows
-	du, dv [ALTLandmarks]graph.Dist   // their distances to u and v
+	c   *Core
+	u   uint32
+	tab [][2]graph.Dist // per landmark rank r: d(r, u), d(r, v)
 }
 
-// ALT picks the landmarks of the lower bound for the pair (u, v).
-func (c *Core) ALT(u, v uint32) ALT {
-	a := ALT{c: c, u: u, v: v}
-	var gaps [ALTLandmarks]graph.Dist
-	for r := range c.Landmarks {
-		du, dv := c.PassDist(0, uint16(r), u), c.PassDist(0, uint16(r), v)
-		if du == graph.Inf || dv == graph.Inf {
-			continue // r misses an endpoint: no gap to read
-		}
-		gap := absDiff(du, dv)
-		if a.n == ALTLandmarks && gap <= gaps[a.n-1] {
-			continue
-		}
-		// Insert r in descending gap order, dropping the smallest when full.
-		i := min(a.n, ALTLandmarks-1)
-		for ; i > 0 && gaps[i-1] < gap; i-- {
-			gaps[i], a.rows[i], a.du[i], a.dv[i] = gaps[i-1], a.rows[i-1], a.du[i-1], a.dv[i-1]
-		}
-		gaps[i], a.rows[i], a.du[i], a.dv[i] = gap, c.Row(uint16(r)), du, dv
-		a.n = min(a.n+1, ALTLandmarks)
+// ALT fills the table of the bound for the pair (u, v) into qs.Bounds,
+// which it grows to one row per landmark.
+func (c *Core) ALT(u, v uint32, qs *bfs.QuerySpace) ALT {
+	k := len(c.Landmarks)
+	if cap(qs.Bounds) < k {
+		qs.Bounds = make([][2]graph.Dist, k)
+	}
+	a := ALT{c: c, u: u, tab: qs.Bounds[:k]}
+	for r := range a.tab {
+		a.tab[r] = [2]graph.Dist{c.PassDist(0, uint16(r), u), c.PassDist(0, uint16(r), v)}
 	}
 	return a
 }
 
 // Lower returns a lower bound on d(x, t) for t one of the pair's vertices:
-// the largest |d(r, x) − d(r, t)| over the kept landmarks r, each d(r, x)
-// read by Equation 1 from L(x) against r's highway row. One pass over L(x)
-// takes the minimum for every kept landmark at once. A landmark that does
-// not reach x adds nothing, and neither does a landmark x, whose label is
-// empty, so the bound is finite.
+// the largest |δ − d(r, t)| over the entries (r, δ) of L(x) whose landmark
+// r reaches t. A landmark x, whose label is empty, gets 0.
 func (a *ALT) Lower(x, t uint32) graph.Dist {
-	dt := &a.dv
+	side := 1
 	if t == a.u {
-		dt = &a.du
-	}
-	var dx [ALTLandmarks]graph.Dist
-	for j := range dx {
-		dx[j] = graph.Inf
-	}
-	rows := a.rows[:a.n]
-	for _, e := range a.c.Label(0, x) {
-		for j, row := range rows {
-			dx[j] = min(dx[j], graph.AddDist(row[e.Rank], e.D))
-		}
+		side = 0
 	}
 	var lb graph.Dist
-	for j := range rows {
-		if dx[j] != graph.Inf {
-			lb = max(lb, absDiff(dx[j], dt[j]))
+	for _, e := range a.c.Label(0, x) {
+		if d := a.tab[e.Rank][side]; d != graph.Inf {
+			lb = max(lb, absDiff(e.D, d))
 		}
 	}
 	return lb

@@ -132,8 +132,9 @@ func (s digraphSub) remove(c *Core, a, b uint32) (Stats, error) {
 // edge's length is its weight, and a query runs wgraph's bounded
 // bidirectional Dijkstra. It asks the landmark lower bound (ALT) to the
 // opposite endpoint of each vertex it pops, and does not expand one whose
-// bound shows that no path through it beats the best found — a bound the
-// labels give without another index.
+// bound shows that no path through it beats the best found — a bound each
+// entry of the vertex's label gives against a per-query table in the
+// scratch, without another index.
 type wgraphSub struct{ g *wgraph.Graph }
 
 func (wgraphSub) kind() Kind { return weighted }
@@ -141,7 +142,7 @@ func (wgraphSub) kind() Kind { return weighted }
 func (s wgraphSub) construct(c *Core, ws *Scratch, d *Delta) { c.RebuildDijkstra(ws, d, s.g.Neighbors) }
 
 func (s wgraphSub) search(c *Core, u, v uint32, top graph.Dist, qs *bfs.QuerySpace) graph.Dist {
-	alt := c.ALT(u, v)
+	alt := c.ALT(u, v, qs)
 	return s.g.SparsifiedLB(u, v, top, nil, alt.Lower, qs)
 }
 

@@ -191,13 +191,31 @@ func connected(g *wgraph.Graph, u, v uint32) bool {
 	return seen[v]
 }
 
+// entryBounds returns the range a landmark lower bound on d(x, t) must
+// fall in, given the exact distances dist: at least the bound of every
+// entry (r, δ) of L(x) whose landmark reaches t, |δ − d(r, t)|, and at
+// most the largest |d(r, x) − d(r, t)| over the landmarks r reaching both
+// x and t, which is 0 when none does.
+func entryBounds(c *hcl.Core, dist [][]graph.Dist, x, t uint32) (floor, ceil graph.Dist) {
+	for _, e := range c.Label(0, x) {
+		if dt := dist[c.Landmarks[e.Rank]][t]; dt != graph.Inf {
+			floor = max(floor, max(e.D, dt)-min(e.D, dt))
+		}
+	}
+	for _, r := range c.Landmarks {
+		if dx, dt := dist[r][x], dist[r][t]; dx != graph.Inf && dt != graph.Inf {
+			ceil = max(ceil, max(dx, dt)-min(dx, dt))
+		}
+	}
+	return floor, ceil
+}
+
 // TestBuildQueryMatchesDijkstraOracle checks every pair's Query against
 // Dijkstra on random weighted graphs, some of them disconnected. For every
 // pair (u, v) it also checks the query's landmark lower bound (hcl.ALT):
 // at every vertex x, Lower(x, t) is at most d(x, t) for t = u and t = v,
-// and at a non-landmark x = u it is the largest |d(r,u) − d(r,v)| over all
-// landmarks r reaching both, which the kept landmarks must include. (A
-// landmark's label is empty, so its bound is 0.)
+// at least the bound of each entry of L(x) and at most the best bound of
+// any landmark (entryBounds).
 func TestBuildQueryMatchesDijkstraOracle(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := randomWeighted(40, 90, 8, seed)
@@ -218,23 +236,16 @@ func TestBuildQueryMatchesDijkstraOracle(t *testing.T) {
 				if got := idx.Query(u, v); got != dist[u][v] {
 					t.Fatalf("seed %d: Query(%d,%d): got %d, want %d", seed, u, v, got, dist[u][v])
 				}
-				alt := idx.ALT(u, v)
+				alt := idx.ALT(u, v, new(bfs.QuerySpace))
 				for x := uint32(0); x < 40; x++ {
 					for _, end := range []uint32{u, v} {
-						if lb := alt.Lower(x, end); lb > dist[x][end] {
+						lb := alt.Lower(x, end)
+						if lb > dist[x][end] {
 							t.Fatalf("seed %d: pair (%d,%d): Lower(%d,%d) = %d above the distance %d", seed, u, v, x, end, lb, dist[x][end])
 						}
-					}
-				}
-				var gap graph.Dist
-				for _, r := range idx.Landmarks {
-					if du, dv := dist[r][u], dist[r][v]; du != graph.Inf && dv != graph.Inf {
-						gap = max(gap, max(du, dv)-min(du, dv))
-					}
-				}
-				if u != v && !idx.IsLandmark(u) {
-					if lb := alt.Lower(u, v); lb != gap {
-						t.Fatalf("seed %d: pair (%d,%d): Lower(u,v) = %d, want the largest landmark gap %d", seed, u, v, lb, gap)
+						if floor, ceil := entryBounds(&idx.Core, dist, x, end); lb < floor || lb > ceil {
+							t.Fatalf("seed %d: pair (%d,%d): Lower(%d,%d) = %d outside [%d, %d]", seed, u, v, x, end, lb, floor, ceil)
+						}
 					}
 				}
 			}
