@@ -287,14 +287,15 @@ func TestForkedRepairAllocs(t *testing.T) {
 					a, b = uint32(rng.Intn(n)), uint32(rng.Intn(n))
 				}
 				// Every write is the first on its own fresh fork, so it pays
-				// the chunk copies a fork defers to the first write: 512 row
-				// headers of 24 B per chunk, 13 KiB with the allocator's
-				// rounding. The insert and the far delete touch few chunks and
+				// the chunk copies a fork defers to the first write: a span
+				// table of 512 × 8 B per chunk, 4 KiB, plus the chunk's
+				// overflow. The insert and the far delete touch few chunks and
 				// must stay under 8 B/vertex. The near delete changes labels
 				// in nearly every chunk of a direction, so it is gated
 				// together with its fork: 8 B/vertex plus at most one copy of
-				// each label direction's headers, 28 B/vertex — the copy the
-				// eager fork used to make up front, and no more.
+				// each label direction's span tables and overflows, 28
+				// B/vertex — the copy the eager fork used to make up front,
+				// and no more.
 				writes := []struct {
 					name    string
 					op      func(f variant) error

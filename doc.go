@@ -75,12 +75,12 @@
 //
 //   - The writer applies a batch of ops to a private copy-on-write fork of
 //     the index and then publishes the fork atomically as the next epoch.
-//     A fork copies chunk directories and one bit per vertex, not the
-//     per-vertex tables; a repair copies only the 512-vertex chunks of
-//     adjacency and label headers it writes, plus the lists and labels
-//     themselves, and shares everything else structurally with the
-//     published snapshot (internal/cow). One fork amortises across the
-//     batch.
+//     A fork copies chunk directories and two ownership bits per chunk of
+//     512 vertices, not the per-vertex tables; a repair copies only the
+//     span tables and overflows of the adjacency and label chunks it
+//     writes, plus the lists and labels themselves, and shares everything
+//     else structurally with the published snapshot (internal/cow). One
+//     fork amortises across the batch.
 //
 //   - A batch that fails mid-way is discarded whole: the epoch does not
 //     advance and readers never observe a half-applied batch.
@@ -248,27 +248,30 @@
 // rejects them instead). A "# vertices=N" header keeps trailing isolated
 // vertices.
 //
-// # One label representation: copy-on-write packed chunks
+// # One table for adjacency and labels: copy-on-write packed chunks
 //
-// Every label direction is stored once, as hcl.Packed: the entries of each
-// 512-vertex range laid out back to back in a chunk, with one span per
-// vertex naming its entries. A query slices a label out of its chunk — no
-// per-vertex pointer chase, a few arrays per chunk for the garbage
-// collector instead of one per vertex — and the query kernels (Equations 1
-// and 2) stream at most two contiguous entry spans plus one highway row
-// per outer entry, allocation-free.
+// Every adjacency list and every label direction is stored in one kind of
+// table, cow.Table: the rows of each 512-vertex range laid out back to
+// back in a chunk, with one span per vertex naming its row. A label
+// direction is hcl.Packed, that table over label entries; a graph's
+// adjacency is the same table over neighbours or weighted arcs. A read
+// slices a row out of its chunk — no per-vertex pointer chase, a few
+// arrays per chunk for the garbage collector instead of one per vertex —
+// and the query kernels (Equations 1 and 2) stream at most two contiguous
+// entry spans plus one highway row per outer entry, allocation-free.
 //
-// The same table is what IncHL+ and DecHL write, so a batch needs no
+// The same tables are what IncHL+ and DecHL write, so a batch needs no
 // separate freeze before its epoch publishes. A fork copies the chunk
-// directory and two owned bits per chunk and shares every chunk with its
-// parent. The repair merge rewrites each chunk the batch touched once: on
-// the chunk's first write in a fork it copies the chunk's span table (4
-// KiB) and small overflow, and appends the rewritten labels to the
-// overflow, leaving the chunk's base entries shared; once the overflow
-// would outgrow a quarter of the base it lays the chunk out afresh
-// instead. So an epoch touching k vertices copies at most k span tables
-// plus what it writes, and the parent's snapshot never sees the writes.
-// Stats reports the tables' memory as PackedBytes, and the stream codec
+// directory with two ownership bits per chunk and shares every chunk with
+// its parent. A write rewrites each chunk it touches: on the chunk's first
+// write in a fork it copies the chunk's span table (4 KiB) and overflow,
+// and appends the rewritten rows to the overflow, leaving the chunk's base
+// shared; once the overflow would outgrow a quarter of the base it lays
+// the chunk out afresh instead. So an epoch touching k vertices copies at
+// most k span tables and overflows plus what it writes, and the parent's
+// snapshot never sees the writes. A graph loaded from an edge list or a
+// checkpoint is laid out as one base per chunk (cow.FromCSR). Stats
+// reports the label tables' memory as PackedBytes, and the stream codec
 // writes each direction straight from its table as one CSR block and
 // reads a block straight into one, chunk by chunk, which is what makes a
 // checkpoint load (and PUT /labels) a bulk copy.

@@ -170,7 +170,7 @@ func AllOver(adj *cow.Table[uint32], src uint32, dist []graph.Dist) {
 		dist[i] = graph.Inf
 	}
 	dist[src] = 0
-	q := queue.NewUint32(64)
+	var q queue.FIFO[uint32]
 	q.Push(src)
 	for !q.Empty() {
 		v := q.Pop()

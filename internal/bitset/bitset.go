@@ -39,24 +39,6 @@ func (s *Set) Set(i uint32) {
 	s.words[i>>6] |= 1 << (i & 63)
 }
 
-// SetAll sets every bit in 0..Len()-1.
-func (s *Set) SetAll() {
-	for i := range s.words {
-		s.words[i] = ^uint64(0)
-	}
-	if tail := s.size & 63; tail != 0 && len(s.words) > 0 {
-		s.words[len(s.words)-1] = (1 << tail) - 1
-	}
-}
-
-// NewAllSet returns a Set of n bits, all set — the fork-time "everything is
-// shared with the parent" state of the copy-on-write structures.
-func NewAllSet(n int) *Set {
-	s := New(n)
-	s.SetAll()
-	return s
-}
-
 // Clear clears bit i.
 func (s *Set) Clear(i uint32) {
 	s.words[i>>6] &^= 1 << (i & 63)
@@ -81,38 +63,4 @@ func (s *Set) Reset() {
 	for i := range s.words {
 		s.words[i] = 0
 	}
-}
-
-// ResetSparse clears only the listed bits. For traversals that touch a small
-// fraction of a large set this is much cheaper than Reset.
-func (s *Set) ResetSparse(set []uint32) {
-	for _, i := range set {
-		s.Clear(i)
-	}
-}
-
-// AllSet reports whether every bit in [lo, hi) is set. An empty range is
-// trivially all-set. Bits at or beyond Len() count as clear, matching Get.
-func (s *Set) AllSet(lo, hi int) bool {
-	if hi > s.size {
-		return lo >= hi
-	}
-	if lo >= hi {
-		return true
-	}
-	lw, hw := lo>>6, (hi-1)>>6
-	if lw == hw {
-		mask := (^uint64(0) << (lo & 63)) & (^uint64(0) >> (63 - (hi-1)&63))
-		return s.words[lw]&mask == mask
-	}
-	if head := ^uint64(0) << (lo & 63); s.words[lw]&head != head {
-		return false
-	}
-	for i := lw + 1; i < hw; i++ {
-		if s.words[i] != ^uint64(0) {
-			return false
-		}
-	}
-	tail := ^uint64(0) >> (63 - (hi-1)&63)
-	return s.words[hw]&tail == tail
 }

@@ -40,18 +40,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestResetSparse(t *testing.T) {
-	s := New(100)
-	touched := []uint32{3, 50, 99}
-	for _, i := range touched {
-		s.Set(i)
-	}
-	s.ResetSparse(touched)
-	if s.Count() != 0 {
-		t.Errorf("Count after ResetSparse: %d", s.Count())
-	}
-}
-
 func TestGrow(t *testing.T) {
 	s := New(10)
 	s.Set(5)
@@ -95,41 +83,5 @@ func TestQuickMirrorsMap(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(9))}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAllSet(t *testing.T) {
-	s := New(200)
-	if !s.AllSet(5, 5) || !s.AllSet(300, 100) {
-		t.Error("empty ranges must be trivially all-set")
-	}
-	if s.AllSet(0, 1) {
-		t.Error("cleared bit reported set")
-	}
-	for i := uint32(64); i < 140; i++ {
-		s.Set(i)
-	}
-	if !s.AllSet(64, 140) {
-		t.Error("fully set range reported unset")
-	}
-	if !s.AllSet(70, 130) || !s.AllSet(100, 101) {
-		t.Error("interior ranges reported unset")
-	}
-	if s.AllSet(63, 140) || s.AllSet(64, 141) || s.AllSet(0, 200) {
-		t.Error("ranges crossing cleared bits reported set")
-	}
-	// Word-boundary edges: single-word spans and exact multiples of 64.
-	if !s.AllSet(64, 128) || !s.AllSet(128, 140) {
-		t.Error("word-aligned spans reported unset")
-	}
-	if s.AllSet(190, 201) {
-		t.Error("range beyond Len with cleared bits reported set")
-	}
-	full := NewAllSet(130)
-	if !full.AllSet(0, 130) || !full.AllSet(0, 64) || !full.AllSet(64, 130) {
-		t.Error("NewAllSet ranges reported unset")
-	}
-	if full.AllSet(0, 131) {
-		t.Error("range beyond Len must count missing bits as clear")
 	}
 }

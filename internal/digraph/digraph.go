@@ -7,6 +7,7 @@ package digraph
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bfs"
 	"repro/internal/cow"
@@ -73,10 +74,8 @@ func (g *Digraph) AddEdge(u, v uint32) (bool, error) {
 	if g.HasEdge(u, v) {
 		return false, nil
 	}
-	out := g.out.Mut(u)
-	*out = append(*out, v)
-	in := g.in.Mut(v)
-	*in = append(*in, u)
+	g.out.Append(u, v)
+	g.in.Append(v, u)
 	g.edges++
 	return true, nil
 }
@@ -94,18 +93,17 @@ func (g *Digraph) RemoveEdge(u, v uint32) error {
 	if !g.HasEdge(u, v) {
 		return fmt.Errorf("%w: (%d,%d)", graph.ErrEdgeUnknown, u, v)
 	}
-	graph.RemoveFromList(g.out.Mut(u), v)
-	graph.RemoveFromList(g.in.Mut(v), u)
+	g.out.Remove(u, slices.Index(g.out.Row(u), v))
+	g.in.Remove(v, slices.Index(g.in.Row(v), u))
 	g.edges--
 	return nil
 }
 
 // Fork returns a copy-on-write copy: only the chunk directories of the two
-// adjacency tables and one bit per vertex each are copied, and the fork's
-// first write to a vertex copies its chunk of list headers and then its
-// list (see internal/cow). Mutating the fork never writes to memory
-// reachable from g; g must be treated as frozen afterwards (snapshot
-// discipline).
+// adjacency tables are copied, and the fork's first write to a chunk of
+// 512 vertices copies that chunk's span table and overflow (see
+// internal/cow). Mutating the fork never writes to memory reachable from
+// g; g must be treated as frozen afterwards (snapshot discipline).
 func (g *Digraph) Fork() *Digraph {
 	return &Digraph{out: g.out.Fork(), in: g.in.Fork(), edges: g.edges}
 }

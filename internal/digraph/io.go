@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/cow"
 	"repro/internal/graph"
 )
 
@@ -17,13 +18,13 @@ func ReadEdgeList(r io.Reader) (*Digraph, error) {
 		return nil, err
 	}
 	m := len(l.U)
-	out, _, arcs, err := graph.Rows(l.N, m, l.Edge, nil, false, false)
+	outOff, out, _, arcs, err := graph.Rows(l.N, m, l.Edge, nil, false, false)
 	if err != nil {
 		return nil, fmt.Errorf("digraph: %w", err)
 	}
-	in, _, _, err := graph.Rows(l.N, m, func(i int) (uint32, uint32) { return l.V[i], l.U[i] }, nil, false, false)
+	inOff, in, _, _, err := graph.Rows(l.N, m, func(i int) (uint32, uint32) { return l.V[i], l.U[i] }, nil, false, false)
 	if err != nil {
 		return nil, fmt.Errorf("digraph: %w", err)
 	}
-	return &Digraph{out: out, in: in, edges: uint64(arcs)}, nil
+	return &Digraph{out: cow.FromCSR(outOff, out, true), in: cow.FromCSR(inOff, in, true), edges: uint64(arcs)}, nil
 }

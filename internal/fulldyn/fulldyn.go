@@ -32,7 +32,7 @@ type Index struct {
 	isLandmark map[uint32]bool
 
 	// update scratch
-	q        queue.PairQueue
+	q        queue.FIFO[queue.Pair]
 	improved []uint32
 }
 

@@ -21,15 +21,16 @@ func BarabasiAlbert(n, m int, seed int64) *graph.Graph {
 		m = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
-	g := graph.New(n)
 	if n == 0 {
-		return g
+		return graph.New(0)
 	}
 	// Repeated-endpoints list: picking a uniform element is degree-biased.
+	// Its pairs are the edges in the order they are drawn: each joins a new
+	// vertex to distinct older ones, so none repeats, and the graph is laid
+	// out from them at once.
 	targets := make([]uint32, 0, 2*n*m)
-	g.AddVertex()
 	for v := 1; v < n; v++ {
-		id := g.AddVertex()
+		id := uint32(v)
 		links := m
 		if v < m {
 			links = v
@@ -61,10 +62,12 @@ func BarabasiAlbert(n, m int, seed int64) *graph.Graph {
 			attached = append(attached, t)
 		}
 		for _, t := range attached {
-			if ok, _ := g.AddEdge(id, t); ok {
-				targets = append(targets, id, t)
-			}
+			targets = append(targets, id, t)
 		}
+	}
+	g, err := graph.FromEdges(n, len(targets)/2, func(i int) (uint32, uint32) { return targets[2*i], targets[2*i+1] })
+	if err != nil {
+		panic(err) // unreachable: no edge repeats or loops
 	}
 	return g
 }

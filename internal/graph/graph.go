@@ -7,6 +7,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/cow"
 )
@@ -122,10 +123,8 @@ func (g *Graph) AddEdge(u, v uint32) (bool, error) {
 	if g.HasEdge(u, v) {
 		return false, nil
 	}
-	au := g.adj.Mut(u)
-	*au = append(*au, v)
-	av := g.adj.Mut(v)
-	*av = append(*av, u)
+	g.adj.Append(u, v)
+	g.adj.Append(v, u)
 	g.edges++
 	return true, nil
 }
@@ -143,25 +142,10 @@ func (g *Graph) RemoveEdge(u, v uint32) error {
 	if !g.HasEdge(u, v) {
 		return fmt.Errorf("%w: (%d,%d)", ErrEdgeUnknown, u, v)
 	}
-	RemoveFromList(g.adj.Mut(u), v)
-	RemoveFromList(g.adj.Mut(v), u)
+	g.adj.Remove(u, slices.Index(g.adj.Row(u), v))
+	g.adj.Remove(v, slices.Index(g.adj.Row(v), u))
 	g.edges--
 	return nil
-}
-
-// RemoveFromList deletes the first occurrence of x from *list, reporting
-// whether it was present. Order is not preserved (swap-with-last), which is
-// fine: adjacency order is unspecified. Shared with the directed substrate.
-func RemoveFromList(list *[]uint32, x uint32) bool {
-	l := *list
-	for i, w := range l {
-		if w == x {
-			l[i] = l[len(l)-1]
-			*list = l[:len(l)-1]
-			return true
-		}
-	}
-	return false
 }
 
 // MustAddEdge inserts (u,v), growing the vertex set as needed, and panics on
@@ -180,23 +164,23 @@ func (g *Graph) MustAddEdge(u, v uint32) bool {
 // edge(m-1), each listed once. It reports an endpoint out of range, a
 // self-loop or a repeated edge. The adjacency lists hold their neighbours
 // in the order m AddEdge calls would give them, but are laid out by Rows at
-// their final lengths: no list grows and no insertion scans for a
-// duplicate, which is what makes a checkpoint's graph cheap to load.
+// their final lengths, one chunk base per 512 vertices: no list grows and
+// no insertion scans for a duplicate, which is what makes a checkpoint's
+// graph cheap to load.
 func FromEdges(n, m int, edge func(i int) (u, v uint32)) (*Graph, error) {
-	adj, _, edges, err := Rows(n, m, edge, nil, true, true)
+	off, all, _, edges, err := Rows(n, m, edge, nil, true, true)
 	if err != nil {
 		return nil, err
 	}
-	return &Graph{adj: adj, edges: uint64(edges)}, nil
+	return &Graph{adj: cow.FromCSR(off, all, true), edges: uint64(edges)}, nil
 }
 
 // Fork returns a copy-on-write copy of the graph. It copies only the chunk
-// directory of the adjacency table and one bit per vertex; the fork's
-// first write to a vertex copies that vertex's chunk of list headers and
-// then its list (see internal/cow). Mutating the fork therefore never
-// writes to memory reachable from g, which is what lets an immutable
-// published snapshot keep answering queries while its fork absorbs a batch
-// of updates.
+// directory of the adjacency table; the fork's first write to a chunk of
+// 512 vertices copies that chunk's span table and overflow (see
+// internal/cow). Mutating the fork therefore never writes to memory
+// reachable from g, which is what lets an immutable published snapshot
+// keep answering queries while its fork absorbs a batch of updates.
 //
 // The fork assumes g itself is frozen from the moment of the fork: callers
 // must not mutate g afterwards (snapshot discipline — only the newest fork

@@ -7,6 +7,8 @@ import (
 	"io"
 	"math"
 	"strconv"
+
+	"repro/internal/cow"
 )
 
 // EdgeList is a parsed edge-list file: edge i joins U[i] and V[i], with
@@ -170,11 +172,11 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	adj, _, m, err := Rows(l.N, len(l.U), l.Edge, nil, true, false)
+	off, all, _, m, err := Rows(l.N, len(l.U), l.Edge, nil, true, false)
 	if err != nil {
 		return nil, fmt.Errorf("graph: %w", err)
 	}
-	return &Graph{adj: adj, edges: uint64(m)}, nil
+	return &Graph{adj: cow.FromCSR(off, all, true), edges: uint64(m)}, nil
 }
 
 // WriteEdgeList writes the graph as a "u v" edge list with a header comment,

@@ -28,7 +28,7 @@ func AvgDistance(g *Graph, samples int, seed int64) float64 {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	dist := make([]Dist, n)
-	var q queue.Uint32
+	var q queue.FIFO[uint32]
 	var sum float64
 	var count uint64
 	for s := 0; s < samples; s++ {
@@ -69,7 +69,7 @@ func ConnectedComponents(g *Graph) (comp []int, n int) {
 	for i := range comp {
 		comp[i] = -1
 	}
-	var q queue.Uint32
+	var q queue.FIFO[uint32]
 	for s := range comp {
 		if comp[s] != -1 {
 			continue

@@ -8,7 +8,7 @@ import (
 	"os"
 
 	"repro/internal/arena"
-	"repro/internal/bitset"
+	"repro/internal/cow"
 	"repro/internal/graph"
 )
 
@@ -338,28 +338,12 @@ func checkOffsets(off []uint64, nr uint32, total uint64) error {
 
 // loaded returns the table of len(off)-1 vertices whose labels the block
 // offsets off lay out in entries, each chunk's base aliasing its range of
-// entries. The table owns every span table, and the bases too when own
-// says entries is a fresh slice rather than bytes it must never write.
+// entries (cow.FromCSR), which the table writes only when own says it is
+// a fresh slice rather than bytes it must never write. The offsets fit
+// u32 relative to a chunk: a chunk covers at most 512 vertices of at most
+// 2^16 entries each.
 func loaded(off []uint64, entries []Entry, own bool) Packed {
-	nv := len(off) - 1
-	nc := (nv + packChunkLen - 1) / packChunkLen
-	p := Packed{chunks: make([]packChunk, nc), owned: bitset.New(2 * nc), n: nv, entries: int64(len(entries))}
-	for ci := range p.chunks {
-		lo := ci * packChunkLen
-		hi := min(lo+packChunkLen, nv)
-		// The offsets fit u32 relative to the chunk: a chunk covers at
-		// most packChunkLen vertices of at most 2^16 entries each.
-		spans := make([]span, hi-lo)
-		for i := range spans {
-			spans[i] = span{uint32(off[lo+i] - off[lo]), uint32(off[lo+i+1] - off[lo])}
-		}
-		p.chunks[ci] = packChunk{base: entries[off[lo]:off[hi]:off[hi]], spans: spans}
-		p.own(ci, ownSpans)
-		if own {
-			p.own(ci, ownBase)
-		}
-	}
-	return p
+	return Packed{t: cow.FromCSR(off, entries, own), entries: int64(len(entries))}
 }
 
 // ranksValid reports whether a label's ranks are strictly increasing and

@@ -248,9 +248,10 @@ func (c *Core) EnsureVertex(v uint32) {
 
 // Fork returns a copy-on-write copy of the core. Only the small highway
 // (k²) and, per label table, the chunk directory and two bits per chunk
-// are copied; the rank table is shared, and the fork's first write to a chunk
-// copies that chunk's span table (see Packed) — an update batch copies
-// only what it touches, while c keeps serving queries unchanged. The fork
+// are copied; the rank table is shared, and the fork's first write to a
+// chunk copies that chunk's span table and overflow (see internal/cow) —
+// an update batch copies only what it touches, while c keeps serving
+// queries unchanged. The fork
 // starts with c's repair knobs; an owner that retunes them sets them on
 // the fork, never on c, which readers may still be querying.
 //

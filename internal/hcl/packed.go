@@ -4,38 +4,26 @@ import (
 	"slices"
 
 	"repro/internal/arena"
-	"repro/internal/bitset"
 	"repro/internal/cow"
 	"repro/internal/fanout"
 	"repro/internal/graph"
 )
 
 // The label store. A labelling keeps every label direction in one form,
-// Packed: the label entries of each 512-vertex range laid out back to back
-// in a chunk, with one span per vertex naming its entries. Queries read a
-// label as one bounds-computed sub-slice of its chunk, the repair merge
-// writes the chunks, and the stream codec writes and reads them directly.
-// The garbage collector sees a few arrays per chunk, not one per vertex.
-//
-// The table is copy-on-write. Fork copies the chunk directory and clears
-// the table's ownership bits, so a fork and its parent share every chunk
-// until the fork first writes one. That write copies the chunk's span
-// table and its overflow (see packChunk), and appends the rewritten labels
-// to the overflow; the chunk's base entries stay shared, or mapped. When
-// the overflow would outgrow a quarter of the base (and overflowMin), the
-// write instead lays the whole chunk out afresh in one new base. A write
-// therefore copies what it touches plus a few KiB per chunk, while the
-// parent keeps serving reads from memory the fork never writes. Arrays the
-// table owns are written in place: a rewritten label of unchanged length
-// is overwritten where it sits.
+// Packed: the one copy-on-write table (internal/cow) of Entry rows, which
+// lays out the labels of each 512-vertex range back to back in a chunk,
+// the layout the adjacency of every graph shares. Queries read a label as
+// one bounds-computed sub-slice of its chunk, the repair merge rewrites
+// the chunks it touches, and the stream codec writes and reads them
+// directly. What only labels need is here: the merge's grouping of edits
+// by chunk and their splice into each label by rank, the entry count and
+// the mapping a loaded table's bases may alias.
 //
 // Snapshot discipline: a table must not be written once it has been
 // forked; only the newest fork is.
 
 // packShift sets the chunk granularity: 1<<packShift vertices per chunk,
-// the granularity of every other copy-on-write table (internal/cow). At
-// 512 vertices a chunk's span table is 4 KiB, and a query's lookup costs
-// the same at any chunk size.
+// the table's.
 const packShift = cow.Shift
 
 // packChunkLen is the number of vertices covered by one chunk.
@@ -43,54 +31,11 @@ const packChunkLen = 1 << packShift
 
 const packMask = packChunkLen - 1
 
-// overflowMin is the overflow, in entries, a chunk may hold whatever its
-// base: a small chunk is not laid out afresh for every write.
-const overflowMin = 64
-
-// ownBit marks a span that indexes a chunk's overflow rather than its base.
-const ownBit = 1 << 31
-
-// span locates one vertex's entries in its chunk: [lo, hi) of the base, or
-// of the overflow when lo carries ownBit. The zero span is an empty label.
-type span struct{ lo, hi uint32 }
-
-// packChunk is the label store of one vertex range. base holds labels laid
-// out in vertex order when the chunk was last built; it is never written
-// in place and may alias a mapped checkpoint. own, the overflow, holds the
-// labels rewritten since, each appended whole; it may hold dead labels a
-// later write superseded. spans has one entry per vertex of the range.
-type packChunk struct {
-	base  []Entry
-	own   []Entry
-	spans []span
-}
-
-// label returns the entries of the chunk's i-th vertex.
-func (c *packChunk) label(i uint32) []Entry {
-	s := c.spans[i]
-	if s.lo&ownBit != 0 {
-		return c.own[s.lo&^ownBit : s.hi]
-	}
-	return c.base[s.lo:s.hi]
-}
-
-// noSpans backs the span tables of empty chunks: every span empty. A chunk
-// using it does not own its span table, so it never writes it.
-var noSpans [packChunkLen]span
-
-// Packed is one label direction: a copy-on-write table of chunks (see the
+// Packed is one label direction: a copy-on-write table of labels (see the
 // file comment). Reads are safe for any number of concurrent readers;
 // writes require exclusive access.
 type Packed struct {
-	chunks []packChunk
-
-	// owned holds two bits per chunk, ownSpans and ownBase: set when the
-	// chunk's span table and overflow, or its base, are this table's own
-	// and written in place; clear when they may still be shared with the
-	// table this one was forked from, or alias a mapping.
-	owned *bitset.Set
-
-	n       int   // vertices covered
+	t       cow.Table[Entry]
 	entries int64 // live entries across all chunks
 
 	// ref pins the mmap'd region base arrays may alias (see
@@ -100,28 +45,15 @@ type Packed struct {
 	ref *arena.Mapping
 }
 
-// The ownership bits of chunk ci are bits 2ci+ownSpans and 2ci+ownBase of
-// Packed.owned.
-const (
-	ownSpans = iota
-	ownBase
-)
-
-// owns reports one ownership bit of chunk ci.
-func (p *Packed) owns(ci, bit int) bool { return p.owned.Get(uint32(2*ci + bit)) }
-
-// own sets one ownership bit of chunk ci.
-func (p *Packed) own(ci, bit int) { p.owned.Set(uint32(2*ci + bit)) }
-
 // newPacked returns a table of n empty labels.
 func newPacked(n int) Packed {
-	p := Packed{owned: bitset.New(0)}
-	p.grow(n)
+	var p Packed
+	p.t.Grow(n)
 	return p
 }
 
 // NumVertices returns the number of vertices the table covers.
-func (p *Packed) NumVertices() int { return p.n }
+func (p *Packed) NumVertices() int { return p.t.Len() }
 
 // NumEntries returns the number of label entries.
 func (p *Packed) NumEntries() int64 { return p.entries }
@@ -130,14 +62,10 @@ func (p *Packed) NumEntries() int64 { return p.entries }
 // bytes per base and overflow slot, dead overflow labels included, plus
 // one span per vertex. It is what Stats.PackedBytes reports.
 func (p *Packed) ArenaBytes() int64 {
-	var slots int64
-	for i := range p.chunks {
-		slots += int64(len(p.chunks[i].base) + len(p.chunks[i].own))
-	}
-	return slots*entryStride + int64(p.n)*spanBytes
+	return p.t.Slots()*entryStride + int64(p.t.Len())*spanBytes
 }
 
-// spanBytes is the size of one span.
+// spanBytes is the size of the table's locator of one label.
 const spanBytes = 8
 
 // MappedBytes returns the size of the mmap'd region the table pins, or 0
@@ -153,39 +81,15 @@ func (p *Packed) MappedBytes() int64 {
 
 // Label returns the entry span of vertex v. It aliases the table and must
 // be treated as read-only.
-func (p *Packed) Label(v uint32) []Entry {
-	return p.chunks[v>>packShift].label(v & packMask)
-}
+func (p *Packed) Label(v uint32) []Entry { return p.t.Row(v) }
 
-// Fork returns a copy-on-write copy of the table: the chunk directory and
-// clear ownership bits (see the file comment).
+// Fork returns a copy-on-write copy of the table (see internal/cow).
 func (p *Packed) Fork() Packed {
-	return Packed{chunks: slices.Clone(p.chunks), owned: bitset.New(2 * len(p.chunks)), n: p.n, entries: p.entries, ref: p.ref}
+	return Packed{t: p.t.Fork(), entries: p.entries, ref: p.ref}
 }
 
 // grow extends the table to n vertices; the new labels are empty.
-func (p *Packed) grow(n int) {
-	if n <= p.n {
-		return
-	}
-	if last := len(p.chunks) - 1; p.n&packMask != 0 {
-		// Lengthen the partial last chunk's span table over the new
-		// vertices, on a copy unless it is the table's own.
-		c := &p.chunks[last]
-		if !p.owns(last, ownSpans) {
-			c.spans, c.own = slices.Clone(c.spans), slices.Clone(c.own)
-			p.own(last, ownSpans)
-		}
-		live := min(packChunkLen, n-last<<packShift)
-		c.spans = append(c.spans, noSpans[:live-len(c.spans)]...)
-	}
-	for lo := len(p.chunks) << packShift; lo < n; lo += packChunkLen {
-		live := min(packChunkLen, n-lo)
-		p.chunks = append(p.chunks, packChunk{spans: noSpans[:live:live]})
-	}
-	p.owned.Grow(2 * len(p.chunks)) // a new chunk owns nothing: it uses noSpans
-	p.n = n
-}
+func (p *Packed) grow(n int) { p.t.Grow(n) }
 
 // piece is the run of one delta's label edits that falls in one chunk.
 type piece struct {
@@ -200,8 +104,8 @@ type chunkScratch struct {
 	at    [packChunkLen]int32 // per vertex: edit count, then fill cursor; zero between chunks
 	edits []Entry             // bucketed edits; D == Inf removes
 	verts []uint32            // the rewritten vertices, chunk-relative, ascending
+	lens  []uint32            // per rewritten vertex: its new label's length
 	out   []Entry             // the rewritten labels, back to back
-	outs  []span              // per rewritten vertex: its range of out
 }
 
 var chunkScratches Pool[chunkScratch]
@@ -221,7 +125,7 @@ func (p *Packed) apply(ds []Delta, dir, workers int) {
 		}
 		ops := d.ops
 		if !slices.IsSortedFunc(ops, func(a, b labelOp) int { return int(a.v>>packShift) - int(b.v>>packShift) }) {
-			ops = as.group(ops, len(p.chunks))
+			ops = as.group(ops, (p.t.Len()+packMask)>>packShift)
 		}
 		for len(ops) > 0 {
 			ci, end := ops[0].v>>packShift, 1
@@ -247,7 +151,7 @@ func (p *Packed) apply(ds []Delta, dir, workers int) {
 	}
 	n := len(tasks)
 	tasks = append(tasks, len(pieces))
-	grown, rebuilt := cow.Grow(as.grown, n), cow.Grow(as.rebuilt, n)
+	grown := cow.Grow(as.grown, n)
 	workers = min(fanout.Resolve(workers), n)
 	scs := make([]*chunkScratch, workers)
 	for i := range scs {
@@ -255,35 +159,29 @@ func (p *Packed) apply(ds []Delta, dir, workers int) {
 	}
 	fanout.Run(workers, n, func(w, t int) {
 		ci := pieces[tasks[t]].ci
-		grown[t], rebuilt[t] = p.rewrite(ci, p.owns(ci, ownSpans), p.owns(ci, ownBase), pieces[tasks[t]:tasks[t+1]], scs[w])
+		grown[t] = p.rewrite(ci, pieces[tasks[t]:tasks[t+1]], scs[w])
 	})
 	for _, s := range scs {
 		chunkScratches.Put(s)
 	}
-	for t := range n {
-		ci := pieces[tasks[t]].ci
-		p.own(ci, ownSpans)
-		if rebuilt[t] {
-			p.own(ci, ownBase)
-		}
-		p.entries += grown[t]
+	for _, g := range grown {
+		p.entries += g
 	}
 	// The pooled pieces must not keep the deltas' edits alive.
 	clear(pieces)
-	as.tasks, as.grown, as.rebuilt = tasks, grown, rebuilt
+	as.tasks, as.grown = tasks, grown
 }
 
 // applyScratch is the buffers of one apply: the edits of deltas not in
 // chunk order, regrouped; the bucket bounds of their counting sort; the
-// pieces; and per touched chunk, the first of its pieces, its change in
-// entries and whether it was laid out afresh.
+// pieces; and per touched chunk, the first of its pieces and its change in
+// entries.
 type applyScratch struct {
-	ops     []labelOp
-	at      []int32
-	pieces  []piece
-	tasks   []int
-	grown   []int64
-	rebuilt []bool
+	ops    []labelOp
+	at     []int32
+	pieces []piece
+	tasks  []int
+	grown  []int64
 }
 
 var applyScratches Pool[applyScratch]
@@ -312,12 +210,8 @@ func (as *applyScratch) group(ops []labelOp, chunks int) []labelOp {
 }
 
 // rewrite applies the pieces of chunk ci and returns the change in its
-// entry count and whether it laid the chunk out afresh. owned and based
-// say whether the chunk's span table and overflow, and its base, are the
-// table's own already; the former are copied first if not. Concurrent
-// rewrites of distinct chunks are safe.
-func (p *Packed) rewrite(ci int, owned, based bool, pieces []piece, ws *chunkScratch) (int64, bool) {
-	c := &p.chunks[ci]
+// entry count. Concurrent rewrites of distinct chunks are safe.
+func (p *Packed) rewrite(ci int, pieces []piece, ws *chunkScratch) int64 {
 	// Bucket the edits by vertex, keeping delta order within a vertex. The
 	// work is proportional to the edits, not to the chunk.
 	at := &ws.at
@@ -348,80 +242,24 @@ func (p *Packed) rewrite(ci int, owned, based bool, pieces []piece, ws *chunkScr
 	}
 	// at[i] is now the end of vertex i's edits, and so the start of the
 	// next edited vertex's.
-	ws.out, ws.outs = ws.out[:0], ws.outs[:0]
+	ws.out, ws.lens = ws.out[:0], ws.lens[:0]
 	var grown int64
 	start := int32(0)
+	lo := uint32(ci << packShift)
 	for _, i := range ws.verts {
 		ed := ws.edits[start:at[i]]
 		start, at[i] = at[i], 0
-		old := c.label(i)
-		lo := len(ws.out)
+		old := p.t.Row(lo + i)
+		n := len(ws.out)
 		ws.out = splice(ws.out, old, rankOrder(ed))
-		ws.outs = append(ws.outs, span{uint32(lo), uint32(len(ws.out))})
-		grown += int64(len(ws.out)-lo) - int64(len(old))
+		ws.lens = append(ws.lens, uint32(len(ws.out)-n))
+		grown += int64(len(ws.out)-n) - int64(len(old))
 	}
-	if !owned {
-		c.spans = slices.Clone(c.spans)
-	}
-	if len(c.base) == 0 || len(c.own)+len(ws.out) > max(len(c.base)/4, overflowMin) {
-		c.rebuild(ws)
-		return grown, true
-	}
-	if owned {
-		c.own = slices.Grow(c.own, len(ws.out))
-	} else {
-		c.own = append(make([]Entry, 0, len(c.own)+len(ws.out)), c.own...)
-	}
-	c.patch(ws, based)
-	return grown, false
-}
-
-// patch stores the rewritten labels of ws: over the old label where it
-// has the same length and sits in the overflow, or in the base when based
-// says the base is the table's own; appended to the overflow, which has
-// room for all of them, otherwise.
-func (c *packChunk) patch(ws *chunkScratch, based bool) {
-	for k, i := range ws.verts {
-		l := ws.out[ws.outs[k].lo:ws.outs[k].hi]
-		if s := c.spans[i]; int(s.hi-s.lo&^ownBit) == len(l) && (s.lo&ownBit != 0 || based) {
-			copy(c.label(i), l)
-			continue
-		}
-		if len(l) == 0 {
-			c.spans[i] = span{}
-			continue
-		}
-		lo := len(c.own)
-		c.own = append(c.own, l...)
-		c.spans[i] = span{uint32(lo) | ownBit, uint32(len(c.own))}
-	}
-}
-
-// rebuild lays the whole chunk out afresh in a new base, in vertex order:
-// the rewritten labels of ws and every other label as it was. The overflow
-// empties.
-func (c *packChunk) rebuild(ws *chunkScratch) {
-	n := len(ws.out)
-	k := 0
-	for i := range c.spans {
-		if k < len(ws.verts) && ws.verts[k] == uint32(i) {
-			k++
-			continue
-		}
-		n += len(c.label(uint32(i)))
-	}
-	base := make([]Entry, 0, n)
-	k = 0
-	for i := range c.spans {
-		l := c.label(uint32(i))
-		if k < len(ws.verts) && ws.verts[k] == uint32(i) {
-			l = ws.out[ws.outs[k].lo:ws.outs[k].hi]
-			k++
-		}
-		c.spans[i] = span{uint32(len(base)), uint32(len(base) + len(l))}
-		base = append(base, l...)
-	}
-	c.base, c.own = base, nil
+	rest := ws.out
+	p.t.Write(ci, ws.verts, ws.lens, func(_ int, dst []Entry) {
+		rest = rest[copy(dst, rest):]
+	})
+	return grown
 }
 
 // rankOrder sorts one vertex's edits by rank, stably, and drops every edit

@@ -22,7 +22,7 @@ func (c *Core) queueBFS(root uint32, children func(uint32) []uint32) ([]graph.Di
 		dist[i] = graph.Inf
 	}
 	dist[root] = 0
-	var q queue.Uint32
+	var q queue.FIFO[uint32]
 	q.Push(root)
 	for !q.Empty() {
 		v := q.Pop()

@@ -59,7 +59,7 @@
 // hint — writes belong on the leader. Read-your-writes across replicas
 // rides the epoch header in the other direction: a request carrying
 // X-Oracle-Epoch: N (the epoch a write on the leader reported) makes any
-// read endpoint wait — bounded by WithEpochWait — until the serving store
+// read endpoint wait — bounded by EpochWait — until the serving store
 // has published N, so a client can write to the leader and immediately
 // read its write from any follower. The wait degrades to a no-op on the
 // leader itself, so clients can send the header unconditionally.
@@ -85,65 +85,25 @@ import (
 	dynhl "repro"
 )
 
-// Limits on untrusted input, overridable per Server through Options.
+// Limits on untrusted input.
 const (
-	// DefaultMaxBatchPairs bounds the number of pairs one POST /distances
-	// may ask for; each pair costs a query and eight bytes of result.
-	DefaultMaxBatchPairs = 10000
-	// DefaultMaxBodyBytes bounds the size of any JSON request body.
-	DefaultMaxBodyBytes = 1 << 20
-	// DefaultMaxBatchOps bounds the number of ops one POST /updates may
-	// carry; each op costs an IncHL+/DecHL repair on the working copy.
-	DefaultMaxBatchOps = 1000
-	// DefaultMaxLabelBytes bounds the binary labelling stream of PUT
+	// MaxBatchPairs bounds the number of pairs one POST /distances may ask
+	// for; each pair costs a query and eight bytes of result.
+	MaxBatchPairs = 10000
+	// MaxBodyBytes bounds the size of any JSON request body.
+	MaxBodyBytes = 1 << 20
+	// MaxBatchOps bounds the number of ops one POST /updates may carry;
+	// each op costs an IncHL+/DecHL repair on the working copy.
+	MaxBatchOps = 1000
+	// MaxLabelBytes bounds the binary labelling stream of PUT
 	// /labels. Labellings are ~6 bytes per entry, so real indexes run to
 	// many megabytes — the JSON body cap would break the GET → PUT round
 	// trip.
-	DefaultMaxLabelBytes = 1 << 30
+	MaxLabelBytes = 1 << 30
 )
 
 // Option customises a Server.
 type Option func(*Server)
-
-// WithMaxBatchPairs caps the pair count of POST /distances (0 or negative
-// restores the default).
-func WithMaxBatchPairs(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.maxBatchPairs = n
-		}
-	}
-}
-
-// WithMaxBodyBytes caps JSON request body sizes (0 or negative restores the
-// default).
-func WithMaxBodyBytes(n int64) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.maxBodyBytes = n
-		}
-	}
-}
-
-// WithMaxBatchOps caps the op count of POST /updates (0 or negative
-// restores the default).
-func WithMaxBatchOps(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.maxBatchOps = n
-		}
-	}
-}
-
-// WithMaxLabelBytes caps the labelling stream size of PUT /labels (0 or
-// negative restores the default).
-func WithMaxLabelBytes(n int64) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.maxLabelBytes = n
-		}
-	}
-}
 
 // Durability is the admin capability of a durable store (implemented by
 // *wal.Durable): trigger a checkpoint, read the WAL counters.
@@ -158,19 +118,9 @@ func WithDurability(d Durability) Option {
 	return func(s *Server) { s.durability = d }
 }
 
-// WithEpochWait bounds how long a read carrying an X-Oracle-Epoch request
-// header may wait for the serving store to catch up to that epoch (0 or
-// negative restores the 2s default).
-func WithEpochWait(d time.Duration) Option {
-	return func(s *Server) {
-		if d > 0 {
-			s.epochWait = d
-		}
-	}
-}
-
-// DefaultEpochWait is the read-your-writes waiting bound.
-const DefaultEpochWait = 2 * time.Second
+// EpochWait bounds how long a read carrying an X-Oracle-Epoch request
+// header may wait for the serving store to catch up to that epoch.
+const EpochWait = 2 * time.Second
 
 // Replica is the follower capability the server needs to serve a read
 // replica (implemented by *repl.Follower): the replica store — nil until
@@ -185,28 +135,16 @@ type Replica interface {
 // NewReplica returns a Server serving a follower's replica store: the read
 // API in full, 503 + a leader hint on every write, 503 from /healthz until
 // the bootstrap completes.
-func NewReplica(r Replica, opts ...Option) *Server {
-	s := &Server{
-		replica:       r,
-		maxBatchPairs: DefaultMaxBatchPairs,
-		maxBodyBytes:  DefaultMaxBodyBytes,
-		maxBatchOps:   DefaultMaxBatchOps,
-		maxLabelBytes: DefaultMaxLabelBytes,
-		epochWait:     DefaultEpochWait,
-		start:         time.Now(),
-	}
-	for _, opt := range opts {
-		opt(s)
-	}
-	return s
-}
+func NewReplica(r Replica, opts ...Option) *Server { return newServer(nil, r, opts) }
 
 // Server wraps an oracle with HTTP handlers over a versioned snapshot
 // store: reads load one immutable snapshot per request, writes publish new
 // epochs.
 type Server struct {
-	store         *dynhl.Store
-	replica       Replica // non-nil on a follower: store comes from here
+	store   *dynhl.Store
+	replica Replica // non-nil on a follower: store comes from here
+	// The input caps and the epoch wait, set from the constants; only
+	// the package's tests lower them.
 	maxBatchPairs int
 	maxBodyBytes  int64
 	maxBatchOps   int
@@ -219,14 +157,18 @@ type Server struct {
 // New returns a Server serving o through a dynhl.Store, reusing it when o
 // already is one. o must otherwise be one of dynhl's index variants
 // (dynhl.NewStore panics on any other Oracle).
-func New(o dynhl.Oracle, opts ...Option) *Server {
+func New(o dynhl.Oracle, opts ...Option) *Server { return newServer(dynhl.NewStore(o), nil, opts) }
+
+// newServer returns a Server over store or, on a follower, replica.
+func newServer(store *dynhl.Store, replica Replica, opts []Option) *Server {
 	s := &Server{
-		store:         dynhl.NewStore(o),
-		maxBatchPairs: DefaultMaxBatchPairs,
-		maxBodyBytes:  DefaultMaxBodyBytes,
-		maxBatchOps:   DefaultMaxBatchOps,
-		maxLabelBytes: DefaultMaxLabelBytes,
-		epochWait:     DefaultEpochWait,
+		store:         store,
+		replica:       replica,
+		maxBatchPairs: MaxBatchPairs,
+		maxBodyBytes:  MaxBodyBytes,
+		maxBatchOps:   MaxBatchOps,
+		maxLabelBytes: MaxLabelBytes,
+		epochWait:     EpochWait,
 		start:         time.Now(),
 	}
 	for _, opt := range opts {
@@ -249,7 +191,7 @@ const leaderHeader = "X-Oracle-Leader"
 
 // readStore resolves the store a read serves from, answering 503 while a
 // replica is still bootstrapping. A request carrying an X-Oracle-Epoch
-// header is read-your-writes: the read waits — bounded by WithEpochWait —
+// header is read-your-writes: the read waits — bounded by EpochWait —
 // until the store has published that epoch, and answers 503 (with the
 // current epoch tagged) when it cannot catch up in time.
 func (s *Server) readStore(w http.ResponseWriter, r *http.Request) (*dynhl.Store, bool) {

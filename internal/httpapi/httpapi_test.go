@@ -295,7 +295,9 @@ func TestPayloadCaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(idx, WithMaxBatchPairs(2), WithMaxBodyBytes(256)).Handler())
+	srv := New(idx)
+	srv.maxBatchPairs, srv.maxBodyBytes = 2, 256
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
 	postJSON(t, ts.URL+"/distances", `{"pairs":[{"u":0,"v":1},{"u":1,"v":2}]}`, http.StatusOK, nil)
@@ -400,7 +402,9 @@ func TestUpdatesEndpoint(t *testing.T) {
 
 	// Unknown op kinds are 400, oversized batches 413.
 	postJSON(t, ts.URL+"/updates", `{"ops":[{"op":"explode"}]}`, http.StatusBadRequest, nil)
-	ts2 := httptest.NewServer(New(mustBuild(t), WithMaxBatchOps(1)).Handler())
+	srv2 := New(mustBuild(t))
+	srv2.maxBatchOps = 1
+	ts2 := httptest.NewServer(srv2.Handler())
 	t.Cleanup(ts2.Close)
 	postJSON(t, ts2.URL+"/updates",
 		`{"ops":[{"op":"insert_edge","u":0,"v":9},{"op":"delete_edge","u":0,"v":9}]}`,
@@ -503,7 +507,9 @@ func TestLabelsCaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(idx, WithMaxBodyBytes(64)).Handler())
+	srv := New(idx)
+	srv.maxBodyBytes = 64
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	resp, err := http.Get(ts.URL + "/labels")
 	if err != nil {
@@ -530,7 +536,9 @@ func TestLabelsCaps(t *testing.T) {
 		t.Fatalf("PUT /labels larger than the JSON cap: status %d, want 204", resp.StatusCode)
 	}
 
-	tsSmall := httptest.NewServer(New(idx, WithMaxLabelBytes(16)).Handler())
+	small := New(idx)
+	small.maxLabelBytes = 16
+	tsSmall := httptest.NewServer(small.Handler())
 	t.Cleanup(tsSmall.Close)
 	req, err = http.NewRequest(http.MethodPut, tsSmall.URL+"/labels", bytes.NewReader(blob))
 	if err != nil {

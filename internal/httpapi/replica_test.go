@@ -35,7 +35,9 @@ func replicaFixture(t *testing.T, bootstrapped bool) (*fakeReplica, *httptest.Se
 		f.store = dynhl.NewStore(idx)
 		f.stats.Ready = true
 	}
-	ts := httptest.NewServer(NewReplica(f, WithEpochWait(50*time.Millisecond)).Handler())
+	srv := NewReplica(f)
+	srv.epochWait = 50 * time.Millisecond
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return f, ts
 }
@@ -135,7 +137,9 @@ func TestReadYourWritesEpochWait(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := dynhl.NewStore(idx)
-	ts := httptest.NewServer(New(store, WithEpochWait(100*time.Millisecond)).Handler())
+	srv := New(store)
+	srv.epochWait = 100 * time.Millisecond
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
 	get := func(epoch string) *http.Response {

@@ -39,7 +39,7 @@ type Index struct {
 
 	// scratch
 	tmpDist []graph.Dist
-	q       queue.PairQueue
+	q       queue.FIFO[queue.Pair]
 }
 
 // Build constructs the labelling with one pruned BFS per vertex in

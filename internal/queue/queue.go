@@ -1,38 +1,30 @@
 // Package queue provides the queues of the searches in this repository:
-// ring-buffer FIFOs for the breadth-first searches, which avoid the
+// one ring-buffer FIFO for the breadth-first searches, which avoids the
 // per-element allocation of container/list and the head-slice churn of
 // append/shift slices, and the monotone radix heap (PQ) of every Dijkstra.
 package queue
 
-// Uint32 is a FIFO queue of uint32 values backed by a growable ring buffer.
+// FIFO is a first-in first-out queue backed by a growable ring buffer.
 // The zero value is ready to use.
-type Uint32 struct {
-	buf  []uint32
+type FIFO[T any] struct {
+	buf  []T
 	head int
 	tail int
 	n    int
 }
 
-// NewUint32 returns a queue with capacity for at least n elements.
-func NewUint32(n int) *Uint32 {
-	if n < 4 {
-		n = 4
-	}
-	return &Uint32{buf: make([]uint32, n)}
-}
-
 // Len reports the number of queued elements.
-func (q *Uint32) Len() int { return q.n }
+func (q *FIFO[T]) Len() int { return q.n }
 
 // Empty reports whether the queue holds no elements.
-func (q *Uint32) Empty() bool { return q.n == 0 }
+func (q *FIFO[T]) Empty() bool { return q.n == 0 }
 
-// Push appends v to the tail of the queue.
-func (q *Uint32) Push(v uint32) {
+// Push appends x to the tail of the queue.
+func (q *FIFO[T]) Push(x T) {
 	if q.n == len(q.buf) {
 		q.grow()
 	}
-	q.buf[q.tail] = v
+	q.buf[q.tail] = x
 	q.tail++
 	if q.tail == len(q.buf) {
 		q.tail = 0
@@ -42,35 +34,26 @@ func (q *Uint32) Push(v uint32) {
 
 // Pop removes and returns the head of the queue.
 // It panics if the queue is empty.
-func (q *Uint32) Pop() uint32 {
+func (q *FIFO[T]) Pop() T {
 	if q.n == 0 {
-		panic("queue: Pop on empty Uint32 queue")
+		panic("queue: Pop on empty FIFO")
 	}
-	v := q.buf[q.head]
+	x := q.buf[q.head]
 	q.head++
 	if q.head == len(q.buf) {
 		q.head = 0
 	}
 	q.n--
-	return v
-}
-
-// Peek returns the head of the queue without removing it.
-// It panics if the queue is empty.
-func (q *Uint32) Peek() uint32 {
-	if q.n == 0 {
-		panic("queue: Peek on empty Uint32 queue")
-	}
-	return q.buf[q.head]
+	return x
 }
 
 // Reset discards all elements but keeps the backing buffer.
-func (q *Uint32) Reset() {
+func (q *FIFO[T]) Reset() {
 	q.head, q.tail, q.n = 0, 0, 0
 }
 
-func (q *Uint32) grow() {
-	next := make([]uint32, max(4, 2*len(q.buf)))
+func (q *FIFO[T]) grow() {
+	next := make([]T, max(4, 2*len(q.buf)))
 	if q.n > 0 {
 		if q.head < q.tail {
 			copy(next, q.buf[q.head:q.tail])
@@ -89,84 +72,4 @@ func (q *Uint32) grow() {
 type Pair struct {
 	V uint32
 	D uint32
-}
-
-// PairQueue is a FIFO queue of Pair values backed by a growable ring buffer.
-// The zero value is ready to use.
-type PairQueue struct {
-	buf  []Pair
-	head int
-	tail int
-	n    int
-}
-
-// NewPairQueue returns a queue with capacity for at least n elements.
-func NewPairQueue(n int) *PairQueue {
-	if n < 4 {
-		n = 4
-	}
-	return &PairQueue{buf: make([]Pair, n)}
-}
-
-// Len reports the number of queued elements.
-func (q *PairQueue) Len() int { return q.n }
-
-// Empty reports whether the queue holds no elements.
-func (q *PairQueue) Empty() bool { return q.n == 0 }
-
-// Push appends p to the tail of the queue.
-func (q *PairQueue) Push(p Pair) {
-	if q.n == len(q.buf) {
-		q.grow()
-	}
-	q.buf[q.tail] = p
-	q.tail++
-	if q.tail == len(q.buf) {
-		q.tail = 0
-	}
-	q.n++
-}
-
-// Pop removes and returns the head of the queue.
-// It panics if the queue is empty.
-func (q *PairQueue) Pop() Pair {
-	if q.n == 0 {
-		panic("queue: Pop on empty PairQueue")
-	}
-	p := q.buf[q.head]
-	q.head++
-	if q.head == len(q.buf) {
-		q.head = 0
-	}
-	q.n--
-	return p
-}
-
-// Peek returns the head of the queue without removing it.
-// It panics if the queue is empty.
-func (q *PairQueue) Peek() Pair {
-	if q.n == 0 {
-		panic("queue: Peek on empty PairQueue")
-	}
-	return q.buf[q.head]
-}
-
-// Reset discards all elements but keeps the backing buffer.
-func (q *PairQueue) Reset() {
-	q.head, q.tail, q.n = 0, 0, 0
-}
-
-func (q *PairQueue) grow() {
-	next := make([]Pair, max(4, 2*len(q.buf)))
-	if q.n > 0 {
-		if q.head < q.tail {
-			copy(next, q.buf[q.head:q.tail])
-		} else {
-			k := copy(next, q.buf[q.head:])
-			copy(next[k:], q.buf[:q.tail])
-		}
-	}
-	q.buf = next
-	q.head = 0
-	q.tail = q.n
 }

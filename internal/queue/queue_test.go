@@ -7,15 +7,12 @@ import (
 )
 
 func TestUint32FIFO(t *testing.T) {
-	q := NewUint32(2)
+	var q FIFO[uint32]
 	for i := uint32(0); i < 10; i++ {
 		q.Push(i)
 	}
 	if q.Len() != 10 {
 		t.Fatalf("Len: got %d, want 10", q.Len())
-	}
-	if q.Peek() != 0 {
-		t.Fatalf("Peek: got %d", q.Peek())
 	}
 	for i := uint32(0); i < 10; i++ {
 		if got := q.Pop(); got != i {
@@ -28,7 +25,7 @@ func TestUint32FIFO(t *testing.T) {
 }
 
 func TestUint32WrapAround(t *testing.T) {
-	var q Uint32 // zero value usable
+	var q FIFO[uint32] // zero value usable
 	for round := 0; round < 5; round++ {
 		for i := uint32(0); i < 7; i++ {
 			q.Push(i)
@@ -47,12 +44,12 @@ func TestUint32PopEmptyPanics(t *testing.T) {
 			t.Error("Pop on empty queue must panic")
 		}
 	}()
-	var q Uint32
+	var q FIFO[uint32]
 	q.Pop()
 }
 
 func TestUint32Reset(t *testing.T) {
-	var q Uint32
+	var q FIFO[uint32]
 	q.Push(1)
 	q.Push(2)
 	q.Reset()
@@ -66,12 +63,9 @@ func TestUint32Reset(t *testing.T) {
 }
 
 func TestPairQueueFIFO(t *testing.T) {
-	var q PairQueue
+	var q FIFO[Pair]
 	for i := uint32(0); i < 20; i++ {
 		q.Push(Pair{V: i, D: i * 2})
-	}
-	if q.Peek() != (Pair{0, 0}) {
-		t.Fatalf("Peek: got %v", q.Peek())
 	}
 	for i := uint32(0); i < 20; i++ {
 		p := q.Pop()
@@ -82,26 +76,19 @@ func TestPairQueueFIFO(t *testing.T) {
 }
 
 func TestPairQueuePanics(t *testing.T) {
-	for name, fn := range map[string]func(*PairQueue){
-		"Pop":  func(q *PairQueue) { q.Pop() },
-		"Peek": func(q *PairQueue) { q.Peek() },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s on empty queue must panic", name)
-				}
-			}()
-			var q PairQueue
-			fn(&q)
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Pop on empty queue must panic")
+		}
+	}()
+	var q FIFO[Pair]
+	q.Pop()
 }
 
 func TestQueueQuickMirrorsSlice(t *testing.T) {
 	// Property: interleaved pushes and pops behave like a slice-backed FIFO.
 	f := func(ops []uint16) bool {
-		var q Uint32
+		var q FIFO[uint32]
 		var ref []uint32
 		for _, op := range ops {
 			if op%3 == 0 && len(ref) > 0 {

@@ -18,24 +18,14 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	lists, wts, m, err := graph.Rows(l.N, len(l.U), l.Edge, l.W, true, false)
+	off, to, wts, m, err := graph.Rows(l.N, len(l.U), l.Edge, l.W, true, false)
 	if err != nil {
 		return nil, fmt.Errorf("wgraph: %w", err)
 	}
-	// Zip each list with its weights into one slab of arcs.
-	arcs := make([]Arc, len(wts))
-	adj := cow.Make[Arc](l.N)
-	at := 0
-	for v := uint32(0); int(v) < l.N; v++ {
-		row := lists.Row(v)
-		if len(row) == 0 {
-			continue
-		}
-		for j, to := range row {
-			arcs[at+j] = Arc{To: to, W: wts[at+j]}
-		}
-		*adj.Mut(v) = arcs[at : at+len(row) : at+len(row)]
-		at += len(row)
+	// Zip the lists with their weights into one slab of arcs.
+	arcs := make([]Arc, len(to))
+	for j := range arcs {
+		arcs[j] = Arc{To: to[j], W: wts[j]}
 	}
-	return &Graph{adj: adj, edges: uint64(m)}, nil
+	return &Graph{adj: cow.FromCSR(off, arcs, true), edges: uint64(m)}, nil
 }

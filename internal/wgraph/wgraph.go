@@ -10,6 +10,7 @@ package wgraph
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bfs"
 	"repro/internal/cow"
@@ -79,10 +80,8 @@ func (g *Graph) AddEdge(u, v uint32, w graph.Dist) (bool, error) {
 	if g.HasEdge(u, v) {
 		return false, nil
 	}
-	au := g.adj.Mut(u)
-	*au = append(*au, Arc{To: v, W: w})
-	av := g.adj.Mut(v)
-	*av = append(*av, Arc{To: u, W: w})
+	g.adj.Append(u, Arc{To: v, W: w})
+	g.adj.Append(v, Arc{To: u, W: w})
 	g.edges++
 	return true, nil
 }
@@ -113,34 +112,26 @@ func (g *Graph) RemoveEdge(u, v uint32) (graph.Dist, error) {
 	if !g.HasEdge(u, v) {
 		return 0, fmt.Errorf("%w: (%d,%d)", graph.ErrEdgeUnknown, u, v)
 	}
-	w, _ := removeArc(g.adj.Mut(u), v)
-	removeArc(g.adj.Mut(v), u)
+	j := arcTo(g.adj.Row(u), v)
+	w := g.adj.Row(u)[j].W
+	g.adj.Remove(u, j)
+	g.adj.Remove(v, arcTo(g.adj.Row(v), u))
 	g.edges--
 	return w, nil
 }
 
-// Fork returns a copy-on-write copy: only the chunk directory of the
-// adjacency table and one bit per vertex are copied, and the fork's first
-// write to a vertex copies its chunk of list headers and then its list
-// (see internal/cow). Mutating the fork never writes to memory reachable
-// from g; g must be treated as frozen afterwards (snapshot discipline).
-func (g *Graph) Fork() *Graph {
-	return &Graph{adj: g.adj.Fork(), edges: g.edges}
+// arcTo returns the index of the arc to x in list, or -1.
+func arcTo(list []Arc, x uint32) int {
+	return slices.IndexFunc(list, func(a Arc) bool { return a.To == x })
 }
 
-// removeArc deletes the arc to x from *list (swap with last; adjacency
-// order is unspecified), returning its weight and whether it was present.
-func removeArc(list *[]Arc, x uint32) (graph.Dist, bool) {
-	l := *list
-	for i, a := range l {
-		if a.To == x {
-			w := a.W
-			l[i] = l[len(l)-1]
-			*list = l[:len(l)-1]
-			return w, true
-		}
-	}
-	return 0, false
+// Fork returns a copy-on-write copy: only the chunk directory of the
+// adjacency table is copied, and the fork's first write to a chunk of 512
+// vertices copies that chunk's span table and overflow (see internal/cow).
+// Mutating the fork never writes to memory reachable from g; g must be
+// treated as frozen afterwards (snapshot discipline).
+func (g *Graph) Fork() *Graph {
+	return &Graph{adj: g.adj.Fork(), edges: g.edges}
 }
 
 // MustAddEdge inserts (u,v,w), growing the vertex set as needed.

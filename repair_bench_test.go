@@ -12,7 +12,7 @@ import (
 	"repro/internal/testutil"
 )
 
-// BenchmarkRepairParallel times repairs in five groups. The first four pin
+// BenchmarkRepairParallel times repairs in six groups. The first five pin
 // RepairWorkers: 1 and time one workload each, serially:
 //
 //   - churn deletes a uniformly random existing edge of a Barabási–Albert
@@ -29,10 +29,15 @@ import (
 //     (web-locality, 40k vertices, degree 20, weights 1–8, 20 landmarks):
 //     each iteration deletes a uniformly random existing edge and inserts
 //     it again with its weight.
+//   - hub deletes an edge of the top-degree vertex of the churn graph and
+//     inserts it again, each as its own Store batch, so every write is a
+//     fresh fork's first write to the chunk of 512 vertices that holds the
+//     graph's hubs: Barabási–Albert ids put them all in chunk 0, the
+//     worst case for a fork's first write.
 //
-// These four report allocations, since a repair's scratch is pooled.
+// These five report allocations, since a repair's scratch is pooled.
 //
-// The fifth group, workers=N, sweeps the repair fan-out over 1, 2, 4 and
+// The sixth group, workers=N, sweeps the repair fan-out over 1, 2, 4 and
 // 8. Each iteration inserts an edge and deletes it again (net-zero churn,
 // so the index keeps a stable size for any N) on the 50k-vertex kernel
 // proxy (100k edges, 16 landmarks), and a row times the two together.
@@ -144,6 +149,26 @@ func BenchmarkRepairParallel(b *testing.B) {
 				b.Fatal(err)
 			}
 			if _, err := x.InsertEdge(e[0], e[1], e[2]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("hub", func(b *testing.B) {
+		g := gen.BarabasiAlbert(50_000, 8, 9)
+		hub := g.MaxDegreeVertex()
+		nb := g.Neighbors(hub)[0]
+		x, err := dynhl.Build(g, dynhl.Options{Landmarks: 20, RepairWorkers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		st := dynhl.NewStore(x)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := st.Apply([]dynhl.Op{dynhl.DeleteEdgeOp(hub, nb)}); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := st.Apply([]dynhl.Op{dynhl.InsertEdgeOp(hub, nb, 0)}); err != nil {
 				b.Fatal(err)
 			}
 		}
